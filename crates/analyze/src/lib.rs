@@ -15,13 +15,16 @@
 //!    payload cap parsed out of `serve/src/proto.rs` and diffed against
 //!    the DESIGN.md §6 wire-format tables.
 //! 3. [`panics`] — no `unwrap()` / `expect()` / `panic!` in non-test
-//!    code of the serve hot-path files, modulo an explicit
+//!    code of the service hot-path files (dispatcher, master, gate pool,
+//!    shard frontend, worker, transport, proto), modulo an explicit
 //!    `// rck-lint: allow(panic)` marker.
 //! 4. [`locks`] — no mutex guard held across I/O or channel calls, and
 //!    a consistent lock acquisition order across files.
-//! 5. [`model`] — an exhaustive model check of the master's batch
-//!    lifecycle (dispatch / heartbeat / timeout / requeue / abort)
-//!    against a transition table extracted from `master.rs`, asserting
+//! 5. [`model`] — an exhaustive model check of the batch lifecycle
+//!    (dispatch / heartbeat / timeout / requeue / abort) against a
+//!    transition table extracted from the shared dispatcher
+//!    (`serve/src/dispatch.rs`) plus each `WorkSource` policy layered on
+//!    it (`serve/src/master.rs`, `gate/src/pool.rs`), asserting
 //!    `dispatched == completed + duplicates + requeued + in-flight`
 //!    and the absence of stuck states.
 //!

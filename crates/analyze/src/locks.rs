@@ -1,4 +1,5 @@
-//! Pass 4: lock discipline in the serve layer.
+//! Pass 4: lock discipline in the dispatch layers (serve, gate pool,
+//! shard frontend).
 //!
 //! Two checks over the files that share mutexes:
 //!
@@ -19,11 +20,14 @@ use std::collections::BTreeMap;
 
 /// Files sharing locks that this pass scans.
 pub const LOCK_FILES: &[&str] = &[
+    "crates/serve/src/dispatch.rs",
     "crates/serve/src/master.rs",
     "crates/serve/src/stats.rs",
     "crates/serve/src/chaos.rs",
     "crates/serve/src/worker.rs",
     "crates/serve/src/transport.rs",
+    "crates/gate/src/pool.rs",
+    "crates/shard/src/frontend.rs",
 ];
 
 /// Marker accepted at an I/O call under a guard.

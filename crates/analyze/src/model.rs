@@ -1,7 +1,7 @@
 //! Pass 5: the batch-lifecycle model checker.
 //!
-//! The master's requeue/dedup logic promises an accounting identity —
-//! every dispatched job is eventually counted exactly once as
+//! The dispatcher's requeue/dedup logic promises an accounting identity
+//! — every dispatched job is eventually counted exactly once as
 //! completed, duplicate, or requeued — and the chaos harness asserts it
 //! *per run*. This pass proves it *per reachable state*: a small
 //! abstract model of the batch lifecycle (dispatch, result delivery,
@@ -16,37 +16,79 @@
 //!   (empty queue, nothing in flight, jobs missing).
 //!
 //! The model's transition table is not hard-coded: each transition is
-//! tied to an *anchor* in `crates/serve/src/master.rs` (the function or
-//! stats hook that implements it). A missing anchor is a finding in
-//! itself, *and* disables that behavior in the model, so the checker
-//! reproduces the bug the drift would cause — delete the requeue
-//! accounting and the model exhibits a stuck, unaccounted state.
+//! tied to an *anchor* — the function or stats hook that implements it —
+//! either in the shared dispatcher core (`crates/serve/src/dispatch.rs`)
+//! or in one of the [`POLICIES`] layered on it (the master's FIFO queue,
+//! the gate's stride pick). The table is extracted and the model
+//! explored once per policy, so every tier built on the dispatcher is
+//! covered by construction. A missing anchor is a finding in itself,
+//! *and* disables that behavior in the model, so the checker reproduces
+//! the bug the drift would cause — delete the requeue accounting and the
+//! model exhibits a stuck, unaccounted state.
 
 use crate::lexer::{self, TokKind};
 use crate::{Finding, Pass, Workspace};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Source file the transition table is extracted from.
-pub const MASTER_RS: &str = "crates/serve/src/master.rs";
+/// The shared dispatcher core: ledger, deadlines, requeue, acceptance.
+pub const DISPATCH_RS: &str = "crates/serve/src/dispatch.rs";
 
-/// Behavioral flags, each witnessed by an anchor in `master.rs`.
+/// One `WorkSource` policy over the dispatcher core and the anchors that
+/// witness its half of the transition table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Policy {
+    /// Source file of the `WorkSource` impl.
+    pub file: &'static str,
+    /// Stats hook counting dispatched jobs.
+    pub dispatched: &'static str,
+    /// Stats hook counting duplicate outcomes, where the tier has one.
+    pub duplicates: Option<&'static str>,
+    /// Stats hook counting requeued jobs.
+    pub requeued: &'static str,
+    /// The flag that halts dispatch.
+    pub halt_flag: &'static str,
+}
+
+/// Every tier that plugs into the dispatcher's worker loop.
+pub const POLICIES: &[Policy] = &[
+    Policy {
+        file: "crates/serve/src/master.rs",
+        dispatched: "on_batch_dispatched",
+        duplicates: Some("on_duplicate_results"),
+        requeued: "on_batch_requeued",
+        halt_flag: "aborted",
+    },
+    Policy {
+        file: "crates/gate/src/pool.rs",
+        dispatched: "on_jobs_dispatched",
+        duplicates: None,
+        requeued: "on_jobs_requeued",
+        halt_flag: "stopped",
+    },
+];
+
+/// Behavioral flags, each witnessed by an anchor in the dispatcher core
+/// or the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionTable {
     /// Dispatch increments the dispatched counter
-    /// (anchor: `on_batch_dispatched` inside `next_batch`'s caller).
+    /// (policy anchor: [`Policy::dispatched`]).
     pub dispatch_counts_jobs: bool,
     /// Results for retired batch ids are dropped, not accepted
-    /// (anchor: `on_stale_result`).
+    /// (core anchors: `settle`, `StaleResult`).
     pub accept_requires_inflight: bool,
     /// Accepted pairs are deduplicated against the done set
-    /// (anchors: `done.insert`, `on_duplicate_results`).
+    /// (policy anchors: `done.insert`, [`Policy::duplicates`]).
     pub dedup_on_accept: bool,
     /// A timed-out batch goes back on the queue and is counted
-    /// (anchors: `requeue_worker`, `on_batch_requeued`).
+    /// (core anchor: `requeue_worker`; policy anchor:
+    /// [`Policy::requeued`]).
     pub timeout_requeues: bool,
-    /// Heartbeats refresh the deadline (anchor: `refresh_deadlines`).
+    /// Heartbeats refresh the deadline (core anchor:
+    /// `refresh_deadlines`).
     pub heartbeat_refreshes: bool,
-    /// No new batches are dispatched after abort (anchor: `aborted`).
+    /// No new batches are dispatched after abort (core anchor: `halted`;
+    /// policy anchor: [`Policy::halt_flag`]).
     pub abort_stops_dispatch: bool,
 }
 
@@ -73,37 +115,53 @@ pub struct ModelStats {
     pub transitions: usize,
 }
 
-/// Run the pass: extract the table from `master.rs`, then model-check.
+/// Run the pass: per policy, extract the table from the dispatcher core
+/// plus the policy file, then model-check it. The reported statistics
+/// are summed over the policies.
 pub fn check(ws: &Workspace) -> (Vec<Finding>, Option<ModelStats>) {
-    let Some(src) = ws.read(MASTER_RS) else {
-        return (
-            vec![Finding::at(
-                Pass::Model,
-                MASTER_RS,
-                0,
-                "master source missing — cannot extract the transition table".to_string(),
-            )],
-            None,
-        );
+    let missing = |file: &str| {
+        Finding::at(
+            Pass::Model,
+            file,
+            0,
+            "source missing — cannot extract the transition table".to_string(),
+        )
     };
-    let (table, mut findings) = extract_table(&src);
-    let (violations, stats) = explore(table);
-    findings.extend(violations);
+    let Some(core) = ws.read(DISPATCH_RS) else {
+        return (vec![missing(DISPATCH_RS)], None);
+    };
+    let mut findings = Vec::new();
+    let mut total = ModelStats {
+        states: 0,
+        transitions: 0,
+    };
+    for policy in POLICIES {
+        let Some(src) = ws.read(policy.file) else {
+            findings.push(missing(policy.file));
+            continue;
+        };
+        let (table, anchors) = extract_table(&core, &src, policy);
+        let (violations, stats) = explore(table, policy.file);
+        findings.extend(anchors);
+        findings.extend(violations);
+        total.states += stats.states;
+        total.transitions += stats.transitions;
+    }
     findings.sort();
-    (findings, Some(stats))
+    findings.dedup();
+    (findings, Some(total))
 }
 
-/// Extract the transition table from `master.rs` source. Every absent
-/// anchor produces a finding and clears its flag.
-pub fn extract_table(src: &str) -> (TransitionTable, Vec<Finding>) {
+/// Non-test identifiers of `src`, plus whether it contains the exact
+/// `done.insert(` call shape of the dedup site.
+fn anchors_in(src: &str) -> (BTreeSet<String>, bool) {
     let lexed = lexer::lex(src);
-    let idents: BTreeSet<&str> = lexed
+    let idents = lexed
         .toks
         .iter()
         .filter(|t| t.kind == TokKind::Ident && !t.in_test)
-        .map(|t| t.text.as_str())
+        .map(|t| t.text.clone())
         .collect();
-    // `done.insert(...)` — the dedup site — needs the exact call shape.
     let has_done_insert = lexed.toks.windows(4).any(|w| {
         !w[0].in_test
             && w[0].text == "done"
@@ -111,58 +169,77 @@ pub fn extract_table(src: &str) -> (TransitionTable, Vec<Finding>) {
             && w[2].text == "insert"
             && w[3].text == "("
     });
+    (idents, has_done_insert)
+}
+
+/// Extract the transition table of `policy` from the dispatcher core
+/// and the policy's source. Every absent anchor produces a finding
+/// against the file that should hold it and clears its flag.
+pub fn extract_table(
+    core: &str,
+    policy_src: &str,
+    policy: &Policy,
+) -> (TransitionTable, Vec<Finding>) {
+    let (core_idents, _) = anchors_in(core);
+    let (policy_idents, has_done_insert) = anchors_in(policy_src);
+    let in_core = |anchor: &str| core_idents.contains(anchor);
+    let in_policy = |anchor: &str| policy_idents.contains(anchor);
 
     let mut findings = Vec::new();
-    let mut missing = |anchors: &[&str], why: &str, present: bool| -> bool {
-        if !present {
+    // Each behavior lists its (file, anchor, present) witnesses.
+    let mut witnessed = |why: &str, anchors: &[(&str, &str, bool)]| -> bool {
+        for (file, anchor, _) in anchors.iter().filter(|(_, _, present)| !present) {
             findings.push(Finding::at(
                 Pass::Model,
-                MASTER_RS,
+                *file,
                 0,
-                format!(
-                    "transition-table anchor missing: {} — {}",
-                    anchors
-                        .iter()
-                        .map(|a| format!("`{a}`"))
-                        .collect::<Vec<_>>()
-                        .join(" / "),
-                    why
-                ),
+                format!("transition-table anchor missing: `{anchor}` — {why}"),
             ));
         }
-        present
+        anchors.iter().all(|(_, _, present)| *present)
     };
 
+    let mut dedup = vec![(policy.file, "done.insert", has_done_insert)];
+    if let Some(hook) = policy.duplicates {
+        dedup.push((policy.file, hook, in_policy(hook)));
+    }
     let table = TransitionTable {
-        dispatch_counts_jobs: missing(
-            &["on_batch_dispatched"],
+        dispatch_counts_jobs: witnessed(
             "dispatched jobs would go uncounted",
-            idents.contains("on_batch_dispatched"),
+            &[(policy.file, policy.dispatched, in_policy(policy.dispatched))],
         ),
-        accept_requires_inflight: missing(
-            &["on_stale_result"],
+        accept_requires_inflight: witnessed(
             "late results for retired batch ids would be accepted twice",
-            idents.contains("on_stale_result"),
+            &[
+                (DISPATCH_RS, "settle", in_core("settle")),
+                (DISPATCH_RS, "StaleResult", in_core("StaleResult")),
+            ],
         ),
-        dedup_on_accept: missing(
-            &["done.insert", "on_duplicate_results"],
+        dedup_on_accept: witnessed(
             "replayed pairs would be double-counted as completed",
-            has_done_insert && idents.contains("on_duplicate_results"),
+            &dedup,
         ),
-        timeout_requeues: missing(
-            &["requeue_worker", "on_batch_requeued"],
+        timeout_requeues: witnessed(
             "a dead worker's batches would be lost and the run would hang",
-            idents.contains("requeue_worker") && idents.contains("on_batch_requeued"),
+            &[
+                (DISPATCH_RS, "requeue_worker", in_core("requeue_worker")),
+                (policy.file, policy.requeued, in_policy(policy.requeued)),
+            ],
         ),
-        heartbeat_refreshes: missing(
-            &["refresh_deadlines"],
+        heartbeat_refreshes: witnessed(
             "heartbeats would not keep a slow worker's batch alive",
-            idents.contains("refresh_deadlines"),
+            &[(
+                DISPATCH_RS,
+                "refresh_deadlines",
+                in_core("refresh_deadlines"),
+            )],
         ),
-        abort_stops_dispatch: missing(
-            &["aborted"],
+        abort_stops_dispatch: witnessed(
             "abort would not stop the dispatcher",
-            idents.contains("aborted"),
+            &[
+                (DISPATCH_RS, "halted", in_core("halted")),
+                (policy.file, policy.halt_flag, in_policy(policy.halt_flag)),
+            ],
         ),
     };
     (table, findings)
@@ -224,8 +301,8 @@ impl State {
 }
 
 /// Exhaustively explore the model under `table`, checking invariants in
-/// every reachable state.
-pub fn explore(table: TransitionTable) -> (Vec<Finding>, ModelStats) {
+/// every reachable state. Violations are reported against `file`.
+pub fn explore(table: TransitionTable, file: &str) -> (Vec<Finding>, ModelStats) {
     let mut seen: BTreeSet<State> = BTreeSet::new();
     let mut frontier: VecDeque<State> = VecDeque::new();
     let mut violations: Vec<String> = Vec::new();
@@ -247,7 +324,7 @@ pub fn explore(table: TransitionTable) -> (Vec<Finding>, ModelStats) {
 
     violations.sort();
     violations.dedup();
-    let findings = summarize(violations);
+    let findings = summarize(violations, file);
     (
         findings,
         ModelStats {
@@ -396,7 +473,7 @@ fn describe(s: &State) -> String {
     )
 }
 
-fn summarize(violations: Vec<String>) -> Vec<Finding> {
+fn summarize(violations: Vec<String>, file: &str) -> Vec<Finding> {
     // Cap per invariant class (the text before the first ':'), so a
     // flood of one violation kind cannot crowd the others out of the
     // report.
@@ -408,7 +485,7 @@ fn summarize(violations: Vec<String>) -> Vec<Finding> {
         let n = counts.entry(class.clone()).or_insert(0);
         *n += 1;
         if *n <= MAX_REPORTS {
-            findings.push(Finding::at(Pass::Model, MASTER_RS, 0, v));
+            findings.push(Finding::at(Pass::Model, file, 0, v));
         } else {
             *extra.entry(class).or_insert(0) += 1;
         }
@@ -416,7 +493,7 @@ fn summarize(violations: Vec<String>) -> Vec<Finding> {
     for (class, n) in extra {
         findings.push(Finding::at(
             Pass::Model,
-            MASTER_RS,
+            file,
             0,
             format!("... and {n} more `{class}` model violations"),
         ));
@@ -431,15 +508,15 @@ mod tests {
 
     #[test]
     fn correct_table_has_no_violations() {
-        let (findings, stats) = explore(TransitionTable::correct());
+        let (findings, stats) = explore(TransitionTable::correct(), "x.rs");
         assert_eq!(findings, vec![], "{findings:?}");
         assert!(stats.states > 50, "model too small: {stats:?}");
     }
 
     #[test]
     fn exploration_is_deterministic() {
-        let (f1, s1) = explore(TransitionTable::correct());
-        let (f2, s2) = explore(TransitionTable::correct());
+        let (f1, s1) = explore(TransitionTable::correct(), "x.rs");
+        let (f2, s2) = explore(TransitionTable::correct(), "x.rs");
         assert_eq!(f1, f2);
         assert_eq!(s1, s2);
     }
@@ -450,7 +527,7 @@ mod tests {
             timeout_requeues: false,
             ..TransitionTable::correct()
         };
-        let (findings, _) = explore(table);
+        let (findings, _) = explore(table, "x.rs");
         assert!(
             findings.iter().any(|f| f.message.contains("stuck state")),
             "{findings:?}"
@@ -466,7 +543,7 @@ mod tests {
             dispatch_counts_jobs: false,
             ..TransitionTable::correct()
         };
-        let (findings, _) = explore(table);
+        let (findings, _) = explore(table, "x.rs");
         assert!(findings
             .iter()
             .any(|f| f.message.contains("accounting broken")));
@@ -478,24 +555,42 @@ mod tests {
             accept_requires_inflight: false,
             ..TransitionTable::correct()
         };
-        let (findings, _) = explore(table);
+        let (findings, _) = explore(table, "x.rs");
         assert!(!findings.is_empty(), "stale acceptance must be caught");
     }
 
     #[test]
     fn anchor_extraction_drives_the_table() {
-        let good = "fn a() { stats.on_batch_dispatched(n); stats.on_stale_result(); \
-                    work.done.insert(k); stats.on_duplicate_results(d); \
-                    self.requeue_worker(id, s); stats.on_batch_requeued(n); \
-                    refresh_deadlines(shared, id); let x = aborted; }";
-        let (table, findings) = extract_table(good);
+        let core = "fn a() { ledger.settle(k); src.observe(Event::StaleResult); \
+                    requeue_worker(src, st, id); refresh_deadlines(src, id); \
+                    if src.halted() {} }";
+        let master = "fn b() { stats.on_batch_dispatched(n); work.done.insert(k); \
+                      stats.on_duplicate_results(d); stats.on_batch_requeued(n); \
+                      let x = aborted; }";
+        let (table, findings) = extract_table(core, master, &POLICIES[0]);
         assert_eq!(table, TransitionTable::correct());
         assert_eq!(findings, vec![]);
 
-        let bad = good.replace("stats.on_batch_requeued(n);", "");
-        let (table, findings) = extract_table(&bad);
+        // A drifted policy is blamed on the policy file ...
+        let bad = master.replace("stats.on_batch_requeued(n);", "");
+        let (table, findings) = extract_table(core, &bad, &POLICIES[0]);
         assert!(!table.timeout_requeues);
         assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].file, POLICIES[0].file);
         assert!(findings[0].message.contains("on_batch_requeued"));
+
+        // ... a drifted core on the dispatcher, for every policy.
+        let bad = core.replace("requeue_worker(src, st, id);", "");
+        let (table, findings) = extract_table(&bad, master, &POLICIES[0]);
+        assert!(!table.timeout_requeues);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(findings[0].file, DISPATCH_RS);
+
+        // The gate policy has its own hook names and no duplicates hook.
+        let gate = "fn c() { stats.on_jobs_dispatched(t, n); run.done.insert(k); \
+                    stats.on_jobs_requeued(n); let s = stopped; }";
+        let (table, findings) = extract_table(core, gate, &POLICIES[1]);
+        assert_eq!(table, TransitionTable::correct());
+        assert_eq!(findings, vec![]);
     }
 }

@@ -1,8 +1,9 @@
-//! Pass 3: panic paths in the serve hot-path files.
+//! Pass 3: panic paths in the service hot-path files.
 //!
-//! The master/worker/transport/proto files run inside service threads;
-//! a panic there kills a connection (or poisons a lock) instead of
-//! surfacing a `ServeError`. This pass denies `unwrap()` / `expect()` /
+//! The dispatcher, its master / gate-pool / shard-frontend policies and
+//! the worker/transport/proto files run inside service threads; a panic
+//! there kills a connection (or poisons a lock) instead of surfacing a
+//! `ServeError`. This pass denies `unwrap()` / `expect()` /
 //! `panic!` in their non-test code. Genuinely infallible uses carry a
 //! `// rck-lint: allow(panic)` marker with a one-line justification on
 //! the same or preceding line.
@@ -12,10 +13,13 @@ use crate::{Finding, Pass, Workspace};
 
 /// Files where panicking is a contract violation.
 pub const DENY_FILES: &[&str] = &[
+    "crates/serve/src/dispatch.rs",
     "crates/serve/src/master.rs",
     "crates/serve/src/worker.rs",
     "crates/serve/src/transport.rs",
     "crates/serve/src/proto.rs",
+    "crates/gate/src/pool.rs",
+    "crates/shard/src/frontend.rs",
 ];
 
 /// Marker name accepted by the escape hatch.

@@ -1,7 +1,8 @@
 // Fixture: panic paths, a guard held across I/O, a lock order that
 // worker.rs reverses, a badly named + undocumented metric, and a
-// transition table missing its requeue anchors (no `requeue_worker`,
-// no `on_batch_requeued`) so the model checker exhibits stuck states.
+// policy missing its requeue anchor (no `on_batch_requeued`; the
+// fixture dispatch.rs likewise lacks `requeue_worker`) so the model
+// checker exhibits stuck states.
 
 fn register(reg: &Registry) {
     let c = reg.counter("rck_bad_counter", "counter without the _total suffix");
@@ -16,10 +17,8 @@ fn dispatch(&self) {
 }
 
 fn accept(&self) {
-    stats.on_stale_result();
     work.done.insert(0);
     stats.on_duplicate_results(1);
-    refresh_deadlines(&shared, 0);
     let aborted = false;
 }
 

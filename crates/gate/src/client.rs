@@ -5,9 +5,8 @@
 //! way. The client is transport-agnostic ([`rck_serve::Conn`]): tests
 //! hand it an in-memory connection, the loadgen a TCP one.
 
-use rck_serve::proto::{self, Frame, Hello, QueryDone, QueryPartial, QueryReject, QuerySubmit};
+use rck_serve::proto::{self, Frame, QueryDone, QueryPartial, QueryReject, QuerySubmit};
 use rck_serve::transport::{Conn, TcpConn};
-use rck_serve::PROTOCOL_VERSION;
 use rckalign::PairOutcome;
 use std::io;
 use std::net::SocketAddr;
@@ -57,18 +56,7 @@ pub struct GateClient {
 impl GateClient {
     /// Handshake over an established connection (any transport).
     pub fn connect(mut conn: Box<dyn Conn>, name: &str) -> io::Result<GateClient> {
-        let hello = Frame::Hello(Hello {
-            protocol_version: PROTOCOL_VERSION,
-            worker_name: name.to_string(),
-        });
-        proto::write_frame(&mut conn, &hello)?;
-        let (frame, _) = proto::read_frame(&mut conn).map_err(frame_io_err)?;
-        let Frame::Welcome(welcome) = frame else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected Welcome after Hello",
-            ));
-        };
+        let (welcome, _, _) = rck_serve::dispatch::hello(&mut conn, name)?;
         Ok(GateClient {
             conn,
             session_id: welcome.worker_id,
@@ -111,7 +99,7 @@ impl GateClient {
                 format!("unexpected frame from gate: {other:?}"),
             )),
             Err(proto::FrameError::Closed) => Ok(QueryEvent::Ended),
-            Err(e) => Err(frame_io_err(e)),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -166,15 +154,5 @@ impl GateClient {
         proto::write_frame(&mut self.conn, &Frame::Shutdown)?;
         self.conn.shutdown();
         Ok(())
-    }
-}
-
-fn frame_io_err(e: proto::FrameError) -> io::Error {
-    match e {
-        proto::FrameError::Io(e) => e,
-        proto::FrameError::Closed => {
-            io::Error::new(io::ErrorKind::ConnectionAborted, "gate closed the session")
-        }
-        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
     }
 }

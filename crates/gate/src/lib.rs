@@ -29,8 +29,9 @@
 //! * **coalescing** — a submission whose (query, methods) fingerprint
 //!   matches an already-running query attaches to it as an extra
 //!   subscriber: one computation, every subscriber streamed;
-//! * **exactness under faults** — the pool reuses the master's requeue /
-//!   [`rck_serve::proto::answers_exactly`] / dedup guards, so the
+//! * **exactness under faults** — the pool is a policy over the same
+//!   [`rck_serve::dispatch`] core the master runs (requeue /
+//!   [`rck_serve::proto::answers_exactly`] / dedup guards), so the
 //!   ranking a client reassembles is bit-identical to an in-process
 //!   [`rckalign::onevsall`] run even across worker crashes; a faulted
 //!   *client* connection only unsubscribes itself — other tenants'
@@ -72,6 +73,7 @@ pub use fanout::FanoutClient;
 pub use stats::{GateSnapshot, GateStats};
 
 use rck_pdb::model::CaChain;
+use rck_serve::dispatch::{self, Dispatch};
 use rck_serve::proto::{fnv1a64, Frame, QueryDone, QueryPartial, QueryReject, QuerySubmit};
 use rck_serve::transport::{Conn, Listener, TcpChannelListener};
 use rck_serve::MutexExt;
@@ -146,7 +148,7 @@ pub(crate) struct QueryRun {
     /// Content hash of the query chain alone (no methods, no versions) —
     /// one half of every persistent-store key this run reads or writes.
     pub(crate) content_hash: u64,
-    pub(crate) chain: CaChain,
+    pub(crate) chain: Arc<CaChain>,
     pub(crate) methods: Vec<MethodKind>,
     pub(crate) pending: VecDeque<Vec<PairJob>>,
     pub(crate) done: HashSet<(u32, u32, u8)>,
@@ -155,15 +157,6 @@ pub(crate) struct QueryRun {
     pub(crate) subscribers: Vec<Subscriber>,
     pub(crate) started_at: Instant,
     pub(crate) first_result_seen: bool,
-}
-
-/// One batch currently out on a pool worker.
-pub(crate) struct InflightBatch {
-    pub(crate) run_id: u64,
-    pub(crate) jobs: Vec<PairJob>,
-    pub(crate) worker_id: u32,
-    pub(crate) deadline: Instant,
-    pub(crate) dispatched_at: Instant,
 }
 
 /// The mutable gate state (guarded by the `Mutex` in [`GateShared`]).
@@ -175,13 +168,11 @@ pub(crate) struct GateState {
     pub(crate) sched: StrideSched,
     /// Query fingerprint → running query, for coalescing duplicates.
     pub(crate) coalesce: HashMap<u64, u64>,
-    pub(crate) inflight: HashMap<u64, InflightBatch>,
-    /// Write-half clones of pool-worker connections, for teardown.
-    pub(crate) worker_streams: HashMap<u32, Box<dyn Conn>>,
+    /// Ledger of batches out on pool workers, worker connection
+    /// handles, id counters.
+    pub(crate) dispatch: Dispatch<pool::QueryBatch>,
     /// Write-half clones of client connections, for teardown.
     pub(crate) session_streams: HashMap<u32, Box<dyn Conn>>,
-    pub(crate) last_signal: HashMap<u32, Instant>,
-    pub(crate) next_batch_id: u64,
     pub(crate) next_run_id: u64,
 }
 
@@ -192,7 +183,6 @@ pub(crate) struct GateShared {
     pub(crate) db: Arc<Vec<CaChain>>,
     pub(crate) cfg: GateConfig,
     pub(crate) stats: Arc<GateStats>,
-    pub(crate) next_worker_id: AtomicU32,
     pub(crate) next_session_id: AtomicU32,
     /// Refuse new submissions; finish admitted queries, then stop.
     pub(crate) draining: AtomicBool,
@@ -202,13 +192,6 @@ pub(crate) struct GateShared {
     /// consulted at submission (stored pairs never reach the scheduler)
     /// and appended to when a run completes.
     pub(crate) store: Mutex<Option<Arc<StoreBinding>>>,
-}
-
-impl GateShared {
-    /// Whether the gate has nothing left to answer and may stop.
-    pub(crate) fn drained(&self, state: &GateState) -> bool {
-        self.draining.load(Ordering::SeqCst) && state.runs.is_empty() && state.inflight.is_empty()
-    }
 }
 
 /// A bound, not-yet-running gate.
@@ -240,9 +223,7 @@ impl GateHandle {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.stopped.store(true, Ordering::SeqCst);
         let state = self.shared.state.lock_recover();
-        for conn in state.worker_streams.values() {
-            conn.shutdown();
-        }
+        state.dispatch.shutdown_streams();
         for conn in state.session_streams.values() {
             conn.shutdown();
         }
@@ -289,18 +270,14 @@ impl Gate {
                     tenant_runs: HashMap::new(),
                     sched: StrideSched::new(),
                     coalesce: HashMap::new(),
-                    inflight: HashMap::new(),
-                    worker_streams: HashMap::new(),
+                    dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.batch_timeout),
                     session_streams: HashMap::new(),
-                    last_signal: HashMap::new(),
-                    next_batch_id: 0,
                     next_run_id: 0,
                 }),
                 work_available: Condvar::new(),
                 db: Arc::new(db),
                 cfg,
                 stats: Arc::new(GateStats::new()),
-                next_worker_id: AtomicU32::new(0),
                 next_session_id: AtomicU32::new(0),
                 draining: AtomicBool::new(false),
                 stopped: AtomicBool::new(false),
@@ -358,24 +335,18 @@ impl Gate {
     pub fn run(self) -> GateReport {
         let monitor = {
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || pool::monitor_deadlines(&shared))
+            std::thread::spawn(move || dispatch::monitor_workers(&*shared))
         };
         let mut handlers = Vec::new();
         loop {
-            if self.shared.stopped.load(Ordering::SeqCst) {
+            if dispatch::settled(&*self.shared, &mut self.shared.state.lock_recover()) {
                 break;
-            }
-            {
-                let state = self.shared.state.lock_recover();
-                if self.shared.drained(&state) {
-                    break;
-                }
             }
             let mut accepted = false;
             if let Ok(Some(conn)) = self.worker_listener.poll_accept() {
                 let shared = Arc::clone(&self.shared);
                 handlers.push(std::thread::spawn(move || {
-                    pool::serve_pool_worker(&shared, conn)
+                    dispatch::serve_worker(&*shared, conn)
                 }));
                 accepted = true;
             }
@@ -392,18 +363,8 @@ impl Gate {
         }
         // Wind down: workers see the stop flag and get an orderly
         // Shutdown from their handlers; idle client sessions are parked
-        // in a read, so close their connections to release them.
-        self.shared.stopped.store(true, Ordering::SeqCst);
-        {
-            let state = self.shared.state.lock_recover();
-            for conn in state.session_streams.values() {
-                conn.shutdown();
-            }
-            for conn in state.worker_streams.values() {
-                conn.shutdown();
-            }
-        }
-        self.shared.work_available.notify_all();
+        // in a read, so closing their connections releases them.
+        self.handle().stop();
         let _ = monitor.join();
         for h in handlers {
             let _ = h.join();
@@ -668,7 +629,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
             tenant: q.tenant,
             query_hash: hash,
             content_hash,
-            chain: q.chain,
+            chain: Arc::new(q.chain),
             methods: q.methods,
             total_jobs: jobs.len(),
             pending: batches,

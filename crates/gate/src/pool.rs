@@ -5,151 +5,179 @@
 //! self-contained [`rck_serve::proto::JobBatch`]s and answer with
 //! [`rck_serve::proto::ResultBatch`]s, never knowing whether a batch
 //! came from an offline all-vs-all master or from a query run. The
-//! gate-side handler mirrors the master's fault machinery — connection
-//! loss and heartbeat-deadline requeue, [`answers_exactly`] acceptance,
-//! per-pair dedup — because the serving tier inherits the same promise:
-//! the outcomes that reach a ranking are bit-identical to an in-process
-//! run, no matter how many workers die.
+//! connection loop and its fault machinery — handshake, in-flight
+//! ledger, heartbeat deadlines, requeue on loss, `answers_exactly`
+//! acceptance, the deadline monitor — are [`rck_serve::dispatch`]'s, the
+//! same code the master runs, so the serving tier inherits the same
+//! promise: the outcomes that reach a ranking are bit-identical to an
+//! in-process run, no matter how many workers die.
 //!
-//! The one scheduling difference from the master: the next batch is not
-//! `queue.pop_front()` but a two-step pick — the stride scheduler
+//! This module is only the gate's [`WorkSource`] policy: the next batch
+//! is not `queue.pop_front()` but a two-step pick — the stride scheduler
 //! ([`crate::sched`]) chooses a *tenant*, then that tenant's runs are
 //! round-robined — which is what makes the farm's capacity weighted-fair
-//! under multi-tenant contention.
+//! under multi-tenant contention; accepted outcomes are deduplicated per
+//! run, streamed to subscribers as partials, and folded into the final
+//! ranking when the run completes.
 
-use crate::{build_query_batch, GateShared, InflightBatch};
-use rck_serve::proto::{
-    self, answers_exactly, Frame, Hello, ResultBatch, Welcome, PROTOCOL_VERSION,
-};
-use rck_serve::transport::Conn;
+use crate::{build_query_batch, GateShared, GateState};
+use rck_pdb::model::CaChain;
+use rck_serve::dispatch::{Dispatch, Event, WorkSource};
+use rck_serve::proto::{self, Frame, JobBatch};
 use rck_serve::MutexExt;
-use rckalign::PairJob;
+use rckalign::{PairJob, PairOutcome};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-enum BatchFate {
-    /// Result accepted (or counted stale) — dispatch the next batch.
-    Continue,
-    /// Connection gone; inflight work already requeued.
-    Lost,
+/// One dispatchable batch of a query run.
+#[derive(Clone)]
+pub(crate) struct QueryBatch {
+    run_id: u64,
+    jobs: Vec<PairJob>,
+    /// The run's query chain, shipped with every batch at its virtual
+    /// index.
+    chain: Arc<CaChain>,
 }
 
-/// Per-connection handler for one pool worker: handshake, then
-/// dispatch/collect until the gate stops or the worker is lost.
-pub(crate) fn serve_pool_worker(shared: &GateShared, mut conn: Box<dyn Conn>) {
-    let _ = conn.set_read_timeout(Some(shared.cfg.heartbeat_timeout * 2));
-    let worker_id = match handshake(shared, &mut conn) {
-        Some(id) => id,
-        None => {
-            conn.shutdown();
-            return;
-        }
-    };
-    {
-        let mut state = shared.state.lock_recover();
-        if let Ok(clone) = conn.try_clone() {
-            state.worker_streams.insert(worker_id, clone);
-        }
+impl AsRef<[PairJob]> for QueryBatch {
+    fn as_ref(&self) -> &[PairJob] {
+        &self.jobs
+    }
+}
+
+/// The gate's dispatch policy: stride-pick a tenant, round-robin its
+/// runs; per-run dedup, partial streaming, run completion.
+impl WorkSource for GateShared {
+    const TAG: &'static str = "[rck-gate]";
+    type State = GateState;
+    type Unit = QueryBatch;
+
+    fn state(&self) -> &Mutex<GateState> {
+        &self.state
     }
 
-    loop {
-        let Some((batch_id, jobs, query_chain)) = next_query_batch(shared, worker_id) else {
-            // Gate stopping or drained: orderly goodbye (best-effort).
-            let _ = proto::write_frame(&mut conn, &Frame::Shutdown);
-            break;
+    fn wake(&self) -> &Condvar {
+        &self.work_available
+    }
+
+    fn dispatch(state: &mut GateState) -> &mut Dispatch<QueryBatch> {
+        &mut state.dispatch
+    }
+
+    fn heartbeat_timeout(&self) -> Duration {
+        self.cfg.heartbeat_timeout
+    }
+
+    /// The database plus the query's virtual index, so every chain index
+    /// a batch can carry is in range.
+    fn n_chains(&self) -> u32 {
+        self.db.len() as u32 + 1
+    }
+
+    fn halted(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    fn idle(&self, state: &GateState) -> bool {
+        self.draining.load(Ordering::SeqCst) && state.runs.is_empty()
+    }
+
+    fn next_unit(&self, state: &mut GateState) -> Option<QueryBatch> {
+        // A stale pick (the tenant's runs were requeued or completed
+        // between backlog accounting and now) just tries again.
+        while let Some(tenant) = state.sched.pick() {
+            if let Some(batch) = claim_tenant_batch(state, &tenant) {
+                self.stats.on_jobs_dispatched(&tenant, batch.jobs.len());
+                self.stats.set_queue_depth(state.sched.total_backlog());
+                return Some(batch);
+            }
+        }
+        None
+    }
+
+    fn build_batch(&self, batch_id: u64, batch: QueryBatch) -> JobBatch {
+        build_query_batch(batch_id, batch.jobs, &self.db, &batch.chain)
+    }
+
+    /// Each `(i, j, method)` is accepted once per run; fresh outcomes
+    /// stream to every subscriber as a partial.
+    fn accept(
+        &self,
+        state: &mut GateState,
+        _worker_id: u32,
+        batch: QueryBatch,
+        outcomes: Vec<PairOutcome>,
+        _rtt: Duration,
+    ) -> bool {
+        let Some(run) = state.runs.get_mut(&batch.run_id) else {
+            // The run completed via a requeued copy of this same batch.
+            return false;
         };
-        let frame = Frame::JobBatch(build_query_batch(batch_id, jobs, &shared.db, &query_chain));
-        if proto::write_frame(&mut conn, &frame).is_err() {
-            lose_worker(shared, worker_id);
-            break;
-        }
-        match collect_result(shared, &mut conn, worker_id) {
-            BatchFate::Continue => {}
-            BatchFate::Lost => break,
-        }
-    }
-
-    let mut state = shared.state.lock_recover();
-    state.worker_streams.remove(&worker_id);
-    drop(state);
-    conn.shutdown();
-}
-
-/// Exchange Hello/Welcome on the worker plane. `n_chains` covers the
-/// database plus the query's virtual index, so every chain index a
-/// batch can carry is in range.
-fn handshake(shared: &GateShared, conn: &mut Box<dyn Conn>) -> Option<u32> {
-    let frame = match proto::read_frame(conn) {
-        Ok((frame, _)) => frame,
-        Err(e) => {
-            if e.is_decode_error() {
-                shared.stats.on_decode_error();
-                eprintln!("[rck-gate] worker handshake decode error: {e}");
+        let mut fresh = Vec::new();
+        for o in outcomes {
+            if run.done.insert((o.i, o.j, o.method.code())) {
+                run.outcomes.push(o);
+                fresh.push(o);
             }
-            return None;
         }
-    };
-    let Frame::Hello(Hello {
-        protocol_version, ..
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
-    let worker_id = shared.next_worker_id.fetch_add(1, Ordering::Relaxed);
-    let welcome = Frame::Welcome(Welcome {
-        worker_id,
-        n_chains: shared.db.len() as u32 + 1,
-    });
-    proto::write_frame(conn, &welcome).ok()?;
-    shared.stats.on_worker_connected();
-    shared.work_available.notify_all();
-    Some(worker_id)
-}
-
-/// Claim the next batch for `worker_id`: stride-pick a tenant, then
-/// round-robin that tenant's runs. Returns the batch plus the owning
-/// run's query chain (needed to build the self-contained job batch), or
-/// `None` once the gate is stopping or drained.
-fn next_query_batch(
-    shared: &GateShared,
-    worker_id: u32,
-) -> Option<(u64, Vec<PairJob>, rck_pdb::model::CaChain)> {
-    let mut state = shared.state.lock_recover();
-    loop {
-        if shared.stopped.load(Ordering::SeqCst) || shared.drained(&state) {
-            return None;
-        }
-        if let Some(tenant) = state.sched.pick() {
-            if let Some(claim) = claim_tenant_batch(&mut state, &tenant, worker_id, shared) {
-                shared.stats.set_queue_depth(state.sched.total_backlog());
-                return Some(claim);
+        self.stats.on_jobs_completed(fresh.len());
+        if !fresh.is_empty() {
+            if !run.first_result_seen {
+                run.first_result_seen = true;
+                self.stats
+                    .on_first_result(run.started_at.elapsed().as_secs_f64());
             }
-            // Stale pick (the tenant's runs were requeued or completed
-            // between backlog accounting and now) — try again.
-            continue;
+            let partial_done = run.done.len() as u32;
+            let partial_total = run.total_jobs as u32;
+            for sub in &run.subscribers {
+                self.stats.on_partial();
+                sub.outbox.push(Frame::QueryPartial(proto::QueryPartial {
+                    query_id: sub.query_id,
+                    done: partial_done,
+                    total: partial_total,
+                    outcomes: fresh.clone(),
+                }));
+            }
         }
-        let (guard, _timeout) = shared
-            .work_available
-            .wait_timeout(state, Duration::from_millis(50))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state = guard;
+        let complete = run.done.len() == run.total_jobs;
+        if complete {
+            complete_run(state, self, batch.run_id);
+        }
+        complete
+    }
+
+    /// Put a batch back at the front of its run's queue.
+    fn requeue(&self, state: &mut GateState, batch: QueryBatch) {
+        let Some(run) = state.runs.get_mut(&batch.run_id) else {
+            return;
+        };
+        self.stats.on_jobs_requeued(batch.jobs.len());
+        run.pending.push_front(batch.jobs);
+        let tenant = run.tenant.clone();
+        state.sched.add_backlog(&tenant, 1);
+        state
+            .tenant_runs
+            .entry(tenant)
+            .or_default()
+            .push_back(batch.run_id);
+        self.stats.set_queue_depth(state.sched.total_backlog());
+    }
+
+    fn observe(&self, event: Event<'_>) {
+        match event {
+            Event::DecodeError => self.stats.on_decode_error(),
+            Event::WorkerConnected(..) => self.stats.on_worker_connected(),
+            Event::WorkerLost(_) => self.stats.on_worker_lost(),
+            // The gate keeps no byte, stale, mismatch or gap statistics.
+            _ => {}
+        }
     }
 }
 
-/// Pop the next pending batch of `tenant`'s least-recently-served run
-/// and move it into flight.
-fn claim_tenant_batch(
-    state: &mut crate::GateState,
-    tenant: &str,
-    worker_id: u32,
-    shared: &GateShared,
-) -> Option<(u64, Vec<PairJob>, rck_pdb::model::CaChain)> {
+/// Pop the next pending batch of `tenant`'s least-recently-served run.
+fn claim_tenant_batch(state: &mut GateState, tenant: &str) -> Option<QueryBatch> {
     let queue = state.tenant_runs.get_mut(tenant)?;
-    let mut claimed = None;
     while let Some(run_id) = queue.pop_front() {
         let Some(run) = state.runs.get_mut(&run_id) else {
             continue; // completed run; stale round-robin entry
@@ -160,137 +188,19 @@ fn claim_tenant_batch(
         if !run.pending.is_empty() {
             queue.push_back(run_id);
         }
-        claimed = Some((run_id, jobs, run.chain.clone()));
-        break;
-    }
-    let (run_id, jobs, chain) = claimed?;
-    let batch_id = state.next_batch_id;
-    state.next_batch_id += 1;
-    let now = Instant::now();
-    let deadline = match shared.cfg.batch_timeout {
-        Some(cap) => now + shared.cfg.heartbeat_timeout.min(cap),
-        None => now + shared.cfg.heartbeat_timeout,
-    };
-    state.inflight.insert(
-        batch_id,
-        InflightBatch {
+        return Some(QueryBatch {
             run_id,
-            jobs: jobs.clone(),
-            worker_id,
-            deadline,
-            dispatched_at: now,
-        },
-    );
-    shared.stats.on_jobs_dispatched(tenant, jobs.len());
-    Some((batch_id, jobs, chain))
-}
-
-/// Read frames until the outstanding batch is answered (heartbeats
-/// refresh the deadline along the way) or the connection dies.
-fn collect_result(shared: &GateShared, conn: &mut Box<dyn Conn>, worker_id: u32) -> BatchFate {
-    loop {
-        match proto::read_frame(conn) {
-            Ok((frame, _)) => match frame {
-                Frame::Heartbeat(_) => refresh_deadlines(shared, worker_id),
-                Frame::ResultBatch(rb) => return accept_results(shared, worker_id, rb),
-                _ => {
-                    lose_worker(shared, worker_id);
-                    return BatchFate::Lost;
-                }
-            },
-            Err(e) => {
-                if e.is_decode_error() {
-                    shared.stats.on_decode_error();
-                    eprintln!("[rck-gate] worker {worker_id}: decode error: {e}");
-                }
-                lose_worker(shared, worker_id);
-                return BatchFate::Lost;
-            }
-        }
+            jobs,
+            chain: Arc::clone(&run.chain),
+        });
     }
-}
-
-fn refresh_deadlines(shared: &GateShared, worker_id: u32) {
-    let now = Instant::now();
-    let mut state = shared.state.lock_recover();
-    state.last_signal.insert(worker_id, now);
-    for batch in state.inflight.values_mut() {
-        if batch.worker_id == worker_id {
-            let extended = now + shared.cfg.heartbeat_timeout;
-            batch.deadline = match shared.cfg.batch_timeout {
-                Some(cap) => extended.min(batch.dispatched_at + cap),
-                None => extended,
-            };
-        }
-    }
-}
-
-/// Accept a result frame under the same three guards as the batch
-/// master: the batch must still be in flight, its outcomes must answer
-/// exactly its jobs, and each `(i, j, method)` is accepted once per run.
-fn accept_results(shared: &GateShared, worker_id: u32, rb: ResultBatch) -> BatchFate {
-    let mut state = shared.state.lock_recover();
-    state.last_signal.insert(worker_id, Instant::now());
-    let Some(batch) = state.inflight.remove(&rb.batch_id) else {
-        // Requeue race: another worker already answered. Late copy is
-        // worthless but harmless.
-        return BatchFate::Continue;
-    };
-    if !answers_exactly(&batch.jobs, &rb.outcomes) {
-        // Byzantine or desynced worker: requeue, refuse, disconnect.
-        requeue_batch(&mut state, shared, batch);
-        drop(state);
-        eprintln!(
-            "[rck-gate] worker {worker_id}: result frame for batch {} does not answer its jobs",
-            rb.batch_id
-        );
-        shared.stats.on_worker_lost();
-        shared.work_available.notify_all();
-        return BatchFate::Lost;
-    }
-    let Some(run) = state.runs.get_mut(&batch.run_id) else {
-        // The run completed via a requeued copy of this same batch.
-        return BatchFate::Continue;
-    };
-    let mut fresh = Vec::new();
-    for o in rb.outcomes {
-        if run.done.insert((o.i, o.j, o.method.code())) {
-            run.outcomes.push(o);
-            fresh.push(o);
-        }
-    }
-    shared.stats.on_jobs_completed(fresh.len());
-    if !fresh.is_empty() {
-        if !run.first_result_seen {
-            run.first_result_seen = true;
-            shared
-                .stats
-                .on_first_result(run.started_at.elapsed().as_secs_f64());
-        }
-        let partial_done = run.done.len() as u32;
-        let partial_total = run.total_jobs as u32;
-        for sub in &run.subscribers {
-            shared.stats.on_partial();
-            sub.outbox.push(Frame::QueryPartial(proto::QueryPartial {
-                query_id: sub.query_id,
-                done: partial_done,
-                total: partial_total,
-                outcomes: fresh.clone(),
-            }));
-        }
-    }
-    if run.done.len() == run.total_jobs {
-        complete_run(&mut state, shared, batch.run_id);
-    }
-    drop(state);
-    shared.work_available.notify_all();
-    BatchFate::Continue
+    None
 }
 
 /// Fold a finished run's outcomes into the final ranking, stream the
 /// terminal [`rck_serve::proto::QueryDone`] to every subscriber, and
 /// retire the run.
-fn complete_run(state: &mut crate::GateState, shared: &GateShared, run_id: u64) {
+fn complete_run(state: &mut GateState, shared: &GateShared, run_id: u64) {
     let Some(run) = state.runs.remove(&run_id) else {
         return;
     };
@@ -322,93 +232,14 @@ fn complete_run(state: &mut crate::GateState, shared: &GateShared, run_id: u64) 
         .on_query_completed(run.started_at.elapsed().as_secs_f64());
 }
 
-/// Put one in-flight batch back at the front of its run's queue.
-fn requeue_batch(state: &mut crate::GateState, shared: &GateShared, batch: InflightBatch) {
-    let Some(run) = state.runs.get_mut(&batch.run_id) else {
-        return;
-    };
-    shared.stats.on_jobs_requeued(batch.jobs.len());
-    run.pending.push_front(batch.jobs);
-    let tenant = run.tenant.clone();
-    state.sched.add_backlog(&tenant, 1);
-    state
-        .tenant_runs
-        .entry(tenant)
-        .or_default()
-        .push_back(batch.run_id);
-    shared.stats.set_queue_depth(state.sched.total_backlog());
-}
-
-/// Declare a worker dead: requeue every batch it held and wake waiters.
-fn lose_worker(shared: &GateShared, worker_id: u32) {
-    let requeued = {
-        let mut state = shared.state.lock_recover();
-        requeue_worker(&mut state, shared, worker_id)
-    };
-    if requeued > 0 {
-        shared.stats.on_worker_lost();
-        shared.work_available.notify_all();
-    }
-}
-
-fn requeue_worker(state: &mut crate::GateState, shared: &GateShared, worker_id: u32) -> usize {
-    let ids: Vec<u64> = state
-        .inflight
-        .iter()
-        .filter(|(_, b)| b.worker_id == worker_id)
-        .map(|(&id, _)| id)
-        .collect();
-    let mut requeued = 0;
-    for id in ids {
-        let Some(batch) = state.inflight.remove(&id) else {
-            continue;
-        };
-        requeued += batch.jobs.len();
-        requeue_batch(state, shared, batch);
-    }
-    requeued
-}
-
-/// Deadline monitor: requeue batches whose worker went silent, shut the
-/// worker's connection so its handler's blocking read returns, and keep
-/// going until the gate stops or drains dry.
-pub(crate) fn monitor_deadlines(shared: &Arc<GateShared>) {
-    let tick = (shared.cfg.heartbeat_timeout / 4).max(Duration::from_millis(5));
-    loop {
-        {
-            let mut state = shared.state.lock_recover();
-            if shared.stopped.load(Ordering::SeqCst) || shared.drained(&state) {
-                break;
-            }
-            let now = Instant::now();
-            let expired: Vec<u32> = state
-                .inflight
-                .values()
-                .filter(|b| b.deadline <= now)
-                .map(|b| b.worker_id)
-                .collect();
-            for worker_id in expired {
-                if requeue_worker(&mut state, shared, worker_id) > 0 {
-                    shared.stats.on_worker_lost();
-                }
-                if let Some(conn) = state.worker_streams.get(&worker_id) {
-                    conn.shutdown();
-                }
-            }
-        }
-        shared.work_available.notify_all();
-        std::thread::sleep(tick);
-    }
-    shared.work_available.notify_all();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Outbox;
     use crate::{Gate, GateConfig};
     use rck_pdb::datasets::tiny_profile;
-    use rck_serve::proto::QuerySubmit;
+    use rck_serve::dispatch::{self, BatchFate};
+    use rck_serve::proto::{QuerySubmit, ResultBatch};
     use rck_serve::MemNet;
     use rck_tmalign::MethodKind;
 
@@ -439,7 +270,8 @@ mod tests {
             },
             &outbox,
         );
-        let (batch_id, jobs, _chain) = next_query_batch(&shared, 0).expect("one batch staged");
+        let (batch_id, batch) = dispatch::claim(&*shared, 0).expect("one batch staged");
+        let jobs = batch.jobs;
         let alien = rckalign::PairOutcome {
             i: 1000,
             j: 1001,
@@ -449,8 +281,8 @@ mod tests {
             aligned_len: 1,
             ops: 1,
         };
-        let fate = accept_results(
-            &shared,
+        let fate = dispatch::accept_results(
+            &*shared,
             0,
             ResultBatch {
                 batch_id,

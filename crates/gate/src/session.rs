@@ -19,7 +19,8 @@
 //! the backlog drains).
 
 use crate::{submit_query, GateShared};
-use rck_serve::proto::{self, Frame, Hello, Welcome, PROTOCOL_VERSION};
+use rck_serve::dispatch::{self, WorkSource};
+use rck_serve::proto::{self, Frame, Welcome};
 use rck_serve::transport::Conn;
 use rck_serve::MutexExt;
 use std::collections::VecDeque;
@@ -112,7 +113,20 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
     let session_id = shared
         .next_session_id
         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    if handshake(shared, &mut conn, session_id).is_none() {
+    // The welcome's `worker_id` field carries the session id; `n_chains`
+    // tells the client how large the resident database is (and
+    // therefore how long a full ranking is).
+    let welcome = Welcome {
+        worker_id: session_id,
+        n_chains: shared.db.len() as u32,
+    };
+    let greeted = dispatch::handshake(
+        GateShared::TAG,
+        |e| shared.observe(e),
+        &mut conn,
+        || welcome,
+    );
+    if greeted.is_none() {
         conn.shutdown();
         return;
     }
@@ -167,37 +181,6 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
         let _ = writer.join();
     }
     conn.shutdown();
-}
-
-/// Exchange Hello/Welcome on the query plane. The welcome's `worker_id`
-/// field carries the session id; `n_chains` tells the client how large
-/// the resident database is (and therefore how long a full ranking is).
-fn handshake(shared: &GateShared, conn: &mut Box<dyn Conn>, session_id: u32) -> Option<()> {
-    let frame = match proto::read_frame(conn) {
-        Ok((frame, _)) => frame,
-        Err(e) => {
-            if e.is_decode_error() {
-                shared.stats.on_decode_error();
-                eprintln!("[rck-gate] client handshake decode error: {e}");
-            }
-            return None;
-        }
-    };
-    let Frame::Hello(Hello {
-        protocol_version, ..
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
-    let welcome = Frame::Welcome(Welcome {
-        worker_id: session_id,
-        n_chains: shared.db.len() as u32,
-    });
-    proto::write_frame(conn, &welcome).ok()?;
-    Some(())
 }
 
 /// Writer thread: drain the outbox onto the connection until the outbox

@@ -1,0 +1,335 @@
+//! One fault table, run over both `WorkSource` policies of the shared
+//! dispatcher (`rck_serve::dispatch`): the master's FIFO queue and the
+//! gate's stride pick. A scripted worker takes the first batch and
+//! misbehaves; the dispatcher must requeue at the right moment, drop the
+//! worker where the fault demands it, and still finish bit-identical to
+//! the in-process reference once a healthy worker joins.
+
+use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
+use rck_pdb::datasets::tiny_profile;
+use rck_pdb::model::CaChain;
+use rck_serve::chaos::outcomes_fingerprint;
+use rck_serve::dispatch::hello;
+use rck_serve::proto::{self, Frame, Heartbeat, JobBatch, QuerySubmit, ResultBatch};
+use rck_serve::{run_worker_conn, Conn, Master, MasterConfig, MemNet, WorkerConfig};
+use rck_tmalign::MethodKind;
+use rckalign::PairOutcome;
+use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(200);
+const BATCH_TIMEOUT: Duration = Duration::from_millis(700);
+/// The monitor's tick (`heartbeat_timeout / 4`) plus scheduling noise.
+const SLACK: Duration = Duration::from_millis(450);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tier {
+    Master,
+    Gate,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    /// Takes a batch, then says nothing at all.
+    Silent,
+    /// Heartbeats flow but the result never arrives.
+    ResultLost,
+    /// Answers with outcomes for jobs it was never given.
+    Byzantine,
+    /// Answers correctly, then replays the same result frame.
+    LateDuplicate,
+}
+
+#[derive(Debug)]
+struct Counters {
+    requeued: u64,
+    completed: u64,
+    workers_lost: u64,
+    /// `None` where the tier keeps no such counter.
+    stale: Option<u64>,
+    mismatched: Option<u64>,
+}
+
+/// A tier under test, reduced to what the fault table needs.
+struct Farm {
+    workers: Arc<MemNet>,
+    total_jobs: u64,
+    counters: Box<dyn Fn() -> Counters>,
+    /// Join the run and assert its result is bit-identical to the
+    /// in-process reference.
+    finish: Box<dyn FnOnce()>,
+}
+
+fn boot_master() -> Farm {
+    let chains = tiny_profile().generate(7);
+    let workers = Arc::new(MemNet::new());
+    let cfg = MasterConfig {
+        batch_size: 16,
+        heartbeat_timeout: HEARTBEAT_TIMEOUT,
+        batch_timeout: Some(BATCH_TIMEOUT),
+        ..MasterConfig::default()
+    };
+    let master = Master::bind_on(workers.listener(), chains.clone(), cfg);
+    let stats = master.stats();
+    let run = std::thread::spawn(move || master.run());
+    let n = chains.len() as u64;
+    Farm {
+        workers,
+        total_jobs: n * (n - 1) / 2,
+        counters: Box::new(move || {
+            let s = stats.snapshot();
+            Counters {
+                requeued: s.jobs_requeued,
+                completed: s.jobs_completed,
+                workers_lost: s.workers_lost,
+                stale: Some(s.stale_results),
+                mismatched: Some(s.mismatched_results),
+            }
+        }),
+        finish: Box::new(move || {
+            let run = run.join().expect("master thread").expect("run completes");
+            let cache = rckalign::PairCache::new(chains);
+            let want = rckalign::run_all_vs_all(&cache, &rckalign::RckAlignOptions::paper(2));
+            assert_eq!(
+                outcomes_fingerprint(&run.outcomes),
+                outcomes_fingerprint(&want.outcomes),
+                "matrix diverges from the in-process reference"
+            );
+        }),
+    }
+}
+
+fn boot_gate() -> Farm {
+    let db = tiny_profile().generate(7);
+    let query = tiny_profile().generate(8)[0].clone();
+    let workers = Arc::new(MemNet::new());
+    let clients = MemNet::new();
+    let cfg = GateConfig {
+        batch_size: 4,
+        heartbeat_timeout: HEARTBEAT_TIMEOUT,
+        batch_timeout: Some(BATCH_TIMEOUT),
+        ..GateConfig::default()
+    };
+    let combiner = cfg.combiner;
+    let gate = Gate::bind_on(workers.listener(), clients.listener(), db.clone(), cfg);
+    let handle = gate.handle();
+    let stats = gate.stats();
+    let gate_thread = std::thread::spawn(move || gate.run());
+    let client_conn = clients.connect().expect("client connect");
+    let methods = vec![MethodKind::TmAlign];
+    let submit = QuerySubmit {
+        tenant: "lab".to_string(),
+        query_id: 1,
+        weight: 1,
+        methods: methods.clone(),
+        chain: query.clone(),
+    };
+    let client = std::thread::spawn(move || {
+        let mut client = GateClient::connect(client_conn, "lab").expect("client handshake");
+        client.run_query(submit).expect("query answered")
+    });
+    Farm {
+        workers,
+        total_jobs: db.len() as u64,
+        counters: Box::new(move || {
+            let s = stats.snapshot();
+            Counters {
+                requeued: s.jobs_requeued,
+                completed: s.jobs_completed,
+                workers_lost: s.workers_lost,
+                stale: None,
+                mismatched: None,
+            }
+        }),
+        finish: Box::new(move || {
+            let outcome = client.join().expect("client thread");
+            let got = outcome.ranking.expect("query ends with a ranking");
+            let want = reference_ranking(&db, &query, &methods, combiner);
+            assert_eq!(got.len(), want.len());
+            for ((gi, gs), (wi, ws)) in got.iter().zip(&want) {
+                assert_eq!(gi, wi);
+                assert_eq!(gs.to_bits(), ws.to_bits(), "ranking not bit-identical");
+            }
+            handle.drain();
+            gate_thread.join().expect("gate thread");
+        }),
+    }
+}
+
+fn next_batch(conn: &mut Box<dyn Conn>) -> Option<JobBatch> {
+    loop {
+        match proto::read_frame(conn) {
+            Ok((Frame::JobBatch(batch), _)) => return Some(batch),
+            Ok((Frame::Shutdown, _)) | Err(_) => return None,
+            Ok(_) => {}
+        }
+    }
+}
+
+fn compute(batch: &JobBatch) -> Vec<PairOutcome> {
+    let table: HashMap<u32, &CaChain> = batch.chains.iter().map(|(ix, c)| (*ix, c)).collect();
+    batch
+        .jobs
+        .iter()
+        .map(|job| {
+            let score = job
+                .method
+                .instantiate()
+                .compare(table[&job.i], table[&job.j]);
+            PairOutcome {
+                i: job.i,
+                j: job.j,
+                method: job.method,
+                similarity: score.similarity,
+                rmsd: score.rmsd.unwrap_or(f64::NAN),
+                aligned_len: score.aligned_len as u32,
+                ops: score.ops,
+            }
+        })
+        .collect()
+}
+
+fn send_result(conn: &mut Box<dyn Conn>, batch_id: u64, outcomes: Vec<PairOutcome>) {
+    let frame = Frame::ResultBatch(ResultBatch { batch_id, outcomes });
+    proto::write_frame(conn, &frame).expect("result write");
+}
+
+/// Poll `counters` until `ready`, failing the test after `limit`.
+fn wait_for(farm: &Farm, limit: Duration, what: &str, ready: impl Fn(&Counters) -> bool) {
+    let start = Instant::now();
+    while !ready(&(farm.counters)()) {
+        assert!(
+            start.elapsed() < limit,
+            "{what} not seen within {limit:?}: {:?}",
+            (farm.counters)()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn spawn_healthy(farm: &Farm) -> std::thread::JoinHandle<()> {
+    let conn = farm.workers.connect().expect("healthy connect");
+    std::thread::spawn(move || {
+        let mut cfg = WorkerConfig::connect_to(SocketAddr::from(([127, 0, 0, 1], 0)));
+        cfg.heartbeat_interval = Duration::from_millis(40);
+        let _ = run_worker_conn(conn, &cfg);
+    })
+}
+
+fn run_case(tier: Tier, fault: Fault) {
+    let case = format!("{tier:?}/{fault:?}");
+    let farm = match tier {
+        Tier::Master => boot_master(),
+        Tier::Gate => boot_gate(),
+    };
+    let mut conn = farm.workers.connect().expect("scripted connect");
+    let (welcome, _, _) = hello(&mut conn, "scripted").expect("handshake");
+    let first = next_batch(&mut conn).expect("first batch dispatched");
+    let dispatched = Instant::now();
+    let first_jobs = first.jobs.len() as u64;
+
+    match fault {
+        Fault::Silent => {
+            wait_for(&farm, HEARTBEAT_TIMEOUT + SLACK, &case, |c| c.requeued > 0);
+            let waited = dispatched.elapsed();
+            assert!(
+                waited >= HEARTBEAT_TIMEOUT.mul_f64(0.9),
+                "{case}: requeued after {waited:?}, before the heartbeat deadline"
+            );
+        }
+        Fault::ResultLost => {
+            let beat = Frame::Heartbeat(Heartbeat {
+                worker_id: welcome.worker_id,
+                completed: 0,
+            });
+            while (farm.counters)().requeued == 0 {
+                assert!(
+                    dispatched.elapsed() < BATCH_TIMEOUT + SLACK,
+                    "{case}: heartbeats kept the batch alive past the batch timeout"
+                );
+                let _ = proto::write_frame(&mut conn, &beat);
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            let waited = dispatched.elapsed();
+            assert!(
+                waited >= BATCH_TIMEOUT.mul_f64(0.9),
+                "{case}: requeued after {waited:?} although heartbeats flowed"
+            );
+        }
+        Fault::Byzantine => {
+            let alien = PairOutcome {
+                i: 1000,
+                j: 1001,
+                method: MethodKind::TmAlign,
+                similarity: 1.0,
+                rmsd: 0.0,
+                aligned_len: 1,
+                ops: 1,
+            };
+            send_result(&mut conn, first.batch_id, vec![alien; first.jobs.len()]);
+            wait_for(&farm, SLACK, &case, |c| c.requeued == first_jobs);
+            assert!(
+                next_batch(&mut conn).is_none(),
+                "{case}: a byzantine worker must be dropped, not fed"
+            );
+        }
+        Fault::LateDuplicate => {
+            let outcomes = compute(&first);
+            send_result(&mut conn, first.batch_id, outcomes.clone());
+            send_result(&mut conn, first.batch_id, outcomes);
+            // Keep serving honestly: the replayed frame is read while
+            // the next batch is already out on this worker, and must
+            // not cost it that batch.
+            let mut answered = first_jobs;
+            while answered < farm.total_jobs {
+                let batch = next_batch(&mut conn).expect("next batch dispatched");
+                answered += batch.jobs.len() as u64;
+                send_result(&mut conn, batch.batch_id, compute(&batch));
+            }
+        }
+    }
+
+    let healthy = (fault != Fault::LateDuplicate).then(|| spawn_healthy(&farm));
+    wait_for(&farm, Duration::from_secs(20), &case, |c| {
+        c.completed == farm.total_jobs
+    });
+    let c = (farm.counters)();
+    assert_eq!(
+        c.completed, farm.total_jobs,
+        "{case}: each job counted once"
+    );
+    match fault {
+        Fault::LateDuplicate => {
+            assert_eq!(c.requeued, 0, "{case}");
+            assert_eq!(c.workers_lost, 0, "{case}");
+            assert_eq!(c.stale.unwrap_or(1), 1, "{case}: replay counted stale");
+        }
+        _ => {
+            assert_eq!(c.requeued, first_jobs, "{case}: exactly the lost batch");
+            assert_eq!(c.workers_lost, 1, "{case}");
+            let want = u64::from(fault == Fault::Byzantine);
+            assert_eq!(c.mismatched.unwrap_or(want), want, "{case}");
+        }
+    }
+    (farm.finish)();
+    conn.shutdown();
+    if let Some(healthy) = healthy {
+        healthy.join().expect("healthy worker thread");
+    }
+}
+
+#[test]
+fn fault_table_holds_for_both_work_sources() {
+    for tier in [Tier::Master, Tier::Gate] {
+        for fault in [
+            Fault::Silent,
+            Fault::ResultLost,
+            Fault::Byzantine,
+            Fault::LateDuplicate,
+        ] {
+            run_case(tier, fault);
+        }
+    }
+}

@@ -1,0 +1,687 @@
+//! The one fault-tolerant dispatcher every tier is a policy over.
+//!
+//! The paper's `rckskel` writes the FARM dispatch/collect logic once and
+//! lets applications plug jobs into it; this module is the service-side
+//! equivalent. It owns the fault machinery exactly once:
+//!
+//! * [`Ledger`] — the in-flight table, with the single deadline rule
+//!   `min(max(last_signal, granted_at) + heartbeat_timeout,
+//!   granted_at + cap)`;
+//! * [`handshake`] / [`hello`] — the Hello/Welcome/version exchange,
+//!   server and client side;
+//! * [`monitor_deadlines`] — the deadline monitor, parked on the
+//!   dispatcher's condvar so a finished or aborted run wakes it at once;
+//! * [`serve_worker`] — the JobBatch/ResultBatch connection loop
+//!   (handshake → claim → write → collect → accept or requeue → lose),
+//!   generic over a [`WorkSource`] that supplies only policy.
+//!
+//! `serve::master` (batch and feed mode) and `gate::pool` are
+//! [`WorkSource`] impls. The shard frontend speaks a credit-pull,
+//! multi-outstanding tile dialect that would force [`serve_worker`] to
+//! branch on its caller, so it keeps its own reader loop and uses the
+//! ledger, the handshake and the monitor directly.
+//!
+//! Requeued work can race its original worker, so acceptance is guarded
+//! three times: a result frame must answer a batch id still in the
+//! ledger, its outcomes must answer exactly the jobs that batch
+//! dispatched ([`answers_exactly`]; anything else requeues the batch and
+//! drops the worker), and the policy deduplicates per pair.
+
+use crate::proto::{
+    self, answers_exactly, Frame, Hello, JobBatch, ResultBatch, Welcome, PROTOCOL_VERSION,
+};
+use crate::sync::MutexExt;
+use crate::transport::Conn;
+use rckalign::{PairJob, PairOutcome};
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::io;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
+
+/// One unit out on an owner.
+#[derive(Debug)]
+pub struct Granted<U> {
+    /// What was handed out.
+    pub unit: U,
+    /// The worker (or shard master) holding it.
+    pub owner: u32,
+    /// When it was handed out.
+    pub granted_at: Instant,
+}
+
+/// Why a granted unit is past its deadline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Expiry {
+    /// The owner sent nothing for a whole heartbeat window.
+    Silent,
+    /// The owner's heartbeats flow but the unit outlived its cap — its
+    /// job or result traffic is being lost.
+    Capped,
+}
+
+/// The in-flight table: which unit is out on which owner, and when each
+/// stops being trusted.
+///
+/// A liveness signal extends every unit of its owner by one
+/// `heartbeat_timeout`, but never past `granted_at + cap`: a heartbeat
+/// proves the owner is alive, not that the unit is making progress.
+/// Deadlines are derived on read, so [`Ledger::touch`] is O(1).
+#[derive(Debug)]
+pub struct Ledger<K, U> {
+    heartbeat_timeout: Duration,
+    cap: Option<Duration>,
+    units: HashMap<K, Granted<U>>,
+    last_signal: HashMap<u32, Instant>,
+}
+
+impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
+    /// An empty ledger under the given silence window and per-unit cap.
+    pub fn new(heartbeat_timeout: Duration, cap: Option<Duration>) -> Ledger<K, U> {
+        Ledger {
+            heartbeat_timeout,
+            cap,
+            units: HashMap::new(),
+            last_signal: HashMap::new(),
+        }
+    }
+
+    /// Record `unit` as out on `owner` under `key`.
+    pub fn grant(&mut self, key: K, owner: u32, unit: U, now: Instant) {
+        self.units.insert(
+            key,
+            Granted {
+                unit,
+                owner,
+                granted_at: now,
+            },
+        );
+    }
+
+    /// Record a liveness signal from `owner`; returns the gap since its
+    /// previous one.
+    pub fn touch(&mut self, owner: u32, now: Instant) -> Option<Duration> {
+        self.last_signal
+            .insert(owner, now)
+            .map(|prev| now.duration_since(prev))
+    }
+
+    /// Take the unit under `key` out of flight. `None` means the key is
+    /// stale: already settled, or revoked and requeued.
+    pub fn settle(&mut self, key: &K) -> Option<Granted<U>> {
+        self.units.remove(key)
+    }
+
+    /// Take every unit `owner` holds out of flight.
+    pub fn revoke_owner(&mut self, owner: u32) -> Vec<(K, U)> {
+        self.units
+            .extract_if(|_, g| g.owner == owner)
+            .map(|(key, g)| (key, g.unit))
+            .collect()
+    }
+
+    /// Every unit past its deadline at `now`, with its owner and the arm
+    /// of the deadline rule that fired. The grant time floors the
+    /// silence window, so a unit handed to a long-idle owner is not born
+    /// expired.
+    pub fn expired(&self, now: Instant) -> Vec<(K, u32, Expiry)> {
+        let past = |from: Instant, window: Duration| {
+            from.checked_add(window)
+                .is_some_and(|deadline| deadline <= now)
+        };
+        self.units
+            .iter()
+            .filter_map(|(&key, g)| {
+                let heard = self
+                    .last_signal
+                    .get(&g.owner)
+                    .map_or(g.granted_at, |&t| t.max(g.granted_at));
+                if past(heard, self.heartbeat_timeout) {
+                    Some((key, g.owner, Expiry::Silent))
+                } else if self.cap.is_some_and(|cap| past(g.granted_at, cap)) {
+                    Some((key, g.owner, Expiry::Capped))
+                } else {
+                    None
+                }
+            })
+            .collect()
+    }
+
+    /// Whether nothing is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.units.is_empty()
+    }
+}
+
+/// The dispatcher's own bookkeeping. A tier embeds it in its
+/// mutex-guarded state so policy state and ledger sit under one lock:
+/// one acquisition per dispatch and one per accept.
+pub struct Dispatch<U> {
+    /// Batches out on workers, keyed by batch id.
+    ledger: Ledger<u64, U>,
+    /// Write-half clones of worker connections, so the monitor and an
+    /// abort can unblock a handler parked in a read.
+    streams: HashMap<u32, Box<dyn Conn>>,
+    next_batch_id: u64,
+    next_worker_id: u32,
+}
+
+impl<U> Dispatch<U> {
+    /// Fresh bookkeeping under the tier's silence window and batch cap.
+    pub fn new(heartbeat_timeout: Duration, cap: Option<Duration>) -> Dispatch<U> {
+        Dispatch {
+            ledger: Ledger::new(heartbeat_timeout, cap),
+            streams: HashMap::new(),
+            next_batch_id: 0,
+            next_worker_id: 0,
+        }
+    }
+
+    /// Shut every worker connection down (abort / hard stop): handlers
+    /// parked in a read return and requeue what they held.
+    pub fn shutdown_streams(&self) {
+        for conn in self.streams.values() {
+            conn.shutdown();
+        }
+    }
+}
+
+/// What the dispatcher reports to a tier's stats.
+#[derive(Debug, Clone, Copy)]
+pub enum Event<'a> {
+    /// Bytes written to a peer.
+    Tx(usize),
+    /// Bytes read from a peer.
+    Rx(usize),
+    /// A frame failed to decode (torn, corrupted, out of sync).
+    DecodeError,
+    /// A worker completed the handshake under this id and name.
+    WorkerConnected(u32, &'a str),
+    /// A worker holding work was declared dead.
+    WorkerLost(u32),
+    /// A result frame answered a batch id no longer in flight.
+    StaleResult,
+    /// A result frame did not answer its batch's jobs.
+    MismatchedResult,
+    /// Gap between two liveness signals of one worker.
+    HeartbeatGap(Duration),
+}
+
+/// Everything a tier supplies to [`serve_worker`]: where its state
+/// lives, what to dispatch next, and what to do with answers. All
+/// `state` arguments are the tier's state with its mutex already held.
+pub trait WorkSource: Sync {
+    /// Log prefix, e.g. `"[rck-serve]"`.
+    const TAG: &'static str;
+    /// The tier's mutex-guarded state (embeds a [`Dispatch`]).
+    type State;
+    /// One dispatchable unit, viewable as the jobs it dispatches;
+    /// cloned once per dispatch (ledger + wire).
+    type Unit: Clone + AsRef<[PairJob]>;
+
+    /// The tier's state mutex.
+    fn state(&self) -> &Mutex<Self::State>;
+    /// The condvar claimers and the monitor wait on.
+    fn wake(&self) -> &Condvar;
+    /// The dispatcher bookkeeping embedded in `state`.
+    fn dispatch(state: &mut Self::State) -> &mut Dispatch<Self::Unit>;
+    /// Silence window after which a worker is declared dead.
+    fn heartbeat_timeout(&self) -> Duration;
+    /// `n_chains` announced in the Welcome.
+    fn n_chains(&self) -> u32;
+
+    /// Hard stop: dispatch nothing, wait for nothing.
+    fn halted(&self) -> bool;
+    /// Nothing more will be dispatched; units in flight may still land.
+    fn idle(&self, state: &Self::State) -> bool;
+    /// The next unit to hand out, or `None` to wait for one.
+    fn next_unit(&self, state: &mut Self::State) -> Option<Self::Unit>;
+    /// Build the wire batch for `unit` (called without the lock).
+    fn build_batch(&self, batch_id: u64, unit: Self::Unit) -> JobBatch;
+    /// Accept outcomes that answer `unit` exactly (the policy dedups per
+    /// pair). Returns whether waiters should be woken.
+    fn accept(
+        &self,
+        state: &mut Self::State,
+        worker_id: u32,
+        unit: Self::Unit,
+        outcomes: Vec<PairOutcome>,
+        rtt: Duration,
+    ) -> bool;
+    /// Put a revoked or refused unit back at the front of its queue.
+    fn requeue(&self, state: &mut Self::State, unit: Self::Unit);
+    /// Count an [`Event`] in the tier's stats.
+    fn observe(&self, event: Event<'_>);
+}
+
+/// Best-effort framed write behind a shared writer mutex.
+pub fn send(writer: &Mutex<Box<dyn Conn>>, frame: &Frame) -> io::Result<()> {
+    let mut w = writer.lock_recover();
+    // The write half is shared between threads by design; frames must
+    // not interleave mid-write.
+    // rck-lint: allow(lock_across_io)
+    proto::write_frame(&mut *w, frame).map(|_| ())
+}
+
+/// Server side of Hello/Welcome: read the peer's Hello, check the
+/// protocol version, answer with the Welcome `welcome` mints once the
+/// Hello is valid. Returns the Welcome sent and the peer's name, or
+/// `None` when the peer must be dropped.
+pub fn handshake(
+    tag: &str,
+    observe: impl Fn(Event<'_>),
+    conn: &mut Box<dyn Conn>,
+    welcome: impl FnOnce() -> Welcome,
+) -> Option<(Welcome, String)> {
+    let frame = match proto::read_frame(conn) {
+        Ok((frame, n)) => {
+            observe(Event::Rx(n));
+            frame
+        }
+        Err(e) => {
+            if e.is_decode_error() {
+                observe(Event::DecodeError);
+                eprintln!("{tag} handshake decode error: {e}");
+            }
+            return None;
+        }
+    };
+    let Frame::Hello(Hello {
+        protocol_version,
+        worker_name,
+    }) = frame
+    else {
+        return None;
+    };
+    if protocol_version != PROTOCOL_VERSION {
+        return None;
+    }
+    let welcome = welcome();
+    let n = proto::write_frame(conn, &Frame::Welcome(welcome)).ok()?;
+    observe(Event::Tx(n));
+    Some((welcome, worker_name))
+}
+
+/// Client side of Hello/Welcome. Returns the Welcome plus the bytes
+/// written and read.
+pub fn hello(conn: &mut Box<dyn Conn>, name: &str) -> io::Result<(Welcome, usize, usize)> {
+    let tx = proto::write_frame(
+        conn,
+        &Frame::Hello(Hello {
+            protocol_version: PROTOCOL_VERSION,
+            worker_name: name.to_string(),
+        }),
+    )?;
+    match proto::read_frame(conn)? {
+        (Frame::Welcome(welcome), rx) => Ok((welcome, tx, rx)),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "expected Welcome after Hello",
+        )),
+    }
+}
+
+/// The deadline monitor. `sweep` runs with the lock held (it may release
+/// and re-take it around I/O) and requeues what expired; the loop ends
+/// once `done`. Between sweeps the monitor waits on `wake` for at most a
+/// quarter heartbeat window, so whoever finishes or aborts the run and
+/// notifies `wake` ends it immediately.
+pub fn monitor_deadlines<'a, T>(
+    state: &'a Mutex<T>,
+    wake: &Condvar,
+    heartbeat_timeout: Duration,
+    done: impl Fn(&mut T) -> bool,
+    mut sweep: impl FnMut(MutexGuard<'a, T>, Instant) -> MutexGuard<'a, T>,
+) {
+    let tick = (heartbeat_timeout / 4).max(Duration::from_millis(5));
+    let mut guard = state.lock_recover();
+    loop {
+        guard = sweep(guard, Instant::now());
+        if done(&mut guard) {
+            break;
+        }
+        guard = wake
+            .wait_timeout(guard, tick)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
+    drop(guard);
+    wake.notify_all();
+}
+
+/// Whether `src` is done: halted, or idle with nothing left in flight.
+/// A tier's accept loop and its monitor both run until this holds.
+pub fn settled<S: WorkSource>(src: &S, state: &mut S::State) -> bool {
+    src.halted() || (src.idle(state) && S::dispatch(state).ledger.is_empty())
+}
+
+/// [`monitor_deadlines`] for a [`WorkSource`]: requeue every batch of a
+/// worker with an expired one and shut its connection so the handler's
+/// pending read returns. Runs until the source is [`settled`].
+pub fn monitor_workers<S: WorkSource>(src: &S) {
+    monitor_deadlines(
+        src.state(),
+        src.wake(),
+        src.heartbeat_timeout(),
+        |state| settled(src, state),
+        |mut state, now| {
+            for (_, worker_id, _) in S::dispatch(&mut state).ledger.expired(now) {
+                // A second expired batch of the same worker finds
+                // nothing left to requeue.
+                if requeue_worker(src, &mut state, worker_id) {
+                    src.observe(Event::WorkerLost(worker_id));
+                    src.wake().notify_all();
+                }
+                if let Some(conn) = S::dispatch(&mut state).streams.get(&worker_id) {
+                    conn.shutdown();
+                }
+            }
+            state
+        },
+    );
+}
+
+/// What became of one dispatched batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchFate {
+    /// Result accepted — dispatch the next batch.
+    Continue,
+    /// The frame answered a batch id no longer in flight (a replay, or a
+    /// requeue race); counted and dropped. Whatever this worker holds
+    /// is still outstanding.
+    Stale,
+    /// Connection gone; in-flight work already requeued.
+    Lost,
+}
+
+/// Per-connection handler: handshake, then dispatch/collect until the
+/// source stops or the worker is lost.
+pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
+    // A worker that never speaks must not pin this thread forever.
+    let _ = conn.set_read_timeout(Some(src.heartbeat_timeout().saturating_mul(2)));
+    let welcome = || {
+        let mut state = src.state().lock_recover();
+        let d = S::dispatch(&mut state);
+        let worker_id = d.next_worker_id;
+        d.next_worker_id += 1;
+        drop(state);
+        Welcome {
+            worker_id,
+            n_chains: src.n_chains(),
+        }
+    };
+    let greeted = handshake(S::TAG, |e| src.observe(e), &mut conn, welcome);
+    let Some((Welcome { worker_id, .. }, name)) = greeted else {
+        // The peer may be blocked mid-handshake on a frame that will
+        // never come (e.g. its Hello was eaten by a fault plan) — tear
+        // the connection down so it finds out.
+        conn.shutdown();
+        return;
+    };
+    src.observe(Event::WorkerConnected(worker_id, &name));
+    if let Ok(clone) = conn.try_clone() {
+        let mut state = src.state().lock_recover();
+        S::dispatch(&mut state).streams.insert(worker_id, clone);
+    }
+    // A new worker may satisfy a dispatch barrier.
+    src.wake().notify_all();
+
+    loop {
+        let Some((batch_id, unit)) = claim(src, worker_id) else {
+            // Source finished or stopping: orderly goodbye (best-effort
+            // — the connection may already be gone).
+            if let Ok(n) = proto::write_frame(&mut conn, &Frame::Shutdown) {
+                src.observe(Event::Tx(n));
+            }
+            break;
+        };
+        let frame = Frame::JobBatch(src.build_batch(batch_id, unit));
+        match proto::write_frame(&mut conn, &frame) {
+            Ok(n) => src.observe(Event::Tx(n)),
+            Err(_) => {
+                lose_worker(src, worker_id);
+                break;
+            }
+        }
+        if collect_result(src, &mut conn, worker_id) == BatchFate::Lost {
+            break;
+        }
+    }
+
+    let mut state = src.state().lock_recover();
+    S::dispatch(&mut state).streams.remove(&worker_id);
+    drop(state);
+    // Closing here (not just dropping our handle) guarantees the peer's
+    // pending reads unblock even while other clones of this connection
+    // are still alive elsewhere.
+    conn.shutdown();
+}
+
+/// Claim the next unit for `worker_id` and enter it in the ledger, or
+/// `None` once the source is halted or idle. Blocks while the policy has
+/// nothing to hand out.
+pub fn claim<S: WorkSource>(src: &S, worker_id: u32) -> Option<(u64, S::Unit)> {
+    let mut state = src.state().lock_recover();
+    let unit = loop {
+        if src.halted() || src.idle(&state) {
+            return None;
+        }
+        if let Some(unit) = src.next_unit(&mut state) {
+            break unit;
+        }
+        state = src
+            .wake()
+            .wait_timeout(state, Duration::from_millis(50))
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    };
+    let d = S::dispatch(&mut state);
+    let batch_id = d.next_batch_id;
+    d.next_batch_id += 1;
+    d.ledger
+        .grant(batch_id, worker_id, unit.clone(), Instant::now());
+    Some((batch_id, unit))
+}
+
+/// Read frames until the outstanding batch is answered (heartbeats
+/// refresh the deadline along the way) or the connection dies.
+fn collect_result<S: WorkSource>(src: &S, conn: &mut Box<dyn Conn>, worker_id: u32) -> BatchFate {
+    loop {
+        match proto::read_frame(conn) {
+            Ok((frame, n)) => {
+                src.observe(Event::Rx(n));
+                match frame {
+                    Frame::Heartbeat(_) => refresh_deadlines(src, worker_id),
+                    Frame::ResultBatch(rb) => match accept_results(src, worker_id, rb) {
+                        BatchFate::Stale => {}
+                        fate => return fate,
+                    },
+                    // Anything else out of sequence: drop the worker.
+                    _ => break,
+                }
+            }
+            Err(e) => {
+                // Connection-level failures (EOF, reset, timeout) are the
+                // expected way workers die; anything else means the byte
+                // stream itself is bad — a torn frame, a checksum
+                // mismatch, garbage where a header should be. Those are
+                // counted and logged: a rising decode-error rate is a
+                // wire-protocol bug, not worker churn.
+                if e.is_decode_error() {
+                    src.observe(Event::DecodeError);
+                    eprintln!("{} worker {worker_id}: decode error: {e}", S::TAG);
+                }
+                break;
+            }
+        }
+    }
+    lose_worker(src, worker_id);
+    BatchFate::Lost
+}
+
+/// A heartbeat: extend every deadline of `worker_id` (up to the cap).
+fn refresh_deadlines<S: WorkSource>(src: &S, worker_id: u32) {
+    let gap = {
+        let mut state = src.state().lock_recover();
+        S::dispatch(&mut state)
+            .ledger
+            .touch(worker_id, Instant::now())
+    };
+    if let Some(gap) = gap {
+        src.observe(Event::HeartbeatGap(gap));
+    }
+}
+
+/// Accept a result frame: only if its batch is still in flight and only
+/// if its outcomes answer exactly the jobs that batch dispatched; the
+/// policy then accepts each pair at most once.
+pub fn accept_results<S: WorkSource>(src: &S, worker_id: u32, rb: ResultBatch) -> BatchFate {
+    let now = Instant::now();
+    let mut state = src.state().lock_recover();
+    let ledger = &mut S::dispatch(&mut state).ledger;
+    if let Some(gap) = ledger.touch(worker_id, now) {
+        src.observe(Event::HeartbeatGap(gap));
+    }
+    let Some(batch) = ledger.settle(&rb.batch_id) else {
+        src.observe(Event::StaleResult);
+        return BatchFate::Stale;
+    };
+    if !answers_exactly(batch.unit.as_ref(), &rb.outcomes) {
+        // A structurally valid frame carrying the wrong jobs: a byzantine
+        // or desynced worker. Its outcomes must never reach the result —
+        // requeue the batch and drop the connection.
+        src.observe(Event::MismatchedResult);
+        src.requeue(&mut state, batch.unit);
+        drop(state);
+        eprintln!(
+            "{} worker {worker_id}: result frame for batch {} does not answer its jobs",
+            S::TAG,
+            rb.batch_id
+        );
+        src.observe(Event::WorkerLost(worker_id));
+        src.wake().notify_all();
+        return BatchFate::Lost;
+    }
+    let rtt = now.duration_since(batch.granted_at);
+    let wake = src.accept(&mut state, worker_id, batch.unit, rb.outcomes, rtt);
+    drop(state);
+    if wake {
+        src.wake().notify_all();
+    }
+    BatchFate::Continue
+}
+
+/// Declare a worker dead: requeue its in-flight batches and wake anyone
+/// waiting for work. Counted as lost only when it actually held work —
+/// the monitor and the handler can both observe the same death, and
+/// only the first to requeue scores it.
+fn lose_worker<S: WorkSource>(src: &S, worker_id: u32) {
+    let requeued = {
+        let mut state = src.state().lock_recover();
+        requeue_worker(src, &mut state, worker_id)
+    };
+    if requeued {
+        src.observe(Event::WorkerLost(worker_id));
+        src.wake().notify_all();
+    }
+}
+
+/// Requeue every batch `worker_id` holds; returns whether it held any.
+fn requeue_worker<S: WorkSource>(src: &S, state: &mut S::State, worker_id: u32) -> bool {
+    let units = S::dispatch(state).ledger.revoke_owner(worker_id);
+    let any = !units.is_empty();
+    for (_, unit) in units {
+        src.requeue(state, unit);
+    }
+    any
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const HB: Duration = Duration::from_millis(100);
+    const CAP: Duration = Duration::from_millis(250);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn heartbeats_extend_a_unit_only_up_to_the_cap() {
+        let t0 = Instant::now();
+        let mut ledger: Ledger<u64, &str> = Ledger::new(HB, Some(CAP));
+        ledger.grant(1, 7, "unit", t0);
+        assert_eq!(ledger.expired(t0 + ms(99)), vec![]);
+        assert_eq!(ledger.expired(t0 + ms(100)), vec![(1, 7, Expiry::Silent)]);
+        // A signal every 80 ms keeps it alive past the plain window ...
+        for beat in [80, 160, 240] {
+            ledger.touch(7, t0 + ms(beat));
+        }
+        assert_eq!(ledger.expired(t0 + ms(249)), vec![]);
+        // ... but not past the cap, however recent the last signal.
+        assert_eq!(ledger.expired(t0 + ms(250)), vec![(1, 7, Expiry::Capped)]);
+        // Without a cap the same signals would carry it to 340 ms.
+        let mut uncapped: Ledger<u64, &str> = Ledger::new(HB, None);
+        uncapped.grant(1, 7, "unit", t0);
+        uncapped.touch(7, t0 + ms(240));
+        assert_eq!(uncapped.expired(t0 + ms(339)), vec![]);
+        assert_eq!(uncapped.expired(t0 + ms(340)), vec![(1, 7, Expiry::Silent)]);
+    }
+
+    #[test]
+    fn a_unit_granted_to_a_long_idle_owner_is_not_born_expired() {
+        let t0 = Instant::now();
+        let mut ledger: Ledger<u64, ()> = Ledger::new(HB, None);
+        ledger.touch(3, t0);
+        let later = t0 + Duration::from_secs(10);
+        ledger.grant(1, 3, (), later);
+        assert_eq!(ledger.expired(later), vec![]);
+        assert_eq!(ledger.expired(later + ms(99)), vec![]);
+        assert_eq!(
+            ledger.expired(later + ms(100)),
+            vec![(1, 3, Expiry::Silent)]
+        );
+    }
+
+    #[test]
+    fn revoke_owner_returns_exactly_that_owners_units() {
+        let t0 = Instant::now();
+        let mut ledger: Ledger<u64, &str> = Ledger::new(HB, None);
+        ledger.grant(1, 10, "a", t0);
+        ledger.grant(2, 11, "b", t0);
+        ledger.grant(3, 10, "c", t0);
+        let mut revoked = ledger.revoke_owner(10);
+        revoked.sort_unstable();
+        assert_eq!(revoked, vec![(1, "a"), (3, "c")]);
+        assert_eq!(ledger.revoke_owner(10), vec![], "nothing left to revoke");
+        assert!(!ledger.is_empty(), "the other owner's unit stays");
+        assert_eq!(
+            ledger.settle(&2).map(|g| (g.owner, g.unit)),
+            Some((11, "b"))
+        );
+        assert!(ledger.is_empty());
+    }
+
+    #[test]
+    fn settling_an_unknown_key_reports_stale() {
+        let t0 = Instant::now();
+        let mut ledger: Ledger<u64, &str> = Ledger::new(HB, None);
+        assert!(ledger.settle(&9).is_none(), "never granted");
+        ledger.grant(9, 1, "x", t0);
+        assert!(ledger.settle(&9).is_some());
+        assert!(ledger.settle(&9).is_none(), "already settled");
+        ledger.grant(4, 1, "y", t0);
+        ledger.revoke_owner(1);
+        assert!(ledger.settle(&4).is_none(), "revoked and requeued");
+    }
+
+    #[test]
+    fn touch_reports_the_gap_between_signals() {
+        let t0 = Instant::now();
+        let mut ledger: Ledger<u64, ()> = Ledger::new(HB, None);
+        assert_eq!(ledger.touch(1, t0), None);
+        assert_eq!(ledger.touch(1, t0 + ms(30)), Some(ms(30)));
+        assert_eq!(ledger.touch(2, t0 + ms(40)), None, "per owner");
+    }
+}

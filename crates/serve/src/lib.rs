@@ -24,8 +24,11 @@
 //! * [`proto`] — versioned, length-prefixed frames (Hello/Welcome,
 //!   JobBatch, ResultBatch, Heartbeat, Shutdown, plus the serving
 //!   tier's QuerySubmit/QueryPartial/QueryDone/QueryReject);
-//! * [`master`] — the daemon: job generation, batch dispatch, requeue,
-//!   result assembly ([`Master`]);
+//! * [`dispatch`] — the one fault-tolerant dispatcher: in-flight ledger,
+//!   handshake, deadline monitor and the worker connection loop, generic
+//!   over a [`dispatch::WorkSource`] policy;
+//! * [`master`] — the daemon: job generation, the FIFO batch policy
+//!   (batch and feed mode) and result assembly ([`Master`]);
 //! * [`worker`] — the client: decode batch, run the real kernel, stream
 //!   results back ([`run_worker`]);
 //! * [`stats`] — dispatch/requeue/byte counters and a per-worker
@@ -50,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod dispatch;
 pub mod master;
 pub mod proto;
 pub mod signal;

@@ -1,35 +1,26 @@
-//! The rck-serve master: job generation, batch dispatch, fault recovery
-//! and result assembly over a pluggable transport.
+//! The rck-serve master: job generation, FIFO batch policy and result
+//! assembly over the shared dispatcher.
 //!
-//! One thread per connected worker (plus a deadline monitor) shares a
-//! single work-queue state under a mutex/condvar pair. The master speaks
-//! to workers through the [`crate::transport`] seam — real TCP in
-//! production ([`Master::bind`]), the deterministic in-memory network in
-//! the chaos harness ([`Master::bind_on`]). Fault tolerance is three
-//! mechanisms stacked:
+//! Everything about *connections* — handshake, in-flight ledger,
+//! heartbeat deadlines, requeue on loss, [`answers_exactly`] acceptance,
+//! the deadline monitor — lives once in [`crate::dispatch`]. This module
+//! is the [`WorkSource`] policy the offline farm plugs into it: a FIFO
+//! queue of batches behind the [`MasterConfig::min_workers`] barrier,
+//! per-pair dedup on accept (requeue races produce late duplicates), and
+//! — in feed mode — per-tile credit with a [`TileDone`] streamed out the
+//! moment a tile's last pair lands. Batch mode ([`Master::bind_on`])
+//! stages the whole all-vs-all workload up front; feed mode
+//! ([`Master::bind_feed_on`]) takes tiles incrementally; both are the
+//! same policy over the same queue. The final [`SimilarityMatrix`] is
+//! complete and exact no matter how many workers die mid-run.
 //!
-//! * **connection loss** — a failed read or write on a worker's
-//!   connection immediately requeues every batch that worker held;
-//! * **heartbeat deadline** — the monitor requeues batches whose worker
-//!   has gone silent past [`MasterConfig::heartbeat_timeout`] and shuts
-//!   the connection down, which also unblocks the handler's pending read;
-//! * **batch timeout** — heartbeats extend a batch's deadline only up to
-//!   [`MasterConfig::batch_timeout`] past dispatch, so a worker whose
-//!   heartbeats flow but whose job traffic is lost (a chaos-plan frame
-//!   drop, a half-broken link) cannot pin its batch forever.
-//!
-//! Requeued work can race its original worker, so acceptance is guarded
-//! three times: a result frame must answer a batch id still in flight,
-//! its outcomes must answer exactly the jobs that batch dispatched
-//! (anything else is counted mismatched and the batch requeued), and each
-//! `(i, j)` pair is accepted only once (late duplicates are counted and
-//! dropped). The final [`SimilarityMatrix`] is therefore complete and
-//! exact no matter how many workers die mid-run.
+//! [`answers_exactly`]: crate::proto::answers_exactly
 
-use crate::proto::{self, answers_exactly, Frame, Hello, ResultBatch, Welcome, PROTOCOL_VERSION};
+use crate::dispatch::{self, Dispatch, Event, WorkSource};
+use crate::proto;
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::sync::MutexExt;
-use crate::transport::{Conn, Listener, TcpChannelListener};
+use crate::transport::{Listener, TcpChannelListener};
 use rck_pdb::model::CaChain;
 use rck_tmalign::MethodKind;
 use rckalign::loadbalance::{order_jobs, JobOrdering};
@@ -37,9 +28,9 @@ use rckalign::{all_vs_all, batch_jobs, PairJob, PairOutcome, SimilarityMatrix, S
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Master configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,37 +115,16 @@ enum ChainSet {
     Dynamic(Mutex<HashMap<u32, CaChain>>),
 }
 
-impl ChainSet {
-    fn n_chains(&self) -> u32 {
-        match self {
-            ChainSet::Static(all) => all.len() as u32,
-            ChainSet::Dynamic(map) => map.lock_recover().len() as u32,
-        }
-    }
-}
-
-/// One batch currently out on a worker.
-struct Inflight {
-    jobs: Vec<PairJob>,
-    worker_id: u32,
-    deadline: Instant,
-    dispatched_at: Instant,
-}
-
 /// The shared work-queue state (guarded by the `Mutex` in `Shared`).
 struct Work {
     queue: VecDeque<Vec<PairJob>>,
-    inflight: HashMap<u64, Inflight>,
+    /// Ledger of batches out on workers, connection handles, id counters.
+    dispatch: Dispatch<Vec<PairJob>>,
     /// Accepted pairs, mapped to their index in `outcomes` so a
     /// duplicate tile grant is answered in O(1) per pair instead of a
     /// linear scan over everything accepted so far.
     done: HashMap<(u32, u32), usize>,
     outcomes: Vec<PairOutcome>,
-    streams: HashMap<u32, Box<dyn Conn>>,
-    /// Last liveness signal (heartbeat or result) per worker, feeding
-    /// the `rck_heartbeat_gap_seconds` histogram.
-    last_signal: HashMap<u32, Instant>,
-    next_batch_id: u64,
     total_pairs: usize,
     finished: bool,
     /// Feed mode only: more tiles may still arrive, so running out of
@@ -173,26 +143,6 @@ impl Work {
             self.finished = true;
         }
     }
-
-    /// Requeue every batch `worker_id` holds; returns jobs requeued.
-    fn requeue_worker(&mut self, worker_id: u32, stats: &ServeStats) -> usize {
-        let ids: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, b)| b.worker_id == worker_id)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut requeued = 0;
-        for id in ids {
-            let Some(batch) = self.inflight.remove(&id) else {
-                continue;
-            };
-            requeued += batch.jobs.len();
-            stats.on_batch_requeued(batch.jobs.len());
-            self.queue.push_front(batch.jobs);
-        }
-        requeued
-    }
 }
 
 struct Shared {
@@ -201,7 +151,6 @@ struct Shared {
     chains: ChainSet,
     stats: Arc<ServeStats>,
     cfg: MasterConfig,
-    next_worker_id: AtomicU32,
     /// Set by [`AbortHandle::abort`]: stop accepting, stop dispatching,
     /// fail the run instead of assembling a partial matrix.
     aborted: AtomicBool,
@@ -219,9 +168,108 @@ struct Shared {
 }
 
 impl Shared {
-    /// Build the wire batch for `jobs`, sourcing the chain table from
-    /// whichever chain set this master runs on.
-    fn job_batch(&self, batch_id: u64, jobs: Vec<PairJob>) -> proto::JobBatch {
+    /// A master over `queue` (already batched). `tile_tx` selects feed
+    /// mode: the run stays open for more tiles until the feed closes.
+    fn new(
+        cfg: MasterConfig,
+        chains: ChainSet,
+        queue: VecDeque<Vec<PairJob>>,
+        tile_tx: Option<mpsc::Sender<TileDone>>,
+    ) -> Arc<Shared> {
+        let total_pairs = queue.iter().map(Vec::len).sum();
+        let accepting = tile_tx.is_some();
+        Arc::new(Shared {
+            work: Mutex::new(Work {
+                queue,
+                dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.batch_timeout),
+                done: HashMap::new(),
+                outcomes: Vec::with_capacity(total_pairs),
+                total_pairs,
+                finished: !accepting && total_pairs == 0,
+                accepting,
+                tile_of: HashMap::new(),
+                tiles: HashMap::new(),
+            }),
+            available: Condvar::new(),
+            chains,
+            stats: Arc::new(ServeStats::new()),
+            cfg,
+            aborted: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            store: Mutex::new(None),
+            tile_tx,
+        })
+    }
+
+    /// Stream a finished tile out: one [`TileDone`] per grant still
+    /// waiting on it, each carrying the complete outcome set — a
+    /// re-granted tile answers every grant (the frontend deduplicates).
+    fn emit_tile(&self, tile_id: u32, mut progress: TileProgress) {
+        let Some(tx) = &self.tile_tx else { return };
+        progress.outcomes.sort_by_key(|o| (o.i, o.j));
+        for _ in 1..progress.pending_grants {
+            let _ = tx.send(TileDone {
+                tile_id,
+                outcomes: progress.outcomes.clone(),
+            });
+        }
+        let _ = tx.send(TileDone {
+            tile_id,
+            outcomes: progress.outcomes,
+        });
+    }
+}
+
+/// The master's dispatch policy: FIFO batches behind the `min_workers`
+/// barrier, per-pair dedup, tile credit in feed mode.
+impl WorkSource for Shared {
+    const TAG: &'static str = "[rck-serve]";
+    type State = Work;
+    type Unit = Vec<PairJob>;
+
+    fn state(&self) -> &Mutex<Work> {
+        &self.work
+    }
+
+    fn wake(&self) -> &Condvar {
+        &self.available
+    }
+
+    fn dispatch(work: &mut Work) -> &mut Dispatch<Vec<PairJob>> {
+        &mut work.dispatch
+    }
+
+    fn heartbeat_timeout(&self) -> Duration {
+        self.cfg.heartbeat_timeout
+    }
+
+    fn n_chains(&self) -> u32 {
+        match &self.chains {
+            ChainSet::Static(all) => all.len() as u32,
+            ChainSet::Dynamic(map) => map.lock_recover().len() as u32,
+        }
+    }
+
+    fn halted(&self) -> bool {
+        self.aborted.load(Ordering::SeqCst)
+    }
+
+    fn idle(&self, work: &Work) -> bool {
+        work.finished || self.draining.load(Ordering::SeqCst)
+    }
+
+    fn next_unit(&self, work: &mut Work) -> Option<Vec<PairJob>> {
+        if self.stats.workers_connected() < self.cfg.min_workers as u64 {
+            return None;
+        }
+        let jobs = work.queue.pop_front()?;
+        self.stats.on_batch_dispatched(jobs.len());
+        Some(jobs)
+    }
+
+    /// Build the wire batch, sourcing the chain table from whichever
+    /// chain set this master runs on.
+    fn build_batch(&self, batch_id: u64, jobs: Vec<PairJob>) -> proto::JobBatch {
         match &self.chains {
             ChainSet::Static(all) => proto::build_job_batch(batch_id, jobs, all),
             ChainSet::Dynamic(map) => {
@@ -240,6 +288,69 @@ impl Shared {
                     jobs,
                 }
             }
+        }
+    }
+
+    fn accept(
+        &self,
+        work: &mut Work,
+        worker_id: u32,
+        _jobs: Vec<PairJob>,
+        outcomes: Vec<PairOutcome>,
+        rtt: Duration,
+    ) -> bool {
+        self.stats.observe_batch_rtt(rtt.as_secs_f64());
+        let mut fresh = 0usize;
+        let mut duplicates = 0usize;
+        for o in outcomes {
+            // Requeue races produce late duplicates: first answer wins.
+            if work.done.contains_key(&(o.i, o.j)) {
+                duplicates += 1;
+                continue;
+            }
+            let ix = work.outcomes.len();
+            work.done.insert((o.i, o.j), ix);
+            work.outcomes.push(o);
+            fresh += 1;
+            // Feed mode: credit the pair to its tile.
+            let Some(&tile_id) = work.tile_of.get(&(o.i, o.j)) else {
+                continue;
+            };
+            let Some(progress) = work.tiles.get_mut(&tile_id) else {
+                continue;
+            };
+            progress.outcomes.push(o);
+            progress.remaining -= 1;
+            if progress.remaining == 0 {
+                if let Some(progress) = work.tiles.remove(&tile_id) {
+                    self.emit_tile(tile_id, progress);
+                }
+            }
+        }
+        self.stats.on_batch_completed(worker_id, fresh);
+        if duplicates > 0 {
+            self.stats.on_duplicate_results(duplicates);
+        }
+        work.check_finished();
+        work.finished
+    }
+
+    fn requeue(&self, work: &mut Work, jobs: Vec<PairJob>) {
+        self.stats.on_batch_requeued(jobs.len());
+        work.queue.push_front(jobs);
+    }
+
+    fn observe(&self, event: Event<'_>) {
+        let stats = &self.stats;
+        match event {
+            Event::Tx(bytes) => stats.add_tx(bytes),
+            Event::Rx(bytes) => stats.add_rx(bytes),
+            Event::DecodeError => stats.on_decode_error(),
+            Event::WorkerConnected(id, name) => stats.on_worker_connected(id, name),
+            Event::WorkerLost(id) => stats.on_worker_lost(id),
+            Event::StaleResult => stats.on_stale_result(),
+            Event::MismatchedResult => stats.on_mismatched_result(),
+            Event::HeartbeatGap(gap) => stats.observe_heartbeat_gap(gap.as_secs_f64()),
         }
     }
 }
@@ -266,9 +377,7 @@ impl AbortHandle {
     pub fn abort(&self) {
         self.shared.aborted.store(true, Ordering::SeqCst);
         let work = self.shared.work.lock_recover();
-        for conn in work.streams.values() {
-            conn.shutdown();
-        }
+        work.dispatch.shutdown_streams();
         drop(work);
         self.shared.available.notify_all();
     }
@@ -282,6 +391,9 @@ impl AbortHandle {
     /// dropped mid-stream.
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
+        // Passing through the lock orders the flag before any waiter's
+        // next check, so the notify cannot fall between check and wait.
+        drop(self.shared.work.lock_recover());
         self.shared.available.notify_all();
     }
 }
@@ -402,40 +514,15 @@ impl Master {
     pub fn bind_on(listener: Box<dyn Listener>, chains: Vec<CaChain>, cfg: MasterConfig) -> Master {
         let mut jobs = all_vs_all(chains.len(), cfg.method);
         order_jobs(&mut jobs, &chains, cfg.ordering);
-        let total_pairs = jobs.len();
         let queue: VecDeque<Vec<PairJob>> = if jobs.is_empty() {
             VecDeque::new()
         } else {
             batch_jobs(&jobs, cfg.batch_size.max(1)).into()
         };
-        let work = Work {
-            queue,
-            inflight: HashMap::new(),
-            done: HashMap::new(),
-            outcomes: Vec::with_capacity(total_pairs),
-            streams: HashMap::new(),
-            last_signal: HashMap::new(),
-            next_batch_id: 0,
-            total_pairs,
-            finished: total_pairs == 0,
-            accepting: false,
-            tile_of: HashMap::new(),
-            tiles: HashMap::new(),
-        };
+        let chains = ChainSet::Static(Arc::new(chains));
         Master {
             listener,
-            shared: Arc::new(Shared {
-                work: Mutex::new(work),
-                available: Condvar::new(),
-                chains: ChainSet::Static(Arc::new(chains)),
-                stats: Arc::new(ServeStats::new()),
-                cfg,
-                next_worker_id: AtomicU32::new(0),
-                aborted: AtomicBool::new(false),
-                draining: AtomicBool::new(false),
-                store: Mutex::new(None),
-                tile_tx: None,
-            }),
+            shared: Shared::new(cfg, chains, queue, None),
         }
     }
 
@@ -456,33 +543,9 @@ impl Master {
         listener: Box<dyn Listener>,
         cfg: MasterConfig,
     ) -> (Master, FeedHandle, mpsc::Receiver<TileDone>) {
-        let work = Work {
-            queue: VecDeque::new(),
-            inflight: HashMap::new(),
-            done: HashMap::new(),
-            outcomes: Vec::new(),
-            streams: HashMap::new(),
-            last_signal: HashMap::new(),
-            next_batch_id: 0,
-            total_pairs: 0,
-            finished: false,
-            accepting: true,
-            tile_of: HashMap::new(),
-            tiles: HashMap::new(),
-        };
         let (tile_tx, tile_rx) = mpsc::channel();
-        let shared = Arc::new(Shared {
-            work: Mutex::new(work),
-            available: Condvar::new(),
-            chains: ChainSet::Dynamic(Mutex::new(HashMap::new())),
-            stats: Arc::new(ServeStats::new()),
-            cfg,
-            next_worker_id: AtomicU32::new(0),
-            aborted: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            store: Mutex::new(None),
-            tile_tx: Some(tile_tx),
-        });
+        let chains = ChainSet::Dynamic(Mutex::new(HashMap::new()));
+        let shared = Shared::new(cfg, chains, VecDeque::new(), Some(tile_tx));
         let feed = FeedHandle {
             shared: Arc::clone(&shared),
         };
@@ -554,20 +617,19 @@ impl Master {
     pub fn run(self) -> io::Result<ServeRun> {
         let monitor = {
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || monitor_deadlines(&shared))
+            std::thread::spawn(move || dispatch::monitor_workers(&*shared))
         };
         let mut handlers = Vec::new();
         loop {
-            if self.shared.work.lock_recover().finished
-                || self.shared.aborted.load(Ordering::SeqCst)
-                || self.shared.draining.load(Ordering::SeqCst)
-            {
+            if dispatch::settled(&*self.shared, &mut self.shared.work.lock_recover()) {
                 break;
             }
             match self.listener.poll_accept() {
                 Ok(Some(conn)) => {
                     let shared = Arc::clone(&self.shared);
-                    handlers.push(std::thread::spawn(move || serve_worker(&shared, conn)));
+                    handlers.push(std::thread::spawn(move || {
+                        dispatch::serve_worker(&*shared, conn)
+                    }));
                 }
                 Ok(None) => {
                     std::thread::sleep(Duration::from_millis(2));
@@ -620,357 +682,6 @@ impl Master {
             outcomes,
             stats: self.shared.stats.snapshot(),
         })
-    }
-}
-
-/// Deadline monitor: requeue batches whose worker went silent, and shut
-/// that worker's connection so its handler's blocking read returns. Runs
-/// until the workload is finished *and* nothing is left in flight (or
-/// the run is aborted).
-fn monitor_deadlines(shared: &Shared) {
-    let tick = (shared.cfg.heartbeat_timeout / 4).max(Duration::from_millis(5));
-    loop {
-        {
-            let mut work = shared.work.lock_recover();
-            let settled = work.finished || shared.draining.load(Ordering::SeqCst);
-            if (settled && work.inflight.is_empty()) || shared.aborted.load(Ordering::SeqCst) {
-                break;
-            }
-            let now = Instant::now();
-            let expired: Vec<u32> = work
-                .inflight
-                .values()
-                .filter(|b| b.deadline <= now)
-                .map(|b| b.worker_id)
-                .collect();
-            for worker_id in expired {
-                if work.requeue_worker(worker_id, &shared.stats) > 0 {
-                    shared.stats.on_worker_lost(worker_id);
-                }
-                if let Some(conn) = work.streams.get(&worker_id) {
-                    conn.shutdown();
-                }
-            }
-        }
-        shared.available.notify_all();
-        std::thread::sleep(tick);
-    }
-    shared.available.notify_all();
-}
-
-enum BatchFate {
-    /// Result accepted (or counted stale) — dispatch the next batch.
-    Continue,
-    /// Connection gone; inflight work already requeued.
-    Lost,
-}
-
-/// Per-connection handler: handshake, then dispatch/collect until the
-/// workload finishes or the worker is lost.
-fn serve_worker(shared: &Shared, mut conn: Box<dyn Conn>) {
-    // A worker that never speaks must not pin this thread forever.
-    let _ = conn.set_read_timeout(Some(shared.cfg.heartbeat_timeout * 2));
-    let worker_id = match handshake(shared, &mut conn) {
-        Some(id) => id,
-        None => {
-            // The peer may be blocked mid-handshake on a frame that will
-            // never come (e.g. its Hello was eaten by a fault plan) —
-            // tear the connection down so it finds out.
-            conn.shutdown();
-            return;
-        }
-    };
-    {
-        let mut work = shared.work.lock_recover();
-        if let Ok(clone) = conn.try_clone() {
-            work.streams.insert(worker_id, clone);
-        }
-    }
-
-    loop {
-        let Some((batch_id, jobs)) = next_batch(shared, worker_id) else {
-            // Workload finished or run aborted: orderly goodbye
-            // (best-effort — the connection may already be gone).
-            if let Ok(n) = proto::write_frame(&mut conn, &Frame::Shutdown) {
-                shared.stats.add_tx(n);
-            }
-            break;
-        };
-        let frame = Frame::JobBatch(shared.job_batch(batch_id, jobs.clone()));
-        shared.stats.on_batch_dispatched(jobs.len());
-        match proto::write_frame(&mut conn, &frame) {
-            Ok(n) => shared.stats.add_tx(n),
-            Err(_) => {
-                lose_worker(shared, worker_id);
-                break;
-            }
-        }
-        match collect_result(shared, &mut conn, worker_id) {
-            BatchFate::Continue => {}
-            BatchFate::Lost => break,
-        }
-    }
-
-    let mut work = shared.work.lock_recover();
-    work.streams.remove(&worker_id);
-    drop(work);
-    // Closing here (not just dropping our handle) guarantees the peer's
-    // pending reads unblock even while other clones of this connection
-    // are still alive elsewhere.
-    conn.shutdown();
-}
-
-/// Exchange Hello/Welcome; returns the assigned worker id.
-fn handshake(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
-    let frame = match proto::read_frame(conn) {
-        Ok((frame, n)) => {
-            shared.stats.add_rx(n);
-            frame
-        }
-        Err(e) => {
-            if e.is_decode_error() {
-                shared.stats.on_decode_error();
-                eprintln!("[rck-serve] handshake decode error: {e}");
-            }
-            return None;
-        }
-    };
-    let Frame::Hello(Hello {
-        protocol_version,
-        worker_name,
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
-    let worker_id = shared.next_worker_id.fetch_add(1, Ordering::Relaxed);
-    let welcome = Frame::Welcome(Welcome {
-        worker_id,
-        n_chains: shared.chains.n_chains(),
-    });
-    let n = proto::write_frame(conn, &welcome).ok()?;
-    shared.stats.add_tx(n);
-    shared.stats.on_worker_connected(worker_id, &worker_name);
-    // A new worker may satisfy the min_workers dispatch barrier.
-    shared.available.notify_all();
-    Some(worker_id)
-}
-
-/// Claim the next batch for `worker_id`, or `None` once the workload is
-/// finished (or aborted). Blocks while the queue is empty or the
-/// min-workers barrier is unmet.
-fn next_batch(shared: &Shared, worker_id: u32) -> Option<(u64, Vec<PairJob>)> {
-    let mut work = shared.work.lock_recover();
-    let jobs = loop {
-        if work.finished
-            || shared.aborted.load(Ordering::SeqCst)
-            || shared.draining.load(Ordering::SeqCst)
-        {
-            return None;
-        }
-        let barrier_met = shared.stats.workers_connected() >= shared.cfg.min_workers as u64;
-        if barrier_met {
-            if let Some(jobs) = work.queue.pop_front() {
-                break jobs;
-            }
-        }
-        let (guard, _timeout) = shared
-            .available
-            .wait_timeout(work, Duration::from_millis(50))
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        work = guard;
-    };
-    let batch_id = work.next_batch_id;
-    work.next_batch_id += 1;
-    let now = Instant::now();
-    work.inflight.insert(
-        batch_id,
-        Inflight {
-            jobs: jobs.clone(),
-            worker_id,
-            deadline: now + batch_deadline(&shared.cfg),
-            dispatched_at: now,
-        },
-    );
-    Some((batch_id, jobs))
-}
-
-/// The initial per-batch deadline: one heartbeat window, capped by the
-/// batch timeout when one is configured.
-fn batch_deadline(cfg: &MasterConfig) -> Duration {
-    match cfg.batch_timeout {
-        Some(cap) => cfg.heartbeat_timeout.min(cap),
-        None => cfg.heartbeat_timeout,
-    }
-}
-
-/// Read frames until the outstanding batch is answered (heartbeats
-/// refresh the deadline along the way) or the connection dies.
-fn collect_result(shared: &Shared, conn: &mut Box<dyn Conn>, worker_id: u32) -> BatchFate {
-    loop {
-        match proto::read_frame(conn) {
-            Ok((frame, n)) => {
-                shared.stats.add_rx(n);
-                match frame {
-                    Frame::Heartbeat(_) => refresh_deadlines(shared, worker_id),
-                    Frame::ResultBatch(rb) => return accept_results(shared, worker_id, rb),
-                    // Anything else out of sequence: drop the worker.
-                    _ => {
-                        lose_worker(shared, worker_id);
-                        return BatchFate::Lost;
-                    }
-                }
-            }
-            Err(e) => {
-                // Connection-level failures (EOF, reset, timeout) are the
-                // expected way workers die; anything else means the byte
-                // stream itself is bad — a torn frame, a checksum
-                // mismatch, garbage where a header should be. Those were
-                // silently folded into "worker lost" before the chaos
-                // harness; now they are counted and logged, because a
-                // rising decode-error rate is a wire-protocol bug, not
-                // worker churn.
-                if e.is_decode_error() {
-                    shared.stats.on_decode_error();
-                    eprintln!("[rck-serve] worker {worker_id}: decode error: {e}");
-                }
-                lose_worker(shared, worker_id);
-                return BatchFate::Lost;
-            }
-        }
-    }
-}
-
-fn refresh_deadlines(shared: &Shared, worker_id: u32) {
-    let now = Instant::now();
-    let mut work = shared.work.lock_recover();
-    note_liveness(&mut work, shared, worker_id, now);
-    for batch in work.inflight.values_mut() {
-        if batch.worker_id == worker_id {
-            // A heartbeat proves the worker is alive, not that the batch
-            // is making progress — cap the extension so lost job/result
-            // frames cannot ride heartbeats into a permanent stall.
-            let extended = now + shared.cfg.heartbeat_timeout;
-            batch.deadline = match shared.cfg.batch_timeout {
-                Some(cap) => extended.min(batch.dispatched_at + cap),
-                None => extended,
-            };
-        }
-    }
-}
-
-/// Record a liveness signal (heartbeat or accepted result) and observe
-/// the gap since the worker's previous one.
-fn note_liveness(work: &mut Work, shared: &Shared, worker_id: u32, now: Instant) {
-    if let Some(prev) = work.last_signal.insert(worker_id, now) {
-        shared
-            .stats
-            .observe_heartbeat_gap(now.duration_since(prev).as_secs_f64());
-    }
-}
-
-/// Accept a result frame: only if its batch is still in flight, only if
-/// its outcomes answer exactly the jobs that batch dispatched, and only
-/// pairs not already done (requeue races produce late duplicates).
-fn accept_results(shared: &Shared, worker_id: u32, rb: ResultBatch) -> BatchFate {
-    let mut work = shared.work.lock_recover();
-    note_liveness(&mut work, shared, worker_id, Instant::now());
-    let Some(batch) = work.inflight.remove(&rb.batch_id) else {
-        shared.stats.on_stale_result();
-        return BatchFate::Continue;
-    };
-    debug_assert_eq!(batch.worker_id, worker_id, "batch answered by stranger");
-    if !answers_exactly(&batch.jobs, &rb.outcomes) {
-        // A structurally valid frame carrying the wrong jobs: a byzantine
-        // or desynced worker. Its outcomes must never reach the matrix —
-        // requeue the batch and drop the connection.
-        shared.stats.on_mismatched_result();
-        shared.stats.on_batch_requeued(batch.jobs.len());
-        work.queue.push_front(batch.jobs);
-        drop(work);
-        eprintln!(
-            "[rck-serve] worker {worker_id}: result frame for batch {} does not answer its jobs",
-            rb.batch_id
-        );
-        shared.stats.on_worker_lost(worker_id);
-        shared.available.notify_all();
-        return BatchFate::Lost;
-    }
-    shared
-        .stats
-        .observe_batch_rtt(batch.dispatched_at.elapsed().as_secs_f64());
-    let mut fresh = 0usize;
-    let mut duplicates = 0usize;
-    let mut completed_tiles: Vec<(u32, Vec<PairOutcome>, usize)> = Vec::new();
-    for o in rb.outcomes {
-        if work.done.contains_key(&(o.i, o.j)) {
-            duplicates += 1;
-            continue;
-        }
-        let ix = work.outcomes.len();
-        work.done.insert((o.i, o.j), ix);
-        // Feed mode: credit the pair to its tile; a finished tile is
-        // collected for emission once the lock drops.
-        if let Some(&tile_id) = work.tile_of.get(&(o.i, o.j)) {
-            let tile_finished = match work.tiles.get_mut(&tile_id) {
-                Some(p) => {
-                    p.outcomes.push(o);
-                    p.remaining -= 1;
-                    p.remaining == 0
-                }
-                None => false,
-            };
-            if tile_finished {
-                if let Some(mut p) = work.tiles.remove(&tile_id) {
-                    p.outcomes.sort_by_key(|x| (x.i, x.j));
-                    completed_tiles.push((tile_id, p.outcomes, p.pending_grants));
-                }
-            }
-        }
-        work.outcomes.push(o);
-        fresh += 1;
-    }
-    shared.stats.on_batch_completed(worker_id, fresh);
-    if duplicates > 0 {
-        shared.stats.on_duplicate_results(duplicates);
-    }
-    work.check_finished();
-    let finished = work.finished;
-    drop(work);
-    if let Some(tx) = &shared.tile_tx {
-        for (tile_id, outcomes, grants) in completed_tiles {
-            // One TileDone per grant still waiting on this tile, each
-            // carrying the complete outcome set — a re-granted tile
-            // answers every grant (the frontend deduplicates).
-            for _ in 1..grants {
-                let _ = tx.send(TileDone {
-                    tile_id,
-                    outcomes: outcomes.clone(),
-                });
-            }
-            let _ = tx.send(TileDone { tile_id, outcomes });
-        }
-    }
-    if finished {
-        shared.available.notify_all();
-    }
-    BatchFate::Continue
-}
-
-/// Declare a worker dead: requeue its in-flight batches and wake anyone
-/// waiting for queue work. Counted as lost only when it actually held
-/// work — the monitor and the handler can both observe the same death,
-/// and only the first to requeue scores it.
-fn lose_worker(shared: &Shared, worker_id: u32) {
-    let requeued = {
-        let mut work = shared.work.lock_recover();
-        work.requeue_worker(worker_id, &shared.stats)
-    };
-    if requeued > 0 {
-        shared.stats.on_worker_lost(worker_id);
-        shared.available.notify_all();
     }
 }
 
@@ -1269,6 +980,46 @@ mod tests {
         let run = t.join().unwrap().expect("empty feed finishes");
         assert!(run.outcomes.is_empty());
         assert_eq!(run.matrix.len(), 0);
+    }
+
+    /// `run()` must return as soon as the last result is accepted: the
+    /// deadline monitor is woken by the finish, not left napping a
+    /// quarter heartbeat window (250 ms here).
+    #[test]
+    fn run_returns_promptly_after_the_last_result() {
+        use crate::transport::MemNet;
+        use crate::worker::{run_worker_conn, WorkerConfig};
+
+        let chains = tiny_profile().generate(9);
+        let pairs = (chains.len() * (chains.len() - 1) / 2) as u64;
+        let cfg = MasterConfig {
+            heartbeat_timeout: Duration::from_secs(1),
+            ..MasterConfig::default()
+        };
+        let net = MemNet::new();
+        let master = Master::bind_on(net.listener(), chains, cfg);
+        let stats = master.stats();
+        let run_thread = std::thread::spawn(move || {
+            let run = master.run();
+            (run, std::time::Instant::now())
+        });
+        let worker_conn = net.connect().unwrap();
+        let worker = std::thread::spawn(move || {
+            let wcfg = WorkerConfig::connect_to("127.0.0.1:0".parse().unwrap());
+            run_worker_conn(worker_conn, &wcfg)
+        });
+        while stats.jobs_completed() < pairs {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let completed_at = std::time::Instant::now();
+        let (run, returned_at) = run_thread.join().unwrap();
+        run.expect("run completes");
+        let _ = worker.join();
+        let teardown = returned_at.saturating_duration_since(completed_at);
+        assert!(
+            teardown < Duration::from_millis(50),
+            "run() returned {teardown:?} after the last result"
+        );
     }
 
     #[test]

@@ -310,6 +310,18 @@ impl From<DecodeError> for FrameError {
     }
 }
 
+/// Transport errors pass through, a closed stream is `UnexpectedEof`,
+/// and anything undecodable is `InvalidData`.
+impl From<FrameError> for std::io::Error {
+    fn from(e: FrameError) -> std::io::Error {
+        match e {
+            FrameError::Io(e) => e,
+            FrameError::Closed => std::io::ErrorKind::UnexpectedEof.into(),
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
 /// Exact f64 chain encoding (contrast `rckalign::jobs`' f32 on-mesh one).
 fn put_chain(w: &mut Writer, chain: &CaChain) {
     w.put_str(&chain.name);

@@ -17,7 +17,7 @@
 //! `MethodKind::instantiate`, `PscMethod::compare` — which is what makes
 //! the service matrix bit-identical to [`rckalign::run_all_vs_all`].
 
-use crate::proto::{self, Frame, FrameError, Heartbeat, Hello, JobBatch, PROTOCOL_VERSION};
+use crate::proto::{self, Frame, Heartbeat, JobBatch};
 use crate::sync::MutexExt;
 use crate::transport::{Conn, TcpConn};
 use rand::{Rng, SeedableRng};
@@ -193,14 +193,6 @@ pub struct WorkerReport {
     pub failed_by_injection: bool,
 }
 
-fn frame_io_err(e: FrameError) -> io::Error {
-    match e {
-        FrameError::Io(e) => e,
-        FrameError::Closed => io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed"),
-        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-    }
-}
-
 /// Run one job batch through the real comparison kernel. A batch whose
 /// jobs reference chains it does not carry violates the protocol's
 /// "data ships with the job" promise — that is a master bug or frame
@@ -306,24 +298,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<WorkerReport> {
 /// [`Conn`], which is how the chaos harness runs scripted sessions over
 /// the in-memory transport.
 pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Result<WorkerReport> {
-    let mut bytes_tx = 0u64;
-    let mut bytes_rx = 0u64;
-
-    bytes_tx += proto::write_frame(
-        &mut stream,
-        &Frame::Hello(Hello {
-            protocol_version: PROTOCOL_VERSION,
-            worker_name: cfg.name.clone(),
-        }),
-    )? as u64;
-    let (frame, n) = proto::read_frame(&mut stream).map_err(frame_io_err)?;
-    bytes_rx += n as u64;
-    let Frame::Welcome(welcome) = frame else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected Welcome after Hello",
-        ));
-    };
+    let (welcome, bytes_tx, bytes_rx) = crate::dispatch::hello(&mut stream, &cfg.name)?;
     let worker_id = welcome.worker_id;
 
     // Writes come from two threads (results here, heartbeats below), so
@@ -340,7 +315,9 @@ pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Res
         let interval = cfg.heartbeat_interval;
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
+                // Parked, not asleep: the session's end unparks this
+                // thread instead of waiting out the interval.
+                std::thread::park_timeout(interval);
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
@@ -366,8 +343,8 @@ pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Res
         worker_id,
         batches_done: 0,
         jobs_done: 0,
-        bytes_tx,
-        bytes_rx,
+        bytes_tx: bytes_tx as u64,
+        bytes_rx: bytes_rx as u64,
         failed_by_injection: false,
     };
     let lane_jobs: Vec<Arc<Counter>> = (0..cfg.threads.max(1))
@@ -390,6 +367,7 @@ pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Res
     );
 
     stop.store(true, Ordering::Relaxed);
+    heartbeat.thread().unpark();
     let _ = heartbeat.join();
     report.jobs_done = completed.load(Ordering::Relaxed);
     report.bytes_tx += hb_bytes.load(Ordering::Relaxed);
@@ -409,7 +387,7 @@ fn serve_loop(
     report: &mut WorkerReport,
 ) -> io::Result<()> {
     loop {
-        let (frame, n) = proto::read_frame(stream).map_err(frame_io_err)?;
+        let (frame, n) = proto::read_frame(stream)?;
         report.bytes_rx += n as u64;
         match frame {
             Frame::JobBatch(batch) => {

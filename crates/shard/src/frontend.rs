@@ -14,22 +14,26 @@
 //! matrix is bit-identical to a single-master [`rckalign::run_all_vs_all`]
 //! no matter how tiles were dealt, stolen, or re-granted.
 //!
-//! Failure model, mirroring the single-farm master one level up:
+//! The failure machinery is [`rck_serve::dispatch`]'s — the same
+//! [`Ledger`] deadline rule, handshake and monitor loop the master and
+//! the gate run — applied one level up. Masters pull work with credits
+//! and hold several tiles at once, a dialect the dispatcher's
+//! one-batch-per-worker connection loop would have to branch on, so the
+//! frontend keeps its own reader loop and credit policy:
 //!
 //! * **connection loss** — a failed read or write on a master's
 //!   connection requeues every tile that master held to the orphan pool
 //!   and drains its ownership queue there too;
-//! * **heartbeat deadline** — a master silent past
+//! * **heartbeat deadline** — a master holding tiles and silent past
 //!   [`ShardConfig::heartbeat_timeout`] is declared dead the same way;
 //! * **tile deadline** — with [`ShardConfig::tile_timeout`] set, a
-//!   granted tile unanswered past the deadline is re-granted even while
-//!   its master's heartbeats still flow.
+//!   granted tile unanswered past the cap is re-granted even while its
+//!   master's heartbeats still flow.
 
 use crate::stats::{ShardSnapshot, ShardStats};
 use rck_pdb::model::CaChain;
-use rck_serve::proto::{
-    self, answers_exactly, Frame, Hello, TileResult, Welcome, PROTOCOL_VERSION,
-};
+use rck_serve::dispatch::{self, send, Expiry, Ledger};
+use rck_serve::proto::{self, answers_exactly, Frame, TileResult, Welcome};
 use rck_serve::transport::TcpChannelListener;
 use rck_serve::{Conn, Listener, MutexExt};
 use rck_tmalign::MethodKind;
@@ -41,7 +45,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Frontend configuration.
@@ -109,13 +113,6 @@ pub struct ShardRun {
     pub stats: ShardSnapshot,
 }
 
-/// One granted-but-unanswered tile.
-struct GrantInfo {
-    master_id: u32,
-    deadline: Option<Instant>,
-    granted_at: Instant,
-}
-
 /// One connected shard master.
 struct MasterLink {
     writer: Arc<Mutex<Box<dyn Conn>>>,
@@ -132,7 +129,8 @@ struct State {
     orphans: VecDeque<u32>,
     /// Effective job set per tile (store hits already removed).
     tile_jobs: HashMap<u32, Vec<PairJob>>,
-    granted: HashMap<u32, GrantInfo>,
+    /// Granted-but-unanswered tiles, by tile id, owned by master id.
+    granted: Ledger<u32, ()>,
     completed: HashSet<u32>,
     /// Accepted per-tile outcome lists (plus store-hit lists), merged on
     /// read at the end of the run.
@@ -140,7 +138,6 @@ struct State {
     /// Masters whose credit could not be served yet (nothing grantable).
     pending_credits: VecDeque<u32>,
     masters: HashMap<u32, MasterLink>,
-    last_signal: HashMap<u32, Instant>,
     /// Tiles without an accepted result.
     remaining: usize,
     finished: bool,
@@ -148,6 +145,8 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
+    /// Wakes the deadline monitor when the run finishes or aborts.
+    wake: Condvar,
     chains: Arc<Vec<CaChain>>,
     stats: Arc<ShardStats>,
     cfg: ShardConfig,
@@ -189,6 +188,7 @@ impl ShardAbortHandle {
         for w in writers {
             w.lock_recover().shutdown();
         }
+        self.shared.wake.notify_all();
     }
 }
 
@@ -220,12 +220,11 @@ impl ShardFrontend {
             queues,
             orphans: VecDeque::new(),
             tile_jobs,
-            granted: HashMap::new(),
+            granted: Ledger::new(cfg.heartbeat_timeout, cfg.tile_timeout),
             completed: HashSet::new(),
             results: Vec::new(),
             pending_credits: VecDeque::new(),
             masters: HashMap::new(),
-            last_signal: HashMap::new(),
             remaining,
             finished: remaining == 0,
         };
@@ -233,6 +232,7 @@ impl ShardFrontend {
             listener,
             shared: Arc::new(Shared {
                 state: Mutex::new(state),
+                wake: Condvar::new(),
                 chains: Arc::new(chains),
                 stats: Arc::new(ShardStats::new()),
                 cfg,
@@ -395,12 +395,6 @@ impl ShardFrontend {
     }
 }
 
-/// Best-effort framed write to one master behind its writer mutex.
-fn send(writer: &Mutex<Box<dyn Conn>>, frame: &Frame) -> io::Result<()> {
-    let mut w = writer.lock_recover();
-    proto::write_frame(&mut *w, frame).map(|_| ())
-}
-
 /// Pick the next grantable tile for `slot`: own queue, then the orphan
 /// pool, then steal from the *tail* of the longest other queue (the tail
 /// is the work its owner would reach last, minimising contention).
@@ -450,14 +444,7 @@ fn serve_credit(shared: &Shared, master_id: u32) {
         return;
     };
     let jobs = state.tile_jobs.get(&tile_id).cloned().unwrap_or_default();
-    state.granted.insert(
-        tile_id,
-        GrantInfo {
-            master_id,
-            deadline: shared.cfg.tile_timeout.map(|t| Instant::now() + t),
-            granted_at: Instant::now(),
-        },
-    );
+    state.granted.grant(tile_id, master_id, (), Instant::now());
     drop(state);
     shared.stats.on_tile_granted(stolen);
     let grant = proto::build_tile_grant(tile_id, jobs, &shared.chains);
@@ -507,7 +494,7 @@ fn handle_result(shared: &Shared, master_id: u32, result: TileResult) {
     if !answers_exactly(jobs, &outcomes) {
         // Wrong job set answered — requeue the tile and drop the sender
         // (a master this confused cannot be trusted with more work).
-        if state.granted.remove(&tile_id).is_some() {
+        if state.granted.settle(&tile_id).is_some() {
             state.orphans.push_back(tile_id);
             shared.stats.on_tiles_requeued(1);
         }
@@ -519,7 +506,7 @@ fn handle_result(shared: &Shared, master_id: u32, result: TileResult) {
     }
     let rtt = state
         .granted
-        .remove(&tile_id)
+        .settle(&tile_id)
         .map(|g| g.granted_at.elapsed().as_secs_f64());
     state.completed.insert(tile_id);
     let mut sorted = outcomes;
@@ -537,6 +524,7 @@ fn handle_result(shared: &Shared, master_id: u32, result: TileResult) {
             .map(|l| Arc::clone(&l.writer))
             .collect();
         drop(state);
+        shared.wake.notify_all();
         for w in writers {
             let _ = send(&w, &Frame::Shutdown);
         }
@@ -558,16 +546,8 @@ fn lose_master(shared: &Shared, master_id: u32) {
     link.alive = false;
     let slot = link.slot;
     let writer = Arc::clone(&link.writer);
-    let its: Vec<u32> = state
-        .granted
-        .iter()
-        .filter(|(_, g)| g.master_id == master_id)
-        .map(|(&t, _)| t)
-        .collect();
-    for t in &its {
-        state.granted.remove(t);
-        state.orphans.push_back(*t);
-    }
+    let its = state.granted.revoke_owner(master_id);
+    state.orphans.extend(its.iter().map(|&(t, ())| t));
     let drained: Vec<u32> = state.queues[slot].drain(..).collect();
     state.orphans.extend(drained);
     state.pending_credits.retain(|&m| m != master_id);
@@ -581,85 +561,52 @@ fn lose_master(shared: &Shared, master_id: u32) {
 }
 
 /// Deadline monitor: declare silent masters dead, re-grant tiles whose
-/// deadline expired, and bound the run's liveness — a run with tiles
+/// cap expired, and bound the run's liveness — a run with tiles
 /// outstanding and no master connected (none ever arrived, or every one
 /// died without a replacement) can make no progress, so past the stall
 /// bound it is failed rather than left polling forever. Runs until the
 /// run finishes, aborts, or stalls out.
 fn monitor_masters(shared: &Shared) {
-    let tick = (shared.cfg.heartbeat_timeout / 4).max(Duration::from_millis(5));
     let stall_limit = shared.cfg.effective_stall_timeout();
     let mut no_masters_since: Option<Instant> = None;
-    loop {
-        {
-            let state = shared.state.lock_recover();
-            if state.finished || shared.aborted.load(Ordering::SeqCst) {
-                break;
+    dispatch::monitor_deadlines(
+        &shared.state,
+        &shared.wake,
+        shared.cfg.heartbeat_timeout,
+        |state| state.finished || shared.aborted.load(Ordering::SeqCst),
+        |mut state, now| {
+            let mut silent = Vec::new();
+            let mut capped = 0;
+            for (tile, master_id, expiry) in state.granted.expired(now) {
+                match expiry {
+                    Expiry::Silent => silent.push(master_id),
+                    Expiry::Capped => {
+                        state.granted.settle(&tile);
+                        state.orphans.push_back(tile);
+                        capped += 1;
+                    }
+                }
             }
-        }
-        let now = Instant::now();
-        let silent: Vec<u32> = {
-            let state = shared.state.lock_recover();
-            state
-                .masters
-                .iter()
-                .filter(|(id, l)| {
-                    l.alive
-                        && state
-                            .last_signal
-                            .get(id)
-                            .is_some_and(|t| now.duration_since(*t) > shared.cfg.heartbeat_timeout)
-                })
-                .map(|(&id, _)| id)
-                .collect()
-        };
-        for id in silent {
-            lose_master(shared, id);
-        }
-        let expired: Vec<u32> = {
-            let mut state = shared.state.lock_recover();
-            let expired: Vec<u32> = state
-                .granted
-                .iter()
-                .filter(|(_, g)| g.deadline.is_some_and(|d| d <= now))
-                .map(|(&t, _)| t)
-                .collect();
-            for t in &expired {
-                state.granted.remove(t);
-                state.orphans.push_back(*t);
+            // Losing a master and serving parked credits write to
+            // sockets: not under the state lock.
+            drop(state);
+            for id in silent {
+                lose_master(shared, id);
             }
-            expired
-        };
-        if !expired.is_empty() {
-            shared.stats.on_tiles_requeued(expired.len());
-            serve_pending(shared);
-        }
-        let any_alive = {
+            if capped > 0 {
+                shared.stats.on_tiles_requeued(capped);
+                serve_pending(shared);
+            }
             let state = shared.state.lock_recover();
-            state.finished || state.masters.values().any(|l| l.alive)
-        };
-        if any_alive {
-            no_masters_since = None;
-        } else {
-            let since = *no_masters_since.get_or_insert_with(Instant::now);
-            if since.elapsed() > stall_limit {
+            if state.finished || state.masters.values().any(|l| l.alive) {
+                no_masters_since = None;
+            } else if no_masters_since.get_or_insert(now).elapsed() > stall_limit {
                 shared.stalled.store(true, Ordering::SeqCst);
                 shared.aborted.store(true, Ordering::SeqCst);
-                return;
             }
-        }
-        // Sleep the tick in small slices: `run()` joins this thread once
-        // the merge completes, so a whole-tick nap here would stretch
-        // every run's wall clock by up to heartbeat_timeout/4.
-        let slice = Duration::from_millis(5);
-        let deadline = Instant::now() + tick;
-        while Instant::now() < deadline {
-            if shared.state.lock_recover().finished || shared.aborted.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(slice);
-        }
-    }
+            state
+        },
+    );
 }
 
 /// Per-connection handler: handshake, then consume credits, results and
@@ -667,7 +614,7 @@ fn monitor_masters(shared: &Shared) {
 fn serve_master(shared: &Shared, mut conn: Box<dyn Conn>) {
     // A master that never speaks must not pin this thread forever.
     let _ = conn.set_read_timeout(Some(shared.cfg.heartbeat_timeout * 2));
-    let Some(master_id) = handshake(shared, &mut conn) else {
+    let Some(master_id) = welcome_master(shared, &mut conn) else {
         conn.shutdown();
         return;
     };
@@ -675,7 +622,7 @@ fn serve_master(shared: &Shared, mut conn: Box<dyn Conn>) {
     while let Ok((frame, _)) = proto::read_frame(&mut conn) {
         {
             let mut state = shared.state.lock_recover();
-            state.last_signal.insert(master_id, Instant::now());
+            state.granted.touch(master_id, Instant::now());
         }
         match frame {
             Frame::Heartbeat(_) => {}
@@ -698,29 +645,23 @@ fn serve_master(shared: &Shared, mut conn: Box<dyn Conn>) {
     conn.shutdown();
 }
 
-/// Exchange Hello/Welcome; returns the assigned master id.
-fn handshake(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
-    let Ok((frame, _)) = proto::read_frame(conn) else {
-        return None;
-    };
-    let Frame::Hello(Hello {
-        protocol_version,
-        worker_name,
-    }) = frame
-    else {
-        return None;
-    };
-    if protocol_version != PROTOCOL_VERSION {
-        return None;
-    }
-    let master_id = shared.next_master_id.fetch_add(1, Ordering::Relaxed);
+/// Handshake with a connecting master and register its link; returns
+/// the assigned master id.
+fn welcome_master(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
+    // Decode errors are logged by the handshake; the frontend keeps no
+    // wire counters of its own.
+    let (welcome, name) = dispatch::handshake(
+        "[rck-shard]",
+        |_| {},
+        conn,
+        || Welcome {
+            worker_id: shared.next_master_id.fetch_add(1, Ordering::Relaxed),
+            n_chains: shared.chains.len() as u32,
+        },
+    )?;
+    let master_id = welcome.worker_id;
     let slot =
         shared.next_slot.fetch_add(1, Ordering::Relaxed) as usize % shared.cfg.masters.max(1);
-    let welcome = Frame::Welcome(Welcome {
-        worker_id: master_id,
-        n_chains: shared.chains.len() as u32,
-    });
-    proto::write_frame(conn, &welcome).ok()?;
     let writer = Arc::new(Mutex::new(conn.try_clone().ok()?));
     let mut state = shared.state.lock_recover();
     state.masters.insert(
@@ -731,9 +672,9 @@ fn handshake(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
             alive: true,
         },
     );
-    state.last_signal.insert(master_id, Instant::now());
+    state.granted.touch(master_id, Instant::now());
     drop(state);
-    shared.stats.on_master_connected(master_id, &worker_name);
+    shared.stats.on_master_connected(master_id, &name);
     Some(master_id)
 }
 
@@ -746,12 +687,11 @@ mod tests {
             queues: queues.into_iter().map(VecDeque::from).collect(),
             orphans: VecDeque::new(),
             tile_jobs: HashMap::new(),
-            granted: HashMap::new(),
+            granted: Ledger::new(Duration::from_secs(1), None),
             completed: HashSet::new(),
             results: Vec::new(),
             pending_credits: VecDeque::new(),
             masters: HashMap::new(),
-            last_signal: HashMap::new(),
             remaining: 0,
             finished: false,
         }

@@ -22,9 +22,8 @@
 //! result unsent — after the configured number of results, exercising
 //! the frontend's requeue path.
 
-use rck_serve::proto::{
-    self, Frame, Heartbeat, Hello, StealRequest, TileResult, Welcome, PROTOCOL_VERSION,
-};
+use rck_serve::dispatch::{hello, send};
+use rck_serve::proto::{self, Frame, Heartbeat, StealRequest, TileResult, Welcome};
 use rck_serve::stats::StatsSnapshot;
 use rck_serve::{Conn, Listener, Master, MasterConfig, MutexExt};
 use std::io;
@@ -76,12 +75,6 @@ pub struct ShardMasterReport {
     pub farm: StatsSnapshot,
 }
 
-/// Best-effort framed write behind the shared writer mutex.
-fn send(writer: &Mutex<Box<dyn Conn>>, frame: &Frame) -> io::Result<()> {
-    let mut w = writer.lock_recover();
-    proto::write_frame(&mut *w, frame).map(|_| ())
-}
-
 /// Run one shard master: handshake with the frontend over `conn`, serve
 /// granted tiles on a feed-mode farm accepting workers on
 /// `worker_listener`, and return once the frontend says Shutdown (or
@@ -91,21 +84,14 @@ pub fn run_shard_master(
     worker_listener: Box<dyn Listener>,
     cfg: &ShardMasterConfig,
 ) -> io::Result<ShardMasterReport> {
-    let hello = Frame::Hello(Hello {
-        protocol_version: PROTOCOL_VERSION,
-        worker_name: cfg.name.clone(),
-    });
-    proto::write_frame(&mut conn, &hello)?;
-    let master_id = match proto::read_frame(&mut conn) {
-        Ok((Frame::Welcome(Welcome { worker_id, .. }), _)) => worker_id,
-        Ok(_) => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frontend answered the handshake with a non-Welcome frame",
-            ))
-        }
-        Err(e) => return Err(io::Error::other(format!("frontend handshake failed: {e}"))),
-    };
+    let (
+        Welcome {
+            worker_id: master_id,
+            ..
+        },
+        _,
+        _,
+    ) = hello(&mut conn, &cfg.name)?;
 
     let (master, feed, tiles_rx) = Master::bind_feed_on(worker_listener, cfg.serve.clone());
     let farm_stats = feed.stats();
