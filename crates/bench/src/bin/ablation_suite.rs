@@ -1,14 +1,124 @@
-//! Paper-scale ablations of the design choices DESIGN.md calls out, on
-//! CK34 with 47 slaves (the paper's full-chip configuration).
+//! Every "(ext.)" experiment of DESIGN.md's index — results the paper
+//! predicts or motivates but does not tabulate: six paper-scale ablations
+//! of the design choices on CK34 with 47 slaves (the paper's full-chip
+//! configuration), the slave-utilization / master-share figure, and the
+//! 128-core what-if on RS119.
 
-use rck_noc::NocConfig;
+use rck_noc::{NocConfig, Topology};
 use rck_tmalign::MethodKind;
-use rckalign::report::{fmt_secs, TextTable};
+use rckalign::report::{ascii_chart, fmt_secs, fmt_speedup, Series, TextTable};
 use rckalign::{
-    run_all_vs_all, run_hierarchical, run_mcpsc, HierarchyOptions, JobOrdering, McPscOptions,
-    PartitionStrategy, RckAlignOptions, Scheduling,
+    run_all_vs_all, run_hierarchical, run_mcpsc, serial, utilization_sweep, CpuModel,
+    HierarchyOptions, JobOrdering, McPscOptions, PairCache, PartitionStrategy, RckAlignOptions,
+    Scheduling,
 };
-use rckalign_bench::ck34_cache;
+use rckalign_bench::{ck34_cache, rs119_cache};
+
+/// Extension figure: per-slave utilization and the master's
+/// communication share as the slave count grows, at SCC speed and with
+/// 16× faster cores. Quantifies the paper's §V-D prediction that the
+/// single master becomes the bottleneck once cores get faster.
+fn utilization_figure(cache: &PairCache) {
+    let counts = [1usize, 5, 9, 15, 21, 27, 33, 39, 47];
+    let slow = utilization_sweep(cache, &counts, RckAlignOptions::paper);
+    let fast = utilization_sweep(cache, &counts, |n| RckAlignOptions {
+        noc: NocConfig::scc().with_freq(12.8e9),
+        ..RckAlignOptions::paper(n)
+    });
+    let mut table = TextTable::new(&[
+        "Slaves",
+        "util @800MHz",
+        "master-comm @800MHz",
+        "util @12.8GHz",
+        "master-comm @12.8GHz",
+    ]);
+    for (s, f) in slow.iter().zip(&fast) {
+        table.row(&[
+            s.slaves.to_string(),
+            format!("{:.1}%", s.mean_slave_utilization * 100.0),
+            format!("{:.2}%", s.master_comm_fraction * 100.0),
+            format!("{:.1}%", f.mean_slave_utilization * 100.0),
+            format!("{:.2}%", f.master_comm_fraction * 100.0),
+        ]);
+    }
+    println!("\nFigure (extension) — slave utilization and master communication share\n");
+    print!("{}", table.render());
+
+    println!("\nmean slave utilization vs slave count\n");
+    let curve = |label: &str, marker, sweep: &[rckalign::UtilizationPoint]| Series {
+        label: label.into(),
+        marker,
+        points: sweep
+            .iter()
+            .map(|p| (p.slaves as f64, p.mean_slave_utilization * 100.0))
+            .collect(),
+    };
+    print!(
+        "{}",
+        ascii_chart(
+            &[
+                curve("800 MHz SCC", '*', &slow),
+                curve("16x faster cores", 'o', &fast),
+            ],
+            60,
+            16,
+            false,
+        )
+    );
+    let last_slow = slow.last().expect("non-empty");
+    let last_fast = fast.last().expect("non-empty");
+    println!(
+        "\nAt 47 slaves the master spends {:.2}% of the run communicating at 800 MHz\n\
+         but {:.2}% with 16x faster cores — the paper's predicted master bottleneck\n\
+         (\"a hierarchy of master processes\" is the proposed fix; see Ablation 3).",
+        last_slow.master_comm_fraction * 100.0,
+        last_fast.master_comm_fraction * 100.0
+    );
+}
+
+/// Forward-looking what-if (paper §I/§V-D): "the technology used is
+/// scalable to support more than 100 cores on a single chip" and "further
+/// speedup can be achieved on many-core processors with a greater number
+/// of cores". Scales the simulated mesh to 8×8 tiles (128 cores) and
+/// sweeps rckAlign past the SCC's 47-slave ceiling on RS119.
+fn whatif_128_cores(cache: &PairCache) {
+    let scc128 = NocConfig {
+        topology: Topology {
+            mesh_cols: 8,
+            mesh_rows: 8,
+            cores_per_tile: 2,
+        },
+        ..NocConfig::scc()
+    };
+    assert_eq!(scc128.topology.core_count(), 128);
+
+    let jobs = rckalign::all_vs_all(cache.len(), MethodKind::TmAlign);
+    let base = serial::serial_time_secs(cache, &jobs, &CpuModel::p54c_800(), scc128.cycles_per_op);
+
+    println!("\nWhat-if — a 128-core SCC-class chip (8×8 tiles), RS119 all-vs-all\n");
+    let mut t = TextTable::new(&["Slave Cores", "Time (s)", "Speedup", "Efficiency"]);
+    for n in [23usize, 47, 63, 95, 127] {
+        let run = run_all_vs_all(
+            cache,
+            &RckAlignOptions {
+                noc: scc128.clone(),
+                ..RckAlignOptions::paper(n)
+            },
+        );
+        let speedup = base / run.makespan_secs;
+        t.row(&[
+            n.to_string(),
+            fmt_secs(run.makespan_secs),
+            fmt_speedup(speedup),
+            format!("{:.1}%", speedup / n as f64 * 100.0),
+        ]);
+    }
+    print!("{}", t.render());
+    println!("\nThe 7021-job RS119 workload keeps the farm efficient well past the");
+    println!("SCC's 47 slaves — the paper's scaling expectation holds on this model.");
+    println!("(Smaller datasets hit the tail-imbalance wall sooner: that is the");
+    println!("CK34-vs-RS119 gap of Table IV writ large.)");
+}
 
 fn main() {
     let cache = ck34_cache();
@@ -178,4 +288,10 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
+    utilization_figure(&cache);
+
+    let rs = rs119_cache();
+    eprintln!("computing RS119 pair cache…");
+    rckalign::experiments::prepare(&rs);
+    whatif_128_cores(&rs);
 }

@@ -5,17 +5,18 @@
 //!
 //! * **self-contained** (default): boots a gate over the in-memory
 //!   network with `--workers` real pool workers, then drives it — no
-//!   ports, deterministic dataset, suitable for CI smoke runs and for
-//!   regenerating the committed `BENCH_gate.json` baseline;
+//!   ports, deterministic dataset, suitable for CI smoke runs;
 //! * **remote** (`--addr`): dials an already-running `rck_gate` daemon's
 //!   query plane over TCP and only generates load.
 //!
 //! `--tenants` concurrent tenant threads each submit their share of
 //! `--queries` (one outstanding query per tenant — per-tenant closed
 //! loop, open across tenants), measuring client-side submit→ranking
-//! latency into an `rck_obs` histogram. The run prints queries/sec and
-//! p50/p95/p99 and, with `--out`, writes a machine-readable JSON
-//! baseline.
+//! latency into an `rck_obs` histogram. Tenants own disjoint shares of
+//! the query pool, so no two submissions in flight are ever identical:
+//! the self-contained run fails unless the gate coalesced nothing. The
+//! run prints queries/sec and p50/p95/p99; the repeatable gate numbers
+//! are `benchmark/`'s `gate_rs119_rmsd` workload.
 
 use rck_gate::{Gate, GateClient, GateConfig};
 use rck_obs::{HistogramSnapshot, Registry, DEFAULT_LATENCY_BOUNDS};
@@ -23,7 +24,6 @@ use rck_serve::proto::QuerySubmit;
 use rck_serve::transport::MemNet;
 use rck_serve::{run_worker_conn, WorkerConfig};
 use rck_tmalign::MethodKind;
-use std::fmt::Write as FmtWrite;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,13 +36,14 @@ rck_loadgen — multi-tenant load generator for the rck-gate serving tier
 USAGE:
   rck_loadgen [--queries N] [--tenants N] [--workers N]
               [--dataset CK34|RS119|TINY8] [--seed S] [--batch N]
-              [--addr HOST:PORT] [--out PATH]
+              [--addr HOST:PORT]
 
 Defaults: --queries 50, --tenants 3, --workers 2, --dataset TINY8,
 --seed 2013, --batch 4. Without --addr a gate is booted in-process over
 the in-memory network; with --addr an already-running rck_gate daemon
 is driven instead (its --workers/--dataset/--seed/--batch are then its
-own business). --out writes a JSON baseline (e.g. BENCH_gate.json).
+own business). --tenants may not exceed the dataset's chain count: each
+tenant owns a disjoint share of the query pool.
 ";
 
 #[derive(Debug, PartialEq)]
@@ -57,7 +58,6 @@ struct Options {
     seed: u64,
     batch: usize,
     addr: Option<SocketAddr>,
-    out: Option<String>,
 }
 
 impl Default for Options {
@@ -70,7 +70,6 @@ impl Default for Options {
             seed: 2013,
             batch: 4,
             addr: None,
-            out: None,
         }
     }
 }
@@ -113,14 +112,13 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
                         .map_err(|_| ParseError(format!("bad address {value}")))?,
                 );
             }
-            "out" => opts.out = Some(value.clone()),
             other => return Err(ParseError(format!("unknown flag --{other}"))),
         }
     }
     Ok(opts)
 }
 
-/// Everything one load run measured, ready to print or serialize.
+/// Everything one load run measured.
 struct LoadReport {
     completed: u64,
     rejected: u64,
@@ -130,7 +128,9 @@ struct LoadReport {
     /// Mean fraction of the worker pool observed busy (self-contained
     /// mode only; sampled from the gate's dispatch counters).
     worker_utilization: Option<f64>,
-    jobs_completed: Option<u64>,
+    /// Duplicate submissions the gate joined onto a running query
+    /// (self-contained mode only).
+    coalesced: Option<u64>,
 }
 
 impl LoadReport {
@@ -149,69 +149,6 @@ fn fmt_secs(v: Option<f64>) -> String {
         Some(_) => ">60000".to_string(),
         None => "nan".to_string(),
     }
-}
-
-/// Milliseconds as a JSON number, `null` when unobservable (keeps the
-/// baseline parseable, unlike a bare `nan`).
-fn json_ms(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => format!("{:.1}", v * 1e3),
-        _ => "null".to_string(),
-    }
-}
-
-/// Hand-rolled JSON (the workspace has no serde_json): flat object with
-/// numeric fields, stable key order, newline-terminated.
-fn render_json(opts: &Options, report: &LoadReport) -> String {
-    let mut js = String::new();
-    js.push_str("{\n");
-    let _ = writeln!(js, "  \"bench\": \"rck_loadgen\",");
-    let _ = writeln!(js, "  \"dataset\": \"{}\",", opts.dataset);
-    let _ = writeln!(js, "  \"seed\": {},", opts.seed);
-    let _ = writeln!(js, "  \"tenants\": {},", opts.tenants);
-    let _ = writeln!(js, "  \"workers\": {},", opts.workers);
-    let _ = writeln!(js, "  \"batch_size\": {},", opts.batch);
-    let _ = writeln!(js, "  \"queries_requested\": {},", opts.queries);
-    let _ = writeln!(js, "  \"queries_completed\": {},", report.completed);
-    let _ = writeln!(js, "  \"queries_rejected\": {},", report.rejected);
-    let _ = writeln!(js, "  \"queries_errored\": {},", report.errored);
-    let _ = writeln!(js, "  \"wall_secs\": {:.6},", report.wall_secs);
-    let _ = writeln!(
-        js,
-        "  \"queries_per_sec\": {:.3},",
-        report.queries_per_sec()
-    );
-    let _ = writeln!(
-        js,
-        "  \"latency_ms\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {}, \"count\": {} }},",
-        json_ms(report.latency.percentile(50.0)),
-        json_ms(report.latency.percentile(95.0)),
-        json_ms(report.latency.percentile(99.0)),
-        json_ms(if report.latency.count > 0 {
-            Some(report.latency.sum / report.latency.count as f64)
-        } else {
-            None
-        }),
-        report.latency.count,
-    );
-    match report.jobs_completed {
-        Some(jobs) => {
-            let _ = writeln!(js, "  \"jobs_completed\": {jobs},");
-        }
-        None => {
-            let _ = writeln!(js, "  \"jobs_completed\": null,");
-        }
-    }
-    match report.worker_utilization {
-        Some(u) => {
-            let _ = writeln!(js, "  \"worker_utilization\": {u:.3}");
-        }
-        None => {
-            let _ = writeln!(js, "  \"worker_utilization\": null");
-        }
-    }
-    js.push_str("}\n");
-    js
 }
 
 /// One tenant's closed loop: submit its share of queries back-to-back,
@@ -260,6 +197,14 @@ fn run_load(opts: &Options) -> Result<LoadReport, String> {
     // Query structures from a shifted seed: realistic "not in the
     // database" queries, still fully deterministic.
     let query_pool = profile.generate(opts.seed ^ 0x5eed);
+    if opts.tenants > query_pool.len() {
+        return Err(format!(
+            "--tenants {} exceeds the {} query chains of {} (each tenant owns a disjoint share)",
+            opts.tenants,
+            query_pool.len(),
+            opts.dataset
+        ));
+    }
     eprintln!(
         "rck_loadgen: {} db chains, {} tenants x {} queries, {} workers",
         db.len(),
@@ -359,13 +304,12 @@ fn run_load(opts: &Options) -> Result<LoadReport, String> {
             continue;
         }
         let client = connect(t)?;
-        // Distinct per-tenant query sequence (coalescing stays a
-        // deliberate scenario, not an accident of identical pools).
+        // Disjoint strided share of the pool: no two tenants ever hold
+        // the same query, so nothing coalesces by accident of timing.
         let pool: Vec<_> = query_pool
             .iter()
-            .cycle()
-            .skip(t % query_pool.len().max(1))
-            .take(query_pool.len().max(1))
+            .skip(t)
+            .step_by(opts.tenants)
             .cloned()
             .collect();
         let tenant = format!("tenant-{t}");
@@ -388,10 +332,9 @@ fn run_load(opts: &Options) -> Result<LoadReport, String> {
 
     sampling.store(false, Ordering::Relaxed);
     let worker_utilization = sampler.map(|s| s.join().unwrap_or(0.0));
-    let jobs_completed = gate_rig.as_ref().map(|(_, stats, _, _)| {
-        let snap = stats.snapshot();
-        snap.jobs_completed
-    });
+    let coalesced = gate_rig
+        .as_ref()
+        .map(|(_, stats, _, _)| stats.queries_coalesced());
     if let Some((handle, _, gate_thread, workers)) = gate_rig {
         handle.drain();
         gate_thread
@@ -409,7 +352,7 @@ fn run_load(opts: &Options) -> Result<LoadReport, String> {
         wall_secs,
         latency: latency.snapshot(),
         worker_utilization,
-        jobs_completed,
+        coalesced,
     })
 }
 
@@ -457,22 +400,9 @@ fn main() -> ExitCode {
         eprintln!("error: queries went missing (no terminal frame)");
         return ExitCode::FAILURE;
     }
-    if let Some(out) = &opts.out {
-        let js = render_json(&opts, &report);
-        let path = std::path::Path::new(out);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("error: creating {}: {e}", parent.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if let Err(e) = std::fs::write(path, &js) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("rck_loadgen: wrote {}", path.display());
+    if let Some(n) = report.coalesced.filter(|&n| n > 0) {
+        eprintln!("error: {n} queries coalesced although tenants own disjoint query shares");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
@@ -495,7 +425,7 @@ mod tests {
     fn full_flag_set() {
         let opts = parse(
             "--queries 10 --tenants 2 --workers 4 --dataset CK34 --seed 9 \
-             --batch 2 --addr 127.0.0.1:7200 --out /tmp/b.json",
+             --batch 2 --addr 127.0.0.1:7200",
         )
         .unwrap();
         assert_eq!(opts.queries, 10);
@@ -505,7 +435,6 @@ mod tests {
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.batch, 2);
         assert_eq!(opts.addr.unwrap().port(), 7200);
-        assert_eq!(opts.out.as_deref(), Some("/tmp/b.json"));
     }
 
     #[test]
@@ -515,30 +444,5 @@ mod tests {
         assert!(parse("--addr nowhere").is_err());
         assert!(parse("--frobnicate 1").is_err());
         assert!(parse("positional").is_err());
-    }
-
-    #[test]
-    fn json_baseline_is_well_formed_enough() {
-        let report = LoadReport {
-            completed: 50,
-            rejected: 0,
-            errored: 0,
-            wall_secs: 2.5,
-            latency: HistogramSnapshot::empty(DEFAULT_LATENCY_BOUNDS),
-            worker_utilization: Some(0.75),
-            jobs_completed: Some(400),
-        };
-        let js = render_json(&Options::default(), &report);
-        assert!(js.starts_with("{\n") && js.ends_with("}\n"));
-        assert!(js.contains("\"queries_per_sec\": 20.000"));
-        assert!(js.contains("\"worker_utilization\": 0.750"));
-        assert!(js.contains("\"p99\": null"), "empty histogram renders null");
-        // Two objects (top level + latency_ms): each contributes one
-        // more colon than comma, so the counts differ by exactly two.
-        assert_eq!(
-            js.matches(':').count(),
-            js.matches(',').count() + 2,
-            "one trailing comma missing or extra"
-        );
     }
 }

@@ -1,6 +1,6 @@
-//! Shared infrastructure for the benchmark harness: dataset caches, the
-//! paper's published numbers (for side-by-side comparison in every
-//! regenerated table), and claim checking.
+//! Shared by the reproduction binaries: dataset caches, the paper's
+//! published numbers (for side-by-side comparison in every regenerated
+//! table), and claim checking.
 
 #![warn(missing_docs)]
 
@@ -19,11 +19,6 @@ pub fn ck34_cache() -> PairCache {
 /// RS119-shaped dataset cache.
 pub fn rs119_cache() -> PairCache {
     PairCache::new(datasets::rs119_profile().generate(DATASET_SEED))
-}
-
-/// Tiny dataset cache for fast criterion benches.
-pub fn tiny_cache() -> PairCache {
-    PairCache::new(datasets::tiny_profile().generate(DATASET_SEED))
 }
 
 /// The paper's published numbers, used as the reference column in every
@@ -155,7 +150,6 @@ mod tests {
     fn dataset_caches_have_paper_cardinality() {
         assert_eq!(ck34_cache().len(), 34);
         assert_eq!(rs119_cache().len(), 119);
-        assert_eq!(tiny_cache().len(), 8);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Plain-text rendering of tables and figures.
 //!
-//! The benchmark harness regenerates every table as an aligned text table
-//! and every figure as an ASCII chart, so `cargo run -p rckalign-bench
-//! --bin table4_fig6` prints the same rows/series the paper reports.
+//! `check_claims` regenerates every table as an aligned text table and
+//! every figure as an ASCII chart, so `cargo run -p rckalign-bench --bin
+//! check_claims` prints the same rows/series the paper reports.
 
 use std::fmt::Write as _;
 

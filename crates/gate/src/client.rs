@@ -1,7 +1,7 @@
 //! A blocking gate client: handshake, submit, collect streamed results.
 //!
-//! Shared by the integration tests, the chaos harness and the
-//! `rck_loadgen` bench client so they all reassemble streams the same
+//! Shared by the integration tests, the chaos harness, the benchmark and
+//! the `rck_loadgen` load generator so they all reassemble streams the same
 //! way. The client is transport-agnostic ([`rck_serve::Conn`]): tests
 //! hand it an in-memory connection, the loadgen a TCP one.
 

@@ -34,7 +34,8 @@ const SCORE_EPSILON: f64 = 0.02;
 /// different (equally arbitrary) fixpoint, in either direction. Scores
 /// this low carry no ranking signal; the loose bound only asserts the
 /// engines agree the pair is noise. Measured maximum on the full CK34
-/// sweep: 0.11 (see `max_abs_tm_delta_fast` in `BENCH_kernel.json`).
+/// sweep: 0.11 (the `kernel_fast_ck34` benchmark workload holds all 561
+/// pairs to this bound on every op).
 const LOW_SCORE_EPSILON: f64 = 0.12;
 
 /// Boundary between the strict and loose gate-1 tiers. Empirically every
