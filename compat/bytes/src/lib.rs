@@ -159,6 +159,12 @@ impl BufMut for BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    fn from(b: BytesMut) -> Vec<u8> {
+        b.v
+    }
+}
+
 /// Immutable byte buffer with a cursor (read side).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Bytes {

@@ -166,13 +166,14 @@ fn serve_section(run: &rck_serve::ServeRun, identical: bool) -> String {
     let mut md = String::new();
     let _ = writeln!(
         md,
-        "| jobs completed | batches | requeues | bytes tx | bytes rx | workers |\n\
-         |---:|---:|---:|---:|---:|---:|\n\
-         | {} | {} | {} | {} | {} | {} |\n",
+        "| jobs completed | batches | requeues | bytes tx | chains shipped | bytes rx | workers |\n\
+         |---:|---:|---:|---:|---:|---:|---:|\n\
+         | {} | {} | {} | {} | {} | {} | {} |\n",
         s.jobs_completed,
         s.batches_completed,
         s.batches_requeued,
         s.bytes_tx,
+        s.chains_shipped,
         s.bytes_rx,
         s.workers_connected,
     );

@@ -10,9 +10,9 @@
 //! each other, once") is what the farm was built for; the serving tier
 //! is its online complement ("here is one new structure — rank the
 //! database against it, now"), reusing the same wire protocol
-//! ([`rck_serve::proto`], kinds 7–10), the same stateless workers
-//! ([`rck_serve::run_worker_conn`]) and the same result-combining
-//! machinery ([`rckalign::consensus`]). Design points:
+//! ([`rck_serve::proto`], kinds 7–10), the same workers, stateless
+//! across connections ([`rck_serve::run_worker_conn`]), and the same
+//! result-combining machinery ([`rckalign::consensus`]). Design points:
 //!
 //! * **two planes, one protocol** — workers connect to a worker-plane
 //!   listener and speak the unchanged JobBatch/ResultBatch dialect;
@@ -180,7 +180,8 @@ pub(crate) struct GateState {
 pub(crate) struct GateShared {
     pub(crate) state: Mutex<GateState>,
     pub(crate) work_available: Condvar,
-    pub(crate) db: Arc<Vec<CaChain>>,
+    /// The resident database, one allocation (wire identity) per chain.
+    pub(crate) db: Vec<Arc<CaChain>>,
     pub(crate) cfg: GateConfig,
     pub(crate) stats: Arc<GateStats>,
     pub(crate) next_session_id: AtomicU32,
@@ -275,7 +276,7 @@ impl Gate {
                     next_run_id: 0,
                 }),
                 work_available: Condvar::new(),
-                db: Arc::new(db),
+                db: db.into_iter().map(Arc::new).collect(),
                 cfg,
                 stats: Arc::new(GateStats::new()),
                 next_session_id: AtomicU32::new(0),
@@ -455,33 +456,6 @@ pub fn ranking_from_outcomes(
         .into_iter()
         .map(|(ix, score)| (ix as u32, score))
         .collect()
-}
-
-/// Build the job batch for one dispatch: referenced database chains plus
-/// the run's query chain at its virtual index `db.len()`.
-pub(crate) fn build_query_batch(
-    batch_id: u64,
-    jobs: Vec<PairJob>,
-    db: &[CaChain],
-    query: &CaChain,
-) -> rck_serve::proto::JobBatch {
-    let query_ix = db.len() as u32;
-    let chains = rckalign::chain_indices(&jobs)
-        .into_iter()
-        .map(|ix| {
-            let chain = if ix == query_ix {
-                query.clone()
-            } else {
-                db[ix as usize].clone()
-            };
-            (ix, chain)
-        })
-        .collect();
-    rck_serve::proto::JobBatch {
-        batch_id,
-        chains,
-        jobs,
-    }
 }
 
 /// Handle one [`QuerySubmit`]: admission control, coalescing, job
@@ -787,7 +761,7 @@ mod tests {
     #[test]
     fn fully_stored_query_is_answered_without_a_run() {
         let (gate, shared) = memnet_gate(GateConfig::default());
-        let db = shared.db.to_vec();
+        let db: Vec<CaChain> = shared.db.iter().map(|c| (**c).clone()).collect();
         let query = tiny_profile().generate(6)[0].clone();
         let methods = vec![MethodKind::TmAlign];
         let jobs = one_vs_all_jobs(db.len(), db.len() + 1, &methods);
@@ -818,7 +792,7 @@ mod tests {
             batch_size: 1,
             ..GateConfig::default()
         });
-        let db = shared.db.to_vec();
+        let db: Vec<CaChain> = shared.db.iter().map(|c| (**c).clone()).collect();
         let query = tiny_profile().generate(6)[1].clone();
         let methods = vec![MethodKind::TmAlign];
         let jobs = one_vs_all_jobs(db.len(), db.len() + 1, &methods);

@@ -2,7 +2,7 @@
 //!
 //! Pool workers are the *unchanged* rck-serve workers
 //! ([`rck_serve::run_worker_conn`]): they handshake, receive
-//! self-contained [`rck_serve::proto::JobBatch`]s and answer with
+//! [`rck_serve::proto::JobBatch`]s and answer with
 //! [`rck_serve::proto::ResultBatch`]s, never knowing whether a batch
 //! came from an offline all-vs-all master or from a query run. The
 //! connection loop and its fault machinery — handshake, in-flight
@@ -20,10 +20,10 @@
 //! run, streamed to subscribers as partials, and folded into the final
 //! ranking when the run completes.
 
-use crate::{build_query_batch, GateShared, GateState};
+use crate::{GateShared, GateState};
 use rck_pdb::model::CaChain;
 use rck_serve::dispatch::{Dispatch, Event, WorkSource};
-use rck_serve::proto::{self, Frame, JobBatch};
+use rck_serve::proto::{self, Frame};
 use rck_serve::MutexExt;
 use rckalign::{PairJob, PairOutcome};
 use std::sync::atomic::Ordering;
@@ -35,8 +35,8 @@ use std::time::Duration;
 pub(crate) struct QueryBatch {
     run_id: u64,
     jobs: Vec<PairJob>,
-    /// The run's query chain, shipped with every batch at its virtual
-    /// index.
+    /// The run's query chain. Every run's lives at the virtual index
+    /// `db.len()`, so a worker is re-sent it when the slot changes hands.
     chain: Arc<CaChain>,
 }
 
@@ -96,8 +96,9 @@ impl WorkSource for GateShared {
         None
     }
 
-    fn build_batch(&self, batch_id: u64, batch: QueryBatch) -> JobBatch {
-        build_query_batch(batch_id, batch.jobs, &self.db, &batch.chain)
+    fn chain(&self, batch: &QueryBatch, ix: u32) -> Option<Arc<CaChain>> {
+        let query = (ix as usize == self.db.len()).then_some(&batch.chain);
+        self.db.get(ix as usize).or(query).cloned()
     }
 
     /// Each `(i, j, method)` is accepted once per run; fresh outcomes
@@ -169,6 +170,7 @@ impl WorkSource for GateShared {
             Event::DecodeError => self.stats.on_decode_error(),
             Event::WorkerConnected(..) => self.stats.on_worker_connected(),
             Event::WorkerLost(_) => self.stats.on_worker_lost(),
+            Event::ChainsShipped(n) => self.stats.add_chains_shipped(n),
             // The gate keeps no byte, stale, mismatch or gap statistics.
             _ => {}
         }

@@ -23,6 +23,7 @@ pub struct GateStats {
     jobs_dispatched: Arc<Counter>,
     jobs_completed: Arc<Counter>,
     jobs_requeued: Arc<Counter>,
+    chains_shipped: Arc<Counter>,
     workers_connected: Arc<Counter>,
     workers_lost: Arc<Counter>,
     sessions: Arc<Counter>,
@@ -75,6 +76,10 @@ impl GateStats {
             jobs_requeued: registry.counter(
                 "rck_gate_jobs_requeued_total",
                 "pair jobs put back on a query's queue after a worker was lost",
+            ),
+            chains_shipped: registry.counter(
+                "rck_gate_chains_shipped_total",
+                "chains written into job-batch chain tables",
             ),
             workers_connected: registry.counter(
                 "rck_gate_workers_connected_total",
@@ -173,6 +178,10 @@ impl GateStats {
         self.jobs_requeued.add(n as u64);
     }
 
+    pub(crate) fn add_chains_shipped(&self, n: usize) {
+        self.chains_shipped.add(n as u64);
+    }
+
     pub(crate) fn on_worker_connected(&self) {
         self.workers_connected.inc();
     }
@@ -229,6 +238,7 @@ impl GateStats {
             jobs_dispatched: self.jobs_dispatched.get(),
             jobs_completed: self.jobs_completed.get(),
             jobs_requeued: self.jobs_requeued.get(),
+            chains_shipped: self.chains_shipped.get(),
             workers_connected: self.workers_connected.get(),
             workers_lost: self.workers_lost.get(),
             sessions: self.sessions.get(),
@@ -258,6 +268,8 @@ pub struct GateSnapshot {
     pub jobs_completed: u64,
     /// Pair jobs requeued after a worker was lost.
     pub jobs_requeued: u64,
+    /// Chains written into job batches.
+    pub chains_shipped: u64,
     /// Pool workers that connected.
     pub workers_connected: u64,
     /// Pool workers declared dead.
@@ -287,6 +299,7 @@ mod tests {
         s.on_jobs_dispatched("lab-a", 7);
         s.on_jobs_completed(7);
         s.on_jobs_requeued(2);
+        s.add_chains_shipped(5);
         s.on_partial();
         s.on_first_result(0.01);
         s.on_query_completed(0.05);
@@ -304,6 +317,7 @@ mod tests {
         assert_eq!(snap.jobs_dispatched, 7);
         assert_eq!(snap.jobs_completed, 7);
         assert_eq!(snap.jobs_requeued, 2);
+        assert_eq!(snap.chains_shipped, 5);
         assert_eq!(snap.workers_connected, 1);
         assert_eq!(snap.workers_lost, 1);
         assert_eq!(snap.sessions, 1);

@@ -4,6 +4,10 @@
 //! misbehaves; the dispatcher must requeue at the right moment, drop the
 //! worker where the fault demands it, and still finish bit-identical to
 //! the in-process reference once a healthy worker joins.
+//!
+//! The residency rows check the chain tables under the same faults: a
+//! chain crosses a connection once, a connection that lost a table is
+//! never used again, and a replacement connection starts from nothing.
 
 use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
 use rck_pdb::datasets::tiny_profile;
@@ -14,7 +18,7 @@ use rck_serve::proto::{self, Frame, Heartbeat, JobBatch, QuerySubmit, ResultBatc
 use rck_serve::{run_worker_conn, Conn, Master, MasterConfig, MemNet, WorkerConfig};
 use rck_tmalign::MethodKind;
 use rckalign::PairOutcome;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,6 +44,14 @@ enum Fault {
     Byzantine,
     /// Answers correctly, then replays the same result frame.
     LateDuplicate,
+    /// The first batch — the one carrying first-contact chains — never
+    /// reaches the worker; its heartbeats flow on.
+    DroppedFirstContact,
+    /// The first batch reaches the worker twice.
+    DuplicatedFirstContact,
+    /// Answers the first batch, then dies holding the second; an
+    /// inspected replacement takes over.
+    ReplacedMidRun,
 }
 
 #[derive(Debug)]
@@ -158,42 +170,124 @@ fn boot_gate() -> Farm {
     }
 }
 
-fn next_batch(conn: &mut Box<dyn Conn>) -> Option<JobBatch> {
-    loop {
-        match proto::read_frame(conn) {
-            Ok((Frame::JobBatch(batch), _)) => return Some(batch),
-            Ok((Frame::Shutdown, _)) | Err(_) => return None,
-            Ok(_) => {}
+/// One scripted worker connection with the session table an honest
+/// worker keeps, so every batch can be checked against what this
+/// connection was actually sent.
+struct Scripted {
+    conn: Box<dyn Conn>,
+    worker_id: u32,
+    table: HashMap<u32, Arc<CaChain>>,
+    /// Index of every row received over the connection's life.
+    shipped: Vec<u32>,
+    /// Every chain index a job of this connection referenced.
+    referenced: BTreeSet<u32>,
+}
+
+impl Scripted {
+    fn connect(farm: &Farm, name: &str) -> Scripted {
+        let mut conn = farm.workers.connect().expect("scripted connect");
+        let (welcome, _, _) = hello(&mut conn, name).expect("handshake");
+        Scripted {
+            conn,
+            worker_id: welcome.worker_id,
+            table: HashMap::new(),
+            shipped: Vec::new(),
+            referenced: BTreeSet::new(),
         }
     }
-}
 
-fn compute(batch: &JobBatch) -> Vec<PairOutcome> {
-    let table: HashMap<u32, &CaChain> = batch.chains.iter().map(|(ix, c)| (*ix, c)).collect();
-    batch
-        .jobs
-        .iter()
-        .map(|job| {
-            let score = job
-                .method
-                .instantiate()
-                .compare(table[&job.i], table[&job.j]);
-            PairOutcome {
-                i: job.i,
-                j: job.j,
-                method: job.method,
-                similarity: score.similarity,
-                rmsd: score.rmsd.unwrap_or(f64::NAN),
-                aligned_len: score.aligned_len as u32,
-                ops: score.ops,
+    /// The next batch off the wire, untouched; `None` once the
+    /// dispatcher says Shutdown or drops the connection.
+    fn read_batch(&mut self) -> Option<JobBatch> {
+        loop {
+            match proto::read_frame(&mut self.conn) {
+                Ok((Frame::JobBatch(batch), _)) => return Some(batch),
+                Ok((Frame::Shutdown, _)) | Err(_) => return None,
+                Ok(_) => {}
             }
-        })
-        .collect()
-}
+        }
+    }
 
-fn send_result(conn: &mut Box<dyn Conn>, batch_id: u64, outcomes: Vec<PairOutcome>) {
-    let frame = Frame::ResultBatch(ResultBatch { batch_id, outcomes });
-    proto::write_frame(conn, &frame).expect("result write");
+    /// Take a batch in as an honest worker does: merge its table, then
+    /// require that every chain it references is held — the dispatcher
+    /// must never ask for a computation against a chain this connection
+    /// was not sent — and that no held chain was sent again.
+    fn absorb(&mut self, batch: &JobBatch) {
+        for (ix, chain) in &batch.chains {
+            let again = self.table.insert(*ix, Arc::clone(chain));
+            assert!(
+                again.is_none_or(|held| *held != **chain),
+                "chain {ix} shipped twice on one connection"
+            );
+            self.shipped.push(*ix);
+        }
+        for ix in rckalign::chain_indices(&batch.jobs) {
+            assert!(
+                self.table.contains_key(&ix),
+                "batch {} references chain {ix} this connection never received",
+                batch.batch_id
+            );
+            self.referenced.insert(ix);
+        }
+    }
+
+    fn next_batch(&mut self) -> Option<JobBatch> {
+        let batch = self.read_batch()?;
+        self.absorb(&batch);
+        Some(batch)
+    }
+
+    fn compute(&self, batch: &JobBatch) -> Vec<PairOutcome> {
+        batch
+            .jobs
+            .iter()
+            .map(|job| {
+                let score = job
+                    .method
+                    .instantiate()
+                    .compare(&self.table[&job.i], &self.table[&job.j]);
+                PairOutcome {
+                    i: job.i,
+                    j: job.j,
+                    method: job.method,
+                    similarity: score.similarity,
+                    rmsd: score.rmsd.unwrap_or(f64::NAN),
+                    aligned_len: score.aligned_len as u32,
+                    ops: score.ops,
+                }
+            })
+            .collect()
+    }
+
+    fn send_result(&mut self, batch_id: u64, outcomes: Vec<PairOutcome>) {
+        let frame = Frame::ResultBatch(ResultBatch { batch_id, outcomes });
+        proto::write_frame(&mut self.conn, &frame).expect("result write");
+    }
+
+    /// Serve honestly until `jobs` jobs are answered.
+    fn serve(&mut self, jobs: u64) {
+        let mut answered = 0;
+        while answered < jobs {
+            let batch = self.next_batch().expect("next batch dispatched");
+            answered += batch.jobs.len() as u64;
+            let outcomes = self.compute(&batch);
+            self.send_result(batch.batch_id, outcomes);
+        }
+    }
+
+    /// Heartbeat until `until`; `limit` bounds the wait.
+    fn heartbeat_until(&mut self, limit: Duration, what: &str, until: impl Fn() -> bool) {
+        let beat = Frame::Heartbeat(Heartbeat {
+            worker_id: self.worker_id,
+            completed: 0,
+        });
+        let start = Instant::now();
+        while !until() {
+            assert!(start.elapsed() < limit, "{what}");
+            let _ = proto::write_frame(&mut self.conn, &beat);
+            std::thread::sleep(Duration::from_millis(25));
+        }
+    }
 }
 
 /// Poll `counters` until `ready`, failing the test after `limit`.
@@ -224,11 +318,17 @@ fn run_case(tier: Tier, fault: Fault) {
         Tier::Master => boot_master(),
         Tier::Gate => boot_gate(),
     };
-    let mut conn = farm.workers.connect().expect("scripted connect");
-    let (welcome, _, _) = hello(&mut conn, "scripted").expect("handshake");
-    let first = next_batch(&mut conn).expect("first batch dispatched");
+    let mut w = Scripted::connect(&farm, "scripted");
+    let first = w.read_batch().expect("first batch dispatched");
     let dispatched = Instant::now();
     let first_jobs = first.jobs.len() as u64;
+    assert_eq!(
+        first.chains.iter().map(|(ix, _)| *ix).collect::<Vec<_>>(),
+        rckalign::chain_indices(&first.jobs),
+        "{case}: a connection's first batch carries every chain it references"
+    );
+    // Jobs expected back on the queue, where the row lets one batch go.
+    let mut lost_jobs = first_jobs;
 
     match fault {
         Fault::Silent => {
@@ -239,24 +339,26 @@ fn run_case(tier: Tier, fault: Fault) {
                 "{case}: requeued after {waited:?}, before the heartbeat deadline"
             );
         }
-        Fault::ResultLost => {
-            let beat = Frame::Heartbeat(Heartbeat {
-                worker_id: welcome.worker_id,
-                completed: 0,
-            });
-            while (farm.counters)().requeued == 0 {
-                assert!(
-                    dispatched.elapsed() < BATCH_TIMEOUT + SLACK,
-                    "{case}: heartbeats kept the batch alive past the batch timeout"
-                );
-                let _ = proto::write_frame(&mut conn, &beat);
-                std::thread::sleep(Duration::from_millis(25));
-            }
+        Fault::ResultLost | Fault::DroppedFirstContact => {
+            // To the dispatcher a batch that never arrived and a result
+            // that never came back look the same; the worker differs —
+            // here `first` was never absorbed into its table.
+            w.heartbeat_until(
+                BATCH_TIMEOUT + SLACK,
+                &format!("{case}: heartbeats kept the batch alive past the batch timeout"),
+                || (farm.counters)().requeued > 0,
+            );
             let waited = dispatched.elapsed();
             assert!(
                 waited >= BATCH_TIMEOUT.mul_f64(0.9),
                 "{case}: requeued after {waited:?} although heartbeats flowed"
             );
+            if fault == Fault::DroppedFirstContact {
+                assert!(
+                    w.next_batch().is_none(),
+                    "{case}: a connection that lost a chain table must end, not be fed"
+                );
+            }
         }
         Fault::Byzantine => {
             let alien = PairOutcome {
@@ -268,30 +370,67 @@ fn run_case(tier: Tier, fault: Fault) {
                 aligned_len: 1,
                 ops: 1,
             };
-            send_result(&mut conn, first.batch_id, vec![alien; first.jobs.len()]);
+            w.send_result(first.batch_id, vec![alien; first.jobs.len()]);
             wait_for(&farm, SLACK, &case, |c| c.requeued == first_jobs);
             assert!(
-                next_batch(&mut conn).is_none(),
+                w.next_batch().is_none(),
                 "{case}: a byzantine worker must be dropped, not fed"
             );
         }
-        Fault::LateDuplicate => {
-            let outcomes = compute(&first);
-            send_result(&mut conn, first.batch_id, outcomes.clone());
-            send_result(&mut conn, first.batch_id, outcomes);
+        Fault::LateDuplicate | Fault::DuplicatedFirstContact => {
+            w.absorb(&first);
+            if fault == Fault::DuplicatedFirstContact {
+                // The second copy overwrites each row with itself.
+                w.table.extend(first.chains.iter().cloned());
+            }
+            let outcomes = w.compute(&first);
+            w.send_result(first.batch_id, outcomes.clone());
+            w.send_result(first.batch_id, outcomes);
             // Keep serving honestly: the replayed frame is read while
             // the next batch is already out on this worker, and must
             // not cost it that batch.
-            let mut answered = first_jobs;
-            while answered < farm.total_jobs {
-                let batch = next_batch(&mut conn).expect("next batch dispatched");
-                answered += batch.jobs.len() as u64;
-                send_result(&mut conn, batch.batch_id, compute(&batch));
-            }
+            w.serve(farm.total_jobs - first_jobs);
+        }
+        Fault::ReplacedMidRun => {
+            w.absorb(&first);
+            let outcomes = w.compute(&first);
+            w.send_result(first.batch_id, outcomes);
+            let second = w.next_batch().expect("second batch dispatched");
+            lost_jobs = second.jobs.len() as u64;
+            w.conn.shutdown();
+            wait_for(&farm, SLACK, &case, |c| c.requeued == lost_jobs);
         }
     }
 
-    let healthy = (fault != Fault::LateDuplicate).then(|| spawn_healthy(&farm));
+    let duplicate = matches!(fault, Fault::LateDuplicate | Fault::DuplicatedFirstContact);
+    let mut healthy = None;
+    let mut takeover = None;
+    if duplicate {
+        // `w` served the whole run itself.
+    } else if matches!(fault, Fault::DroppedFirstContact | Fault::ReplacedMidRun) {
+        // The takeover connection starts from nothing: `absorb` fails it
+        // on any chain assumed to have survived from the dead one.
+        let done_by_w = if fault == Fault::ReplacedMidRun {
+            first_jobs
+        } else {
+            0
+        };
+        let mut t = Scripted::connect(&farm, "takeover");
+        t.serve(farm.total_jobs - done_by_w);
+        t.shipped.sort_unstable();
+        assert_eq!(
+            t.shipped,
+            t.referenced.iter().copied().collect::<Vec<_>>(),
+            "{case}: the takeover was sent exactly the chains its jobs reference, once each"
+        );
+        assert!(
+            first.chains.iter().any(|(ix, _)| t.shipped.contains(ix)),
+            "{case}: chains the dead connection was sent were sent again"
+        );
+        takeover = Some(t);
+    } else {
+        healthy = Some(spawn_healthy(&farm));
+    }
     wait_for(&farm, Duration::from_secs(20), &case, |c| {
         c.completed == farm.total_jobs
     });
@@ -300,21 +439,21 @@ fn run_case(tier: Tier, fault: Fault) {
         c.completed, farm.total_jobs,
         "{case}: each job counted once"
     );
-    match fault {
-        Fault::LateDuplicate => {
-            assert_eq!(c.requeued, 0, "{case}");
-            assert_eq!(c.workers_lost, 0, "{case}");
-            assert_eq!(c.stale.unwrap_or(1), 1, "{case}: replay counted stale");
-        }
-        _ => {
-            assert_eq!(c.requeued, first_jobs, "{case}: exactly the lost batch");
-            assert_eq!(c.workers_lost, 1, "{case}");
-            let want = u64::from(fault == Fault::Byzantine);
-            assert_eq!(c.mismatched.unwrap_or(want), want, "{case}");
-        }
+    if duplicate {
+        assert_eq!(c.requeued, 0, "{case}");
+        assert_eq!(c.workers_lost, 0, "{case}");
+        assert_eq!(c.stale.unwrap_or(1), 1, "{case}: replay counted stale");
+    } else {
+        assert_eq!(c.requeued, lost_jobs, "{case}: exactly the lost batch");
+        assert_eq!(c.workers_lost, 1, "{case}");
+        let want = u64::from(fault == Fault::Byzantine);
+        assert_eq!(c.mismatched.unwrap_or(want), want, "{case}");
     }
     (farm.finish)();
-    conn.shutdown();
+    w.conn.shutdown();
+    if let Some(t) = takeover {
+        t.conn.shutdown();
+    }
     if let Some(healthy) = healthy {
         healthy.join().expect("healthy worker thread");
     }
@@ -328,6 +467,9 @@ fn fault_table_holds_for_both_work_sources() {
             Fault::ResultLost,
             Fault::Byzantine,
             Fault::LateDuplicate,
+            Fault::DroppedFirstContact,
+            Fault::DuplicatedFirstContact,
+            Fault::ReplacedMidRun,
         ] {
             run_case(tier, fault);
         }

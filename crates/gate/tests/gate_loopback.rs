@@ -1,6 +1,6 @@
 //! End-to-end gate tests over the in-memory network: a real gate, real
 //! workers (`rck_serve::run_worker_conn`) and real clients, with every
-//! frame passing through the v2 codec. The load-bearing assertion
+//! frame passing through the v3 codec. The load-bearing assertion
 //! throughout: the ranking a client reassembles from its partial stream
 //! is **bit-identical** to an in-process one-vs-all run.
 
@@ -231,6 +231,57 @@ fn weighted_fairness_prefers_the_light_tenant() {
     );
     flooder.finish().expect("goodbye");
     h.finish();
+}
+
+/// Every query's chain lives at the same virtual index, `db.len()`. Two
+/// tenants of equal weight staged before the only worker connects are
+/// served batch by batch in turn, so that one slot on that one
+/// connection changes hands again and again: each change must re-ship
+/// the chain (an index-only residency check computes one tenant's jobs
+/// against the other's query), and nothing else ships twice.
+#[test]
+fn interleaved_queries_share_the_query_slot_without_mixing() {
+    let h = boot(GateConfig {
+        batch_size: 2,
+        ..GateConfig::default()
+    });
+    let chains = tiny_profile().generate(83);
+    let mut a = h.client("lab-a");
+    let mut b = h.client("lab-b");
+    a.submit(submit("lab-a", 1, 1, chains[0].clone()))
+        .expect("a");
+    b.submit(submit("lab-b", 2, 1, chains[1].clone()))
+        .expect("b");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while h.stats.snapshot().queries_submitted < 2 {
+        assert!(Instant::now() < deadline, "submissions not admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    h.spawn_worker("solo", None);
+
+    let collect = |client: &mut GateClient, query_id: u64| -> Vec<(u32, f64)> {
+        loop {
+            match client.next_event().expect("event") {
+                QueryEvent::Done(d) if d.query_id == query_id => return d.ranking,
+                QueryEvent::Partial(p) if p.query_id == query_id => {}
+                other => panic!("unexpected event: {other:?}"),
+            }
+        }
+    };
+    for (client, query_id, query) in [(&mut a, 1, &chains[0]), (&mut b, 2, &chains[1])] {
+        let want = reference_ranking(&h.db, query, &[MethodKind::TmAlign], Combiner::MeanRank);
+        assert_bit_identical(&collect(client, query_id), &want, "interleaved tenant");
+    }
+    a.finish().expect("goodbye");
+    b.finish().expect("goodbye");
+    let db_len = h.db.len() as u64;
+    let report = h.finish();
+    let batches = 2 * db_len.div_ceil(2);
+    let slot_ships = report.stats.chains_shipped - db_len;
+    assert!(
+        (3..=batches).contains(&slot_ships),
+        "the query slot changed hands between batches: {slot_ships} ships over {batches} batches"
+    );
 }
 
 /// Identical submissions from two tenants coalesce into one computation:

@@ -98,7 +98,7 @@ impl Writer {
 
     /// Finish and take the encoded payload.
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf.into()
     }
 }
 

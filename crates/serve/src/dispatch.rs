@@ -13,7 +13,8 @@
 //!   dispatcher's condvar so a finished or aborted run wakes it at once;
 //! * [`serve_worker`] — the JobBatch/ResultBatch connection loop
 //!   (handshake → claim → write → collect → accept or requeue → lose),
-//!   generic over a [`WorkSource`] that supplies only policy.
+//!   generic over a [`WorkSource`] that supplies only policy; it cuts
+//!   every chain table from the connection's [`Resident`] set.
 //!
 //! `serve::master` (batch and feed mode) and `gate::pool` are
 //! [`WorkSource`] impls. The shard frontend speaks a credit-pull,
@@ -28,15 +29,16 @@
 //! drops the worker), and the policy deduplicates per pair.
 
 use crate::proto::{
-    self, answers_exactly, Frame, Hello, JobBatch, ResultBatch, Welcome, PROTOCOL_VERSION,
+    self, answers_exactly, Frame, Hello, JobBatch, Resident, ResultBatch, Welcome, PROTOCOL_VERSION,
 };
 use crate::sync::MutexExt;
 use crate::transport::Conn;
+use rck_pdb::model::CaChain;
 use rckalign::{PairJob, PairOutcome};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::io;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One unit out on an owner.
@@ -193,6 +195,8 @@ pub enum Event<'a> {
     Tx(usize),
     /// Bytes read from a peer.
     Rx(usize),
+    /// Chains put into one dispatched batch's chain table.
+    ChainsShipped(usize),
     /// A frame failed to decode (torn, corrupted, out of sync).
     DecodeError,
     /// A worker completed the handshake under this id and name.
@@ -216,7 +220,7 @@ pub trait WorkSource: Sync {
     /// The tier's mutex-guarded state (embeds a [`Dispatch`]).
     type State;
     /// One dispatchable unit, viewable as the jobs it dispatches;
-    /// cloned once per dispatch (ledger + wire).
+    /// cloned once per dispatch (the ledger keeps one).
     type Unit: Clone + AsRef<[PairJob]>;
 
     /// The tier's state mutex.
@@ -236,8 +240,9 @@ pub trait WorkSource: Sync {
     fn idle(&self, state: &Self::State) -> bool;
     /// The next unit to hand out, or `None` to wait for one.
     fn next_unit(&self, state: &mut Self::State) -> Option<Self::Unit>;
-    /// Build the wire batch for `unit` (called without the lock).
-    fn build_batch(&self, batch_id: u64, unit: Self::Unit) -> JobBatch;
+    /// The chain `unit`'s jobs reference under `ix` (called without the
+    /// lock); one allocation ships to a connection once.
+    fn chain(&self, unit: &Self::Unit, ix: u32) -> Option<Arc<CaChain>>;
     /// Accept outcomes that answer `unit` exactly (the policy dedups per
     /// pair). Returns whether waiters should be woken.
     fn accept(
@@ -426,6 +431,9 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
     // A new worker may satisfy a dispatch barrier.
     src.wake().notify_all();
 
+    // Every path below that gives up on a batch ends the connection, so
+    // what its worker holds never has to be revised.
+    let mut resident = Resident::default();
     loop {
         let Some((batch_id, unit)) = claim(src, worker_id) else {
             // Source finished or stopping: orderly goodbye (best-effort
@@ -435,7 +443,14 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
             }
             break;
         };
-        let frame = Frame::JobBatch(src.build_batch(batch_id, unit));
+        let jobs = unit.as_ref().to_vec();
+        let chains = resident.delta(&jobs, |ix| src.chain(&unit, ix));
+        src.observe(Event::ChainsShipped(chains.len()));
+        let frame = Frame::JobBatch(JobBatch {
+            batch_id,
+            chains,
+            jobs,
+        });
         match proto::write_frame(&mut conn, &frame) {
             Ok(n) => src.observe(Event::Tx(n)),
             Err(_) => {

@@ -11,9 +11,9 @@
 //!
 //! * **one connection, many jobs** — a worker connects once and receives
 //!   job *batches*, instead of paying a `pssh` process spawn per pair;
-//! * **data ships with the job** — the master is the only process that
-//!   touches storage, exactly the rckAlign design point, so there is no
-//!   shared-disk bottleneck on the worker side;
+//! * **data ships with the job, once per connection** — the master is
+//!   the only process that touches storage, exactly the rckAlign design
+//!   point, so there is no shared-disk bottleneck on the worker side;
 //! * **failure is handled, not assumed away** — batches in flight on a
 //!   worker that disconnects or misses its heartbeat deadline are
 //!   requeued, and late/duplicate results are deduplicated, so the final

@@ -106,15 +106,6 @@ struct TileProgress {
     pending_grants: usize,
 }
 
-/// Where a master's chains come from: the classic staged dataset, or a
-/// table grown dynamically as tile grants arrive (feed mode). Tile
-/// grants ship *sparse* chain tables — a shard master may only ever see
-/// a corner of the dataset — so dense `Vec` indexing cannot work there.
-enum ChainSet {
-    Static(Arc<Vec<CaChain>>),
-    Dynamic(Mutex<HashMap<u32, CaChain>>),
-}
-
 /// The shared work-queue state (guarded by the `Mutex` in `Shared`).
 struct Work {
     queue: VecDeque<Vec<PairJob>>,
@@ -148,7 +139,11 @@ impl Work {
 struct Shared {
     work: Mutex<Work>,
     available: Condvar,
-    chains: ChainSet,
+    /// Index → chain: the whole staged dataset in batch mode; grown
+    /// sparsely from tile grants in feed mode, where a shard master may
+    /// only ever see a corner of the dataset. Either way a chain is one
+    /// allocation for the run — its identity on worker connections.
+    chains: Mutex<HashMap<u32, Arc<CaChain>>>,
     stats: Arc<ServeStats>,
     cfg: MasterConfig,
     /// Set by [`AbortHandle::abort`]: stop accepting, stop dispatching,
@@ -172,7 +167,7 @@ impl Shared {
     /// mode: the run stays open for more tiles until the feed closes.
     fn new(
         cfg: MasterConfig,
-        chains: ChainSet,
+        chains: HashMap<u32, Arc<CaChain>>,
         queue: VecDeque<Vec<PairJob>>,
         tile_tx: Option<mpsc::Sender<TileDone>>,
     ) -> Arc<Shared> {
@@ -191,7 +186,7 @@ impl Shared {
                 tiles: HashMap::new(),
             }),
             available: Condvar::new(),
-            chains,
+            chains: Mutex::new(chains),
             stats: Arc::new(ServeStats::new()),
             cfg,
             aborted: AtomicBool::new(false),
@@ -244,10 +239,7 @@ impl WorkSource for Shared {
     }
 
     fn n_chains(&self) -> u32 {
-        match &self.chains {
-            ChainSet::Static(all) => all.len() as u32,
-            ChainSet::Dynamic(map) => map.lock_recover().len() as u32,
-        }
+        self.chains.lock_recover().len() as u32
     }
 
     fn halted(&self) -> bool {
@@ -267,28 +259,8 @@ impl WorkSource for Shared {
         Some(jobs)
     }
 
-    /// Build the wire batch, sourcing the chain table from whichever
-    /// chain set this master runs on.
-    fn build_batch(&self, batch_id: u64, jobs: Vec<PairJob>) -> proto::JobBatch {
-        match &self.chains {
-            ChainSet::Static(all) => proto::build_job_batch(batch_id, jobs, all),
-            ChainSet::Dynamic(map) => {
-                let map = map.lock_recover();
-                // A referenced chain missing from the table cannot happen
-                // (submit_tile inserts every chain a tile references
-                // before queueing its jobs); if it ever did, the worker's
-                // own job/chain cross-check fails the session cleanly.
-                let chains = rckalign::chain_indices(&jobs)
-                    .into_iter()
-                    .filter_map(|ix| map.get(&ix).map(|c| (ix, c.clone())))
-                    .collect();
-                proto::JobBatch {
-                    batch_id,
-                    chains,
-                    jobs,
-                }
-            }
-        }
+    fn chain(&self, _jobs: &Vec<PairJob>, ix: u32) -> Option<Arc<CaChain>> {
+        self.chains.lock_recover().get(&ix).cloned()
     }
 
     fn accept(
@@ -345,6 +317,7 @@ impl WorkSource for Shared {
         match event {
             Event::Tx(bytes) => stats.add_tx(bytes),
             Event::Rx(bytes) => stats.add_rx(bytes),
+            Event::ChainsShipped(n) => stats.add_chains_shipped(n),
             Event::DecodeError => stats.on_decode_error(),
             Event::WorkerConnected(id, name) => stats.on_worker_connected(id, name),
             Event::WorkerLost(id) => stats.on_worker_lost(id),
@@ -406,21 +379,35 @@ pub struct FeedHandle {
 }
 
 impl FeedHandle {
-    /// Submit one tile: the (sparse) chain table it references and the
-    /// pair jobs it owns. Jobs are batched onto the dispatch queue
-    /// immediately; once the last of the tile's pairs is accepted, a
-    /// [`TileDone`] carrying the tile's `(i, j)`-sorted outcomes is
-    /// emitted on the receiver `bind_feed_on` returned. A pair already
-    /// completed by an earlier tile is answered from the accepted
-    /// outcome instead of being recomputed, so a duplicate grant after a
-    /// steal race costs nothing.
-    pub fn submit_tile(&self, tile_id: u32, chains: Vec<(u32, CaChain)>, jobs: Vec<PairJob>) {
-        if let ChainSet::Dynamic(map) = &self.shared.chains {
-            let mut map = map.lock_recover();
-            for (ix, chain) in chains {
-                map.entry(ix).or_insert(chain);
-            }
+    /// Submit one tile: the chains it brings — those of its references
+    /// no earlier tile brought — and the pair jobs it owns. Jobs are
+    /// batched onto the dispatch queue immediately; once the last of the
+    /// tile's pairs is accepted, a [`TileDone`] carrying the tile's
+    /// `(i, j)`-sorted outcomes is emitted on the receiver `bind_feed_on`
+    /// returned. A pair already completed by an earlier tile is answered
+    /// from the accepted outcome instead of being recomputed, so a
+    /// duplicate grant after a steal race costs nothing. A job
+    /// referencing a chain no tile brought is refused (`InvalidData`,
+    /// nothing queued): the feeder is out of step with its peer.
+    pub fn submit_tile(
+        &self,
+        tile_id: u32,
+        chains: proto::ChainTable,
+        jobs: Vec<PairJob>,
+    ) -> io::Result<()> {
+        let mut held = self.shared.chains.lock_recover();
+        for (ix, chain) in chains {
+            // First arrival wins, so a chain keeps one identity.
+            held.entry(ix).or_insert(chain);
         }
+        let referenced = rckalign::chain_indices(&jobs);
+        if let Some(ix) = referenced.iter().find(|ix| !held.contains_key(ix)) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("tile {tile_id} references chain {ix} it was never granted"),
+            ));
+        }
+        drop(held);
         let mut work = self.shared.work.lock_recover();
         // A re-grant of a tile this master still holds pending (the
         // frontend's deadline requeue serves orphaned tiles to any
@@ -481,6 +468,7 @@ impl FeedHandle {
             }
         }
         self.shared.available.notify_all();
+        Ok(())
     }
 
     /// Close the feed: no more tiles will arrive, so the master finishes
@@ -519,7 +507,7 @@ impl Master {
         } else {
             batch_jobs(&jobs, cfg.batch_size.max(1)).into()
         };
-        let chains = ChainSet::Static(Arc::new(chains));
+        let chains = (0u32..).zip(chains.into_iter().map(Arc::new)).collect();
         Master {
             listener,
             shared: Shared::new(cfg, chains, queue, None),
@@ -544,8 +532,7 @@ impl Master {
         cfg: MasterConfig,
     ) -> (Master, FeedHandle, mpsc::Receiver<TileDone>) {
         let (tile_tx, tile_rx) = mpsc::channel();
-        let chains = ChainSet::Dynamic(Mutex::new(HashMap::new()));
-        let shared = Shared::new(cfg, chains, VecDeque::new(), Some(tile_tx));
+        let shared = Shared::new(cfg, HashMap::new(), VecDeque::new(), Some(tile_tx));
         let feed = FeedHandle {
             shared: Arc::clone(&shared),
         };
@@ -670,12 +657,10 @@ impl Master {
                 }
             });
         }
-        let n = match &self.shared.chains {
-            ChainSet::Static(all) => all.len(),
-            // Feed mode never saw the full dataset; size the matrix to
-            // the highest chain index any outcome references.
-            ChainSet::Dynamic(_) => outcomes.iter().map(|o| o.j as usize + 1).max().unwrap_or(0),
-        };
+        // Size the matrix to the highest chain index held: the dataset in
+        // batch mode, the corner of it a feed was granted.
+        let last = self.shared.chains.lock_recover().keys().max().copied();
+        let n = last.map_or(0, |ix| ix as usize + 1);
         let matrix = SimilarityMatrix::from_outcomes(n, &outcomes);
         Ok(ServeRun {
             matrix,
@@ -833,7 +818,8 @@ mod tests {
         for t in &tiles {
             let jobs = t.jobs(MethodKind::TmAlign);
             let grant = proto::build_tile_grant(t.id, jobs, &chains);
-            feed.submit_tile(grant.tile_id, grant.chains, grant.jobs);
+            feed.submit_tile(grant.tile_id, grant.chains, grant.jobs)
+                .unwrap();
         }
 
         // Every tile completes, each exactly once, with sorted outcomes.
@@ -890,7 +876,8 @@ mod tests {
 
         let tile = &rckalign::tile_partition(chains.len(), 4)[0];
         let grant = proto::build_tile_grant(tile.id, tile.jobs(MethodKind::TmAlign), &chains);
-        feed.submit_tile(grant.tile_id, grant.chains.clone(), grant.jobs.clone());
+        feed.submit_tile(grant.tile_id, grant.chains.clone(), grant.jobs.clone())
+            .unwrap();
         let first = tiles_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("first completion");
@@ -898,7 +885,8 @@ mod tests {
         // Re-granting the same tile (a steal race) is answered from the
         // accepted outcomes without dispatching anything new.
         let dispatched_before = feed.stats().snapshot().jobs_dispatched;
-        feed.submit_tile(grant.tile_id, grant.chains, grant.jobs);
+        feed.submit_tile(grant.tile_id, grant.chains, grant.jobs)
+            .unwrap();
         let second = tiles_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("duplicate completion");
@@ -934,8 +922,10 @@ mod tests {
         let tile = &rckalign::tile_partition(chains.len(), 4)[0];
         let grant = proto::build_tile_grant(tile.id, tile.jobs(MethodKind::TmAlign), &chains);
         let n_jobs = grant.jobs.len();
-        feed.submit_tile(grant.tile_id, grant.chains.clone(), grant.jobs.clone());
-        feed.submit_tile(grant.tile_id, grant.chains, grant.jobs);
+        feed.submit_tile(grant.tile_id, grant.chains.clone(), grant.jobs.clone())
+            .unwrap();
+        feed.submit_tile(grant.tile_id, grant.chains, grant.jobs)
+            .unwrap();
         assert!(
             tiles_rx.try_recv().is_err(),
             "no TileDone may fire while every pair is pending"

@@ -22,6 +22,12 @@
 //! bit-identical-matrix guarantee relies on every damaged result frame
 //! being refused at this boundary.
 //!
+//! Protocol version 3 keeps every layout and makes the chain tables of
+//! [`JobBatch`] and [`TileGrant`] **deltas**: the receiver keeps an
+//! index → chain table for the life of the connection and the sender
+//! ([`Resident`]) ships only what it lacks. The protocol is stateless
+//! *across* connections; a v2 peer is refused at the handshake.
+//!
 //! Unlike the simulator's on-mesh job payloads (`rckalign::jobs`, f32
 //! coordinates — halved mesh traffic matters there), job batches carry
 //! **f64 coordinates**: the service promises results bit-identical to an
@@ -34,13 +40,16 @@ use rck_rcce::{DecodeError, Reader, Writer};
 use rck_tmalign::MethodKind;
 use rckalign::{PairJob, PairOutcome};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::io::{Read, Write as IoWrite};
+use std::sync::Arc;
 
 /// Protocol magic: `"RCKS"`.
 pub const MAGIC: u32 = 0x5243_4B53;
 
-/// Current protocol version (2: frame checksums).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Current protocol version (2: frame checksums; 3: chain tables are
+/// deltas against the connection's resident set).
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame header size in bytes (magic + version + kind + payload length +
 /// checksum).
@@ -67,15 +76,20 @@ pub struct Welcome {
     pub n_chains: u32,
 }
 
-/// Master → worker: a batch of comparison jobs plus every chain they
-/// reference (the worker is stateless; data ships with the work).
+/// A chain table: `(dataset index, chain)` rows, sharing the chains.
+pub type ChainTable = Vec<(u32, Arc<CaChain>)>;
+
+/// Master → worker: a batch of comparison jobs plus the chains they
+/// reference that this connection has not carried yet (the worker is
+/// stateless across connections; data ships with the first work).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobBatch {
     /// Dispatch id — echoed back in the matching [`ResultBatch`].
     pub batch_id: u64,
-    /// Chain table: `(dataset index, chain)` for every index the jobs use.
-    pub chains: Vec<(u32, CaChain)>,
-    /// The jobs; `i`/`j` are dataset indices present in `chains`.
+    /// A row for every index the jobs use that the worker does not hold;
+    /// a row for an index it holds replaces the chain.
+    pub chains: ChainTable,
+    /// The jobs; `i`/`j` index `chains` or an earlier table.
     pub jobs: Vec<PairJob>,
 }
 
@@ -150,15 +164,15 @@ pub struct QueryReject {
 }
 
 /// Frontend → shard master: ownership of one tile of the pair matrix.
-/// Like a [`JobBatch`], the grant is self-contained — it carries every
-/// chain its jobs reference, so a shard master never touches storage.
+/// Like a [`JobBatch`], the grant carries the chains its jobs reference
+/// that this connection has not, so a shard master never touches storage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TileGrant {
     /// Tile id in the frontend's partition — echoed in [`TileResult`].
     pub tile_id: u32,
-    /// Chain table: `(dataset index, chain)` for every index the jobs use.
-    pub chains: Vec<(u32, CaChain)>,
-    /// The tile's jobs; `i`/`j` are dataset indices present in `chains`.
+    /// A row for every index the jobs use that the master lacks.
+    pub chains: ChainTable,
+    /// The tile's jobs; `i`/`j` index `chains` or an earlier grant.
     pub jobs: Vec<PairJob>,
 }
 
@@ -372,6 +386,39 @@ fn get_job(r: &mut Reader) -> Result<PairJob, DecodeError> {
     Ok(PairJob { i, j, method })
 }
 
+/// The shared body of kinds 3 and 11: chain table, then jobs.
+fn put_work(w: &mut Writer, chains: &[(u32, Arc<CaChain>)], jobs: &[PairJob]) {
+    w.put_u32(chains.len() as u32);
+    for (ix, chain) in chains {
+        w.put_u32(*ix);
+        put_chain(w, chain);
+    }
+    w.put_u32(jobs.len() as u32);
+    for job in jobs {
+        put_job(w, job);
+    }
+}
+
+fn get_work(r: &mut Reader) -> Result<(ChainTable, Vec<PairJob>), DecodeError> {
+    let n_chains = r.get_u32()? as usize;
+    // Count sanity: an empty chain still takes 8 bytes on the wire, so a
+    // count the payload cannot hold is corrupt.
+    if n_chains.saturating_mul(8) > r.remaining() {
+        return Err(DecodeError {
+            what: "chain count",
+        });
+    }
+    let chains = (0..n_chains)
+        .map(|_| Ok((r.get_u32()?, Arc::new(get_chain(r)?))))
+        .collect::<Result<_, DecodeError>>()?;
+    let n_jobs = r.get_u32()? as usize;
+    if n_jobs.saturating_mul(9) > r.remaining() {
+        return Err(DecodeError { what: "job count" });
+    }
+    let jobs = (0..n_jobs).map(|_| get_job(r)).collect::<Result<_, _>>()?;
+    Ok((chains, jobs))
+}
+
 fn put_outcome(w: &mut Writer, o: &PairOutcome) {
     w.put_u32(o.i)
         .put_u32(o.j)
@@ -380,6 +427,25 @@ fn put_outcome(w: &mut Writer, o: &PairOutcome) {
         .put_f64(o.rmsd)
         .put_u32(o.aligned_len)
         .put_u64(o.ops);
+}
+
+/// The shared tail of kinds 4, 8 and 12: a counted outcome list.
+fn put_outcomes(w: &mut Writer, outcomes: &[PairOutcome]) {
+    w.put_u32(outcomes.len() as u32);
+    for o in outcomes {
+        put_outcome(w, o);
+    }
+}
+
+fn get_outcomes(r: &mut Reader) -> Result<Vec<PairOutcome>, DecodeError> {
+    let n = r.get_u32()? as usize;
+    // Count sanity: an outcome takes 37 bytes on the wire.
+    if n.saturating_mul(37) > r.remaining() {
+        return Err(DecodeError {
+            what: "outcome count",
+        });
+    }
+    (0..n).map(|_| get_outcome(r)).collect()
 }
 
 fn get_outcome(r: &mut Reader) -> Result<PairOutcome, DecodeError> {
@@ -396,8 +462,7 @@ fn get_outcome(r: &mut Reader) -> Result<PairOutcome, DecodeError> {
     })
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut w = Writer::new();
+fn encode_payload(w: &mut Writer, frame: &Frame) {
     match frame {
         Frame::Hello(h) => {
             w.put_u32(h.protocol_version as u32);
@@ -408,22 +473,11 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
         }
         Frame::JobBatch(b) => {
             w.put_u64(b.batch_id);
-            w.put_u32(b.chains.len() as u32);
-            for (ix, chain) in &b.chains {
-                w.put_u32(*ix);
-                put_chain(&mut w, chain);
-            }
-            w.put_u32(b.jobs.len() as u32);
-            for job in &b.jobs {
-                put_job(&mut w, job);
-            }
+            put_work(w, &b.chains, &b.jobs);
         }
         Frame::ResultBatch(b) => {
             w.put_u64(b.batch_id);
-            w.put_u32(b.outcomes.len() as u32);
-            for o in &b.outcomes {
-                put_outcome(&mut w, o);
-            }
+            put_outcomes(w, &b.outcomes);
         }
         Frame::Heartbeat(h) => {
             w.put_u32(h.worker_id).put_u64(h.completed);
@@ -437,15 +491,12 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             for m in &q.methods {
                 w.put_u8(m.code());
             }
-            put_chain(&mut w, &q.chain);
+            put_chain(w, &q.chain);
         }
         Frame::QueryPartial(p) => {
             w.put_u64(p.query_id);
             w.put_u32(p.done).put_u32(p.total);
-            w.put_u32(p.outcomes.len() as u32);
-            for o in &p.outcomes {
-                put_outcome(&mut w, o);
-            }
+            put_outcomes(w, &p.outcomes);
         }
         Frame::QueryDone(d) => {
             w.put_u64(d.query_id);
@@ -460,28 +511,16 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
         }
         Frame::TileGrant(g) => {
             w.put_u32(g.tile_id);
-            w.put_u32(g.chains.len() as u32);
-            for (ix, chain) in &g.chains {
-                w.put_u32(*ix);
-                put_chain(&mut w, chain);
-            }
-            w.put_u32(g.jobs.len() as u32);
-            for job in &g.jobs {
-                put_job(&mut w, job);
-            }
+            put_work(w, &g.chains, &g.jobs);
         }
         Frame::TileResult(t) => {
             w.put_u32(t.tile_id);
-            w.put_u32(t.outcomes.len() as u32);
-            for o in &t.outcomes {
-                put_outcome(&mut w, o);
-            }
+            put_outcomes(w, &t.outcomes);
         }
         Frame::StealRequest(s) => {
             w.put_u32(s.master_id).put_u32(s.tiles_done);
         }
     }
-    w.finish()
 }
 
 fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
@@ -497,28 +536,7 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
         }),
         3 => {
             let batch_id = r.get_u64()?;
-            let n_chains = r.get_u32()? as usize;
-            // Count sanity: an empty chain still takes 8 bytes on the
-            // wire, so a count the payload cannot hold is corrupt.
-            if n_chains.saturating_mul(8) > r.remaining() {
-                return Err(DecodeError {
-                    what: "chain count",
-                }
-                .into());
-            }
-            let mut chains = Vec::with_capacity(n_chains);
-            for _ in 0..n_chains {
-                let ix = r.get_u32()?;
-                chains.push((ix, get_chain(&mut r)?));
-            }
-            let n_jobs = r.get_u32()? as usize;
-            if n_jobs.saturating_mul(9) > r.remaining() {
-                return Err(DecodeError { what: "job count" }.into());
-            }
-            let mut jobs = Vec::with_capacity(n_jobs);
-            for _ in 0..n_jobs {
-                jobs.push(get_job(&mut r)?);
-            }
+            let (chains, jobs) = get_work(&mut r)?;
             Frame::JobBatch(JobBatch {
                 batch_id,
                 chains,
@@ -527,17 +545,7 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
         }
         4 => {
             let batch_id = r.get_u64()?;
-            let n = r.get_u32()? as usize;
-            if n.saturating_mul(37) > r.remaining() {
-                return Err(DecodeError {
-                    what: "outcome count",
-                }
-                .into());
-            }
-            let mut outcomes = Vec::with_capacity(n);
-            for _ in 0..n {
-                outcomes.push(get_outcome(&mut r)?);
-            }
+            let outcomes = get_outcomes(&mut r)?;
             Frame::ResultBatch(ResultBatch { batch_id, outcomes })
         }
         5 => Frame::Heartbeat(Heartbeat {
@@ -576,17 +584,7 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
             let query_id = r.get_u64()?;
             let done = r.get_u32()?;
             let total = r.get_u32()?;
-            let n = r.get_u32()? as usize;
-            if n.saturating_mul(37) > r.remaining() {
-                return Err(DecodeError {
-                    what: "outcome count",
-                }
-                .into());
-            }
-            let mut outcomes = Vec::with_capacity(n);
-            for _ in 0..n {
-                outcomes.push(get_outcome(&mut r)?);
-            }
+            let outcomes = get_outcomes(&mut r)?;
             Frame::QueryPartial(QueryPartial {
                 query_id,
                 done,
@@ -618,28 +616,7 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
         }),
         11 => {
             let tile_id = r.get_u32()?;
-            let n_chains = r.get_u32()? as usize;
-            // Same count-sanity rule as JobBatch: an empty chain still
-            // takes 8 wire bytes.
-            if n_chains.saturating_mul(8) > r.remaining() {
-                return Err(DecodeError {
-                    what: "chain count",
-                }
-                .into());
-            }
-            let mut chains = Vec::with_capacity(n_chains);
-            for _ in 0..n_chains {
-                let ix = r.get_u32()?;
-                chains.push((ix, get_chain(&mut r)?));
-            }
-            let n_jobs = r.get_u32()? as usize;
-            if n_jobs.saturating_mul(9) > r.remaining() {
-                return Err(DecodeError { what: "job count" }.into());
-            }
-            let mut jobs = Vec::with_capacity(n_jobs);
-            for _ in 0..n_jobs {
-                jobs.push(get_job(&mut r)?);
-            }
+            let (chains, jobs) = get_work(&mut r)?;
             Frame::TileGrant(TileGrant {
                 tile_id,
                 chains,
@@ -648,17 +625,7 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
         }
         12 => {
             let tile_id = r.get_u32()?;
-            let n = r.get_u32()? as usize;
-            if n.saturating_mul(37) > r.remaining() {
-                return Err(DecodeError {
-                    what: "outcome count",
-                }
-                .into());
-            }
-            let mut outcomes = Vec::with_capacity(n);
-            for _ in 0..n {
-                outcomes.push(get_outcome(&mut r)?);
-            }
+            let outcomes = get_outcomes(&mut r)?;
             Frame::TileResult(TileResult { tile_id, outcomes })
         }
         13 => Frame::StealRequest(StealRequest {
@@ -728,28 +695,32 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<Header, FrameError> {
     })
 }
 
-fn check_payload(h: &Header, payload: &[u8]) -> Result<(), FrameError> {
-    let got = frame_checksum(h.kind, payload);
+/// Verify the checksum, then decode: the frame and its size on the wire.
+fn open_payload(h: &Header, payload: Vec<u8>) -> Result<(Frame, usize), FrameError> {
+    let got = frame_checksum(h.kind, &payload);
     if got != h.checksum {
         return Err(FrameError::Checksum {
             want: h.checksum,
             got,
         });
     }
-    Ok(())
+    Ok((decode_payload(h.kind, payload)?, HEADER_LEN + h.payload_len))
 }
 
-/// Encode one frame (header + payload) into bytes.
+/// Encode one frame into bytes: the payload goes straight behind the
+/// header, whose length and checksum fields are patched in after it.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    assert!(payload.len() <= MAX_PAYLOAD, "frame payload exceeds limit");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    out.push(frame.kind());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&frame_checksum(frame.kind(), &payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let [v0, v1] = PROTOCOL_VERSION.to_le_bytes();
+    let mut w = Writer::new();
+    w.put_u32(MAGIC).put_u8(v0).put_u8(v1).put_u8(frame.kind());
+    w.put_u32(0).put_u64(0);
+    encode_payload(&mut w, frame);
+    let mut out = w.finish();
+    let payload_len = out.len() - HEADER_LEN;
+    assert!(payload_len <= MAX_PAYLOAD, "frame payload exceeds limit");
+    let checksum = frame_checksum(frame.kind(), &out[HEADER_LEN..]);
+    out[7..11].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    out[11..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -765,11 +736,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
         return Err(FrameError::Truncated);
     }
     let payload = buf[HEADER_LEN..HEADER_LEN + header.payload_len].to_vec();
-    check_payload(&header, &payload)?;
-    Ok((
-        decode_payload(header.kind, payload)?,
-        HEADER_LEN + header.payload_len,
-    ))
+    open_payload(&header, payload)
 }
 
 /// Write one frame to a stream; returns bytes written.
@@ -812,11 +779,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
             FrameError::Io(e)
         }
     })?;
-    check_payload(&header, &payload)?;
-    Ok((
-        decode_payload(header.kind, payload)?,
-        HEADER_LEN + header.payload_len,
-    ))
+    open_payload(&header, payload)
 }
 
 /// Incremental frame decoder for byte streams that arrive in arbitrary
@@ -907,31 +870,61 @@ pub fn answers_exactly(jobs: &[PairJob], outcomes: &[PairOutcome]) -> bool {
     want == got
 }
 
-/// Build the [`JobBatch`] for a set of jobs: collect the referenced
-/// chains from the dataset into the batch's chain table.
+/// What the peer on one connection holds, as its sender knows it: index
+/// → the chain last written there. Identity is the allocation
+/// ([`Arc::ptr_eq`]; holding the `Arc` keeps its address from being
+/// reused), not the index — the gate reuses one virtual index for every
+/// query's chain, so a slot whose content changed is shipped again.
+///
+/// The view equals the peer's table because the stream is in order, the
+/// receiver ends the session on any undecodable frame or unknown chain,
+/// and the sender ends the connection on any batch it gives up on.
+#[derive(Debug, Default)]
+pub struct Resident(HashMap<u32, Arc<CaChain>>);
+
+impl Resident {
+    /// The chain table to send ahead of `jobs`, ascending: every
+    /// referenced chain the peer lacks, which it holds from here on. An
+    /// index `lookup` cannot resolve is left out; the receiver's own
+    /// cross-check then fails the session.
+    pub fn delta(
+        &mut self,
+        jobs: &[PairJob],
+        lookup: impl Fn(u32) -> Option<Arc<CaChain>>,
+    ) -> ChainTable {
+        let mut table = Vec::new();
+        for ix in rckalign::chain_indices(jobs) {
+            let Some(chain) = lookup(ix) else { continue };
+            let held = self.0.get(&ix).is_some_and(|c| Arc::ptr_eq(c, &chain));
+            if !held {
+                self.0.insert(ix, Arc::clone(&chain));
+                table.push((ix, chain));
+            }
+        }
+        table
+    }
+}
+
+/// Every chain `jobs` reference, copied out of `dataset`.
+fn first_contact_table(jobs: &[PairJob], dataset: &[CaChain]) -> ChainTable {
+    Resident::default().delta(jobs, |ix| Some(Arc::new(dataset[ix as usize].clone())))
+}
+
+/// Build the self-contained first-contact [`JobBatch`] for a set of jobs.
 pub fn build_job_batch(batch_id: u64, jobs: Vec<PairJob>, dataset: &[CaChain]) -> JobBatch {
-    let chains = rckalign::chain_indices(&jobs)
-        .into_iter()
-        .map(|ix| (ix, dataset[ix as usize].clone()))
-        .collect();
     JobBatch {
         batch_id,
-        chains,
+        chains: first_contact_table(&jobs, dataset),
         jobs,
     }
 }
 
-/// Build the [`TileGrant`] for a tile's job set: collect the referenced
-/// chains from the dataset into the grant's chain table (the shard
-/// frontend's analogue of [`build_job_batch`]).
+/// Build the self-contained first-contact [`TileGrant`] for a tile's job
+/// set (the shard frontend's analogue of [`build_job_batch`]).
 pub fn build_tile_grant(tile_id: u32, jobs: Vec<PairJob>, dataset: &[CaChain]) -> TileGrant {
-    let chains = rckalign::chain_indices(&jobs)
-        .into_iter()
-        .map(|ix| (ix, dataset[ix as usize].clone()))
-        .collect();
     TileGrant {
         tile_id,
-        chains,
+        chains: first_contact_table(&jobs, dataset),
         jobs,
     }
 }

@@ -48,6 +48,7 @@ pub struct ServeStats {
     mismatched_results: Arc<Counter>,
     bytes_tx: Arc<Counter>,
     bytes_rx: Arc<Counter>,
+    chains_shipped: Arc<Counter>,
     workers_connected: Arc<Counter>,
     workers_lost: Arc<Counter>,
     batch_rtt: Arc<Histogram>,
@@ -108,6 +109,10 @@ impl ServeStats {
             ),
             bytes_tx: registry.counter("rck_bytes_tx_total", "bytes the master wrote to workers"),
             bytes_rx: registry.counter("rck_bytes_rx_total", "bytes the master read from workers"),
+            chains_shipped: registry.counter(
+                "rck_serve_chains_shipped_total",
+                "chains written into job-batch chain tables",
+            ),
             workers_connected: registry.counter(
                 "rck_workers_connected_total",
                 "workers that connected over the run",
@@ -207,6 +212,10 @@ impl ServeStats {
         self.bytes_rx.add(bytes as u64);
     }
 
+    pub(crate) fn add_chains_shipped(&self, chains: usize) {
+        self.chains_shipped.add(chains as u64);
+    }
+
     /// Record one batch's dispatch-to-result round trip.
     pub(crate) fn observe_batch_rtt(&self, seconds: f64) {
         self.batch_rtt.observe(seconds);
@@ -276,6 +285,7 @@ impl ServeStats {
             mismatched_results: self.mismatched_results.get(),
             bytes_tx: self.bytes_tx.get(),
             bytes_rx: self.bytes_rx.get(),
+            chains_shipped: self.chains_shipped.get(),
             workers_connected: self.workers_connected.get(),
             workers_lost: self.workers_lost.get(),
             batch_rtt: self.batch_rtt.snapshot(),
@@ -329,6 +339,8 @@ pub struct StatsSnapshot {
     pub bytes_tx: u64,
     /// Bytes the master read from workers.
     pub bytes_rx: u64,
+    /// Chains written into job batches (residency misses).
+    pub chains_shipped: u64,
     /// Workers that connected over the run.
     pub workers_connected: u64,
     /// Workers the master declared dead.
@@ -345,7 +357,7 @@ impl StatsSnapshot {
     /// Render the run summary plus the per-worker throughput table.
     pub fn render(&self) -> String {
         let mut totals = TextTable::new(&["counter", "value"]);
-        let rows: [(&str, u64); 14] = [
+        let rows: [(&str, u64); 15] = [
             ("jobs dispatched", self.jobs_dispatched),
             ("jobs completed", self.jobs_completed),
             ("jobs requeued", self.jobs_requeued),
@@ -358,6 +370,7 @@ impl StatsSnapshot {
             ("mismatched result frames", self.mismatched_results),
             ("bytes sent", self.bytes_tx),
             ("bytes received", self.bytes_rx),
+            ("chains shipped", self.chains_shipped),
             ("workers connected", self.workers_connected),
             ("workers lost", self.workers_lost),
         ];
@@ -426,6 +439,7 @@ mod tests {
         s.on_mismatched_result();
         s.add_tx(100);
         s.add_rx(40);
+        s.add_chains_shipped(3);
         s.observe_batch_rtt(0.02);
         s.observe_heartbeat_gap(0.3);
 
@@ -442,6 +456,7 @@ mod tests {
         assert_eq!(snap.mismatched_results, 1);
         assert_eq!(snap.bytes_tx, 100);
         assert_eq!(snap.bytes_rx, 40);
+        assert_eq!(snap.chains_shipped, 3);
         assert_eq!(snap.workers_connected, 2);
         assert_eq!(snap.workers_lost, 1);
         assert_eq!(snap.batch_rtt.count, 1);

@@ -147,6 +147,9 @@ impl Listener for TcpChannelListener {
 #[derive(Debug, Default)]
 struct PipeState {
     chunks: VecDeque<Vec<u8>>,
+    /// Bytes of the front chunk already read: a frame is read as header
+    /// then payload, and a cursor lets neither step move bytes.
+    front_read: usize,
     closed: bool,
 }
 
@@ -180,13 +183,15 @@ impl Pipe {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut s = self.state.lock_recover();
         loop {
-            if let Some(front) = s.chunks.front_mut() {
-                let n = front.len().min(buf.len());
-                buf[..n].copy_from_slice(&front[..n]);
-                if n == front.len() {
+            let at = s.front_read;
+            if let Some(front) = s.chunks.front() {
+                let n = (front.len() - at).min(buf.len());
+                buf[..n].copy_from_slice(&front[at..at + n]);
+                if at + n == front.len() {
                     s.chunks.pop_front();
+                    s.front_read = 0;
                 } else {
-                    front.drain(..n);
+                    s.front_read = at + n;
                 }
                 return Ok(n);
             }
@@ -255,6 +260,26 @@ impl Drop for Endpoint {
 #[derive(Debug, Clone)]
 pub struct MemConn {
     ep: Arc<Endpoint>,
+}
+
+impl MemConn {
+    /// A connected `(client, server)` pair; each side's writes go
+    /// through its fault plan, if it has one.
+    fn pair(
+        client_chaos: Option<Arc<WriteChaos>>,
+        server_chaos: Option<Arc<WriteChaos>>,
+    ) -> (MemConn, MemConn) {
+        let (c2s, s2c) = (Arc::new(Pipe::default()), Arc::new(Pipe::default()));
+        let end = |tx: &Arc<Pipe>, rx: &Arc<Pipe>, chaos| MemConn {
+            ep: Arc::new(Endpoint {
+                tx: Arc::clone(tx),
+                rx: Arc::clone(rx),
+                read_timeout: Mutex::new(None),
+                chaos,
+            }),
+        };
+        (end(&c2s, &s2c, client_chaos), end(&s2c, &c2s, server_chaos))
+    }
 }
 
 impl Read for MemConn {
@@ -366,24 +391,7 @@ impl MemNet {
         client_chaos: Option<Arc<WriteChaos>>,
         server_chaos: Option<Arc<WriteChaos>>,
     ) -> io::Result<Box<dyn Conn>> {
-        let c2s = Arc::new(Pipe::default());
-        let s2c = Arc::new(Pipe::default());
-        let client = MemConn {
-            ep: Arc::new(Endpoint {
-                tx: Arc::clone(&c2s),
-                rx: Arc::clone(&s2c),
-                read_timeout: Mutex::new(None),
-                chaos: client_chaos,
-            }),
-        };
-        let server = MemConn {
-            ep: Arc::new(Endpoint {
-                tx: s2c,
-                rx: c2s,
-                read_timeout: Mutex::new(None),
-                chaos: server_chaos,
-            }),
-        };
+        let (client, server) = MemConn::pair(client_chaos, server_chaos);
         let mut state = self.state.lock_recover();
         if !state.listener_open {
             return Err(io::Error::new(
@@ -400,24 +408,7 @@ impl MemNet {
     /// hand the server half straight to a session handler without an
     /// accept loop in between.
     pub fn pair() -> (Box<dyn Conn>, Box<dyn Conn>) {
-        let c2s = Arc::new(Pipe::default());
-        let s2c = Arc::new(Pipe::default());
-        let client = MemConn {
-            ep: Arc::new(Endpoint {
-                tx: Arc::clone(&c2s),
-                rx: Arc::clone(&s2c),
-                read_timeout: Mutex::new(None),
-                chaos: None,
-            }),
-        };
-        let server = MemConn {
-            ep: Arc::new(Endpoint {
-                tx: s2c,
-                rx: c2s,
-                read_timeout: Mutex::new(None),
-                chaos: None,
-            }),
-        };
+        let (client, server) = MemConn::pair(None, None);
         (Box::new(client), Box::new(server))
     }
 }
@@ -468,6 +459,22 @@ mod tests {
         assert_eq!(&buf[..3], b"abc");
         assert_eq!(server.read(&mut buf).unwrap(), 5);
         assert_eq!(&buf[..5], b"defgh");
+    }
+
+    #[test]
+    fn a_chunk_read_in_pieces_arrives_whole_and_in_order() {
+        let (mut client, mut server) = MemNet::pair();
+        client.write_all(b"header|payload").unwrap();
+        client.write_all(b"next").unwrap();
+        let mut buf = [0u8; 7];
+        assert_eq!(server.read(&mut buf).unwrap(), 7);
+        assert_eq!(&buf, b"header|");
+        // The rest of the chunk, never spilling into the next one.
+        let mut rest = [0u8; 64];
+        assert_eq!(server.read(&mut rest).unwrap(), 7);
+        assert_eq!(&rest[..7], b"payload");
+        assert_eq!(server.read(&mut rest).unwrap(), 4);
+        assert_eq!(&rest[..4], b"next");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The rck-serve worker: connect, receive batches, run the real kernel,
 //! stream results back.
 //!
-//! The worker is stateless by design — every batch carries the chains it
-//! needs (the paper's "data ships with the job" rule), so a worker can
-//! join, die, or be replaced at any point without the master's dataset
-//! ever leaving the master. A background thread emits heartbeats while
-//! the main thread computes, so a long batch never looks like a dead
-//! connection.
+//! The worker is stateless across connections by design — a chain ships
+//! with the first batch of a session that needs it (the paper's "data
+//! ships with the job" rule, paid once) and stays in the session's chain
+//! table until the connection ends, so a worker can join, die, or be
+//! replaced at any point without the master's dataset ever leaving the
+//! master. A background thread emits heartbeats while the main thread
+//! computes, so a long batch never looks like a dead connection.
 //!
 //! Like the master, the worker runs on the [`crate::transport`] seam:
 //! [`run_worker`] is the TCP entry point, [`run_worker_conn`] serves any
@@ -17,7 +18,7 @@
 //! `MethodKind::instantiate`, `PscMethod::compare` — which is what makes
 //! the service matrix bit-identical to [`rckalign::run_all_vs_all`].
 
-use crate::proto::{self, Frame, Heartbeat, JobBatch};
+use crate::proto::{self, Frame, Heartbeat};
 use crate::sync::MutexExt;
 use crate::transport::{Conn, TcpConn};
 use rand::{Rng, SeedableRng};
@@ -193,28 +194,20 @@ pub struct WorkerReport {
     pub failed_by_injection: bool,
 }
 
-/// Run one job batch through the real comparison kernel. A batch whose
-/// jobs reference chains it does not carry violates the protocol's
-/// "data ships with the job" promise — that is a master bug or frame
-/// corruption the checksum missed, and it fails the session instead of
-/// panicking the worker.
-fn compute_batch(batch: &JobBatch) -> io::Result<Vec<PairOutcome>> {
-    let table: HashMap<u32, &CaChain> = batch.chains.iter().map(|(ix, c)| (*ix, c)).collect();
-    compute_jobs(batch.batch_id, &batch.jobs, &table)
-}
-
 /// The kernel inner loop over one slice of a batch's jobs, against the
-/// batch's chain table.
+/// session's table of every chain the master has shipped. A job
+/// referencing a chain the session never received violates the protocol
+/// — a master bug, or a lost frame — and fails the session instead of
+/// panicking the worker.
 fn compute_jobs(
-    batch_id: u64,
     jobs: &[PairJob],
-    table: &HashMap<u32, &CaChain>,
+    table: &HashMap<u32, Arc<CaChain>>,
 ) -> io::Result<Vec<PairOutcome>> {
     let chain = |ix: u32| {
-        table.get(&ix).copied().ok_or_else(|| {
+        table.get(&ix).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("batch {batch_id} references chain {ix} it does not carry"),
+                format!("a job references chain {ix}, which this session never received"),
             )
         })
     };
@@ -238,34 +231,33 @@ fn compute_jobs(
 }
 
 /// Split a batch across up to `threads` kernel lanes and compute the
-/// chunks in parallel. Chunks are contiguous and reassembled in order,
-/// so the outcome list is byte-for-byte what the single-lane path
-/// produces — lanes change wall-clock, never results. Each lane credits
-/// its `rck_worker_lane_jobs_total{lane=…}` counter.
+/// chunks in parallel against the one shared table. Chunks are
+/// contiguous and reassembled in order, so the outcome list is
+/// byte-for-byte what the single-lane path produces — lanes change
+/// wall-clock, never results. Each lane credits its
+/// `rck_worker_lane_jobs_total{lane=…}` counter.
 fn compute_batch_lanes(
-    batch: &JobBatch,
+    jobs: &[PairJob],
+    table: &HashMap<u32, Arc<CaChain>>,
     threads: usize,
     lane_jobs: &[Arc<Counter>],
 ) -> io::Result<Vec<PairOutcome>> {
-    let lanes = threads.max(1).min(batch.jobs.len().max(1));
+    let lanes = threads.max(1).min(jobs.len().max(1));
     if lanes <= 1 {
         if let Some(c) = lane_jobs.first() {
-            c.add(batch.jobs.len() as u64);
+            c.add(jobs.len() as u64);
         }
-        return compute_batch(batch);
+        return compute_jobs(jobs, table);
     }
-    let table: HashMap<u32, &CaChain> = batch.chains.iter().map(|(ix, c)| (*ix, c)).collect();
-    let chunk = batch.jobs.len().div_ceil(lanes);
+    let chunk = jobs.len().div_ceil(lanes);
     let results: Vec<io::Result<Vec<PairOutcome>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = batch
-            .jobs
+        let handles: Vec<_> = jobs
             .chunks(chunk)
             .enumerate()
             .map(|(lane, jobs)| {
-                let table = &table;
                 let counter = lane_jobs.get(lane).cloned();
                 s.spawn(move || {
-                    let out = compute_jobs(batch.batch_id, jobs, table)?;
+                    let out = compute_jobs(jobs, table)?;
                     if let Some(c) = counter {
                         c.add(out.len() as u64);
                     }
@@ -281,7 +273,7 @@ fn compute_batch_lanes(
             })
             .collect()
     });
-    let mut all = Vec::with_capacity(batch.jobs.len());
+    let mut all = Vec::with_capacity(jobs.len());
     for r in results {
         all.extend(r?);
     }
@@ -386,6 +378,7 @@ fn serve_loop(
     lane_jobs: &[Arc<Counter>],
     report: &mut WorkerReport,
 ) -> io::Result<()> {
+    let mut table = HashMap::new();
     loop {
         let (frame, n) = proto::read_frame(stream)?;
         report.bytes_rx += n as u64;
@@ -414,7 +407,8 @@ fn serve_loop(
                 if let Some(delay) = cfg.slow_per_batch {
                     std::thread::sleep(delay);
                 }
-                let outcomes = compute_batch_lanes(&batch, cfg.threads, lane_jobs)?;
+                table.extend(batch.chains);
+                let outcomes = compute_batch_lanes(&batch.jobs, &table, cfg.threads, lane_jobs)?;
                 completed.fetch_add(outcomes.len() as u64, Ordering::Relaxed);
                 let reply = Frame::ResultBatch(proto::ResultBatch {
                     batch_id: batch.batch_id,
@@ -463,8 +457,11 @@ mod tests {
                 method: MethodKind::KabschRmsd,
             },
         ];
-        let batch = proto::build_job_batch(1, jobs.clone(), &chains);
-        let ours = compute_batch(&batch).unwrap();
+        let table: HashMap<u32, Arc<CaChain>> = proto::build_job_batch(1, jobs.clone(), &chains)
+            .chains
+            .into_iter()
+            .collect();
+        let ours = compute_jobs(&jobs, &table).unwrap();
         let cache = PairCache::new(chains);
         for (job, got) in jobs.iter().zip(&ours) {
             let want = cache.get_or_compute(job);
@@ -490,8 +487,11 @@ mod tests {
             .into_iter()
             .take(13)
             .collect();
-        let batch = proto::build_job_batch(3, jobs.clone(), &chains);
-        let single = compute_batch(&batch).unwrap();
+        let table: HashMap<u32, Arc<CaChain>> = proto::build_job_batch(3, jobs.clone(), &chains)
+            .chains
+            .into_iter()
+            .collect();
+        let single = compute_jobs(&jobs, &table).unwrap();
         for threads in [2usize, 3, 5, 64] {
             let registry = rck_obs::Registry::new();
             let counters: Vec<Arc<Counter>> = (0..threads)
@@ -503,7 +503,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let laned = compute_batch_lanes(&batch, threads, &counters).unwrap();
+            let laned = compute_batch_lanes(&jobs, &table, threads, &counters).unwrap();
             assert_eq!(laned.len(), single.len());
             for (a, b) in laned.iter().zip(&single) {
                 assert_eq!(a, b, "lane split changed results at threads={threads}");

@@ -2,18 +2,25 @@
 //! service-layer issue): arbitrary `JobBatch`/`ResultBatch` frames must
 //! round-trip exactly, and the decoder must reject truncated or
 //! oversized frames with an error — never a panic, never an
-//! attacker-sized allocation.
+//! attacker-sized allocation. Since v3 chain tables are deltas, so the
+//! sender's [`Resident`] bookkeeping is checked here too: whatever the
+//! batch sequence, a receiver applying the tables in order holds every
+//! chain a batch references, and is never sent one it already holds.
 
 use proptest::prelude::*;
 use rck_pdb::geometry::Vec3;
 use rck_pdb::model::{AminoAcid, CaChain};
+use rck_serve::dispatch::handshake;
 use rck_serve::proto::{
-    decode_frame, encode_frame, JobBatch, QueryDone, QueryPartial, QueryReject, QuerySubmit,
-    ResultBatch, HEADER_LEN, MAX_PAYLOAD,
+    decode_frame, encode_frame, Hello, JobBatch, QueryDone, QueryPartial, QueryReject, QuerySubmit,
+    Resident, ResultBatch, Welcome, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
-use rck_serve::{Frame, FrameCodec, FrameError};
+use rck_serve::{Frame, FrameCodec, FrameError, MemNet};
 use rck_tmalign::MethodKind;
 use rckalign::{PairJob, PairOutcome};
+use std::collections::{HashMap, HashSet};
+use std::io::Write;
+use std::sync::Arc;
 
 fn method_strategy() -> impl Strategy<Value = MethodKind> {
     (0u8..3).prop_map(|code| MethodKind::from_code(code).expect("valid method code"))
@@ -52,7 +59,10 @@ fn job_batch_strategy() -> impl Strategy<Value = JobBatch> {
     )
         .prop_map(|(batch_id, chains, raw_jobs)| JobBatch {
             batch_id,
-            chains,
+            chains: chains
+                .into_iter()
+                .map(|(ix, chain)| (ix, Arc::new(chain)))
+                .collect(),
             jobs: raw_jobs
                 .into_iter()
                 .map(|(i, j, method)| PairJob { i, j, method })
@@ -143,6 +153,56 @@ proptest! {
         let (back, used) = decode_frame(&bytes).expect("well-formed frame decodes");
         prop_assert_eq!(used, bytes.len());
         prop_assert_eq!(back, frame);
+    }
+
+    #[test]
+    fn shipped_tables_cover_every_reference_and_repeat_nothing(
+        pool in prop::collection::vec(chain_strategy(), 2..6),
+        // One batch: jobs as (i, j) over 4 dataset slots plus slot 4, the
+        // gate's shared query slot, whose content is `query` of the pool.
+        batches in prop::collection::vec(
+            (prop::collection::vec((0u32..5, 0u32..5), 0..6), 0usize..6),
+            1..12,
+        ),
+    ) {
+        let pool: Vec<Arc<CaChain>> = pool.into_iter().map(Arc::new).collect();
+        let mut resident = Resident::default();
+        // What a receiver applying every table in order holds.
+        let mut peer: HashMap<u32, Arc<CaChain>> = HashMap::new();
+        let mut identities_at: HashMap<u32, HashSet<*const CaChain>> = HashMap::new();
+        let mut ships_of: HashMap<u32, usize> = HashMap::new();
+        for (raw_jobs, query) in batches {
+            let jobs: Vec<PairJob> = raw_jobs
+                .into_iter()
+                .map(|(i, j)| PairJob { i, j, method: MethodKind::TmAlign })
+                .collect();
+            let lookup = |ix: u32| {
+                let slot = if ix == 4 { query } else { ix as usize };
+                Some(Arc::clone(&pool[slot % pool.len()]))
+            };
+            for (ix, chain) in resident.delta(&jobs, lookup) {
+                let held = peer.insert(ix, Arc::clone(&chain));
+                prop_assert!(
+                    held.is_none_or(|h| !Arc::ptr_eq(&h, &chain)),
+                    "chain {ix} shipped while the peer already held it"
+                );
+                *ships_of.entry(ix).or_default() += 1;
+            }
+            for ix in rckalign::chain_indices(&jobs) {
+                let want = lookup(ix).expect("every slot resolves");
+                prop_assert!(
+                    peer.get(&ix).is_some_and(|h| Arc::ptr_eq(h, &want)),
+                    "batch references ({ix}, identity) the peer does not hold"
+                );
+                identities_at.entry(ix).or_default().insert(Arc::as_ptr(&want));
+            }
+        }
+        // A slot that only ever had one identity shipped exactly once.
+        for (ix, identities) in identities_at {
+            if identities.len() == 1 {
+                prop_assert_eq!(ships_of[&ix], 1, "stable slot {} re-shipped", ix);
+            }
+        }
     }
 
     #[test]
@@ -334,6 +394,40 @@ fn codec_rejects_oversized_header_before_the_payload_arrives() {
     let mut codec = FrameCodec::new();
     codec.feed(&header);
     assert!(matches!(codec.next_frame(), Err(FrameError::Oversized(_))));
+}
+
+/// A v2 peer cannot work against v3 chain tables (it would fail every
+/// batch after a connection's first), so it is turned away before any
+/// work is dispatched — whether it announces itself in the frame header
+/// or only in its Hello.
+#[test]
+fn a_v2_hello_is_refused_by_the_v3_handshake() {
+    let hello = |protocol_version| {
+        encode_frame(&Frame::Hello(Hello {
+            protocol_version,
+            worker_name: "old".to_string(),
+        }))
+    };
+    let mut v2_header = hello(2);
+    v2_header[4..6].copy_from_slice(&2u16.to_le_bytes());
+    for (bytes, welcomed) in [
+        (v2_header, false),
+        (hello(2), false),
+        (hello(PROTOCOL_VERSION), true),
+    ] {
+        let (mut peer, mut server) = MemNet::pair();
+        peer.write_all(&bytes).expect("hello written");
+        let greeted = handshake(
+            "[test]",
+            |_| {},
+            &mut server,
+            || Welcome {
+                worker_id: 0,
+                n_chains: 0,
+            },
+        );
+        assert_eq!(greeted.is_some(), welcomed);
+    }
 }
 
 #[test]

@@ -33,7 +33,7 @@
 use crate::stats::{ShardSnapshot, ShardStats};
 use rck_pdb::model::CaChain;
 use rck_serve::dispatch::{self, send, Expiry, Ledger};
-use rck_serve::proto::{self, answers_exactly, Frame, TileResult, Welcome};
+use rck_serve::proto::{self, answers_exactly, Frame, Resident, TileGrant, TileResult, Welcome};
 use rck_serve::transport::TcpChannelListener;
 use rck_serve::{Conn, Listener, MutexExt};
 use rck_tmalign::MethodKind;
@@ -116,6 +116,10 @@ pub struct ShardRun {
 /// One connected shard master.
 struct MasterLink {
     writer: Arc<Mutex<Box<dyn Conn>>>,
+    /// Chains granted on this connection, so a [`TileGrant`] brings only
+    /// what its master lacks; held from cutting a grant's table until it
+    /// is written, so tables arrive in cut order.
+    resident: Arc<Mutex<Resident>>,
     slot: usize,
     alive: bool,
 }
@@ -147,7 +151,7 @@ struct Shared {
     state: Mutex<State>,
     /// Wakes the deadline monitor when the run finishes or aborts.
     wake: Condvar,
-    chains: Arc<Vec<CaChain>>,
+    chains: Vec<Arc<CaChain>>,
     stats: Arc<ShardStats>,
     cfg: ShardConfig,
     next_master_id: AtomicU32,
@@ -233,7 +237,7 @@ impl ShardFrontend {
             shared: Arc::new(Shared {
                 state: Mutex::new(state),
                 wake: Condvar::new(),
-                chains: Arc::new(chains),
+                chains: chains.into_iter().map(Arc::new).collect(),
                 stats: Arc::new(ShardStats::new()),
                 cfg,
                 next_master_id: AtomicU32::new(0),
@@ -434,6 +438,7 @@ fn serve_credit(shared: &Shared, master_id: u32) {
     }
     let slot = link.slot;
     let writer = Arc::clone(&link.writer);
+    let resident = Arc::clone(&link.resident);
     if state.finished {
         drop(state);
         let _ = send(&writer, &Frame::Shutdown);
@@ -447,8 +452,19 @@ fn serve_credit(shared: &Shared, master_id: u32) {
     state.granted.grant(tile_id, master_id, (), Instant::now());
     drop(state);
     shared.stats.on_tile_granted(stolen);
-    let grant = proto::build_tile_grant(tile_id, jobs, &shared.chains);
-    if send(&writer, &Frame::TileGrant(grant)).is_err() {
+    let mut resident = resident.lock_recover();
+    let chains = resident.delta(&jobs, |ix| shared.chains.get(ix as usize).cloned());
+    let grant = Frame::TileGrant(TileGrant {
+        tile_id,
+        chains,
+        jobs,
+    });
+    // Credits of one master are served from several threads, and a
+    // grant's table assumes the previous one arrived.
+    // rck-lint: allow(lock_across_io)
+    let sent = send(&writer, &grant);
+    drop(resident);
+    if sent.is_err() {
         lose_master(shared, master_id);
     }
 }
@@ -668,6 +684,7 @@ fn welcome_master(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
         master_id,
         MasterLink {
             writer,
+            resident: Arc::default(),
             slot,
             alive: true,
         },

@@ -12,7 +12,8 @@
 //!    [`StealRequest`] credits, so one tile computes while the next
 //!    grant is already in flight;
 //! 2. every [`rck_serve::proto::TileGrant`] is fed straight into the
-//!    farm;
+//!    farm, whose chain table keeps what each grant brought: later
+//!    grants bring only what it lacks (else the session ends);
 //! 3. every completed tile goes back as a [`TileResult`] followed by
 //!    one fresh credit — the self-clocking loop that makes a fast
 //!    master automatically drain (and then steal from) the slow ones.
@@ -180,17 +181,19 @@ pub fn run_shard_master(
         })
     };
 
-    loop {
+    let session = loop {
         match proto::read_frame(&mut conn) {
             Ok((Frame::TileGrant(grant), _)) => {
-                feed.submit_tile(grant.tile_id, grant.chains, grant.jobs);
+                if let Err(e) = feed.submit_tile(grant.tile_id, grant.chains, grant.jobs) {
+                    break Err(e);
+                }
             }
-            Ok((Frame::Shutdown, _)) => break,
+            Ok((Frame::Shutdown, _)) => break Ok(()),
             Ok(_) => continue,
             // Frontend gone, or our own crash lever tore the connection.
-            Err(_) => break,
+            Err(_) => break Ok(()),
         }
-    }
+    };
 
     feed.close();
     let serve_result = serve_thread
@@ -201,6 +204,7 @@ pub fn run_shard_master(
     let _ = forwarder.join();
     conn.shutdown();
 
+    session?;
     let failed_by_injection = injected.load(Ordering::SeqCst);
     if !failed_by_injection {
         serve_result?;

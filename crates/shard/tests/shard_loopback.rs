@@ -5,13 +5,16 @@
 use rck_pdb::datasets::tiny_profile;
 use rck_pdb::model::CaChain;
 use rck_serve::chaos::outcomes_fingerprint;
-use rck_serve::{run_worker_conn, MasterConfig, MemNet, WorkerConfig};
+use rck_serve::dispatch::hello;
+use rck_serve::proto::{self, Frame, StealRequest, TileGrant, TileResult};
+use rck_serve::{run_worker_conn, Conn, MasterConfig, MemNet, WorkerConfig};
 use rck_shard::{run_shard_master, ShardConfig, ShardFrontend, ShardMasterConfig};
 use rck_tmalign::MethodKind;
 use rckalign::{
     all_vs_all, run_all_vs_all, tile_partition, PairCache, PairOutcome, RckAlignOptions,
     SimilarityMatrix, StoreBinding,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -149,6 +152,131 @@ fn a_killed_master_is_requeued_onto_the_survivor() {
         .find(|(_, name, _)| name == "m1")
         .expect("survivor in the table");
     assert!(survivor.2 > 0);
+}
+
+/// A scripted shard master: pulls one grant per credit and keeps the
+/// chain table a real one keeps, so each grant can be checked against
+/// what this connection was actually sent.
+struct ScriptedMaster {
+    conn: Box<dyn Conn>,
+    master_id: u32,
+    table: HashMap<u32, Arc<CaChain>>,
+}
+
+impl ScriptedMaster {
+    fn connect(net: &MemNet, name: &str) -> ScriptedMaster {
+        let mut conn = net.connect().expect("frontend accepting");
+        let (welcome, _, _) = hello(&mut conn, name).expect("handshake");
+        ScriptedMaster {
+            conn,
+            master_id: welcome.worker_id,
+            table: HashMap::new(),
+        }
+    }
+
+    /// Spend one credit; `None` once the frontend says Shutdown.
+    fn pull(&mut self) -> Option<TileGrant> {
+        let credit = Frame::StealRequest(StealRequest {
+            master_id: self.master_id,
+            tiles_done: 0,
+        });
+        proto::write_frame(&mut self.conn, &credit).expect("credit write");
+        let grant = match proto::read_frame(&mut self.conn).expect("frontend reply") {
+            (Frame::TileGrant(grant), _) => grant,
+            (Frame::Shutdown, _) => return None,
+            (other, _) => panic!("unexpected frame from the frontend: {other:?}"),
+        };
+        for (ix, chain) in &grant.chains {
+            assert!(
+                self.table.insert(*ix, Arc::clone(chain)).is_none(),
+                "tile {}: chain {ix} granted twice on one connection",
+                grant.tile_id
+            );
+        }
+        for ix in rckalign::chain_indices(&grant.jobs) {
+            assert!(
+                self.table.contains_key(&ix),
+                "tile {} references chain {ix} this master was never granted",
+                grant.tile_id
+            );
+        }
+        Some(grant)
+    }
+
+    fn answer(&mut self, grant: &TileGrant) {
+        let outcomes = grant
+            .jobs
+            .iter()
+            .map(|job| {
+                let score = job
+                    .method
+                    .instantiate()
+                    .compare(&self.table[&job.i], &self.table[&job.j]);
+                PairOutcome {
+                    i: job.i,
+                    j: job.j,
+                    method: job.method,
+                    similarity: score.similarity,
+                    rmsd: score.rmsd.unwrap_or(f64::NAN),
+                    aligned_len: score.aligned_len as u32,
+                    ops: score.ops,
+                }
+            })
+            .collect();
+        let result = Frame::TileResult(TileResult {
+            tile_id: grant.tile_id,
+            outcomes,
+        });
+        proto::write_frame(&mut self.conn, &result).expect("result write");
+    }
+}
+
+/// Grants are deltas per connection, so a tile requeued from a dead
+/// master must reach the survivor with every chain the *survivor* lacks
+/// — what the victim had been sent is gone with its connection — and
+/// none it already holds.
+#[test]
+fn a_requeued_tile_brings_the_survivor_every_chain_it_lacks() {
+    let chains = tiny_profile().generate(19);
+    let cfg = ShardConfig {
+        tile_size: 3,
+        masters: 2,
+        heartbeat_timeout: Duration::from_secs(5),
+        ..ShardConfig::default()
+    };
+    let net = MemNet::new();
+    let frontend = ShardFrontend::bind_on(net.listener(), chains.clone(), cfg);
+    let frontend_thread = std::thread::spawn(move || frontend.run());
+
+    let mut victim = ScriptedMaster::connect(&net, "victim");
+    let mut survivor = ScriptedMaster::connect(&net, "survivor");
+    let orphan = victim.pull().expect("victim's first grant");
+    assert!(!orphan.chains.is_empty(), "first contact carries chains");
+    // The survivor already holds part of what the orphan references.
+    let own = survivor.pull().expect("survivor's first grant");
+    survivor.answer(&own);
+    victim.conn.shutdown();
+
+    let mut regranted = None;
+    while let Some(grant) = survivor.pull() {
+        if grant.tile_id == orphan.tile_id {
+            regranted = Some(grant.chains.len());
+        }
+        survivor.answer(&grant);
+    }
+    survivor.conn.shutdown();
+    let brought = regranted.expect("the victim's tile was re-granted to the survivor");
+    assert!(
+        brought <= orphan.chains.len(),
+        "the re-grant is a delta against the survivor, not a copy of the victim's"
+    );
+    let run = frontend_thread
+        .join()
+        .expect("frontend thread")
+        .expect("run completes on the survivor");
+    assert_bit_identical(&run, &chains);
+    assert_eq!(run.stats.masters_lost, 1);
+    assert_eq!(run.stats.tiles_requeued, 1, "exactly the victim's tile");
 }
 
 #[test]
