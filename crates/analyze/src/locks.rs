@@ -27,7 +27,9 @@ pub const LOCK_FILES: &[&str] = &[
     "crates/serve/src/worker.rs",
     "crates/serve/src/transport.rs",
     "crates/gate/src/pool.rs",
+    "crates/gate/src/session.rs",
     "crates/shard/src/frontend.rs",
+    "crates/shard/src/master.rs",
 ];
 
 /// Marker accepted at an I/O call under a guard.

@@ -19,7 +19,9 @@ pub const DENY_FILES: &[&str] = &[
     "crates/serve/src/transport.rs",
     "crates/serve/src/proto.rs",
     "crates/gate/src/pool.rs",
+    "crates/gate/src/session.rs",
     "crates/shard/src/frontend.rs",
+    "crates/shard/src/master.rs",
 ];
 
 /// Marker name accepted by the escape hatch.

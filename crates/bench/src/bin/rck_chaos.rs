@@ -25,11 +25,12 @@
 //! exactly that. Observed fault/serve counters (which *are*
 //! timing-dependent) go to stderr instead.
 
-use rck_gate::chaos::{run_gate_scenario, GateScenarioPlan, GateScenarioResult};
-use rck_serve::chaos::{run_scenario, ScenarioResult};
+use rck_gate::chaos::{run_gate_scenario, GateScenarioPlan};
+use rck_serve::chaos::run_scenario;
 use rck_serve::ScenarioPlan;
-use rck_shard::{run_shard_scenario, ShardScenarioPlan, ShardScenarioReport};
-use rck_store::fault::{run_store_scenario, StoreScenarioReport};
+use rck_shard::{run_shard_scenario, ShardScenarioPlan};
+use rck_store::fault::run_store_scenario;
+use rckalign::cli::{Flags, ParseError};
 use std::fmt::Write as FmtWrite;
 use std::process::ExitCode;
 use std::sync::mpsc;
@@ -53,300 +54,186 @@ kill-a-master scenarios; 0 disables), no --out (stdout only).
 /// liveness bug — exactly what the harness exists to catch.
 const WATCHDOG: Duration = Duration::from_secs(120);
 
-#[derive(Debug)]
+/// What one scenario run reports to the driver.
+struct Outcome {
+    /// The canonical, deterministic report line.
+    line: String,
+    pass: bool,
+    /// The plan expected a clean abort, not a bit-identical completion.
+    aborts: bool,
+    /// Timing-dependent observations for stderr, each printed behind the
+    /// tier's label and the seed.
+    notes: Vec<String>,
+}
+
+fn outcome(line: String, pass: bool, aborts: bool, notes: Vec<String>) -> Outcome {
+    Outcome {
+        line,
+        pass,
+        aborts,
+        notes,
+    }
+}
+
+/// One tier of the stack under seeded faults. Failures of every tier
+/// fold into one exit code and one final "N failures" figure, which the
+/// CI smoke greps for.
+struct Tier {
+    /// Flag that sets the tier's seed count, and its default.
+    flag: &'static str,
+    default_seeds: u64,
+    /// stderr prefix of one scenario.
+    label: &'static str,
+    /// What the tier's summary line says held; empty prints none.
+    held: &'static str,
+    run: fn(u64) -> Outcome,
+}
+
+const TIERS: [Tier; 4] = [
+    // Worker sessions that crash, hang or stall, and frame-level fault
+    // plans, under a real master; some plans can only abort cleanly.
+    Tier {
+        flag: "seeds",
+        default_seeds: 32,
+        label: "seed",
+        held: "",
+        run: |seed| {
+            let r = run_scenario(&ScenarioPlan::from_seed(seed));
+            let notes = vec![format!(" observed: {}", r.observed)];
+            outcome(r.report_line, r.pass, !r.plan.expect_complete, notes)
+        },
+    },
+    // Multi-tenant gates under client-stream faults and worker crashes.
+    Tier {
+        flag: "gate-seeds",
+        default_seeds: 4,
+        label: "gate seed",
+        held: "serving-tier scenarios held isolation and bit-identity",
+        run: |seed| {
+            let r = run_gate_scenario(&GateScenarioPlan::from_seed(seed));
+            let notes = r.failures.iter().map(|f| format!(": {f}")).collect();
+            outcome(r.report_line(), r.passed(), false, notes)
+        },
+    },
+    // Torn appends, bit flips and killed compactions against a real
+    // on-disk log: every reopen recovers exactly the surviving prefix.
+    Tier {
+        flag: "store-seeds",
+        default_seeds: 8,
+        label: "store seed",
+        held: "crash-recovery scenarios recovered the surviving prefix",
+        run: |seed| {
+            let r = run_store_scenario(seed);
+            outcome(r.report_line(), r.failures == 0, false, Vec::new())
+        },
+    },
+    // Whole masters killed mid-tile, the frontend requeueing their tiles
+    // onto the survivors.
+    Tier {
+        flag: "shard-seeds",
+        default_seeds: 4,
+        label: "shard seed",
+        held: "sharded-farm scenarios requeued and merged bit-identical",
+        run: |seed| {
+            let r = run_shard_scenario(&ShardScenarioPlan::from_seed(seed));
+            let notes = vec![format!(" observed: {}", r.observed)];
+            outcome(r.report_line, r.pass, false, notes)
+        },
+    },
+];
+
 struct Options {
-    seeds: u64,
+    /// Seeds per tier, in [`TIERS`] order.
+    seeds: [u64; TIERS.len()],
     base_seed: u64,
     repeat: u64,
-    gate_seeds: u64,
-    store_seeds: u64,
-    shard_seeds: u64,
     out: Option<String>,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut opts = Options {
-        seeds: 32,
+        seeds: TIERS.each_ref().map(|t| t.default_seeds),
         base_seed: 0,
         repeat: 1,
-        gate_seeds: 4,
-        store_seeds: 8,
-        shard_seeds: 4,
         out: None,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let name = a
-            .strip_prefix("--")
-            .ok_or_else(|| format!("unexpected argument {a}"))?;
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
+    let mut flags = Flags::new(args);
+    while let Some(name) = flags.next_flag()? {
         match name {
-            "seeds" => {
-                opts.seeds = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &u64| n >= 1)
-                    .ok_or_else(|| format!("bad seed count {value}"))?;
+            "base-seed" => opts.base_seed = flags.value()?.parse("base seed")?,
+            "repeat" => opts.repeat = flags.value()?.in_range(1.., "repeat count")?,
+            "out" => opts.out = Some(flags.value()?.string()),
+            "seeds" => opts.seeds[0] = flags.value()?.in_range(1.., "seed count")?,
+            _ => {
+                let Some(t) = TIERS.iter().position(|t| t.flag == name) else {
+                    return Err(flags.unknown());
+                };
+                opts.seeds[t] = flags.value()?.parse("seed count")?;
             }
-            "base-seed" => {
-                opts.base_seed = value
-                    .parse()
-                    .map_err(|_| format!("bad base seed {value}"))?;
-            }
-            "repeat" => {
-                opts.repeat = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &u64| n >= 1)
-                    .ok_or_else(|| format!("bad repeat count {value}"))?;
-            }
-            "gate-seeds" => {
-                opts.gate_seeds = value
-                    .parse()
-                    .map_err(|_| format!("bad gate seed count {value}"))?;
-            }
-            "store-seeds" => {
-                opts.store_seeds = value
-                    .parse()
-                    .map_err(|_| format!("bad store seed count {value}"))?;
-            }
-            "shard-seeds" => {
-                opts.shard_seeds = value
-                    .parse()
-                    .map_err(|_| format!("bad shard seed count {value}"))?;
-            }
-            "out" => opts.out = Some(value.clone()),
-            other => return Err(format!("unknown flag --{other}")),
         }
     }
     Ok(opts)
 }
 
 /// Run one scenario under the deadlock watchdog.
-fn run_guarded(seed: u64) -> ScenarioResult {
+fn run_guarded(tier: &'static Tier, seed: u64) -> Outcome {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let plan = ScenarioPlan::from_seed(seed);
-        let _ = tx.send(run_scenario(&plan));
+        let _ = tx.send((tier.run)(seed));
     });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(result) => result,
-        Err(_) => {
-            eprintln!("seed {seed:06}: DEADLOCK — scenario still running after {WATCHDOG:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Run one persistent-store crash-recovery scenario under the watchdog.
-fn run_store_guarded(seed: u64) -> StoreScenarioReport {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(run_store_scenario(seed));
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(result) => result,
-        Err(_) => {
-            eprintln!("store seed {seed:06}: DEADLOCK — scenario still running after {WATCHDOG:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Run one sharded-farm kill-a-master scenario under the watchdog.
-fn run_shard_guarded(seed: u64) -> ShardScenarioReport {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let plan = ShardScenarioPlan::from_seed(seed);
-        let _ = tx.send(run_shard_scenario(&plan));
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(result) => result,
-        Err(_) => {
-            eprintln!("shard seed {seed:06}: DEADLOCK — scenario still running after {WATCHDOG:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Run one serving-tier scenario under the same deadlock watchdog.
-fn run_gate_guarded(seed: u64) -> GateScenarioResult {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let plan = GateScenarioPlan::from_seed(seed);
-        let _ = tx.send(run_gate_scenario(&plan));
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(result) => result,
-        Err(_) => {
-            eprintln!("gate seed {seed:06}: DEADLOCK — scenario still running after {WATCHDOG:?}");
-            std::process::exit(2);
-        }
-    }
+    rx.recv_timeout(WATCHDOG).unwrap_or_else(|_| {
+        eprintln!(
+            "{} {seed:06}: DEADLOCK — scenario still running after {WATCHDOG:?}",
+            tier.label
+        );
+        std::process::exit(2)
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(refusal) => return refusal.exit(USAGE),
     };
 
     let mut report = String::new();
-    let mut failures = 0u64;
-    let mut completed = 0u64;
-    let mut aborted = 0u64;
-    for seed in opts.base_seed..opts.base_seed + opts.seeds {
-        let first = run_guarded(seed);
-        for rerun in 1..opts.repeat {
-            let again = run_guarded(seed);
-            if again.report_line != first.report_line {
-                eprintln!(
-                    "seed {seed:06}: NONDETERMINISTIC report (rerun {rerun})\n  first: {}\n  again: {}",
-                    first.report_line, again.report_line
-                );
-                failures += 1;
+    let (mut failures, mut passes, mut aborted) = (0u64, 0u64, 0u64);
+    for (tier, &seeds) in TIERS.iter().zip(&opts.seeds) {
+        let passes_before = passes;
+        for seed in opts.base_seed..opts.base_seed + seeds {
+            let first = run_guarded(tier, seed);
+            for rerun in 1..opts.repeat {
+                let again = run_guarded(tier, seed);
+                if again.line != first.line {
+                    eprintln!(
+                        "{} {seed:06}: NONDETERMINISTIC report (rerun {rerun})\n  first: {}\n  again: {}",
+                        tier.label, first.line, again.line
+                    );
+                    failures += 1;
+                }
             }
-        }
-        if first.pass {
-            if first.plan.expect_complete {
-                completed += 1;
-            } else {
-                aborted += 1;
+            passes += u64::from(first.pass);
+            aborted += u64::from(first.pass && first.aborts);
+            failures += u64::from(!first.pass);
+            let mark = if first.pass { "ok  " } else { "FAIL" };
+            println!("{mark} {}", first.line);
+            for note in &first.notes {
+                eprintln!("{} {seed:06}{note}", tier.label);
             }
-        } else {
-            failures += 1;
+            let _ = writeln!(report, "{}", first.line);
         }
-        println!(
-            "{} {}",
-            if first.pass { "ok  " } else { "FAIL" },
-            first.report_line
-        );
-        eprintln!("seed {seed:06} observed: {}", first.observed);
-        let _ = writeln!(report, "{}", first.report_line);
-    }
-
-    // Serving-tier scenarios: multi-tenant gates under client-stream
-    // faults and worker crashes. Failures fold into the same exit code
-    // and the same final "N failures" figure the CI smoke greps for.
-    let mut gate_passed = 0u64;
-    for seed in opts.base_seed..opts.base_seed + opts.gate_seeds {
-        let first = run_gate_guarded(seed);
-        for rerun in 1..opts.repeat {
-            let again = run_gate_guarded(seed);
-            if again.report_line() != first.report_line() {
-                eprintln!(
-                    "gate seed {seed:06}: NONDETERMINISTIC report (rerun {rerun})\n  first: {}\n  again: {}",
-                    first.report_line(),
-                    again.report_line()
-                );
-                failures += 1;
-            }
+        if seeds > 0 && !tier.held.is_empty() {
+            // `--gate-seeds` counts the seeds of the tier named "gate".
+            let name = tier.flag.trim_end_matches("-seeds");
+            println!("{name}: {}/{seeds} {}", passes - passes_before, tier.held);
         }
-        if first.passed() {
-            gate_passed += 1;
-        } else {
-            failures += 1;
-            for f in &first.failures {
-                eprintln!("gate seed {seed:06}: {f}");
-            }
-        }
-        println!(
-            "{} {}",
-            if first.passed() { "ok  " } else { "FAIL" },
-            first.report_line()
-        );
-        let _ = writeln!(report, "{}", first.report_line());
-    }
-    if opts.gate_seeds > 0 {
-        println!(
-            "gate: {gate_passed}/{} serving-tier scenarios held isolation and bit-identity",
-            opts.gate_seeds
-        );
-    }
-
-    // Persistent-store scenarios: torn appends, bit flips and killed
-    // compactions against a real on-disk log, asserting every reopen
-    // recovers exactly the surviving prefix. Same exit-code and summary
-    // contract as above.
-    let mut store_passed = 0u64;
-    for seed in opts.base_seed..opts.base_seed + opts.store_seeds {
-        let first = run_store_guarded(seed);
-        for rerun in 1..opts.repeat {
-            let again = run_store_guarded(seed);
-            if again.report_line() != first.report_line() {
-                eprintln!(
-                    "store seed {seed:06}: NONDETERMINISTIC report (rerun {rerun})\n  first: {}\n  again: {}",
-                    first.report_line(),
-                    again.report_line()
-                );
-                failures += 1;
-            }
-        }
-        let pass = first.failures == 0;
-        if pass {
-            store_passed += 1;
-        } else {
-            failures += 1;
-        }
-        println!(
-            "{} {}",
-            if pass { "ok  " } else { "FAIL" },
-            first.report_line()
-        );
-        let _ = writeln!(report, "{}", first.report_line());
-    }
-    if opts.store_seeds > 0 {
-        println!(
-            "store: {store_passed}/{} crash-recovery scenarios recovered the surviving prefix",
-            opts.store_seeds
-        );
-    }
-
-    // Sharded-farm scenarios: whole masters killed mid-tile, the
-    // frontend requeueing their tiles onto the survivors. Every
-    // scenario must still merge a matrix bit-identical to the
-    // in-process ground truth.
-    let mut shard_passed = 0u64;
-    for seed in opts.base_seed..opts.base_seed + opts.shard_seeds {
-        let first = run_shard_guarded(seed);
-        for rerun in 1..opts.repeat {
-            let again = run_shard_guarded(seed);
-            if again.report_line != first.report_line {
-                eprintln!(
-                    "shard seed {seed:06}: NONDETERMINISTIC report (rerun {rerun})\n  first: {}\n  again: {}",
-                    first.report_line, again.report_line
-                );
-                failures += 1;
-            }
-        }
-        if first.pass {
-            shard_passed += 1;
-        } else {
-            failures += 1;
-        }
-        println!(
-            "{} {}",
-            if first.pass { "ok  " } else { "FAIL" },
-            first.report_line
-        );
-        eprintln!("shard seed {seed:06} observed: {}", first.observed);
-        let _ = writeln!(report, "{}", first.report_line);
-    }
-    if opts.shard_seeds > 0 {
-        println!(
-            "shard: {shard_passed}/{} sharded-farm scenarios requeued and merged bit-identical",
-            opts.shard_seeds
-        );
     }
 
     let summary = format!(
         "{} scenarios: {} completed bit-identical, {aborted} aborted cleanly, {failures} failures",
-        opts.seeds + opts.gate_seeds + opts.store_seeds + opts.shard_seeds,
-        completed + gate_passed + store_passed + shard_passed,
+        opts.seeds.iter().sum::<u64>(),
+        passes - aborted,
     );
     println!("{summary}");
     if let Some(path) = &opts.out {
@@ -356,9 +243,5 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    ExitCode::from(u8::from(failures > 0))
 }

@@ -24,6 +24,7 @@ use rck_serve::proto::QuerySubmit;
 use rck_serve::transport::MemNet;
 use rck_serve::{run_worker_conn, WorkerConfig};
 use rck_tmalign::MethodKind;
+use rckalign::cli::{Flags, ParseError};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,9 +46,6 @@ is driven instead (its --workers/--dataset/--seed/--batch are then its
 own business). --tenants may not exceed the dataset's chain count: each
 tenant owns a disjoint share of the query pool.
 ";
-
-#[derive(Debug, PartialEq)]
-struct ParseError(String);
 
 #[derive(Debug, Clone, PartialEq)]
 struct Options {
@@ -76,43 +74,18 @@ impl Default for Options {
 
 fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let name = a
-            .strip_prefix("--")
-            .ok_or_else(|| ParseError(format!("unexpected argument {a}")))?;
-        if name == "help" {
-            return Err(ParseError(String::new()));
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| ParseError(format!("--{name} needs a value")))?;
-        let positive = |what: &str| {
-            value
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| ParseError(format!("bad {what} {value}")))
-        };
+    let mut flags = Flags::new(args);
+    while let Some(name) = flags.next_flag()? {
         match name {
-            "queries" => opts.queries = positive("query count")?,
-            "tenants" => opts.tenants = positive("tenant count")?,
-            "workers" => opts.workers = positive("worker count")?,
-            "dataset" => opts.dataset = value.clone(),
-            "seed" => {
-                opts.seed = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad seed {value}")))?;
-            }
-            "batch" => opts.batch = positive("batch size")?,
-            "addr" => {
-                opts.addr = Some(
-                    value
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad address {value}")))?,
-                );
-            }
-            other => return Err(ParseError(format!("unknown flag --{other}"))),
+            "help" => return Err(ParseError::help()),
+            "queries" => opts.queries = flags.value()?.in_range(1.., "query count")?,
+            "tenants" => opts.tenants = flags.value()?.in_range(1.., "tenant count")?,
+            "workers" => opts.workers = flags.value()?.in_range(1.., "worker count")?,
+            "dataset" => opts.dataset = flags.value()?.string(),
+            "seed" => opts.seed = flags.value()?.parse("seed")?,
+            "batch" => opts.batch = flags.value()?.in_range(1.., "batch size")?,
+            "addr" => opts.addr = Some(flags.value()?.parse("address")?),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)
@@ -360,14 +333,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
-        Err(ParseError(msg)) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(refusal) => return refusal.exit(USAGE),
     };
     let report = match run_load(&opts) {
         Ok(report) => report,

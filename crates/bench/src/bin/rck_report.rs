@@ -29,6 +29,7 @@ use rck_serve::transport::MemNet;
 use rck_serve::{run_worker, run_worker_conn, Master, MasterConfig, WorkerConfig};
 use rck_tmalign::stages::stage_counters;
 use rck_tmalign::MethodKind;
+use rckalign::cli::{Flags, ParseError};
 use rckalign::consensus::Combiner;
 use rckalign::{
     run_all_vs_all, utilization_sweep, PairCache, RckAlignOptions, SimilarityMatrix,
@@ -48,9 +49,6 @@ USAGE:
 Defaults: --dataset TINY8, --seed 2013, --workers 3, --slaves 1,2,4,8,
 --out docs/reports/run-report.md.
 ";
-
-#[derive(Debug, PartialEq)]
-struct ParseError(String);
 
 #[derive(Debug, PartialEq)]
 struct Options {
@@ -75,39 +73,15 @@ impl Default for Options {
 
 fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let name = a
-            .strip_prefix("--")
-            .ok_or_else(|| ParseError(format!("unexpected argument {a}")))?;
-        let value = it
-            .next()
-            .ok_or_else(|| ParseError(format!("--{name} needs a value")))?;
+    let mut flags = Flags::new(args);
+    while let Some(name) = flags.next_flag()? {
         match name {
-            "dataset" => opts.dataset = value.clone(),
-            "seed" => {
-                opts.seed = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad seed {value}")))?;
-            }
-            "workers" => {
-                opts.workers = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad worker count {value}")))?;
-            }
-            "slaves" => {
-                opts.slaves = value
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .ok()
-                    .filter(|v| !v.is_empty() && v.iter().all(|&n| n >= 1))
-                    .ok_or_else(|| ParseError(format!("bad slave list {value}")))?;
-            }
-            "out" => opts.out = value.clone(),
-            other => return Err(ParseError(format!("unknown flag --{other}"))),
+            "dataset" => opts.dataset = flags.value()?.string(),
+            "seed" => opts.seed = flags.value()?.parse("seed")?,
+            "workers" => opts.workers = flags.value()?.in_range(1.., "worker count")?,
+            "slaves" => opts.slaves = flags.value()?.list(1.., "slave count")?,
+            "out" => opts.out = flags.value()?.string(),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(opts)
@@ -480,10 +454,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
-        Err(ParseError(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(refusal) => return refusal.exit(USAGE),
     };
     match run_report(&opts) {
         Ok(md) => {

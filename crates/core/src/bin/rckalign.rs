@@ -13,6 +13,7 @@ use rck_noc::NocConfig;
 use rck_pdb::datasets;
 use rck_pdb::model::CaChain;
 use rck_tmalign::{display, tm_align, MethodKind};
+use rckalign::cli::{Flags, ParseError};
 use rckalign::experiments;
 use rckalign::report::{fmt_secs, fmt_speedup, TextTable};
 use rckalign::{
@@ -83,134 +84,91 @@ enum Command {
     },
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct ParseError(String);
-
 fn parse_args(args: &[String]) -> Result<Command, ParseError> {
-    let mut pos = Vec::new();
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut bools: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            match name {
-                "waves" | "cores" => {
-                    bools.insert(name.to_string());
-                }
-                "seed" | "top" | "slaves" | "method" | "ordering" | "points" | "store" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| ParseError(format!("--{name} needs a value")))?;
-                    flags.insert(name.to_string(), v.clone());
-                }
-                other => return Err(ParseError(format!("unknown flag --{other}"))),
+    let (mut seed, mut top, mut slaves) = (2013u64, 10usize, 47usize);
+    let (mut method, mut ordering, mut store) = (MethodKind::TmAlign, "fifo", None);
+    let (mut waves, mut cores) = (false, false);
+    let mut points = vec![1, 11, 23, 35, 47];
+    let mut flags = Flags::with_positionals(args);
+    while let Some(name) = flags.next_flag()? {
+        match name {
+            "waves" => waves = true,
+            "cores" => cores = true,
+            "seed" => seed = flags.value()?.parse("seed")?,
+            "top" => top = flags.value()?.parse("--top")?,
+            "slaves" => slaves = flags.value()?.in_range(1..=47, "slave count")?,
+            "method" => {
+                method = match flags.value()?.0 {
+                    "tm-align" => MethodKind::TmAlign,
+                    "kabsch-rmsd" => MethodKind::KabschRmsd,
+                    "contact-map" => MethodKind::ContactMap,
+                    other => return Err(ParseError(format!("unknown method {other}"))),
+                };
             }
-        } else {
-            pos.push(a.clone());
+            "ordering" => ordering = flags.value()?.0,
+            "points" => points = flags.value()?.list(1..=47, "point")?,
+            "store" => store = Some(flags.value()?.string()),
+            _ => return Err(flags.unknown()),
         }
     }
+    // Resolved after the walk so `--ordering shuffle --seed N` works in
+    // either flag order.
+    let ordering = match ordering {
+        "fifo" => JobOrdering::Fifo,
+        "lpt" => JobOrdering::LongestFirst,
+        "shuffle" => JobOrdering::Shuffled(seed),
+        other => return Err(ParseError(format!("unknown ordering {other}"))),
+    };
 
-    let seed: u64 = flags
-        .get("seed")
-        .map(|v| v.parse().map_err(|_| ParseError(format!("bad seed {v}"))))
-        .transpose()?
-        .unwrap_or(2013);
-    let slaves: usize = flags
-        .get("slaves")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| ParseError(format!("bad slave count {v}")))
-        })
-        .transpose()?
-        .unwrap_or(47);
-    if slaves == 0 || slaves > 47 {
-        return Err(ParseError(format!("--slaves must be 1..=47, got {slaves}")));
-    }
-
-    match pos.first().map(String::as_str) {
+    let pos = flags.positionals;
+    let operands = |n: usize, usage: &str| {
+        if pos.len() == n + 1 {
+            Ok(())
+        } else {
+            Err(ParseError(format!("{} needs {usage}", pos[0])))
+        }
+    };
+    match pos.first().copied() {
         Some("datasets") => Ok(Command::Datasets),
         Some("align") => {
-            if pos.len() != 4 {
-                return Err(ParseError(
-                    "align needs <dataset> <chain_a> <chain_b>".into(),
-                ));
-            }
+            operands(3, "<dataset> <chain_a> <chain_b>")?;
             Ok(Command::Align {
-                dataset: pos[1].clone(),
-                a: pos[2].clone(),
-                b: pos[3].clone(),
+                dataset: pos[1].into(),
+                a: pos[2].into(),
+                b: pos[3].into(),
                 seed,
             })
         }
         Some("rank") => {
-            if pos.len() != 3 {
-                return Err(ParseError("rank needs <dataset> <chain>".into()));
-            }
-            let top = flags
-                .get("top")
-                .map(|v| v.parse().map_err(|_| ParseError(format!("bad --top {v}"))))
-                .transpose()?
-                .unwrap_or(10);
+            operands(2, "<dataset> <chain>")?;
             Ok(Command::Rank {
-                dataset: pos[1].clone(),
-                chain: pos[2].clone(),
+                dataset: pos[1].into(),
+                chain: pos[2].into(),
                 top,
                 slaves,
                 seed,
             })
         }
         Some("allvsall") => {
-            if pos.len() != 2 {
-                return Err(ParseError("allvsall needs <dataset>".into()));
-            }
-            let method = match flags.get("method").map(String::as_str) {
-                None | Some("tm-align") => MethodKind::TmAlign,
-                Some("kabsch-rmsd") => MethodKind::KabschRmsd,
-                Some("contact-map") => MethodKind::ContactMap,
-                Some(other) => return Err(ParseError(format!("unknown method {other}"))),
-            };
-            let ordering = match flags.get("ordering").map(String::as_str) {
-                None | Some("fifo") => JobOrdering::Fifo,
-                Some("lpt") => JobOrdering::LongestFirst,
-                Some("shuffle") => JobOrdering::Shuffled(seed),
-                Some(other) => return Err(ParseError(format!("unknown ordering {other}"))),
-            };
+            operands(1, "<dataset>")?;
             Ok(Command::AllVsAll {
-                dataset: pos[1].clone(),
+                dataset: pos[1].into(),
                 slaves,
                 method,
                 ordering,
-                waves: bools.contains("waves"),
-                cores: bools.contains("cores"),
+                waves,
+                cores,
                 seed,
-                store: flags.get("store").cloned(),
+                store,
             })
         }
         Some("experiment") => {
-            if pos.len() != 2 {
-                return Err(ParseError("experiment needs <1|2|3|5>".into()));
-            }
+            operands(1, "<1|2|3|5>")?;
             let which: u8 = pos[1]
                 .parse()
                 .ok()
                 .filter(|w| [1u8, 2, 3, 5].contains(w))
                 .ok_or_else(|| ParseError(format!("unknown experiment {}", pos[1])))?;
-            let points = match flags.get("points") {
-                None => vec![1, 11, 23, 35, 47],
-                Some(v) => {
-                    let mut out = Vec::new();
-                    for piece in v.split(',') {
-                        let n: usize = piece
-                            .parse()
-                            .map_err(|_| ParseError(format!("bad point {piece}")))?;
-                        if n == 0 || n > 47 {
-                            return Err(ParseError(format!("point {n} out of 1..=47")));
-                        }
-                        out.push(n);
-                    }
-                    out
-                }
-            };
             Ok(Command::Experiment {
                 which,
                 points,
@@ -218,12 +176,10 @@ fn parse_args(args: &[String]) -> Result<Command, ParseError> {
             })
         }
         Some("export") => {
-            if pos.len() != 3 {
-                return Err(ParseError("export needs <dataset> <dir>".into()));
-            }
+            operands(2, "<dataset> <dir>")?;
             Ok(Command::Export {
-                dataset: pos[1].clone(),
-                dir: pos[2].clone(),
+                dataset: pos[1].into(),
+                dir: pos[2].into(),
                 seed,
             })
         }
@@ -483,10 +439,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Err(ParseError(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(refusal) => refusal.exit(USAGE),
     }
 }
 

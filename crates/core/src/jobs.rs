@@ -98,10 +98,28 @@ fn get_chain(r: &mut Reader) -> Result<CaChain, DecodeError> {
     Ok(CaChain { name, seq, coords })
 }
 
+/// The 9-byte `(i, j, method)` job record, shared by the on-mesh
+/// payloads below and the `rck-serve` frames.
+#[inline]
+pub fn put_job(w: &mut Writer, job: &PairJob) {
+    w.put_u32(job.i).put_u32(job.j).put_u8(job.method.code());
+}
+
+/// Decode a [`put_job`] record.
+#[inline]
+pub fn get_job(r: &mut Reader) -> Result<PairJob, DecodeError> {
+    let i = r.get_u32()?;
+    let j = r.get_u32()?;
+    let method = MethodKind::from_code(r.get_u8()?).ok_or(DecodeError {
+        what: "method code",
+    })?;
+    Ok(PairJob { i, j, method })
+}
+
 /// Encode a job payload: indices, method, and both chains' data.
 pub fn encode_pair_payload(job: &PairJob, a: &CaChain, b: &CaChain) -> Vec<u8> {
     let mut w = Writer::with_capacity(32 + a.wire_size() + b.wire_size());
-    w.put_u32(job.i).put_u32(job.j).put_u8(job.method.code());
+    put_job(&mut w, job);
     put_chain(&mut w, a);
     put_chain(&mut w, b);
     w.finish()
@@ -121,18 +139,10 @@ pub struct PairPayload {
 /// Decode a job payload.
 pub fn decode_pair_payload(data: Vec<u8>) -> Result<PairPayload, DecodeError> {
     let mut r = Reader::new(data);
-    let i = r.get_u32()?;
-    let j = r.get_u32()?;
-    let method = MethodKind::from_code(r.get_u8()?).ok_or(DecodeError {
-        what: "method code",
-    })?;
+    let job = get_job(&mut r)?;
     let a = get_chain(&mut r)?;
     let b = get_chain(&mut r)?;
-    Ok(PairPayload {
-        job: PairJob { i, j, method },
-        a,
-        b,
-    })
+    Ok(PairPayload { job, a, b })
 }
 
 /// The per-pair outcome every method reduces to on the wire.
@@ -155,9 +165,10 @@ pub struct PairOutcome {
     pub ops: u64,
 }
 
-/// Encode a result payload (sent slave → master).
-pub fn encode_outcome(o: &PairOutcome) -> Vec<u8> {
-    let mut w = Writer::with_capacity(40);
+/// The 37-byte outcome record, shared by the slave → master result
+/// payload below and the `rck-serve` frames.
+#[inline]
+pub fn put_outcome(w: &mut Writer, o: &PairOutcome) {
     w.put_u32(o.i)
         .put_u32(o.j)
         .put_u8(o.method.code())
@@ -165,12 +176,11 @@ pub fn encode_outcome(o: &PairOutcome) -> Vec<u8> {
         .put_f64(o.rmsd)
         .put_u32(o.aligned_len)
         .put_u64(o.ops);
-    w.finish()
 }
 
-/// Decode a result payload.
-pub fn decode_outcome(data: Vec<u8>) -> Result<PairOutcome, DecodeError> {
-    let mut r = Reader::new(data);
+/// Decode a [`put_outcome`] record.
+#[inline]
+pub fn get_outcome(r: &mut Reader) -> Result<PairOutcome, DecodeError> {
     Ok(PairOutcome {
         i: r.get_u32()?,
         j: r.get_u32()?,
@@ -182,6 +192,18 @@ pub fn decode_outcome(data: Vec<u8>) -> Result<PairOutcome, DecodeError> {
         aligned_len: r.get_u32()?,
         ops: r.get_u64()?,
     })
+}
+
+/// Encode a result payload (sent slave → master).
+pub fn encode_outcome(o: &PairOutcome) -> Vec<u8> {
+    let mut w = Writer::with_capacity(40);
+    put_outcome(&mut w, o);
+    w.finish()
+}
+
+/// Decode a result payload.
+pub fn decode_outcome(data: Vec<u8>) -> Result<PairOutcome, DecodeError> {
+    get_outcome(&mut Reader::new(data))
 }
 
 /// A dense similarity matrix assembled from all-vs-all outcomes — what the

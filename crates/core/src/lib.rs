@@ -30,6 +30,7 @@
 pub mod analysis;
 pub mod app;
 pub mod cache;
+pub mod cli;
 pub mod consensus;
 pub mod cpu;
 pub mod distributed;
@@ -58,4 +59,4 @@ pub use loadbalance::JobOrdering;
 pub use mcpsc::{run_mcpsc, McPscOptions, McPscRun, PartitionStrategy};
 pub use onevsall::{run_one_vs_all, OneVsAllOptions, OneVsAllRun};
 pub use store::{chain_content_hash, StoreBinding};
-pub use tiles::{assign_tiles, merge_matrix, merge_outcomes, tile_partition, Tile};
+pub use tiles::{assign_tiles, merge_outcomes, tile_partition, Tile};

@@ -118,6 +118,42 @@ impl StoreBinding {
         })
     }
 
+    /// Warm start: the outcomes the store already holds for `jobs` and
+    /// the jobs it does not, both in job order.
+    pub fn split(&self, jobs: &[PairJob]) -> (Vec<PairOutcome>, Vec<PairJob>) {
+        self.split_by(jobs, |job| self.key(job))
+    }
+
+    /// [`StoreBinding::split`] under explicit keys — the seam for jobs
+    /// against a chain outside the bound dataset.
+    pub fn split_by(
+        &self,
+        jobs: &[PairJob],
+        key: impl Fn(&PairJob) -> PairKey,
+    ) -> (Vec<PairOutcome>, Vec<PairJob>) {
+        let mut hits = Vec::new();
+        let mut misses = Vec::new();
+        for job in jobs {
+            match self.lookup_key(&key(job), job.i, job.j, job.method) {
+                Some(outcome) => hits.push(outcome),
+                None => misses.push(*job),
+            }
+        }
+        (hits, misses)
+    }
+
+    /// Hand a finished run's outcomes back: record each (pairs the store
+    /// satisfied are skipped by its idempotence), then flush, reporting
+    /// a failure under the tier's log `tag`.
+    pub fn absorb(&self, outcomes: &[PairOutcome], tag: &str) {
+        for outcome in outcomes {
+            self.record(outcome);
+        }
+        if let Err(e) = self.store.lock().flush() {
+            eprintln!("{tag} store flush failed: {e}");
+        }
+    }
+
     /// Persist one outcome of the bound dataset. Idempotent (an
     /// already-stored key writes nothing) and best-effort: an I/O error
     /// is reported on stderr, not propagated — a failing store must

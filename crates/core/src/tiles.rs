@@ -19,7 +19,7 @@
 //!   computed which tile, how tiles were stolen, or how duplicates
 //!   raced.
 
-use crate::jobs::{PairJob, PairOutcome, SimilarityMatrix};
+use crate::jobs::{PairJob, PairOutcome};
 use rck_tmalign::MethodKind;
 
 /// One rectangular block of the upper-triangular pair matrix.
@@ -64,12 +64,6 @@ impl Tile {
             count += (self.col1.saturating_sub(j0)) as usize;
         }
         count
-    }
-
-    /// True when the tile is on the diagonal (its row and column spans
-    /// coincide, making the job set triangular).
-    pub fn is_diagonal(&self) -> bool {
-        self.row0 == self.col0
     }
 }
 
@@ -130,15 +124,6 @@ pub fn merge_outcomes(
     all.sort_by_key(|o| (o.i, o.j));
     all.dedup_by_key(|o| (o.i, o.j));
     all
-}
-
-/// Assemble the merged matrix for an `n`-chain dataset from per-tile
-/// results — [`merge_outcomes`] then [`SimilarityMatrix::from_outcomes`].
-pub fn merge_matrix(
-    n: usize,
-    tile_results: impl IntoIterator<Item = Vec<PairOutcome>>,
-) -> SimilarityMatrix {
-    SimilarityMatrix::from_outcomes(n, &merge_outcomes(tile_results))
 }
 
 #[cfg(test)]

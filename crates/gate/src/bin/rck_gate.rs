@@ -7,6 +7,7 @@
 //! the final metrics registry is dumped to stdout before exit.
 
 use rck_gate::{Gate, GateConfig};
+use rckalign::cli::{Flags, ParseError};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -61,62 +62,25 @@ impl Default for Args {
     }
 }
 
-#[derive(Debug)]
-struct ParseError(String);
-
-fn parse_args<I: Iterator<Item = String>>(mut it: I) -> Result<Args, ParseError> {
+fn parse_args<I: Iterator<Item = String>>(it: I) -> Result<Args, ParseError> {
+    let argv: Vec<String> = it.collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        return Err(ParseError::help());
+    }
     let mut args = Args::default();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| ParseError(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--addr" => {
-                args.addr = value("--addr")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--addr: {e}")))?;
-            }
-            "--worker-addr" => {
-                args.worker_addr = value("--worker-addr")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--worker-addr: {e}")))?;
-            }
-            "--dataset" => args.dataset = value("--dataset")?,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--seed: {e}")))?;
-            }
-            "--batch" => {
-                args.batch = value("--batch")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--batch: {e}")))?;
-            }
-            "--timeout-ms" => {
-                args.timeout_ms = value("--timeout-ms")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--timeout-ms: {e}")))?;
-            }
-            "--max-inflight" => {
-                args.max_inflight = value("--max-inflight")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--max-inflight: {e}")))?;
-            }
-            "--max-queue" => {
-                args.max_queue = value("--max-queue")?
-                    .parse()
-                    .map_err(|e| ParseError(format!("--max-queue: {e}")))?;
-            }
-            "--metrics-addr" => {
-                args.metrics_addr = Some(
-                    value("--metrics-addr")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--metrics-addr: {e}")))?,
-                );
-            }
-            "--help" | "-h" => return Err(ParseError(String::new())),
-            other => return Err(ParseError(format!("unknown flag: {other}"))),
+    let mut flags = Flags::new(&argv);
+    while let Some(name) = flags.next_flag()? {
+        match name {
+            "addr" => args.addr = flags.value()?.parse("address")?,
+            "worker-addr" => args.worker_addr = flags.value()?.parse("worker address")?,
+            "dataset" => args.dataset = flags.value()?.string(),
+            "seed" => args.seed = flags.value()?.parse("seed")?,
+            "batch" => args.batch = flags.value()?.parse("batch size")?,
+            "timeout-ms" => args.timeout_ms = flags.value()?.parse("timeout")?,
+            "max-inflight" => args.max_inflight = flags.value()?.parse("inflight cap")?,
+            "max-queue" => args.max_queue = flags.value()?.parse("queue cap")?,
+            "metrics-addr" => args.metrics_addr = Some(flags.value()?.parse("metrics address")?),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(args)
@@ -125,15 +89,7 @@ fn parse_args<I: Iterator<Item = String>>(mut it: I) -> Result<Args, ParseError>
 fn main() -> ExitCode {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
-        Err(ParseError(msg)) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("rck_gate: {msg}");
-            eprint!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(refusal) => return refusal.exit(USAGE),
     };
 
     let Some(profile) = rck_pdb::datasets::by_name(&args.dataset) else {

@@ -284,8 +284,10 @@ fn rankings_bit_identical(got: &[(u32, f64)], want: &[(u32, f64)]) -> bool {
             .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
 }
 
-/// SplitMix64 — the same independent-stream derivation the serve chaos
-/// harness uses, duplicated because its copy is private to that module.
+/// SplitMix64 over `seed + (stream + 1) · φ`. Not the mix of
+/// `rck_serve::chaos::subseed` (that one xors the stream in, without the
+/// offset): switching would re-derive every gate plan and change every
+/// gate line of the chaos report, so the two stay apart.
 fn subseed(seed: u64, stream: u64) -> u64 {
     let mut z = seed
         .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))

@@ -62,14 +62,12 @@
 
 pub mod chaos;
 pub mod client;
-pub mod fanout;
 pub mod pool;
 pub mod sched;
 pub mod session;
 pub mod stats;
 
 pub use client::{GateClient, QueryEvent, QueryOutcome};
-pub use fanout::FanoutClient;
 pub use stats::{GateSnapshot, GateStats};
 
 use rck_pdb::model::CaChain;
@@ -544,23 +542,18 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     // misses are expanded into scheduled batches.
     let store = shared.store.lock_recover().clone();
     let content_hash = chain_content_hash(&q.chain);
-    let mut done: HashSet<(u32, u32, u8)> = HashSet::new();
-    let mut outcomes: Vec<PairOutcome> = Vec::with_capacity(jobs.len());
-    let mut misses: Vec<PairJob> = Vec::new();
-    if let Some(binding) = &store {
-        for job in &jobs {
-            let key = binding.key_for(binding.hash_of(job.i as usize), content_hash, job.method);
-            match binding.lookup_key(&key, job.i, job.j, job.method) {
-                Some(o) => {
-                    done.insert((o.i, o.j, job.method.code()));
-                    outcomes.push(o);
-                }
-                None => misses.push(*job),
-            }
-        }
-    } else {
-        misses.clone_from(&jobs);
-    }
+    let (outcomes, misses) = match &store {
+        // `job.j` is the query's virtual index: its half of the key is
+        // the query's content hash, not one of the binding's.
+        Some(binding) => binding.split_by(&jobs, |job| {
+            binding.key_for(binding.hash_of(job.i as usize), content_hash, job.method)
+        }),
+        None => (Vec::new(), jobs.clone()),
+    };
+    let done: HashSet<(u32, u32, u8)> = outcomes
+        .iter()
+        .map(|o| (o.i, o.j, o.method.code()))
+        .collect();
 
     if misses.is_empty() {
         // Every pair was store-resident: the query never touches a

@@ -8,6 +8,12 @@
 //! The residency rows check the chain tables under the same faults: a
 //! chain crosses a connection once, a connection that lost a table is
 //! never used again, and a replacement connection starts from nothing.
+//!
+//! The peer-session rows put a real worker (`run_worker_conn`, the one
+//! `dispatch::Session`) in the scripted worker's place: its heartbeats
+//! must carry a batch that computes for longer than the heartbeat
+//! timeout, and its "go silent" switch must be caught by the deadline
+//! rule, not by connection loss.
 
 use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
 use rck_pdb::datasets::tiny_profile;
@@ -52,6 +58,17 @@ enum Fault {
     /// Answers the first batch, then dies holding the second; an
     /// inspected replacement takes over.
     ReplacedMidRun,
+}
+
+/// Faults injected into a real worker's session.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SessionFault {
+    /// Every batch takes longer than the heartbeat timeout; only the
+    /// session's heartbeats keep the worker alive.
+    Slow,
+    /// Takes a batch and goes silent — no reply, no heartbeat,
+    /// connection left open.
+    Silent,
 }
 
 #[derive(Debug)]
@@ -312,12 +329,60 @@ fn spawn_healthy(farm: &Farm) -> std::thread::JoinHandle<()> {
     })
 }
 
-fn run_case(tier: Tier, fault: Fault) {
-    let case = format!("{tier:?}/{fault:?}");
-    let farm = match tier {
+fn boot(tier: Tier) -> Farm {
+    match tier {
         Tier::Master => boot_master(),
         Tier::Gate => boot_gate(),
-    };
+    }
+}
+
+/// The peer-session rows: a real worker under an injected fault.
+fn run_session_case(tier: Tier, fault: SessionFault) {
+    let case = &format!("{tier:?}/{fault:?}");
+    let farm = boot(tier);
+    let connected = Instant::now();
+    let conn = farm.workers.connect().expect("worker connect");
+    let worker = std::thread::spawn(move || {
+        let mut cfg = WorkerConfig::connect_to(SocketAddr::from(([127, 0, 0, 1], 0)));
+        cfg.heartbeat_interval = Duration::from_millis(40);
+        match fault {
+            SessionFault::Slow => cfg.slow_per_batch = Some(HEARTBEAT_TIMEOUT.mul_f64(1.5)),
+            SessionFault::Silent => cfg.hang_after_batches = Some(0),
+        }
+        run_worker_conn(conn, &cfg)
+    });
+    let silent = fault == SessionFault::Silent;
+    let mut healthy = None;
+    if silent {
+        wait_for(&farm, HEARTBEAT_TIMEOUT + SLACK, case, |c| c.requeued > 0);
+        let waited = connected.elapsed();
+        assert!(
+            waited >= HEARTBEAT_TIMEOUT.mul_f64(0.9),
+            "{case}: requeued after {waited:?}: by connection loss, not the deadline"
+        );
+        healthy = Some(spawn_healthy(&farm));
+    }
+    wait_for(&farm, Duration::from_secs(20), case, |c| {
+        c.completed == farm.total_jobs
+    });
+    let c = (farm.counters)();
+    assert_eq!(c.workers_lost, u64::from(silent), "{case}: {c:?}");
+    assert_eq!(c.requeued > 0, silent, "{case}: {c:?}");
+    (farm.finish)();
+    // With nothing requeued and nobody lost, the slow worker (the only
+    // one) served the whole run; how its session ends is the tier's
+    // business (the gate's stop may close it before a Shutdown frame).
+    let report = worker.join().expect("worker thread");
+    if let Some(healthy) = healthy {
+        let report = report.expect("a silent session ends when its connection does");
+        assert!(report.failed_by_injection, "{case}");
+        healthy.join().expect("healthy worker thread");
+    }
+}
+
+fn run_case(tier: Tier, fault: Fault) {
+    let case = format!("{tier:?}/{fault:?}");
+    let farm = boot(tier);
     let mut w = Scripted::connect(&farm, "scripted");
     let first = w.read_batch().expect("first batch dispatched");
     let dispatched = Instant::now();
@@ -472,6 +537,9 @@ fn fault_table_holds_for_both_work_sources() {
             Fault::ReplacedMidRun,
         ] {
             run_case(tier, fault);
+        }
+        for fault in [SessionFault::Slow, SessionFault::Silent] {
+            run_session_case(tier, fault);
         }
     }
 }

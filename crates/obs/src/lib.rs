@@ -30,17 +30,6 @@
 //! let dump = reg.render();
 //! assert!(dump.contains("rck_demo_jobs_total 3"));
 //! ```
-//!
-//! Timing a block of code into a histogram:
-//!
-//! ```
-//! use rck_obs::{Histogram, time_span, DEFAULT_LATENCY_BOUNDS};
-//!
-//! let hist = Histogram::new(DEFAULT_LATENCY_BOUNDS);
-//! let answer = time_span!(hist, { 2 + 2 });
-//! assert_eq!(answer, 4);
-//! assert_eq!(hist.snapshot().count, 1);
-//! ```
 
 #![warn(missing_docs)]
 
@@ -50,89 +39,6 @@ pub mod registry;
 
 pub use export::{render_all, spawn_dump_server};
 pub use metric::{
-    nearest_rank, percentile, Counter, Gauge, Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS,
+    percentile, Counter, Gauge, Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS,
 };
 pub use registry::Registry;
-
-use std::time::Instant;
-
-/// Times a region of code from construction to drop, observing the
-/// elapsed seconds into a [`Histogram`] — the guard form of
-/// [`time_span!`], for regions with early returns.
-///
-/// ```
-/// use rck_obs::{Histogram, SpanTimer, DEFAULT_LATENCY_BOUNDS};
-///
-/// let hist = Histogram::new(DEFAULT_LATENCY_BOUNDS);
-/// {
-///     let _span = SpanTimer::start(&hist);
-///     // ... work ...
-/// } // observed here
-/// assert_eq!(hist.snapshot().count, 1);
-/// ```
-#[derive(Debug)]
-pub struct SpanTimer<'a> {
-    hist: &'a Histogram,
-    start: Instant,
-}
-
-impl<'a> SpanTimer<'a> {
-    /// Start timing; the elapsed time is observed when the guard drops.
-    pub fn start(hist: &'a Histogram) -> SpanTimer<'a> {
-        SpanTimer {
-            hist,
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        self.hist.observe(self.start.elapsed().as_secs_f64());
-    }
-}
-
-/// Evaluate an expression, observing its wall-clock duration (seconds)
-/// into the given [`Histogram`]; yields the expression's value.
-///
-/// ```
-/// use rck_obs::{time_span, Histogram};
-///
-/// let hist = Histogram::new(&[0.5, 1.0]);
-/// let v = time_span!(hist, 40 + 2);
-/// assert_eq!(v, 42);
-/// assert_eq!(hist.snapshot().count, 1);
-/// ```
-#[macro_export]
-macro_rules! time_span {
-    ($hist:expr, $body:expr) => {{
-        let __rck_obs_start = ::std::time::Instant::now();
-        let __rck_obs_out = $body;
-        $hist.observe(__rck_obs_start.elapsed().as_secs_f64());
-        __rck_obs_out
-    }};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn span_timer_observes_on_drop() {
-        let hist = Histogram::new(DEFAULT_LATENCY_BOUNDS);
-        {
-            let _span = SpanTimer::start(&hist);
-        }
-        let snap = hist.snapshot();
-        assert_eq!(snap.count, 1);
-        assert!(snap.sum >= 0.0);
-    }
-
-    #[test]
-    fn time_span_macro_passes_value_through() {
-        let hist = Histogram::new(&[1.0]);
-        let got = time_span!(hist, "value");
-        assert_eq!(got, "value");
-        assert_eq!(hist.snapshot().count, 1);
-    }
-}

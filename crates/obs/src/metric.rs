@@ -96,7 +96,7 @@ impl Gauge {
 /// stats previously carried that bug; the logic now lives here once.
 ///
 /// ```
-/// use rck_obs::nearest_rank;
+/// use rck_obs::metric::nearest_rank;
 ///
 /// assert_eq!(nearest_rank(1, 50.0), 1);  // a single sample is every percentile
 /// assert_eq!(nearest_rank(2, 50.0), 1);  // median of two = first, not second

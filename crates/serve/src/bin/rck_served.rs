@@ -20,6 +20,7 @@
 use rck_obs::{spawn_dump_server, Registry};
 use rck_pdb::datasets;
 use rck_serve::{signal, Master, MasterConfig};
+use rckalign::cli::{Flags, ParseError};
 use rckalign::JobOrdering;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -38,9 +39,6 @@ Defaults: --addr 127.0.0.1:0 (prints the picked port), --dataset TINY8,
 ";
 
 #[derive(Debug, PartialEq)]
-struct ParseError(String);
-
-#[derive(Debug, PartialEq)]
 struct Options {
     dataset: String,
     seed: u64,
@@ -54,55 +52,18 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut seed = 2013u64;
     let mut ordering = "lpt".to_string();
     let mut metrics_addr = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let name = a
-            .strip_prefix("--")
-            .ok_or_else(|| ParseError(format!("unexpected argument {a}")))?;
-        let value = it
-            .next()
-            .ok_or_else(|| ParseError(format!("--{name} needs a value")))?;
+    let mut flags = Flags::new(args);
+    while let Some(name) = flags.next_flag()? {
         match name {
-            "addr" => {
-                cfg.addr = value
-                    .parse::<SocketAddr>()
-                    .map_err(|_| ParseError(format!("bad address {value}")))?;
-            }
-            "dataset" => dataset = value.clone(),
-            "seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad seed {value}")))?;
-            }
-            "batch" => {
-                cfg.batch_size = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad batch size {value}")))?;
-            }
-            "ordering" => ordering = value.clone(),
-            "timeout-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad timeout {value}")))?;
-                cfg.heartbeat_timeout = std::time::Duration::from_millis(ms);
-            }
-            "min-workers" => {
-                cfg.min_workers = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad worker count {value}")))?;
-            }
-            "metrics-addr" => {
-                metrics_addr = Some(
-                    value
-                        .parse::<SocketAddr>()
-                        .map_err(|_| ParseError(format!("bad metrics address {value}")))?,
-                );
-            }
-            other => return Err(ParseError(format!("unknown flag --{other}"))),
+            "addr" => cfg.addr = flags.value()?.parse("address")?,
+            "dataset" => dataset = flags.value()?.string(),
+            "seed" => seed = flags.value()?.parse("seed")?,
+            "batch" => cfg.batch_size = flags.value()?.in_range(1.., "batch size")?,
+            "ordering" => ordering = flags.value()?.string(),
+            "timeout-ms" => cfg.heartbeat_timeout = flags.value()?.millis("timeout")?,
+            "min-workers" => cfg.min_workers = flags.value()?.parse("worker count")?,
+            "metrics-addr" => metrics_addr = Some(flags.value()?.parse("metrics address")?),
+            _ => return Err(flags.unknown()),
         }
     }
     // Resolved after the loop so `--ordering shuffle --seed N` works in
@@ -184,10 +145,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Err(ParseError(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(refusal) => refusal.exit(USAGE),
     }
 }
 

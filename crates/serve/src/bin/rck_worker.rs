@@ -12,6 +12,7 @@
 //! summary with per-lane job counts.
 
 use rck_serve::{run_worker_with_backoff, BackoffPolicy, WorkerConfig};
+use rckalign::cli::{Flags, ParseError};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -27,56 +28,23 @@ Defaults: --name worker, --heartbeat-ms 100, --threads 1, --retry-for 30.
 --retry-for 0 fails immediately when the master is unreachable.
 ";
 
-#[derive(Debug, PartialEq)]
-struct ParseError(String);
-
 fn parse_args(args: &[String]) -> Result<(WorkerConfig, BackoffPolicy), ParseError> {
     let mut addr: Option<SocketAddr> = None;
     let mut name = "worker".to_string();
     let mut heartbeat = Duration::from_millis(100);
     let mut threads = 1usize;
     let mut policy = BackoffPolicy::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let flag = a
-            .strip_prefix("--")
-            .ok_or_else(|| ParseError(format!("unexpected argument {a}")))?;
-        let value = it
-            .next()
-            .ok_or_else(|| ParseError(format!("--{flag} needs a value")))?;
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag()? {
         match flag {
-            "addr" => {
-                addr = Some(
-                    value
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad address {value}")))?,
-                );
-            }
-            "name" => name = value.clone(),
-            "heartbeat-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad heartbeat interval {value}")))?;
-                heartbeat = Duration::from_millis(ms);
-            }
-            "threads" => {
-                threads = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| (1..=256).contains(&n))
-                    .ok_or_else(|| {
-                        ParseError(format!("bad thread count {value} (want 1..=256)"))
-                    })?;
-            }
+            "addr" => addr = Some(flags.value()?.parse("address")?),
+            "name" => name = flags.value()?.string(),
+            "heartbeat-ms" => heartbeat = flags.value()?.millis("heartbeat interval")?,
+            "threads" => threads = flags.value()?.in_range(1..=256, "thread count")?,
             "retry-for" => {
-                let secs: u64 = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad retry budget {value}")))?;
-                policy.total = Duration::from_secs(secs);
+                policy.total = Duration::from_secs(flags.value()?.parse("retry budget")?);
             }
-            other => return Err(ParseError(format!("unknown flag --{other}"))),
+            _ => return Err(flags.unknown()),
         }
     }
     let addr = addr.ok_or_else(|| ParseError("--addr is required".into()))?;
@@ -91,10 +59,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cfg, policy) = match parse_args(&args) {
         Ok(parsed) => parsed,
-        Err(ParseError(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(refusal) => return refusal.exit(USAGE),
     };
     match run_worker_with_backoff(&cfg, &policy) {
         Ok(report) => {

@@ -417,8 +417,10 @@ pub struct ScenarioPlan {
     pub expect_complete: bool,
 }
 
-fn subseed(seed: u64, tag: u64) -> u64 {
-    // splitmix-style mixing, matching the compat RNG's spirit.
+/// An independent seed stream per `tag` of one scenario seed
+/// (splitmix-style mixing); the shard harness derives its plans the same
+/// way.
+pub fn subseed(seed: u64, tag: u64) -> u64 {
     let mut z = seed ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

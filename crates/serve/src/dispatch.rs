@@ -9,6 +9,10 @@
 //!   granted_at + cap)`;
 //! * [`handshake`] / [`hello`] — the Hello/Welcome/version exchange,
 //!   server and client side;
+//! * [`Session`] — the client half of a connection, the mirror of
+//!   [`serve_worker`]: Hello, the shared write half, the parked heartbeat
+//!   thread and its progress counter, byte accounting; the worker and the
+//!   shard master are frame handlers over it;
 //! * [`monitor_deadlines`] — the deadline monitor, parked on the
 //!   dispatcher's condvar so a finished or aborted run wakes it at once;
 //! * [`serve_worker`] — the JobBatch/ResultBatch connection loop
@@ -29,16 +33,19 @@
 //! drops the worker), and the policy deduplicates per pair.
 
 use crate::proto::{
-    self, answers_exactly, Frame, Hello, JobBatch, Resident, ResultBatch, Welcome, PROTOCOL_VERSION,
+    self, answers_exactly, Frame, FrameError, Heartbeat, Hello, JobBatch, Resident, ResultBatch,
+    Welcome, PROTOCOL_VERSION,
 };
 use crate::sync::MutexExt;
-use crate::transport::Conn;
+use crate::transport::{Conn, Listener};
 use rck_pdb::model::CaChain;
 use rckalign::{PairJob, PairOutcome};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::io;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// One unit out on an owner.
@@ -259,13 +266,13 @@ pub trait WorkSource: Sync {
     fn observe(&self, event: Event<'_>);
 }
 
-/// Best-effort framed write behind a shared writer mutex.
-pub fn send(writer: &Mutex<Box<dyn Conn>>, frame: &Frame) -> io::Result<()> {
+/// Framed write behind a shared writer mutex; returns the bytes written.
+pub fn send(writer: &Mutex<Box<dyn Conn>>, frame: &Frame) -> io::Result<usize> {
     let mut w = writer.lock_recover();
     // The write half is shared between threads by design; frames must
     // not interleave mid-write.
     // rck-lint: allow(lock_across_io)
-    proto::write_frame(&mut *w, frame).map(|_| ())
+    proto::write_frame(&mut *w, frame)
 }
 
 /// Server side of Hello/Welcome: read the peer's Hello, check the
@@ -323,6 +330,120 @@ pub fn hello(conn: &mut Box<dyn Conn>, name: &str) -> io::Result<(Welcome, usize
             io::ErrorKind::InvalidData,
             "expected Welcome after Hello",
         )),
+    }
+}
+
+/// What a [`Session`] shares with its heartbeat thread.
+struct Link {
+    writer: Mutex<Box<dyn Conn>>,
+    progress: AtomicU64,
+    bytes_tx: AtomicU64,
+    bytes_rx: AtomicU64,
+    silent: AtomicBool,
+}
+
+impl Link {
+    fn send(&self, frame: &Frame) -> io::Result<()> {
+        let n = send(&self.writer, frame)?;
+        self.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// The client half of a dispatcher connection: what a peer of
+/// [`serve_worker`] (or of the shard frontend) owns besides its frame
+/// handler. [`Session::open`] says Hello and starts a heartbeat thread
+/// that reports the session's progress counter every `interval` over a
+/// write half shared with [`Session::send`]. The thread is parked, not
+/// asleep, so [`Session::close`] ends the session at once. Reads stay
+/// with the caller's own handle of the connection.
+pub struct Session {
+    id: u32,
+    link: Arc<Link>,
+    heartbeat: JoinHandle<()>,
+}
+
+impl Session {
+    /// Handshake as `name` over `conn` and start heartbeating.
+    pub fn open(conn: &mut Box<dyn Conn>, name: &str, interval: Duration) -> io::Result<Session> {
+        let (Welcome { worker_id: id, .. }, tx, rx) = hello(conn, name)?;
+        let link = Arc::new(Link {
+            writer: Mutex::new(conn.try_clone()?),
+            progress: AtomicU64::new(0),
+            bytes_tx: AtomicU64::new(tx as u64),
+            bytes_rx: AtomicU64::new(rx as u64),
+            silent: AtomicBool::new(false),
+        });
+        let heartbeat = {
+            let link = Arc::clone(&link);
+            std::thread::spawn(move || loop {
+                std::thread::park_timeout(interval);
+                if link.silent.load(Ordering::Relaxed) {
+                    break;
+                }
+                let beat = Frame::Heartbeat(Heartbeat {
+                    worker_id: id,
+                    completed: link.progress.load(Ordering::Relaxed),
+                });
+                if link.send(&beat).is_err() {
+                    break; // peer gone; the reader notices too
+                }
+            })
+        };
+        Ok(Session {
+            id,
+            link,
+            heartbeat,
+        })
+    }
+
+    /// The id the dispatcher assigned in its Welcome.
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    /// Write one frame on the shared write half.
+    pub fn send(&self, frame: &Frame) -> io::Result<()> {
+        self.link.send(frame)
+    }
+
+    /// Read the next frame from the caller's handle of the connection.
+    pub fn read(&self, conn: &mut Box<dyn Conn>) -> Result<Frame, FrameError> {
+        let (frame, n) = proto::read_frame(conn)?;
+        self.link.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
+        Ok(frame)
+    }
+
+    /// Add `n` to the progress the heartbeats report; returns the total.
+    pub fn advance(&self, n: u64) -> u64 {
+        self.link.progress.fetch_add(n, Ordering::Relaxed) + n
+    }
+
+    /// Units completed so far.
+    pub fn progress(&self) -> u64 {
+        self.link.progress.load(Ordering::Relaxed)
+    }
+
+    /// Stop heartbeating with the connection left open, so only the
+    /// dispatcher's deadline rule can notice (the hang hook).
+    pub fn go_silent(&self) {
+        self.link.silent.store(true, Ordering::Relaxed);
+        self.heartbeat.thread().unpark();
+    }
+
+    /// Tear the connection down from any thread; the caller's pending
+    /// read returns (the crash hook).
+    pub fn shutdown(&self) {
+        self.link.writer.lock_recover().shutdown();
+    }
+
+    /// End the session: wake and join the heartbeat thread. Returns the
+    /// bytes written and read over the session's life.
+    pub fn close(self) -> (u64, u64) {
+        self.go_silent();
+        let _ = self.heartbeat.join();
+        let (tx, rx) = (&self.link.bytes_tx, &self.link.bytes_rx);
+        (tx.load(Ordering::Relaxed), rx.load(Ordering::Relaxed))
     }
 }
 
@@ -384,6 +505,28 @@ pub fn monitor_workers<S: WorkSource>(src: &S) {
             state
         },
     );
+}
+
+/// The accept loop of a tier with one listener: until `done`, hand every
+/// new connection to `serve` on a thread of its own. Returns the handler
+/// threads for the caller to join.
+pub fn accept_until(
+    listener: &dyn Listener,
+    done: impl Fn() -> bool,
+    serve: impl Fn(Box<dyn Conn>) + Send + Sync + 'static,
+) -> io::Result<Vec<JoinHandle<()>>> {
+    let serve = Arc::new(serve);
+    let mut handlers = Vec::new();
+    while !done() {
+        match listener.poll_accept()? {
+            Some(conn) => {
+                let serve = Arc::clone(&serve);
+                handlers.push(std::thread::spawn(move || serve(conn)));
+            }
+            None => std::thread::sleep(Duration::from_millis(2)),
+        }
+    }
+    Ok(handlers)
 }
 
 /// What became of one dispatched batch.

@@ -62,11 +62,11 @@ pub mod sync;
 pub mod transport;
 pub mod worker;
 
-pub use chaos::{run_scenario, FaultPlan, FaultProfile, ScenarioPlan, ScenarioResult, Verdict};
+pub use chaos::{run_scenario, FaultPlan, FaultProfile, ScenarioPlan, ScenarioResult};
 pub use master::{AbortHandle, FeedHandle, Master, MasterConfig, ServeRun, TileDone};
 pub use proto::{
-    Frame, FrameCodec, FrameError, QueryDone, QueryPartial, QueryReject, QuerySubmit, StealRequest,
-    TileGrant, TileResult, PROTOCOL_VERSION,
+    Frame, FrameError, QueryDone, QueryPartial, QueryReject, QuerySubmit, StealRequest, TileGrant,
+    TileResult, PROTOCOL_VERSION,
 };
 pub use stats::{ServeStats, StatsSnapshot};
 pub use sync::MutexExt;

@@ -126,6 +126,10 @@ struct Work {
     tile_of: HashMap<(u32, u32), u32>,
     /// Feed mode: per-tile completion progress.
     tiles: HashMap<u32, TileProgress>,
+    /// Feed mode: completed tiles are streamed here as soon as their
+    /// last pair is accepted. `None` in classic mode, and once the
+    /// [`Master`] is gone — the receiver then sees the disconnect.
+    tile_tx: Option<mpsc::Sender<TileDone>>,
 }
 
 impl Work {
@@ -133,6 +137,21 @@ impl Work {
         if !self.accepting && self.done.len() == self.total_pairs {
             self.finished = true;
         }
+    }
+
+    /// Stream a finished tile out: one [`TileDone`] per grant still
+    /// waiting on it, each carrying the complete outcome set — a
+    /// re-granted tile answers every grant (the frontend deduplicates).
+    fn emit_tile(&self, tile_id: u32, mut outcomes: Vec<PairOutcome>, grants: usize) {
+        let Some(tx) = &self.tile_tx else { return };
+        outcomes.sort_by_key(|o| (o.i, o.j));
+        for _ in 1..grants {
+            let _ = tx.send(TileDone {
+                tile_id,
+                outcomes: outcomes.clone(),
+            });
+        }
+        let _ = tx.send(TileDone { tile_id, outcomes });
     }
 }
 
@@ -157,9 +176,6 @@ struct Shared {
     /// consulted before dispatch (stored pairs never reach the queue)
     /// and appended to after assembly.
     store: Mutex<Option<Arc<StoreBinding>>>,
-    /// Feed mode: completed tiles are streamed here as soon as their
-    /// last pair is accepted. `None` in classic mode.
-    tile_tx: Option<mpsc::Sender<TileDone>>,
 }
 
 impl Shared {
@@ -184,6 +200,7 @@ impl Shared {
                 accepting,
                 tile_of: HashMap::new(),
                 tiles: HashMap::new(),
+                tile_tx,
             }),
             available: Condvar::new(),
             chains: Mutex::new(chains),
@@ -192,26 +209,7 @@ impl Shared {
             aborted: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             store: Mutex::new(None),
-            tile_tx,
         })
-    }
-
-    /// Stream a finished tile out: one [`TileDone`] per grant still
-    /// waiting on it, each carrying the complete outcome set — a
-    /// re-granted tile answers every grant (the frontend deduplicates).
-    fn emit_tile(&self, tile_id: u32, mut progress: TileProgress) {
-        let Some(tx) = &self.tile_tx else { return };
-        progress.outcomes.sort_by_key(|o| (o.i, o.j));
-        for _ in 1..progress.pending_grants {
-            let _ = tx.send(TileDone {
-                tile_id,
-                outcomes: progress.outcomes.clone(),
-            });
-        }
-        let _ = tx.send(TileDone {
-            tile_id,
-            outcomes: progress.outcomes,
-        });
     }
 }
 
@@ -294,8 +292,8 @@ impl WorkSource for Shared {
             progress.outcomes.push(o);
             progress.remaining -= 1;
             if progress.remaining == 0 {
-                if let Some(progress) = work.tiles.remove(&tile_id) {
-                    self.emit_tile(tile_id, progress);
+                if let Some(p) = work.tiles.remove(&tile_id) {
+                    work.emit_tile(tile_id, p.outcomes, p.pending_grants);
                 }
             }
         }
@@ -332,6 +330,14 @@ impl WorkSource for Shared {
 pub struct Master {
     listener: Box<dyn Listener>,
     shared: Arc<Shared>,
+}
+
+/// The end of the farm, on every path out of [`Master::run`]: a feed's
+/// [`TileDone`] receiver drains what was streamed and then disconnects.
+impl Drop for Master {
+    fn drop(&mut self) {
+        self.shared.work.lock_recover().tile_tx = None;
+    }
 }
 
 /// Cancels a running [`Master`] from another thread: the run stops
@@ -436,7 +442,7 @@ impl FeedHandle {
         for batch in batch_jobs(&fresh, self.shared.cfg.batch_size.max(1)) {
             work.queue.push_back(batch);
         }
-        let done_now = if resubmitted {
+        if resubmitted {
             // The in-flight progress already holds every accepted
             // outcome of this tile; record one more grant to answer and
             // fold in any genuinely new jobs.
@@ -444,12 +450,9 @@ impl FeedHandle {
                 p.remaining += fresh.len();
                 p.pending_grants += 1;
             }
-            None
         } else if fresh.is_empty() {
-            // Fully answered from already-accepted outcomes: complete now
-            // (the send happens after the guard drops).
-            answered.sort_by_key(|o| (o.i, o.j));
-            Some(answered)
+            // Fully answered from already-accepted outcomes: complete now.
+            work.emit_tile(tile_id, answered, 1);
         } else {
             work.tiles.insert(
                 tile_id,
@@ -459,14 +462,8 @@ impl FeedHandle {
                     pending_grants: 1,
                 },
             );
-            None
-        };
-        drop(work);
-        if let Some(outcomes) = done_now {
-            if let Some(tx) = &self.shared.tile_tx {
-                let _ = tx.send(TileDone { tile_id, outcomes });
-            }
         }
+        drop(work);
         self.shared.available.notify_all();
         Ok(())
     }
@@ -552,17 +549,12 @@ impl Master {
                 .into_iter()
                 .flatten()
                 .collect();
-            let mut misses = Vec::with_capacity(staged.len());
-            for job in staged {
-                match binding.lookup(&job) {
-                    Some(outcome) => {
-                        if !work.done.contains_key(&(job.i, job.j)) {
-                            let ix = work.outcomes.len();
-                            work.done.insert((job.i, job.j), ix);
-                            work.outcomes.push(outcome);
-                        }
-                    }
-                    None => misses.push(job),
+            let (hits, misses) = binding.split(&staged);
+            for outcome in hits {
+                if !work.done.contains_key(&(outcome.i, outcome.j)) {
+                    let ix = work.outcomes.len();
+                    work.done.insert((outcome.i, outcome.j), ix);
+                    work.outcomes.push(outcome);
                 }
             }
             if !misses.is_empty() {
@@ -606,24 +598,12 @@ impl Master {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || dispatch::monitor_workers(&*shared))
         };
-        let mut handlers = Vec::new();
-        loop {
-            if dispatch::settled(&*self.shared, &mut self.shared.work.lock_recover()) {
-                break;
-            }
-            match self.listener.poll_accept() {
-                Ok(Some(conn)) => {
-                    let shared = Arc::clone(&self.shared);
-                    handlers.push(std::thread::spawn(move || {
-                        dispatch::serve_worker(&*shared, conn)
-                    }));
-                }
-                Ok(None) => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let shared = Arc::clone(&self.shared);
+        let handlers = dispatch::accept_until(
+            &*self.listener,
+            || dispatch::settled(&*self.shared, &mut self.shared.work.lock_recover()),
+            move |conn| dispatch::serve_worker(&*shared, conn),
+        )?;
         self.shared.available.notify_all();
         if monitor.join().is_err() {
             return Err(io::Error::other("deadline monitor thread panicked"));
@@ -642,20 +622,9 @@ impl Master {
         let mut outcomes = std::mem::take(&mut work.outcomes);
         drop(work);
         outcomes.sort_by_key(|o| (o.i, o.j));
-        let guard = self.shared.store.lock_recover();
-        let binding = guard.clone();
-        drop(guard);
+        let binding = self.shared.store.lock_recover().clone();
         if let Some(binding) = binding {
-            // Append what the farm computed; store-satisfied pairs are
-            // skipped by the store's own idempotence.
-            for o in &outcomes {
-                binding.record(o);
-            }
-            binding.with_store(|s| {
-                if let Err(e) = s.flush() {
-                    eprintln!("[rck-serve] store flush failed: {e}");
-                }
-            });
+            binding.absorb(&outcomes, Shared::TAG);
         }
         // Size the matrix to the highest chain index held: the dataset in
         // batch mode, the corner of it a feed was granted.

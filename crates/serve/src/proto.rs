@@ -38,6 +38,7 @@ use rck_pdb::geometry::Vec3;
 use rck_pdb::model::{AminoAcid, CaChain};
 use rck_rcce::{DecodeError, Reader, Writer};
 use rck_tmalign::MethodKind;
+use rckalign::jobs::{get_job, get_outcome, put_job, put_outcome};
 use rckalign::{PairJob, PairOutcome};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -373,19 +374,6 @@ fn get_chain(r: &mut Reader) -> Result<CaChain, DecodeError> {
     Ok(CaChain { name, seq, coords })
 }
 
-fn put_job(w: &mut Writer, job: &PairJob) {
-    w.put_u32(job.i).put_u32(job.j).put_u8(job.method.code());
-}
-
-fn get_job(r: &mut Reader) -> Result<PairJob, DecodeError> {
-    let i = r.get_u32()?;
-    let j = r.get_u32()?;
-    let method = MethodKind::from_code(r.get_u8()?).ok_or(DecodeError {
-        what: "method code",
-    })?;
-    Ok(PairJob { i, j, method })
-}
-
 /// The shared body of kinds 3 and 11: chain table, then jobs.
 fn put_work(w: &mut Writer, chains: &[(u32, Arc<CaChain>)], jobs: &[PairJob]) {
     w.put_u32(chains.len() as u32);
@@ -419,16 +407,6 @@ fn get_work(r: &mut Reader) -> Result<(ChainTable, Vec<PairJob>), DecodeError> {
     Ok((chains, jobs))
 }
 
-fn put_outcome(w: &mut Writer, o: &PairOutcome) {
-    w.put_u32(o.i)
-        .put_u32(o.j)
-        .put_u8(o.method.code())
-        .put_f64(o.similarity)
-        .put_f64(o.rmsd)
-        .put_u32(o.aligned_len)
-        .put_u64(o.ops);
-}
-
 /// The shared tail of kinds 4, 8 and 12: a counted outcome list.
 fn put_outcomes(w: &mut Writer, outcomes: &[PairOutcome]) {
     w.put_u32(outcomes.len() as u32);
@@ -446,20 +424,6 @@ fn get_outcomes(r: &mut Reader) -> Result<Vec<PairOutcome>, DecodeError> {
         });
     }
     (0..n).map(|_| get_outcome(r)).collect()
-}
-
-fn get_outcome(r: &mut Reader) -> Result<PairOutcome, DecodeError> {
-    Ok(PairOutcome {
-        i: r.get_u32()?,
-        j: r.get_u32()?,
-        method: MethodKind::from_code(r.get_u8()?).ok_or(DecodeError {
-            what: "method code",
-        })?,
-        similarity: r.get_f64()?,
-        rmsd: r.get_f64()?,
-        aligned_len: r.get_u32()?,
-        ops: r.get_u64()?,
-    })
 }
 
 fn encode_payload(w: &mut Writer, frame: &Frame) {
@@ -780,73 +744,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
         }
     })?;
     open_payload(&header, payload)
-}
-
-/// Incremental frame decoder for byte streams that arrive in arbitrary
-/// chunks (a socket read rarely lands on a frame boundary).
-///
-/// Feed bytes in as they arrive; pull complete frames out as they become
-/// decodable. Truncation is simply "no frame yet" — only genuinely
-/// malformed input (bad magic, unknown version/kind, oversized payload,
-/// undecodable payload) is an error, after which the stream is out of
-/// frame sync and should be dropped.
-///
-/// ```
-/// use rck_serve::proto::{encode_frame, Frame, FrameCodec};
-///
-/// let bytes = encode_frame(&Frame::Shutdown);
-/// let (head, tail) = bytes.split_at(5); // mid-header split
-///
-/// let mut codec = FrameCodec::new();
-/// codec.feed(head);
-/// assert!(codec.next_frame().unwrap().is_none()); // not enough yet
-/// codec.feed(tail);
-/// assert_eq!(codec.next_frame().unwrap(), Some(Frame::Shutdown));
-/// assert_eq!(codec.next_frame().unwrap(), None); // buffer drained
-/// ```
-#[derive(Debug, Default)]
-pub struct FrameCodec {
-    buf: Vec<u8>,
-    consumed: u64,
-}
-
-impl FrameCodec {
-    /// An empty codec.
-    pub fn new() -> FrameCodec {
-        FrameCodec::default()
-    }
-
-    /// Append received bytes to the internal buffer.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes currently buffered and not yet consumed by a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Total bytes consumed by successfully decoded frames — the wire
-    /// accounting the serve stats report as `rck_bytes_rx_total`.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Decode the next complete frame, if the buffer holds one.
-    ///
-    /// Returns `Ok(None)` while the buffer ends mid-frame; an `Err`
-    /// means the stream is corrupt and cannot be resynchronized.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        match decode_frame(&self.buf) {
-            Ok((frame, used)) => {
-                self.buf.drain(..used);
-                self.consumed += used as u64;
-                Ok(Some(frame))
-            }
-            Err(FrameError::Truncated) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
 }
 
 /// Whether `outcomes` answers exactly the dispatched `jobs` — same
@@ -1248,43 +1145,6 @@ mod tests {
         assert!(matches!(read_frame(&mut empty), Err(FrameError::Closed)));
         let mut torn = std::io::Cursor::new(bytes[..HEADER_LEN - 3].to_vec());
         assert!(matches!(read_frame(&mut torn), Err(FrameError::Truncated)));
-    }
-
-    #[test]
-    fn codec_reassembles_frames_from_arbitrary_chunks() {
-        let frames = vec![
-            Frame::Heartbeat(Heartbeat {
-                worker_id: 1,
-                completed: 2,
-            }),
-            Frame::JobBatch(sample_batch()),
-            Frame::Shutdown,
-        ];
-        let mut wire = Vec::new();
-        for f in &frames {
-            wire.extend_from_slice(&encode_frame(f));
-        }
-        // Feed one byte at a time — worst-case fragmentation.
-        let mut codec = FrameCodec::new();
-        let mut decoded = Vec::new();
-        for &b in &wire {
-            codec.feed(&[b]);
-            while let Some(f) = codec.next_frame().unwrap() {
-                decoded.push(f);
-            }
-        }
-        assert_eq!(decoded, frames);
-        assert_eq!(codec.pending(), 0);
-        assert_eq!(codec.consumed(), wire.len() as u64);
-    }
-
-    #[test]
-    fn codec_surfaces_corruption() {
-        let mut bytes = encode_frame(&Frame::Shutdown);
-        bytes[0] ^= 0xFF;
-        let mut codec = FrameCodec::new();
-        codec.feed(&bytes);
-        assert!(matches!(codec.next_frame(), Err(FrameError::BadMagic(_))));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! ships with the job" rule, paid once) and stays in the session's chain
 //! table until the connection ends, so a worker can join, die, or be
 //! replaced at any point without the master's dataset ever leaving the
-//! master. A background thread emits heartbeats while the main thread
-//! computes, so a long batch never looks like a dead connection.
+//! master. Hello, heartbeats and the shared write half are the one
+//! [`Session`]'s; this module is its batch handler.
 //!
 //! Like the master, the worker runs on the [`crate::transport`] seam:
 //! [`run_worker`] is the TCP entry point, [`run_worker_conn`] serves any
@@ -18,8 +18,8 @@
 //! `MethodKind::instantiate`, `PscMethod::compare` — which is what makes
 //! the service matrix bit-identical to [`rckalign::run_all_vs_all`].
 
-use crate::proto::{self, Frame, Heartbeat};
-use crate::sync::MutexExt;
+use crate::dispatch::Session;
+use crate::proto::{self, Frame};
 use crate::transport::{Conn, TcpConn};
 use rand::{Rng, SeedableRng};
 use rck_obs::{Counter, Registry};
@@ -28,8 +28,7 @@ use rckalign::{PairJob, PairOutcome};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Worker configuration.
@@ -290,53 +289,13 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<WorkerReport> {
 /// [`Conn`], which is how the chaos harness runs scripted sessions over
 /// the in-memory transport.
 pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Result<WorkerReport> {
-    let (welcome, bytes_tx, bytes_rx) = crate::dispatch::hello(&mut stream, &cfg.name)?;
-    let worker_id = welcome.worker_id;
-
-    // Writes come from two threads (results here, heartbeats below), so
-    // the write half lives behind a mutex; reads stay on this thread.
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let stop = Arc::new(AtomicBool::new(false));
-    let completed = Arc::new(AtomicU64::new(0));
-    let hb_bytes = Arc::new(AtomicU64::new(0));
-    let heartbeat = {
-        let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
-        let completed = Arc::clone(&completed);
-        let hb_bytes = Arc::clone(&hb_bytes);
-        let interval = cfg.heartbeat_interval;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                // Parked, not asleep: the session's end unparks this
-                // thread instead of waiting out the interval.
-                std::thread::park_timeout(interval);
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let beat = Frame::Heartbeat(Heartbeat {
-                    worker_id,
-                    completed: completed.load(Ordering::Relaxed),
-                });
-                // The write half is shared with the result path by
-                // design; frames must not interleave mid-write.
-                let mut w = writer.lock_recover();
-                // rck-lint: allow(lock_across_io)
-                match proto::write_frame(&mut *w, &beat) {
-                    Ok(n) => {
-                        hb_bytes.fetch_add(n as u64, Ordering::Relaxed);
-                    }
-                    Err(_) => break, // master gone; main thread notices too
-                }
-            }
-        })
-    };
-
+    let session = Session::open(&mut stream, &cfg.name, cfg.heartbeat_interval)?;
     let mut report = WorkerReport {
-        worker_id,
+        worker_id: session.id(),
         batches_done: 0,
         jobs_done: 0,
-        bytes_tx: bytes_tx as u64,
-        bytes_rx: bytes_rx as u64,
+        bytes_tx: 0,
+        bytes_rx: 0,
         failed_by_injection: false,
     };
     let lane_jobs: Vec<Arc<Counter>> = (0..cfg.threads.max(1))
@@ -348,79 +307,50 @@ pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Res
             )
         })
         .collect();
-    let outcome = serve_loop(
-        cfg,
-        &mut stream,
-        &writer,
-        &stop,
-        &completed,
-        &lane_jobs,
-        &mut report,
-    );
-
-    stop.store(true, Ordering::Relaxed);
-    heartbeat.thread().unpark();
-    let _ = heartbeat.join();
-    report.jobs_done = completed.load(Ordering::Relaxed);
-    report.bytes_tx += hb_bytes.load(Ordering::Relaxed);
+    let outcome = serve_loop(cfg, &mut stream, &session, &lane_jobs, &mut report);
+    report.jobs_done = session.progress();
+    (report.bytes_tx, report.bytes_rx) = session.close();
     outcome.map(|()| report)
 }
 
 /// The batch-serving loop; returns once the master says Shutdown, an
 /// injected fault fires (marked in `report`), or the connection errors.
-#[allow(clippy::too_many_arguments)]
 fn serve_loop(
     cfg: &WorkerConfig,
     stream: &mut Box<dyn Conn>,
-    writer: &Mutex<Box<dyn Conn>>,
-    stop: &AtomicBool,
-    completed: &AtomicU64,
+    session: &Session,
     lane_jobs: &[Arc<Counter>],
     report: &mut WorkerReport,
 ) -> io::Result<()> {
+    let due = |limit: Option<usize>, done: u64| limit.is_some_and(|limit| done >= limit as u64);
     let mut table = HashMap::new();
     loop {
-        let (frame, n) = proto::read_frame(stream)?;
-        report.bytes_rx += n as u64;
-        match frame {
+        match session.read(stream)? {
             Frame::JobBatch(batch) => {
-                if let Some(limit) = cfg.fail_after_batches {
-                    if report.batches_done >= limit as u64 {
-                        // Injected fault: vanish without replying.
-                        stream.shutdown();
-                        report.failed_by_injection = true;
-                        return Ok(());
-                    }
+                if due(cfg.fail_after_batches, report.batches_done) {
+                    // Injected fault: vanish without replying.
+                    stream.shutdown();
+                    report.failed_by_injection = true;
+                    return Ok(());
                 }
-                if let Some(limit) = cfg.hang_after_batches {
-                    if report.batches_done >= limit as u64 {
-                        // Injected fault: go silent with the connection
-                        // open. Stopping the heartbeat thread is what
-                        // makes the master's deadline machinery (not
-                        // connection loss) detect us.
-                        stop.store(true, Ordering::Relaxed);
-                        report.failed_by_injection = true;
-                        while proto::read_frame(stream).is_ok() {}
-                        return Ok(());
-                    }
+                if due(cfg.hang_after_batches, report.batches_done) {
+                    // Injected fault: no replies, no heartbeats, the
+                    // connection left open.
+                    session.go_silent();
+                    report.failed_by_injection = true;
+                    while session.read(stream).is_ok() {}
+                    return Ok(());
                 }
                 if let Some(delay) = cfg.slow_per_batch {
                     std::thread::sleep(delay);
                 }
                 table.extend(batch.chains);
                 let outcomes = compute_batch_lanes(&batch.jobs, &table, cfg.threads, lane_jobs)?;
-                completed.fetch_add(outcomes.len() as u64, Ordering::Relaxed);
-                let reply = Frame::ResultBatch(proto::ResultBatch {
+                session.advance(outcomes.len() as u64);
+                session.send(&Frame::ResultBatch(proto::ResultBatch {
                     batch_id: batch.batch_id,
                     outcomes,
-                });
-                let written = {
-                    // Same shared write half as the heartbeat thread.
-                    let mut w = writer.lock_recover();
-                    // rck-lint: allow(lock_across_io)
-                    proto::write_frame(&mut *w, &reply)
-                };
-                report.bytes_tx += written? as u64;
+                }))?;
                 report.batches_done += 1;
             }
             Frame::Shutdown => return Ok(()),

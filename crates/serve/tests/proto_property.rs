@@ -12,15 +12,68 @@ use rck_pdb::geometry::Vec3;
 use rck_pdb::model::{AminoAcid, CaChain};
 use rck_serve::dispatch::handshake;
 use rck_serve::proto::{
-    decode_frame, encode_frame, Hello, JobBatch, QueryDone, QueryPartial, QueryReject, QuerySubmit,
-    Resident, ResultBatch, Welcome, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
+    decode_frame, encode_frame, read_frame, Hello, JobBatch, QueryDone, QueryPartial, QueryReject,
+    QuerySubmit, Resident, ResultBatch, Welcome, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
 };
-use rck_serve::{Frame, FrameCodec, FrameError, MemNet};
+use rck_serve::{Frame, FrameError, MemNet};
 use rck_tmalign::MethodKind;
 use rckalign::{PairJob, PairOutcome};
 use std::collections::{HashMap, HashSet};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::Arc;
+
+/// A byte stream that hands a reader at most `chunks[k]` bytes on its
+/// k-th read (then whatever is asked) — a socket whose reads rarely
+/// land on a frame boundary.
+struct Chunked<'a> {
+    wire: &'a [u8],
+    chunks: std::vec::IntoIter<usize>,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.chunks.next().unwrap_or(usize::MAX).max(1);
+        let n = chunk.min(buf.len()).min(self.wire.len());
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
+/// Every frame `read_frame` yields from `wire` read in `chunks`, and
+/// the bytes it reports consumed.
+fn read_all(wire: &[u8], chunks: Vec<usize>) -> (Vec<Frame>, usize) {
+    let mut stream = Chunked {
+        wire,
+        chunks: chunks.into_iter(),
+    };
+    let mut frames = Vec::new();
+    let mut consumed = 0;
+    loop {
+        match read_frame(&mut stream) {
+            Ok((frame, n)) => {
+                frames.push(frame);
+                consumed += n;
+            }
+            Err(FrameError::Closed) => return (frames, consumed),
+            Err(e) => panic!("valid stream failed to decode: {e}"),
+        }
+    }
+}
+
+/// Read sizes that cut `len` bytes at the given (unsorted) positions.
+fn chunks_at(splits: &[u64], len: usize) -> Vec<usize> {
+    let mut cuts: Vec<usize> = splits
+        .iter()
+        .map(|s| (s % (len as u64 + 1)) as usize)
+        .collect();
+    cuts.push(0);
+    cuts.sort_unstable();
+    cuts.windows(2)
+        .map(|w| w[1] - w[0])
+        .filter(|&n| n > 0)
+        .collect()
+}
 
 fn method_strategy() -> impl Strategy<Value = MethodKind> {
     (0u8..3).prop_map(|code| MethodKind::from_code(code).expect("valid method code"))
@@ -239,44 +292,16 @@ proptest! {
         frames in prop::collection::vec(query_frame_strategy(), 1..5),
         splits in prop::collection::vec(any::<u64>(), 0..8),
     ) {
-        // The serving tier streams query frames incrementally over
-        // chatty connections; whole-buffer and arbitrarily-chunked
-        // decoding must agree exactly.
+        // The serving tier streams query frames over chatty connections;
+        // whole-buffer and arbitrarily-chunked reads must agree exactly.
         let mut wire = Vec::new();
         for f in &frames {
             wire.extend_from_slice(&encode_frame(f));
         }
 
-        let drain = |codec: &mut FrameCodec| {
-            let mut out = Vec::new();
-            while let Some(f) = codec.next_frame().expect("valid stream") {
-                out.push(f);
-            }
-            out
-        };
-
-        let mut whole = FrameCodec::new();
-        whole.feed(&wire);
-        let whole_frames = drain(&mut whole);
-        prop_assert_eq!(&whole_frames, &frames);
-        prop_assert_eq!(whole.pending(), 0);
-
-        let mut cuts: Vec<usize> = splits
-            .iter()
-            .map(|s| (s % (wire.len() as u64 + 1)) as usize)
-            .collect();
-        cuts.push(0);
-        cuts.push(wire.len());
-        cuts.sort_unstable();
-        let mut chunked = FrameCodec::new();
-        let mut chunked_frames = Vec::new();
-        for w in cuts.windows(2) {
-            chunked.feed(&wire[w[0]..w[1]]);
-            chunked_frames.extend(drain(&mut chunked));
-        }
-        prop_assert_eq!(&chunked_frames, &frames);
-        prop_assert_eq!(chunked.pending(), 0);
-        prop_assert_eq!(chunked.consumed(), wire.len() as u64);
+        prop_assert_eq!(read_all(&wire, Vec::new()), (frames.clone(), wire.len()));
+        let chunked = read_all(&wire, chunks_at(&splits, wire.len()));
+        prop_assert_eq!(chunked, (frames, wire.len()));
     }
 
     #[test]
@@ -331,55 +356,21 @@ proptest! {
         batches in prop::collection::vec(result_batch_strategy(), 1..4),
         splits in prop::collection::vec(any::<u64>(), 0..8),
     ) {
-        // Satellite: incremental decoding. One wire image, three feeding
-        // disciplines — whole buffer, byte-at-a-time, random split points
-        // — must all yield the same frame sequence with nothing left over.
+        // One wire image, three read disciplines — whole buffer,
+        // byte-at-a-time, random split points — must all yield the same
+        // frame sequence with every byte accounted for.
         let frames: Vec<Frame> = batches.into_iter().map(Frame::ResultBatch).collect();
         let mut wire = Vec::new();
         for f in &frames {
             wire.extend_from_slice(&encode_frame(f));
         }
 
-        let drain = |codec: &mut FrameCodec| {
-            let mut out = Vec::new();
-            while let Some(f) = codec.next_frame().expect("valid stream") {
-                out.push(f);
-            }
-            out
-        };
-
-        let mut whole = FrameCodec::new();
-        whole.feed(&wire);
-        let whole_frames = drain(&mut whole);
-        prop_assert_eq!(&whole_frames, &frames);
-        prop_assert_eq!(whole.pending(), 0);
-        prop_assert_eq!(whole.consumed(), wire.len() as u64);
-
-        let mut bytewise = FrameCodec::new();
-        let mut bytewise_frames = Vec::new();
-        for &b in &wire {
-            bytewise.feed(&[b]);
-            bytewise_frames.extend(drain(&mut bytewise));
-        }
-        prop_assert_eq!(&bytewise_frames, &frames);
-        prop_assert_eq!(bytewise.pending(), 0);
-
-        let mut cuts: Vec<usize> = splits
-            .iter()
-            .map(|s| (s % (wire.len() as u64 + 1)) as usize)
-            .collect();
-        cuts.push(0);
-        cuts.push(wire.len());
-        cuts.sort_unstable();
-        let mut chunked = FrameCodec::new();
-        let mut chunked_frames = Vec::new();
-        for w in cuts.windows(2) {
-            chunked.feed(&wire[w[0]..w[1]]);
-            chunked_frames.extend(drain(&mut chunked));
-        }
-        prop_assert_eq!(&chunked_frames, &frames);
-        prop_assert_eq!(chunked.pending(), 0);
-        prop_assert_eq!(chunked.consumed(), wire.len() as u64);
+        let whole = read_all(&wire, Vec::new());
+        prop_assert_eq!(whole, (frames.clone(), wire.len()));
+        let bytewise = read_all(&wire, vec![1; wire.len()]);
+        prop_assert_eq!(bytewise, (frames.clone(), wire.len()));
+        let chunked = read_all(&wire, chunks_at(&splits, wire.len()));
+        prop_assert_eq!(chunked, (frames, wire.len()));
     }
 }
 
@@ -391,9 +382,10 @@ fn codec_rejects_oversized_header_before_the_payload_arrives() {
     let mut header = encode_frame(&Frame::Shutdown);
     header.truncate(HEADER_LEN);
     header[7..11].copy_from_slice(&(u32::MAX).to_le_bytes());
-    let mut codec = FrameCodec::new();
-    codec.feed(&header);
-    assert!(matches!(codec.next_frame(), Err(FrameError::Oversized(_))));
+    assert!(matches!(
+        read_frame(&mut &header[..]),
+        Err(FrameError::Oversized(_))
+    ));
 }
 
 /// A v2 peer cannot work against v3 chain tables (it would fail every

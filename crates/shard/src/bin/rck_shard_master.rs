@@ -15,6 +15,7 @@
 use rck_serve::transport::TcpChannelListener;
 use rck_serve::{connect_with_backoff, BackoffPolicy, Listener};
 use rck_shard::{run_shard_master, ShardMasterConfig};
+use rckalign::cli::{Flags, ParseError};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -33,9 +34,6 @@ shard-master, --batch 16, --prefetch 2, --heartbeat-ms 100,
 unreachable.
 ";
 
-#[derive(Debug, PartialEq)]
-struct ParseError(String);
-
 struct Options {
     frontend: SocketAddr,
     addr: SocketAddr,
@@ -48,57 +46,21 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut addr: SocketAddr = SocketAddr::from(([127, 0, 0, 1], 0));
     let mut cfg = ShardMasterConfig::default();
     let mut policy = BackoffPolicy::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let name = a
-            .strip_prefix("--")
-            .ok_or_else(|| ParseError(format!("unexpected argument {a}")))?;
-        let value = it
-            .next()
-            .ok_or_else(|| ParseError(format!("--{name} needs a value")))?;
+    let mut flags = Flags::new(args);
+    while let Some(name) = flags.next_flag()? {
         match name {
-            "frontend" => {
-                frontend = Some(
-                    value
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad frontend address {value}")))?,
-                );
-            }
-            "addr" => {
-                addr = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad address {value}")))?;
-            }
-            "name" => cfg.name = value.clone(),
-            "batch" => {
-                cfg.serve.batch_size = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad batch size {value}")))?;
-            }
-            "prefetch" => {
-                cfg.prefetch = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| (1..=64).contains(&n))
-                    .ok_or_else(|| ParseError(format!("bad prefetch {value} (want 1..=64)")))?;
-            }
+            "frontend" => frontend = Some(flags.value()?.parse("frontend address")?),
+            "addr" => addr = flags.value()?.parse("address")?,
+            "name" => cfg.name = flags.value()?.string(),
+            "batch" => cfg.serve.batch_size = flags.value()?.in_range(1.., "batch size")?,
+            "prefetch" => cfg.prefetch = flags.value()?.in_range(1..=64, "prefetch")?,
             "heartbeat-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad heartbeat interval {value}")))?;
-                cfg.heartbeat_interval = Duration::from_millis(ms);
+                cfg.heartbeat_interval = flags.value()?.millis("heartbeat interval")?
             }
             "retry-for" => {
-                let secs: u64 = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad retry budget {value}")))?;
-                policy.total = Duration::from_secs(secs);
+                policy.total = Duration::from_secs(flags.value()?.parse("retry budget")?);
             }
-            other => return Err(ParseError(format!("unknown flag --{other}"))),
+            _ => return Err(flags.unknown()),
         }
     }
     let frontend = frontend.ok_or_else(|| ParseError("--frontend is required".into()))?;
@@ -114,10 +76,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
-        Err(ParseError(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        Err(refusal) => return refusal.exit(USAGE),
     };
     let listener = match TcpChannelListener::bind(opts.addr) {
         Ok(l) => l,

@@ -17,11 +17,11 @@ use rck_obs::spawn_dump_server;
 use rck_pdb::datasets;
 use rck_shard::{ShardConfig, ShardFrontend};
 use rck_store::{Store, StoreConfig};
+use rckalign::cli::{Flags, ParseError};
 use rckalign::StoreBinding;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "\
 rck_shardd — shard frontend dealing pair-matrix tiles across masters
@@ -40,9 +40,6 @@ listener.
 ";
 
 #[derive(Debug, PartialEq)]
-struct ParseError(String);
-
-#[derive(Debug, PartialEq)]
 struct Options {
     dataset: String,
     seed: u64,
@@ -57,73 +54,20 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut seed = 2013u64;
     let mut store = None;
     let mut metrics_addr = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let name = a
-            .strip_prefix("--")
-            .ok_or_else(|| ParseError(format!("unexpected argument {a}")))?;
-        let value = it
-            .next()
-            .ok_or_else(|| ParseError(format!("--{name} needs a value")))?;
+    let mut flags = Flags::new(args);
+    while let Some(name) = flags.next_flag()? {
         match name {
-            "addr" => {
-                cfg.addr = value
-                    .parse::<SocketAddr>()
-                    .map_err(|_| ParseError(format!("bad address {value}")))?;
-            }
-            "dataset" => dataset = value.clone(),
-            "seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| ParseError(format!("bad seed {value}")))?;
-            }
-            "tile-size" => {
-                cfg.tile_size = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad tile size {value}")))?;
-            }
-            "masters" => {
-                cfg.masters = value
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad master count {value}")))?;
-            }
-            "timeout-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad timeout {value}")))?;
-                cfg.heartbeat_timeout = Duration::from_millis(ms);
-            }
-            "tile-timeout-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad tile timeout {value}")))?;
-                cfg.tile_timeout = Some(Duration::from_millis(ms));
-            }
-            "stall-timeout-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| ParseError(format!("bad stall timeout {value}")))?;
-                cfg.stall_timeout = Some(Duration::from_millis(ms));
-            }
-            "store" => store = Some(value.clone()),
-            "metrics-addr" => {
-                metrics_addr = Some(
-                    value
-                        .parse::<SocketAddr>()
-                        .map_err(|_| ParseError(format!("bad metrics address {value}")))?,
-                );
-            }
-            other => return Err(ParseError(format!("unknown flag --{other}"))),
+            "addr" => cfg.addr = flags.value()?.parse("address")?,
+            "dataset" => dataset = flags.value()?.string(),
+            "seed" => seed = flags.value()?.parse("seed")?,
+            "tile-size" => cfg.tile_size = flags.value()?.in_range(1.., "tile size")?,
+            "masters" => cfg.masters = flags.value()?.in_range(1.., "master count")?,
+            "timeout-ms" => cfg.heartbeat_timeout = flags.value()?.millis("timeout")?,
+            "tile-timeout-ms" => cfg.tile_timeout = Some(flags.value()?.millis("tile timeout")?),
+            "stall-timeout-ms" => cfg.stall_timeout = Some(flags.value()?.millis("stall timeout")?),
+            "store" => store = Some(flags.value()?.string()),
+            "metrics-addr" => metrics_addr = Some(flags.value()?.parse("metrics address")?),
+            _ => return Err(flags.unknown()),
         }
     }
     Ok(Options {
@@ -185,10 +129,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Err(ParseError(msg)) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Err(refusal) => refusal.exit(USAGE),
     }
 }
 

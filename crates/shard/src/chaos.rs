@@ -17,19 +17,11 @@ use crate::frontend::{ShardConfig, ShardFrontend};
 use crate::master::{run_shard_master, ShardMasterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rck_serve::chaos::outcomes_fingerprint;
+use rck_serve::chaos::{outcomes_fingerprint, subseed};
 use rck_serve::{run_worker_conn, MasterConfig, MemNet, WorkerConfig};
 use rck_tmalign::MethodKind;
 use rckalign::{run_all_vs_all, tile_partition, PairCache, RckAlignOptions};
 use std::time::Duration;
-
-fn subseed(seed: u64, tag: u64) -> u64 {
-    // splitmix-style mixing, matching the serve harness.
-    let mut z = seed ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A complete seeded shard scenario, fully determined by its seed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -263,15 +263,7 @@ impl ShardFrontend {
             let mut fully = HashSet::new();
             let mut hit_total = 0usize;
             for t in tile_ids {
-                let jobs = state.tile_jobs.get(&t).cloned().unwrap_or_default();
-                let mut hits = Vec::new();
-                let mut misses = Vec::new();
-                for job in jobs {
-                    match binding.lookup(&job) {
-                        Some(outcome) => hits.push(outcome),
-                        None => misses.push(job),
-                    }
-                }
+                let (hits, misses) = binding.split(&state.tile_jobs[&t]);
                 if hits.is_empty() {
                     continue;
                 }
@@ -329,24 +321,15 @@ impl ShardFrontend {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || monitor_masters(&shared))
         };
-        let mut handlers = Vec::new();
-        loop {
-            if self.shared.state.lock_recover().finished
-                || self.shared.aborted.load(Ordering::SeqCst)
-            {
-                break;
-            }
-            match self.listener.poll_accept() {
-                Ok(Some(conn)) => {
-                    let shared = Arc::clone(&self.shared);
-                    handlers.push(std::thread::spawn(move || serve_master(&shared, conn)));
-                }
-                Ok(None) => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let shared = Arc::clone(&self.shared);
+        let handlers = dispatch::accept_until(
+            &*self.listener,
+            || {
+                self.shared.state.lock_recover().finished
+                    || self.shared.aborted.load(Ordering::SeqCst)
+            },
+            move |conn| serve_master(&shared, conn),
+        )?;
         if monitor.join().is_err() {
             return Err(io::Error::other("shard monitor thread panicked"));
         }
@@ -375,20 +358,9 @@ impl ShardFrontend {
         let results = std::mem::take(&mut state.results);
         drop(state);
         let outcomes = merge_outcomes(results);
-        let guard = self.shared.store.lock_recover();
-        let binding = guard.clone();
-        drop(guard);
+        let binding = self.shared.store.lock_recover().clone();
         if let Some(binding) = binding {
-            // Append what the farm computed; store-satisfied pairs are
-            // skipped by the store's own idempotence.
-            for o in &outcomes {
-                binding.record(o);
-            }
-            binding.with_store(|s| {
-                if let Err(e) = s.flush() {
-                    eprintln!("[rck-shard] store flush failed: {e}");
-                }
-            });
+            binding.absorb(&outcomes, "[rck-shard]");
         }
         let matrix = SimilarityMatrix::from_outcomes(self.shared.chains.len(), &outcomes);
         Ok(ShardRun {

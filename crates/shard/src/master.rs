@@ -1,35 +1,28 @@
 //! The shard master: one [`rck_serve::Master`] farm driven by a
 //! frontend's tile grants.
 //!
-//! A shard master is a *worker* to the frontend (same Hello/Welcome
-//! handshake, same heartbeats) and a *master* to its own worker pool —
-//! the two-level hierarchy of the paper's NoC design, realised over the
-//! transport seam. It binds a feed-mode farm ([`Master::bind_feed_on`]),
-//! keeps its workers connected across tiles, and pulls work with a
-//! credit protocol:
-//!
-//! 1. after the handshake it sends [`ShardMasterConfig::prefetch`]
-//!    [`StealRequest`] credits, so one tile computes while the next
-//!    grant is already in flight;
-//! 2. every [`rck_serve::proto::TileGrant`] is fed straight into the
-//!    farm, whose chain table keeps what each grant brought: later
-//!    grants bring only what it lacks (else the session ends);
-//! 3. every completed tile goes back as a [`TileResult`] followed by
-//!    one fresh credit — the self-clocking loop that makes a fast
-//!    master automatically drain (and then steal from) the slow ones.
+//! A shard master is a *worker* to the frontend and a *master* to its
+//! own worker pool — the two-level hierarchy of the paper's NoC design,
+//! realised over the transport seam. The worker side is the one
+//! [`Session`] (Hello, heartbeats carrying the tiles-done count, the
+//! shared write half); this module is its frame handler and the credit
+//! policy: [`ShardMasterConfig::prefetch`] credits after the handshake,
+//! every [`rck_serve::proto::TileGrant`] fed straight into a feed-mode
+//! farm ([`Master::bind_feed_on`]) whose workers stay connected across
+//! tiles, and every completed tile answered with a [`TileResult`] plus
+//! one fresh credit.
 //!
 //! [`ShardMasterConfig::crash_after_tiles`] is the chaos lever: the
 //! master dies abruptly — connection torn, farm aborted, completed
 //! result unsent — after the configured number of results, exercising
 //! the frontend's requeue path.
 
-use rck_serve::dispatch::{hello, send};
-use rck_serve::proto::{self, Frame, Heartbeat, StealRequest, TileResult, Welcome};
+use rck_serve::dispatch::Session;
+use rck_serve::proto::{Frame, StealRequest, TileResult};
 use rck_serve::stats::StatsSnapshot;
-use rck_serve::{Conn, Listener, Master, MasterConfig, MutexExt};
+use rck_serve::{Conn, FeedHandle, Listener, Master, MasterConfig};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Shard-master configuration.
@@ -85,136 +78,80 @@ pub fn run_shard_master(
     worker_listener: Box<dyn Listener>,
     cfg: &ShardMasterConfig,
 ) -> io::Result<ShardMasterReport> {
-    let (
-        Welcome {
-            worker_id: master_id,
-            ..
-        },
-        _,
-        _,
-    ) = hello(&mut conn, &cfg.name)?;
-
+    let session = Session::open(&mut conn, &cfg.name, cfg.heartbeat_interval)?;
+    let master_id = session.id();
+    let credit = |tiles_done: u64| {
+        Frame::StealRequest(StealRequest {
+            master_id,
+            tiles_done: tiles_done as u32,
+        })
+    };
     let (master, feed, tiles_rx) = Master::bind_feed_on(worker_listener, cfg.serve.clone());
-    let farm_stats = feed.stats();
     let abort = master.abort_handle();
-    let serve_thread = std::thread::spawn(move || master.run());
+    let injected = AtomicBool::new(false);
 
-    let writer = Arc::new(Mutex::new(conn.try_clone()?));
-    let stop = Arc::new(AtomicBool::new(false));
-    let tiles_done = Arc::new(AtomicU32::new(0));
-    let injected = Arc::new(AtomicBool::new(false));
-
-    let heartbeat = {
-        let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
-        let tiles_done = Arc::clone(&tiles_done);
-        let interval = cfg.heartbeat_interval;
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                let frame = Frame::Heartbeat(Heartbeat {
-                    worker_id: master_id,
-                    completed: tiles_done.load(Ordering::SeqCst) as u64,
-                });
-                if send(&writer, &frame).is_err() {
+    let (served, farm) = std::thread::scope(|s| {
+        let farm = s.spawn(move || master.run());
+        // Forwarder: completed tiles out, one fresh credit per result,
+        // until the farm finishes and drops its side of the channel.
+        let (session, injected) = (&session, &injected);
+        s.spawn(move || {
+            for done in tiles_rx {
+                if cfg.crash_after_tiles.map(u64::from) == Some(session.progress()) {
+                    // Die abruptly: result unsent, connection torn
+                    // (unblocking the reader below), farm aborted.
+                    injected.store(true, Ordering::SeqCst);
+                    session.shutdown();
+                    abort.abort();
                     break;
                 }
-                std::thread::sleep(interval);
-            }
-        })
-    };
-
-    for _ in 0..cfg.prefetch.max(1) {
-        send(
-            &writer,
-            &Frame::StealRequest(StealRequest {
-                master_id,
-                tiles_done: 0,
-            }),
-        )?;
-    }
-
-    // Forwarder: completed tiles out, one fresh credit per result. A
-    // timeout-and-flag loop rather than a blocking recv — the sender
-    // side lives inside the farm's `Shared`, which this thread's own
-    // handles keep alive, so a plain `recv` could never disconnect.
-    let forwarder = {
-        let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
-        let tiles_done = Arc::clone(&tiles_done);
-        let injected = Arc::clone(&injected);
-        let crash_after = cfg.crash_after_tiles;
-        let abort = abort.clone();
-        std::thread::spawn(move || loop {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match tiles_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(done) => {
-                    let sent = tiles_done.load(Ordering::SeqCst);
-                    if crash_after == Some(sent) {
-                        // Die abruptly: result unsent, connection torn
-                        // (unblocking the main reader), farm aborted.
-                        injected.store(true, Ordering::SeqCst);
-                        writer.lock_recover().shutdown();
-                        abort.abort();
-                        break;
-                    }
-                    let result = Frame::TileResult(TileResult {
-                        tile_id: done.tile_id,
-                        outcomes: done.outcomes,
-                    });
-                    if send(&writer, &result).is_err() {
-                        break;
-                    }
-                    let n = tiles_done.fetch_add(1, Ordering::SeqCst) + 1;
-                    let credit = Frame::StealRequest(StealRequest {
-                        master_id,
-                        tiles_done: n,
-                    });
-                    if send(&writer, &credit).is_err() {
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        })
-    };
-
-    let session = loop {
-        match proto::read_frame(&mut conn) {
-            Ok((Frame::TileGrant(grant), _)) => {
-                if let Err(e) = feed.submit_tile(grant.tile_id, grant.chains, grant.jobs) {
-                    break Err(e);
+                let result = Frame::TileResult(TileResult {
+                    tile_id: done.tile_id,
+                    outcomes: done.outcomes,
+                });
+                let sent = session
+                    .send(&result)
+                    .and_then(|()| session.send(&credit(session.advance(1))));
+                if sent.is_err() {
+                    break;
                 }
             }
-            Ok((Frame::Shutdown, _)) => break Ok(()),
-            Ok(_) => continue,
-            // Frontend gone, or our own crash lever tore the connection.
-            Err(_) => break Ok(()),
-        }
-    };
-
-    feed.close();
-    let serve_result = serve_thread
-        .join()
-        .map_err(|_| io::Error::other("farm thread panicked"))?;
-    stop.store(true, Ordering::SeqCst);
-    let _ = heartbeat.join();
-    let _ = forwarder.join();
+        });
+        let served = (0..cfg.prefetch.max(1))
+            .try_for_each(|_| session.send(&credit(0)))
+            .and_then(|()| feed_grants(session, &mut conn, &feed));
+        feed.close();
+        (served, farm.join())
+    });
+    let tiles_done = session.progress() as u32;
+    session.close();
     conn.shutdown();
 
-    session?;
+    served?;
+    let farm = farm.map_err(|_| io::Error::other("farm thread panicked"))?;
     let failed_by_injection = injected.load(Ordering::SeqCst);
     if !failed_by_injection {
-        serve_result?;
+        farm?;
     }
     Ok(ShardMasterReport {
         master_id,
-        tiles_done: tiles_done.load(Ordering::SeqCst),
+        tiles_done,
         failed_by_injection,
-        farm: farm_stats.snapshot(),
+        farm: feed.stats().snapshot(),
     })
+}
+
+/// Feed every granted tile into the farm until the frontend says
+/// Shutdown or the connection ends (the frontend is gone, or the crash
+/// lever tore it).
+fn feed_grants(session: &Session, conn: &mut Box<dyn Conn>, feed: &FeedHandle) -> io::Result<()> {
+    loop {
+        match session.read(conn) {
+            Ok(Frame::TileGrant(g)) => feed.submit_tile(g.tile_id, g.chains, g.jobs)?,
+            Ok(Frame::Shutdown) | Err(_) => return Ok(()),
+            Ok(_) => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +164,64 @@ mod tests {
         assert_eq!(cfg.prefetch, 2);
         assert!(cfg.crash_after_tiles.is_none());
         assert_eq!(cfg.heartbeat_interval.as_millis(), 100);
+    }
+
+    /// The session ends when the frontend's Shutdown arrives, not a
+    /// heartbeat interval (1 s here) later.
+    #[test]
+    fn returns_promptly_after_the_frontends_shutdown() {
+        use rck_serve::proto::{self, Welcome};
+        use std::time::Instant;
+
+        let (conn, mut frontend) = rck_serve::MemNet::pair();
+        let worker_net = rck_serve::MemNet::new();
+        let listener = worker_net.listener();
+        let cfg = ShardMasterConfig {
+            heartbeat_interval: Duration::from_secs(1),
+            ..ShardMasterConfig::default()
+        };
+        let master = std::thread::spawn(move || {
+            let report = run_shard_master(conn, listener, &cfg);
+            (report, Instant::now())
+        });
+        let worker_conn = worker_net.connect().unwrap();
+        let worker = std::thread::spawn(move || {
+            let wcfg = rck_serve::WorkerConfig::connect_to("127.0.0.1:0".parse().unwrap());
+            rck_serve::run_worker_conn(worker_conn, &wcfg)
+        });
+
+        // Scripted frontend: Welcome, one granted tile, then Shutdown.
+        let (hello, _) = proto::read_frame(&mut frontend).unwrap();
+        assert!(matches!(hello, Frame::Hello(_)));
+        let welcome = Frame::Welcome(Welcome {
+            worker_id: 7,
+            n_chains: 8,
+        });
+        proto::write_frame(&mut frontend, &welcome).unwrap();
+        let chains = rck_pdb::datasets::tiny_profile().generate(3);
+        let tile = rckalign::tile_partition(chains.len(), 4)[0];
+        let jobs = tile.jobs(rck_tmalign::MethodKind::TmAlign);
+        let grant = Frame::TileGrant(proto::build_tile_grant(tile.id, jobs, &chains));
+        proto::write_frame(&mut frontend, &grant).unwrap();
+        loop {
+            match proto::read_frame(&mut frontend).unwrap().0 {
+                Frame::TileResult(result) => break assert_eq!(result.tile_id, tile.id),
+                Frame::StealRequest(_) | Frame::Heartbeat(_) => {}
+                other => panic!("unexpected frame from the master: {other:?}"),
+            }
+        }
+        proto::write_frame(&mut frontend, &Frame::Shutdown).unwrap();
+        let shutdown_at = Instant::now();
+
+        let (report, returned_at) = master.join().unwrap();
+        let report = report.expect("session ends cleanly");
+        let _ = worker.join();
+        assert_eq!((report.master_id, report.tiles_done), (7, 1));
+        let teardown = returned_at.saturating_duration_since(shutdown_at);
+        assert!(
+            teardown < Duration::from_millis(50),
+            "run_shard_master returned {teardown:?} after Shutdown"
+        );
     }
 
     #[test]

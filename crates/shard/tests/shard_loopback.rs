@@ -16,7 +16,8 @@ use rckalign::{
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn reference(chains: &[CaChain]) -> (Vec<PairOutcome>, SimilarityMatrix) {
     let cache = PairCache::new(chains.to_vec());
@@ -45,32 +46,52 @@ fn master_cfg(name: String) -> ShardMasterConfig {
     }
 }
 
-/// Boot a full MemNet shard farm and return the frontend's run result.
-/// `crash` optionally kills one master (by index) after that many
-/// delivered tiles.
-fn run_memnet_farm(
+/// A booted MemNet shard farm: the frontend's thread (its result and
+/// when `run()` returned), the master and worker threads, live counters.
+struct BootedFarm {
+    frontend: JoinHandle<(std::io::Result<rck_shard::ShardRun>, Instant)>,
+    threads: Vec<JoinHandle<()>>,
+    stats: Arc<rck_shard::ShardStats>,
+}
+
+impl BootedFarm {
+    fn join(self) -> (rck_shard::ShardRun, Arc<rck_shard::ShardStats>, Instant) {
+        for t in self.threads {
+            t.join().expect("farm thread");
+        }
+        let (run, returned_at) = self.frontend.join().expect("frontend thread");
+        (run.expect("sharded run completes"), self.stats, returned_at)
+    }
+}
+
+/// Boot a full MemNet shard farm; `tune` adjusts master `m`'s
+/// configuration and that of its workers.
+fn boot_memnet_farm(
     chains: Vec<CaChain>,
     cfg: ShardConfig,
     masters: usize,
     workers_per_master: usize,
-    crash: Option<(usize, u32)>,
-) -> (rck_shard::ShardRun, Arc<rck_shard::ShardStats>) {
+    tune: impl Fn(usize, &mut ShardMasterConfig, &mut WorkerConfig),
+) -> BootedFarm {
     let net = MemNet::new();
     let frontend = ShardFrontend::bind_on(net.listener(), chains, cfg);
     let stats = frontend.stats();
-    let frontend_thread = std::thread::spawn(move || frontend.run());
+    let frontend = std::thread::spawn(move || (frontend.run(), Instant::now()));
 
     let mut threads = Vec::new();
     for m in 0..masters {
         let worker_net = MemNet::new();
         let conn = net.connect().expect("frontend accepting");
         let mut cfg = master_cfg(format!("m{m}"));
-        cfg.crash_after_tiles = crash.and_then(|(victim, after)| (victim == m).then_some(after));
+        let mut wcfg = worker_cfg(String::new());
+        tune(m, &mut cfg, &mut wcfg);
         for w in 0..workers_per_master {
+            let mut wcfg = wcfg.clone();
+            wcfg.name = format!("m{m}w{w}");
             let worker_net = worker_net.clone();
             threads.push(std::thread::spawn(move || {
                 if let Ok(conn) = worker_net.connect() {
-                    let _ = run_worker_conn(conn, &worker_cfg(format!("m{m}w{w}")));
+                    let _ = run_worker_conn(conn, &wcfg);
                 }
             }));
         }
@@ -78,13 +99,26 @@ fn run_memnet_farm(
             let _ = run_shard_master(conn, worker_net.listener(), &cfg);
         }));
     }
-    for t in threads {
-        t.join().expect("farm thread");
+    BootedFarm {
+        frontend,
+        threads,
+        stats,
     }
-    let run = frontend_thread
-        .join()
-        .expect("frontend thread")
-        .expect("sharded run completes");
+}
+
+/// Boot a farm and return the frontend's run result. `crash` optionally
+/// kills one master (by index) after that many delivered tiles.
+fn run_memnet_farm(
+    chains: Vec<CaChain>,
+    cfg: ShardConfig,
+    masters: usize,
+    workers_per_master: usize,
+    crash: Option<(usize, u32)>,
+) -> (rck_shard::ShardRun, Arc<rck_shard::ShardStats>) {
+    let farm = boot_memnet_farm(chains, cfg, masters, workers_per_master, |m, cfg, _| {
+        cfg.crash_after_tiles = crash.and_then(|(victim, after)| (victim == m).then_some(after));
+    });
+    let (run, stats, _) = farm.join();
     (run, stats)
 }
 
@@ -152,6 +186,60 @@ fn a_killed_master_is_requeued_onto_the_survivor() {
         .find(|(_, name, _)| name == "m1")
         .expect("survivor in the table");
     assert!(survivor.2 > 0);
+}
+
+/// `run()` returns when the last tile is accepted: a master's session
+/// ends on the frontend's Shutdown, not a heartbeat interval (1 s here)
+/// later.
+#[test]
+fn run_returns_promptly_after_the_last_tile() {
+    let chains = tiny_profile().generate(20);
+    let cfg = ShardConfig {
+        tile_size: 3,
+        masters: 2,
+        heartbeat_timeout: Duration::from_secs(5),
+        ..ShardConfig::default()
+    };
+    let tiles = tile_partition(chains.len(), 3).len() as u64;
+    let farm = boot_memnet_farm(chains.clone(), cfg, 2, 1, |_, cfg, _| {
+        cfg.heartbeat_interval = Duration::from_secs(1);
+    });
+    while farm.stats.tiles_completed() < tiles {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let completed_at = Instant::now();
+    let (run, _, returned_at) = farm.join();
+    assert_bit_identical(&run, &chains);
+    let teardown = returned_at.saturating_duration_since(completed_at);
+    assert!(
+        teardown < Duration::from_millis(50),
+        "run() returned {teardown:?} after the last tile"
+    );
+}
+
+/// A tile that computes for longer than the frontend's heartbeat timeout
+/// is carried by its master's heartbeats (and each slow batch, inside the
+/// farm, by its worker's): nobody is declared dead, nothing is requeued.
+#[test]
+fn heartbeats_carry_a_tile_slower_than_the_heartbeat_timeout() {
+    let chains: Vec<CaChain> = tiny_profile().generate(21).into_iter().take(5).collect();
+    let timeout = Duration::from_millis(300);
+    let cfg = ShardConfig {
+        tile_size: 4,
+        masters: 2,
+        heartbeat_timeout: timeout,
+        ..ShardConfig::default()
+    };
+    let farm = boot_memnet_farm(chains.clone(), cfg, 2, 1, |_, cfg, wcfg| {
+        // One batch per tile, each slower than both heartbeat timeouts.
+        cfg.serve.batch_size = 16;
+        assert_eq!(cfg.serve.heartbeat_timeout, timeout);
+        wcfg.slow_per_batch = Some(timeout.mul_f64(1.5));
+    });
+    let (run, _, _) = farm.join();
+    assert_bit_identical(&run, &chains);
+    assert_eq!(run.stats.masters_lost, 0, "{:?}", run.stats);
+    assert_eq!(run.stats.tiles_requeued, 0, "{:?}", run.stats);
 }
 
 /// A scripted shard master: pulls one grant per credit and keeps the

@@ -124,3 +124,115 @@ fn nothing_points_at_the_retired_bench_json_baselines() {
         }
     }
 }
+
+/// Names a crate re-exports at its root: what follows the module path
+/// in each `pub use module::Name;` / `pub use module::{a, B};` of its
+/// `lib.rs`.
+fn reexported_names(lib_rs: &str) -> Vec<String> {
+    lib_rs
+        .split("pub use ")
+        .skip(1)
+        .filter_map(|rest| rest.split_once(';'))
+        .flat_map(|(stmt, _)| {
+            let (_, names) = stmt.rsplit_once("::").expect("a re-export has a path");
+            names
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .filter(|name| !name.is_empty())
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// Whether `text` names the identifier `name` (whole word).
+fn names(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(name)
+        .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + name.len()..].starts_with(ident))
+}
+
+/// Public types nobody has to *name*, with the call that hands each one
+/// out.
+const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
+    ("ScenarioResult", "rck_serve::run_scenario (rck_chaos)"),
+    (
+        "AbortHandle",
+        "Master::abort_handle (rck_served, shard master)",
+    ),
+    (
+        "TileDone",
+        "item of the receiver Master::bind_feed_on returns",
+    ),
+    (
+        "QueryEvent",
+        "GateClient::next_event, the pipelined client API",
+    ),
+    (
+        "QueryOutcome",
+        "GateClient::run_query (rck_loadgen, rck_report)",
+    ),
+    ("GateSnapshot", "GateReport::stats (rck_gate, rck_loadgen)"),
+    (
+        "ShardScenarioReport",
+        "rck_shard::run_shard_scenario (rck_chaos)",
+    ),
+    (
+        "ShardAbortHandle",
+        "ShardFrontend::abort_handle (benchmark rigs)",
+    ),
+    ("ShardStats", "ShardFrontend::stats (rck_shardd)"),
+    ("StoreCounters", "Store::counters (rckalign, rck_report)"),
+    ("RckAlignRun", "rckalign::run_all_vs_all"),
+    ("DistributedRun", "rckalign::run_distributed (Experiment I)"),
+    (
+        "HierarchyRun",
+        "rckalign::run_hierarchical (ablation_suite)",
+    ),
+    ("McPscRun", "rckalign::run_mcpsc (ablation_suite)"),
+    ("OneVsAllRun", "rckalign::run_one_vs_all (rckalign rank)"),
+];
+
+/// The public surface stays honest: whatever a library crate re-exports
+/// at its root is named by some non-test code that is not the crate's
+/// own library — its binaries, another crate, the benchmark package or
+/// an example. A re-export nothing outside names is either handed out
+/// by a call that is (listed above) or dead.
+#[test]
+fn every_reexport_has_a_caller_outside_its_crate() {
+    let root = repo_root();
+    let files = repo_files();
+    let production = |path: &Path| {
+        let rel = path.strip_prefix(&root).expect("below the root");
+        path.extension().is_some_and(|e| e == "rs")
+            && (rel.starts_with("benchmark/src")
+                || rel.starts_with("examples/src")
+                || (rel.starts_with("crates") && rel.components().any(|c| c.as_os_str() == "src")))
+    };
+    let mut unexplained = Vec::new();
+    for krate in ["serve", "gate", "shard", "store", "core", "obs"] {
+        let src = root.join("crates").join(krate).join("src");
+        let lib_rs = fs::read_to_string(src.join("lib.rs")).expect("lib.rs");
+        // Everything but the crate's own library modules, tests cut off.
+        let callers: Vec<String> = files
+            .iter()
+            .filter(|path| production(path) && path.parent() != Some(src.as_path()))
+            .map(|path| {
+                let text = fs::read_to_string(path).expect("source is UTF-8");
+                let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
+                text[..end].to_string()
+            })
+            .collect();
+        for name in reexported_names(&lib_rs) {
+            let listed = REACHED_THROUGH_A_CALL.iter().any(|(n, _)| *n == name);
+            let called = callers.iter().any(|text| names(text, &name));
+            assert!(!(listed && called), "{name} has a caller; unlist it");
+            if !listed && !called {
+                unexplained.push(format!("rck {krate}: {name}"));
+            }
+        }
+    }
+    assert!(
+        unexplained.is_empty(),
+        "re-exported, but named by no binary, other crate, benchmark or example: {unexplained:#?}"
+    );
+}
