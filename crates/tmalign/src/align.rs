@@ -8,15 +8,17 @@
 //! distance-score matrix, under two gap penalties; the best alignment by
 //! TM-score wins and is re-scored with the full search depth.
 
-use crate::dp::{needleman_wunsch, Alignment, DistScorer, FastDp, ScoreMatrix, SoaPoints};
+use crate::dp::{Alignment, DistScorer};
 use crate::initial::{
-    gapless_threading, hybrid_alignment, hybrid_alignment_fast, ss_alignment, ss_alignment_fast,
+    gapless_threading, hybrid_alignment_fast, hybrid_alignment_in, ss_alignment_fast,
+    ss_alignment_in,
 };
 use crate::kabsch::superpose;
 use crate::meter::WorkMeter;
 use crate::prefilter::{decide, PrefilterConfig, PrefilterDecision, SsComposition};
 use crate::secstruct::{assign, SecStruct};
-use crate::tmscore::{d0, search, SearchDepth, SearchResult};
+use crate::tmscore::{d0, search_in, SearchDepth, SearchResult};
+use crate::workspace::Workspace;
 use rck_pdb::geometry::{Transform, Vec3};
 use rck_pdb::model::CaChain;
 use serde::{Deserialize, Serialize};
@@ -71,14 +73,15 @@ impl Normalization {
 /// Which DP engine answers the alignment rounds (DESIGN.md §13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelPath {
-    /// The f64 full-slab Needleman–Wunsch oracle — exact, and the
-    /// kernel the simulator's cycles-per-op constant is calibrated
-    /// against, so it stays the default.
+    /// The f64 full-width Needleman–Wunsch oracle
+    /// ([`crate::dp::StreamDp`]) — exact, and the kernel the simulator's
+    /// cycles-per-op constant is calibrated against, so it stays the
+    /// default.
     #[default]
     Scalar,
-    /// The banded f32 fast path ([`FastDp`]): band-limited DP around a
-    /// guide path with adaptive widening. Scores may differ from the
-    /// oracle by the documented epsilon (DESIGN.md §13.4).
+    /// The banded f32 fast path ([`crate::dp::FastDp`]): band-limited DP
+    /// around a guide path with adaptive widening. Scores may differ from
+    /// the oracle by the documented epsilon (DESIGN.md §13.4).
     Fast,
 }
 
@@ -194,6 +197,17 @@ pub fn tm_align(a: &CaChain, b: &CaChain) -> TmAlignResult {
 /// structure alignment exists; the datasets in this workspace are all
 /// longer).
 pub fn tm_align_with(a: &CaChain, b: &CaChain, params: &TmAlignParams) -> TmAlignResult {
+    tm_align_in(a, b, params, &mut Workspace::default())
+}
+
+/// [`tm_align_with`] on the caller's workspace, whatever it was last
+/// used for.
+fn tm_align_in(
+    a: &CaChain,
+    b: &CaChain,
+    params: &TmAlignParams,
+    ws: &mut Workspace,
+) -> TmAlignResult {
     assert!(
         a.len() >= 5 && b.len() >= 5,
         "tm_align requires chains of at least 5 residues ({} and {} given)",
@@ -222,14 +236,13 @@ pub fn tm_align_with(a: &CaChain, b: &CaChain, params: &TmAlignParams) -> TmAlig
         &params.prefilter,
     );
 
-    // The fast path reuses one workspace for every DP round of this pair.
-    let mut engine = match params.kernel {
-        KernelPath::Scalar => None,
-        KernelPath::Fast => {
-            stages.fastpath_alignments.inc();
-            Some(FastEngine::new(y))
-        }
-    };
+    // One workspace serves every DP round and rotation search of this
+    // pair.
+    let fast = params.kernel == KernelPath::Fast;
+    if fast {
+        stages.fastpath_alignments.inc();
+    }
+    ws.retarget(y, fast);
 
     // Demoted pairs run the reduced refinement schedule.
     let effective = match decision {
@@ -259,10 +272,10 @@ pub fn tm_align_with(a: &CaChain, b: &CaChain, params: &TmAlignParams) -> TmAlig
         // --- Initial alignments ---------------------------------------
         let init_gapless = gapless_threading(x, y, d0_opt, norm_len, &mut meter);
         let hybrid_seed = init_gapless.transform.unwrap_or(Transform::IDENTITY);
-        let (init_ss, init_hybrid) = match engine.as_mut() {
+        let (init_ss, init_hybrid) = match ws.fast.as_mut() {
             None => (
-                ss_alignment(&ss_a, &ss_b, &mut meter),
-                hybrid_alignment(x, y, &ss_a, &ss_b, &hybrid_seed, d0_opt, &mut meter),
+                ss_alignment_in(&ss_a, &ss_b, &mut ws.dp, &mut meter),
+                hybrid_alignment_in(x, &ss_a, &ss_b, &hybrid_seed, d0_opt, ws, &mut meter),
             ),
             Some(eng) => {
                 // Band the initial DPs around the best rigid-offset
@@ -308,7 +321,7 @@ pub fn tm_align_with(a: &CaChain, b: &CaChain, params: &TmAlignParams) -> TmAlig
                 norm_len,
                 &effective,
                 depth,
-                engine.as_mut(),
+                ws,
                 &mut meter,
             );
             if tm > best_tm {
@@ -325,29 +338,25 @@ pub fn tm_align_with(a: &CaChain, b: &CaChain, params: &TmAlignParams) -> TmAlig
     }
 
     // --- Final scoring ---------------------------------------------------
-    let (xa, ya) = gather(x, y, &best_alignment);
-    let fin_a = search(
-        &xa,
-        &ya,
-        d0(a.len()),
-        d0(a.len()),
-        a.len(),
-        SearchDepth::Full,
-        &mut meter,
-    );
-    let fin_b = search(
-        &xa,
-        &ya,
-        d0(b.len()),
-        d0(b.len()),
-        b.len(),
-        SearchDepth::Full,
-        &mut meter,
-    );
+    ws.gather(x, y, &best_alignment);
+    let mut final_score = |len: usize| {
+        search_in(
+            &ws.xa,
+            &ws.ya,
+            d0(len),
+            d0(len),
+            len,
+            SearchDepth::Full,
+            &mut ws.search,
+            &mut meter,
+        )
+    };
+    let fin_a = final_score(a.len());
+    let fin_b = final_score(b.len());
     // Report the transform of whichever normalisation is the headline
     // (shorter-chain) score.
     let headline: &SearchResult = if a.len() <= b.len() { &fin_a } else { &fin_b };
-    let rmsd = superpose(&xa, &ya, &mut meter).rmsd;
+    let rmsd = superpose(&ws.xa, &ws.ya, &mut meter).rmsd;
     let matches = best_alignment
         .iter()
         .filter(|&&(i, j)| a.seq[i] != rck_pdb::AminoAcid::Unknown && a.seq[i] == b.seq[j])
@@ -377,35 +386,14 @@ pub fn tm_align_with(a: &CaChain, b: &CaChain, params: &TmAlignParams) -> TmAlig
     }
 }
 
-/// Reusable fast-path workspace for one `tm_align` call: the banded DP
-/// buffers plus SoA coordinate lanes (target loaded once, mobile
-/// reloaded under each refinement transform).
-struct FastEngine {
-    dp: FastDp,
-    mobile: SoaPoints,
-    target: SoaPoints,
-}
-
-impl FastEngine {
-    fn new(y: &[Vec3]) -> FastEngine {
-        let mut target = SoaPoints::new();
-        target.load(y);
-        FastEngine {
-            dp: FastDp::new(),
-            mobile: SoaPoints::new(),
-            target,
-        }
-    }
-}
-
 /// One DP-refinement run from an initial alignment. Returns the best
 /// `(tm, alignment, transform)` encountered.
 ///
-/// With a [`FastEngine`] the re-alignment rounds run on the banded f32
-/// DP guided by the current alignment; without one they run on the
-/// scalar f64 oracle. When the prefilters are enabled, a plateau below
-/// the score threshold abandons the remaining iterations
-/// (`rck_kernel_pruned_rounds_total`).
+/// With a `FastEngine` in the workspace the re-alignment rounds run on
+/// the banded f32 DP guided by the current alignment; without one they
+/// run on the scalar f64 oracle, scoring each row on the fly. When the
+/// prefilters are enabled, a plateau below the score threshold abandons
+/// the remaining iterations (`rck_kernel_pruned_rounds_total`).
 #[allow(clippy::too_many_arguments)]
 fn refine(
     x: &[Vec3],
@@ -415,7 +403,7 @@ fn refine(
     norm_len: usize,
     params: &TmAlignParams,
     depth: SearchDepth,
-    mut engine: Option<&mut FastEngine>,
+    ws: &mut Workspace,
     meter: &mut WorkMeter,
 ) -> (f64, Alignment, Transform) {
     let mut best_tm = -1.0;
@@ -424,18 +412,28 @@ fn refine(
 
     let d0sq = d0_opt * d0_opt;
     let prune = &params.prefilter;
+    let mut current = Alignment::new();
     for &gap in &params.gap_penalties {
-        let mut current = initial.clone();
+        current.clone_from(initial);
         let mut prev_best = best_tm;
         for iter in 0..params.max_iterations {
             if current.len() < 3 {
                 break;
             }
-            let (xa, ya) = gather(x, y, &current);
-            let sr = search(&xa, &ya, d0_opt, d0_opt, norm_len, depth, meter);
+            ws.gather(x, y, &current);
+            let sr = search_in(
+                &ws.xa,
+                &ws.ya,
+                d0_opt,
+                d0_opt,
+                norm_len,
+                depth,
+                &mut ws.search,
+                meter,
+            );
             if sr.tm > best_tm {
                 best_tm = sr.tm;
-                best_alignment = current.clone();
+                best_alignment.clone_from(&current);
                 best_transform = sr.transform;
             }
             // Score-bound early termination: a sub-threshold score that
@@ -452,7 +450,7 @@ fn refine(
             }
             prev_best = best_tm;
             // Re-align under the found transform.
-            let next = match engine.as_deref_mut() {
+            let next = match ws.fast.as_mut() {
                 Some(eng) => {
                     eng.mobile.load_transformed(x, &sr.transform);
                     let mut scorer = DistScorer {
@@ -464,12 +462,17 @@ fn refine(
                     next
                 }
                 None => {
-                    let moved: Vec<Vec3> = x.iter().map(|&p| sr.transform.apply(p)).collect();
-                    let score = ScoreMatrix::from_fn(x.len(), y.len(), |i, j| {
-                        1.0 / (1.0 + moved[i].dist_sq(y[j]) / d0sq)
-                    });
-                    meter.charge((x.len() * y.len()) as u64);
-                    let (next, _) = needleman_wunsch(&score, gap, meter);
+                    ws.moved.clear();
+                    ws.moved.extend(x.iter().map(|&p| sr.transform.apply(p)));
+                    meter.charge((x.len() * y.len()) as u64); // scoring the cells
+                    let (moved, target) = (&ws.moved, &ws.target);
+                    let (next, _) = ws.dp.align(
+                        x.len(),
+                        y.len(),
+                        gap,
+                        |i, out| target.dist_row(moved[i], d0sq, out),
+                        meter,
+                    );
                     next
                 }
             };
@@ -480,17 +483,6 @@ fn refine(
         }
     }
     (best_tm, best_alignment, best_transform)
-}
-
-/// Split an alignment into parallel coordinate vectors.
-fn gather(x: &[Vec3], y: &[Vec3], alignment: &Alignment) -> (Vec<Vec3>, Vec<Vec3>) {
-    let mut xa = Vec::with_capacity(alignment.len());
-    let mut ya = Vec::with_capacity(alignment.len());
-    for &(i, j) in alignment {
-        xa.push(x[i]);
-        ya.push(y[j]);
-    }
-    (xa, ya)
 }
 
 /// Secondary-structure strings of a chain, exposed for examples/benches.
@@ -789,6 +781,42 @@ mod tests {
     fn tiny_chain_panics() {
         let c = CaChain::from_coords("tiny", vec![Vec3::ZERO; 3]);
         let _ = tm_align(&c, &c);
+    }
+
+    #[test]
+    fn a_reused_workspace_carries_nothing_from_pair_to_pair() {
+        // The stale-buffer bug class: one workspace driven through a
+        // large pair then a small one (and back, and across kernels)
+        // must give every bit a fresh workspace gives.
+        let ck = rck_pdb::datasets::ck34_profile().generate(2013);
+        let tiny = tiny_profile().generate(2013);
+        let pairs = [
+            (&ck[24], &ck[0]),
+            (&tiny[0], &tiny[5]),
+            (&ck[0], &ck[24]),
+            (&tiny[5], &ck[1]),
+        ];
+        let mut ws = Workspace::default();
+        for params in [
+            TmAlignParams::default(),
+            TmAlignParams::fast(),
+            TmAlignParams::default(),
+        ] {
+            for (a, b) in pairs {
+                let reused = tm_align_in(a, b, &params, &mut ws);
+                let fresh = tm_align_with(a, b, &params);
+                assert_eq!(reused.alignment, fresh.alignment);
+                assert_eq!(reused.ops, fresh.ops);
+                for (r, f) in [
+                    (reused.tm_norm_a, fresh.tm_norm_a),
+                    (reused.tm_norm_b, fresh.tm_norm_b),
+                    (reused.rmsd, fresh.rmsd),
+                ] {
+                    assert_eq!(r.to_bits(), f.to_bits());
+                }
+                assert_eq!(reused.transform, fresh.transform);
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Global dynamic-programming alignment (Needleman–Wunsch).
 //!
-//! TM-align drives all of its alignment steps through one NW kernel over a
-//! dense residue-pair score matrix with a (linear) gap penalty — the same
-//! shape is used for the secondary-structure alignment, the hybrid initial
+//! TM-align drives all of its alignment steps through one NW kernel over
+//! residue-pair scores with a (linear) gap penalty — the same shape is
+//! used for the secondary-structure alignment, the hybrid initial
 //! alignment, and every refinement iteration. End gaps are free, matching
 //! TM-align's `NWDP_TM`.
 //!
 //! Two engines share those semantics:
 //!
-//! * [`needleman_wunsch`] — the scalar f64 **oracle**: full `n×m` table,
-//!   per-cell branches, the reference every optimization is checked
-//!   against (DESIGN.md §13);
+//! * [`StreamDp`] — the scalar f64 **oracle**, the reference every
+//!   optimization is checked against (DESIGN.md §13.7): score rows are
+//!   streamed one stripe at a time from the caller's row source, the
+//!   values roll through two rows and the traceback is one `u8` per
+//!   cell, so neither a score matrix nor a value table is materialised.
+//!   [`needleman_wunsch`] runs it over the rows of a [`ScoreMatrix`];
 //! * [`FastDp`] — the **fast path**: a banded DP around a monotone guide
 //!   path, f32 scoring filled row-stripe at a time through a
 //!   [`RowScorer`] (so the score slab is never materialised), rolling
@@ -82,117 +85,204 @@ impl ScoreMatrix {
         self.data[i * self.cols + j] = v;
     }
 
-    /// In-place elementwise combination: `self = a·self + b·other`.
-    ///
-    /// # Panics
-    /// Panics if dimensions differ.
-    pub fn blend(&mut self, a: f64, b: f64, other: &ScoreMatrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (x, y) in self.data.iter_mut().zip(&other.data) {
-            *x = a * *x + b * *y;
-        }
-    }
-
-    /// Largest absolute value in the matrix (0 for empty matrices).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |acc, v| acc.max(v.abs()))
+    /// Row `i` as a contiguous slice of `cols()` scores.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
     }
 }
 
-/// Direction taken by the DP traceback.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Step {
-    /// Align `i` with `j`.
-    Diag,
-    /// Gap in the second sequence (consume `i`).
-    Up,
-    /// Gap in the first sequence (consume `j`).
-    Left,
+// Traceback codes of both engines.
+/// Align `i` with `j`.
+const DIR_DIAG: u8 = 0;
+/// Gap in the second sequence (consume `i`).
+const DIR_UP: u8 = 1;
+/// Gap in the first sequence (consume `j`).
+const DIR_LEFT: u8 = 2;
+
+/// Reusable workspace of the scalar f64 oracle: two rolling value rows,
+/// the current row's score stripe and one traceback byte per cell. A
+/// refinement loop that keeps one around allocates nothing per round
+/// but the alignment it returns.
+#[derive(Debug, Default)]
+pub struct StreamDp {
+    prev: Vec<f64>,
+    cur: Vec<f64>,
+    stripe: Vec<f64>,
+    dirs: Vec<u8>,
+}
+
+impl StreamDp {
+    /// A fresh workspace; buffers grow on first use.
+    pub fn new() -> StreamDp {
+        StreamDp::default()
+    }
+
+    /// Global NW alignment of two sequences of lengths `rows` and `cols`,
+    /// maximizing `Σ score(i,j) + gap·(#internal gaps)`; `gap` should be
+    /// ≤ 0 (TM-align uses −0.6) and end gaps are free. Ties prefer Diag,
+    /// then Up, then Left, which keeps the traceback deterministic.
+    ///
+    /// `fill_row(i, out)` must set `out[j] = score(i, j)` for all `cols`
+    /// columns; it is called once per row, in order. Returns the aligned
+    /// pairs and the optimal score.
+    ///
+    /// Every value is produced by the IEEE-754 operations of the
+    /// textbook full-table recurrence in the same order, so results are
+    /// bit-identical to it (DESIGN.md §13.7 lists what may not be
+    /// rewritten).
+    pub fn align(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        gap: f64,
+        mut fill_row: impl FnMut(usize, &mut [f64]),
+        meter: &mut WorkMeter,
+    ) -> (Alignment, f64) {
+        let (n, m) = (rows, cols);
+        if n == 0 || m == 0 {
+            return (Vec::new(), 0.0);
+        }
+        crate::stages::stage_counters().dp_rounds.inc();
+        meter.charge((n as u64) * (m as u64));
+
+        // Free leading end gaps: DP row 0 and DP column 0 are zero, so
+        // entry 0 of both value rows stays zero throughout.
+        self.prev.clear();
+        self.prev.resize(m + 1, 0.0);
+        self.cur.clear();
+        self.cur.resize(m + 1, 0.0);
+        self.stripe.resize(m, 0.0);
+        // Every byte is written before the traceback reads it.
+        self.dirs.resize(n * m, DIR_DIAG);
+
+        // Diag vs Up needs only the previous row: no loop-carried
+        // dependency, so this half of the selection vectorizes.
+        let candidate = |from_diag: f64, score: f64, from_up: f64, up_pen: f64| {
+            let sdiag = from_diag + score;
+            let sup = from_up + up_pen;
+            if sdiag >= sup {
+                (sdiag, DIR_DIAG)
+            } else {
+                (sup, DIR_UP)
+            }
+        };
+
+        for i in 1..=n {
+            let dirs = &mut self.dirs[(i - 1) * m..i * m];
+            fill_row(i - 1, &mut self.stripe);
+            // The stripe turns from scores into candidates in place. Gap
+            // penalties are free along the last row/column (end gaps).
+            let (body, last) = self.stripe.split_at_mut(m - 1);
+            for (((c, d), &from_diag), &from_up) in body
+                .iter_mut()
+                .zip(dirs.iter_mut())
+                .zip(&self.prev[..m - 1])
+                .zip(&self.prev[1..m])
+            {
+                (*c, *d) = candidate(from_diag, *c, from_up, gap);
+            }
+            (last[0], dirs[m - 1]) = candidate(self.prev[m - 1], last[0], self.prev[m], 0.0);
+
+            // The dependent sweep. If Diag won above but loses to Left,
+            // then Up ≤ Diag < Left, so the full-table rule (Diag ≥ Up ≥
+            // Left) also answers Left.
+            let left_pen = if i == n { 0.0 } else { gap };
+            let mut left = 0.0f64;
+            for ((v, &c), d) in self.cur[1..]
+                .iter_mut()
+                .zip(self.stripe.iter())
+                .zip(dirs.iter_mut())
+            {
+                let sleft = left + left_pen;
+                if c >= sleft {
+                    left = c;
+                } else {
+                    left = sleft;
+                    *d = DIR_LEFT;
+                }
+                *v = left;
+            }
+            std::mem::swap(&mut self.prev, &mut self.cur);
+        }
+
+        let total = self.prev[m];
+        let mut pairs = Vec::with_capacity(n.min(m));
+        let (mut i, mut j) = (n, m);
+        // Whatever remains once an index reaches 0 is a free end gap.
+        while i > 0 && j > 0 {
+            match self.dirs[(i - 1) * m + (j - 1)] {
+                DIR_DIAG => {
+                    pairs.push((i - 1, j - 1));
+                    i -= 1;
+                    j -= 1;
+                }
+                DIR_UP => i -= 1,
+                _ => j -= 1,
+            }
+        }
+        pairs.reverse();
+        (pairs, total)
+    }
 }
 
 /// Global NW alignment of two sequences of lengths `score.rows()` and
-/// `score.cols()`, maximizing `Σ score(i,j) + gap_penalty·(#internal gaps)`.
+/// `score.cols()`, maximizing `Σ score(i,j) + gap_penalty·(#internal gaps)`:
+/// [`StreamDp::align`] over the rows of a prebuilt matrix.
 ///
 /// `gap_penalty` should be ≤ 0 (TM-align uses −0.6). End gaps are free.
 /// Returns the aligned pairs and the optimal score.
-#[allow(clippy::needless_range_loop)] // flat-indexed DP table
 pub fn needleman_wunsch(
     score: &ScoreMatrix,
     gap_penalty: f64,
     meter: &mut WorkMeter,
 ) -> (Alignment, f64) {
-    let n = score.rows();
-    let m = score.cols();
-    if n == 0 || m == 0 {
-        return (Vec::new(), 0.0);
-    }
-    crate::stages::stage_counters().dp_rounds.inc();
-    meter.charge((n as u64) * (m as u64));
+    StreamDp::new().align(
+        score.rows(),
+        score.cols(),
+        gap_penalty,
+        |i, out| out.copy_from_slice(score.row(i)),
+        meter,
+    )
+}
 
-    // val[(i,j)] = best score of aligning prefixes x[..i], y[..j];
-    // indices are 1-based into the DP table.
-    let cols = m + 1;
-    let mut val = vec![0.0f64; (n + 1) * cols];
-    let mut dir = vec![Step::Diag; (n + 1) * cols];
+/// f64 structure-of-arrays copy of the target chain — the layout the
+/// oracle's distance rows stream over, one contiguous lane per axis, so
+/// the fill loop over `j` vectorizes. Loaded once per pair.
+#[derive(Debug, Default)]
+pub(crate) struct TargetLanes {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    zs: Vec<f64>,
+}
 
-    // Free end gaps: first row/column stay zero, direction markers record
-    // the gap so traceback can walk home.
-    for j in 1..=m {
-        dir[j] = Step::Left;
-    }
-    for i in 1..=n {
-        dir[i * cols] = Step::Up;
+impl TargetLanes {
+    /// Number of points loaded.
+    pub(crate) fn len(&self) -> usize {
+        self.xs.len()
     }
 
-    for i in 1..=n {
-        // Gap penalties are free along the last row/column (end gaps).
-        for j in 1..=m {
-            let sdiag = val[(i - 1) * cols + (j - 1)] + score.get(i - 1, j - 1);
-            let up_pen = if j == m { 0.0 } else { gap_penalty };
-            let left_pen = if i == n { 0.0 } else { gap_penalty };
-            let sup = val[(i - 1) * cols + j] + up_pen;
-            let sleft = val[i * cols + (j - 1)] + left_pen;
-            // Tie-breaking prefers Diag, then Up, then Left — this keeps
-            // the traceback deterministic.
-            let (best, step) = if sdiag >= sup && sdiag >= sleft {
-                (sdiag, Step::Diag)
-            } else if sup >= sleft {
-                (sup, Step::Up)
-            } else {
-                (sleft, Step::Left)
-            };
-            val[i * cols + j] = best;
-            dir[i * cols + j] = step;
+    /// Replace the contents with `pts`.
+    pub(crate) fn load(&mut self, pts: &[Vec3]) {
+        self.xs.clear();
+        self.ys.clear();
+        self.zs.clear();
+        self.xs.extend(pts.iter().map(|p| p.x));
+        self.ys.extend(pts.iter().map(|p| p.y));
+        self.zs.extend(pts.iter().map(|p| p.z));
+    }
+
+    /// TM-align's distance score of `p` against every target point:
+    /// `out[j] = 1 / (1 + |p − target[j]|² / d0²)`, each term evaluated
+    /// exactly as `Vec3::dist_sq` and the two divisions evaluate it.
+    pub(crate) fn dist_row(&self, p: Vec3, d0sq: f64, out: &mut [f64]) {
+        for (((o, &tx), &ty), &tz) in out.iter_mut().zip(&self.xs).zip(&self.ys).zip(&self.zs) {
+            let dx = p.x - tx;
+            let dy = p.y - ty;
+            let dz = p.z - tz;
+            *o = 1.0 / (1.0 + (dx * dx + dy * dy + dz * dz) / d0sq);
         }
     }
-
-    let total = val[n * cols + m];
-    let mut pairs = Vec::with_capacity(n.min(m));
-    let (mut i, mut j) = (n, m);
-    while i > 0 || j > 0 {
-        match dir[i * cols + j] {
-            Step::Diag if i > 0 && j > 0 => {
-                pairs.push((i - 1, j - 1));
-                i -= 1;
-                j -= 1;
-            }
-            Step::Up if i > 0 => i -= 1,
-            Step::Left if j > 0 => j -= 1,
-            // Defensive: a marker pointing off the table (cannot happen
-            // with the initialisation above) — consume whichever index
-            // remains.
-            _ => {
-                if i > 0 {
-                    i -= 1;
-                } else {
-                    j -= 1;
-                }
-            }
-        }
-    }
-    pairs.reverse();
-    (pairs, total)
 }
 
 /// Check the structural invariant of an [`Alignment`]: pairs strictly
@@ -438,9 +528,6 @@ impl RowScorer for MatrixScorer<'_> {
 /// area an order of magnitude below the full slab on paper-sized chains.
 pub const INITIAL_BAND: usize = 24;
 
-const DIR_DIAG: u8 = 0;
-const DIR_UP: u8 = 1;
-const DIR_LEFT: u8 = 2;
 const NEG_INF: f32 = f32::NEG_INFINITY;
 
 /// Reusable workspace of the banded fast-path DP. Holds the rolling
@@ -775,16 +862,6 @@ mod tests {
         assert!(!is_valid_alignment(&vec![(0, 0), (0, 1)], 2, 2)); // i repeats
         assert!(!is_valid_alignment(&vec![(1, 1), (0, 0)], 2, 2)); // decreasing
         assert!(!is_valid_alignment(&vec![(0, 5)], 2, 2)); // out of range
-    }
-
-    #[test]
-    fn blend_combines_matrices() {
-        let mut a = ScoreMatrix::from_fn(2, 2, |i, j| (i + j) as f64);
-        let b = ScoreMatrix::from_fn(2, 2, |_, _| 10.0);
-        a.blend(0.5, 0.5, &b);
-        assert!((a.get(0, 0) - 5.0).abs() < 1e-12);
-        assert!((a.get(1, 1) - 6.0).abs() < 1e-12);
-        assert!((a.max_abs() - 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //!    secondary-structure match matrix and the distance-score matrix
 //!    induced by the best superposition found so far.
 
-use crate::dp::{
-    needleman_wunsch, Alignment, BlendScorer, DistScorer, FastDp, ScoreMatrix, SoaPoints,
-    SsMatchScorer,
-};
-use crate::kabsch::superpose;
+use crate::dp::{Alignment, BlendScorer, DistScorer, FastDp, SoaPoints, SsMatchScorer, StreamDp};
+use crate::kabsch::optimal_transform;
 use crate::meter::WorkMeter;
 use crate::secstruct::SecStruct;
-use crate::tmscore::tm_score_of_pairs;
+use crate::tmscore::tm_score_of_dist_sq;
+use crate::workspace::Workspace;
 use rck_pdb::geometry::{Transform, Vec3};
 
 /// Gap penalty used for the secondary-structure DP (TM-align uses −1.0).
@@ -64,29 +62,41 @@ pub fn gapless_threading(
         }
         let xs = &x[i_lo as usize..i_hi as usize];
         let ys = &y[(i_lo + k) as usize..(i_hi + k) as usize];
-        let sp = superpose(xs, ys, meter);
+        let t = optimal_transform(xs, ys, meter);
         meter.charge(overlap as u64);
-        let moved: Vec<Vec3> = xs.iter().map(|&p| sp.transform.apply(p)).collect();
-        let score = tm_score_of_pairs(&moved, ys, d0, norm_len);
+        let moved_dist_sq = xs.iter().zip(ys).map(|(&p, &q)| t.apply(p).dist_sq(q));
+        let score = tm_score_of_dist_sq(moved_dist_sq, d0, norm_len);
         if score > best_score {
             best_score = score;
             best_k = k;
-            best_t = sp.transform;
+            best_t = t;
         }
     }
 
-    let mut alignment = Vec::new();
-    if best_score > f64::NEG_INFINITY {
+    let alignment = if best_score > f64::NEG_INFINITY {
         let i_lo = 0.max(-best_k);
         let i_hi = n.min(m - best_k);
-        for i in i_lo..i_hi {
-            alignment.push((i as usize, (i + best_k) as usize));
-        }
-    }
+        (i_lo..i_hi)
+            .map(|i| (i as usize, (i + best_k) as usize))
+            .collect()
+    } else {
+        Vec::new()
+    };
     InitialAlignment {
         source: "gapless",
         alignment,
         transform: Some(best_t),
+    }
+}
+
+/// The secondary-structure match score: 1 where the classes agree, 0
+/// otherwise.
+#[inline]
+fn ss_match(a: SecStruct, b: SecStruct) -> f64 {
+    if a == b {
+        1.0
+    } else {
+        0.0
     }
 }
 
@@ -98,15 +108,28 @@ pub fn ss_alignment(
     ss_y: &[SecStruct],
     meter: &mut WorkMeter,
 ) -> InitialAlignment {
-    let m = ScoreMatrix::from_fn(ss_x.len(), ss_y.len(), |i, j| {
-        if ss_x[i] == ss_y[j] {
-            1.0
-        } else {
-            0.0
-        }
-    });
-    meter.charge((ss_x.len() * ss_y.len()) as u64);
-    let (alignment, _) = needleman_wunsch(&m, SS_GAP, meter);
+    ss_alignment_in(ss_x, ss_y, &mut StreamDp::new(), meter)
+}
+
+/// [`ss_alignment`] on the caller's DP workspace.
+pub(crate) fn ss_alignment_in(
+    ss_x: &[SecStruct],
+    ss_y: &[SecStruct],
+    dp: &mut StreamDp,
+    meter: &mut WorkMeter,
+) -> InitialAlignment {
+    meter.charge((ss_x.len() * ss_y.len()) as u64); // scoring the cells
+    let (alignment, _) = dp.align(
+        ss_x.len(),
+        ss_y.len(),
+        SS_GAP,
+        |i, out| {
+            for (o, &yj) in out.iter_mut().zip(ss_y) {
+                *o = ss_match(ss_x[i], yj);
+            }
+        },
+        meter,
+    );
     InitialAlignment {
         source: "ss-dp",
         alignment,
@@ -126,25 +149,40 @@ pub fn hybrid_alignment(
     d0: f64,
     meter: &mut WorkMeter,
 ) -> InitialAlignment {
-    let moved: Vec<Vec3> = x.iter().map(|&p| t.apply(p)).collect();
+    let mut ws = Workspace::default();
+    ws.retarget(y, false);
+    hybrid_alignment_in(x, ss_x, ss_y, t, d0, &mut ws, meter)
+}
+
+/// [`hybrid_alignment`] against the target chain `ws` points at.
+pub(crate) fn hybrid_alignment_in(
+    x: &[Vec3],
+    ss_x: &[SecStruct],
+    ss_y: &[SecStruct],
+    t: &Transform,
+    d0: f64,
+    ws: &mut Workspace,
+    meter: &mut WorkMeter,
+) -> InitialAlignment {
+    let m = ws.target.len();
+    assert_eq!(ss_y.len(), m, "one secondary-structure class per residue");
+    ws.moved.clear();
+    ws.moved.extend(x.iter().map(|&p| t.apply(p)));
     let d0sq = d0 * d0;
-    let mut m = ScoreMatrix::from_fn(x.len(), y.len(), |i, j| {
-        1.0 / (1.0 + moved[i].dist_sq(y[j]) / d0sq)
-    });
-    let ss = ScoreMatrix::from_fn(
+    meter.charge(2 * (x.len() * m) as u64); // scoring both components
+    let (moved, target) = (&ws.moved, &ws.target);
+    let (alignment, _) = ws.dp.align(
         x.len(),
-        y.len(),
-        |i, j| {
-            if ss_x[i] == ss_y[j] {
-                1.0
-            } else {
-                0.0
+        m,
+        SS_GAP,
+        |i, out| {
+            target.dist_row(moved[i], d0sq, out);
+            for (o, &yj) in out.iter_mut().zip(ss_y) {
+                *o = 0.5 * *o + 0.5 * ss_match(ss_x[i], yj);
             }
         },
+        meter,
     );
-    m.blend(0.5, 0.5, &ss);
-    meter.charge(2 * (x.len() * y.len()) as u64);
-    let (alignment, _) = needleman_wunsch(&m, SS_GAP, meter);
     InitialAlignment {
         source: "hybrid",
         alignment,

@@ -9,8 +9,9 @@
 //! * [`kabsch`] — optimal rigid superposition (quaternion/Jacobi);
 //! * [`tmscore`] — TM-score and the iterative rotation search;
 //! * [`dp`] — the Needleman–Wunsch kernel with free end gaps, in two
-//!   engines: the scalar f64 oracle and the banded f32 fast path
-//!   ([`dp::FastDp`], DESIGN.md §13);
+//!   engines: the scalar f64 oracle, streaming score rows through two
+//!   rolling value rows ([`dp::StreamDp`], DESIGN.md §13.7), and the
+//!   banded f32 fast path ([`dp::FastDp`], DESIGN.md §13);
 //! * [`prefilter`] — pruning prefilters for all-to-all workloads
 //!   (length-ratio bound, SS-composition screen, early termination);
 //! * [`secstruct`] — CA-geometry secondary-structure assignment;
@@ -39,6 +40,12 @@
 /// query-coalescing fingerprints. Bump it whenever *any* kernel change
 /// can alter a score bit — stored results from older kernels then simply
 /// stop matching and are recomputed, never silently reused.
+///
+/// `tests/oracle_bits.rs` decides whether a bump is due: it hashes every
+/// field of every result over the golden corpus against constants pinned
+/// before the last kernel edit. While it passes unchanged, no bit moved
+/// and the version stays; when an edit needs its constants updated, bump
+/// this in the same change.
 pub const KERNEL_VERSION: u32 = 1;
 
 pub mod align;
@@ -52,6 +59,7 @@ pub mod prefilter;
 pub mod secstruct;
 pub mod stages;
 pub mod tmscore;
+mod workspace;
 
 pub use align::{tm_align, tm_align_with, KernelPath, Normalization, TmAlignParams, TmAlignResult};
 pub use comparators::{MethodKind, PscMethod, PscScore};

@@ -33,7 +33,7 @@ pub struct StageCounters {
     pub fastpath_alignments: Arc<Counter>,
     /// DP rounds answered by the fast path (also counted in `dp_rounds`).
     pub fastpath_dp_rounds: Arc<Counter>,
-    /// Banded passes rerun with a doubled band (edge touch / disconnect).
+    /// Banded passes rerun with a ×4 band (edge touch / disconnect).
     pub fastpath_band_widenings: Arc<Counter>,
     /// Fast-path DP rounds that ended up at the full-width f32 slab.
     pub fastpath_fallbacks: Arc<Counter>,
@@ -88,7 +88,7 @@ pub fn stage_counters() -> &'static StageCounters {
             ),
             fastpath_band_widenings: reg.counter(
                 "rck_kernel_fastpath_band_widenings_total",
-                "banded DP passes rerun with a doubled band",
+                "banded DP passes rerun with a quadrupled band",
             ),
             fastpath_fallbacks: reg.counter(
                 "rck_kernel_fastpath_fallbacks_total",

@@ -13,7 +13,7 @@
 //! the subset of residue pairs falling inside a distance cutoff until the
 //! subset stabilises, keeping the best score seen anywhere.
 
-use crate::kabsch::superpose;
+use crate::kabsch::optimal_transform;
 use crate::meter::WorkMeter;
 use rck_pdb::geometry::{Transform, Vec3};
 
@@ -32,15 +32,22 @@ pub fn d0(len: usize) -> f64 {
 /// `norm_len`.
 pub fn tm_score_of_pairs(x: &[Vec3], y: &[Vec3], d0: f64, norm_len: usize) -> f64 {
     debug_assert_eq!(x.len(), y.len());
+    tm_score_of_dist_sq(x.iter().zip(y).map(|(a, b)| a.dist_sq(*b)), d0, norm_len)
+}
+
+/// TM-score of a sequence of squared pair distances (Å²), normalised by
+/// `norm_len` — [`tm_score_of_pairs`] for callers that produce the
+/// distances on the fly instead of materialising moved coordinates.
+pub(crate) fn tm_score_of_dist_sq(
+    dist_sq: impl Iterator<Item = f64>,
+    d0: f64,
+    norm_len: usize,
+) -> f64 {
     if norm_len == 0 {
         return 0.0;
     }
     let d0sq = d0 * d0;
-    let sum: f64 = x
-        .iter()
-        .zip(y)
-        .map(|(a, b)| 1.0 / (1.0 + a.dist_sq(*b) / d0sq))
-        .sum();
+    let sum: f64 = dist_sq.map(|d| 1.0 / (1.0 + d / d0sq)).sum();
     sum / norm_len as f64
 }
 
@@ -64,6 +71,18 @@ pub struct SearchResult {
     pub transform: Transform,
 }
 
+/// Buffers of one [`search`], reusable across calls: the cutoff
+/// selections, the gathered subset and the per-iteration squared
+/// distances. Carries no state from one call to the next.
+#[derive(Debug, Default)]
+pub(crate) struct SearchScratch {
+    selected: Vec<usize>,
+    prev_selected: Vec<usize>,
+    xs: Vec<Vec3>,
+    ys: Vec<Vec3>,
+    dist_sq: Vec<f64>,
+}
+
 /// Maximise the TM-score of the aligned pairs `(x_i, y_i)` over rigid
 /// transforms of `x`.
 ///
@@ -82,6 +101,31 @@ pub fn search(
     depth: SearchDepth,
     meter: &mut WorkMeter,
 ) -> SearchResult {
+    let mut scratch = SearchScratch::default();
+    search_in(
+        x,
+        y,
+        d0_search,
+        d0_score,
+        norm_len,
+        depth,
+        &mut scratch,
+        meter,
+    )
+}
+
+/// [`search`] on the caller's buffers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn search_in(
+    x: &[Vec3],
+    y: &[Vec3],
+    d0_search: f64,
+    d0_score: f64,
+    norm_len: usize,
+    depth: SearchDepth,
+    scratch: &mut SearchScratch,
+    meter: &mut WorkMeter,
+) -> SearchResult {
     assert_eq!(x.len(), y.len());
     let n = x.len();
     if n < 3 {
@@ -92,33 +136,38 @@ pub fn search(
     }
     crate::stages::stage_counters().tmscore_refinements.inc();
 
-    // Seed fragment lengths, longest first.
-    let mut seed_lens: Vec<usize> = match depth {
-        SearchDepth::Fast => vec![n, n / 2],
-        SearchDepth::Full => vec![n, n / 2, n / 4, n / 8],
+    // Seed fragment lengths, longest first: the schedule's entries of at
+    // least 4 residues, or one short fragment when there is none.
+    let schedule = [n, n / 2, n / 4, n / 8];
+    let schedule = match depth {
+        SearchDepth::Fast => &schedule[..2],
+        SearchDepth::Full => &schedule[..],
     };
-    seed_lens.retain(|l| *l >= 4);
-    if seed_lens.is_empty() {
-        seed_lens.push(n.clamp(3, 4));
-    }
-    seed_lens.dedup();
+    let fallback = [n.clamp(3, 4)];
+    let seed_lens = match schedule.iter().rposition(|&l| l >= 4) {
+        Some(last) => &schedule[..=last],
+        None => &fallback[..],
+    };
 
     let mut best = SearchResult {
         tm: -1.0,
         transform: Transform::IDENTITY,
     };
 
-    let mut selected: Vec<usize> = Vec::with_capacity(n);
-    let mut prev_selected: Vec<usize> = Vec::with_capacity(n);
-    let mut xs: Vec<Vec3> = Vec::with_capacity(n);
-    let mut ys: Vec<Vec3> = Vec::with_capacity(n);
-    // One transform application per residue per iteration: the moved
-    // points feed both the cutoff selection (which may rescan under a
-    // growing cutoff) and the scoring pass. Reused across iterations to
-    // avoid per-iteration allocation.
-    let mut moved: Vec<Vec3> = Vec::with_capacity(n);
+    let SearchScratch {
+        selected,
+        prev_selected,
+        xs,
+        ys,
+        dist_sq,
+    } = scratch;
+    // The cutoff filter below cannot tell `extend` how many pairs pass.
+    for buf in [&mut *selected, &mut *prev_selected] {
+        buf.clear();
+        buf.reserve(n);
+    }
 
-    for &l_ini in &seed_lens {
+    for &l_ini in seed_lens {
         let step = (l_ini / 2).max(4);
         let mut start = 0;
         loop {
@@ -127,37 +176,33 @@ pub fn search(
                 break;
             }
             // Superpose on the seed fragment.
-            let sp = superpose(&x[start..end], &y[start..end], meter);
-            let mut t = sp.transform;
+            let mut t = optimal_transform(&x[start..end], &y[start..end], meter);
 
             // Iterative extension: re-superpose on close pairs until the
             // selected set stabilises.
             prev_selected.clear();
             for _iter in 0..20 {
                 meter.charge(n as u64);
-                // Score the whole alignment under `t` and select pairs
-                // inside the cutoff.
-                moved.clear();
-                moved.extend(x.iter().map(|&p| t.apply(p)));
-                let mut tm = 0.0;
-                selected.clear();
+                // One transform application per residue per iteration:
+                // the squared distances under `t` feed both the cutoff
+                // selection (which may rescan under a growing cutoff)
+                // and the scoring pass.
+                dist_sq.clear();
+                dist_sq.extend(x.iter().zip(y).map(|(&p, &q)| t.apply(p).dist_sq(q)));
                 let d0sq_score = d0_score * d0_score;
                 let mut d_cut = d0_search + 1.0;
                 loop {
                     let cutsq = d_cut * d_cut;
                     selected.clear();
-                    for i in 0..n {
-                        if moved[i].dist_sq(y[i]) < cutsq {
-                            selected.push(i);
-                        }
-                    }
+                    selected.extend((0..n).filter(|&i| dist_sq[i] < cutsq));
                     if selected.len() >= 3 || selected.len() == n {
                         break;
                     }
                     d_cut += 0.5;
                 }
-                for i in 0..n {
-                    tm += 1.0 / (1.0 + moved[i].dist_sq(y[i]) / d0sq_score);
+                let mut tm = 0.0;
+                for &d in dist_sq.iter() {
+                    tm += 1.0 / (1.0 + d / d0sq_score);
                 }
                 let tm = tm / norm_len as f64;
                 if tm > best.tm {
@@ -166,18 +211,16 @@ pub fn search(
                 if selected == prev_selected {
                     break;
                 }
-                std::mem::swap(&mut prev_selected, &mut selected);
+                std::mem::swap(prev_selected, selected);
                 // Re-superpose on the selected subset.
                 xs.clear();
                 ys.clear();
-                for &i in &prev_selected {
-                    xs.push(x[i]);
-                    ys.push(y[i]);
-                }
+                xs.extend(prev_selected.iter().map(|&i| x[i]));
+                ys.extend(prev_selected.iter().map(|&i| y[i]));
                 if xs.len() < 3 {
                     break;
                 }
-                t = superpose(&xs, &ys, meter).transform;
+                t = optimal_transform(xs, ys, meter);
             }
 
             if start + l_ini == n {

@@ -13,13 +13,12 @@
 //!    the rejecting normalisation can never exceed the length bound the
 //!    verdict carried.
 
+mod common;
+
+use common::{corpus, DATASET_SEED};
 use rck_pdb::datasets::{ck34_profile, tiny_profile};
-use rck_pdb::model::CaChain;
 use rck_tmalign::prefilter::{decide, PrefilterDecision, SsComposition};
 use rck_tmalign::{tm_align_with, KernelPath, Normalization, PrefilterConfig, TmAlignParams};
-
-/// Dataset seed shared with the bench harnesses.
-const DATASET_SEED: u64 = 2013;
 
 /// Documented epsilon of gate 1 (fast kernel, no pruning) for pairs the
 /// oracle scores at or above [`RELATED_THRESHOLD`] — the region where
@@ -57,31 +56,6 @@ fn fast_unpruned() -> TmAlignParams {
         prefilter: PrefilterConfig::disabled(),
         ..TmAlignParams::default()
     }
-}
-
-/// All unordered pairs of the tiny corpus plus a same-/cross-family
-/// sample of CK34-sized chains (kept small so debug-mode CI stays fast).
-fn corpus() -> (Vec<CaChain>, Vec<(usize, usize)>) {
-    let mut chains = tiny_profile().generate(DATASET_SEED);
-    let tiny_n = chains.len();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for i in 0..tiny_n {
-        for j in (i + 1)..tiny_n {
-            pairs.push((i, j));
-        }
-    }
-    let ck = ck34_profile().generate(DATASET_SEED);
-    let picks = [0usize, 1, 2, 12, 13, 24];
-    let base = chains.len();
-    for &k in &picks {
-        chains.push(ck[k].clone());
-    }
-    for i in 0..picks.len() {
-        for j in (i + 1)..picks.len() {
-            pairs.push((base + i, base + j));
-        }
-    }
-    (chains, pairs)
 }
 
 #[test]

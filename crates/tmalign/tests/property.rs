@@ -3,10 +3,10 @@
 use proptest::prelude::*;
 use rck_pdb::geometry::{Mat3, Vec3};
 use rck_tmalign::dp::{
-    brute_force_best_score, is_valid_alignment, needleman_wunsch, FastDp, MatrixScorer,
-    ScoreMatrix, INITIAL_BAND,
+    brute_force_best_score, is_valid_alignment, needleman_wunsch, Alignment, FastDp, MatrixScorer,
+    ScoreMatrix, StreamDp, INITIAL_BAND,
 };
-use rck_tmalign::kabsch::{raw_rmsd, superpose};
+use rck_tmalign::kabsch::{optimal_transform, raw_rmsd, superpose};
 use rck_tmalign::secstruct;
 use rck_tmalign::tmscore::{d0, search, tm_score_of_pairs, SearchDepth};
 use rck_tmalign::WorkMeter;
@@ -18,7 +18,161 @@ fn arb_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Vec3>> {
     )
 }
 
+/// The textbook Needleman–Wunsch the streaming engine replaced, kept as
+/// the reference it must match bit for bit: a full `(n+1)×(m+1)` value
+/// table and step table, one three-way branch per cell (Diag ≥ Up ≥
+/// Left), free end gaps.
+fn full_table_nw(score: &ScoreMatrix, gap: f64) -> (Alignment, f64) {
+    #[derive(Clone, Copy)]
+    enum Step {
+        Diag,
+        Up,
+        Left,
+    }
+    let (n, m) = (score.rows(), score.cols());
+    let cols = m + 1;
+    let mut val = vec![0.0f64; (n + 1) * cols];
+    let mut dir = vec![Step::Diag; (n + 1) * cols];
+    for i in 1..=n {
+        for j in 1..=m {
+            let sdiag = val[(i - 1) * cols + (j - 1)] + score.get(i - 1, j - 1);
+            let up_pen = if j == m { 0.0 } else { gap };
+            let left_pen = if i == n { 0.0 } else { gap };
+            let sup = val[(i - 1) * cols + j] + up_pen;
+            let sleft = val[i * cols + (j - 1)] + left_pen;
+            let (best, step) = if sdiag >= sup && sdiag >= sleft {
+                (sdiag, Step::Diag)
+            } else if sup >= sleft {
+                (sup, Step::Up)
+            } else {
+                (sleft, Step::Left)
+            };
+            val[i * cols + j] = best;
+            dir[i * cols + j] = step;
+        }
+    }
+    let mut pairs = Vec::new();
+    let (mut i, mut j) = (n, m);
+    while i > 0 && j > 0 {
+        match dir[i * cols + j] {
+            Step::Diag => {
+                pairs.push((i - 1, j - 1));
+                i -= 1;
+                j -= 1;
+            }
+            Step::Up => i -= 1,
+            Step::Left => j -= 1,
+        }
+    }
+    pairs.reverse();
+    (pairs, val[n * cols + m])
+}
+
+/// The gap penalties TM-align runs the DP under (SS/hybrid initials,
+/// first and second refinement pass).
+const GAPS: [f64; 3] = [-1.0, -0.6, 0.0];
+
+/// The streaming engine — through its matrix entry and through an
+/// on-the-fly row source — must return the reference's alignment and
+/// the reference's score bits.
+fn assert_matches_full_table(
+    rows: usize,
+    cols: usize,
+    gap: f64,
+    score: impl Fn(usize, usize) -> f64,
+) -> Result<(), TestCaseError> {
+    let m = ScoreMatrix::from_fn(rows, cols, &score);
+    let (want, want_score) = full_table_nw(&m, gap);
+    let (got, got_score) = needleman_wunsch(&m, gap, &mut WorkMeter::new());
+    prop_assert_eq!(&got, &want, "matrix entry: alignments diverge");
+    prop_assert_eq!(got_score.to_bits(), want_score.to_bits());
+    let (streamed, streamed_score) = StreamDp::new().align(
+        rows,
+        cols,
+        gap,
+        |i, out| {
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = score(i, j);
+            }
+        },
+        &mut WorkMeter::new(),
+    );
+    prop_assert_eq!(&streamed, &want, "row source: alignments diverge");
+    prop_assert_eq!(streamed_score.to_bits(), want_score.to_bits());
+    Ok(())
+}
+
 proptest! {
+    /// Streaming engine ≡ full-table reference on random matrices.
+    #[test]
+    fn streaming_dp_matches_full_table_bitwise(
+        rows in 1usize..40,
+        cols in 1usize..40,
+        cells in prop::collection::vec(-2.0f64..2.0, 1600),
+        gap in 0usize..3,
+    ) {
+        assert_matches_full_table(rows, cols, GAPS[gap], |i, j| cells[i * 40 + j])?;
+    }
+
+    /// … and on tie-saturated 0/1 matrices — the secondary-structure
+    /// match case, where nearly every cell ties and the Diag ≥ Up ≥ Left
+    /// order decides the alignment.
+    #[test]
+    fn streaming_dp_breaks_ties_like_the_full_table(
+        rows in 1usize..40,
+        cols in 1usize..40,
+        cells in prop::collection::vec(0u8..2, 1600),
+        gap in 0usize..3,
+    ) {
+        assert_matches_full_table(rows, cols, GAPS[gap], |i, j| f64::from(cells[i * 40 + j]))?;
+    }
+
+    /// A reused engine carries nothing over: driven through a large
+    /// matrix then a small one (and the reverse), it returns what a
+    /// fresh engine returns.
+    #[test]
+    fn streaming_dp_reuse_is_stateless(
+        big in 20usize..40,
+        small in 1usize..10,
+        cells in prop::collection::vec(-2.0f64..2.0, 1600),
+        gap in 0usize..3,
+    ) {
+        let gap = GAPS[gap];
+        let fill = |i: usize, out: &mut [f64]| {
+            for (j, o) in out.iter_mut().enumerate() {
+                *o = cells[i * 40 + j];
+            }
+        };
+        let fresh = |rows, cols| StreamDp::new().align(rows, cols, gap, fill, &mut WorkMeter::new());
+        let mut reused = StreamDp::new();
+        for (rows, cols) in [(big, big), (small, big), (small, small), (big, small), (big, big)] {
+            let (a, s) = reused.align(rows, cols, gap, fill, &mut WorkMeter::new());
+            let (fa, fs) = fresh(rows, cols);
+            prop_assert_eq!(&a, &fa, "{}x{}", rows, cols);
+            prop_assert_eq!(s.to_bits(), fs.to_bits());
+        }
+    }
+
+    /// The transform-only Kabsch entry is `superpose` without the
+    /// residual: same transform bits, same work charged.
+    #[test]
+    fn optimal_transform_is_superpose_without_the_residual(
+        a in arb_points(1, 40),
+        b in arb_points(40, 41),
+    ) {
+        let b = &b[..a.len()];
+        let (mut m1, mut m2) = (WorkMeter::new(), WorkMeter::new());
+        let full = superpose(&a, b, &mut m1);
+        let t = optimal_transform(&a, b, &mut m2);
+        let bits = |t: &rck_pdb::geometry::Transform| -> Vec<u64> {
+            t.rot.r.iter().flatten().chain(&[t.trans.x, t.trans.y, t.trans.z])
+                .map(|f| f.to_bits())
+                .collect()
+        };
+        prop_assert_eq!(bits(&t), bits(&full.transform));
+        prop_assert_eq!(m1.ops(), m2.ops());
+    }
+
     /// NW with free end gaps matches the exhaustive optimum on small
     /// random matrices, and its alignment is always structurally valid.
     #[test]

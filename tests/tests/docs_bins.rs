@@ -1,7 +1,8 @@
 //! Docs and CI may only name things that exist: every `--bin NAME` in a
-//! Markdown file or the CI workflow resolves to a binary source file, and
+//! Markdown file or the CI workflow resolves to a binary source file,
 //! nothing outside the history files still points at the retired
-//! per-tier `BENCH_*.json` baselines.
+//! per-tier `BENCH_*.json` baselines, and every row of the benchmark
+//! trajectory names a workload and a metric `BENCHMARK.json` declares.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -123,6 +124,73 @@ fn nothing_points_at_the_retired_bench_json_baselines() {
             );
         }
     }
+}
+
+/// The string values of `"key": "value"` members in `text`, in order.
+fn string_members<'a>(text: &'a str, key: &str) -> Vec<&'a str> {
+    let needle = format!("\"{key}\": \"");
+    text.match_indices(&needle)
+        .map(|(at, _)| {
+            let rest = &text[at + needle.len()..];
+            &rest[..rest.find('"').expect("closing quote")]
+        })
+        .collect()
+}
+
+/// `docs/reports/bench-history.jsonl` is the trajectory of every paired
+/// measurement a PR reported: one object per line, always with the same
+/// keys, about a workload and an end-to-end metric the benchmark has.
+#[test]
+fn bench_history_rows_name_declared_workloads_and_metrics() {
+    let root = repo_root();
+    let manifest = fs::read_to_string(root.join("BENCHMARK.json")).expect("BENCHMARK.json");
+    let (workloads, rest) = manifest
+        .split_once("\"end_to_end\"")
+        .expect("end_to_end section");
+    let (end_to_end, _) = rest.split_once("\"per_layer\"").expect("per_layer section");
+    let (workloads, metrics) = (
+        string_members(workloads, "name"),
+        string_members(end_to_end, "name"),
+    );
+    assert!(workloads.len() >= 8 && metrics.len() >= 2);
+
+    let history =
+        fs::read_to_string(root.join("docs/reports/bench-history.jsonl")).expect("bench history");
+    let mut rows = 0;
+    for (n, line) in history.lines().enumerate() {
+        let at = format!("bench-history.jsonl line {}", n + 1);
+        assert!(
+            line.starts_with('{') && line.ends_with('}'),
+            "{at}: not an object"
+        );
+        for key in [
+            "pr",
+            "parent_commit",
+            "workload",
+            "metric",
+            "unit",
+            "seed",
+            "pairs",
+            "parent",
+            "change",
+            "wins",
+        ] {
+            assert!(line.contains(&format!("\"{key}\": ")), "{at}: no `{key}`");
+        }
+        for key in ["q1", "median", "q3"] {
+            let members = line.matches(&format!("\"{key}\": ")).count();
+            assert_eq!(members, 2, "{at}: `{key}` once per side");
+        }
+        let workload = string_members(line, "workload");
+        assert!(
+            workloads.contains(&workload[0]),
+            "{at}: workload {workload:?}"
+        );
+        let metric = string_members(line, "metric");
+        assert!(metrics.contains(&metric[0]), "{at}: metric {metric:?}");
+        rows += 1;
+    }
+    assert!(rows > 0, "bench history is empty");
 }
 
 /// Names a crate re-exports at its root: what follows the module path
