@@ -120,6 +120,10 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
         worker_id: session_id,
         n_chains: shared.db.len() as u32,
     };
+    // A client that never speaks must not pin this thread (and with it
+    // `Gate::run`'s final join) forever: until greeted the connection is
+    // not in `session_streams`, so `stop()` cannot close it.
+    let _ = conn.set_read_timeout(Some(shared.cfg.heartbeat_timeout.saturating_mul(2)));
     let greeted = dispatch::handshake(
         GateShared::TAG,
         |e| shared.observe(e),
@@ -130,6 +134,8 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
         conn.shutdown();
         return;
     }
+    // Established sessions have no per-client deadline.
+    let _ = conn.set_read_timeout(None);
     shared.stats.on_session();
     let outbox = Outbox::new();
     let writer = match conn.try_clone() {

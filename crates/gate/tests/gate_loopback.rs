@@ -55,7 +55,8 @@ impl Harness {
         std::thread::spawn(move || {
             let mut cfg = WorkerConfig::connect_to(SocketAddr::from(([127, 0, 0, 1], 0)));
             cfg.name = name;
-            cfg.heartbeat_interval = Duration::from_millis(50);
+            // Well inside the shortest `heartbeat_timeout` a test configures.
+            cfg.heartbeat_interval = Duration::from_millis(10);
             cfg.fail_after_batches = fail_after;
             let _ = run_worker_conn(conn, &cfg);
         })
@@ -431,4 +432,37 @@ fn client_disconnect_does_not_corrupt_the_other_tenant() {
     let report = h.finish();
     // Both runs completed — the abandoned one simply had nobody to tell.
     assert_eq!(report.stats.queries_completed, 2);
+}
+
+/// Every wait is bounded: a client that connects and never says Hello is
+/// not yet a session `stop()` can close, so its handler must time the
+/// handshake out on its own — or `run()` never returns.
+#[test]
+fn a_silent_client_does_not_keep_run_from_returning() {
+    let h = boot(GateConfig {
+        heartbeat_timeout: Duration::from_millis(100),
+        ..GateConfig::default()
+    });
+    let _silent = h.client_net.connect().expect("silent connect");
+    h.spawn_worker("w0", None);
+    let query = tiny_profile().generate(83)[0].clone();
+    let mut client = h.client("lab-a");
+    let outcome = client
+        .run_query(submit("lab-a", 1, 1, query))
+        .expect("query");
+    assert!(outcome.ranking.is_some(), "healthy query completed");
+    client.finish().expect("goodbye");
+
+    h.handle.stop();
+    // Join on a helper thread so a gate that never returns fails this
+    // test instead of hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(h.gate_thread.join());
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("run() returns within 1 s of stop()")
+        .expect("gate thread");
+    assert_eq!(report.stats.queries_completed, 1);
 }

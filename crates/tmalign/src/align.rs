@@ -8,11 +8,8 @@
 //! distance-score matrix, under two gap penalties; the best alignment by
 //! TM-score wins and is re-scored with the full search depth.
 
-use crate::dp::{Alignment, DistScorer};
-use crate::initial::{
-    gapless_threading, hybrid_alignment_fast, hybrid_alignment_in, ss_alignment_fast,
-    ss_alignment_in,
-};
+use crate::dp::Alignment;
+use crate::initial::{gapless_threading, hybrid_alignment_in, ss_alignment_in};
 use crate::kabsch::superpose;
 use crate::meter::WorkMeter;
 use crate::prefilter::{decide, PrefilterConfig, PrefilterDecision, SsComposition};
@@ -70,21 +67,6 @@ impl Normalization {
     }
 }
 
-/// Which DP engine answers the alignment rounds (DESIGN.md §13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum KernelPath {
-    /// The f64 full-width Needleman–Wunsch oracle
-    /// ([`crate::dp::StreamDp`]) — exact, and the kernel the simulator's
-    /// cycles-per-op constant is calibrated against, so it stays the
-    /// default.
-    #[default]
-    Scalar,
-    /// The banded f32 fast path ([`crate::dp::FastDp`]): band-limited DP
-    /// around a guide path with adaptive widening. Scores may differ from
-    /// the oracle by the documented epsilon (DESIGN.md §13.4).
-    Fast,
-}
-
 /// Tunable parameters of the algorithm. The defaults follow the original
 /// TM-align; they are exposed for the ablation benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -97,10 +79,6 @@ pub struct TmAlignParams {
     pub fast_refinement: bool,
     /// Normalisation of the optimised score.
     pub normalization: Normalization,
-    /// DP engine: the scalar f64 oracle (default) or the banded f32
-    /// fast path.
-    #[serde(default)]
-    pub kernel: KernelPath,
     /// Pruning prefilters and early termination (disabled by default).
     #[serde(default)]
     pub prefilter: PrefilterConfig,
@@ -113,21 +91,19 @@ impl Default for TmAlignParams {
             max_iterations: 10,
             fast_refinement: true,
             normalization: Normalization::Shorter,
-            kernel: KernelPath::Scalar,
             prefilter: PrefilterConfig::disabled(),
         }
     }
 }
 
 impl TmAlignParams {
-    /// The fast-path configuration: banded f32 DP plus the pruning
-    /// prefilters at their [`PrefilterConfig::fast`] defaults. Scores
-    /// track the scalar oracle within the epsilon documented in
-    /// DESIGN.md §13.4 (golden-set gated); the oracle remains available
-    /// as `TmAlignParams::default()`.
+    /// The fast configuration: the oracle's pipeline under the pruning
+    /// policy of [`PrefilterConfig::fast`] — the same engine and stages,
+    /// cut short where a prefilter fires. Scores track the unpruned
+    /// oracle within the tiers documented in DESIGN.md §13.4 (golden-set
+    /// gated); `TmAlignParams::default()` never prunes.
     pub fn fast() -> TmAlignParams {
         TmAlignParams {
-            kernel: KernelPath::Fast,
             prefilter: PrefilterConfig::fast(),
             ..TmAlignParams::default()
         }
@@ -238,11 +214,7 @@ fn tm_align_in(
 
     // One workspace serves every DP round and rotation search of this
     // pair.
-    let fast = params.kernel == KernelPath::Fast;
-    if fast {
-        stages.fastpath_alignments.inc();
-    }
-    ws.retarget(y, fast);
+    ws.retarget(y);
 
     // Demoted pairs run the reduced refinement schedule.
     let effective = match decision {
@@ -272,33 +244,9 @@ fn tm_align_in(
         // --- Initial alignments ---------------------------------------
         let init_gapless = gapless_threading(x, y, d0_opt, norm_len, &mut meter);
         let hybrid_seed = init_gapless.transform.unwrap_or(Transform::IDENTITY);
-        let (init_ss, init_hybrid) = match ws.fast.as_mut() {
-            None => (
-                ss_alignment_in(&ss_a, &ss_b, &mut ws.dp, &mut meter),
-                hybrid_alignment_in(x, &ss_a, &ss_b, &hybrid_seed, d0_opt, ws, &mut meter),
-            ),
-            Some(eng) => {
-                // Band the initial DPs around the best rigid-offset
-                // diagonal the gapless screen just found — a far better
-                // prior than the rescaled diagonal.
-                let guide = (!init_gapless.alignment.is_empty()).then_some(&init_gapless.alignment);
-                eng.mobile.load_transformed(x, &hybrid_seed);
-                (
-                    ss_alignment_fast(&ss_a, &ss_b, guide, &mut eng.dp, &mut meter),
-                    hybrid_alignment_fast(
-                        &eng.mobile,
-                        &eng.target,
-                        &ss_a,
-                        &ss_b,
-                        guide,
-                        &hybrid_seed,
-                        d0_opt,
-                        &mut eng.dp,
-                        &mut meter,
-                    ),
-                )
-            }
-        };
+        let init_ss = ss_alignment_in(&ss_a, &ss_b, &mut ws.dp, &mut meter);
+        let init_hybrid =
+            hybrid_alignment_in(x, &ss_a, &ss_b, &hybrid_seed, d0_opt, ws, &mut meter);
         stages.initial_alignments.add(3);
 
         // --- Refinement -----------------------------------------------
@@ -389,9 +337,7 @@ fn tm_align_in(
 /// One DP-refinement run from an initial alignment. Returns the best
 /// `(tm, alignment, transform)` encountered.
 ///
-/// With a `FastEngine` in the workspace the re-alignment rounds run on
-/// the banded f32 DP guided by the current alignment; without one they
-/// run on the scalar f64 oracle, scoring each row on the fly. When the
+/// The re-alignment rounds score each row on the fly. When the
 /// prefilters are enabled, a plateau below the score threshold abandons
 /// the remaining iterations (`rck_kernel_pruned_rounds_total`).
 #[allow(clippy::too_many_arguments)]
@@ -450,32 +396,17 @@ fn refine(
             }
             prev_best = best_tm;
             // Re-align under the found transform.
-            let next = match ws.fast.as_mut() {
-                Some(eng) => {
-                    eng.mobile.load_transformed(x, &sr.transform);
-                    let mut scorer = DistScorer {
-                        mobile: &eng.mobile,
-                        target: &eng.target,
-                        inv_d0sq: (1.0 / d0sq) as f32,
-                    };
-                    let (next, _) = eng.dp.align(&mut scorer, gap as f32, Some(&current), meter);
-                    next
-                }
-                None => {
-                    ws.moved.clear();
-                    ws.moved.extend(x.iter().map(|&p| sr.transform.apply(p)));
-                    meter.charge((x.len() * y.len()) as u64); // scoring the cells
-                    let (moved, target) = (&ws.moved, &ws.target);
-                    let (next, _) = ws.dp.align(
-                        x.len(),
-                        y.len(),
-                        gap,
-                        |i, out| target.dist_row(moved[i], d0sq, out),
-                        meter,
-                    );
-                    next
-                }
-            };
+            ws.moved.clear();
+            ws.moved.extend(x.iter().map(|&p| sr.transform.apply(p)));
+            meter.charge((x.len() * y.len()) as u64); // scoring the cells
+            let (moved, target) = (&ws.moved, &ws.target);
+            let (next, _) = ws.dp.align(
+                x.len(),
+                y.len(),
+                gap,
+                |i, out| target.dist_row(moved[i], d0sq, out),
+                meter,
+            );
             if next == current {
                 break;
             }
@@ -786,7 +717,7 @@ mod tests {
     #[test]
     fn a_reused_workspace_carries_nothing_from_pair_to_pair() {
         // The stale-buffer bug class: one workspace driven through a
-        // large pair then a small one (and back, and across kernels)
+        // large pair then a small one (and back, and across configurations)
         // must give every bit a fresh workspace gives.
         let ck = rck_pdb::datasets::ck34_profile().generate(2013);
         let tiny = tiny_profile().generate(2013);
@@ -820,16 +751,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_params_flip_kernel_and_prefilter() {
-        let p = TmAlignParams::fast();
-        assert_eq!(p.kernel, KernelPath::Fast);
-        assert!(p.prefilter.enabled);
-        let d = TmAlignParams::default();
-        assert_eq!(d.kernel, KernelPath::Scalar);
-        assert!(!d.prefilter.enabled);
-    }
-
-    #[test]
     fn fast_kernel_tracks_scalar_scores() {
         for seed in [21u64, 22, 23] {
             let a = member(seed, 0);
@@ -856,27 +777,6 @@ mod tests {
         let r = tm_align_with(&c, &c, &TmAlignParams::fast());
         assert!(r.tm_norm_a > 0.999, "tm = {}", r.tm_norm_a);
         assert_eq!(r.aligned_len, c.len());
-    }
-
-    #[test]
-    fn fast_kernel_bumps_fastpath_counters() {
-        let s = crate::stages::stage_counters();
-        let (before_align, before_dp) = (s.fastpath_alignments.get(), s.fastpath_dp_rounds.get());
-        let a = member(25, 0);
-        let b = member(25, 1);
-        let _ = tm_align_with(&a, &b, &TmAlignParams::fast());
-        assert!(s.fastpath_alignments.get() > before_align);
-        assert!(s.fastpath_dp_rounds.get() > before_dp);
-    }
-
-    #[test]
-    fn scalar_kernel_leaves_fastpath_counters_alone() {
-        let a = member(26, 0);
-        let b = member(26, 1);
-        let s = crate::stages::stage_counters();
-        let before = s.fastpath_alignments.get();
-        let _ = tm_align(&a, &b);
-        assert_eq!(s.fastpath_alignments.get(), before);
     }
 
     #[test]

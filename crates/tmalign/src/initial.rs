@@ -8,7 +8,7 @@
 //!    secondary-structure match matrix and the distance-score matrix
 //!    induced by the best superposition found so far.
 
-use crate::dp::{Alignment, BlendScorer, DistScorer, FastDp, SoaPoints, SsMatchScorer, StreamDp};
+use crate::dp::{Alignment, StreamDp};
 use crate::kabsch::optimal_transform;
 use crate::meter::WorkMeter;
 use crate::secstruct::SecStruct;
@@ -150,7 +150,7 @@ pub fn hybrid_alignment(
     meter: &mut WorkMeter,
 ) -> InitialAlignment {
     let mut ws = Workspace::default();
-    ws.retarget(y, false);
+    ws.retarget(y);
     hybrid_alignment_in(x, ss_x, ss_y, t, d0, &mut ws, meter)
 }
 
@@ -183,64 +183,6 @@ pub(crate) fn hybrid_alignment_in(
         },
         meter,
     );
-    InitialAlignment {
-        source: "hybrid",
-        alignment,
-        transform: Some(*t),
-    }
-}
-
-/// Fast-path twin of [`ss_alignment`]: the same match/mismatch objective
-/// run on the banded f32 DP. `guide` (typically the gapless-threading
-/// alignment) centres the band on the best rigid-offset diagonal; without
-/// it the band follows the rescaled diagonal. Either way the band widens
-/// adaptively until the verdict is trustworthy.
-pub fn ss_alignment_fast(
-    ss_x: &[SecStruct],
-    ss_y: &[SecStruct],
-    guide: Option<&Alignment>,
-    dp: &mut FastDp,
-    meter: &mut WorkMeter,
-) -> InitialAlignment {
-    let cx: Vec<u8> = ss_x.iter().map(|s| s.code()).collect();
-    let cy: Vec<u8> = ss_y.iter().map(|s| s.code()).collect();
-    let mut scorer = SsMatchScorer { x: &cx, y: &cy };
-    let (alignment, _) = dp.align(&mut scorer, SS_GAP as f32, guide, meter);
-    InitialAlignment {
-        source: "ss-dp",
-        alignment,
-        transform: None,
-    }
-}
-
-/// Fast-path twin of [`hybrid_alignment`]: the 50/50 SS/distance blend
-/// scored on the fly per band stripe. `mobile` must already hold the
-/// first chain transformed by `t` (see [`SoaPoints::load_transformed`]);
-/// `target` holds the second chain; `guide` plays the same role as in
-/// [`ss_alignment_fast`].
-#[allow(clippy::too_many_arguments)]
-pub fn hybrid_alignment_fast(
-    mobile: &SoaPoints,
-    target: &SoaPoints,
-    ss_x: &[SecStruct],
-    ss_y: &[SecStruct],
-    guide: Option<&Alignment>,
-    t: &Transform,
-    d0: f64,
-    dp: &mut FastDp,
-    meter: &mut WorkMeter,
-) -> InitialAlignment {
-    let cx: Vec<u8> = ss_x.iter().map(|s| s.code()).collect();
-    let cy: Vec<u8> = ss_y.iter().map(|s| s.code()).collect();
-    let mut scorer = BlendScorer {
-        dist: DistScorer {
-            mobile,
-            target,
-            inv_d0sq: (1.0 / (d0 * d0)) as f32,
-        },
-        ss: SsMatchScorer { x: &cx, y: &cy },
-    };
-    let (alignment, _) = dp.align(&mut scorer, SS_GAP as f32, guide, meter);
     InitialAlignment {
         source: "hybrid",
         alignment,

@@ -8,12 +8,12 @@
 //!
 //! * [`kabsch`] — optimal rigid superposition (quaternion/Jacobi);
 //! * [`tmscore`] — TM-score and the iterative rotation search;
-//! * [`dp`] — the Needleman–Wunsch kernel with free end gaps, in two
-//!   engines: the scalar f64 oracle, streaming score rows through two
-//!   rolling value rows ([`dp::StreamDp`], DESIGN.md §13.7), and the
-//!   banded f32 fast path ([`dp::FastDp`], DESIGN.md §13);
+//! * [`dp`] — the Needleman–Wunsch kernel with free end gaps: one
+//!   scalar f64 engine streaming score rows through two rolling value
+//!   rows ([`dp::StreamDp`], DESIGN.md §13.7);
 //! * [`prefilter`] — pruning prefilters for all-to-all workloads
-//!   (length-ratio bound, SS-composition screen, early termination);
+//!   (length-ratio bound, SS-composition screen, early termination) —
+//!   the whole of what [`TmAlignParams::fast`] adds to the oracle;
 //! * [`secstruct`] — CA-geometry secondary-structure assignment;
 //! * [`initial`] — the three initial alignments of the paper;
 //! * [`align`] — the full algorithm and its result type;
@@ -61,7 +61,7 @@ pub mod stages;
 pub mod tmscore;
 mod workspace;
 
-pub use align::{tm_align, tm_align_with, KernelPath, Normalization, TmAlignParams, TmAlignResult};
+pub use align::{tm_align, tm_align_with, Normalization, TmAlignParams, TmAlignResult};
 pub use comparators::{MethodKind, PscMethod, PscScore};
 pub use meter::WorkMeter;
 pub use prefilter::{PrefilterConfig, PrefilterDecision};

@@ -22,7 +22,9 @@
 //!
 //! The filters are off by default ([`PrefilterConfig::disabled`]) so the
 //! default kernel stays the oracle; [`crate::TmAlignParams::fast`] turns
-//! them on.
+//! them on, and that is all it does: a pruned run is the oracle's run
+//! cut short, bit-identical to it wherever no filter fires
+//! (`tests/oracle_bits.rs`).
 
 use crate::secstruct::SecStruct;
 use serde::{Deserialize, Serialize};
@@ -128,7 +130,7 @@ impl PrefilterConfig {
         }
     }
 
-    /// The fast-path defaults: reject below TM 0.3 (the classic
+    /// The defaults of the fast configuration: reject below TM 0.3 (the classic
     /// "unrelated folds" line), demote below 55% class overlap, abandon
     /// refinement plateaus gaining < 0.002 TM per iteration after 3
     /// iterations.

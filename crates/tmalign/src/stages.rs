@@ -29,14 +29,6 @@ pub struct StageCounters {
     pub tmscore_refinements: Arc<Counter>,
     /// Abstract kernel operations (the [`crate::meter::WorkMeter`] total).
     pub ops: Arc<Counter>,
-    /// `tm_align` invocations that took the banded f32 fast path.
-    pub fastpath_alignments: Arc<Counter>,
-    /// DP rounds answered by the fast path (also counted in `dp_rounds`).
-    pub fastpath_dp_rounds: Arc<Counter>,
-    /// Banded passes rerun with a ×4 band (edge touch / disconnect).
-    pub fastpath_band_widenings: Arc<Counter>,
-    /// Fast-path DP rounds that ended up at the full-width f32 slab.
-    pub fastpath_fallbacks: Arc<Counter>,
     /// Pairs rejected outright by the sound length-ratio TM bound.
     pub pruned_pairs: Arc<Counter>,
     /// Pairs demoted to the reduced refinement schedule by the
@@ -44,6 +36,14 @@ pub struct StageCounters {
     pub pruned_demotions: Arc<Counter>,
     /// Refinement iterations abandoned by score-bound early termination.
     pub pruned_rounds: Arc<Counter>,
+    /// Pinned, with the two below: unregistered and never incremented,
+    /// read only by the frozen `tmalign.fast_*` probes under
+    /// `benchmark/`. Delete when `benchmark/` is next re-cut.
+    pub fastpath_dp_rounds: Arc<Counter>,
+    /// See [`StageCounters::fastpath_dp_rounds`].
+    pub fastpath_band_widenings: Arc<Counter>,
+    /// See [`StageCounters::fastpath_dp_rounds`].
+    pub fastpath_fallbacks: Arc<Counter>,
 }
 
 static STAGES: OnceLock<StageCounters> = OnceLock::new();
@@ -78,22 +78,6 @@ pub fn stage_counters() -> &'static StageCounters {
                 "rck_kernel_ops_total",
                 "abstract kernel operations (WorkMeter units)",
             ),
-            fastpath_alignments: reg.counter(
-                "rck_kernel_fastpath_alignments_total",
-                "tm_align invocations that took the banded f32 fast path",
-            ),
-            fastpath_dp_rounds: reg.counter(
-                "rck_kernel_fastpath_dp_rounds_total",
-                "DP rounds answered by the banded f32 fast path",
-            ),
-            fastpath_band_widenings: reg.counter(
-                "rck_kernel_fastpath_band_widenings_total",
-                "banded DP passes rerun with a quadrupled band",
-            ),
-            fastpath_fallbacks: reg.counter(
-                "rck_kernel_fastpath_fallbacks_total",
-                "fast-path DP rounds that fell back to the full-width f32 slab",
-            ),
             pruned_pairs: reg.counter(
                 "rck_kernel_pruned_pairs_total",
                 "pairs rejected outright by the length-ratio TM bound",
@@ -106,6 +90,9 @@ pub fn stage_counters() -> &'static StageCounters {
                 "rck_kernel_pruned_rounds_total",
                 "refinement iterations abandoned by score-bound early termination",
             ),
+            fastpath_dp_rounds: Arc::default(),
+            fastpath_band_widenings: Arc::default(),
+            fastpath_fallbacks: Arc::default(),
         }
     })
 }

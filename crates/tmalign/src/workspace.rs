@@ -7,7 +7,7 @@
 //! buffer is overwritten before it is read, so nothing carries over from
 //! one round — or one pair — to the next.
 
-use crate::dp::{Alignment, FastDp, SoaPoints, StreamDp, TargetLanes};
+use crate::dp::{Alignment, StreamDp, TargetLanes};
 use crate::tmscore::SearchScratch;
 use rck_pdb::geometry::Vec3;
 
@@ -27,16 +27,12 @@ pub(crate) struct Workspace {
     pub ya: Vec<Vec3>,
     /// Buffers of the rotation search.
     pub search: SearchScratch,
-    /// The fast path's buffers, when the banded f32 engine is in use.
-    pub fast: Option<FastEngine>,
 }
 
 impl Workspace {
-    /// Point the workspace at the target chain `y`, with the fast path's
-    /// buffers if `fast` and without them otherwise.
-    pub fn retarget(&mut self, y: &[Vec3], fast: bool) {
+    /// Point the workspace at the target chain `y`.
+    pub fn retarget(&mut self, y: &[Vec3]) {
         self.target.load(y);
-        self.fast = fast.then(|| FastEngine::new(y));
     }
 
     /// Split an alignment into the parallel coordinate vectors
@@ -46,27 +42,5 @@ impl Workspace {
         self.ya.clear();
         self.xa.extend(alignment.iter().map(|&(i, _)| x[i]));
         self.ya.extend(alignment.iter().map(|&(_, j)| y[j]));
-    }
-}
-
-/// The fast path's share of the workspace: the banded DP buffers plus
-/// f32 SoA coordinate lanes (target loaded once, mobile reloaded under
-/// each refinement transform).
-#[derive(Debug)]
-pub(crate) struct FastEngine {
-    pub dp: FastDp,
-    pub mobile: SoaPoints,
-    pub target: SoaPoints,
-}
-
-impl FastEngine {
-    pub fn new(y: &[Vec3]) -> FastEngine {
-        let mut target = SoaPoints::new();
-        target.load(y);
-        FastEngine {
-            dp: FastDp::new(),
-            mobile: SoaPoints::new(),
-            target,
-        }
     }
 }

@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use rck_pdb::geometry::{Mat3, Vec3};
 use rck_tmalign::dp::{
-    brute_force_best_score, is_valid_alignment, needleman_wunsch, Alignment, FastDp, MatrixScorer,
-    ScoreMatrix, StreamDp, INITIAL_BAND,
+    brute_force_best_score, is_valid_alignment, needleman_wunsch, Alignment, ScoreMatrix, StreamDp,
 };
 use rck_tmalign::kabsch::{optimal_transform, raw_rmsd, superpose};
 use rck_tmalign::secstruct;
@@ -297,26 +296,6 @@ proptest! {
         let (lo, hi) = if l1 < l2 { (l1, l2) } else { (l2, l1) };
         prop_assert!(d0(lo) <= d0(hi) + 1e-12);
         prop_assert!(d0(lo) >= 0.5);
-    }
-
-    /// When the matrix is narrow enough that the initial band already
-    /// covers every column, the banded f32 fast path degenerates to a
-    /// full-width DP with the oracle's tie-breaking — alignments must be
-    /// identical and scores equal to f32 tolerance.
-    #[test]
-    fn fast_dp_matches_scalar_under_full_cover(
-        rows in 1usize..12,
-        cols in 1usize..20,
-        cells in prop::collection::vec(-2.0f64..2.0, 240),
-        gap in -1.5f64..0.0,
-    ) {
-        prop_assume!(cols <= INITIAL_BAND);
-        let m = ScoreMatrix::from_fn(rows, cols, |i, j| cells[i * 20 + j]);
-        let (sa, ss) = needleman_wunsch(&m, gap, &mut WorkMeter::new());
-        let (fa, fs) =
-            FastDp::new().align(&mut MatrixScorer(&m), gap as f32, None, &mut WorkMeter::new());
-        prop_assert_eq!(&fa, &sa, "alignments diverge");
-        prop_assert!((fs - ss).abs() < 1e-4, "fast {fs} vs scalar {ss}");
     }
 
     /// The prefilter's length-ratio bound is a true upper bound on the
