@@ -1,15 +1,32 @@
 //! The discrete-event engine.
 //!
 //! Each simulated core runs its program on its own OS thread, but threads
-//! take strict turns: a single "running" token is granted to the *ready
-//! core with the smallest virtual time* (ties by core id), and every
-//! inter-core action (send, receive, barrier, resource use) first yields
-//! the token so that actions execute in virtual-time order. This makes the
-//! simulation fully deterministic — independent of host thread scheduling —
-//! while letting user programs be written as plain straight-line code
-//! (no hand-rolled state machines), the style *Rust Atomics and Locks*
-//! recommends building from a mutex + condvar when correctness is the
-//! priority.
+//! take strict turns, and **ownership is the synchronisation**: the whole
+//! scheduler state (`Sched` — clocks, statuses, barriers, resources,
+//! links, memory controllers, trace) is a *baton*, one `Box` that exactly
+//! one thread holds at a time. Only the holder runs, so only the holder
+//! can touch the state, and it needs no lock to do so. Every inter-core
+//! action (send, receive, barrier, memory or resource use) first *passes*
+//! the baton to the *ready core with the smallest virtual time* (ties by
+//! core id) so that actions execute in virtual-time order: if that core
+//! is the holder itself it simply carries on; otherwise the baton goes
+//! down that core's lane — one `std::sync::mpsc` channel per core — and
+//! the holder sleeps on its own lane until the baton comes back. One
+//! hand-off wakes exactly one thread. This makes the simulation fully
+//! deterministic — independent of host thread scheduling — while letting
+//! user programs be written as plain straight-line code (no hand-rolled
+//! state machines).
+//!
+//! The next core is found by a scan over at most 48 entries, not a heap:
+//! what the previous design (one mutex, one condvar shared by all cores)
+//! paid for was wake-ups, not the scan. Replacing it with the baton and
+//! nothing else took `check_claims` from 110 s wall / 90 s sys to
+//! 36 s / 9 s on two hardware threads with every printed byte unchanged
+//! (CHANGES.md, PR 22).
+//!
+//! A run that cannot continue — no ready core while some are blocked, or
+//! a program that panics — sends `Wake::Abort` down every lane, so
+//! every sleeping thread ends with the same message.
 //!
 //! Message passing is modelled after RCCE's one-sided MPB protocol:
 //! a send and its matching receive rendezvous; the transfer is charged as
@@ -25,9 +42,9 @@ use crate::stats::{CoreStats, SimReport};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::CoreId;
 use crate::trace::{TraceBuffer, TraceEvent, TraceKind};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// A program to run on one simulated core.
@@ -38,12 +55,12 @@ pub type CoreProgram<'env> = Box<dyn FnOnce(&mut CoreCtx) + Send + 'env>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceId(pub usize);
 
+/// What a core is waiting for. The baton's holder is `Ready` too: nobody
+/// else can look while it runs.
 #[derive(Debug, Clone, PartialEq)]
 enum Status {
-    /// Wants the running token.
+    /// Runnable: holds the baton or wants it.
     Ready,
-    /// Holds the running token.
-    Running,
     /// Posted a send to `to`, waiting for the receiver.
     BlockedSend { to: usize },
     /// Waiting for a send from any of `from`.
@@ -70,10 +87,10 @@ struct CoreState {
 }
 
 impl CoreState {
-    fn new() -> CoreState {
+    fn new(status: Status) -> CoreState {
         CoreState {
             time: SimTime::ZERO,
-            status: Status::Ready,
+            status,
             stats: CoreStats::default(),
             rr_cursor: 0,
             inbox: None,
@@ -89,6 +106,8 @@ struct BarrierState {
     max_time: SimTime,
 }
 
+/// The scheduler state — the baton. Whoever owns the `Box` is the one
+/// thread running; everyone else is asleep on their lane.
 struct Sched {
     cores: Vec<CoreState>,
     barriers: HashMap<Vec<usize>, BarrierState>,
@@ -98,23 +117,30 @@ struct Sched {
     links: HashMap<(usize, usize), SimTime>,
     /// Per-iMC next-free times (off-chip memory, FCFS per controller).
     memory_controllers: Vec<SimTime>,
-    failed: Option<String>,
     trace: Option<TraceBuffer>,
 }
 
+/// What arrives on a sleeping core's lane.
+enum Wake {
+    /// The baton: it is your turn.
+    Run(Box<Sched>),
+    /// The run failed elsewhere; panic with this message.
+    Abort(String),
+}
+
+/// What every core thread shares: nothing that changes.
 struct Shared {
     cfg: NocConfig,
-    sched: Mutex<Sched>,
-    cvar: Condvar,
+    /// `lanes[i]` wakes core `i`.
+    lanes: Vec<Sender<Wake>>,
 }
 
 impl Shared {
-    /// Grant the running token to the ready core with the smallest
-    /// `(time, id)`. Panics the simulation on deadlock.
-    fn grant_next(&self, s: &mut Sched) {
-        if s.cores.iter().any(|c| c.status == Status::Running) {
-            return;
-        }
+    /// Pass the baton to the ready core with the smallest `(time, id)` —
+    /// the one place the next core is chosen. Returns the baton when it
+    /// stays with the caller: `me` is that core, or every core is done.
+    /// Panics the simulation on deadlock.
+    fn hand_off(&self, s: Box<Sched>, me: Option<usize>) -> Option<Box<Sched>> {
         let next = s
             .cores
             .iter()
@@ -123,27 +149,36 @@ impl Shared {
             .min_by_key(|(i, c)| (c.time, *i))
             .map(|(i, _)| i);
         match next {
+            Some(i) if me == Some(i) => Some(s),
             Some(i) => {
-                s.cores[i].status = Status::Running;
-                self.cvar.notify_all();
+                let sent = self.lanes[i].send(Wake::Run(s));
+                assert!(sent.is_ok(), "ready core {} is not listening", CoreId(i));
+                None
             }
+            None if s.cores.iter().all(|c| c.status == Status::Done) => Some(s),
             None => {
-                let all_done = s.cores.iter().all(|c| c.status == Status::Done);
-                if !all_done && s.failed.is_none() {
-                    let stuck: Vec<String> = s
-                        .cores
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.status != Status::Done)
-                        .map(|(i, c)| format!("{}: {:?} @ {}", CoreId(i), c.status, c.time))
-                        .collect();
-                    s.failed = Some(format!(
-                        "simulation deadlock: no runnable core; blocked: [{}]",
-                        stuck.join(", ")
-                    ));
-                    self.cvar.notify_all();
-                }
+                let stuck: Vec<String> = s
+                    .cores
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, c)| c.status != Status::Done)
+                    .map(|(i, c)| format!("{}: {:?} @ {}", CoreId(i), c.status, c.time))
+                    .collect();
+                let msg = format!(
+                    "simulation deadlock: no runnable core; blocked: [{}]",
+                    stuck.join(", ")
+                );
+                self.abort_sleepers(&msg);
+                panic!("{msg}");
             }
+        }
+    }
+
+    /// End the run: every sleeping core panics with `msg`. (The lanes of
+    /// cores that already finished are closed; that is not an error.)
+    fn abort_sleepers(&self, msg: &str) {
+        for lane in &self.lanes {
+            let _ = lane.send(Wake::Abort(msg.to_string()));
         }
     }
 }
@@ -152,7 +187,13 @@ impl Shared {
 pub struct CoreCtx {
     id: usize,
     shared: Arc<Shared>,
+    /// Where the baton (or an abort) arrives while this core sleeps.
+    lane: Receiver<Wake>,
+    /// The baton: `Some` exactly while this core's thread is running.
+    sched: Option<Box<Sched>>,
 }
+
+const HOLDER: &str = "a running core holds the baton";
 
 impl CoreCtx {
     /// This core's id.
@@ -172,13 +213,12 @@ impl CoreCtx {
 
     /// Current virtual time of this core.
     pub fn now(&self) -> SimTime {
-        self.shared.sched.lock().cores[self.id].time
+        self.sched.as_deref().expect(HOLDER).cores[self.id].time
     }
 
     /// Spend `dur` of virtual time computing.
     pub fn compute(&mut self, dur: SimDuration) {
-        let mut s = self.shared.sched.lock();
-        let c = &mut s.cores[self.id];
+        let c = &mut self.sched.as_deref_mut().expect(HOLDER).cores[self.id];
         c.time += dur;
         c.stats.busy += dur;
     }
@@ -190,45 +230,33 @@ impl CoreCtx {
         self.compute(dur);
     }
 
-    /// Run `f` for real on the host and charge `ops` of virtual compute
-    /// time for it. The simulation's timing depends only on `ops`, never
-    /// on how long `f` takes on the host.
-    pub fn execute<R>(&mut self, ops: u64, f: impl FnOnce() -> R) -> R {
-        let r = f();
-        self.compute_ops(ops);
-        r
-    }
-
     /// Advance local time without counting it as busy (e.g. modelling a
     /// fixed environment-setup delay).
     pub fn advance_idle(&mut self, dur: SimDuration) {
-        let mut s = self.shared.sched.lock();
-        let c = &mut s.cores[self.id];
+        let c = &mut self.sched.as_deref_mut().expect(HOLDER).cores[self.id];
         c.time += dur;
         c.stats.idle += dur;
     }
 
-    /// Yield the running token and wait until this core is the
-    /// minimum-time ready core again. All interaction ops call this first
-    /// so that they execute in virtual-time order.
-    fn yield_turn(&self) {
-        let mut s = self.shared.sched.lock();
-        s.cores[self.id].status = Status::Ready;
-        self.shared.grant_next(&mut s);
-        self.block_until_running(&mut s);
+    /// Take `status` and let the earliest ready core run; returns once
+    /// this core holds the baton again — at once if it is still the
+    /// earliest. All interaction ops call `pass(Status::Ready)` first so
+    /// that they execute in virtual-time order, and `pass(Blocked…)` to
+    /// wait for a partner, who makes this core `Ready` again.
+    fn pass(&mut self, status: Status) {
+        let mut s = self.sched.take().expect(HOLDER);
+        s.cores[self.id].status = status;
+        self.sched = self.shared.hand_off(s, Some(self.id));
+        if self.sched.is_none() {
+            self.sleep();
+        }
     }
 
-    /// Wait (condvar) until we hold the running token.
-    fn block_until_running(&self, s: &mut parking_lot::MutexGuard<'_, Sched>) {
-        loop {
-            if let Some(msg) = s.failed.clone() {
-                self.shared.cvar.notify_all();
-                panic!("{msg}");
-            }
-            if s.cores[self.id].status == Status::Running {
-                return;
-            }
-            self.shared.cvar.wait(s);
+    /// Sleep on this core's lane until the baton arrives.
+    fn sleep(&mut self) {
+        match self.lane.recv().expect("the lanes outlive the cores") {
+            Wake::Run(s) => self.sched = Some(s),
+            Wake::Abort(msg) => panic!("{msg}"),
         }
     }
 
@@ -237,25 +265,23 @@ impl CoreCtx {
     pub fn send(&mut self, dst: CoreId, payload: Vec<u8>) {
         assert!(dst.0 < self.core_count(), "send to invalid core {dst}");
         assert_ne!(dst.0, self.id, "core {dst} cannot send to itself");
-        self.yield_turn();
-        let mut s = self.shared.sched.lock();
+        self.pass(Status::Ready);
+        let s = self.sched.as_deref_mut().expect(HOLDER);
 
         let receiver_matches = match &s.cores[dst.0].status {
             Status::BlockedRecv { from } => from.contains(&self.id),
             _ => false,
         };
         if receiver_matches {
-            complete_transfer(&self.shared.cfg, &mut s, self.id, dst.0, payload, true);
-            // We keep the token; the receiver was made Ready and will be
-            // granted in time order.
+            // We keep the baton; the receiver was made Ready and will
+            // get it in time order.
+            complete_transfer(&self.shared.cfg, s, self.id, dst.0, payload);
         } else {
             // Post the send and wait for a receiver to take it.
             let me = &mut s.cores[self.id];
             me.outbox = Some(payload);
             me.posted_at = me.time;
-            me.status = Status::BlockedSend { to: dst.0 };
-            self.shared.grant_next(&mut s);
-            self.block_until_running(&mut s);
+            self.pass(Status::BlockedSend { to: dst.0 });
         }
     }
 
@@ -279,8 +305,8 @@ impl CoreCtx {
             assert!(s < self.core_count(), "recv from invalid core {s}");
             assert_ne!(s, self.id, "core cannot receive from itself");
         }
-        self.yield_turn();
-        let mut s = self.shared.sched.lock();
+        self.pass(Status::Ready);
+        let s = self.sched.as_deref_mut().expect(HOLDER);
 
         // A sender may already be parked waiting for us. Pick the one that
         // posted earliest; break ties in round-robin order from the
@@ -288,42 +314,36 @@ impl CoreCtx {
         let rr = s.cores[self.id].rr_cursor;
         let candidate = srcs
             .iter()
-            .filter(
-                |&&c| matches!(&s.cores[c].status, Status::BlockedSend { to } if *to == self.id),
-            )
-            .min_by_key(|&&c| {
-                let posted = s.cores[c].posted_at;
-                let rr_dist =
-                    srcs.iter().position(|&x| x == c).unwrap().wrapping_sub(rr) % srcs.len().max(1);
-                (posted, rr_dist)
+            .enumerate()
+            .filter(|&(_, &c)| {
+                matches!(&s.cores[c].status, Status::BlockedSend { to } if *to == self.id)
             })
-            .copied();
+            .min_by_key(|&(pos, &c)| (s.cores[c].posted_at, rr_distance(pos, rr, srcs.len())))
+            .map(|(_, &c)| c);
 
         match candidate {
             Some(sender) => {
                 let payload = s.cores[sender].outbox.take().expect("sender holds payload");
                 if srcs.len() > 1 {
-                    charge_probes(&self.shared.cfg, &mut s, self.id, srcs, sender);
+                    charge_probes(&self.shared.cfg, s, self.id, srcs, sender);
                 }
-                complete_transfer(&self.shared.cfg, &mut s, sender, self.id, payload, false);
-
+                complete_transfer(&self.shared.cfg, s, sender, self.id, payload);
                 s.cores[self.id].inbox.take().expect("transfer delivered")
             }
             None => {
                 let me = &mut s.cores[self.id];
                 me.posted_at = me.time;
-                me.status = Status::BlockedRecv {
+                self.pass(Status::BlockedRecv {
                     from: srcs.to_vec(),
-                };
-                self.shared.grant_next(&mut s);
-                self.block_until_running(&mut s);
+                });
+                let s = self.sched.as_deref_mut().expect(HOLDER);
                 let sender = s.cores[self.id]
                     .inbox
                     .as_ref()
                     .map(|(src, _)| *src)
                     .expect("woken with a message");
                 if srcs.len() > 1 {
-                    charge_probes(&self.shared.cfg, &mut s, self.id, srcs, sender);
+                    charge_probes(&self.shared.cfg, s, self.id, srcs, sender);
                 }
                 s.cores[self.id].inbox.take().expect("just checked")
             }
@@ -341,14 +361,14 @@ impl CoreCtx {
         if key.len() == 1 {
             return;
         }
-        self.yield_turn();
-        let mut s = self.shared.sched.lock();
+        self.pass(Status::Ready);
+        let s = self.sched.as_deref_mut().expect(HOLDER);
         let my_time = s.cores[self.id].time;
         let entry = s.barriers.entry(key.clone()).or_default();
         entry.arrived.push(self.id);
         entry.max_time = entry.max_time.max(my_time);
         if entry.arrived.len() == key.len() {
-            // Last arrival releases everyone.
+            // Last arrival releases everyone (and carries on itself).
             let done = s.barriers.remove(&key).expect("just inserted");
             let release = done.max_time + self.shared.cfg.cycles(self.shared.cfg.barrier_cycles);
             let group = done.arrived.len() as u32;
@@ -356,9 +376,7 @@ impl CoreCtx {
                 let core = &mut s.cores[c];
                 core.stats.idle += release.since(core.time);
                 core.time = release;
-                if c != self.id {
-                    core.status = Status::Ready;
-                }
+                core.status = Status::Ready;
             }
             if let Some(trace) = &mut s.trace {
                 trace.push(TraceEvent {
@@ -366,11 +384,8 @@ impl CoreCtx {
                     kind: TraceKind::Barrier { group },
                 });
             }
-            self.shared.cvar.notify_all();
         } else {
-            s.cores[self.id].status = Status::BlockedBarrier;
-            self.shared.grant_next(&mut s);
-            self.block_until_running(&mut s);
+            self.pass(Status::BlockedBarrier);
         }
     }
 
@@ -381,8 +396,8 @@ impl CoreCtx {
     pub fn read_memory(&mut self, len: usize) {
         let mc = self.shared.cfg.topology.memory_controller_of(self.id());
         let service = self.shared.cfg.dram_time(len);
-        self.yield_turn();
-        let mut s = self.shared.sched.lock();
+        self.pass(Status::Ready);
+        let s = self.sched.as_deref_mut().expect(HOLDER);
         let now = s.cores[self.id].time;
         let start = now.max(s.memory_controllers[mc]);
         let finish = start + service;
@@ -397,8 +412,8 @@ impl CoreCtx {
     /// resource is free, then occupy it. Models the MCPC's NFS disk
     /// controller and similar contended servers.
     pub fn use_resource(&mut self, res: ResourceId, service: SimDuration) {
-        self.yield_turn();
-        let mut s = self.shared.sched.lock();
+        self.pass(Status::Ready);
+        let s = self.sched.as_deref_mut().expect(HOLDER);
         if s.resources.len() <= res.0 {
             s.resources.resize(res.0 + 1, SimTime::ZERO);
         }
@@ -422,17 +437,22 @@ impl CoreCtx {
     }
 }
 
+/// How many sources a receiver polling `n` sources round-robin from
+/// cursor `rr` scans before it reaches position `pos`.
+fn rr_distance(pos: usize, rr: usize, n: usize) -> usize {
+    (pos + n - rr % n) % n
+}
+
 /// Charge the receiver for scanning `srcs` in round-robin order until it
 /// hits `sender`, and advance its cursor past the match. Only multi-source
 /// receives pay this: a single-source receive is a blocking flag wait, not
 /// a polling loop.
 fn charge_probes(cfg: &NocConfig, s: &mut Sched, me: usize, srcs: &[usize], sender: usize) {
     let pos = srcs.iter().position(|&x| x == sender).unwrap_or(0);
-    let rr = s.cores[me].rr_cursor;
     let n = srcs.len();
-    let scanned = (pos + n - rr % n) % n + 1;
-    s.cores[me].rr_cursor = (pos + 1) % n;
     let c = &mut s.cores[me];
+    let scanned = rr_distance(pos, c.rr_cursor, n) + 1;
+    c.rr_cursor = (pos + 1) % n;
     c.stats.probes += scanned as u64;
     let cost = cfg.cycles(cfg.probe_cycles * scanned as u64);
     c.time += cost;
@@ -440,16 +460,9 @@ fn charge_probes(cfg: &NocConfig, s: &mut Sched, me: usize, srcs: &[usize], send
 }
 
 /// Perform a matched transfer from `src` to `dst`, updating both cores'
-/// clocks and stats. `initiated_by_sender` records which side was already
-/// running (the other was parked and becomes Ready).
-fn complete_transfer(
-    cfg: &NocConfig,
-    s: &mut Sched,
-    src: usize,
-    dst: usize,
-    payload: Vec<u8>,
-    initiated_by_sender: bool,
-) {
+/// clocks and stats. Both end `Ready`: one of them is the caller, the
+/// other was parked and now waits for the baton.
+fn complete_transfer(cfg: &NocConfig, s: &mut Sched, src: usize, dst: usize, payload: Vec<u8>) {
     let len = payload.len();
     let hops = cfg.topology.hops(CoreId(src), CoreId(dst));
     let copy = cfg.copy_time(len);
@@ -487,9 +500,7 @@ fn complete_transfer(
         sc.stats.msgs_sent += 1;
         sc.stats.bytes_sent += len as u64;
         sc.time = sender_finish;
-        if !initiated_by_sender {
-            sc.status = Status::Ready;
-        }
+        sc.status = Status::Ready;
     }
     {
         let dc = &mut s.cores[dst];
@@ -499,9 +510,7 @@ fn complete_transfer(
         dc.stats.bytes_recv += len as u64;
         dc.time = receiver_finish;
         dc.inbox = Some((src, payload));
-        if initiated_by_sender {
-            dc.status = Status::Ready;
-        }
+        dc.status = Status::Ready;
     }
     if let Some(trace) = &mut s.trace {
         trace.push(TraceEvent {
@@ -562,88 +571,71 @@ impl Simulator {
         );
         programs.resize_with(n, || None);
 
+        // Idle cores are Done from the start.
+        let cores = programs.iter().map(|p| match p {
+            Some(_) => CoreState::new(Status::Ready),
+            None => CoreState::new(Status::Done),
+        });
+        let start = Box::new(Sched {
+            cores: cores.collect(),
+            barriers: HashMap::new(),
+            resources: Vec::new(),
+            links: HashMap::new(),
+            memory_controllers: vec![SimTime::ZERO; crate::topology::Topology::MEMORY_CONTROLLERS],
+            trace: trace_capacity.map(TraceBuffer::with_capacity),
+        });
+        let (lanes, sleepers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         let shared = Arc::new(Shared {
             cfg: self.cfg.clone(),
-            sched: Mutex::new(Sched {
-                cores: (0..n).map(|_| CoreState::new()).collect(),
-                barriers: HashMap::new(),
-                resources: Vec::new(),
-                links: HashMap::new(),
-                memory_controllers: vec![
-                    SimTime::ZERO;
-                    crate::topology::Topology::MEMORY_CONTROLLERS
-                ],
-                failed: None,
-                trace: trace_capacity.map(TraceBuffer::with_capacity),
-            }),
-            cvar: Condvar::new(),
+            lanes,
         });
 
-        // Idle cores are Done from the start.
-        {
-            let mut s = shared.sched.lock();
-            for (i, p) in programs.iter().enumerate() {
-                if p.is_none() {
-                    s.cores[i].status = Status::Done;
-                }
-            }
-        }
-
-        crossbeam::thread::scope(|scope| {
+        let last = std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (i, program) in programs.into_iter().enumerate() {
+            for (i, (program, lane)) in programs.into_iter().zip(sleepers).enumerate() {
                 let Some(program) = program else { continue };
-                let shared = Arc::clone(&shared);
-                handles.push(scope.spawn(move |_| {
-                    let mut ctx = CoreCtx {
-                        id: i,
-                        shared: Arc::clone(&shared),
-                    };
-                    // Wait for the first grant.
-                    {
-                        let mut s = shared.sched.lock();
-                        ctx.block_until_running(&mut s);
-                    }
-                    let result = catch_unwind(AssertUnwindSafe(|| program(&mut ctx)));
-                    let mut s = shared.sched.lock();
-                    match result {
+                let mut ctx = CoreCtx {
+                    id: i,
+                    shared: Arc::clone(&shared),
+                    lane,
+                    sched: None,
+                };
+                handles.push(scope.spawn(move || {
+                    ctx.sleep(); // until the first turn
+                    match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
+                        // The last core to finish returns the baton.
                         Ok(()) => {
+                            let mut s = ctx.sched.take().expect(HOLDER);
                             s.cores[i].status = Status::Done;
-                            shared.grant_next(&mut s);
-                            shared.cvar.notify_all();
+                            ctx.shared.hand_off(s, None)
                         }
                         Err(e) => {
-                            if s.failed.is_none() {
-                                s.failed = Some(format!(
+                            // A panic of the program's own ends the others;
+                            // an abort passing through holds no baton.
+                            if ctx.sched.is_some() {
+                                ctx.shared.abort_sleepers(&format!(
                                     "core {} panicked: {}",
                                     CoreId(i),
                                     panic_message(e.as_ref())
                                 ));
                             }
-                            shared.cvar.notify_all();
-                            drop(s);
-                            resume_unwind(e);
+                            resume_unwind(e)
                         }
                     }
                 }));
             }
-            // Initial grant.
-            {
-                let mut s = shared.sched.lock();
-                shared.grant_next(&mut s);
-            }
+            // With nothing to run the baton comes straight back.
+            let mut last = shared.hand_off(start, None);
             for h in handles {
-                if let Err(e) = h.join() {
-                    resume_unwind(e);
+                match h.join() {
+                    Ok(returned) => last = last.or(returned),
+                    Err(e) => resume_unwind(e),
                 }
             }
-        })
-        .expect("simulation threads joined");
+            last
+        });
 
-        let mut s = shared.sched.lock();
-        if let Some(msg) = &s.failed {
-            panic!("{msg}");
-        }
+        let mut s = last.expect("the last core to finish returns the baton");
         let makespan = s
             .cores
             .iter()
@@ -678,6 +670,19 @@ mod tests {
 
     fn ids(v: &[usize]) -> Vec<CoreId> {
         v.iter().map(|&i| CoreId(i)).collect()
+    }
+
+    /// Drive `run` on a thread of its own and wait at most 5 s for it to
+    /// return or panic: a lost wake-up in a hand-off design hangs rather
+    /// than fails. `Err` carries the panic message.
+    fn within_5s(run: impl FnOnce() -> SimReport + Send + 'static) -> Result<SimReport, String> {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(run));
+            let _ = tx.send(outcome.map_err(|e| panic_message(e.as_ref())));
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the run neither returned nor failed within 5 s")
     }
 
     #[test]
@@ -812,6 +817,36 @@ mod tests {
     }
 
     #[test]
+    fn recv_any_scans_round_robin_from_the_cursor_for_any_source_count() {
+        // Three sources, so the source count does not divide 2^64. The
+        // first receive leaves the cursor behind core 2; cores 1 and 2
+        // then post at the same virtual time (they leave one barrier
+        // together), and a master scanning on from the cursor wraps
+        // around to core 1 first.
+        let seen = std::sync::Mutex::new(Vec::new());
+        Simulator::new(cfg()).run(vec![
+            Some(Box::new(|ctx: &mut CoreCtx| {
+                let srcs = ids(&[1, 2, 3]);
+                seen.lock().unwrap().push(ctx.recv_any(&srcs).0 .0);
+                ctx.compute_ops(50_000_000);
+                seen.lock().unwrap().push(ctx.recv_any(&srcs).0 .0);
+                seen.lock().unwrap().push(ctx.recv_any(&srcs).0 .0);
+            })),
+            Some(Box::new(|ctx: &mut CoreCtx| {
+                ctx.barrier(&ids(&[1, 2]));
+                ctx.send(CoreId(0), vec![1]);
+            })),
+            Some(Box::new(|ctx: &mut CoreCtx| {
+                ctx.send(CoreId(0), vec![2]);
+                ctx.barrier(&ids(&[1, 2]));
+                ctx.send(CoreId(0), vec![2]);
+            })),
+            None,
+        ]);
+        assert_eq!(seen.into_inner().unwrap(), vec![2, 1, 2]);
+    }
+
+    #[test]
     fn barrier_synchronises_times() {
         let after = std::sync::Mutex::new(Vec::new());
         Simulator::new(cfg()).run(vec![
@@ -926,18 +961,135 @@ mod tests {
         ]);
     }
 
+    // Every way a run can end, driven through `within_5s`. The first
+    // three rows pass under the mutex-and-condvar engine this one
+    // replaced as well; the fourth is the baton's keep-it path.
+
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "boom")]
     fn program_panic_propagates() {
-        let _ = Simulator::new(cfg()).run(vec![
-            Some(Box::new(|_ctx: &mut CoreCtx| {
-                panic!("user bug");
-            })),
-            Some(Box::new(|ctx: &mut CoreCtx| {
-                // Would wait forever if the panic were not propagated.
-                let _ = ctx.recv_from(CoreId(0));
-            })),
-        ]);
+        let outcome = within_5s(|| {
+            Simulator::new(cfg()).run(vec![
+                Some(Box::new(|_ctx: &mut CoreCtx| {
+                    panic!("boom");
+                })),
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    // Would wait forever if the panic were not propagated.
+                    let _ = ctx.recv_from(CoreId(0));
+                })),
+            ])
+        });
+        panic!("{}", outcome.expect_err("core 0 panicked"));
+    }
+
+    #[test]
+    fn program_panic_reaches_cores_parked_in_recv_any_and_at_a_barrier() {
+        let outcome = within_5s(|| {
+            Simulator::new(cfg()).run(vec![
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    let _ = ctx.recv_any(&ids(&[1, 2]));
+                })),
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    ctx.barrier(&ids(&[1, 2]));
+                })),
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    ctx.compute_ops(1_000);
+                    panic!("boom");
+                })),
+            ])
+        });
+        // `run` ends with the lowest-numbered failing core's message:
+        // core 0's, which was told who failed.
+        assert_eq!(outcome.unwrap_err(), "core rck02 panicked: boom");
+    }
+
+    #[test]
+    fn deadlock_report_names_every_blocked_core_and_no_finished_one() {
+        let outcome = within_5s(|| {
+            Simulator::new(cfg()).run(vec![
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    let _ = ctx.recv_from(CoreId(1));
+                })),
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    ctx.send(CoreId(2), vec![1]);
+                })),
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    ctx.barrier(&ids(&[2, 4]));
+                })),
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    ctx.compute_ops(1_000_000); // the last to run
+                })),
+            ])
+        });
+        let msg = outcome.unwrap_err();
+        assert!(msg.starts_with("simulation deadlock: no runnable core; blocked: ["));
+        for blocked in [
+            "rck00: BlockedRecv { from: [1] } @ ",
+            "rck01: BlockedSend { to: 2 } @ ",
+            "rck02: BlockedBarrier @ ",
+        ] {
+            assert!(msg.contains(blocked), "{msg}");
+        }
+        assert!(!msg.contains("rck03") && !msg.contains("rck04"), "{msg}");
+    }
+
+    #[test]
+    fn runs_return_whichever_core_finishes_last() {
+        // The last finisher is core 2, behind an idle core.
+        let c = cfg();
+        let long = c.ops_to_duration(1_000_000);
+        let report = within_5s(|| {
+            Simulator::new(cfg()).run(vec![
+                Some(Box::new(|ctx: &mut CoreCtx| ctx.compute_ops(10))),
+                None,
+                Some(Box::new(|ctx: &mut CoreCtx| {
+                    let _ = ctx.recv_from(CoreId(4));
+                    ctx.compute_ops(1_000_000);
+                })),
+                None,
+                Some(Box::new(|ctx: &mut CoreCtx| ctx.send(CoreId(2), vec![]))),
+            ])
+        })
+        .unwrap();
+        assert_eq!(report.per_core.len(), c.topology.core_count());
+        assert_eq!(report.per_core[2].busy, long);
+        assert_eq!(report.per_core[1], CoreStats::default());
+        assert!(report.makespan > SimTime::ZERO + long);
+        assert_eq!(report.total_messages(), 1);
+
+        let empty = within_5s(|| Simulator::new(cfg()).run(vec![])).unwrap();
+        assert_eq!(empty.makespan, SimTime::ZERO);
+        assert_eq!(empty.per_core.len(), c.topology.core_count());
+    }
+
+    #[test]
+    fn a_core_that_stays_the_earliest_keeps_running() {
+        // 47 cores wait in a barrier; core 0 is the only ready core for
+        // 10 000 operations in a row, then releases them.
+        let service = SimDuration(1_000);
+        let report = within_5s(move || {
+            let everyone = ids(&(0..48).collect::<Vec<_>>());
+            let programs = (0..48)
+                .map(|i| {
+                    let everyone = everyone.clone();
+                    Some(Box::new(move |ctx: &mut CoreCtx| {
+                        if i == 0 {
+                            for _ in 0..10_000 {
+                                ctx.use_resource(ResourceId(0), service);
+                            }
+                        }
+                        ctx.barrier(&everyone);
+                    }) as CoreProgram)
+                })
+                .collect();
+            Simulator::new(cfg()).run(programs)
+        })
+        .unwrap();
+        assert_eq!(report.per_core[0].busy, service.saturating_mul(10_000));
+        assert_eq!(
+            report.per_core[47].idle,
+            report.makespan.since(SimTime::ZERO)
+        );
     }
 
     #[test]

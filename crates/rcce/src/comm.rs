@@ -2,33 +2,12 @@
 //!
 //! RCCE ("rocky") is Intel's compact message-passing environment for the
 //! SCC: synchronous one-sided sends through the message-passing buffers,
-//! unit-of-execution (UE) numbering, barriers, and simple collectives.
+//! unit-of-execution (UE) numbering and barriers.
 //! [`Rcce`] reproduces that programming surface on top of the simulated
 //! chip ([`rck_noc::CoreCtx`]): a program written against this layer reads
 //! like SPMD RCCE code.
 
 use rck_noc::{CoreCtx, CoreId, SimDuration};
-
-/// Reduction operators for the collectives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Sum.
-    Sum,
-    /// Maximum.
-    Max,
-    /// Minimum.
-    Min,
-}
-
-impl ReduceOp {
-    fn apply(self, a: u64, b: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => a.saturating_add(b),
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Min => a.min(b),
-        }
-    }
-}
 
 /// A communicator over a set of participating cores (UEs).
 ///
@@ -102,121 +81,6 @@ impl<'a> Rcce<'a> {
         self.ctx.barrier(self.ues);
     }
 
-    /// Broadcast from `root`: the root's payload is delivered to every UE
-    /// (naive linear broadcast, as RCCE's comm layer does).
-    pub fn broadcast(&mut self, root: usize, payload: Option<Vec<u8>>) -> Vec<u8> {
-        if self.my_rank == root {
-            let data = payload.expect("root must supply the broadcast payload");
-            for rank in 0..self.num_ues() {
-                if rank != root {
-                    self.send(rank, data.clone());
-                }
-            }
-            data
-        } else {
-            self.recv(root)
-        }
-    }
-
-    /// Reduce a u64 to `root` with `op`; returns `Some(result)` on the
-    /// root and `None` elsewhere (linear gather, RCCE-style).
-    pub fn reduce_u64(&mut self, root: usize, value: u64, op: ReduceOp) -> Option<u64> {
-        if self.my_rank == root {
-            let mut acc = value;
-            // Gather in rank order for determinism.
-            for rank in 0..self.num_ues() {
-                if rank == root {
-                    continue;
-                }
-                let bytes = self.recv(rank);
-                let v = u64::from_le_bytes(bytes.try_into().expect("8-byte reduce payload"));
-                acc = op.apply(acc, v);
-            }
-            Some(acc)
-        } else {
-            self.send(root, value.to_le_bytes().to_vec());
-            None
-        }
-    }
-
-    /// All-reduce: reduce to rank 0, then broadcast the result.
-    pub fn allreduce_u64(&mut self, value: u64, op: ReduceOp) -> u64 {
-        let reduced = self.reduce_u64(0, value, op);
-        let data = self.broadcast(0, reduced.map(|v| v.to_le_bytes().to_vec()));
-        u64::from_le_bytes(data.try_into().expect("8-byte allreduce payload"))
-    }
-
-    /// Gather every UE's payload at `root`, in rank order. Returns
-    /// `Some(all payloads)` on the root (own payload included in place)
-    /// and `None` elsewhere.
-    pub fn gather(&mut self, root: usize, payload: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        if self.my_rank == root {
-            let mut out: Vec<Vec<u8>> = Vec::with_capacity(self.num_ues());
-            for rank in 0..self.num_ues() {
-                if rank == root {
-                    out.push(payload.clone());
-                } else {
-                    out.push(self.recv(rank));
-                }
-            }
-            Some(out)
-        } else {
-            self.send(root, payload);
-            None
-        }
-    }
-
-    /// Scatter one payload per rank from `root`. The root passes
-    /// `Some(payloads)` (one per UE, in rank order) and everyone receives
-    /// their slice.
-    ///
-    /// # Panics
-    /// Panics on the root if the payload count differs from the UE count.
-    pub fn scatter(&mut self, root: usize, payloads: Option<Vec<Vec<u8>>>) -> Vec<u8> {
-        if self.my_rank == root {
-            let payloads = payloads.expect("root must supply scatter payloads");
-            assert_eq!(
-                payloads.len(),
-                self.num_ues(),
-                "scatter needs one payload per UE"
-            );
-            let mut own = Vec::new();
-            for (rank, p) in payloads.into_iter().enumerate() {
-                if rank == root {
-                    own = p;
-                } else {
-                    self.send(rank, p);
-                }
-            }
-            own
-        } else {
-            self.recv(root)
-        }
-    }
-
-    /// All-gather: every UE ends up with every UE's payload, in rank
-    /// order (gather to rank 0, then broadcast the concatenation).
-    pub fn allgather(&mut self, payload: Vec<u8>) -> Vec<Vec<u8>> {
-        use crate::codec::{Reader, Writer};
-        let gathered = self.gather(0, payload);
-        let packed = self.broadcast(
-            0,
-            gathered.map(|parts| {
-                let mut w = Writer::new();
-                w.put_u32(parts.len() as u32);
-                for p in &parts {
-                    w.put_bytes(p);
-                }
-                w.finish()
-            }),
-        );
-        let mut r = Reader::new(packed);
-        let n = r.get_u32().expect("allgather count");
-        (0..n)
-            .map(|_| r.get_bytes().expect("allgather part"))
-            .collect()
-    }
-
     /// Charge virtual compute time for `ops` kernel operations.
     pub fn compute_ops(&mut self, ops: u64) {
         self.ctx.compute_ops(ops);
@@ -273,40 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_to_all() {
-        spmd(5, |c| {
-            let data = if c.ue() == 2 {
-                Some(vec![9, 9, 9])
-            } else {
-                None
-            };
-            let got = c.broadcast(2, data);
-            assert_eq!(got, vec![9, 9, 9]);
-        });
-    }
-
-    #[test]
-    fn reduce_sums_ranks() {
-        spmd(6, |c| {
-            let r = c.reduce_u64(0, c.ue() as u64, ReduceOp::Sum);
-            if c.ue() == 0 {
-                assert_eq!(r, Some(15)); // 0+1+2+3+4+5
-            } else {
-                assert_eq!(r, None);
-            }
-        });
-    }
-
-    #[test]
-    fn reduce_max_and_min() {
-        spmd(4, |c| {
-            let v = [10u64, 3, 99, 7][c.ue()];
-            assert_eq!(c.allreduce_u64(v, ReduceOp::Max), 99);
-            assert_eq!(c.allreduce_u64(v, ReduceOp::Min), 3);
-        });
-    }
-
-    #[test]
     fn recv_any_by_rank() {
         spmd(3, |c| {
             if c.ue() == 0 {
@@ -321,44 +151,6 @@ mod tests {
                 c.send(0, vec![11]);
             } else {
                 c.send(0, vec![22]);
-            }
-        });
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        spmd(5, |c| {
-            let mine = vec![c.ue() as u8 * 10];
-            match c.gather(2, mine) {
-                Some(all) => {
-                    assert_eq!(c.ue(), 2);
-                    assert_eq!(all, vec![vec![0], vec![10], vec![20], vec![30], vec![40]]);
-                }
-                None => assert_ne!(c.ue(), 2),
-            }
-        });
-    }
-
-    #[test]
-    fn scatter_distributes_slices() {
-        spmd(4, |c| {
-            let payloads = if c.ue() == 0 {
-                Some((0..4).map(|k| vec![k as u8 + 1; k + 1]).collect())
-            } else {
-                None
-            };
-            let got = c.scatter(0, payloads);
-            assert_eq!(got, vec![c.ue() as u8 + 1; c.ue() + 1]);
-        });
-    }
-
-    #[test]
-    fn allgather_gives_everyone_everything() {
-        spmd(4, |c| {
-            let all = c.allgather(vec![c.ue() as u8; 2]);
-            assert_eq!(all.len(), 4);
-            for (rank, p) in all.iter().enumerate() {
-                assert_eq!(p, &vec![rank as u8; 2]);
             }
         });
     }

@@ -4,23 +4,28 @@
 //! the "small library for many-core communication" Intel shipped with the
 //! SCC; the paper's rckskel skeleton library sits directly on it. This
 //! crate provides the same programming surface — UE ranks, synchronous
-//! send/receive through the MPB, barriers, simple collectives — plus the
-//! byte codec used to encode jobs and results.
+//! send/receive through the MPB, barriers — plus the byte codec used to
+//! encode jobs and results.
 //!
 //! ```
 //! use rck_noc::{CoreCtx, CoreId, NocConfig, Simulator};
-//! use rck_rcce::{Rcce, ReduceOp};
+//! use rck_rcce::Rcce;
 //!
 //! let ues = [CoreId(0), CoreId(1)];
 //! let mk = |_rank: usize| {
 //!     let ues = ues;
 //!     Box::new(move |ctx: &mut CoreCtx| {
 //!         let mut comm = Rcce::new(ctx, &ues);
-//!         let total = comm.allreduce_u64(comm.ue() as u64 + 1, ReduceOp::Sum);
-//!         assert_eq!(total, 3);
+//!         if comm.ue() == 0 {
+//!             comm.send(1, vec![42]);
+//!         } else {
+//!             assert_eq!(comm.recv(0), vec![42]);
+//!         }
+//!         comm.barrier();
 //!     }) as rck_noc::CoreProgram<'static>
 //! };
-//! Simulator::new(NocConfig::scc()).run(vec![Some(mk(0)), Some(mk(1))]);
+//! let report = Simulator::new(NocConfig::scc()).run(vec![Some(mk(0)), Some(mk(1))]);
+//! assert_eq!(report.total_messages(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -29,4 +34,4 @@ pub mod codec;
 pub mod comm;
 
 pub use codec::{DecodeError, Reader, Writer};
-pub use comm::{Rcce, ReduceOp};
+pub use comm::Rcce;

@@ -85,13 +85,16 @@ pub fn collect(
     }
 }
 
-/// One dynamic work-queue round over the slave set, *without* the final
-/// terminate signals: every slave is primed with one job; whenever a
-/// result is collected (round-robin polling), the freed slave immediately
-/// receives the next pending job. Returns all results in arrival order.
-/// Used directly by the task-tree executor ([`crate::tree`]), which runs
-/// several rounds against the same slaves.
-pub fn farm_round(comm: &mut Rcce, slave_ranks: &[usize], jobs: &[Job]) -> Vec<JobResult> {
+/// The master–slaves construct (`FARM`): dynamic work-queue scheduling.
+/// Every slave is primed with one job; whenever a result is collected
+/// (round-robin polling), the freed slave immediately receives the next
+/// pending job; when the job list is exhausted and every result is in,
+/// each slave gets the terminate signal that ends its [`slave_loop`].
+/// Returns all results in arrival order.
+///
+/// This must be called on the master; every rank in `slave_ranks` must be
+/// running [`slave_loop`].
+pub fn farm(comm: &mut Rcce, slave_ranks: &[usize], jobs: &[Job]) -> Vec<JobResult> {
     assert!(!slave_ranks.is_empty(), "FARM needs at least one slave");
     let metrics = crate::metrics::farm_metrics();
     metrics.queue_depth.set(jobs.len() as i64);
@@ -131,25 +134,10 @@ pub fn farm_round(comm: &mut Rcce, slave_ranks: &[usize], jobs: &[Job]) -> Vec<J
         }
     }
     metrics.rounds.inc();
-    results
-}
 
-/// Send the terminate signal to every slave, ending their
-/// [`slave_loop`]s.
-pub fn terminate(comm: &mut Rcce, slave_ranks: &[usize]) {
     for &rank in slave_ranks {
         comm.send(rank, wire::encode_terminate());
     }
-}
-
-/// The master–slaves construct (`FARM`): dynamic work-queue scheduling —
-/// one [`farm_round`] followed by [`terminate`].
-///
-/// This must be called on the master; every rank in `slave_ranks` must be
-/// running [`slave_loop`].
-pub fn farm(comm: &mut Rcce, slave_ranks: &[usize], jobs: &[Job]) -> Vec<JobResult> {
-    let results = farm_round(comm, slave_ranks, jobs);
-    terminate(comm, slave_ranks);
     results
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The algorithmic-skeleton library of the paper (`rckskel`), in Rust: the
 //! `SEQ`, `PAR`, `COLLECT` and `FARM` constructs over the RCCE-flavoured
-//! communicator, plus the job/task data structures and the master–slave
+//! communicator, plus the job data structures and the master–slave
 //! wire protocol. Application code (rckAlign, crate `rckalign`) supplies
 //! only a job encoding and a slave handler; the skeleton handles
 //! distribution, round-robin polling and termination — "no further
@@ -42,11 +42,7 @@
 
 pub mod farm;
 pub mod metrics;
-pub mod pipeline;
 pub mod task;
-pub mod tree;
 
-pub use farm::{collect, farm, farm_round, par, seq, slave_loop, terminate, waves, SlaveReply};
-pub use pipeline::{pipeline, stage_loop};
-pub use task::{wire, Job, JobResult, Task};
-pub use tree::{run_task, run_task_and_terminate};
+pub use farm::{collect, farm, par, seq, slave_loop, waves, SlaveReply};
+pub use task::{wire, Job, JobResult};

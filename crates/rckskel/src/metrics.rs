@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 /// Handles to the farm counter family.
 #[derive(Debug)]
 pub struct FarmMetrics {
-    /// Completed `farm_round` invocations.
+    /// Completed farm rounds.
     pub rounds: Arc<Counter>,
     /// Jobs dispatched to slaves (all constructs that use the farm).
     pub jobs_dispatched: Arc<Counter>,
@@ -38,7 +38,7 @@ pub fn farm_metrics() -> &'static FarmMetrics {
     FARM.get_or_init(|| {
         let reg = Registry::global();
         FarmMetrics {
-            rounds: reg.counter("rck_farm_rounds_total", "completed farm_round invocations"),
+            rounds: reg.counter("rck_farm_rounds_total", "completed farm rounds"),
             jobs_dispatched: reg.counter(
                 "rck_farm_jobs_dispatched_total",
                 "jobs the farm master sent to slaves",

@@ -1,10 +1,8 @@
-//! Jobs, results, and the task tree.
+//! Jobs, results, and the master–slave wire protocol.
 //!
-//! The paper distinguishes *jobs* — application-specific units of work
-//! (one pairwise structure comparison) — from *tasks* — collections of
-//! jobs or sub-tasks annotated with how they must be executed (serially or
-//! in parallel) and which processing elements they may use. This module
-//! is the direct Rust rendering of those data structures.
+//! A *job* is the paper's application-specific unit of work (one pairwise
+//! structure comparison): an opaque payload under an id. The constructs
+//! in [`mod@crate::farm`] take the jobs to run as a slice.
 
 use rck_rcce::{Reader, Writer};
 
@@ -34,49 +32,6 @@ pub struct JobResult {
     pub slave_rank: usize,
     /// Application-specific encoded result.
     pub payload: Vec<u8>,
-}
-
-/// A task tree: the unit the FARM construct executes. Leaves are jobs;
-/// interior nodes prescribe serial or parallel execution of their
-/// children, mirroring the nesting the paper's `SEQ`/`PAR` constructs
-/// allow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Task {
-    /// A single job.
-    Leaf(Job),
-    /// Children must complete one after another.
-    Seq(Vec<Task>),
-    /// Children may run concurrently.
-    Par(Vec<Task>),
-}
-
-impl Task {
-    /// Collect every job in the tree, in deterministic (depth-first)
-    /// order.
-    pub fn jobs(&self) -> Vec<&Job> {
-        let mut out = Vec::new();
-        self.walk(&mut out);
-        out
-    }
-
-    fn walk<'a>(&'a self, out: &mut Vec<&'a Job>) {
-        match self {
-            Task::Leaf(j) => out.push(j),
-            Task::Seq(children) | Task::Par(children) => {
-                for c in children {
-                    c.walk(out);
-                }
-            }
-        }
-    }
-
-    /// Number of jobs in the tree.
-    pub fn job_count(&self) -> usize {
-        match self {
-            Task::Leaf(_) => 1,
-            Task::Seq(c) | Task::Par(c) => c.iter().map(Task::job_count).sum(),
-        }
-    }
 }
 
 /// Wire messages between master and slaves.
@@ -165,21 +120,6 @@ mod tests {
                 payload: vec![9, 9]
             }
         );
-    }
-
-    #[test]
-    fn task_tree_walk_order() {
-        let t = Task::Seq(vec![
-            Task::Leaf(Job::new(1, vec![])),
-            Task::Par(vec![
-                Task::Leaf(Job::new(2, vec![])),
-                Task::Leaf(Job::new(3, vec![])),
-            ]),
-            Task::Leaf(Job::new(4, vec![])),
-        ]);
-        let ids: Vec<u64> = t.jobs().iter().map(|j| j.id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4]);
-        assert_eq!(t.job_count(), 4);
     }
 
     #[test]

@@ -1,22 +1,11 @@
-//! Property-based tests of the skeleton wire protocol and task trees.
+//! Property-based tests of the skeleton wire protocol.
 
 use proptest::prelude::*;
-use rck_skel::{wire, Job, Task};
+use rck_skel::{wire, Job};
 
 fn arb_job() -> impl Strategy<Value = Job> {
     (any::<u64>(), prop::collection::vec(any::<u8>(), 0..256))
         .prop_map(|(id, payload)| Job::new(id, payload))
-}
-
-/// A small random task tree (depth ≤ 3).
-fn arb_task() -> impl Strategy<Value = Task> {
-    let leaf = arb_job().prop_map(Task::Leaf);
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            prop::collection::vec(inner.clone(), 1..4).prop_map(Task::Seq),
-            prop::collection::vec(inner, 1..4).prop_map(Task::Par),
-        ]
-    })
 }
 
 proptest! {
@@ -60,12 +49,5 @@ proptest! {
         let truncated = encoded[..cut].to_vec();
         let outcome = std::panic::catch_unwind(|| wire::decode_job(truncated));
         prop_assert!(outcome.is_err(), "truncation at {cut} must not decode");
-    }
-
-    /// Task trees report consistent job counts and orderings.
-    #[test]
-    fn task_tree_job_count_consistent(task in arb_task()) {
-        let jobs = task.jobs();
-        prop_assert_eq!(jobs.len(), task.job_count());
     }
 }

@@ -1,10 +1,12 @@
 //! Docs and CI may only name things that exist: every `--bin NAME` in a
 //! Markdown file or the CI workflow resolves to a binary source file,
 //! nothing outside the history files still points at the retired
-//! per-tier `BENCH_*.json` baselines or the retired kernel engine, the
-//! kernel entries kept for the frozen benchmark have no other caller,
-//! and every row of the benchmark trajectory names a workload and a
-//! metric `BENCHMARK.json` declares.
+//! per-tier `BENCH_*.json` baselines, the retired kernel engine or the
+//! retired simulator surface, the simulator engine uses no shared-state
+//! primitive, the kernel entries kept for the frozen benchmark have no
+//! other caller, every row of the benchmark trajectory names a workload
+//! and a metric `BENCHMARK.json` declares, and every crate root
+//! re-exports only what something outside the crate names.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -158,6 +160,41 @@ fn nothing_points_at_the_retired_kernel_engine() {
     let root = repo_root();
     assert_unmentioned(&RETIRED_KERNEL_NAMES, |path| {
         !is_history(path) && !path.starts_with(root.join("benchmark")) && !path.ends_with(THIS_FILE)
+    });
+}
+
+/// The simulated chip has one owner and no lock: the engine's state is a
+/// baton handed between threads over `std::sync::mpsc`, so nothing under
+/// `crates/noc/src` — tests included — may reach for a shared-state
+/// primitive or the two crates that used to supply them.
+#[test]
+fn the_simulator_engine_shares_no_state() {
+    let home = repo_root().join("crates/noc/src");
+    let scanned = assert_unmentioned(
+        &["Condvar", "notify_all", "parking_lot::", "crossbeam::"],
+        |path| path.starts_with(&home),
+    );
+    assert!(scanned >= 7, "scan found only {scanned} files");
+}
+
+/// The simulator-stack surface nothing ran (the `rck_skel` task-tree
+/// executor and stage skeleton, the `rck_rcce` collectives, the
+/// run-and-charge helper of `CoreCtx`): gone, and only history says so.
+#[test]
+fn nothing_points_at_the_retired_simulator_surface() {
+    let retired = [
+        "run_task",
+        "stage_loop",
+        "farm_round(",
+        "rck_skel::tree",
+        "rck_skel::pipeline",
+        "ReduceOp",
+        "reduce_u64",
+        "allgather",
+        "ctx.execute(",
+    ];
+    assert_unmentioned(&retired, |path| {
+        !is_history(path) && !path.ends_with(THIS_FILE)
     });
 }
 
@@ -319,6 +356,16 @@ const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
     ),
     ("McPscRun", "rckalign::run_mcpsc (ablation_suite)"),
     ("OneVsAllRun", "rckalign::run_one_vs_all (rckalign rank)"),
+    (
+        "CoreStats",
+        "SimReport::per_core (core::analysis, rckalign, benchmark sim workload)",
+    ),
+    ("TraceEvent", "Simulator::run_traced (farm_timeline)"),
+    ("TraceKind", "TraceEvent::kind, what render_timeline draws"),
+    (
+        "par",
+        "paper construct (PAR), DESIGN §3: waves composes it with COLLECT",
+    ),
 ];
 
 /// The public surface stays honest: whatever a library crate re-exports
@@ -338,7 +385,9 @@ fn every_reexport_has_a_caller_outside_its_crate() {
                 || (rel.starts_with("crates") && rel.components().any(|c| c.as_os_str() == "src")))
     };
     let mut unexplained = Vec::new();
-    for krate in ["serve", "gate", "shard", "store", "core", "obs"] {
+    for krate in [
+        "serve", "gate", "shard", "store", "core", "obs", "noc", "rcce", "rckskel",
+    ] {
         let src = root.join("crates").join(krate).join("src");
         let lib_rs = fs::read_to_string(src.join("lib.rs")).expect("lib.rs");
         // Everything but the crate's own library modules, tests cut off.
