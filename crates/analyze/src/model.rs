@@ -4,8 +4,9 @@
 //! — every dispatched job is eventually counted exactly once as
 //! completed, duplicate, or requeued — and the chaos harness asserts it
 //! *per run*. This pass proves it *per reachable state*: a small
-//! abstract model of the batch lifecycle (dispatch, result delivery,
-//! duplicated late delivery, heartbeat, timeout + requeue, abort) is
+//! abstract model of the batch lifecycle (windowed dispatch to an owner,
+//! result delivery in any order, duplicated late delivery, heartbeat,
+//! timeout + requeue of everything the owner holds, abort) is
 //! exhaustively enumerated and two invariants are checked in every
 //! state:
 //!
@@ -247,10 +248,13 @@ pub fn extract_table(
 
 // ------------------------------------------------------------ the model
 
-/// Three jobs, two seed batches — enough to exercise requeue races,
-/// duplicate delivery, and abort while staying exhaustively small.
+/// Three jobs in three seed batches over two workers — enough for one
+/// worker to hold two batches, and so to exercise out-of-order answers,
+/// a revocation of several batches at once, requeue races, duplicate
+/// delivery, and abort while staying exhaustively small.
 const ALL_JOBS: u8 = 0b111;
-const SEED_BATCHES: [u8; 2] = [0b011, 0b100];
+const SEED_BATCHES: [u8; 3] = [0b001, 0b010, 0b100];
+const WORKERS: usize = 2;
 /// Dispatch budget (in jobs) bounding requeue cycles.
 const DISPATCH_CAP: u32 = 9;
 /// Findings reported per invariant before summarizing.
@@ -259,7 +263,13 @@ const MAX_REPORTS: usize = 3;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct State {
     queue: Vec<u8>,
-    inflight: Vec<u8>,
+    /// Batches out on workers, each with the worker that holds it.
+    inflight: Vec<(u8, usize)>,
+    /// Workers a result has been accepted from. The dispatcher's window
+    /// is one batch for a connection that has answered nothing and
+    /// deepens with measured service; the model lets a proven worker
+    /// hold two.
+    proven: [bool; WORKERS],
     /// Retired result frames that may still be delivered (late or
     /// duplicated). At most one pending ghost bounds the state space.
     ghosts: Vec<u8>,
@@ -280,6 +290,7 @@ impl State {
         State {
             queue: SEED_BATCHES.to_vec(),
             inflight: Vec::new(),
+            proven: [false; WORKERS],
             ghosts: Vec::new(),
             done: 0,
             handed_out: 0,
@@ -292,11 +303,20 @@ impl State {
     }
 
     fn jobs_inflight(&self) -> u32 {
-        self.inflight.iter().map(|b| b.count_ones()).sum()
+        self.inflight.iter().map(|(b, _)| b.count_ones()).sum()
     }
 
     fn jobs_queued(&self) -> u8 {
         self.queue.iter().fold(0, |m, b| m | b)
+    }
+
+    fn held_by(&self, worker: usize) -> usize {
+        self.inflight.iter().filter(|(_, w)| *w == worker).count()
+    }
+
+    /// How many batches `worker` may hold.
+    fn window(&self, worker: usize) -> usize {
+        1 + usize::from(self.proven[worker])
     }
 }
 
@@ -349,7 +369,7 @@ fn check_state(s: &State, violations: &mut Vec<String>) {
         ));
     }
     let queued = s.jobs_queued();
-    let inflight = s.inflight.iter().fold(0u8, |m, b| m | b);
+    let inflight = s.inflight.iter().fold(0u8, |m, (b, _)| m | b);
     let overlap = (queued & inflight) | (queued & s.done) | (inflight & s.done);
     let union = queued | inflight | s.done;
     if overlap != 0 || union != ALL_JOBS {
@@ -371,7 +391,8 @@ fn check_state(s: &State, violations: &mut Vec<String>) {
 fn successors(s: &State, table: TransitionTable, violations: &mut Vec<String>) -> Vec<State> {
     let mut out = Vec::new();
 
-    // Dispatch the batch at the head of the queue.
+    // Dispatch the batch at the head of the queue to a worker with room
+    // in its window.
     if let Some(&batch) = s.queue.first() {
         let allowed = !s.aborted || !table.abort_stops_dispatch;
         if allowed && s.handed_out + batch.count_ones() <= DISPATCH_CAP {
@@ -381,22 +402,25 @@ fn successors(s: &State, table: TransitionTable, violations: &mut Vec<String>) -
                     describe(s)
                 ));
             }
-            let mut n = s.clone();
-            n.queue.remove(0);
-            n.inflight.push(batch);
-            n.inflight.sort_unstable();
-            n.handed_out += batch.count_ones();
-            if table.dispatch_counts_jobs {
-                n.dispatched += batch.count_ones();
+            for worker in (0..WORKERS).filter(|&w| s.held_by(w) < s.window(w)) {
+                let mut n = s.clone();
+                n.queue.remove(0);
+                n.inflight.push((batch, worker));
+                n.inflight.sort_unstable();
+                n.handed_out += batch.count_ones();
+                if table.dispatch_counts_jobs {
+                    n.dispatched += batch.count_ones();
+                }
+                out.push(n);
             }
-            out.push(n);
         }
     }
 
-    // A worker answers an in-flight batch.
-    for (k, &batch) in s.inflight.iter().enumerate() {
+    // A worker answers one of the batches it holds, in any order.
+    for (k, &(batch, worker)) in s.inflight.iter().enumerate() {
         let mut n = s.clone();
         n.inflight.remove(k);
+        n.proven[worker] = true;
         accept(&mut n, batch, table.dedup_on_accept);
         if n.ghosts.is_empty() {
             // The network may replay this result frame later.
@@ -407,19 +431,29 @@ fn successors(s: &State, table: TransitionTable, violations: &mut Vec<String>) -
         out.push(n);
     }
 
-    // An in-flight batch times out.
-    for (k, &batch) in s.inflight.iter().enumerate() {
+    // A worker times out: everything it holds is revoked at once, and
+    // whoever connects in its place has answered nothing.
+    for worker in (0..WORKERS).filter(|&w| s.held_by(w) > 0) {
         let mut n = s.clone();
-        n.inflight.remove(k);
-        if table.timeout_requeues {
-            n.queue.push(batch);
-            n.requeued += batch.count_ones();
+        n.proven[worker] = false;
+        n.inflight.retain(|&(_, w)| w != worker);
+        let revoked = s.inflight.iter().filter(|&&(_, w)| w == worker);
+        for &(batch, _) in revoked.clone() {
+            if table.timeout_requeues {
+                n.queue.push(batch);
+                n.requeued += batch.count_ones();
+            }
         }
-        if n.ghosts.is_empty() {
-            // The presumed-dead worker may still answer.
+        if !n.ghosts.is_empty() {
+            out.push(n);
+            continue;
+        }
+        // The presumed-dead worker may still answer any one of them.
+        for &(batch, _) in revoked {
+            let mut n = n.clone();
             n.ghosts.push(batch);
+            out.push(n);
         }
-        out.push(n);
     }
 
     // A retired result frame arrives (late answer or duplicate).
@@ -468,8 +502,8 @@ fn accept(s: &mut State, batch: u8, dedup: bool) {
 
 fn describe(s: &State) -> String {
     format!(
-        "queue={:?} inflight={:?} ghosts={:?} done={:03b} aborted={}",
-        s.queue, s.inflight, s.ghosts, s.done, s.aborted
+        "queue={:?} inflight={:?} proven={:?} ghosts={:?} done={:03b} aborted={}",
+        s.queue, s.inflight, s.proven, s.ghosts, s.done, s.aborted
     )
 }
 

@@ -153,11 +153,14 @@ fn serve_section(run: &rck_serve::ServeRun, identical: bool) -> String {
     );
     let _ = writeln!(
         md,
-        "Batch round-trip: p50 {}, p95 {}, p99 {} over {} batches.\n",
+        "Batch round-trip: p50 {}, p95 {}, p99 {} over {} batches, grant to \
+         result — queue wait included: the deepest window a connection was \
+         given (`rck_window_batches`) was {}.\n",
         fmt_percentile(&s.batch_rtt, 50.0),
         fmt_percentile(&s.batch_rtt, 95.0),
         fmt_percentile(&s.batch_rtt, 99.0),
         s.batch_rtt.count,
+        s.window_batches,
     );
     md.push_str("| worker | jobs | batches | jobs/s |\n|---|---:|---:|---:|\n");
     for w in &s.workers {
@@ -295,12 +298,14 @@ fn gate_section(
         md,
         "Query latency (`rck_gate_query_latency_seconds`): p50 {}, p95 {}, \
          p99 {} over {} queries; first partial \
-         (`rck_gate_first_result_seconds`): p50 {}.\n",
+         (`rck_gate_first_result_seconds`): p50 {}; deepest pool window \
+         (`rck_gate_window_batches`): {}.\n",
         fmt_percentile(&snap.query_latency, 50.0),
         fmt_percentile(&snap.query_latency, 95.0),
         fmt_percentile(&snap.query_latency, 99.0),
         snap.query_latency.count,
         fmt_percentile(&snap.first_result, 50.0),
+        snap.window_batches,
     );
     let _ = writeln!(
         md,

@@ -169,8 +169,8 @@ pub(crate) struct GateState {
     /// Ledger of batches out on pool workers, worker connection
     /// handles, id counters.
     pub(crate) dispatch: Dispatch<pool::QueryBatch>,
-    /// Write-half clones of client connections, for teardown.
-    pub(crate) session_streams: HashMap<u32, Box<dyn Conn>>,
+    /// Each client session's write-half clone and outbox, for teardown.
+    pub(crate) session_streams: HashMap<u32, (Box<dyn Conn>, Arc<Outbox>)>,
     pub(crate) next_run_id: u64,
 }
 
@@ -223,7 +223,7 @@ impl GateHandle {
         self.shared.stopped.store(true, Ordering::SeqCst);
         let state = self.shared.state.lock_recover();
         state.dispatch.shutdown_streams();
-        for conn in state.session_streams.values() {
+        for (conn, _) in state.session_streams.values() {
             conn.shutdown();
         }
         drop(state);
@@ -362,7 +362,14 @@ impl Gate {
         }
         // Wind down: workers see the stop flag and get an orderly
         // Shutdown from their handlers; idle client sessions are parked
-        // in a read, so closing their connections releases them.
+        // in a read, so closing their connections releases them — which,
+        // after a settled drain, each session's writer does itself once it
+        // has flushed its outbox: the last QueryDone may still be in it.
+        if !self.shared.stopped.load(Ordering::SeqCst) {
+            for (_, (_, outbox)) in self.shared.state.lock_recover().session_streams.drain() {
+                outbox.close();
+            }
+        }
         self.handle().stop();
         let _ = monitor.join();
         for h in handlers {

@@ -171,6 +171,7 @@ impl WorkSource for GateShared {
             Event::WorkerConnected(..) => self.stats.on_worker_connected(),
             Event::WorkerLost(_) => self.stats.on_worker_lost(),
             Event::ChainsShipped(n) => self.stats.add_chains_shipped(n),
+            Event::Window(batches) => self.stats.on_window(batches),
             // The gate keeps no byte, stale, mismatch or gap statistics.
             _ => {}
         }
@@ -272,7 +273,7 @@ mod tests {
             },
             &outbox,
         );
-        let (batch_id, batch) = dispatch::claim(&*shared, 0).expect("one batch staged");
+        let (batch_id, batch) = dispatch::claim(&*shared, 0, true).expect("one batch staged");
         let jobs = batch.jobs;
         let alien = rckalign::PairOutcome {
             i: 1000,

@@ -150,7 +150,7 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
             .state
             .lock_recover()
             .session_streams
-            .insert(session_id, clone);
+            .insert(session_id, (clone, Arc::clone(&outbox)));
     }
 
     loop {

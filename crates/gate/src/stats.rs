@@ -30,6 +30,7 @@ pub struct GateStats {
     decode_errors: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     inflight_queries: Arc<Gauge>,
+    window: Arc<Gauge>,
     query_latency: Arc<Histogram>,
     first_result: Arc<Histogram>,
 }
@@ -104,6 +105,10 @@ impl GateStats {
             inflight_queries: registry.gauge(
                 "rck_gate_inflight_queries",
                 "queries admitted and not yet answered",
+            ),
+            window: registry.gauge(
+                "rck_gate_window_batches",
+                "deepest window of batches any pool connection was given",
             ),
             query_latency: registry.histogram(
                 "rck_gate_query_latency_seconds",
@@ -184,6 +189,7 @@ impl GateStats {
 
     pub(crate) fn on_worker_connected(&self) {
         self.workers_connected.inc();
+        self.window.raise_to(1);
     }
 
     pub(crate) fn on_worker_lost(&self) {
@@ -200,6 +206,10 @@ impl GateStats {
 
     pub(crate) fn set_queue_depth(&self, depth: usize) {
         self.queue_depth.set(depth as i64);
+    }
+
+    pub(crate) fn on_window(&self, batches: usize) {
+        self.window.raise_to(batches as i64);
     }
 
     /// Queries answered with a final ranking so far.
@@ -243,6 +253,7 @@ impl GateStats {
             workers_lost: self.workers_lost.get(),
             sessions: self.sessions.get(),
             decode_errors: self.decode_errors.get(),
+            window_batches: self.window.get() as u64,
             query_latency: self.query_latency.snapshot(),
             first_result: self.first_result.snapshot(),
         }
@@ -278,6 +289,8 @@ pub struct GateSnapshot {
     pub sessions: u64,
     /// Frames the gate could not decode.
     pub decode_errors: u64,
+    /// Deepest window of batches a pool connection was given.
+    pub window_batches: u64,
     /// Submit-to-final-ranking latency distribution.
     pub query_latency: HistogramSnapshot,
     /// Submit-to-first-partial latency distribution.
@@ -307,6 +320,8 @@ mod tests {
         s.on_worker_lost();
         s.on_decode_error();
         s.set_queue_depth(3);
+        s.on_window(8);
+        s.on_window(3);
 
         let snap = s.snapshot();
         assert_eq!(snap.queries_submitted, 2);
@@ -322,6 +337,7 @@ mod tests {
         assert_eq!(snap.workers_lost, 1);
         assert_eq!(snap.sessions, 1);
         assert_eq!(snap.decode_errors, 1);
+        assert_eq!(snap.window_batches, 8, "a high-water mark");
         assert_eq!(snap.query_latency.count, 1);
         assert_eq!(snap.first_result.count, 1);
     }

@@ -14,6 +14,13 @@
 //! must carry a batch that computes for longer than the heartbeat
 //! timeout, and its "go silent" switch must be caught by the deadline
 //! rule, not by connection loss.
+//!
+//! The window rows run a finer workload (one microsecond job per batch)
+//! so a connection can earn a window deeper than one, and check what the
+//! window rule promises: an unproven or slow peer is never fed ahead, a
+//! fast one is fed ahead by a bounded amount, and everything a connection
+//! holds — in whatever order it answers, replays or loses it — is
+//! accepted once or requeued once.
 
 use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
 use rck_pdb::datasets::tiny_profile;
@@ -24,7 +31,7 @@ use rck_serve::proto::{self, Frame, Heartbeat, JobBatch, QuerySubmit, ResultBatc
 use rck_serve::{run_worker_conn, Conn, Master, MasterConfig, MemNet, WorkerConfig};
 use rck_tmalign::MethodKind;
 use rckalign::PairOutcome;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,11 +40,45 @@ const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(200);
 const BATCH_TIMEOUT: Duration = Duration::from_millis(700);
 /// The monitor's tick (`heartbeat_timeout / 4`) plus scheduling noise.
 const SLACK: Duration = Duration::from_millis(450);
+/// Well over the dispatcher's `COVER` (what a window's worth of queued
+/// batches may take to serve): a worker this slow per batch holds one.
+const SLOW: Duration = Duration::from_millis(3);
+/// The dispatcher's `CAP`: the deepest window any connection gets.
+const DEEPEST: usize = 32;
+/// How long a connection stays quiet before the worker concludes the
+/// dispatcher has given it all its window allows.
+const QUIET: Duration = Duration::from_millis(50);
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Tier {
     Master,
     Gate,
+}
+
+/// What a farm under test is given to compute.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Eight chains under TM-align in two batches: milliseconds each.
+    Coarse,
+    /// Forty chains under Kabsch RMSD, one job per batch: microseconds
+    /// each, and more batches than the deepest window.
+    Fine,
+}
+
+impl Shape {
+    fn chains(self) -> Vec<CaChain> {
+        let sets = if self == Shape::Fine { 5 } else { 1 };
+        (0..sets)
+            .flat_map(|set| tiny_profile().generate(7 + 10 * set))
+            .collect()
+    }
+
+    fn method(self) -> MethodKind {
+        match self {
+            Shape::Coarse => MethodKind::TmAlign,
+            Shape::Fine => MethodKind::KabschRmsd,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +99,29 @@ enum Fault {
     /// Answers the first batch, then dies holding the second; an
     /// inspected replacement takes over.
     ReplacedMidRun,
+}
+
+/// Scripted workers probing the window rule. The rows from
+/// `DiesHoldingWindow` on first answer fast until the dispatcher trusts
+/// their connection with several batches, and start from a full window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum WindowFault {
+    /// Has answered nothing: is offered no second batch.
+    UnprovenHoldsOne,
+    /// Takes longer than `COVER` per batch: never holds two.
+    SlowStaysAtOne,
+    /// Answers at once: comes to hold several, never more than `CAP`.
+    FastDeepens,
+    /// Dies holding a full window; an inspected replacement takes over.
+    DiesHoldingWindow,
+    /// Answers a full window in reverse.
+    OutOfOrder,
+    /// Never answers the first batch it holds, answers the second;
+    /// heartbeats flow on.
+    ResultLostSecondQueued,
+    /// Answers the first batch it holds, then replays that result while
+    /// the rest of the window is still out on it.
+    StaleReplay,
 }
 
 /// Faults injected into a real worker's session.
@@ -91,11 +155,13 @@ struct Farm {
     finish: Box<dyn FnOnce()>,
 }
 
-fn boot_master() -> Farm {
-    let chains = tiny_profile().generate(7);
+fn boot_master(shape: Shape) -> Farm {
+    let chains = shape.chains();
+    let method = shape.method();
     let workers = Arc::new(MemNet::new());
     let cfg = MasterConfig {
-        batch_size: 16,
+        batch_size: if shape == Shape::Fine { 1 } else { 16 },
+        method,
         heartbeat_timeout: HEARTBEAT_TIMEOUT,
         batch_timeout: Some(BATCH_TIMEOUT),
         ..MasterConfig::default()
@@ -120,7 +186,11 @@ fn boot_master() -> Farm {
         finish: Box::new(move || {
             let run = run.join().expect("master thread").expect("run completes");
             let cache = rckalign::PairCache::new(chains);
-            let want = rckalign::run_all_vs_all(&cache, &rckalign::RckAlignOptions::paper(2));
+            let options = rckalign::RckAlignOptions {
+                method,
+                ..rckalign::RckAlignOptions::paper(2)
+            };
+            let want = rckalign::run_all_vs_all(&cache, &options);
             assert_eq!(
                 outcomes_fingerprint(&run.outcomes),
                 outcomes_fingerprint(&want.outcomes),
@@ -130,13 +200,13 @@ fn boot_master() -> Farm {
     }
 }
 
-fn boot_gate() -> Farm {
-    let db = tiny_profile().generate(7);
+fn boot_gate(shape: Shape) -> Farm {
+    let db = shape.chains();
     let query = tiny_profile().generate(8)[0].clone();
     let workers = Arc::new(MemNet::new());
     let clients = MemNet::new();
     let cfg = GateConfig {
-        batch_size: 4,
+        batch_size: if shape == Shape::Fine { 1 } else { 4 },
         heartbeat_timeout: HEARTBEAT_TIMEOUT,
         batch_timeout: Some(BATCH_TIMEOUT),
         ..GateConfig::default()
@@ -147,7 +217,7 @@ fn boot_gate() -> Farm {
     let stats = gate.stats();
     let gate_thread = std::thread::spawn(move || gate.run());
     let client_conn = clients.connect().expect("client connect");
-    let methods = vec![MethodKind::TmAlign];
+    let methods = vec![shape.method()];
     let submit = QuerySubmit {
         tenant: "lab".to_string(),
         query_id: 1,
@@ -254,6 +324,62 @@ impl Scripted {
         Some(batch)
     }
 
+    /// The next batch if it reaches the wire within `wait` (zero: only
+    /// if it is already there), absorbed.
+    fn poll_batch(&mut self, wait: Duration) -> Option<JobBatch> {
+        self.conn.set_read_timeout(Some(wait)).expect("timeout");
+        let batch = self.next_batch();
+        self.conn.set_read_timeout(None).expect("timeout");
+        batch
+    }
+
+    /// Compute and answer `batch` honestly.
+    fn answer(&mut self, batch: &JobBatch) {
+        let outcomes = self.compute(batch);
+        self.send_result(batch.batch_id, outcomes);
+    }
+
+    /// Answer at once, oldest first, taking in whatever is on the wire
+    /// before each answer, until `done` says stop or `jobs` jobs are
+    /// answered. Returns the unanswered batches and the jobs answered.
+    fn serve_fast(
+        &mut self,
+        first: JobBatch,
+        jobs: u64,
+        mut done: impl FnMut(&VecDeque<JobBatch>) -> bool,
+    ) -> (VecDeque<JobBatch>, u64) {
+        let mut held = VecDeque::from([first]);
+        let mut answered = 0;
+        loop {
+            while let Some(batch) = self.poll_batch(Duration::ZERO) {
+                held.push_back(batch);
+            }
+            assert!(held.len() <= DEEPEST, "holds {} batches", held.len());
+            if done(&held) || answered == jobs {
+                return (held, answered);
+            }
+            let batch = match held.pop_front() {
+                Some(batch) => batch,
+                None => self.next_batch().expect("next batch dispatched"),
+            };
+            self.answer(&batch);
+            answered += batch.jobs.len() as u64;
+        }
+    }
+
+    /// Answer fast until this connection is trusted with several batches
+    /// at once, then answer nothing until the dispatcher has filled the
+    /// window. Returns what is held and the jobs answered on the way.
+    fn fill_window(&mut self, first: JobBatch, jobs: u64) -> (VecDeque<JobBatch>, u64) {
+        let (mut held, answered) = self.serve_fast(first, jobs, |held| held.len() >= 2);
+        assert!(held.len() >= 2, "the window never deepened");
+        while let Some(batch) = self.poll_batch(QUIET) {
+            held.push_back(batch);
+        }
+        assert!(held.len() <= DEEPEST, "holds {} batches", held.len());
+        (held, answered)
+    }
+
     fn compute(&self, batch: &JobBatch) -> Vec<PairOutcome> {
         batch
             .jobs
@@ -287,8 +413,7 @@ impl Scripted {
         while answered < jobs {
             let batch = self.next_batch().expect("next batch dispatched");
             answered += batch.jobs.len() as u64;
-            let outcomes = self.compute(&batch);
-            self.send_result(batch.batch_id, outcomes);
+            self.answer(&batch);
         }
     }
 
@@ -329,17 +454,17 @@ fn spawn_healthy(farm: &Farm) -> std::thread::JoinHandle<()> {
     })
 }
 
-fn boot(tier: Tier) -> Farm {
+fn boot(tier: Tier, shape: Shape) -> Farm {
     match tier {
-        Tier::Master => boot_master(),
-        Tier::Gate => boot_gate(),
+        Tier::Master => boot_master(shape),
+        Tier::Gate => boot_gate(shape),
     }
 }
 
 /// The peer-session rows: a real worker under an injected fault.
 fn run_session_case(tier: Tier, fault: SessionFault) {
     let case = &format!("{tier:?}/{fault:?}");
-    let farm = boot(tier);
+    let farm = boot(tier, Shape::Coarse);
     let connected = Instant::now();
     let conn = farm.workers.connect().expect("worker connect");
     let worker = std::thread::spawn(move || {
@@ -382,7 +507,7 @@ fn run_session_case(tier: Tier, fault: SessionFault) {
 
 fn run_case(tier: Tier, fault: Fault) {
     let case = format!("{tier:?}/{fault:?}");
-    let farm = boot(tier);
+    let farm = boot(tier, Shape::Coarse);
     let mut w = Scripted::connect(&farm, "scripted");
     let first = w.read_batch().expect("first batch dispatched");
     let dispatched = Instant::now();
@@ -458,11 +583,15 @@ fn run_case(tier: Tier, fault: Fault) {
         }
         Fault::ReplacedMidRun => {
             w.absorb(&first);
-            let outcomes = w.compute(&first);
-            w.send_result(first.batch_id, outcomes);
+            w.answer(&first);
             let second = w.next_batch().expect("second batch dispatched");
-            lost_jobs = second.jobs.len() as u64;
             w.conn.shutdown();
+            // Everything it was sent and did not answer: the second batch
+            // and whatever its window put on the wire behind it.
+            lost_jobs = second.jobs.len() as u64;
+            while let Some(queued) = w.read_batch() {
+                lost_jobs += queued.jobs.len() as u64;
+            }
             wait_for(&farm, SLACK, &case, |c| c.requeued == lost_jobs);
         }
     }
@@ -480,18 +609,7 @@ fn run_case(tier: Tier, fault: Fault) {
         } else {
             0
         };
-        let mut t = Scripted::connect(&farm, "takeover");
-        t.serve(farm.total_jobs - done_by_w);
-        t.shipped.sort_unstable();
-        assert_eq!(
-            t.shipped,
-            t.referenced.iter().copied().collect::<Vec<_>>(),
-            "{case}: the takeover was sent exactly the chains its jobs reference, once each"
-        );
-        assert!(
-            first.chains.iter().any(|(ix, _)| t.shipped.contains(ix)),
-            "{case}: chains the dead connection was sent were sent again"
-        );
+        let t = take_over(&farm, &case, &first, farm.total_jobs - done_by_w);
         takeover = Some(t);
     } else {
         healthy = Some(spawn_healthy(&farm));
@@ -524,6 +642,142 @@ fn run_case(tier: Tier, fault: Fault) {
     }
 }
 
+/// The takeover connection of a dead one starts from nothing: it serves
+/// `jobs` jobs, is sent exactly the chains they reference, once each,
+/// and among them chains the dead connection (whose first batch was
+/// `first`) had been sent.
+fn take_over(farm: &Farm, case: &str, first: &JobBatch, jobs: u64) -> Scripted {
+    let mut t = Scripted::connect(farm, "takeover");
+    t.serve(jobs);
+    t.shipped.sort_unstable();
+    assert_eq!(
+        t.shipped,
+        t.referenced.iter().copied().collect::<Vec<_>>(),
+        "{case}: the takeover was sent exactly the chains its jobs reference, once each"
+    );
+    assert!(
+        first.chains.iter().any(|(ix, _)| t.shipped.contains(ix)),
+        "{case}: chains the dead connection was sent were sent again"
+    );
+    t
+}
+
+fn run_window_case(tier: Tier, fault: WindowFault) {
+    let case = &format!("{tier:?}/{fault:?}");
+    let farm = boot(tier, Shape::Fine);
+    let total = farm.total_jobs;
+    let mut w = Scripted::connect(&farm, "scripted");
+    let first = w.next_batch().expect("first batch dispatched");
+    let first_contact = first.clone();
+    // Jobs this connection answered; jobs it was sent and never answered.
+    let (mut answered, mut lost_jobs) = (0, 0);
+    let mut stale = 0;
+
+    match fault {
+        WindowFault::UnprovenHoldsOne => {
+            assert!(
+                w.poll_batch(QUIET).is_none(),
+                "{case}: a connection that has answered nothing was fed ahead"
+            );
+            w.answer(&first);
+            answered = first.jobs.len() as u64;
+        }
+        WindowFault::SlowStaysAtOne => {
+            let mut batch = first;
+            for _ in 0..20 {
+                assert!(
+                    w.poll_batch(SLOW).is_none(),
+                    "{case}: a second batch behind one that takes longer than COVER"
+                );
+                w.answer(&batch);
+                answered += batch.jobs.len() as u64;
+                batch = w.next_batch().expect("next batch dispatched");
+            }
+            w.answer(&batch);
+            answered += batch.jobs.len() as u64;
+        }
+        WindowFault::FastDeepens => {
+            let mut deepest = 0;
+            (_, answered) = w.serve_fast(first, total, |held| {
+                deepest = deepest.max(held.len());
+                false
+            });
+            assert!(deepest > 1, "{case}: the window never deepened");
+        }
+        WindowFault::DiesHoldingWindow => {
+            let held;
+            (held, answered) = w.fill_window(first, total);
+            w.conn.shutdown();
+            lost_jobs = held.iter().map(|b| b.jobs.len() as u64).sum();
+            wait_for(&farm, SLACK, case, |c| c.requeued == lost_jobs);
+        }
+        WindowFault::OutOfOrder => {
+            let held;
+            (held, answered) = w.fill_window(first, total);
+            for batch in held.iter().rev() {
+                w.answer(batch);
+                answered += batch.jobs.len() as u64;
+            }
+        }
+        WindowFault::ResultLostSecondQueued => {
+            let mut held;
+            (held, answered) = w.fill_window(first, total);
+            let taken = Instant::now();
+            let second = held.remove(1).expect("a second batch is queued");
+            w.answer(&second);
+            answered += second.jobs.len() as u64;
+            w.heartbeat_until(
+                BATCH_TIMEOUT + SLACK,
+                &format!("{case}: heartbeats kept a batch alive past the batch timeout"),
+                || (farm.counters)().workers_lost > 0,
+            );
+            let waited = taken.elapsed();
+            assert!(
+                waited >= BATCH_TIMEOUT.mul_f64(0.9) - QUIET,
+                "{case}: dropped after {waited:?} although heartbeats flowed"
+            );
+            // The answered batch made room for more before the cap fired.
+            held.extend(std::iter::from_fn(|| w.next_batch()));
+            lost_jobs = held.iter().map(|b| b.jobs.len() as u64).sum();
+        }
+        WindowFault::StaleReplay => {
+            let mut held;
+            (held, answered) = w.fill_window(first, total);
+            let head = held.pop_front().expect("window holds several");
+            w.answer(&head);
+            w.answer(&head);
+            answered += head.jobs.len() as u64;
+            stale = 1;
+            for batch in &held {
+                w.answer(batch);
+                answered += batch.jobs.len() as u64;
+            }
+        }
+    }
+
+    let mut takeover = None;
+    if lost_jobs > 0 {
+        takeover = Some(take_over(&farm, case, &first_contact, total - answered));
+    } else {
+        // The connection is still trusted: it serves out the run.
+        w.serve(total - answered);
+    }
+    wait_for(&farm, Duration::from_secs(20), case, |c| {
+        c.completed == total
+    });
+    let c = (farm.counters)();
+    assert_eq!(c.completed, total, "{case}: each job counted once");
+    assert_eq!(c.requeued, lost_jobs, "{case}: exactly what it held");
+    assert_eq!(c.workers_lost, u64::from(lost_jobs > 0), "{case}");
+    assert_eq!(c.stale.unwrap_or(stale), stale, "{case}");
+    assert_eq!(c.mismatched.unwrap_or(0), 0, "{case}");
+    (farm.finish)();
+    w.conn.shutdown();
+    if let Some(t) = takeover {
+        t.conn.shutdown();
+    }
+}
+
 #[test]
 fn fault_table_holds_for_both_work_sources() {
     for tier in [Tier::Master, Tier::Gate] {
@@ -540,6 +794,17 @@ fn fault_table_holds_for_both_work_sources() {
         }
         for fault in [SessionFault::Slow, SessionFault::Silent] {
             run_session_case(tier, fault);
+        }
+        for fault in [
+            WindowFault::UnprovenHoldsOne,
+            WindowFault::SlowStaysAtOne,
+            WindowFault::FastDeepens,
+            WindowFault::DiesHoldingWindow,
+            WindowFault::OutOfOrder,
+            WindowFault::ResultLostSecondQueued,
+            WindowFault::StaleReplay,
+        ] {
+            run_window_case(tier, fault);
         }
     }
 }

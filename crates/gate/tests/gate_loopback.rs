@@ -8,7 +8,7 @@ use rck_gate::{reference_ranking, Gate, GateClient, GateConfig, QueryEvent};
 use rck_pdb::datasets::tiny_profile;
 use rck_pdb::model::CaChain;
 use rck_serve::proto::QuerySubmit;
-use rck_serve::transport::MemNet;
+use rck_serve::transport::{Conn, Listener, MemNet};
 use rck_serve::{run_worker_conn, WorkerConfig};
 use rck_tmalign::MethodKind;
 use rckalign::consensus::Combiner;
@@ -25,13 +25,68 @@ struct Harness {
     db: Vec<CaChain>,
 }
 
+/// A client-plane connection whose every write (one frame) takes 30 ms
+/// to leave: the gate's session writer is still holding a frame long
+/// after the pool has queued it.
+struct SlowConn(Box<dyn Conn>);
+
+impl std::io::Read for SlowConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.0.read(buf)
+    }
+}
+
+impl std::io::Write for SlowConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(30));
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl Conn for SlowConn {
+    fn try_clone(&self) -> std::io::Result<Box<dyn Conn>> {
+        Ok(Box::new(SlowConn(self.0.try_clone()?)))
+    }
+
+    fn shutdown(&self) {
+        self.0.shutdown();
+    }
+
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
+        self.0.set_read_timeout(timeout)
+    }
+}
+
+/// A listener whose accepted connections are [`SlowConn`]s.
+struct SlowListener(Box<dyn Listener>);
+
+impl Listener for SlowListener {
+    fn poll_accept(&self) -> std::io::Result<Option<Box<dyn Conn>>> {
+        let conn = self.0.poll_accept()?;
+        Ok(conn.map(|c| Box::new(SlowConn(c)) as Box<dyn Conn>))
+    }
+
+    fn local_addr(&self) -> Option<SocketAddr> {
+        self.0.local_addr()
+    }
+}
+
 fn boot(cfg: GateConfig) -> Harness {
+    boot_on(cfg, |clients| clients)
+}
+
+/// [`boot`] with the client-plane listener passed through `wrap`.
+fn boot_on(cfg: GateConfig, wrap: fn(Box<dyn Listener>) -> Box<dyn Listener>) -> Harness {
     let db = tiny_profile().generate(42);
     let worker_net = Arc::new(MemNet::new());
     let client_net = Arc::new(MemNet::new());
     let gate = Gate::bind_on(
         worker_net.listener(),
-        client_net.listener(),
+        wrap(client_net.listener()),
         db.clone(),
         cfg,
     );
@@ -385,6 +440,45 @@ fn drain_rejects_new_queries_then_returns() {
     let report = h.gate_thread.join().expect("gate returned after drain");
     assert_eq!(report.stats.queries_completed, 1);
     assert_eq!(report.stats.queries_rejected, 1);
+}
+
+/// A settled drain ends a session in order: what the pool queued for it
+/// is flushed — however slowly the client's connection takes it — and
+/// only then does the connection close. The gate used to hard-stop the
+/// moment the last run completed, closing the connection under a writer
+/// that had not yet written the final ranking.
+#[test]
+fn a_drained_gate_delivers_the_last_ranking_before_closing() {
+    let h = boot_on(GateConfig::default(), |clients| {
+        Box::new(SlowListener(clients))
+    });
+    let query = tiny_profile().generate(84)[0].clone();
+    let mut client = h.client("lab-a");
+    client
+        .submit(submit("lab-a", 1, 1, query.clone()))
+        .expect("submit");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while h.stats.snapshot().queries_submitted < 1 {
+        assert!(Instant::now() < deadline, "submission not admitted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    h.handle.drain();
+    h.spawn_worker("late", None);
+    let ranking = loop {
+        match client.next_event().expect("event") {
+            QueryEvent::Done(d) if d.query_id == 1 => break d.ranking,
+            QueryEvent::Partial(p) if p.query_id == 1 => {}
+            other => panic!("the stream ended without the ranking: {other:?}"),
+        }
+    };
+    let expect = reference_ranking(&h.db, &query, &[MethodKind::TmAlign], Combiner::MeanRank);
+    assert_bit_identical(&ranking, &expect, "slow client on a drained gate");
+    assert_eq!(
+        client.next_event().expect("clean end of stream"),
+        QueryEvent::Ended
+    );
+    let report = h.gate_thread.join().expect("gate returned after drain");
+    assert_eq!(report.stats.queries_completed, 1);
 }
 
 /// Fault isolation on the query plane: a client that vanishes mid-query

@@ -79,6 +79,11 @@ impl Gauge {
         self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
+    /// Raise to `v` if it is below it (a high-water mark).
+    pub fn raise_to(&self, v: i64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

@@ -16,9 +16,10 @@
 //! * [`monitor_deadlines`] — the deadline monitor, parked on the
 //!   dispatcher's condvar so a finished or aborted run wakes it at once;
 //! * [`serve_worker`] — the JobBatch/ResultBatch connection loop
-//!   (handshake → claim → write → collect → accept or requeue → lose),
-//!   generic over a [`WorkSource`] that supplies only policy; it cuts
-//!   every chain table from the connection's [`Resident`] set.
+//!   (handshake → fill the window → collect a result → accept or
+//!   requeue → lose), generic over a [`WorkSource`] that supplies only
+//!   policy; it cuts every chain table from the connection's
+//!   [`Resident`] set and keeps a time-bounded window of batches on it.
 //!
 //! `serve::master` (batch and feed mode) and `gate::pool` are
 //! [`WorkSource`] impls. The shard frontend speaks a credit-pull,
@@ -129,6 +130,11 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
             .collect()
     }
 
+    /// Whether `owner` has a unit in flight.
+    fn holds(&self, owner: u32) -> bool {
+        self.units.values().any(|g| g.owner == owner)
+    }
+
     /// Every unit past its deadline at `now`, with its owner and the arm
     /// of the deadline rule that fired. The grant time floors the
     /// silence window, so a unit handed to a long-idle owner is not born
@@ -216,6 +222,8 @@ pub enum Event<'a> {
     MismatchedResult,
     /// Gap between two liveness signals of one worker.
     HeartbeatGap(Duration),
+    /// A connection's window changed to this many batches.
+    Window(usize),
 }
 
 /// Everything a tier supplies to [`serve_worker`]: where its state
@@ -532,14 +540,33 @@ pub fn accept_until(
 /// What became of one dispatched batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchFate {
-    /// Result accepted — dispatch the next batch.
-    Continue,
+    /// Result accepted; the ledger's grant time of the batch it settled.
+    Accepted(Instant),
     /// The frame answered a batch id no longer in flight (a replay, or a
     /// requeue race); counted and dropped. Whatever this worker holds
     /// is still outstanding.
     Stale,
     /// Connection gone; in-flight work already requeued.
     Lost,
+}
+
+/// The window bounds: the measured service time one connection's queue
+/// should span, and the most batches it may hold. Depth must cover
+/// scheduling latency, not lane count: on `farm_rs119_rmsd` (≈ 6 µs of
+/// compute per batch, ≈ 40 µs per thread hand-off) a fixed window of
+/// 2 / 3 / 8 / 32 bought −11 / −26 / −43 / −49 % of `op_p25_ms`; `COVER`
+/// of 250 µs – 1 ms measured alike (−44 to −47 %), 100 µs only −28 %.
+const COVER: Duration = Duration::from_micros(500);
+const CAP: usize = 32;
+
+/// Batches a connection may hold: as many as span one [`COVER`] at its
+/// measured `service` time per batch, at least one, at most [`CAP`]. A
+/// peer that has answered nothing is not fed ahead, and batches of
+/// `COVER` or longer (TM-align: ≈ 11 ms) go out one at a time — the
+/// paper's dynamic FARM balance, grant for grant.
+fn window(service: Option<Duration>) -> usize {
+    let spans = |s: Duration| COVER.as_nanos().div_ceil(s.as_nanos().max(1));
+    service.map_or(1, |s| spans(s).min(CAP as u128) as usize)
 }
 
 /// Per-connection handler: handshake, then dispatch/collect until the
@@ -577,32 +604,53 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
     // Every path below that gives up on a batch ends the connection, so
     // what its worker holds never has to be revised.
     let mut resident = Resident::default();
+    let (mut held, mut room) = (0, 1);
+    let (mut service, mut last_accept) = (None::<Duration>, None::<Instant>);
     loop {
-        let Some((batch_id, unit)) = claim(src, worker_id) else {
-            // Source finished or stopping: orderly goodbye (best-effort
-            // — the connection may already be gone).
-            if let Ok(n) = proto::write_frame(&mut conn, &Frame::Shutdown) {
-                src.observe(Event::Tx(n));
+        // Fill the window; wait for work only while holding nothing.
+        if held < room {
+            if let Some((batch_id, unit)) = claim(src, worker_id, held == 0) {
+                let jobs = unit.as_ref().to_vec();
+                let chains = resident.delta(&jobs, |ix| src.chain(&unit, ix));
+                src.observe(Event::ChainsShipped(chains.len()));
+                let frame = Frame::JobBatch(JobBatch {
+                    batch_id,
+                    chains,
+                    jobs,
+                });
+                match proto::write_frame(&mut conn, &frame) {
+                    Ok(n) => src.observe(Event::Tx(n)),
+                    Err(_) => {
+                        lose_worker(src, worker_id);
+                        break;
+                    }
+                }
+                held += 1;
+                continue;
             }
-            break;
-        };
-        let jobs = unit.as_ref().to_vec();
-        let chains = resident.delta(&jobs, |ix| src.chain(&unit, ix));
-        src.observe(Event::ChainsShipped(chains.len()));
-        let frame = Frame::JobBatch(JobBatch {
-            batch_id,
-            chains,
-            jobs,
-        });
-        match proto::write_frame(&mut conn, &frame) {
-            Ok(n) => src.observe(Event::Tx(n)),
-            Err(_) => {
-                lose_worker(src, worker_id);
+            if held == 0 {
+                // Source finished or stopping: orderly goodbye (best-effort
+                // — the connection may already be gone).
+                if let Ok(n) = proto::write_frame(&mut conn, &Frame::Shutdown) {
+                    src.observe(Event::Tx(n));
+                }
                 break;
             }
         }
-        if collect_result(src, &mut conn, worker_id) == BatchFate::Lost {
+        let BatchFate::Accepted(granted_at) = collect_result(src, &mut conn, worker_id) else {
             break;
+        };
+        held -= 1;
+        // Service time, ¾ old + ¼ new: how long the batch had the worker to
+        // itself — since its grant, or the last acceptance if it queued.
+        let now = Instant::now();
+        let since = last_accept.map_or(granted_at, |t| t.max(granted_at));
+        let sample = now.saturating_duration_since(since);
+        service = Some(service.map_or(sample, |s| (s * 3 + sample) / 4));
+        last_accept = Some(now);
+        let earned = window(service);
+        if std::mem::replace(&mut room, earned) != earned {
+            src.observe(Event::Window(earned));
         }
     }
 
@@ -616,16 +664,22 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
 }
 
 /// Claim the next unit for `worker_id` and enter it in the ledger, or
-/// `None` once the source is halted or idle. Blocks while the policy has
-/// nothing to hand out.
-pub fn claim<S: WorkSource>(src: &S, worker_id: u32) -> Option<(u64, S::Unit)> {
+/// `None` once the source is halted or idle. While the policy has
+/// nothing to hand out it blocks if `wait` (the connection holds
+/// nothing) and returns `None` otherwise (results are due: go read).
+pub fn claim<S: WorkSource>(src: &S, worker_id: u32, wait: bool) -> Option<(u64, S::Unit)> {
     let mut state = src.state().lock_recover();
     let unit = loop {
-        if src.halted() || src.idle(&state) {
+        // A connection that holds work the ledger no longer knows was
+        // given up on by the monitor: it is fed nothing more.
+        let revoked = !wait && !S::dispatch(&mut state).ledger.holds(worker_id);
+        if revoked || src.halted() || src.idle(&state) {
             return None;
         }
-        if let Some(unit) = src.next_unit(&mut state) {
-            break unit;
+        match src.next_unit(&mut state) {
+            Some(unit) => break unit,
+            None if !wait => return None,
+            None => {}
         }
         state = src
             .wake()
@@ -641,8 +695,8 @@ pub fn claim<S: WorkSource>(src: &S, worker_id: u32) -> Option<(u64, S::Unit)> {
     Some((batch_id, unit))
 }
 
-/// Read frames until the outstanding batch is answered (heartbeats
-/// refresh the deadline along the way) or the connection dies.
+/// Read frames until one outstanding batch is answered (heartbeats
+/// refresh the deadlines along the way) or the connection dies.
 fn collect_result<S: WorkSource>(src: &S, conn: &mut Box<dyn Conn>, worker_id: u32) -> BatchFate {
     loop {
         match proto::read_frame(conn) {
@@ -726,7 +780,7 @@ pub fn accept_results<S: WorkSource>(src: &S, worker_id: u32, rb: ResultBatch) -
     if wake {
         src.wake().notify_all();
     }
-    BatchFate::Continue
+    BatchFate::Accepted(batch.granted_at)
 }
 
 /// Declare a worker dead: requeue its in-flight batches and wake anyone
@@ -809,9 +863,11 @@ mod tests {
         ledger.grant(1, 10, "a", t0);
         ledger.grant(2, 11, "b", t0);
         ledger.grant(3, 10, "c", t0);
+        assert!(ledger.holds(10));
         let mut revoked = ledger.revoke_owner(10);
         revoked.sort_unstable();
         assert_eq!(revoked, vec![(1, "a"), (3, "c")]);
+        assert!(!ledger.holds(10) && ledger.holds(11));
         assert_eq!(ledger.revoke_owner(10), vec![], "nothing left to revoke");
         assert!(!ledger.is_empty(), "the other owner's unit stays");
         assert_eq!(
@@ -832,6 +888,30 @@ mod tests {
         ledger.grant(4, 1, "y", t0);
         ledger.revoke_owner(1);
         assert!(ledger.settle(&4).is_none(), "revoked and requeued");
+    }
+
+    /// The whole dispatch policy: no sample → 1; a batch that takes one
+    /// `COVER` or longer → 1 (the coarse path, `farm_ck34_tm`'s ≈ 11 ms
+    /// batches, dispatches exactly as stop-and-wait did); faster peers
+    /// deepen monotonically up to `CAP`.
+    #[test]
+    fn the_window_spans_one_cover_of_measured_service() {
+        let us = Duration::from_micros;
+        assert_eq!(window(None), 1, "an unproven peer is not fed ahead");
+        assert_eq!(window(Some(COVER)), 1);
+        assert_eq!(window(Some(ms(11))), 1, "a TM-align batch");
+        assert_eq!(window(Some(Duration::MAX)), 1);
+        assert_eq!(window(Some(COVER - us(1))), 2);
+        assert_eq!(window(Some(COVER / 4)), 4);
+        assert_eq!(window(Some(us(1))), super::CAP);
+        assert_eq!(window(Some(Duration::ZERO)), super::CAP);
+        let mut previous = super::CAP;
+        for service in 1..=COVER.as_micros() as u64 + 10 {
+            let w = window(Some(us(service)));
+            assert!((1..=previous).contains(&w), "{service} µs → {w}");
+            previous = w;
+        }
+        assert_eq!(previous, 1);
     }
 
     #[test]

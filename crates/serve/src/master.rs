@@ -322,6 +322,7 @@ impl WorkSource for Shared {
             Event::StaleResult => stats.on_stale_result(),
             Event::MismatchedResult => stats.on_mismatched_result(),
             Event::HeartbeatGap(gap) => stats.observe_heartbeat_gap(gap.as_secs_f64()),
+            Event::Window(batches) => stats.on_window(batches),
         }
     }
 }

@@ -15,7 +15,7 @@
 //! the rest of the repository.
 
 use crate::sync::MutexExt;
-use rck_obs::{Counter, Histogram, HistogramSnapshot, Registry, DEFAULT_LATENCY_BOUNDS};
+use rck_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, DEFAULT_LATENCY_BOUNDS};
 use rckalign::report::TextTable;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -53,6 +53,7 @@ pub struct ServeStats {
     workers_lost: Arc<Counter>,
     batch_rtt: Arc<Histogram>,
     heartbeat_gap: Arc<Histogram>,
+    window: Arc<Gauge>,
     workers: Mutex<HashMap<u32, WorkerEntry>>,
 }
 
@@ -129,6 +130,10 @@ impl ServeStats {
                 "time between consecutive liveness signals from a worker",
                 DEFAULT_LATENCY_BOUNDS,
             ),
+            window: registry.gauge(
+                "rck_window_batches",
+                "deepest window of batches any worker connection was given",
+            ),
             workers: Mutex::new(HashMap::new()),
             registry,
         }
@@ -142,6 +147,7 @@ impl ServeStats {
 
     pub(crate) fn on_worker_connected(&self, id: u32, name: &str) {
         self.workers_connected.inc();
+        self.window.raise_to(1);
         self.workers.lock_recover().insert(
             id,
             WorkerEntry {
@@ -226,6 +232,10 @@ impl ServeStats {
         self.heartbeat_gap.observe(seconds);
     }
 
+    pub(crate) fn on_window(&self, batches: usize) {
+        self.window.raise_to(batches as i64);
+    }
+
     /// Jobs requeued so far (tests poll this to observe fault recovery).
     pub fn jobs_requeued(&self) -> u64 {
         self.jobs_requeued.get()
@@ -290,6 +300,7 @@ impl ServeStats {
             workers_lost: self.workers_lost.get(),
             batch_rtt: self.batch_rtt.snapshot(),
             heartbeat_gap: self.heartbeat_gap.snapshot(),
+            window_batches: self.window.get() as u64,
             workers,
         }
     }
@@ -349,6 +360,8 @@ pub struct StatsSnapshot {
     pub batch_rtt: HistogramSnapshot,
     /// Gaps between consecutive liveness signals per worker.
     pub heartbeat_gap: HistogramSnapshot,
+    /// Deepest window a connection was given; `batch_rtt` includes its wait.
+    pub window_batches: u64,
     /// Per-worker breakdown.
     pub workers: Vec<WorkerRow>,
 }
@@ -357,7 +370,7 @@ impl StatsSnapshot {
     /// Render the run summary plus the per-worker throughput table.
     pub fn render(&self) -> String {
         let mut totals = TextTable::new(&["counter", "value"]);
-        let rows: [(&str, u64); 15] = [
+        let rows: [(&str, u64); 16] = [
             ("jobs dispatched", self.jobs_dispatched),
             ("jobs completed", self.jobs_completed),
             ("jobs requeued", self.jobs_requeued),
@@ -373,6 +386,7 @@ impl StatsSnapshot {
             ("chains shipped", self.chains_shipped),
             ("workers connected", self.workers_connected),
             ("workers lost", self.workers_lost),
+            ("deepest window (batches)", self.window_batches),
         ];
         for (name, value) in rows {
             totals.row(&[name.to_string(), value.to_string()]);
@@ -442,6 +456,8 @@ mod tests {
         s.add_chains_shipped(3);
         s.observe_batch_rtt(0.02);
         s.observe_heartbeat_gap(0.3);
+        s.on_window(8);
+        s.on_window(3);
 
         let snap = s.snapshot();
         assert_eq!(snap.jobs_dispatched, 8);
@@ -461,6 +477,7 @@ mod tests {
         assert_eq!(snap.workers_lost, 1);
         assert_eq!(snap.batch_rtt.count, 1);
         assert_eq!(snap.heartbeat_gap.count, 1);
+        assert_eq!(snap.window_batches, 8, "a high-water mark");
         assert_eq!(snap.workers.len(), 2);
         assert_eq!(snap.workers[0].name, "w0");
         assert_eq!(snap.workers[0].jobs_completed, 4);
