@@ -332,6 +332,7 @@ fn kernel_section() -> String {
         ("DP rounds", &st.dp_rounds),
         ("Kabsch superpositions", &st.kabsch_iterations),
         ("TM-score searches", &st.tmscore_refinements),
+        ("rounds reused", &st.rounds_reused),
         ("kernel ops", &st.ops),
     ] {
         let total = counter.get();

@@ -15,7 +15,7 @@ use crate::meter::WorkMeter;
 use crate::prefilter::{decide, PrefilterConfig, PrefilterDecision, SsComposition};
 use crate::secstruct::{assign, SecStruct};
 use crate::tmscore::{d0, search_in, SearchDepth, SearchResult};
-use crate::workspace::Workspace;
+use crate::workspace::{Charged, Workspace};
 use rck_pdb::geometry::{Transform, Vec3};
 use rck_pdb::model::CaChain;
 use serde::{Deserialize, Serialize};
@@ -213,8 +213,9 @@ fn tm_align_in(
     );
 
     // One workspace serves every DP round and rotation search of this
-    // pair.
+    // pair; the rounds of an earlier call are none of this one's.
     ws.retarget(y);
+    ws.rounds.clear();
 
     // Demoted pairs run the reduced refinement schedule.
     let effective = match decision {
@@ -230,7 +231,8 @@ fn tm_align_in(
         _ => *params,
     };
 
-    let mut best_alignment: Alignment;
+    // The best alignment so far, by its id in `ws.rounds`: none yet.
+    let mut best = ws.rounds.intern(&[]);
     if let PrefilterDecision::Reject { .. } = decision {
         // Provably hopeless under the requested normalisation: skip the
         // DP initials and the whole refinement ladder. The gapless
@@ -239,7 +241,7 @@ fn tm_align_in(
         stages.pruned_pairs.inc();
         let init_gapless = gapless_threading(x, y, d0_opt, norm_len, &mut meter);
         stages.initial_alignments.inc();
-        best_alignment = init_gapless.alignment;
+        best = ws.rounds.intern(&init_gapless.alignment);
     } else {
         // --- Initial alignments ---------------------------------------
         let init_gapless = gapless_threading(x, y, d0_opt, norm_len, &mut meter);
@@ -256,37 +258,31 @@ fn tm_align_in(
             SearchDepth::Full
         };
         let mut best_tm = -1.0;
-        best_alignment = Vec::new();
         for init in [&init_gapless, &init_ss, &init_hybrid] {
             if init.alignment.len() < 3 {
                 continue;
             }
-            let (tm, alignment, _transform) = refine(
-                x,
-                y,
-                &init.alignment,
-                d0_opt,
-                norm_len,
-                &effective,
-                depth,
-                ws,
-                &mut meter,
+            let initial = ws.rounds.intern(&init.alignment);
+            let (tm, refined) = refine(
+                x, y, initial, d0_opt, norm_len, &effective, depth, ws, &mut meter,
             );
             if tm > best_tm {
                 best_tm = tm;
-                best_alignment = alignment;
+                best = refined;
             }
         }
     }
 
     // Degenerate fall-back: no initial produced ≥3 pairs (can only happen
     // for pathological inputs) — align the leading residues gaplessly.
-    if best_alignment.len() < 3 {
-        best_alignment = (0..norm_len.min(3)).map(|i| (i, i)).collect();
+    if ws.rounds.pairs(best).len() < 3 {
+        let leading: Alignment = (0..norm_len.min(3)).map(|i| (i, i)).collect();
+        best = ws.rounds.intern(&leading);
     }
 
     // --- Final scoring ---------------------------------------------------
-    ws.gather(x, y, &best_alignment);
+    ws.gather(x, y, best);
+    let best_alignment = ws.rounds.pairs(best).to_vec();
     let mut final_score = |len: usize| {
         search_in(
             &ws.xa,
@@ -334,53 +330,75 @@ fn tm_align_in(
     }
 }
 
-/// One DP-refinement run from an initial alignment. Returns the best
-/// `(tm, alignment, transform)` encountered.
+/// The answer of one refinement step and what it charged: the pair's
+/// table's when `known` — charged again, `ops` being the algorithm's cost
+/// and not this implementation's — computed now otherwise.
+fn replay_or<T>(
+    known: Charged<T>,
+    meter: &mut WorkMeter,
+    compute: impl FnOnce(&mut WorkMeter) -> T,
+) -> (T, u64) {
+    if let Some((answer, ops)) = known {
+        crate::stages::stage_counters().rounds_reused.inc();
+        meter.charge(ops);
+        return (answer, ops);
+    }
+    let before = meter.ops();
+    let answer = compute(meter);
+    (answer, meter.ops() - before)
+}
+
+/// One DP-refinement run from the interned alignment `initial`. Returns
+/// the best TM-score encountered and the id of the alignment scoring it.
 ///
-/// The re-alignment rounds score each row on the fly. When the
-/// prefilters are enabled, a plateau below the score threshold abandons
-/// the remaining iterations (`rck_kernel_pruned_rounds_total`).
+/// Each round is a rotation search of the current alignment and a
+/// re-alignment DP under the found transform, both answered by the pair's
+/// `RoundTable` where a ladder has been through the alignment before.
+/// When the prefilters are enabled, a plateau below the score threshold
+/// abandons the remaining iterations (`rck_kernel_pruned_rounds_total`).
 #[allow(clippy::too_many_arguments)]
 fn refine(
     x: &[Vec3],
     y: &[Vec3],
-    initial: &Alignment,
+    initial: usize,
     d0_opt: f64,
     norm_len: usize,
     params: &TmAlignParams,
     depth: SearchDepth,
     ws: &mut Workspace,
     meter: &mut WorkMeter,
-) -> (f64, Alignment, Transform) {
+) -> (f64, usize) {
     let mut best_tm = -1.0;
-    let mut best_alignment = initial.clone();
-    let mut best_transform = Transform::IDENTITY;
+    let mut best = initial;
 
     let d0sq = d0_opt * d0_opt;
     let prune = &params.prefilter;
-    let mut current = Alignment::new();
-    for &gap in &params.gap_penalties {
-        current.clone_from(initial);
+    for (slot, &gap) in params.gap_penalties.iter().enumerate() {
+        let mut current = initial;
         let mut prev_best = best_tm;
         for iter in 0..params.max_iterations {
-            if current.len() < 3 {
+            if ws.rounds.pairs(current).len() < 3 {
                 break;
             }
-            ws.gather(x, y, &current);
-            let sr = search_in(
-                &ws.xa,
-                &ws.ya,
-                d0_opt,
-                d0_opt,
-                norm_len,
-                depth,
-                &mut ws.search,
-                meter,
-            );
+            let known = ws.rounds.of(current).search;
+            let searched = replay_or(known, meter, |meter| {
+                ws.gather(x, y, current);
+                search_in(
+                    &ws.xa,
+                    &ws.ya,
+                    d0_opt,
+                    d0_opt,
+                    norm_len,
+                    depth,
+                    &mut ws.search,
+                    meter,
+                )
+            });
+            ws.rounds.of(current).search = Some(searched);
+            let sr = searched.0;
             if sr.tm > best_tm {
                 best_tm = sr.tm;
-                best_alignment.clone_from(&current);
-                best_transform = sr.transform;
+                best = current;
             }
             // Score-bound early termination: a sub-threshold score that
             // has stopped improving will not climb back over the
@@ -396,24 +414,29 @@ fn refine(
             }
             prev_best = best_tm;
             // Re-align under the found transform.
-            ws.moved.clear();
-            ws.moved.extend(x.iter().map(|&p| sr.transform.apply(p)));
-            meter.charge((x.len() * y.len()) as u64); // scoring the cells
-            let (moved, target) = (&ws.moved, &ws.target);
-            let (next, _) = ws.dp.align(
-                x.len(),
-                y.len(),
-                gap,
-                |i, out| target.dist_row(moved[i], d0sq, out),
-                meter,
-            );
-            if next == current {
+            let known = ws.rounds.of(current).next[slot];
+            let realigned = replay_or(known, meter, |meter| {
+                ws.moved.clear();
+                ws.moved.extend(x.iter().map(|&p| sr.transform.apply(p)));
+                meter.charge((x.len() * y.len()) as u64); // scoring the cells
+                let (moved, target) = (&ws.moved, &ws.target);
+                let (next, _) = ws.dp.align(
+                    x.len(),
+                    y.len(),
+                    gap,
+                    |i, out| target.dist_row(moved[i], d0sq, out),
+                    meter,
+                );
+                ws.rounds.intern(&next)
+            });
+            ws.rounds.of(current).next[slot] = Some(realigned);
+            if realigned.0 == current {
                 break;
             }
-            current = next;
+            current = realigned.0;
         }
     }
-    (best_tm, best_alignment, best_transform)
+    (best_tm, best)
 }
 
 /// Secondary-structure strings of a chain, exposed for examples/benches.
@@ -714,6 +737,20 @@ mod tests {
         let _ = tm_align(&c, &c);
     }
 
+    /// Every bit `reused` shares with `fresh`.
+    fn assert_bit_equal(reused: &TmAlignResult, fresh: &TmAlignResult) {
+        assert_eq!(reused.alignment, fresh.alignment);
+        assert_eq!(reused.ops, fresh.ops);
+        for (r, f) in [
+            (reused.tm_norm_a, fresh.tm_norm_a),
+            (reused.tm_norm_b, fresh.tm_norm_b),
+            (reused.rmsd, fresh.rmsd),
+        ] {
+            assert_eq!(r.to_bits(), f.to_bits());
+        }
+        assert_eq!(reused.transform, fresh.transform);
+    }
+
     #[test]
     fn a_reused_workspace_carries_nothing_from_pair_to_pair() {
         // The stale-buffer bug class: one workspace driven through a
@@ -735,19 +772,52 @@ mod tests {
         ] {
             for (a, b) in pairs {
                 let reused = tm_align_in(a, b, &params, &mut ws);
-                let fresh = tm_align_with(a, b, &params);
-                assert_eq!(reused.alignment, fresh.alignment);
-                assert_eq!(reused.ops, fresh.ops);
-                for (r, f) in [
-                    (reused.tm_norm_a, fresh.tm_norm_a),
-                    (reused.tm_norm_b, fresh.tm_norm_b),
-                    (reused.rmsd, fresh.rmsd),
-                ] {
-                    assert_eq!(r.to_bits(), f.to_bits());
-                }
-                assert_eq!(reused.transform, fresh.transform);
+                assert_bit_equal(&reused, &tm_align_with(a, b, &params));
             }
         }
+        // The stale-table row: the *same* pair back to back, so every
+        // ladder revisits the alignments of the call before — under
+        // another d0, normalisation length or search depth, where the
+        // rounds they key answer differently. Only a table cleared per
+        // call survives this.
+        let (a, b) = (&tiny[5], &ck[1]);
+        let oracle = TmAlignParams::default();
+        for params in [
+            oracle,
+            TmAlignParams {
+                normalization: Normalization::Longer,
+                ..oracle
+            },
+            TmAlignParams {
+                normalization: Normalization::FixedD0(3.0),
+                ..oracle
+            },
+            TmAlignParams {
+                fast_refinement: false,
+                ..oracle
+            },
+            oracle,
+        ] {
+            let reused = tm_align_in(a, b, &params, &mut ws);
+            assert_bit_equal(&reused, &tm_align_with(a, b, &params));
+        }
+    }
+
+    #[test]
+    fn a_self_alignment_computes_each_round_once() {
+        // All three initials of a chain against itself are the identity
+        // alignment, and every ladder is one round long (the DP answers
+        // the identity again): six searches and six DPs asked for, one
+        // search and one DP per gap penalty executed — and `ops` is still
+        // what the six cost (27 068: the straight-line pipeline of
+        // `tests/property.rs`, and this kernel before it kept a table).
+        let c = &tiny_profile().generate(2013)[0];
+        let mut ws = Workspace::default();
+        let r = tm_align_in(c, c, &TmAlignParams::default(), &mut ws);
+        assert_eq!(r.aligned_len, c.len());
+        let (searches, dps) = ws.rounds.executed();
+        assert_eq!((searches, dps), (1, 2), "asked for 2 × 3 × 1 of each");
+        assert_eq!(r.ops, 27_068);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The three initial alignments used by TM-align (and cited by the paper):
 //!
 //! 1. **Gapless threading**: slide one chain along the other and keep the
-//!    ungapped offset with the best quick TM-score.
+//!    ungapped offset with the best quick TM-score (the offsets'
+//!    superpositions are independent, and solved a group at a time).
 //! 2. **Secondary-structure alignment**: dynamic programming over a
 //!    match/mismatch matrix of the per-residue secondary-structure classes.
 //! 3. **Hybrid alignment**: dynamic programming over a 50/50 blend of the
@@ -9,7 +10,7 @@
 //!    induced by the best superposition found so far.
 
 use crate::dp::{Alignment, StreamDp};
-use crate::kabsch::optimal_transform;
+use crate::kabsch::{optimal_transforms, LANES};
 use crate::meter::WorkMeter;
 use crate::secstruct::SecStruct;
 use crate::tmscore::tm_score_of_dist_sq;
@@ -36,7 +37,9 @@ pub struct InitialAlignment {
 /// For every diagonal offset `k`, the overlap pairs `(i, i+k)` are
 /// superposed and scored with a single-pass TM-score (no iterative search —
 /// this is the cheap screen TM-align's `get_initial` performs). Offsets
-/// keeping fewer than `min_overlap` pairs are skipped.
+/// keeping fewer than `min_overlap` pairs are skipped; the rest are
+/// solved `kabsch::LANES` at a time — every offset is an independent Kabsch
+/// solve — and scored in offset order.
 pub fn gapless_threading(
     x: &[Vec3],
     y: &[Vec3],
@@ -47,29 +50,38 @@ pub fn gapless_threading(
     let n = x.len() as isize;
     let m = y.len() as isize;
     let min_overlap = ((n.min(m) / 2).max(5) as usize).min(n.min(m) as usize);
+    // k is the offset such that x[i] pairs with y[i + k].
+    let overlap = |k: isize| {
+        let (i_lo, i_hi) = (0.max(-k), n.min(m - k));
+        let xs = &x[i_lo as usize..i_hi as usize];
+        let ys = &y[(i_lo + k) as usize..(i_hi + k) as usize];
+        (xs, ys)
+    };
 
     let mut best_k = 0isize;
     let mut best_score = f64::NEG_INFINITY;
     let mut best_t = Transform::IDENTITY;
 
-    // k is the offset such that x[i] pairs with y[i + k].
-    for k in (1 - n)..m {
-        let i_lo = 0.max(-k);
-        let i_hi = n.min(m - k);
-        let overlap = (i_hi - i_lo) as usize;
-        if overlap < min_overlap {
-            continue;
+    let mut offsets = ((1 - n)..m).filter(|&k| overlap(k).0.len() >= min_overlap);
+    loop {
+        let mut group = [None; LANES];
+        for (slot, k) in group.iter_mut().zip(&mut offsets) {
+            *slot = Some(k);
         }
-        let xs = &x[i_lo as usize..i_hi as usize];
-        let ys = &y[(i_lo + k) as usize..(i_hi + k) as usize];
-        let t = optimal_transform(xs, ys, meter);
-        meter.charge(overlap as u64);
-        let moved_dist_sq = xs.iter().zip(ys).map(|(&p, &q)| t.apply(p).dist_sq(q));
-        let score = tm_score_of_dist_sq(moved_dist_sq, d0, norm_len);
-        if score > best_score {
-            best_score = score;
-            best_k = k;
-            best_t = t;
+        if group[0].is_none() {
+            break;
+        }
+        let ts = optimal_transforms(group.map(|k| k.map(overlap)), meter);
+        for (k, t) in group.into_iter().flatten().zip(ts) {
+            let (xs, ys) = overlap(k);
+            meter.charge(xs.len() as u64);
+            let moved_dist_sq = xs.iter().zip(ys).map(|(&p, &q)| t.apply(p).dist_sq(q));
+            let score = tm_score_of_dist_sq(moved_dist_sq, d0, norm_len);
+            if score > best_score {
+                best_score = score;
+                best_k = k;
+                best_t = t;
+            }
         }
     }
 

@@ -36,6 +36,9 @@ pub struct StageCounters {
     pub pruned_demotions: Arc<Counter>,
     /// Refinement iterations abandoned by score-bound early termination.
     pub pruned_rounds: Arc<Counter>,
+    /// Refinement searches and DP rounds answered from the pair's round
+    /// table instead of being executed again.
+    pub rounds_reused: Arc<Counter>,
     /// Pinned, with the two below: unregistered and never incremented,
     /// read only by the frozen `tmalign.fast_*` probes under
     /// `benchmark/`. Delete when `benchmark/` is next re-cut.
@@ -89,6 +92,10 @@ pub fn stage_counters() -> &'static StageCounters {
             pruned_rounds: reg.counter(
                 "rck_kernel_pruned_rounds_total",
                 "refinement iterations abandoned by score-bound early termination",
+            ),
+            rounds_reused: reg.counter(
+                "rck_kernel_rounds_reused_total",
+                "refinement searches and DP rounds answered from the pair's round table",
             ),
             fastpath_dp_rounds: Arc::default(),
             fastpath_band_widenings: Arc::default(),

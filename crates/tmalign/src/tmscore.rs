@@ -12,8 +12,14 @@
 //! on seed fragments of decreasing length, then iteratively re-superpose on
 //! the subset of residue pairs falling inside a distance cutoff until the
 //! subset stabilises, keeping the best score seen anywhere.
+//!
+//! The seed windows are independent of one another until that final
+//! "best seen anywhere", so [`search`] advances a group of them together
+//! and hands each iteration's Kabsch solves to the lock-step solver in
+//! one call (DESIGN.md §13.7); scores, transform and `ops` are those of
+//! the window-by-window loop, bit for bit.
 
-use crate::kabsch::optimal_transform;
+use crate::kabsch::{optimal_transforms, LANES};
 use crate::meter::WorkMeter;
 use rck_pdb::geometry::{Transform, Vec3};
 
@@ -71,15 +77,29 @@ pub struct SearchResult {
     pub transform: Transform,
 }
 
-/// Buffers of one [`search`], reusable across calls: the cutoff
-/// selections, the gathered subset and the per-iteration squared
-/// distances. Carries no state from one call to the next.
+/// Below every TM-score: where each window's, and the search's, strict
+/// `>` starts from.
+const NO_SCORE: SearchResult = SearchResult {
+    tm: -1.0,
+    transform: Transform::IDENTITY,
+};
+
+/// One seed window in flight: its cutoff selections and the gathered
+/// subset its next superposition is solved on.
 #[derive(Debug, Default)]
-pub(crate) struct SearchScratch {
+struct WindowBuffers {
     selected: Vec<usize>,
     prev_selected: Vec<usize>,
     xs: Vec<Vec3>,
     ys: Vec<Vec3>,
+}
+
+/// Buffers of one [`search`], reusable across calls: those of the
+/// windows in flight and the per-iteration squared distances. Carries no
+/// state from one call to the next.
+#[derive(Debug, Default)]
+pub(crate) struct SearchScratch {
+    lanes: [WindowBuffers; LANES],
     dist_sq: Vec<f64>,
 }
 
@@ -91,7 +111,8 @@ pub(crate) struct SearchScratch {
 /// * `norm_len` is the normalisation length (the target chain's length).
 ///
 /// Returns a zero score and identity transform for fewer than 3 pairs
-/// (a rigid transform is under-determined below that).
+/// (a rigid transform is under-determined below that) or a zero
+/// `norm_len` (as [`tm_score_of_pairs`] does).
 pub fn search(
     x: &[Vec3],
     y: &[Vec3],
@@ -114,7 +135,20 @@ pub fn search(
     )
 }
 
-/// [`search`] on the caller's buffers.
+/// Start offsets of the seed windows of length `l_ini` over `n` pairs:
+/// every `max(l_ini / 2, 4)`, the last one flush against the right edge.
+fn window_starts(n: usize, l_ini: usize) -> impl Iterator<Item = usize> {
+    let step = (l_ini / 2).max(4);
+    std::iter::successors((l_ini <= n).then_some(0), move |&start| {
+        (start + l_ini < n).then(|| (start + step).min(n - l_ini))
+    })
+}
+
+/// [`search`] on the caller's buffers. The seed windows are listed in
+/// schedule order and advanced [`LANES`] at a time: each keeps the
+/// sequential loop's state and operations, only the Kabsch solves of one
+/// iteration are taken together, and window bests are replayed in window
+/// order under the same strict `>` — the sequential first strict maximum.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_in(
     x: &[Vec3],
@@ -128,7 +162,7 @@ pub(crate) fn search_in(
 ) -> SearchResult {
     assert_eq!(x.len(), y.len());
     let n = x.len();
-    if n < 3 {
+    if n < 3 || norm_len == 0 {
         return SearchResult {
             tm: 0.0,
             transform: Transform::IDENTITY,
@@ -148,40 +182,48 @@ pub(crate) fn search_in(
         Some(last) => &schedule[..=last],
         None => &fallback[..],
     };
+    let mut windows = seed_lens
+        .iter()
+        .flat_map(|&l_ini| window_starts(n, l_ini).map(move |start| start..start + l_ini));
 
-    let mut best = SearchResult {
-        tm: -1.0,
-        transform: Transform::IDENTITY,
-    };
-
-    let SearchScratch {
-        selected,
-        prev_selected,
-        xs,
-        ys,
-        dist_sq,
-    } = scratch;
+    let mut best = NO_SCORE;
+    let SearchScratch { lanes, dist_sq } = scratch;
     // The cutoff filter below cannot tell `extend` how many pairs pass.
-    for buf in [&mut *selected, &mut *prev_selected] {
-        buf.clear();
-        buf.reserve(n);
+    for lane in lanes.iter_mut() {
+        for buf in [&mut lane.selected, &mut lane.prev_selected] {
+            buf.clear();
+            buf.reserve(n);
+        }
     }
+    let d0sq_score = d0_score * d0_score;
+    loop {
+        // Superpose each window of the group on its seed fragment.
+        let mut seeds = [None; LANES];
+        for ((seed, lane), window) in seeds.iter_mut().zip(lanes.iter_mut()).zip(&mut windows) {
+            *seed = Some((&x[window.clone()], &y[window]));
+            lane.prev_selected.clear();
+        }
+        if seeds[0].is_none() {
+            break;
+        }
+        let mut ts = optimal_transforms(seeds, meter);
+        let mut live = seeds.map(|seed| seed.is_some());
+        let mut bests = [NO_SCORE; LANES];
 
-    for &l_ini in seed_lens {
-        let step = (l_ini / 2).max(4);
-        let mut start = 0;
-        loop {
-            let end = start + l_ini;
-            if end > n {
-                break;
-            }
-            // Superpose on the seed fragment.
-            let mut t = optimal_transform(&x[start..end], &y[start..end], meter);
-
-            // Iterative extension: re-superpose on close pairs until the
-            // selected set stabilises.
-            prev_selected.clear();
-            for _iter in 0..20 {
+        // Iterative extension: re-superpose on close pairs until the
+        // selected set stabilises.
+        for _iter in 0..20 {
+            for (l, lane) in lanes.iter_mut().enumerate() {
+                if !live[l] {
+                    continue;
+                }
+                let WindowBuffers {
+                    selected,
+                    prev_selected,
+                    xs,
+                    ys,
+                } = lane;
+                let t = ts[l];
                 meter.charge(n as u64);
                 // One transform application per residue per iteration:
                 // the squared distances under `t` feed both the cutoff
@@ -189,7 +231,6 @@ pub(crate) fn search_in(
                 // and the scoring pass.
                 dist_sq.clear();
                 dist_sq.extend(x.iter().zip(y).map(|(&p, &q)| t.apply(p).dist_sq(q)));
-                let d0sq_score = d0_score * d0_score;
                 let mut d_cut = d0_search + 1.0;
                 loop {
                     let cutsq = d_cut * d_cut;
@@ -205,31 +246,32 @@ pub(crate) fn search_in(
                     tm += 1.0 / (1.0 + d / d0sq_score);
                 }
                 let tm = tm / norm_len as f64;
-                if tm > best.tm {
-                    best = SearchResult { tm, transform: t };
+                if tm > bests[l].tm {
+                    bests[l] = SearchResult { tm, transform: t };
                 }
                 if selected == prev_selected {
-                    break;
+                    live[l] = false;
+                    continue;
                 }
                 std::mem::swap(prev_selected, selected);
-                // Re-superpose on the selected subset.
+                // Gather the selected subset to re-superpose on.
                 xs.clear();
                 ys.clear();
                 xs.extend(prev_selected.iter().map(|&i| x[i]));
                 ys.extend(prev_selected.iter().map(|&i| y[i]));
-                if xs.len() < 3 {
-                    break;
-                }
-                t = optimal_transform(xs, ys, meter);
+                live[l] = xs.len() >= 3;
             }
-
-            if start + l_ini == n {
+            if !live.contains(&true) {
                 break;
             }
-            start += step;
-            if start + l_ini > n {
-                // Final window flush against the right edge.
-                start = n - l_ini;
+            let subsets: [_; LANES] =
+                std::array::from_fn(|l| live[l].then_some((&lanes[l].xs[..], &lanes[l].ys[..])));
+            ts = optimal_transforms(subsets, meter);
+        }
+
+        for lane_best in bests {
+            if lane_best.tm > best.tm {
+                best = lane_best;
             }
         }
     }
@@ -346,6 +388,18 @@ mod tests {
         let x = helixish(2);
         let r = search(&x, &x, 0.5, 0.5, 2, SearchDepth::Full, &mut meter());
         assert_eq!(r.tm, 0.0);
+    }
+
+    #[test]
+    fn zero_normalisation_length_returns_zero() {
+        // As `tm_score_of_pairs` does: no division by a zero length (it
+        // used to answer +inf), no work counted or charged.
+        let x = helixish(12);
+        let mut m = meter();
+        let r = search(&x, &x, 1.0, 1.0, 0, SearchDepth::Fast, &mut m);
+        assert_eq!(r.tm, 0.0);
+        assert_eq!(r.transform, Transform::IDENTITY);
+        assert_eq!(m.ops(), 0);
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! Property-based tests for the TM-align kernels.
 
+mod common;
+
 use proptest::prelude::*;
-use rck_pdb::geometry::{Mat3, Vec3};
+use rck_pdb::geometry::{Mat3, Transform, Vec3};
+use rck_pdb::model::CaChain;
 use rck_tmalign::dp::{
     brute_force_best_score, is_valid_alignment, needleman_wunsch, Alignment, ScoreMatrix, StreamDp,
 };
+use rck_tmalign::initial::{gapless_threading, hybrid_alignment, ss_alignment};
 use rck_tmalign::kabsch::{optimal_transform, raw_rmsd, superpose};
 use rck_tmalign::secstruct;
-use rck_tmalign::tmscore::{d0, search, tm_score_of_pairs, SearchDepth};
-use rck_tmalign::WorkMeter;
+use rck_tmalign::tmscore::{d0, search, tm_score_of_pairs, SearchDepth, SearchResult};
+use rck_tmalign::{tm_align, Normalization, TmAlignParams, TmAlignResult, WorkMeter};
 
 fn arb_points(min: usize, max: usize) -> impl Strategy<Value = Vec<Vec3>> {
     prop::collection::vec(
@@ -65,6 +69,228 @@ fn full_table_nw(score: &ScoreMatrix, gap: f64) -> (Alignment, f64) {
     }
     pairs.reverse();
     (pairs, val[n * cols + m])
+}
+
+/// The rotation search as one window-by-window loop of lone Kabsch
+/// solves — what `tmscore::search` was before it advanced its seed
+/// windows in lock-step — kept as the reference it must match bit for
+/// bit, `ops` included.
+fn sequential_search(
+    x: &[Vec3],
+    y: &[Vec3],
+    d0_search: f64,
+    d0_score: f64,
+    norm_len: usize,
+    depth: SearchDepth,
+    meter: &mut WorkMeter,
+) -> SearchResult {
+    let n = x.len();
+    let mut best = SearchResult {
+        tm: -1.0,
+        transform: Transform::IDENTITY,
+    };
+    let schedule = [n, n / 2, n / 4, n / 8];
+    let schedule = match depth {
+        SearchDepth::Fast => &schedule[..2],
+        SearchDepth::Full => &schedule[..],
+    };
+    let fallback = [n.clamp(3, 4)];
+    let seed_lens = match schedule.iter().rposition(|&l| l >= 4) {
+        Some(last) => &schedule[..=last],
+        None => &fallback[..],
+    };
+    let mut prev_selected: Vec<usize> = Vec::new();
+    for &l_ini in seed_lens {
+        let step = (l_ini / 2).max(4);
+        let mut start = 0;
+        loop {
+            let end = start + l_ini;
+            if end > n {
+                break;
+            }
+            let mut t = optimal_transform(&x[start..end], &y[start..end], meter);
+            prev_selected.clear();
+            for _iter in 0..20 {
+                meter.charge(n as u64);
+                let dist_sq: Vec<f64> = x
+                    .iter()
+                    .zip(y)
+                    .map(|(&p, &q)| t.apply(p).dist_sq(q))
+                    .collect();
+                let mut d_cut = d0_search + 1.0;
+                let selected: Vec<usize> = loop {
+                    let cutsq = d_cut * d_cut;
+                    let selected: Vec<usize> = (0..n).filter(|&i| dist_sq[i] < cutsq).collect();
+                    if selected.len() >= 3 || selected.len() == n {
+                        break selected;
+                    }
+                    d_cut += 0.5;
+                };
+                let mut tm = 0.0;
+                for &d in &dist_sq {
+                    tm += 1.0 / (1.0 + d / (d0_score * d0_score));
+                }
+                let tm = tm / norm_len as f64;
+                if tm > best.tm {
+                    best = SearchResult { tm, transform: t };
+                }
+                if selected == prev_selected {
+                    break;
+                }
+                prev_selected = selected;
+                let xs: Vec<Vec3> = prev_selected.iter().map(|&i| x[i]).collect();
+                let ys: Vec<Vec3> = prev_selected.iter().map(|&i| y[i]).collect();
+                if xs.len() < 3 {
+                    break;
+                }
+                t = optimal_transform(&xs, &ys, meter);
+            }
+            if start + l_ini == n {
+                break;
+            }
+            start += step;
+            if start + l_ini > n {
+                start = n - l_ini;
+            }
+        }
+    }
+    best
+}
+
+/// TM-align composed in a straight line from the public one-shots, no
+/// workspace and nothing remembered from one refinement round to the
+/// next: every rotation search and every re-alignment DP (a materialised
+/// score matrix through `needleman_wunsch`) is run each time a ladder
+/// asks for it. The reference `tm_align`'s interned rounds must match on
+/// every field, `ops` included.
+fn straight_line_tm_align(a: &CaChain, b: &CaChain) -> TmAlignResult {
+    let params = TmAlignParams::default();
+    let mut meter = WorkMeter::new();
+    let (x, y) = (&a.coords, &b.coords);
+    let (norm_len, d0_opt) = Normalization::Shorter.resolve(a.len(), b.len());
+    let ss_a = secstruct::assign(x, &mut meter);
+    let ss_b = secstruct::assign(y, &mut meter);
+    let gather = |alignment: &Alignment| -> (Vec<Vec3>, Vec<Vec3>) {
+        alignment.iter().map(|&(i, j)| (x[i], y[j])).unzip()
+    };
+
+    let gapless = gapless_threading(x, y, d0_opt, norm_len, &mut meter);
+    let seed = gapless.transform.unwrap_or(Transform::IDENTITY);
+    let ss = ss_alignment(&ss_a, &ss_b, &mut meter);
+    let hybrid = hybrid_alignment(x, y, &ss_a, &ss_b, &seed, d0_opt, &mut meter);
+
+    let d0sq = d0_opt * d0_opt;
+    let mut best_tm = -1.0;
+    let mut best_alignment = Alignment::new();
+    for initial in [gapless.alignment, ss.alignment, hybrid.alignment] {
+        if initial.len() < 3 {
+            continue;
+        }
+        // One initial's two gap ladders share a running best.
+        let mut ladder_tm = -1.0;
+        let mut ladder_alignment = initial.clone();
+        for gap in params.gap_penalties {
+            let mut current = initial.clone();
+            for _iter in 0..params.max_iterations {
+                if current.len() < 3 {
+                    break;
+                }
+                let (xa, ya) = gather(&current);
+                let fast = SearchDepth::Fast;
+                let sr = search(&xa, &ya, d0_opt, d0_opt, norm_len, fast, &mut meter);
+                if sr.tm > ladder_tm {
+                    ladder_tm = sr.tm;
+                    ladder_alignment.clone_from(&current);
+                }
+                let moved: Vec<Vec3> = x.iter().map(|&p| sr.transform.apply(p)).collect();
+                meter.charge((x.len() * y.len()) as u64);
+                let scores = ScoreMatrix::from_fn(x.len(), y.len(), |i, j| {
+                    1.0 / (1.0 + moved[i].dist_sq(y[j]) / d0sq)
+                });
+                let (next, _) = needleman_wunsch(&scores, gap, &mut meter);
+                if next == current {
+                    break;
+                }
+                current = next;
+            }
+        }
+        if ladder_tm > best_tm {
+            best_tm = ladder_tm;
+            best_alignment = ladder_alignment;
+        }
+    }
+    assert!(best_alignment.len() >= 3, "corpus pairs never degenerate");
+
+    let (xa, ya) = gather(&best_alignment);
+    let mut final_score = |len: usize| {
+        let full = SearchDepth::Full;
+        search(&xa, &ya, d0(len), d0(len), len, full, &mut meter)
+    };
+    let fin_a = final_score(a.len());
+    let fin_b = final_score(b.len());
+    let headline = if a.len() <= b.len() { fin_a } else { fin_b };
+    let rmsd = superpose(&xa, &ya, &mut meter).rmsd;
+    let matches = best_alignment
+        .iter()
+        .filter(|&&(i, j)| a.seq[i] != rck_pdb::AminoAcid::Unknown && a.seq[i] == b.seq[j])
+        .count();
+    TmAlignResult {
+        name_a: a.name.clone(),
+        name_b: b.name.clone(),
+        len_a: a.len(),
+        len_b: b.len(),
+        tm_norm_a: fin_a.tm,
+        tm_norm_b: fin_b.tm,
+        aligned_len: best_alignment.len(),
+        rmsd,
+        seq_identity: matches as f64 / best_alignment.len() as f64,
+        alignment: best_alignment,
+        transform: headline.transform,
+        ops: meter.ops(),
+    }
+}
+
+/// The words of a transform, for bitwise comparison.
+fn transform_bits(t: &Transform) -> Vec<u64> {
+    let trans = [t.trans.x, t.trans.y, t.trans.z];
+    let words = t.rot.r.iter().flatten().chain(&trans);
+    words.map(|f| f.to_bits()).collect()
+}
+
+/// `tm_align` remembers the refinement rounds a pair has been through;
+/// the straight-line pipeline above recomputes each one. Same answer,
+/// same `ops`, on every pair of the golden corpus.
+#[test]
+fn interned_rounds_match_the_straight_line_pipeline() {
+    let (chains, mut pairs) = common::corpus();
+    assert_eq!(pairs.len(), 43);
+    // A chain against itself: all six ladders walk the same alignments,
+    // the case with the most to remember (its `ops` is pinned in
+    // `align::tests::a_self_alignment_computes_each_round_once`).
+    pairs.push((0, 0));
+    assert_eq!(straight_line_tm_align(&chains[0], &chains[0]).ops, 27_068);
+    for (i, j) in pairs {
+        let (a, b) = (&chains[i], &chains[j]);
+        let got = tm_align(a, b);
+        let want = straight_line_tm_align(a, b);
+        let pair = format!("{} vs {}", a.name, b.name);
+        assert_eq!(got.alignment, want.alignment, "{pair}");
+        assert_eq!(got.aligned_len, want.aligned_len, "{pair}");
+        assert_eq!(got.ops, want.ops, "{pair}");
+        for (g, w) in [
+            (got.tm_norm_a, want.tm_norm_a),
+            (got.tm_norm_b, want.tm_norm_b),
+            (got.rmsd, want.rmsd),
+            (got.seq_identity, want.seq_identity),
+        ] {
+            assert_eq!(g.to_bits(), w.to_bits(), "{pair}");
+        }
+        assert_eq!(
+            transform_bits(&got.transform),
+            transform_bits(&want.transform),
+            "{pair}"
+        );
+    }
 }
 
 /// The gap penalties TM-align runs the DP under (SS/hybrid initials,
@@ -163,13 +389,37 @@ proptest! {
         let (mut m1, mut m2) = (WorkMeter::new(), WorkMeter::new());
         let full = superpose(&a, b, &mut m1);
         let t = optimal_transform(&a, b, &mut m2);
-        let bits = |t: &rck_pdb::geometry::Transform| -> Vec<u64> {
-            t.rot.r.iter().flatten().chain(&[t.trans.x, t.trans.y, t.trans.z])
-                .map(|f| f.to_bits())
-                .collect()
-        };
-        prop_assert_eq!(bits(&t), bits(&full.transform));
+        prop_assert_eq!(transform_bits(&t), transform_bits(&full.transform));
         prop_assert_eq!(m1.ops(), m2.ops());
+    }
+
+    /// The lock-step rotation search ≡ the sequential window loop: score
+    /// bits, all twelve transform words and the work charged, at both
+    /// depths, from the 3-pair fallback window up through lengths whose
+    /// last window group is partial. Two thirds of `y` is a noisy rigid
+    /// copy of `x`, so windows converge at different iterations.
+    #[test]
+    fn lockstep_search_matches_the_sequential_loop_bitwise(
+        x in arb_points(3, 61),
+        noise in arb_points(61, 62),
+    ) {
+        let n = x.len();
+        let rot = Mat3::rotation_about(Vec3::new(0.4, -1.0, 0.7), 1.3);
+        let y: Vec<Vec3> = x
+            .iter()
+            .zip(&noise)
+            .enumerate()
+            .map(|(k, (&p, &e))| if k % 3 == 2 { e } else { rot * p + e * 0.02 })
+            .collect();
+        let d = d0(n.max(22));
+        for depth in [SearchDepth::Fast, SearchDepth::Full] {
+            let (mut m1, mut m2) = (WorkMeter::new(), WorkMeter::new());
+            let got = search(&x, &y, d, d, n, depth, &mut m1);
+            let want = sequential_search(&x, &y, d, d, n, depth, &mut m2);
+            prop_assert_eq!(got.tm.to_bits(), want.tm.to_bits());
+            prop_assert_eq!(transform_bits(&got.transform), transform_bits(&want.transform));
+            prop_assert_eq!(m1.ops(), m2.ops());
+        }
     }
 
     /// NW with free end gaps matches the exhaustive optimum on small
@@ -304,9 +554,8 @@ proptest! {
     /// the threshold.
     #[test]
     fn prune_length_bound_is_sound(a in arb_points(5, 30), b in arb_points(30, 55)) {
-        use rck_pdb::model::CaChain;
         use rck_tmalign::prefilter::tm_upper_bound;
-        use rck_tmalign::{tm_align_with, Normalization, TmAlignParams};
+        use rck_tmalign::tm_align_with;
         let ca = CaChain::from_coords("a", a);
         let cb = CaChain::from_coords("b", b);
         let norm = ca.len().max(cb.len());
