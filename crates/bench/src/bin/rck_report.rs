@@ -18,26 +18,32 @@
 //!    matrix against the in-process one;
 //! 3. the kernel-stage counters (DP rounds, Kabsch superpositions,
 //!    TM-score searches per alignment) accumulated in the global metric
-//!    registry by everything above.
+//!    registry by everything above;
+//! 4. a cold store-backed prefill of the Kabsch RMSD pairs: appends per
+//!    log write from the `rck_store_*` counters.
 //!
 //! The Markdown lands at `--out` (default `docs/reports/run-report.md`).
 
 use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
 use rck_obs::Registry;
+use rck_pdb::model::CaChain;
 use rck_serve::proto::QuerySubmit;
 use rck_serve::transport::MemNet;
 use rck_serve::{run_worker, run_worker_conn, Master, MasterConfig, WorkerConfig};
+use rck_store::{Store, StoreConfig};
 use rck_tmalign::stages::stage_counters;
 use rck_tmalign::MethodKind;
 use rckalign::cli::{Flags, ParseError};
 use rckalign::consensus::Combiner;
 use rckalign::{
-    run_all_vs_all, utilization_sweep, PairCache, RckAlignOptions, SimilarityMatrix,
+    run_all_vs_all, utilization_sweep, PairCache, RckAlignOptions, SimilarityMatrix, StoreBinding,
     UtilizationPoint,
 };
 use rckalign_bench::{paper, DATASET_SEED};
 use std::fmt::Write as FmtWrite;
+use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const USAGE: &str = "\
 rck_report — render a live-measurement run report to Markdown
@@ -191,11 +197,7 @@ fn serve_section(run: &rck_serve::ServeRun, identical: bool) -> String {
 /// percentiles from the live `rck_gate_*` histograms. Every ranking is
 /// checked bit-identical against the in-process reference; returns an
 /// error line instead of a section if any diverged.
-fn gate_section(
-    db: &[rck_pdb::model::CaChain],
-    queries: &[rck_pdb::model::CaChain],
-    workers: usize,
-) -> Result<String, String> {
+fn gate_section(db: &[CaChain], queries: &[CaChain], workers: usize) -> Result<String, String> {
     const TENANTS: usize = 3;
     const QUERIES_PER_TENANT: usize = 4;
     let worker_net = MemNet::new();
@@ -346,6 +348,28 @@ fn kernel_section() -> String {
     md
 }
 
+/// A cold store-backed `prefill` of every Kabsch RMSD pair on 2 threads,
+/// from its `rck_store_*` counters: each thread's piece is one log write.
+fn store_section(chains: &[CaChain], path: &Path) -> Result<String, String> {
+    let _ = std::fs::remove_file(path);
+    let store = Store::open(path, StoreConfig::on_registry(Registry::new()))
+        .map_err(|e| format!("store {}: {e}", path.display()))?;
+    let binding = Arc::new(StoreBinding::new(store, chains));
+    let jobs = rckalign::all_vs_all(chains.len(), MethodKind::KabschRmsd);
+    PairCache::new(chains.to_vec())
+        .with_store(Arc::clone(&binding))
+        .prefill(&jobs, 2);
+    let _ = std::fs::remove_file(path);
+    let c = binding.with_store(|s| s.counters().clone());
+    let (appends, writes) = (c.appends.get(), c.writes.get());
+    Ok(format!(
+        "| misses | appends | log writes | appends per write |\n|---:|---:|---:|---:|\n\
+         | {} | {appends} | {writes} | {:.1} |\n",
+        c.misses.get(),
+        appends as f64 / writes.max(1) as f64,
+    ))
+}
+
 fn run_report(opts: &Options) -> Result<String, String> {
     let profile = rck_pdb::datasets::by_name(&opts.dataset)
         .ok_or_else(|| format!("unknown dataset {} (try CK34, RS119, TINY8)", opts.dataset))?;
@@ -437,6 +461,9 @@ fn run_report(opts: &Options) -> Result<String, String> {
     md.push_str(&gate_section(&gate_db, &gate_queries, opts.workers)?);
     let _ = writeln!(md, "\n## Kernel stage counters\n");
     md.push_str(&kernel_section());
+    let _ = writeln!(md, "\n## Result store (cold Kabsch RMSD prefill)\n");
+    let store_path = Path::new(&opts.out).with_extension("rckstore");
+    md.push_str(&store_section(cache.chains(), &store_path)?);
     let _ = writeln!(md, "\n## Prometheus dump excerpt\n");
     let _ = writeln!(
         md,
@@ -462,15 +489,15 @@ fn main() -> ExitCode {
         Ok(opts) => opts,
         Err(refusal) => return refusal.exit(USAGE),
     };
+    let path = Path::new(&opts.out);
+    if let Some(parent) = path.parent() {
+        if let Err(e) = std::fs::create_dir_all(parent) {
+            eprintln!("error: creating {}: {e}", parent.display());
+            return ExitCode::FAILURE;
+        }
+    }
     match run_report(&opts) {
         Ok(md) => {
-            let path = std::path::Path::new(&opts.out);
-            if let Some(parent) = path.parent() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("error: creating {}: {e}", parent.display());
-                    return ExitCode::FAILURE;
-                }
-            }
             if let Err(e) = std::fs::write(path, &md) {
                 eprintln!("error: writing {}: {e}", path.display());
                 return ExitCode::FAILURE;

@@ -99,7 +99,7 @@ impl PairCache {
             self.results.lock().entry(key).or_insert(stored);
             return stored;
         }
-        let outcome = self.compute(job);
+        let outcome = self.compute(std::slice::from_ref(job))[0];
         self.results.lock().insert(key, outcome);
         if let Some(store) = &self.store {
             store.record(&outcome);
@@ -107,24 +107,32 @@ impl PairCache {
         outcome
     }
 
-    fn compute(&self, job: &PairJob) -> PairOutcome {
-        let a = &self.chains[job.i as usize];
-        let b = &self.chains[job.j as usize];
-        let method = job.method.instantiate();
-        let score = method.compare(a, b);
-        PairOutcome {
-            i: job.i,
-            j: job.j,
-            method: job.method,
-            similarity: score.similarity,
-            rmsd: score.rmsd.unwrap_or(f64::NAN),
-            aligned_len: score.aligned_len as u32,
-            ops: score.ops,
+    /// The outcomes of `jobs`, in order: one `PscMethod::compare_many` per
+    /// run of same-method jobs.
+    fn compute(&self, jobs: &[PairJob]) -> Vec<PairOutcome> {
+        let mut outcomes = Vec::with_capacity(jobs.len());
+        for run in jobs.chunk_by(|a, b| a.method == b.method) {
+            let pairs: Vec<_> = run
+                .iter()
+                .map(|job| (&self.chains[job.i as usize], &self.chains[job.j as usize]))
+                .collect();
+            let scores = run[0].method.instantiate().compare_many(&pairs);
+            outcomes.extend(run.iter().zip(scores).map(|(job, score)| PairOutcome {
+                i: job.i,
+                j: job.j,
+                method: job.method,
+                similarity: score.similarity,
+                rmsd: score.rmsd.unwrap_or(f64::NAN),
+                aligned_len: score.aligned_len as u32,
+                ops: score.ops,
+            }));
         }
+        outcomes
     }
 
     /// Eagerly compute a set of jobs across `threads` host threads
-    /// (crossbeam scoped threads; results land in the cache).
+    /// (crossbeam scoped threads; results land in the cache, and each
+    /// thread's piece in the store with one lock and one write).
     pub fn prefill(&self, jobs: &[PairJob], threads: usize) {
         let threads = threads.max(1);
         if jobs.is_empty() {
@@ -159,16 +167,15 @@ impl PairCache {
         crossbeam::thread::scope(|scope| {
             for piece in todo.chunks(chunk) {
                 scope.spawn(move |_| {
-                    let mut local = Vec::with_capacity(piece.len());
-                    for job in piece {
-                        local.push(((job.i, job.j, job.method.code()), self.compute(job)));
-                    }
+                    let outcomes = self.compute(piece);
                     if let Some(store) = &self.store {
-                        for (_, outcome) in &local {
-                            store.record(outcome);
-                        }
+                        store.record_all(&outcomes);
                     }
-                    self.results.lock().extend(local);
+                    self.results.lock().extend(
+                        outcomes
+                            .into_iter()
+                            .map(|o| ((o.i, o.j, o.method.code()), o)),
+                    );
                 });
             }
         })
@@ -224,14 +231,19 @@ mod tests {
         assert_eq!(c.computed(), jobs.len());
     }
 
+    /// Pieces of mixed methods: each run of same-method jobs goes through
+    /// `compare_many`, each job alone through `get_or_compute`.
     #[test]
     fn prefill_matches_serial_compute() {
         let serial = cache();
         let parallel = cache();
-        let jobs = all_vs_all(serial.len(), MethodKind::TmAlign);
-        let jobs = &jobs[..6];
-        parallel.prefill(jobs, 3);
-        for j in jobs {
+        let tm = all_vs_all(serial.len(), MethodKind::TmAlign);
+        let mut jobs = all_vs_all(serial.len(), MethodKind::KabschRmsd);
+        for (at, job) in [(0, tm[0]), (3, tm[1]), (4, tm[2]), (9, tm[3])] {
+            jobs.insert(at, job);
+        }
+        parallel.prefill(&jobs, 2);
+        for j in &jobs {
             assert_eq!(serial.get_or_compute(j), parallel.get_or_compute(j));
         }
     }

@@ -142,13 +142,11 @@ impl StoreBinding {
         (hits, misses)
     }
 
-    /// Hand a finished run's outcomes back: record each (pairs the store
+    /// Hand a finished run's outcomes back: record them (pairs the store
     /// satisfied are skipped by its idempotence), then flush, reporting
     /// a failure under the tier's log `tag`.
     pub fn absorb(&self, outcomes: &[PairOutcome], tag: &str) {
-        for outcome in outcomes {
-            self.record(outcome);
-        }
+        self.record_all(outcomes);
         if let Err(e) = self.store.lock().flush() {
             eprintln!("{tag} store flush failed: {e}");
         }
@@ -159,28 +157,44 @@ impl StoreBinding {
     /// is reported on stderr, not propagated — a failing store must
     /// never fail the computation it memoises.
     pub fn record(&self, outcome: &PairOutcome) -> bool {
-        let key = self.key_for(
-            self.hashes[outcome.i as usize],
-            self.hashes[outcome.j as usize],
-            outcome.method,
-        );
-        self.record_key(key, outcome)
+        self.record_all(std::slice::from_ref(outcome)) == 1
+    }
+
+    /// [`StoreBinding::record`] for many outcomes, with one lock and one
+    /// log write ([`Store::append_all`]: on an I/O error none persists);
+    /// returns how many were new.
+    pub fn record_all(&self, outcomes: &[PairOutcome]) -> usize {
+        let hash = |ix: u32| self.hashes[ix as usize];
+        let key = |o: &PairOutcome| self.key_for(hash(o.i), hash(o.j), o.method);
+        self.record_keys(outcomes.iter().map(|o| (key(o), o)))
     }
 
     /// Persist one outcome under an explicit key (same semantics as
     /// [`StoreBinding::record`]).
     pub fn record_key(&self, key: PairKey, outcome: &PairOutcome) -> bool {
-        let stored = StoredPair {
-            similarity: outcome.similarity,
-            rmsd: outcome.rmsd,
-            aligned_len: outcome.aligned_len,
-            ops: outcome.ops,
-        };
-        match self.store.lock().append(key, stored) {
+        self.record_keys([(key, outcome)]) == 1
+    }
+
+    /// [`StoreBinding::record_all`] under explicit keys — the one record
+    /// body: one lock, one [`Store::append_all`].
+    pub fn record_keys<'a>(
+        &self,
+        records: impl IntoIterator<Item = (PairKey, &'a PairOutcome)>,
+    ) -> usize {
+        let records = records.into_iter().map(|(key, o)| {
+            let stored = StoredPair {
+                similarity: o.similarity,
+                rmsd: o.rmsd,
+                aligned_len: o.aligned_len,
+                ops: o.ops,
+            };
+            (key, stored)
+        });
+        match self.store.lock().append_all(records) {
             Ok(appended) => appended,
             Err(e) => {
-                eprintln!("[rck-store] append failed (result not persisted): {e}");
-                false
+                eprintln!("[rck-store] append failed (results not persisted): {e}");
+                0
             }
         }
     }

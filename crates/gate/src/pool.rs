@@ -213,10 +213,11 @@ fn complete_run(state: &mut GateState, shared: &GateShared, run_id: u64) {
         // keys. `o.j` is the query's *virtual* index, so the key's second
         // half comes from the run's content hash, not the binding; the
         // store's idempotence skips the pairs it satisfied at submission.
-        for o in &run.outcomes {
+        // One slice append: one store lock and one log write per run.
+        binding.record_keys(run.outcomes.iter().map(|o| {
             let key = binding.key_for(binding.hash_of(o.i as usize), run.content_hash, o.method);
-            binding.record_key(key, o);
-        }
+            (key, o)
+        }));
     }
     let ranking = crate::ranking_from_outcomes(
         shared.db.len(),

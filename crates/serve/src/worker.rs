@@ -15,8 +15,9 @@
 //! sessions (crash, hang, slowdown) over the in-memory network.
 //!
 //! Computation is *exactly* the in-process path: decode f64 coordinates,
-//! `MethodKind::instantiate`, `PscMethod::compare` — which is what makes
-//! the service matrix bit-identical to [`rckalign::run_all_vs_all`].
+//! `MethodKind::instantiate`, `PscMethod::compare_many` (each score bit
+//! for bit its pair's `compare`) — which is what makes the service matrix
+//! bit-identical to [`rckalign::run_all_vs_all`].
 
 use crate::dispatch::Session;
 use crate::proto::{self, Frame};
@@ -194,39 +195,41 @@ pub struct WorkerReport {
 }
 
 /// The kernel inner loop over one slice of a batch's jobs, against the
-/// session's table of every chain the master has shipped. A job
-/// referencing a chain the session never received violates the protocol
-/// — a master bug, or a lost frame — and fails the session instead of
-/// panicking the worker.
+/// session's table of every chain the master has shipped: one
+/// `PscMethod::compare_many` per run of same-method jobs (a farm batch of
+/// RMSD jobs is one lock-step group of four). A job referencing a chain
+/// the session never received violates the protocol — a master bug, or a
+/// lost frame — and fails the session instead of panicking the worker.
 fn compute_jobs(
     jobs: &[PairJob],
     table: &HashMap<u32, Arc<CaChain>>,
 ) -> io::Result<Vec<PairOutcome>> {
     let chain = |ix: u32| {
-        table.get(&ix).ok_or_else(|| {
+        table.get(&ix).map(|c| &**c).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("a job references chain {ix}, which this session never received"),
             )
         })
     };
-    jobs.iter()
-        .map(|job| {
-            let score = job
-                .method
-                .instantiate()
-                .compare(chain(job.i)?, chain(job.j)?);
-            Ok(PairOutcome {
-                i: job.i,
-                j: job.j,
-                method: job.method,
-                similarity: score.similarity,
-                rmsd: score.rmsd.unwrap_or(f64::NAN),
-                aligned_len: score.aligned_len as u32,
-                ops: score.ops,
-            })
-        })
-        .collect()
+    let mut outcomes = Vec::with_capacity(jobs.len());
+    for run in jobs.chunk_by(|a, b| a.method == b.method) {
+        let pairs = run
+            .iter()
+            .map(|job| Ok((chain(job.i)?, chain(job.j)?)))
+            .collect::<io::Result<Vec<_>>>()?;
+        let scores = run[0].method.instantiate().compare_many(&pairs);
+        outcomes.extend(run.iter().zip(scores).map(|(job, score)| PairOutcome {
+            i: job.i,
+            j: job.j,
+            method: job.method,
+            similarity: score.similarity,
+            rmsd: score.rmsd.unwrap_or(f64::NAN),
+            aligned_len: score.aligned_len as u32,
+            ops: score.ops,
+        }));
+    }
+    Ok(outcomes)
 }
 
 /// Split a batch across up to `threads` kernel lanes and compute the
@@ -372,21 +375,27 @@ mod tests {
     use rck_tmalign::MethodKind;
     use rckalign::{PairCache, PairJob};
 
+    /// Mixed methods in runs of one, two, five and six same-method jobs:
+    /// Kabsch runs that are one lane, spill past a lock-step group of
+    /// four, and end part-full.
     #[test]
     fn compute_batch_matches_the_in_process_cache() {
         let chains = tiny_profile().generate(9);
-        let jobs = vec![
-            PairJob {
-                i: 1,
-                j: 4,
-                method: MethodKind::TmAlign,
-            },
-            PairJob {
-                i: 0,
-                j: 7,
-                method: MethodKind::KabschRmsd,
-            },
+        let (kabsch, tm) = (MethodKind::KabschRmsd, MethodKind::TmAlign);
+        let methods = [
+            vec![tm, kabsch, tm, tm],
+            vec![kabsch; 5],
+            vec![tm; 2],
+            vec![kabsch; 6],
         ];
+        let jobs: Vec<PairJob> = (methods.iter().flatten())
+            .enumerate()
+            .map(|(k, &method)| PairJob {
+                i: (k % 8) as u32,
+                j: ((k + 1 + k % 3) % 8) as u32,
+                method,
+            })
+            .collect();
         let table: HashMap<u32, Arc<CaChain>> = proto::build_job_batch(1, jobs.clone(), &chains)
             .chains
             .into_iter()

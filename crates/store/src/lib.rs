@@ -106,8 +106,13 @@ pub struct Store {
     /// Physical records in the log, including superseded duplicates —
     /// the gap to `index.len()` is what compaction reclaims.
     log_records: u64,
+    /// Bytes in the log: where a failed write is cut back to.
+    log_len: u64,
     counters: StoreCounters,
     max_records: usize,
+    /// Test hook: the next log write stops after this many bytes, failing.
+    #[cfg(test)]
+    short_write: Option<usize>,
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -137,6 +142,7 @@ impl Store {
         let mut index = HashMap::new();
         let mut next_seq = 0u64;
         let mut log_records = 0u64;
+        let mut log_len = log::SUPERBLOCK_LEN as u64;
         if bytes.is_empty() {
             fs::write(&path, log::encode_superblock())?;
         } else if log::read_superblock(&bytes).is_err() {
@@ -145,6 +151,7 @@ impl Store {
             fs::write(&path, log::encode_superblock())?;
         } else {
             let scan = log::scan_log(&bytes);
+            log_len = scan.clean_len as u64;
             if scan.torn {
                 let f = OpenOptions::new().write(true).open(&path)?;
                 f.set_len(scan.clean_len as u64)?;
@@ -166,8 +173,11 @@ impl Store {
             index,
             next_seq,
             log_records,
+            log_len,
             counters,
             max_records: cfg.max_records.max(1),
+            #[cfg(test)]
+            short_write: None,
         })
     }
 
@@ -221,25 +231,75 @@ impl Store {
     /// is already present — appends are idempotent, so run-completion
     /// paths can offer every outcome without double-writing prefilled
     /// hits. Exceeding [`StoreConfig::max_records`] triggers an
-    /// automatic compaction, which evicts the oldest entries.
+    /// automatic compaction, which evicts the oldest entries. The
+    /// one-record instance of [`Store::append_all`].
     pub fn append(&mut self, key: PairKey, pair: StoredPair) -> io::Result<bool> {
-        if self.index.contains_key(&key) {
-            return Ok(false);
+        Ok(self.append_all([(key, pair)])? == 1)
+    }
+
+    /// Append records with one log write; returns how many were new. Log
+    /// and index end as one [`Store::append`] per record leaves them (a
+    /// compaction falling mid-way is preceded by a write of what it
+    /// follows). All or nothing: a failed write is cut back off the file
+    /// and none of its records is indexed.
+    pub fn append_all(
+        &mut self,
+        records: impl IntoIterator<Item = (PairKey, StoredPair)>,
+    ) -> io::Result<usize> {
+        let mut buf = Vec::new();
+        let mut first_seq = self.next_seq;
+        let mut appended = 0;
+        for (key, pair) in records {
+            if self.index.contains_key(&key) {
+                continue;
+            }
+            log::encode_record_into(&mut buf, &key, &pair);
+            self.index.insert(key, (pair, self.next_seq));
+            self.next_seq += 1;
+            if self.index.len() > self.max_records {
+                appended += self.commit(&mut buf, first_seq)?;
+                self.compact()?;
+                first_seq = self.next_seq;
+            }
         }
-        let rec = log::encode_record(&key, &pair);
-        self.file.write_all(&rec)?;
-        self.index.insert(key, (pair, self.next_seq));
-        self.next_seq += 1;
-        self.log_records += 1;
-        self.counters.appends.inc();
-        if self.index.len() > self.max_records {
-            self.compact()?;
+        appended += self.commit(&mut buf, first_seq)?;
+        Ok(appended)
+    }
+
+    /// The store's one log write: the records indexed from `first_seq` on,
+    /// encoded in `buf` — or, if it fails, cut back and unindexed.
+    fn commit(&mut self, buf: &mut Vec<u8>, first_seq: u64) -> io::Result<usize> {
+        let records = self.next_seq - first_seq;
+        if records == 0 {
+            return Ok(0);
         }
-        Ok(true)
+        self.counters.writes.inc();
+        #[cfg(test)]
+        let written = match self.short_write.take() {
+            Some(k) => self
+                .file
+                .write_all(&buf[..k])
+                .and(Err(io::ErrorKind::Other.into())),
+            None => self.file.write_all(buf),
+        };
+        #[cfg(not(test))]
+        let written = self.file.write_all(buf);
+        if let Err(e) = written {
+            // If the cut fails too, the next open truncates, as after a crash.
+            let _ = self.file.set_len(self.log_len);
+            self.index.retain(|_, (_, seq)| *seq < first_seq);
+            self.next_seq = first_seq;
+            return Err(e);
+        }
+        self.log_len += buf.len() as u64;
+        buf.clear();
+        self.log_records += records;
+        self.counters.appends.add(records);
+        Ok(records as usize)
     }
 
     /// Force appended records to stable storage (appends themselves
-    /// reach the OS immediately but are only fsynced here and at
+    /// reach the OS before they return but are only fsynced here and at
     /// compaction).
     pub fn flush(&mut self) -> io::Result<()> {
         self.file.sync_data()
@@ -259,6 +319,7 @@ impl Store {
         }
         fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.log_len = bytes.len() as u64;
         self.log_records = self.index.len() as u64;
         self.counters.compactions.inc();
         Ok(())
@@ -295,6 +356,7 @@ impl Store {
         let rec = log::encode_record(&key, &pair);
         let keep = ((keep_num as usize * rec.len()) / 256).clamp(1, rec.len() - 1);
         self.file.write_all(&rec[..keep])?;
+        self.log_len += keep as u64;
         self.file.sync_data()
     }
 
@@ -453,6 +515,106 @@ mod tests {
         let s = Store::open(&path, cfg()).unwrap();
         assert!(s.is_empty());
         assert_eq!(s.counters().torn_tail_truncations.get(), 1);
+    }
+
+    /// The live records of the store at `path`, reopened, in key order.
+    fn reopened(path: &Path) -> Vec<(PairKey, [u64; 4])> {
+        let s = Store::open(path, cfg()).unwrap();
+        let mut live: Vec<_> = s
+            .iter()
+            .map(|(k, p)| {
+                let bits = [
+                    p.similarity.to_bits(),
+                    p.rmsd.to_bits(),
+                    p.aligned_len.into(),
+                    p.ops,
+                ];
+                (*k, bits)
+            })
+            .collect();
+        live.sort_by_key(|(k, _)| *k);
+        live
+    }
+
+    /// A slice append leaves the log byte for byte what one `append` per
+    /// record leaves, and an equal index after reopen: duplicates within
+    /// and across slices, an empty slice, and caps small enough that
+    /// compaction (with eviction) falls mid-slice.
+    #[test]
+    fn a_slice_append_is_the_one_at_a_time_loop() {
+        let slices: [&[u64]; 6] = [
+            &[0, 1, 2, 2, 3],
+            &[],
+            &[3, 4, 5, 6, 7, 4, 8],
+            &[0, 9],
+            &[10, 11, 12, 13, 14, 15, 16, 10],
+            &[1, 17],
+        ];
+        for max_records in [1 << 22, 7, 3, 1] {
+            let (one, many) = (scratch("loop"), scratch("slices"));
+            let config = || StoreConfig {
+                max_records,
+                ..cfg()
+            };
+            let (mut a, mut b) = (
+                Store::open(&one, config()).unwrap(),
+                Store::open(&many, config()).unwrap(),
+            );
+            for slice in slices {
+                let mut appended = 0;
+                for &n in slice {
+                    appended += usize::from(a.append(key(n), pair(n)).unwrap());
+                }
+                let records = slice.iter().map(|&n| (key(n), pair(n)));
+                assert_eq!(
+                    b.append_all(records).unwrap(),
+                    appended,
+                    "cap {max_records}"
+                );
+            }
+            let (ca, cb) = (a.counters(), b.counters());
+            assert_eq!(ca.appends.get(), cb.appends.get());
+            assert_eq!(ca.compactions.get(), cb.compactions.get());
+            assert!(cb.writes.get() < ca.writes.get() || max_records == 1);
+            drop((a, b));
+            assert_eq!(
+                fs::read(&one).unwrap(),
+                fs::read(&many).unwrap(),
+                "cap {max_records}"
+            );
+            assert_eq!(reopened(&one), reopened(&many));
+        }
+    }
+
+    /// A write that fails part-way strands nothing: the log is cut back,
+    /// nothing from the call is indexed, and the next append's record
+    /// survives a reopen (at the parent the torn bytes stayed, and the
+    /// next open truncated every later, acknowledged record with them).
+    #[test]
+    fn a_failed_append_strands_no_later_record() {
+        for keep in [1, 13, 40, log::PAIR_RECORD_LEN - 1] {
+            let path = scratch("short-write");
+            {
+                let mut s = Store::open(&path, cfg()).unwrap();
+                s.append(key(0), pair(0)).unwrap();
+                s.short_write = Some(keep);
+                assert!(s.append(key(1), pair(1)).is_err());
+                s.short_write = Some(keep + log::PAIR_RECORD_LEN);
+                let slice = [(key(2), pair(2)), (key(3), pair(3))];
+                assert!(s.append_all(slice).is_err());
+                assert!(!s.contains(&key(1)) && !s.contains(&key(2)));
+                assert_eq!(s.counters().appends.get(), 1);
+                assert!(s.append(key(4), pair(4)).unwrap());
+                assert!(
+                    s.append(key(1), pair(1)).unwrap(),
+                    "the failed key is not indexed"
+                );
+            }
+            let s = Store::open(&path, cfg()).unwrap();
+            assert_eq!(s.counters().torn_tail_truncations.get(), 0, "keep {keep}");
+            assert_eq!(s.len(), 3);
+            assert!(s.get(&key(4)).unwrap().same_bits(&pair(4)));
+        }
     }
 
     #[test]

@@ -121,28 +121,34 @@ pub fn read_superblock(bytes: &[u8]) -> Result<(), &'static str> {
 
 /// Encode one pair record (header + payload).
 pub fn encode_record(key: &PairKey, pair: &StoredPair) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAIR_PAYLOAD_LEN);
-    payload.extend_from_slice(&key.hash_a.to_le_bytes());
-    payload.extend_from_slice(&key.hash_b.to_le_bytes());
-    payload.extend_from_slice(&key.kernel_version.to_le_bytes());
-    payload.push(key.method);
-    payload.extend_from_slice(&pair.similarity.to_bits().to_le_bytes());
-    payload.extend_from_slice(&pair.rmsd.to_bits().to_le_bytes());
-    payload.extend_from_slice(&pair.aligned_len.to_le_bytes());
-    payload.extend_from_slice(&pair.ops.to_le_bytes());
-    debug_assert_eq!(payload.len(), PAIR_PAYLOAD_LEN);
+    let mut out = Vec::new();
+    encode_record_into(&mut out, key, pair);
+    out
+}
 
-    let len = payload.len() as u32;
-    let mut sum = fnv1a64(0, &[RECORD_KIND_PAIR]);
-    sum = fnv1a64(sum, &len.to_le_bytes());
-    sum = fnv1a64(sum, &payload);
-
-    let mut out = Vec::with_capacity(PAIR_RECORD_LEN);
+/// Append one encoded pair record to `out` — how a slice append builds
+/// its one write.
+pub(crate) fn encode_record_into(out: &mut Vec<u8>, key: &PairKey, pair: &StoredPair) {
+    out.reserve(PAIR_RECORD_LEN);
+    let start = out.len();
+    let len = PAIR_PAYLOAD_LEN as u32;
     out.push(RECORD_KIND_PAIR);
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&sum.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    out.extend_from_slice(&[0; 8]); // the checksum, once the payload is in
+    out.extend_from_slice(&key.hash_a.to_le_bytes());
+    out.extend_from_slice(&key.hash_b.to_le_bytes());
+    out.extend_from_slice(&key.kernel_version.to_le_bytes());
+    out.push(key.method);
+    out.extend_from_slice(&pair.similarity.to_bits().to_le_bytes());
+    out.extend_from_slice(&pair.rmsd.to_bits().to_le_bytes());
+    out.extend_from_slice(&pair.aligned_len.to_le_bytes());
+    out.extend_from_slice(&pair.ops.to_le_bytes());
+    let record = &mut out[start..];
+    debug_assert_eq!(record.len(), PAIR_RECORD_LEN);
+
+    let mut sum = fnv1a64(0, &record[..5]);
+    sum = fnv1a64(sum, &record[RECORD_HEADER_LEN..]);
+    record[5..RECORD_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
 }
 
 fn decode_payload(payload: &[u8]) -> (PairKey, StoredPair) {

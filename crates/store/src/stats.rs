@@ -16,6 +16,8 @@ pub struct StoreCounters {
     pub misses: Arc<Counter>,
     /// Records appended to the log.
     pub appends: Arc<Counter>,
+    /// Log writes issued by appends (one per `Store::append_all` call).
+    pub writes: Arc<Counter>,
     /// Log compactions completed (atomic-rename rewrites).
     pub compactions: Arc<Counter>,
     /// Intact records recovered by an open-time scan.
@@ -31,6 +33,7 @@ impl StoreCounters {
             hits: registry.counter("rck_store_hits_total", "store lookups answered from disk"),
             misses: registry.counter("rck_store_misses_total", "store lookups that missed"),
             appends: registry.counter("rck_store_appends_total", "records appended to the log"),
+            writes: registry.counter("rck_store_writes_total", "log writes issued by appends"),
             compactions: registry.counter("rck_store_compactions_total", "log compactions"),
             recovered_records: registry.counter(
                 "rck_store_recovered_records_total",

@@ -13,7 +13,7 @@
 //!   with TM-align.
 
 use crate::align::{tm_align_with, TmAlignParams};
-use crate::kabsch::superpose;
+use crate::kabsch::{superpositions, LANES};
 use crate::meter::WorkMeter;
 use rck_pdb::model::CaChain;
 use serde::{Deserialize, Serialize};
@@ -90,6 +90,12 @@ pub trait PscMethod: Send + Sync {
     fn kind(&self) -> MethodKind;
     /// Compare two chains.
     fn compare(&self, a: &CaChain, b: &CaChain) -> PscScore;
+    /// Compare many pairs (a serve worker's run of jobs, a prefill piece):
+    /// score `k` is `compare(pairs[k].0, pairs[k].1)` bit for bit, `ops`
+    /// included. The default is that loop; TM-align and contact-map keep it.
+    fn compare_many(&self, pairs: &[(&CaChain, &CaChain)]) -> Vec<PscScore> {
+        pairs.iter().map(|(a, b)| self.compare(a, b)).collect()
+    }
 }
 
 /// Full TM-align (see [`crate::align::tm_align`]).
@@ -119,6 +125,10 @@ impl PscMethod for TmAlignMethod {
 /// Sequential-order Kabsch superposition over the common prefix of the two
 /// chains. Cheap — O(min(L1, L2)) — and order-dependent, which is exactly
 /// why consensus pipelines pair it with structure-alignment methods.
+///
+/// Pairs are independent chains of divisions, so [`PscMethod::compare_many`]
+/// superposes four to a lock-step Kabsch group (SWAPHI's inter-sequence
+/// model, DESIGN.md §13.7); `compare` is its one-pair call.
 #[derive(Debug, Clone, Copy)]
 pub struct KabschRmsdMethod;
 
@@ -128,26 +138,43 @@ impl PscMethod for KabschRmsdMethod {
     }
 
     fn compare(&self, a: &CaChain, b: &CaChain) -> PscScore {
-        let n = a.len().min(b.len());
-        let mut meter = WorkMeter::new();
-        if n < 3 {
-            return PscScore {
-                method: MethodKind::KabschRmsd,
-                similarity: 0.0,
-                rmsd: None,
-                aligned_len: 0,
-                ops: meter.ops(),
-            };
-        }
-        let sp = superpose(&a.coords[..n], &b.coords[..n], &mut meter);
-        // Map RMSD to (0, 1]: 1 at 0 Å, 1/2 at 5 Å.
-        let similarity = 1.0 / (1.0 + (sp.rmsd / 5.0).powi(2));
-        PscScore {
+        self.compare_many(&[(a, b)])[0]
+    }
+
+    fn compare_many(&self, pairs: &[(&CaChain, &CaChain)]) -> Vec<PscScore> {
+        // A pair whose common prefix is under 3 residues takes no lane.
+        let too_short = PscScore {
             method: MethodKind::KabschRmsd,
-            similarity,
-            rmsd: Some(sp.rmsd),
-            aligned_len: n,
-            ops: meter.ops(),
+            similarity: 0.0,
+            rmsd: None,
+            aligned_len: 0,
+            ops: 0,
+        };
+        let mut scores = vec![too_short; pairs.len()];
+        let mut laned = pairs.iter().enumerate().filter_map(|(k, (a, b))| {
+            let n = a.len().min(b.len());
+            (n >= 3).then(|| (k, (&a.coords[..n], &b.coords[..n])))
+        });
+        loop {
+            let group: [_; LANES] = std::array::from_fn(|_| laned.next());
+            if group[0].is_none() {
+                return scores;
+            }
+            let mut meters = [WorkMeter::new(); LANES];
+            let sps = superpositions(group.map(|lane| lane.map(|(_, set)| set)), &mut meters);
+            for ((lane, sp), meter) in group.into_iter().zip(sps).zip(meters) {
+                let (Some((k, (prefix, _))), Some(sp)) = (lane, sp) else {
+                    continue;
+                };
+                scores[k] = PscScore {
+                    method: MethodKind::KabschRmsd,
+                    // Map RMSD to (0, 1]: 1 at 0 Å, 1/2 at 5 Å.
+                    similarity: 1.0 / (1.0 + (sp.rmsd / 5.0).powi(2)),
+                    rmsd: Some(sp.rmsd),
+                    aligned_len: prefix.len(),
+                    ops: meter.ops(),
+                };
+            }
         }
     }
 }
@@ -302,6 +329,98 @@ mod tests {
         let s = KabschRmsdMethod.compare(&tiny, &tiny);
         assert_eq!(s.similarity, 0.0);
         assert!(s.rmsd.is_none());
+    }
+
+    /// Every `PscScore` field as bits.
+    fn score_bits(s: &PscScore) -> (u8, u64, Option<u64>, usize, u64) {
+        (
+            s.method.code(),
+            s.similarity.to_bits(),
+            s.rmsd.map(f64::to_bits),
+            s.aligned_len,
+            s.ops,
+        )
+    }
+
+    /// Kabsch RMSD as one straight-line superposition per pair, the way
+    /// `compare` read before pairs went into lanes.
+    fn straight_line_kabsch(a: &CaChain, b: &CaChain) -> PscScore {
+        let n = a.len().min(b.len());
+        let mut meter = WorkMeter::new();
+        if n < 3 {
+            return PscScore {
+                method: MethodKind::KabschRmsd,
+                similarity: 0.0,
+                rmsd: None,
+                aligned_len: 0,
+                ops: meter.ops(),
+            };
+        }
+        let sp = crate::kabsch::superpose(&a.coords[..n], &b.coords[..n], &mut meter);
+        PscScore {
+            method: MethodKind::KabschRmsd,
+            similarity: 1.0 / (1.0 + (sp.rmsd / 5.0).powi(2)),
+            rmsd: Some(sp.rmsd),
+            aligned_len: n,
+            ops: meter.ops(),
+        }
+    }
+
+    /// `compare_many` is one `compare` per pair, bit for bit with `ops`,
+    /// and both are the straight-line loop: RS119-sized prefixes mixed
+    /// with common prefixes of 1, 2 and 3 residues (which take no lane),
+    /// at every occupancy from 1 to `LANES + 1` and every rotation of
+    /// the pair list through the lanes.
+    #[test]
+    fn compare_many_is_compare_per_pair_bitwise() {
+        let rs = rck_pdb::datasets::rs119_profile().generate(2013);
+        let short: Vec<CaChain> = (1..=3)
+            .map(|n| CaChain::from_coords("s", rs[7].coords[..n].to_vec()))
+            .collect();
+        let pairs: Vec<(&CaChain, &CaChain)> = vec![
+            (&rs[0], &rs[1]),
+            (&short[0], &rs[2]),
+            (&rs[3], &rs[4]),
+            (&rs[5], &short[1]),
+            (&rs[6], &rs[6]),
+            (&short[2], &rs[8]),
+            (&rs[9], &rs[10]),
+            (&short[1], &short[2]),
+            (&rs[11], &rs[12]),
+        ];
+        let methods: [&dyn PscMethod; 3] = [
+            &KabschRmsdMethod,
+            &TmAlignMethod::default(),
+            &ContactMapOverlap::default(),
+        ];
+        for occupancy in 1..=LANES + 1 {
+            for first in 0..pairs.len() {
+                let run: Vec<_> = (0..occupancy)
+                    .map(|k| pairs[(first + k) % pairs.len()])
+                    .collect();
+                let kabsch = KabschRmsdMethod.compare_many(&run);
+                for (&(a, b), got) in run.iter().zip(&kabsch) {
+                    let want = score_bits(&straight_line_kabsch(a, b));
+                    assert_eq!(score_bits(got), want, "{occupancy} pairs from {first}");
+                    assert_eq!(score_bits(&KabschRmsdMethod.compare(a, b)), want);
+                }
+                // The per-pair default, on one rotation per occupancy
+                // (TM-align takes chains of 5 residues or more).
+                if first == 0 {
+                    let full: Vec<_> = (run.iter().copied())
+                        .filter(|(a, b)| a.len().min(b.len()) >= 5)
+                        .collect();
+                    for method in methods {
+                        let many = method.compare_many(&full);
+                        assert_eq!(many.len(), full.len());
+                        for (&(a, b), got) in full.iter().zip(&many) {
+                            assert_eq!(score_bits(got), score_bits(&method.compare(a, b)));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(KabschRmsdMethod.compare_many(&[]).is_empty());
     }
 
     #[test]

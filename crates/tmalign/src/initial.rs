@@ -71,7 +71,7 @@ pub fn gapless_threading(
         if group[0].is_none() {
             break;
         }
-        let ts = optimal_transforms(group.map(|k| k.map(overlap)), meter);
+        let ts = optimal_transforms(group.map(|k| k.map(overlap)), std::slice::from_mut(meter));
         for (k, t) in group.into_iter().flatten().zip(ts) {
             let (xs, ys) = overlap(k);
             meter.charge(xs.len() as u64);

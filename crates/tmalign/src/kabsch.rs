@@ -11,9 +11,10 @@
 //! There is one solve body, and it is `K` lanes wide: a Jacobi rotation
 //! is one dependency chain (three divisions and two square roots in
 //! series), so gapless threading and the rotation search hand over their
-//! independent solves a group at a time, [`optimal_transform`] and
-//! [`superpose`] are the 1-lane instance, and every lane performs exactly
-//! the IEEE operations of a solve run alone (DESIGN.md §13.7).
+//! independent solves a group at a time, and `KabschRmsdMethod` whole
+//! pairs. [`optimal_transform`] and [`superpose`] are the 1-lane
+//! instances, and every lane performs exactly the IEEE operations of a
+//! solve run alone (DESIGN.md §13.7).
 
 use crate::meter::WorkMeter;
 use rck_pdb::geometry::{centroid, Mat3, Transform, Vec3};
@@ -38,19 +39,39 @@ pub struct Superposition {
 /// # Panics
 /// Panics if the slices have different lengths or are empty.
 pub fn superpose(mobile: &[Vec3], reference: &[Vec3], meter: &mut WorkMeter) -> Superposition {
-    let transform = optimal_transform(mobile, reference, meter);
-    // The residual is computed explicitly: Horn's closed form
-    // (Σ|a|² + Σ|b|² − 2λ)/n cancels catastrophically for near-perfect
-    // matches.
-    let ss: f64 = mobile
-        .iter()
-        .zip(reference)
-        .map(|(m, r)| transform.apply(*m).dist_sq(*r))
-        .sum();
-    Superposition {
-        transform,
-        rmsd: (ss / mobile.len() as f64).sqrt(),
-    }
+    let [sp] = superpositions([Some((mobile, reference))], std::slice::from_mut(meter));
+    sp.expect("an occupied lane is solved")
+}
+
+/// Up to `K` independent superpositions: [`optimal_transforms`] plus each
+/// occupied lane's residual RMSD, every lane bit for bit its own
+/// [`superpose`]. On the 7 021 RS119 prefix pairs, 1.69–1.72 µs a pair
+/// one at a time, 1.14–1.15 µs in groups of [`LANES`] (DESIGN.md §13.7).
+///
+/// # Panics
+/// Panics if a lane's slices have different lengths or are empty.
+// Not `#[inline]`: `superpose` measured 1.73 µs either way.
+pub(crate) fn superpositions<const K: usize>(
+    sets: [Option<(&[Vec3], &[Vec3])>; K],
+    meters: &mut [WorkMeter],
+) -> [Option<Superposition>; K] {
+    let transforms = optimal_transforms(sets, meters);
+    std::array::from_fn(|lane| {
+        let (mobile, reference) = sets[lane]?;
+        let transform = transforms[lane];
+        // The residual is computed explicitly: Horn's closed form
+        // (Σ|a|² + Σ|b|² − 2λ)/n cancels catastrophically for near-perfect
+        // matches.
+        let ss: f64 = mobile
+            .iter()
+            .zip(reference)
+            .map(|(m, r)| transform.apply(*m).dist_sq(*r))
+            .sum();
+        Some(Superposition {
+            transform,
+            rmsd: (ss / mobile.len() as f64).sqrt(),
+        })
+    })
 }
 
 /// The rigid transform of [`superpose`] without its residual pass — what
@@ -60,12 +81,8 @@ pub fn superpose(mobile: &[Vec3], reference: &[Vec3], meter: &mut WorkMeter) -> 
 ///
 /// # Panics
 /// Panics if the slices have different lengths or are empty.
-// Inlined so `superpose` stays one body in the object code as well: as a
-// call the transform comes back through memory, and `superpose` measured
-// 12 % slower (1.87 → 2.10 µs on RS119-sized prefixes).
-#[inline]
 pub fn optimal_transform(mobile: &[Vec3], reference: &[Vec3], meter: &mut WorkMeter) -> Transform {
-    optimal_transforms([Some((mobile, reference))], meter)[0]
+    optimal_transforms([Some((mobile, reference))], std::slice::from_mut(meter))[0]
 }
 
 /// How many independent solves gapless threading (its diagonal offsets)
@@ -75,26 +92,31 @@ pub fn optimal_transform(mobile: &[Vec3], reference: &[Vec3], meter: &mut WorkMe
 /// 1 / 2 / 4 / 8 lanes 1 339 / 1 299 / 1 259 / 1 255 ms (gapless at 8);
 /// gapless at 1 / 4 / 8 / 16 lanes 1 331 / 1 261 / 1 259 / 1 301 ms (search
 /// at 4). 4 and 8 are within the ±5 ms the sweeps repeat to for either
-/// caller, and 4 holds half the window buffers: one constant for both.
+/// caller (and for whole RMSD pairs), and 4 holds half the window
+/// buffers: one constant for all three.
 pub(crate) const LANES: usize = 4;
 
 /// Up to `K` independent Kabsch solves at once: lane `l` of the answer is
 /// the transform of `sets[l]` (mobile, reference), the identity for an
 /// unoccupied lane. Each occupied lane is counted and charged as one
-/// [`optimal_transform`] and accumulates its own [`horn_key`]; the
-/// eigen-problems are then solved in lock-step at the narrowest of the
-/// widths 1, 2, 4 and `K` that holds them. A `W`-lane solve costs the
-/// same whatever its occupancy (ns per call: 927 at 1 lane, 1 260 at 2,
-/// 1 824 at 4, 3 080 at 8), and a search's windows converge at different
-/// iterations: 47 % of its 4-lane groups on the CK34 sweep are down to one
-/// live window when they solve.
+/// [`optimal_transform`] — to `meters[lane % meters.len()]`: a pair's own
+/// solves share its one meter, independent pairs have one each — and
+/// accumulates its own [`horn_key`]; the eigen-problems are then solved
+/// in lock-step at the narrowest of the widths 1, 2, 4 and `K` that holds
+/// them. A `W`-lane solve costs the same whatever its occupancy (ns per
+/// call: 927 at 1 lane, 1 260 at 2, 1 824 at 4, 3 080 at 8), and a
+/// search's windows converge at different iterations: 47 % of its 4-lane
+/// groups on the CK34 sweep are down to one live window when they solve.
 ///
 /// # Panics
 /// Panics if a lane's slices have different lengths or are empty.
+// Inlined so each caller's solves stay one body in the object code: as a
+// call the transforms come back through memory, and `superpose` measured
+// 12 % slower (1.87 → 2.10 µs on RS119-sized prefixes).
 #[inline]
 pub(crate) fn optimal_transforms<const K: usize>(
     sets: [Option<(&[Vec3], &[Vec3])>; K],
-    meter: &mut WorkMeter,
+    meters: &mut [WorkMeter],
 ) -> [Transform; K] {
     // The occupied lanes, packed to the front: (lane, centroids) and key.
     let mut frames = [(0, Vec3::ZERO, Vec3::ZERO); K];
@@ -105,6 +127,7 @@ pub(crate) fn optimal_transforms<const K: usize>(
             continue;
         };
         crate::stages::stage_counters().kabsch_iterations.inc();
+        let meter = &mut meters[lane % meters.len()];
         meter.charge(mobile.len() as u64 + 30); // covariance accumulation + eigen solve
         let (cm, cr, key) = horn_key(mobile, reference);
         frames[occupied] = (lane, cm, cr);
@@ -607,7 +630,7 @@ mod tests {
                 Some((&clouds[1].0[..5], &clouds[1].1[..5])),
                 Some((&clouds[2].0[..1], &clouds[2].1[..1])),
             ];
-            let got = optimal_transforms(sets, &mut together);
+            let got = optimal_transforms(sets, std::slice::from_mut(&mut together));
             for (set, got) in sets.iter().zip(&got) {
                 let want = match set {
                     Some((mobile, reference)) => optimal_transform(mobile, reference, &mut alone),

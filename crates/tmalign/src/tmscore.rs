@@ -206,7 +206,7 @@ pub(crate) fn search_in(
         if seeds[0].is_none() {
             break;
         }
-        let mut ts = optimal_transforms(seeds, meter);
+        let mut ts = optimal_transforms(seeds, std::slice::from_mut(meter));
         let mut live = seeds.map(|seed| seed.is_some());
         let mut bests = [NO_SCORE; LANES];
 
@@ -266,7 +266,7 @@ pub(crate) fn search_in(
             }
             let subsets: [_; LANES] =
                 std::array::from_fn(|l| live[l].then_some((&lanes[l].xs[..], &lanes[l].ys[..])));
-            ts = optimal_transforms(subsets, meter);
+            ts = optimal_transforms(subsets, std::slice::from_mut(meter));
         }
 
         for lane_best in bests {
