@@ -14,14 +14,6 @@ pub trait Buf {
     /// Skip `cnt` bytes.
     fn advance(&mut self, cnt: usize);
 
-    /// Copy out `len` bytes as an owned [`Bytes`].
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(self.remaining() >= len, "copy_to_bytes out of range");
-        let out = self.chunk()[..len].to_vec();
-        self.advance(len);
-        Bytes::from(out)
-    }
-
     /// Read one byte.
     fn get_u8(&mut self) -> u8 {
         let v = self.chunk()[0];
@@ -76,6 +68,13 @@ pub trait Buf {
 pub trait BufMut {
     /// Append raw bytes.
     fn put_slice(&mut self, src: &[u8]);
+
+    /// Append `cnt` copies of the byte `val`.
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        for _ in 0..cnt {
+            self.put_u8(val);
+        }
+    }
 
     /// Append one byte.
     fn put_u8(&mut self, v: u8) {
@@ -157,6 +156,24 @@ impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.v.extend_from_slice(src);
     }
+
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.v.resize(self.v.len() + cnt, val);
+    }
+}
+
+impl std::ops::Deref for BytesMut {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.v
+    }
+}
+
+impl std::ops::DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.v
+    }
 }
 
 impl From<BytesMut> for Vec<u8> {
@@ -235,7 +252,17 @@ mod tests {
         assert_eq!(r.get_u64_le(), 42);
         assert_eq!(r.get_f32_le(), 1.5);
         assert_eq!(r.get_f64_le(), -2.25);
-        assert_eq!(r.copy_to_bytes(2).to_vec(), b"xy");
+        assert_eq!(r.chunk(), b"xy");
+        r.advance(2);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn put_bytes_then_fill_in_place() {
+        let mut w = BytesMut::new();
+        w.put_u8(9);
+        w.put_bytes(0, 3);
+        w[1..].copy_from_slice(b"abc");
+        assert_eq!(&w[..], b"\x09abc");
     }
 }

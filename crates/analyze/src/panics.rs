@@ -1,12 +1,13 @@
 //! Pass 3: panic paths in the service hot-path files.
 //!
 //! The dispatcher, its master / gate-pool / shard-frontend policies and
-//! the worker/transport/proto files run inside service threads; a panic
-//! there kills a connection (or poisons a lock) instead of surfacing a
-//! `ServeError`. This pass denies `unwrap()` / `expect()` /
-//! `panic!` in their non-test code. Genuinely infallible uses carry a
-//! `// rck-lint: allow(panic)` marker with a one-line justification on
-//! the same or preceding line.
+//! the worker/transport/proto files run inside service threads, and every
+//! frame they read decodes through the job/chain codec and the byte
+//! reader under it; a panic there kills a connection (or poisons a lock)
+//! instead of surfacing a `ServeError`. This pass denies `unwrap()` /
+//! `expect()` / `panic!` in their non-test code. Genuinely infallible
+//! uses carry a `// rck-lint: allow(panic)` marker with a one-line
+//! justification on the same or preceding line.
 
 use crate::lexer::{self, TokKind};
 use crate::{Finding, Pass, Workspace};
@@ -22,6 +23,10 @@ pub const DENY_FILES: &[&str] = &[
     "crates/gate/src/session.rs",
     "crates/shard/src/frontend.rs",
     "crates/shard/src/master.rs",
+    // The codec every frame decodes through: job, outcome and chain
+    // records, and the byte reader under them.
+    "crates/core/src/jobs.rs",
+    "crates/rcce/src/codec.rs",
 ];
 
 /// Marker name accepted by the escape hatch.

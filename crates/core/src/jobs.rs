@@ -65,36 +65,101 @@ pub fn chain_indices(jobs: &[PairJob]) -> Vec<u32> {
     ix
 }
 
-/// Encode one chain into a job payload: name, sequence (1 byte/residue)
-/// and CA coordinates (3 × f32/residue) — what rckAlign actually moves
-/// over the mesh per comparison.
-fn put_chain(w: &mut Writer, chain: &CaChain) {
-    w.put_str(&chain.name);
-    w.put_u32(chain.len() as u32);
-    for aa in &chain.seq {
-        w.put_u8(aa.index());
+/// The float type chain coordinates cross a wire as. `f32` on the
+/// simulated mesh: the paper's C port ships f32, and it halves on-mesh
+/// traffic. `f64` in `rck-serve` frames: the service promises results
+/// bit-identical to an in-process run, so workers must see exactly the
+/// bytes the master loaded.
+pub trait WireCoord {
+    /// Bytes one coordinate takes on the wire.
+    const BYTES: usize;
+    /// Write `v` little-endian into `out`, which is `BYTES` long.
+    fn put(v: f64, out: &mut [u8]);
+    /// Read back a coordinate from `BYTES` little-endian bytes.
+    fn get(b: &[u8]) -> f64;
+}
+
+impl WireCoord for f32 {
+    const BYTES: usize = 4;
+
+    #[inline]
+    fn put(v: f64, out: &mut [u8]) {
+        out.copy_from_slice(&(v as f32).to_le_bytes());
     }
-    for c in &chain.coords {
-        w.put_f32(c.x as f32)
-            .put_f32(c.y as f32)
-            .put_f32(c.z as f32);
+
+    #[inline]
+    fn get(b: &[u8]) -> f64 {
+        let mut le = [0; 4];
+        le.copy_from_slice(b);
+        f32::from_le_bytes(le) as f64
     }
 }
 
-fn get_chain(r: &mut Reader) -> Result<CaChain, DecodeError> {
+impl WireCoord for f64 {
+    const BYTES: usize = 8;
+
+    #[inline]
+    fn put(v: f64, out: &mut [u8]) {
+        out.copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn get(b: &[u8]) -> f64 {
+        let mut le = [0; 8];
+        le.copy_from_slice(b);
+        f64::from_le_bytes(le)
+    }
+}
+
+/// Encode one chain with coordinates of width `C`: the name, the
+/// residue count, the residue codes as one slab (1 byte a residue) and
+/// the CA coordinates as one slab (3 × `C::BYTES` a residue) — what
+/// rckAlign moves per comparison over the mesh (`f32`) and what a
+/// `rck-serve` chain table carries (`f64`).
+pub fn put_chain<C: WireCoord>(w: &mut Writer, chain: &CaChain) {
+    w.put_str(&chain.name);
+    w.put_u32(chain.len() as u32);
+    w.put_with(chain.seq.len(), |out| {
+        for (code, aa) in out.iter_mut().zip(&chain.seq) {
+            *code = aa.index();
+        }
+    });
+    w.put_with(3 * C::BYTES * chain.coords.len(), |out| {
+        for (xyz, c) in out.chunks_exact_mut(3 * C::BYTES).zip(&chain.coords) {
+            for (slot, v) in xyz.chunks_exact_mut(C::BYTES).zip([c.x, c.y, c.z]) {
+                C::put(v, slot);
+            }
+        }
+    });
+}
+
+/// Decode a [`put_chain`] record of the same width. A residue count the
+/// remaining bytes cannot hold is refused as `"chain length"` before
+/// anything of that size is allocated.
+pub fn get_chain<C: WireCoord>(r: &mut Reader) -> Result<CaChain, DecodeError> {
     let name = r.get_str()?;
     let len = r.get_u32()? as usize;
-    let mut seq = Vec::with_capacity(len);
-    for _ in 0..len {
-        seq.push(AminoAcid::from_index(r.get_u8()?));
+    let stride = 3 * C::BYTES;
+    if len.saturating_mul(1 + stride) > r.remaining() {
+        return Err(DecodeError {
+            what: "chain length",
+        });
     }
-    let mut coords = Vec::with_capacity(len);
-    for _ in 0..len {
-        let x = r.get_f32()? as f64;
-        let y = r.get_f32()? as f64;
-        let z = r.get_f32()? as f64;
-        coords.push(Vec3::new(x, y, z));
-    }
+    let seq = r.take(len, "residue codes", |codes| {
+        codes.iter().copied().map(AminoAcid::from_index).collect()
+    })?;
+    let coords = r.take(len * stride, "coordinates", |slab| {
+        let w = C::BYTES;
+        slab.chunks_exact(stride)
+            .map(|xyz| {
+                Vec3::new(
+                    C::get(&xyz[..w]),
+                    C::get(&xyz[w..2 * w]),
+                    C::get(&xyz[2 * w..]),
+                )
+            })
+            .collect()
+    })?;
     Ok(CaChain { name, seq, coords })
 }
 
@@ -120,8 +185,8 @@ pub fn get_job(r: &mut Reader) -> Result<PairJob, DecodeError> {
 pub fn encode_pair_payload(job: &PairJob, a: &CaChain, b: &CaChain) -> Vec<u8> {
     let mut w = Writer::with_capacity(32 + a.wire_size() + b.wire_size());
     put_job(&mut w, job);
-    put_chain(&mut w, a);
-    put_chain(&mut w, b);
+    put_chain::<f32>(&mut w, a);
+    put_chain::<f32>(&mut w, b);
     w.finish()
 }
 
@@ -140,8 +205,8 @@ pub struct PairPayload {
 pub fn decode_pair_payload(data: Vec<u8>) -> Result<PairPayload, DecodeError> {
     let mut r = Reader::new(data);
     let job = get_job(&mut r)?;
-    let a = get_chain(&mut r)?;
-    let b = get_chain(&mut r)?;
+    let a = get_chain::<f32>(&mut r)?;
+    let b = get_chain::<f32>(&mut r)?;
     Ok(PairPayload { job, a, b })
 }
 
@@ -257,7 +322,8 @@ impl SimilarityMatrix {
             .map(|k| (k, self.get(query, k)))
             .filter(|(_, v)| !v.is_nan())
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN after filter"));
+        // NaN is filtered out above, so every pair compares.
+        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         out
     }
 
@@ -412,6 +478,42 @@ mod tests {
         let mut w = Writer::new();
         w.put_u32(0).put_u32(1).put_u8(200);
         assert!(decode_pair_payload(w.finish()).is_err());
+    }
+
+    #[test]
+    fn a_chain_length_lie_is_refused_before_reserving_it() {
+        // The first chain claims u32::MAX residues and holds three: the
+        // guard must refuse the count itself, not reserve for it and then
+        // run out of residue bytes.
+        let job = PairJob {
+            i: 0,
+            j: 1,
+            method: MethodKind::TmAlign,
+        };
+        let mut w = Writer::new();
+        put_job(&mut w, &job);
+        w.put_str("liar").put_u32(u32::MAX).put_with(3 * 13, |_| ());
+        let e = decode_pair_payload(w.finish()).unwrap_err();
+        assert_eq!(e.what, "chain length");
+    }
+
+    #[test]
+    fn every_truncation_of_a_pair_payload_is_an_error() {
+        let chains = tiny_profile().generate(3);
+        let job = PairJob {
+            i: 1,
+            j: 2,
+            method: MethodKind::KabschRmsd,
+        };
+        let data = encode_pair_payload(&job, &chains[1], &chains[2]);
+        for cut in 0..data.len() {
+            assert!(
+                decode_pair_payload(data[..cut].to_vec()).is_err(),
+                "a {cut}-byte prefix of a {}-byte payload decoded",
+                data.len()
+            );
+        }
+        assert!(decode_pair_payload(data).is_ok());
     }
 
     #[test]

@@ -380,26 +380,37 @@ impl Scripted {
         (held, answered)
     }
 
-    fn compute(&self, batch: &JobBatch) -> Vec<PairOutcome> {
-        batch
-            .jobs
-            .iter()
-            .map(|job| {
-                let score = job
-                    .method
-                    .instantiate()
-                    .compare(&self.table[&job.i], &self.table[&job.j]);
-                PairOutcome {
-                    i: job.i,
-                    j: job.j,
-                    method: job.method,
-                    similarity: score.similarity,
-                    rmsd: score.rmsd.unwrap_or(f64::NAN),
-                    aligned_len: score.aligned_len as u32,
-                    ops: score.ops,
-                }
-            })
-            .collect()
+    /// Compute `batch` honestly. Like a real worker's session, heartbeat
+    /// whenever the computing has kept the connection quiet for a
+    /// quarter of the heartbeat timeout: an unoptimised TM-align batch on
+    /// a loaded host computes for longer than the timeout itself.
+    fn compute(&mut self, batch: &JobBatch) -> Vec<PairOutcome> {
+        let beat = Frame::Heartbeat(Heartbeat {
+            worker_id: self.worker_id,
+            completed: 0,
+        });
+        let mut quiet_since = Instant::now();
+        let mut outcomes = Vec::with_capacity(batch.jobs.len());
+        for job in &batch.jobs {
+            let score = job
+                .method
+                .instantiate()
+                .compare(&self.table[&job.i], &self.table[&job.j]);
+            outcomes.push(PairOutcome {
+                i: job.i,
+                j: job.j,
+                method: job.method,
+                similarity: score.similarity,
+                rmsd: score.rmsd.unwrap_or(f64::NAN),
+                aligned_len: score.aligned_len as u32,
+                ops: score.ops,
+            });
+            if quiet_since.elapsed() >= HEARTBEAT_TIMEOUT / 4 {
+                let _ = proto::write_frame(&mut self.conn, &beat);
+                quiet_since = Instant::now();
+            }
+        }
+        outcomes
     }
 
     fn send_result(&mut self, batch_id: u64, outcomes: Vec<PairOutcome>) {

@@ -3,7 +3,10 @@
 //! RCCE moves raw bytes; everything rckAlign ships between cores (protein
 //! chains, job descriptors, result records) is encoded with this writer /
 //! reader pair. Sizes are explicit so the simulator's byte-accurate
-//! communication cost model sees realistic payload sizes.
+//! communication cost model sees realistic payload sizes. Runs of
+//! fixed-width elements cross as slabs ([`Writer::put_with`],
+//! [`Reader::take`]): one capacity or bounds check per run, not per
+//! element.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -86,6 +89,16 @@ impl Writer {
         self.put_bytes(v.as_bytes())
     }
 
+    /// Append an `n`-byte slab that `fill` writes in place (it is handed
+    /// exactly `n` zeroed bytes): the buffer grows once for the slab, not
+    /// once per element written into it.
+    pub fn put_with(&mut self, n: usize, fill: impl FnOnce(&mut [u8])) -> &mut Self {
+        let start = self.buf.len();
+        self.buf.put_bytes(0, n);
+        fill(&mut self.buf[start..]);
+        self
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -154,11 +167,25 @@ impl Reader {
         Ok(self.buf.get_f64_le())
     }
 
+    /// Hand the next `n` bytes to `f` as one borrowed slab, then consume
+    /// them: one bounds check for the slab (an error naming `what` when
+    /// fewer than `n` bytes remain), not one per element read out of it.
+    pub fn take<T>(
+        &mut self,
+        n: usize,
+        what: &'static str,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Result<T, DecodeError> {
+        let slab = self.buf.chunk().get(..n).ok_or(DecodeError { what })?;
+        let out = f(slab);
+        self.buf.advance(n);
+        Ok(out)
+    }
+
     /// Read a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         let len = self.get_u32()? as usize;
-        self.need(len, "bytes body")?;
-        Ok(self.buf.copy_to_bytes(len).to_vec())
+        self.take(len, "bytes body", <[u8]>::to_vec)
     }
 
     /// Read a length-prefixed UTF-8 string.
@@ -220,6 +247,34 @@ mod tests {
         let e = r.get_bytes().unwrap_err();
         assert_eq!(e.what, "bytes body");
         assert!(e.to_string().contains("truncated"));
+    }
+
+    #[test]
+    fn take_reads_a_slab_up_to_exactly_what_remains() {
+        let mut w = Writer::new();
+        w.put_u8(1).put_with(5, |out| out.copy_from_slice(b"slab!"));
+        assert_eq!(w.len(), 6);
+        let mut r = Reader::new(w.finish());
+        assert_eq!(r.get_u8().unwrap(), 1);
+        // One byte past the end: an error naming the slab, nothing consumed.
+        let e = r.take(r.remaining() + 1, "test slab", |_| ()).unwrap_err();
+        assert_eq!(e.what, "test slab");
+        assert_eq!(r.remaining(), 5);
+        // Exactly what remains: the whole slab, then the reader is empty.
+        assert_eq!(r.take(5, "test slab", <[u8]>::to_vec).unwrap(), b"slab!");
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.take(0, "empty slab", |s| s.len()).unwrap(), 0);
+    }
+
+    #[test]
+    fn get_bytes_reads_the_body_and_only_the_body() {
+        let mut w = Writer::new();
+        w.put_bytes(&[]).put_bytes(&[4, 5, 6]).put_u8(7);
+        let mut r = Reader::new(w.finish());
+        assert_eq!(r.get_bytes().unwrap(), Vec::<u8>::new());
+        assert_eq!(r.get_bytes().unwrap(), vec![4, 5, 6]);
+        assert_eq!(r.get_u8().unwrap(), 7);
+        assert_eq!(r.get_bytes().unwrap_err().what, "u32");
     }
 
     #[test]

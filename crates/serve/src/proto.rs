@@ -28,17 +28,18 @@
 //! ([`Resident`]) ships only what it lacks. The protocol is stateless
 //! *across* connections; a v2 peer is refused at the handshake.
 //!
-//! Unlike the simulator's on-mesh job payloads (`rckalign::jobs`, f32
-//! coordinates — halved mesh traffic matters there), job batches carry
-//! **f64 coordinates**: the service promises results bit-identical to an
-//! in-process [`rckalign::run_all_vs_all`], so workers must see exactly
-//! the bytes the master loaded.
+//! Chains cross in the one chain codec the simulator's on-mesh job
+//! payloads use (`rckalign::jobs::{put_chain, get_chain}`), at the other
+//! width: where the mesh ships f32 coordinates (halved mesh traffic
+//! matters there), job batches carry **f64 coordinates**: the service
+//! promises results bit-identical to an in-process
+//! [`rckalign::run_all_vs_all`], so workers must see exactly the bytes
+//! the master loaded.
 
-use rck_pdb::geometry::Vec3;
-use rck_pdb::model::{AminoAcid, CaChain};
+use rck_pdb::model::CaChain;
 use rck_rcce::{DecodeError, Reader, Writer};
 use rck_tmalign::MethodKind;
-use rckalign::jobs::{get_job, get_outcome, put_job, put_outcome};
+use rckalign::jobs::{get_chain, get_job, get_outcome, put_chain, put_job, put_outcome};
 use rckalign::{PairJob, PairOutcome};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -337,49 +338,12 @@ impl From<FrameError> for std::io::Error {
     }
 }
 
-/// Exact f64 chain encoding (contrast `rckalign::jobs`' f32 on-mesh one).
-fn put_chain(w: &mut Writer, chain: &CaChain) {
-    w.put_str(&chain.name);
-    w.put_u32(chain.len() as u32);
-    for aa in &chain.seq {
-        w.put_u8(aa.index());
-    }
-    for c in &chain.coords {
-        w.put_f64(c.x).put_f64(c.y).put_f64(c.z);
-    }
-}
-
-fn get_chain(r: &mut Reader) -> Result<CaChain, DecodeError> {
-    let name = r.get_str()?;
-    let len = r.get_u32()? as usize;
-    // Each residue takes 25 payload bytes (1 seq + 3×8 coords); a length
-    // the remaining bytes cannot hold is corrupt — reject it before
-    // allocating anything of that size.
-    if len.saturating_mul(25) > r.remaining() {
-        return Err(DecodeError {
-            what: "chain length",
-        });
-    }
-    let mut seq = Vec::with_capacity(len);
-    for _ in 0..len {
-        seq.push(AminoAcid::from_index(r.get_u8()?));
-    }
-    let mut coords = Vec::with_capacity(len);
-    for _ in 0..len {
-        let x = r.get_f64()?;
-        let y = r.get_f64()?;
-        let z = r.get_f64()?;
-        coords.push(Vec3::new(x, y, z));
-    }
-    Ok(CaChain { name, seq, coords })
-}
-
 /// The shared body of kinds 3 and 11: chain table, then jobs.
 fn put_work(w: &mut Writer, chains: &[(u32, Arc<CaChain>)], jobs: &[PairJob]) {
     w.put_u32(chains.len() as u32);
     for (ix, chain) in chains {
         w.put_u32(*ix);
-        put_chain(w, chain);
+        put_chain::<f64>(w, chain);
     }
     w.put_u32(jobs.len() as u32);
     for job in jobs {
@@ -397,7 +361,7 @@ fn get_work(r: &mut Reader) -> Result<(ChainTable, Vec<PairJob>), DecodeError> {
         });
     }
     let chains = (0..n_chains)
-        .map(|_| Ok((r.get_u32()?, Arc::new(get_chain(r)?))))
+        .map(|_| Ok((r.get_u32()?, Arc::new(get_chain::<f64>(r)?))))
         .collect::<Result<_, DecodeError>>()?;
     let n_jobs = r.get_u32()? as usize;
     if n_jobs.saturating_mul(9) > r.remaining() {
@@ -455,7 +419,7 @@ fn encode_payload(w: &mut Writer, frame: &Frame) {
             for m in &q.methods {
                 w.put_u8(m.code());
             }
-            put_chain(w, &q.chain);
+            put_chain::<f64>(w, &q.chain);
         }
         Frame::QueryPartial(p) => {
             w.put_u64(p.query_id);
@@ -535,7 +499,7 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
                     what: "method code",
                 })?);
             }
-            let chain = get_chain(&mut r)?;
+            let chain = get_chain::<f64>(&mut r)?;
             Frame::QuerySubmit(QuerySubmit {
                 tenant,
                 query_id,

@@ -29,6 +29,9 @@ struct WorkerEntry {
     batches_completed: u64,
     connected_at: Instant,
     lost: bool,
+    /// `rck_worker_jobs_total{worker=…}`, resolved on the first completed
+    /// batch (not on connect: a worker that completes nothing has no row).
+    jobs_counter: Option<Arc<Counter>>,
 }
 
 /// Live counters for one service run. All methods take `&self`; the
@@ -156,6 +159,7 @@ impl ServeStats {
                 batches_completed: 0,
                 connected_at: Instant::now(),
                 lost: false,
+                jobs_counter: None,
             },
         );
     }
@@ -175,18 +179,21 @@ impl ServeStats {
     pub(crate) fn on_batch_completed(&self, worker_id: u32, jobs: usize) {
         self.batches_completed.inc();
         self.jobs_completed.add(jobs as u64);
+        // The dispatcher reports a worker's handshake before its batches,
+        // so a completing worker always has an entry.
         if let Some(w) = self.workers.lock_recover().get_mut(&worker_id) {
             w.batches_completed += 1;
             w.jobs_completed += jobs as u64;
+            w.jobs_counter
+                .get_or_insert_with(|| {
+                    self.registry.counter_with(
+                        "rck_worker_jobs_total",
+                        "jobs completed per worker",
+                        &[("worker", &worker_id.to_string())],
+                    )
+                })
+                .add(jobs as u64);
         }
-        let id = worker_id.to_string();
-        self.registry
-            .counter_with(
-                "rck_worker_jobs_total",
-                "jobs completed per worker",
-                &[("worker", &id)],
-            )
-            .add(jobs as u64);
     }
 
     pub(crate) fn on_batch_requeued(&self, jobs: usize) {

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use rck_pdb::geometry::Vec3;
 use rck_pdb::model::{AminoAcid, CaChain};
+use rck_rcce::{Reader, Writer};
 use rck_serve::dispatch::handshake;
 use rck_serve::proto::{
     decode_frame, encode_frame, read_frame, Hello, JobBatch, QueryDone, QueryPartial, QueryReject,
@@ -17,6 +18,9 @@ use rck_serve::proto::{
 };
 use rck_serve::{Frame, FrameError, MemNet};
 use rck_tmalign::MethodKind;
+use rckalign::jobs::{
+    decode_pair_payload, encode_pair_payload, get_chain, get_job, put_chain, put_job,
+};
 use rckalign::{PairJob, PairOutcome};
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -102,6 +106,185 @@ fn chain_strategy() -> impl Strategy<Value = CaChain> {
             .collect();
         CaChain { name, seq, coords }
     })
+}
+
+/// Coordinates the chain codec must carry exactly as the element-wise
+/// reference does: signed zero, infinities, NaNs (quiet, signed, with a
+/// payload), subnormals of both widths, and values beyond f32's range.
+const EDGE_COORDS: [f64; 12] = [
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7ff4_dead_beef_0001),
+    5e-324,
+    1e-40,
+    -1e-44,
+    1e39,
+    -f64::MAX,
+];
+
+/// A chain over the codec's whole input space: any residue code (codes
+/// ≥ 20 decode as `Unknown`), lengths 0 and 1 as often as longer ones,
+/// and coordinates drawn half from [`EDGE_COORDS`], half at random.
+fn edge_chain_strategy() -> impl Strategy<Value = CaChain> {
+    let coord = || {
+        prop_oneof![
+            (0..EDGE_COORDS.len()).prop_map(|k| EDGE_COORDS[k]),
+            any::<f64>()
+        ]
+    };
+    let residue = || (any::<u8>(), (coord(), coord(), coord()));
+    let residues = prop_oneof![
+        prop::collection::vec(residue(), 0..2),
+        prop::collection::vec(residue(), 0..40)
+    ];
+    (name_strategy(), residues).prop_map(|(name, residues)| CaChain {
+        name,
+        seq: residues
+            .iter()
+            .map(|(code, _)| AminoAcid::from_index(*code))
+            .collect(),
+        coords: residues
+            .iter()
+            .map(|(_, (x, y, z))| Vec3::new(*x, *y, *z))
+            .collect(),
+    })
+}
+
+/// The element-wise chain encoder the slab codec replaced, kept as the
+/// reference its bytes must equal: one call per residue code and per
+/// coordinate, at f32 (`wide == false`) or f64.
+fn reference_put_chain(w: &mut Writer, chain: &CaChain, wide: bool) {
+    w.put_str(&chain.name);
+    w.put_u32(chain.len() as u32);
+    for aa in &chain.seq {
+        w.put_u8(aa.index());
+    }
+    for c in &chain.coords {
+        for v in [c.x, c.y, c.z] {
+            if wide {
+                w.put_f64(v);
+            } else {
+                w.put_f32(v as f32);
+            }
+        }
+    }
+}
+
+/// The element-wise decoder matching [`reference_put_chain`].
+fn reference_get_chain(r: &mut Reader, wide: bool) -> CaChain {
+    let name = r.get_str().expect("name");
+    let len = r.get_u32().expect("length") as usize;
+    let seq = (0..len)
+        .map(|_| AminoAcid::from_index(r.get_u8().expect("code")))
+        .collect();
+    let mut coord = || {
+        if wide {
+            r.get_f64().expect("f64")
+        } else {
+            r.get_f32().expect("f32") as f64
+        }
+    };
+    let coords = (0..len)
+        .map(|_| Vec3::new(coord(), coord(), coord()))
+        .collect();
+    CaChain { name, seq, coords }
+}
+
+/// Chains equal to the bit: names, residues, and every coordinate's
+/// `to_bits` (so NaN payloads and signed zeros count).
+fn same_bits(a: &CaChain, b: &CaChain) -> bool {
+    let bits = |c: &CaChain| -> Vec<u64> {
+        c.coords
+            .iter()
+            .flat_map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+            .collect()
+    };
+    a.name == b.name && a.seq == b.seq && bits(a) == bits(b)
+}
+
+/// The f64 slab codec against the reference: the same bytes, and a
+/// decode with the reference decoder's bits.
+fn check_f64_chain(chain: &CaChain) -> Result<(), String> {
+    let mut slab = Writer::new();
+    put_chain::<f64>(&mut slab, chain);
+    let mut reference = Writer::new();
+    reference_put_chain(&mut reference, chain, true);
+    let bytes = slab.finish();
+    if bytes != reference.finish() {
+        return Err(format!("f64 bytes differ for {chain:?}"));
+    }
+    let want = reference_get_chain(&mut Reader::new(bytes.clone()), true);
+    let mut r = Reader::new(bytes);
+    let got = get_chain::<f64>(&mut r).map_err(|e| e.to_string())?;
+    if !same_bits(&got, &want) || r.remaining() != 0 {
+        return Err(format!("f64 decode differs: {got:?} vs {want:?}"));
+    }
+    Ok(())
+}
+
+/// The f32 on-mesh pair payload against the reference, the same way.
+fn check_f32_payload(job: &PairJob, a: &CaChain, b: &CaChain) -> Result<(), String> {
+    let bytes = encode_pair_payload(job, a, b);
+    let mut reference = Writer::new();
+    put_job(&mut reference, job);
+    reference_put_chain(&mut reference, a, false);
+    reference_put_chain(&mut reference, b, false);
+    if bytes != reference.finish() {
+        return Err(format!("f32 payload bytes differ for {a:?} / {b:?}"));
+    }
+    let mut r = Reader::new(bytes.clone());
+    let _ = get_job(&mut r).map_err(|e| e.to_string())?;
+    let want_a = reference_get_chain(&mut r, false);
+    let want_b = reference_get_chain(&mut r, false);
+    let got = decode_pair_payload(bytes).map_err(|e| e.to_string())?;
+    if got.job != *job || !same_bits(&got.a, &want_a) || !same_bits(&got.b, &want_b) {
+        return Err(format!("f32 payload decode differs: {got:?}"));
+    }
+    Ok(())
+}
+
+#[test]
+fn chain_codec_carries_every_edge_value_as_the_reference_does() {
+    // Every edge coordinate in every axis, and every residue code.
+    let n = EDGE_COORDS.len();
+    let coords = (0..n)
+        .map(|k| {
+            Vec3::new(
+                EDGE_COORDS[k],
+                EDGE_COORDS[(k + 1) % n],
+                EDGE_COORDS[(k + 5) % n],
+            )
+        })
+        .collect();
+    let edges = CaChain {
+        name: "edges".into(),
+        seq: (0..n as u8)
+            .map(|k| AminoAcid::from_index(k * 23))
+            .collect(),
+        coords,
+    };
+    let codes = CaChain {
+        name: String::new(),
+        seq: (0..=255).map(AminoAcid::from_index).collect(),
+        coords: vec![Vec3::new(1.0, -2.5, 1e-300); 256],
+    };
+    let single = CaChain::from_coords("one", vec![Vec3::new(-0.0, f64::NAN, 1e39)]);
+    let empty = CaChain::from_coords("", Vec::new());
+    let job = PairJob {
+        i: 7,
+        j: u32::MAX,
+        method: MethodKind::ContactMap,
+    };
+    for a in [&edges, &codes, &single, &empty] {
+        check_f64_chain(a).unwrap();
+        for b in [&edges, &codes, &single, &empty] {
+            check_f32_payload(&job, a, b).unwrap();
+        }
+    }
 }
 
 fn job_batch_strategy() -> impl Strategy<Value = JobBatch> {
@@ -199,6 +382,16 @@ fn query_frame_strategy() -> impl Strategy<Value = Frame> {
 }
 
 proptest! {
+    #[test]
+    fn chain_codec_equals_the_element_wise_reference_at_both_widths(
+        a in edge_chain_strategy(),
+        b in edge_chain_strategy(),
+        (i, j, method) in (any::<u32>(), any::<u32>(), method_strategy()),
+    ) {
+        prop_assert_eq!(check_f64_chain(&a), Ok(()));
+        prop_assert_eq!(check_f32_payload(&PairJob { i, j, method }, &a, &b), Ok(()));
+    }
+
     #[test]
     fn job_batch_roundtrips(batch in job_batch_strategy()) {
         let frame = Frame::JobBatch(batch);
