@@ -20,9 +20,10 @@
 //! tied to an *anchor* — the function or stats hook that implements it —
 //! either in the shared dispatcher core (`crates/serve/src/dispatch.rs`)
 //! or in one of the [`POLICIES`] layered on it (the master's FIFO queue,
-//! the gate's stride pick). The table is extracted and the model
-//! explored once per policy, so every tier built on the dispatcher is
-//! covered by construction. A missing anchor is a finding in itself,
+//! the gate's stride pick, the shard frontend's tile pick). The table is
+//! extracted and the model explored once per policy, under that policy's
+//! [`Window`], so every tier built on the dispatcher is covered by
+//! construction. A missing anchor is a finding in itself,
 //! *and* disables that behavior in the model, so the checker reproduces
 //! the bug the drift would cause — delete the requeue accounting and the
 //! model exhibits a stuck, unaccounted state.
@@ -48,6 +49,19 @@ pub struct Policy {
     pub requeued: &'static str,
     /// The flag that halts dispatch.
     pub halt_flag: &'static str,
+    /// How many units one owner may hold.
+    pub window: Window,
+}
+
+/// How many units the dispatcher lets one owner hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Window {
+    /// Sized from measured service: one until the owner has answered,
+    /// then deeper (the model lets a proven owner hold two).
+    Measured,
+    /// Sized by the owner's credits: a shard master keeps its prefetch
+    /// outstanding whether or not it has answered.
+    Credits(usize),
 }
 
 /// Every tier that plugs into the dispatcher's worker loop.
@@ -58,6 +72,7 @@ pub const POLICIES: &[Policy] = &[
         duplicates: Some("on_duplicate_results"),
         requeued: "on_batch_requeued",
         halt_flag: "aborted",
+        window: Window::Measured,
     },
     Policy {
         file: "crates/gate/src/pool.rs",
@@ -65,6 +80,15 @@ pub const POLICIES: &[Policy] = &[
         duplicates: None,
         requeued: "on_jobs_requeued",
         halt_flag: "stopped",
+        window: Window::Measured,
+    },
+    Policy {
+        file: "crates/shard/src/frontend.rs",
+        dispatched: "on_tile_granted",
+        duplicates: Some("on_duplicate_tile"),
+        requeued: "on_tiles_requeued",
+        halt_flag: "aborted",
+        window: Window::Credits(2),
     },
 ];
 
@@ -91,6 +115,9 @@ pub struct TransitionTable {
     /// No new batches are dispatched after abort (core anchor: `halted`;
     /// policy anchor: [`Policy::halt_flag`]).
     pub abort_stops_dispatch: bool,
+    /// How many batches one worker may hold (the policy's
+    /// [`Policy::window`]; not an anchor).
+    pub window: Window,
 }
 
 impl TransitionTable {
@@ -103,6 +130,7 @@ impl TransitionTable {
             timeout_requeues: true,
             heartbeat_refreshes: true,
             abort_stops_dispatch: true,
+            window: Window::Measured,
         }
     }
 }
@@ -242,6 +270,7 @@ pub fn extract_table(
                 (policy.file, policy.halt_flag, in_policy(policy.halt_flag)),
             ],
         ),
+        window: policy.window,
     };
     (table, findings)
 }
@@ -265,10 +294,8 @@ struct State {
     queue: Vec<u8>,
     /// Batches out on workers, each with the worker that holds it.
     inflight: Vec<(u8, usize)>,
-    /// Workers a result has been accepted from. The dispatcher's window
-    /// is one batch for a connection that has answered nothing and
-    /// deepens with measured service; the model lets a proven worker
-    /// hold two.
+    /// Workers a result has been accepted from (under a measured
+    /// window; a credited one never changes it).
     proven: [bool; WORKERS],
     /// Retired result frames that may still be delivered (late or
     /// duplicated). At most one pending ghost bounds the state space.
@@ -314,9 +341,12 @@ impl State {
         self.inflight.iter().filter(|(_, w)| *w == worker).count()
     }
 
-    /// How many batches `worker` may hold.
-    fn window(&self, worker: usize) -> usize {
-        1 + usize::from(self.proven[worker])
+    /// How many batches `worker` may hold under `window`.
+    fn window(&self, worker: usize, window: Window) -> usize {
+        match window {
+            Window::Measured => 1 + usize::from(self.proven[worker]),
+            Window::Credits(n) => n,
+        }
     }
 }
 
@@ -402,7 +432,7 @@ fn successors(s: &State, table: TransitionTable, violations: &mut Vec<String>) -
                     describe(s)
                 ));
             }
-            for worker in (0..WORKERS).filter(|&w| s.held_by(w) < s.window(w)) {
+            for worker in (0..WORKERS).filter(|&w| s.held_by(w) < s.window(w, table.window)) {
                 let mut n = s.clone();
                 n.queue.remove(0);
                 n.inflight.push((batch, worker));
@@ -420,7 +450,7 @@ fn successors(s: &State, table: TransitionTable, violations: &mut Vec<String>) -
     for (k, &(batch, worker)) in s.inflight.iter().enumerate() {
         let mut n = s.clone();
         n.inflight.remove(k);
-        n.proven[worker] = true;
+        n.proven[worker] = table.window == Window::Measured;
         accept(&mut n, batch, table.dedup_on_accept);
         if n.ghosts.is_empty() {
             // The network may replay this result frame later.
@@ -626,5 +656,36 @@ mod tests {
         let (table, findings) = extract_table(core, gate, &POLICIES[1]);
         assert_eq!(table, TransitionTable::correct());
         assert_eq!(findings, vec![]);
+
+        // The shard frontend's tiles are granted against credits.
+        let shard = "fn d() { stats.on_tile_granted(s); state.done.insert(t); \
+                     stats.on_duplicate_tile(); stats.on_tiles_requeued(1); \
+                     let a = aborted; }";
+        let (table, findings) = extract_table(core, shard, &POLICIES[2]);
+        let credited = TransitionTable {
+            window: Window::Credits(2),
+            ..TransitionTable::correct()
+        };
+        assert_eq!(table, credited);
+        assert_eq!(findings, vec![]);
+    }
+
+    #[test]
+    fn a_credited_window_explores_clean_and_holds_its_credits() {
+        let credited = TransitionTable {
+            window: Window::Credits(2),
+            ..TransitionTable::correct()
+        };
+        let (findings, stats) = explore(credited, "x.rs");
+        assert_eq!(findings, vec![], "{findings:?}");
+        let (_, measured) = explore(TransitionTable::correct(), "x.rs");
+        assert_ne!(stats, measured, "credits change what an owner may hold");
+        // Without requeue accounting the credited lifecycle sticks too.
+        let broken = TransitionTable {
+            timeout_requeues: false,
+            ..credited
+        };
+        let (findings, _) = explore(broken, "x.rs");
+        assert!(findings.iter().any(|f| f.message.contains("stuck state")));
     }
 }

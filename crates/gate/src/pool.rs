@@ -83,7 +83,7 @@ impl WorkSource for GateShared {
         self.draining.load(Ordering::SeqCst) && state.runs.is_empty()
     }
 
-    fn next_unit(&self, state: &mut GateState) -> Option<QueryBatch> {
+    fn next_unit(&self, state: &mut GateState, _worker_id: u32) -> Option<QueryBatch> {
         // A stale pick (the tenant's runs were requeued or completed
         // between backlog accounting and now) just tries again.
         while let Some(tenant) = state.sched.pick() {

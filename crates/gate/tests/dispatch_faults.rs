@@ -1,4 +1,4 @@
-//! One fault table, run over both `WorkSource` policies of the shared
+//! One fault table, run over the `WorkSource` policies of the shared
 //! dispatcher (`rck_serve::dispatch`): the master's FIFO queue and the
 //! gate's stride pick. A scripted worker takes the first batch and
 //! misbehaves; the dispatcher must requeue at the right moment, drop the
@@ -21,14 +21,22 @@
 //! fast one is fed ahead by a bounded amount, and everything a connection
 //! holds — in whatever order it answers, replays or loses it — is
 //! accepted once or requeued once.
+//!
+//! The tile rows put a scripted shard master in front of the shard
+//! frontend, the same loop in the tile dialect: its credits size its
+//! window, and a tile past its cap costs the master like a batch past
+//! its cap costs a worker, so the tile is never granted back to it.
 
 use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
 use rck_pdb::datasets::tiny_profile;
 use rck_pdb::model::CaChain;
 use rck_serve::chaos::outcomes_fingerprint;
 use rck_serve::dispatch::hello;
-use rck_serve::proto::{self, Frame, Heartbeat, JobBatch, QuerySubmit, ResultBatch};
+use rck_serve::proto::{
+    self, Frame, Heartbeat, JobBatch, QuerySubmit, ResultBatch, StealRequest, TileGrant, TileResult,
+};
 use rck_serve::{run_worker_conn, Conn, Master, MasterConfig, MemNet, WorkerConfig};
+use rck_shard::{ShardConfig, ShardFrontend};
 use rck_tmalign::MethodKind;
 use rckalign::PairOutcome;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -817,5 +825,307 @@ fn fault_table_holds_for_both_work_sources() {
         ] {
             run_window_case(tier, fault);
         }
+    }
+}
+
+/// Faults a scripted shard master injects in front of the frontend.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TileFault {
+    /// Spends three credits, then dies holding the three tiles.
+    DiesHoldingWindow,
+    /// Answers a window of three tiles in reverse.
+    OutOfOrder,
+    /// Holds two tiles with heartbeats flowing and answers neither: the
+    /// cap costs it the connection, and the tiles go to another master.
+    CappedNotRegrantedToHolder,
+    /// Answers a tile, then replays the answer.
+    StaleReplay,
+    /// Answers a tile with outcomes for jobs it was never given.
+    Byzantine,
+}
+
+/// A scripted shard master: spends credits, keeps the chain table a real
+/// one keeps, and checks every grant against it.
+struct ScriptedMaster {
+    conn: Box<dyn Conn>,
+    master_id: u32,
+    table: HashMap<u32, Arc<CaChain>>,
+    shipped: Vec<u32>,
+    referenced: BTreeSet<u32>,
+    granted: Vec<u32>,
+}
+
+impl ScriptedMaster {
+    fn connect(net: &MemNet, name: &str) -> ScriptedMaster {
+        let mut conn = net.connect().expect("scripted master connect");
+        let (welcome, _, _) = hello(&mut conn, name).expect("handshake");
+        ScriptedMaster {
+            conn,
+            master_id: welcome.worker_id,
+            table: HashMap::new(),
+            shipped: Vec::new(),
+            referenced: BTreeSet::new(),
+            granted: Vec::new(),
+        }
+    }
+
+    fn credit(&mut self, n: usize) {
+        let credit = Frame::StealRequest(StealRequest {
+            master_id: self.master_id,
+            tiles_done: 0,
+        });
+        for _ in 0..n {
+            proto::write_frame(&mut self.conn, &credit).expect("credit write");
+        }
+    }
+
+    /// The next grant, absorbed; `None` once the frontend says Shutdown
+    /// or drops the connection.
+    fn next_grant(&mut self) -> Option<TileGrant> {
+        let grant = loop {
+            match proto::read_frame(&mut self.conn) {
+                Ok((Frame::TileGrant(grant), _)) => break grant,
+                Ok((Frame::Shutdown, _)) | Err(_) => return None,
+                Ok(_) => {}
+            }
+        };
+        for (ix, chain) in &grant.chains {
+            assert!(
+                self.table.insert(*ix, Arc::clone(chain)).is_none(),
+                "chain {ix} granted twice on one connection"
+            );
+            self.shipped.push(*ix);
+        }
+        for ix in rckalign::chain_indices(&grant.jobs) {
+            assert!(
+                self.table.contains_key(&ix),
+                "tile {} references chain {ix} this connection never received",
+                grant.tile_id
+            );
+            self.referenced.insert(ix);
+        }
+        self.granted.push(grant.tile_id);
+        Some(grant)
+    }
+
+    fn send_result(&mut self, tile_id: u32, outcomes: Vec<PairOutcome>) {
+        let frame = Frame::TileResult(TileResult { tile_id, outcomes });
+        proto::write_frame(&mut self.conn, &frame).expect("result write");
+    }
+
+    fn compute(&self, grant: &TileGrant) -> Vec<PairOutcome> {
+        grant
+            .jobs
+            .iter()
+            .map(|job| {
+                let score = job
+                    .method
+                    .instantiate()
+                    .compare(&self.table[&job.i], &self.table[&job.j]);
+                PairOutcome {
+                    i: job.i,
+                    j: job.j,
+                    method: job.method,
+                    similarity: score.similarity,
+                    rmsd: score.rmsd.unwrap_or(f64::NAN),
+                    aligned_len: score.aligned_len as u32,
+                    ops: score.ops,
+                }
+            })
+            .collect()
+    }
+
+    fn answer(&mut self, grant: &TileGrant) {
+        let outcomes = self.compute(grant);
+        self.send_result(grant.tile_id, outcomes);
+    }
+
+    /// Serve honestly, one credit per tile, until the frontend says
+    /// Shutdown.
+    fn serve_out(&mut self) {
+        loop {
+            self.credit(1);
+            let Some(grant) = self.next_grant() else {
+                return;
+            };
+            self.answer(&grant);
+        }
+    }
+}
+
+fn run_tile_case(fault: TileFault) {
+    let case = &format!("Shard/{fault:?}");
+    let chains = tiny_profile().generate(7);
+    let tiles = rckalign::tile_partition(chains.len(), 2).len() as u64;
+    let net = MemNet::new();
+    let frontend = ShardFrontend::bind_on(
+        net.listener(),
+        chains.clone(),
+        ShardConfig {
+            tile_size: 2,
+            masters: 1,
+            // Microsecond pairs: the scripted master computes between
+            // reads without heartbeating, so a tile must not take long.
+            method: MethodKind::KabschRmsd,
+            heartbeat_timeout: HEARTBEAT_TIMEOUT,
+            tile_timeout: Some(BATCH_TIMEOUT),
+            ..ShardConfig::default()
+        },
+    );
+    let stats = frontend.stats();
+    let run = std::thread::spawn(move || frontend.run());
+    let counters = || {
+        let s = stats.snapshot();
+        Counters {
+            requeued: s.tiles_requeued,
+            completed: s.tiles_completed,
+            workers_lost: s.masters_lost,
+            stale: Some(s.duplicate_tiles),
+            mismatched: Some(s.mismatched_tiles),
+        }
+    };
+    let wait = |limit: Duration, ready: &dyn Fn(&Counters) -> bool| {
+        let start = Instant::now();
+        while !ready(&counters()) {
+            assert!(start.elapsed() < limit, "{case}: {:?}", counters());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    let mut m = ScriptedMaster::connect(&net, "scripted");
+    // Tiles the scripted master held when it was lost.
+    let mut lost = Vec::new();
+    let mut stale = 0;
+    match fault {
+        TileFault::DiesHoldingWindow => {
+            m.credit(3);
+            lost = (0..3)
+                .map(|_| m.next_grant().expect("grant").tile_id)
+                .collect();
+            m.conn.shutdown();
+        }
+        TileFault::OutOfOrder => {
+            m.credit(3);
+            let held: Vec<TileGrant> = (0..3).map(|_| m.next_grant().expect("grant")).collect();
+            for grant in held.iter().rev() {
+                m.answer(grant);
+            }
+            m.serve_out();
+        }
+        TileFault::CappedNotRegrantedToHolder => {
+            m.credit(2);
+            lost = (0..2)
+                .map(|_| m.next_grant().expect("grant").tile_id)
+                .collect();
+            let taken = Instant::now();
+            let beat = Frame::Heartbeat(Heartbeat {
+                worker_id: m.master_id,
+                completed: 0,
+            });
+            while counters().workers_lost == 0 {
+                assert!(
+                    taken.elapsed() < BATCH_TIMEOUT + SLACK,
+                    "{case}: never capped"
+                );
+                let _ = proto::write_frame(&mut m.conn, &beat);
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            let waited = taken.elapsed();
+            assert!(
+                waited >= BATCH_TIMEOUT.mul_f64(0.9),
+                "{case}: lost after {waited:?} although heartbeats flowed"
+            );
+            assert!(
+                m.next_grant().is_none(),
+                "{case}: a master past its cap must end, not be granted its tiles back"
+            );
+        }
+        TileFault::StaleReplay => {
+            m.credit(1);
+            let grant = m.next_grant().expect("grant");
+            let outcomes = m.compute(&grant);
+            m.send_result(grant.tile_id, outcomes.clone());
+            m.send_result(grant.tile_id, outcomes);
+            stale = 1;
+            m.serve_out();
+        }
+        TileFault::Byzantine => {
+            m.credit(1);
+            let grant = m.next_grant().expect("grant");
+            let alien = PairOutcome {
+                i: 1000,
+                j: 1001,
+                method: MethodKind::TmAlign,
+                similarity: 1.0,
+                rmsd: 0.0,
+                aligned_len: 1,
+                ops: 1,
+            };
+            m.send_result(grant.tile_id, vec![alien; grant.jobs.len()]);
+            lost = vec![grant.tile_id];
+            assert!(
+                m.next_grant().is_none(),
+                "{case}: a byzantine master is dropped"
+            );
+        }
+    }
+
+    if !lost.is_empty() {
+        let n = lost.len() as u64;
+        wait(SLACK, &|c| c.requeued == n && c.workers_lost == 1);
+        // The takeover starts from nothing and is sent exactly what its
+        // tiles reference — among them every tile the lost master held.
+        let mut t = ScriptedMaster::connect(&net, "takeover");
+        t.serve_out();
+        t.shipped.sort_unstable();
+        assert_eq!(
+            t.shipped,
+            t.referenced.iter().copied().collect::<Vec<_>>(),
+            "{case}: the takeover was sent exactly the chains its tiles reference"
+        );
+        assert!(
+            lost.iter().all(|tile| t.granted.contains(tile)),
+            "{case}: the lost master's tiles moved to the takeover"
+        );
+        t.conn.shutdown();
+    }
+    let run = run
+        .join()
+        .expect("frontend thread")
+        .expect("sharded run completes");
+    let c = counters();
+    assert_eq!(c.completed, tiles, "{case}: each tile accepted once");
+    assert_eq!(
+        c.requeued,
+        lost.len() as u64,
+        "{case}: exactly what it held"
+    );
+    assert_eq!(c.workers_lost, u64::from(!lost.is_empty()), "{case}");
+    assert_eq!(c.stale, Some(stale), "{case}");
+    let byzantine = u64::from(fault == TileFault::Byzantine);
+    assert_eq!(c.mismatched, Some(byzantine), "{case}");
+    let options = rckalign::RckAlignOptions {
+        method: MethodKind::KabschRmsd,
+        ..rckalign::RckAlignOptions::paper(2)
+    };
+    let want = rckalign::run_all_vs_all(&rckalign::PairCache::new(chains), &options);
+    assert_eq!(
+        outcomes_fingerprint(&run.outcomes),
+        outcomes_fingerprint(&want.outcomes),
+        "{case}: merged matrix diverges from the in-process reference"
+    );
+    m.conn.shutdown();
+}
+
+#[test]
+fn tile_rows_hold_for_the_shard_frontend() {
+    for fault in [
+        TileFault::DiesHoldingWindow,
+        TileFault::OutOfOrder,
+        TileFault::CappedNotRegrantedToHolder,
+        TileFault::StaleReplay,
+        TileFault::Byzantine,
+    ] {
+        run_tile_case(fault);
     }
 }

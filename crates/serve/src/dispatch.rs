@@ -13,29 +13,30 @@
 //!   [`serve_worker`]: Hello, the shared write half, the parked heartbeat
 //!   thread and its progress counter, byte accounting; the worker and the
 //!   shard master are frame handlers over it;
-//! * [`monitor_deadlines`] — the deadline monitor, parked on the
+//! * [`monitor_workers`] — the deadline monitor, parked on the
 //!   dispatcher's condvar so a finished or aborted run wakes it at once;
-//! * [`serve_worker`] — the JobBatch/ResultBatch connection loop
-//!   (handshake → fill the window → collect a result → accept or
-//!   requeue → lose), generic over a [`WorkSource`] that supplies only
-//!   policy; it cuts every chain table from the connection's
-//!   [`Resident`] set and keeps a time-bounded window of batches on it.
+//! * [`serve_worker`] — the connection loop (handshake → fill the window
+//!   → collect a result → accept or requeue → lose), generic over a
+//!   [`WorkSource`] that supplies only policy; it cuts every chain table
+//!   from the connection's [`Resident`] set and keeps a window of units
+//!   on it.
 //!
-//! `serve::master` (batch and feed mode) and `gate::pool` are
-//! [`WorkSource`] impls. The shard frontend speaks a credit-pull,
-//! multi-outstanding tile dialect that would force [`serve_worker`] to
-//! branch on its caller, so it keeps its own reader loop and uses the
-//! ledger, the handshake and the monitor directly.
+//! `serve::master` (batch and feed mode), `gate::pool` and the shard
+//! frontend are the four [`WorkSource`] impls. They differ on the wire
+//! only by [`Dialect`]: job batches under a window sized from measured
+//! service, or tiles under a window the peer sizes with credits. Every
+//! tier's units expire by the same rule and an expired unit costs its
+//! owner the connection.
 //!
 //! Requeued work can race its original worker, so acceptance is guarded
-//! three times: a result frame must answer a batch id still in the
-//! ledger, its outcomes must answer exactly the jobs that batch
-//! dispatched ([`answers_exactly`]; anything else requeues the batch and
-//! drops the worker), and the policy deduplicates per pair.
+//! three times: a result frame must answer a unit its connection still
+//! holds in the ledger, its outcomes must answer exactly the jobs that
+//! unit dispatched ([`answers_exactly`]; anything else requeues what the
+//! worker holds and drops it), and the policy deduplicates per pair.
 
 use crate::proto::{
-    self, answers_exactly, Frame, FrameError, Heartbeat, Hello, JobBatch, Resident, ResultBatch,
-    Welcome, PROTOCOL_VERSION,
+    self, answers_exactly, ChainTable, Frame, FrameError, Heartbeat, Hello, JobBatch, Resident,
+    ResultBatch, TileGrant, TileResult, Welcome, PROTOCOL_VERSION,
 };
 use crate::sync::MutexExt;
 use crate::transport::{Conn, Listener};
@@ -45,7 +46,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,16 +59,6 @@ pub struct Granted<U> {
     pub owner: u32,
     /// When it was handed out.
     pub granted_at: Instant,
-}
-
-/// Why a granted unit is past its deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Expiry {
-    /// The owner sent nothing for a whole heartbeat window.
-    Silent,
-    /// The owner's heartbeats flow but the unit outlived its cap — its
-    /// job or result traffic is being lost.
-    Capped,
 }
 
 /// The in-flight table: which unit is out on which owner, and when each
@@ -116,10 +107,14 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
             .map(|prev| now.duration_since(prev))
     }
 
-    /// Take the unit under `key` out of flight. `None` means the key is
-    /// stale: already settled, or revoked and requeued.
-    pub fn settle(&mut self, key: &K) -> Option<Granted<U>> {
-        self.units.remove(key)
+    /// Take the unit `owner` holds under `key` out of flight. `None`
+    /// means the key is stale for `owner`: already settled, revoked and
+    /// requeued, or granted again to another owner since.
+    pub fn settle(&mut self, key: &K, owner: u32) -> Option<Granted<U>> {
+        match self.units.get(key) {
+            Some(g) if g.owner == owner => self.units.remove(key),
+            _ => None,
+        }
     }
 
     /// Take every unit `owner` holds out of flight.
@@ -135,30 +130,27 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
         self.units.values().any(|g| g.owner == owner)
     }
 
-    /// Every unit past its deadline at `now`, with its owner and the arm
-    /// of the deadline rule that fired. The grant time floors the
-    /// silence window, so a unit handed to a long-idle owner is not born
-    /// expired.
-    pub fn expired(&self, now: Instant) -> Vec<(K, u32, Expiry)> {
+    /// Every unit past its deadline at `now`, with its owner: silent for
+    /// a whole window, or past its cap however recent the last signal
+    /// (its job or result traffic is being lost). The grant time floors
+    /// the silence window, so a unit handed to a long-idle owner is not
+    /// born expired.
+    pub fn expired(&self, now: Instant) -> Vec<(K, u32)> {
         let past = |from: Instant, window: Duration| {
             from.checked_add(window)
                 .is_some_and(|deadline| deadline <= now)
         };
         self.units
             .iter()
-            .filter_map(|(&key, g)| {
+            .filter(|(_, g)| {
                 let heard = self
                     .last_signal
                     .get(&g.owner)
                     .map_or(g.granted_at, |&t| t.max(g.granted_at));
-                if past(heard, self.heartbeat_timeout) {
-                    Some((key, g.owner, Expiry::Silent))
-                } else if self.cap.is_some_and(|cap| past(g.granted_at, cap)) {
-                    Some((key, g.owner, Expiry::Capped))
-                } else {
-                    None
-                }
+                past(heard, self.heartbeat_timeout)
+                    || self.cap.is_some_and(|cap| past(g.granted_at, cap))
             })
+            .map(|(&key, g)| (key, g.owner))
             .collect()
     }
 
@@ -199,6 +191,56 @@ impl<U> Dispatch<U> {
             conn.shutdown();
         }
     }
+
+    /// Connections past their handshake whose handler is still running.
+    pub fn connected(&self) -> usize {
+        self.streams.len()
+    }
+}
+
+/// How a tier's units cross the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dialect {
+    /// [`JobBatch`] out under a fresh batch id, [`ResultBatch`] back; the
+    /// dispatcher sizes the window from measured service.
+    Batches,
+    /// [`TileGrant`] out under the unit's own id, [`TileResult`] back; the
+    /// peer sizes the window — one `StealRequest` credit buys one grant.
+    Tiles,
+}
+
+impl Dialect {
+    /// The frame that hands `jobs` out under `key`.
+    fn grant(self, key: u64, chains: ChainTable, jobs: Vec<PairJob>) -> Frame {
+        match self {
+            Dialect::Batches => Frame::JobBatch(JobBatch {
+                batch_id: key,
+                chains,
+                jobs,
+            }),
+            // A tile's key is its u32 tile id (`WorkSource::key`).
+            Dialect::Tiles => Frame::TileGrant(TileGrant {
+                tile_id: key as u32,
+                chains,
+                jobs,
+            }),
+        }
+    }
+
+    /// The answer `frame` carries in this dialect, under its grant's key;
+    /// `None` for any other frame.
+    fn answer(self, frame: Frame) -> Option<ResultBatch> {
+        match (self, frame) {
+            (Dialect::Batches, Frame::ResultBatch(rb)) => Some(rb),
+            (Dialect::Tiles, Frame::TileResult(TileResult { tile_id, outcomes })) => {
+                Some(ResultBatch {
+                    batch_id: tile_id.into(),
+                    outcomes,
+                })
+            }
+            _ => None,
+        }
+    }
 }
 
 /// What the dispatcher reports to a tier's stats.
@@ -232,6 +274,8 @@ pub enum Event<'a> {
 pub trait WorkSource: Sync {
     /// Log prefix, e.g. `"[rck-serve]"`.
     const TAG: &'static str;
+    /// The frames the tier's peers speak.
+    const DIALECT: Dialect = Dialect::Batches;
     /// The tier's mutex-guarded state (embeds a [`Dispatch`]).
     type State;
     /// One dispatchable unit, viewable as the jobs it dispatches;
@@ -253,8 +297,14 @@ pub trait WorkSource: Sync {
     fn halted(&self) -> bool;
     /// Nothing more will be dispatched; units in flight may still land.
     fn idle(&self, state: &Self::State) -> bool;
-    /// The next unit to hand out, or `None` to wait for one.
-    fn next_unit(&self, state: &mut Self::State) -> Option<Self::Unit>;
+    /// The next unit to hand out on `worker_id`'s connection, or `None`
+    /// to wait for one.
+    fn next_unit(&self, state: &mut Self::State, worker_id: u32) -> Option<Self::Unit>;
+    /// The key `unit` is granted and answered under, given the next
+    /// unused batch id: that id, unless the unit brings its own.
+    fn key(_unit: &Self::Unit, fresh: u64) -> u64 {
+        fresh
+    }
     /// The chain `unit`'s jobs reference under `ix` (called without the
     /// lock); one allocation ships to a connection once.
     fn chain(&self, unit: &Self::Unit, ix: u32) -> Option<Arc<CaChain>>;
@@ -272,15 +322,6 @@ pub trait WorkSource: Sync {
     fn requeue(&self, state: &mut Self::State, unit: Self::Unit);
     /// Count an [`Event`] in the tier's stats.
     fn observe(&self, event: Event<'_>);
-}
-
-/// Framed write behind a shared writer mutex; returns the bytes written.
-pub fn send(writer: &Mutex<Box<dyn Conn>>, frame: &Frame) -> io::Result<usize> {
-    let mut w = writer.lock_recover();
-    // The write half is shared between threads by design; frames must
-    // not interleave mid-write.
-    // rck-lint: allow(lock_across_io)
-    proto::write_frame(&mut *w, frame)
 }
 
 /// Server side of Hello/Welcome: read the peer's Hello, check the
@@ -352,7 +393,11 @@ struct Link {
 
 impl Link {
     fn send(&self, frame: &Frame) -> io::Result<()> {
-        let n = send(&self.writer, frame)?;
+        let mut w = self.writer.lock_recover();
+        // The write half is shared between threads by design; frames must
+        // not interleave mid-write.
+        // rck-lint: allow(lock_across_io)
+        let n = proto::write_frame(&mut *w, frame)?;
         self.bytes_tx.fetch_add(n as u64, Ordering::Relaxed);
         Ok(())
     }
@@ -455,64 +500,43 @@ impl Session {
     }
 }
 
-/// The deadline monitor. `sweep` runs with the lock held (it may release
-/// and re-take it around I/O) and requeues what expired; the loop ends
-/// once `done`. Between sweeps the monitor waits on `wake` for at most a
-/// quarter heartbeat window, so whoever finishes or aborts the run and
-/// notifies `wake` ends it immediately.
-pub fn monitor_deadlines<'a, T>(
-    state: &'a Mutex<T>,
-    wake: &Condvar,
-    heartbeat_timeout: Duration,
-    done: impl Fn(&mut T) -> bool,
-    mut sweep: impl FnMut(MutexGuard<'a, T>, Instant) -> MutexGuard<'a, T>,
-) {
-    let tick = (heartbeat_timeout / 4).max(Duration::from_millis(5));
-    let mut guard = state.lock_recover();
-    loop {
-        guard = sweep(guard, Instant::now());
-        if done(&mut guard) {
-            break;
-        }
-        guard = wake
-            .wait_timeout(guard, tick)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
-    }
-    drop(guard);
-    wake.notify_all();
-}
-
 /// Whether `src` is done: halted, or idle with nothing left in flight.
 /// A tier's accept loop and its monitor both run until this holds.
 pub fn settled<S: WorkSource>(src: &S, state: &mut S::State) -> bool {
     src.halted() || (src.idle(state) && S::dispatch(state).ledger.is_empty())
 }
 
-/// [`monitor_deadlines`] for a [`WorkSource`]: requeue every batch of a
-/// worker with an expired one and shut its connection so the handler's
-/// pending read returns. Runs until the source is [`settled`].
+/// The deadline monitor: requeue every unit of an owner with an expired
+/// one and shut its connection so the handler's pending read returns,
+/// until the source is [`settled`]. Between sweeps it waits on the
+/// source's condvar for at most a quarter heartbeat window, so whoever
+/// finishes or aborts the run and notifies it ends the monitor at once.
 pub fn monitor_workers<S: WorkSource>(src: &S) {
-    monitor_deadlines(
-        src.state(),
-        src.wake(),
-        src.heartbeat_timeout(),
-        |state| settled(src, state),
-        |mut state, now| {
-            for (_, worker_id, _) in S::dispatch(&mut state).ledger.expired(now) {
-                // A second expired batch of the same worker finds
-                // nothing left to requeue.
-                if requeue_worker(src, &mut state, worker_id) {
-                    src.observe(Event::WorkerLost(worker_id));
-                    src.wake().notify_all();
-                }
-                if let Some(conn) = S::dispatch(&mut state).streams.get(&worker_id) {
-                    conn.shutdown();
-                }
+    let tick = (src.heartbeat_timeout() / 4).max(Duration::from_millis(5));
+    let mut state = src.state().lock_recover();
+    loop {
+        for (_, worker_id) in S::dispatch(&mut state).ledger.expired(Instant::now()) {
+            // A second expired unit of the same worker finds nothing
+            // left to requeue.
+            if requeue_worker(src, &mut state, worker_id) {
+                src.observe(Event::WorkerLost(worker_id));
+                src.wake().notify_all();
             }
-            state
-        },
-    );
+            if let Some(conn) = S::dispatch(&mut state).streams.get(&worker_id) {
+                conn.shutdown();
+            }
+        }
+        if settled(src, &mut state) {
+            break;
+        }
+        state = src
+            .wake()
+            .wait_timeout(state, tick)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
+    drop(state);
+    src.wake().notify_all();
 }
 
 /// The accept loop of a tier with one listener: until `done`, hand every
@@ -601,23 +625,21 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
     // A new worker may satisfy a dispatch barrier.
     src.wake().notify_all();
 
-    // Every path below that gives up on a batch ends the connection, so
+    // Every path below that gives up on a unit ends the connection, so
     // what its worker holds never has to be revised.
     let mut resident = Resident::default();
-    let (mut held, mut room) = (0, 1);
+    // A credited peer opens its own window; a fed one starts at one.
+    let credited = S::DIALECT == Dialect::Tiles;
+    let (mut held, mut room) = (0, usize::from(!credited));
     let (mut service, mut last_accept) = (None::<Duration>, None::<Instant>);
     loop {
         // Fill the window; wait for work only while holding nothing.
         if held < room {
-            if let Some((batch_id, unit)) = claim(src, worker_id, held == 0) {
+            if let Some((key, unit)) = claim(src, worker_id, held == 0) {
                 let jobs = unit.as_ref().to_vec();
                 let chains = resident.delta(&jobs, |ix| src.chain(&unit, ix));
                 src.observe(Event::ChainsShipped(chains.len()));
-                let frame = Frame::JobBatch(JobBatch {
-                    batch_id,
-                    chains,
-                    jobs,
-                });
+                let frame = S::DIALECT.grant(key, chains, jobs);
                 match proto::write_frame(&mut conn, &frame) {
                     Ok(n) => src.observe(Event::Tx(n)),
                     Err(_) => {
@@ -637,10 +659,21 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
                 break;
             }
         }
-        let BatchFate::Accepted(granted_at) = collect_result(src, &mut conn, worker_id) else {
-            break;
+        let granted_at = match collect_result(src, &mut conn, worker_id) {
+            Some(Heard::Accepted(granted_at)) => granted_at,
+            Some(Heard::Credit) => {
+                room += 1;
+                continue;
+            }
+            None => break,
         };
         held -= 1;
+        if credited {
+            // The credit that bought the unit is spent; the peer's next
+            // one reopens the room.
+            room -= 1;
+            continue;
+        }
         // Service time, ¾ old + ¼ new: how long the batch had the worker to
         // itself — since its grant, or the last acceptance if it queued.
         let now = Instant::now();
@@ -676,7 +709,7 @@ pub fn claim<S: WorkSource>(src: &S, worker_id: u32, wait: bool) -> Option<(u64,
         if revoked || src.halted() || src.idle(&state) {
             return None;
         }
-        match src.next_unit(&mut state) {
+        match src.next_unit(&mut state, worker_id) {
             Some(unit) => break unit,
             None if !wait => return None,
             None => {}
@@ -688,28 +721,49 @@ pub fn claim<S: WorkSource>(src: &S, worker_id: u32, wait: bool) -> Option<(u64,
             .0;
     };
     let d = S::dispatch(&mut state);
-    let batch_id = d.next_batch_id;
+    let key = S::key(&unit, d.next_batch_id);
     d.next_batch_id += 1;
-    d.ledger
-        .grant(batch_id, worker_id, unit.clone(), Instant::now());
-    Some((batch_id, unit))
+    d.ledger.grant(key, worker_id, unit.clone(), Instant::now());
+    Some((key, unit))
 }
 
-/// Read frames until one outstanding batch is answered (heartbeats
-/// refresh the deadlines along the way) or the connection dies.
-fn collect_result<S: WorkSource>(src: &S, conn: &mut Box<dyn Conn>, worker_id: u32) -> BatchFate {
+/// What [`collect_result`] heard before it returned.
+enum Heard {
+    /// A unit was answered and accepted; the ledger's grant time.
+    Accepted(Instant),
+    /// A credited peer made room for one more unit.
+    Credit,
+}
+
+/// Read frames until one outstanding unit is answered or a credit
+/// arrives (heartbeats refresh the deadlines along the way); `None` once
+/// the worker is lost.
+fn collect_result<S: WorkSource>(
+    src: &S,
+    conn: &mut Box<dyn Conn>,
+    worker_id: u32,
+) -> Option<Heard> {
     loop {
         match proto::read_frame(conn) {
             Ok((frame, n)) => {
                 src.observe(Event::Rx(n));
                 match frame {
                     Frame::Heartbeat(_) => refresh_deadlines(src, worker_id),
-                    Frame::ResultBatch(rb) => match accept_results(src, worker_id, rb) {
-                        BatchFate::Stale => {}
-                        fate => return fate,
+                    Frame::StealRequest(_) if S::DIALECT == Dialect::Tiles => {
+                        refresh_deadlines(src, worker_id);
+                        return Some(Heard::Credit);
+                    }
+                    frame => match S::DIALECT.answer(frame) {
+                        Some(rb) => match accept_results(src, worker_id, rb) {
+                            BatchFate::Accepted(granted_at) => {
+                                return Some(Heard::Accepted(granted_at))
+                            }
+                            BatchFate::Stale => {}
+                            BatchFate::Lost => return None,
+                        },
+                        // Anything else out of sequence: drop the worker.
+                        None => break,
                     },
-                    // Anything else out of sequence: drop the worker.
-                    _ => break,
                 }
             }
             Err(e) => {
@@ -728,7 +782,7 @@ fn collect_result<S: WorkSource>(src: &S, conn: &mut Box<dyn Conn>, worker_id: u
         }
     }
     lose_worker(src, worker_id);
-    BatchFate::Lost
+    None
 }
 
 /// A heartbeat: extend every deadline of `worker_id` (up to the cap).
@@ -744,9 +798,9 @@ fn refresh_deadlines<S: WorkSource>(src: &S, worker_id: u32) {
     }
 }
 
-/// Accept a result frame: only if its batch is still in flight and only
-/// if its outcomes answer exactly the jobs that batch dispatched; the
-/// policy then accepts each pair at most once.
+/// Accept a result frame: only if its unit is still in flight on this
+/// worker and only if its outcomes answer exactly the jobs that unit
+/// dispatched; the policy then accepts each pair at most once.
 pub fn accept_results<S: WorkSource>(src: &S, worker_id: u32, rb: ResultBatch) -> BatchFate {
     let now = Instant::now();
     let mut state = src.state().lock_recover();
@@ -754,16 +808,17 @@ pub fn accept_results<S: WorkSource>(src: &S, worker_id: u32, rb: ResultBatch) -
     if let Some(gap) = ledger.touch(worker_id, now) {
         src.observe(Event::HeartbeatGap(gap));
     }
-    let Some(batch) = ledger.settle(&rb.batch_id) else {
+    let Some(batch) = ledger.settle(&rb.batch_id, worker_id) else {
         src.observe(Event::StaleResult);
         return BatchFate::Stale;
     };
     if !answers_exactly(batch.unit.as_ref(), &rb.outcomes) {
         // A structurally valid frame carrying the wrong jobs: a byzantine
         // or desynced worker. Its outcomes must never reach the result —
-        // requeue the batch and drop the connection.
+        // requeue the batch and all else it holds, and drop the connection.
         src.observe(Event::MismatchedResult);
         src.requeue(&mut state, batch.unit);
+        requeue_worker(src, &mut state, worker_id);
         drop(state);
         eprintln!(
             "{} worker {worker_id}: result frame for batch {} does not answer its jobs",
@@ -825,20 +880,20 @@ mod tests {
         let mut ledger: Ledger<u64, &str> = Ledger::new(HB, Some(CAP));
         ledger.grant(1, 7, "unit", t0);
         assert_eq!(ledger.expired(t0 + ms(99)), vec![]);
-        assert_eq!(ledger.expired(t0 + ms(100)), vec![(1, 7, Expiry::Silent)]);
+        assert_eq!(ledger.expired(t0 + ms(100)), vec![(1, 7)]);
         // A signal every 80 ms keeps it alive past the plain window ...
         for beat in [80, 160, 240] {
             ledger.touch(7, t0 + ms(beat));
         }
         assert_eq!(ledger.expired(t0 + ms(249)), vec![]);
         // ... but not past the cap, however recent the last signal.
-        assert_eq!(ledger.expired(t0 + ms(250)), vec![(1, 7, Expiry::Capped)]);
+        assert_eq!(ledger.expired(t0 + ms(250)), vec![(1, 7)]);
         // Without a cap the same signals would carry it to 340 ms.
         let mut uncapped: Ledger<u64, &str> = Ledger::new(HB, None);
         uncapped.grant(1, 7, "unit", t0);
         uncapped.touch(7, t0 + ms(240));
         assert_eq!(uncapped.expired(t0 + ms(339)), vec![]);
-        assert_eq!(uncapped.expired(t0 + ms(340)), vec![(1, 7, Expiry::Silent)]);
+        assert_eq!(uncapped.expired(t0 + ms(340)), vec![(1, 7)]);
     }
 
     #[test]
@@ -850,10 +905,7 @@ mod tests {
         ledger.grant(1, 3, (), later);
         assert_eq!(ledger.expired(later), vec![]);
         assert_eq!(ledger.expired(later + ms(99)), vec![]);
-        assert_eq!(
-            ledger.expired(later + ms(100)),
-            vec![(1, 3, Expiry::Silent)]
-        );
+        assert_eq!(ledger.expired(later + ms(100)), vec![(1, 3)]);
     }
 
     #[test]
@@ -871,7 +923,7 @@ mod tests {
         assert_eq!(ledger.revoke_owner(10), vec![], "nothing left to revoke");
         assert!(!ledger.is_empty(), "the other owner's unit stays");
         assert_eq!(
-            ledger.settle(&2).map(|g| (g.owner, g.unit)),
+            ledger.settle(&2, 11).map(|g| (g.owner, g.unit)),
             Some((11, "b"))
         );
         assert!(ledger.is_empty());
@@ -881,13 +933,53 @@ mod tests {
     fn settling_an_unknown_key_reports_stale() {
         let t0 = Instant::now();
         let mut ledger: Ledger<u64, &str> = Ledger::new(HB, None);
-        assert!(ledger.settle(&9).is_none(), "never granted");
+        assert!(ledger.settle(&9, 1).is_none(), "never granted");
         ledger.grant(9, 1, "x", t0);
-        assert!(ledger.settle(&9).is_some());
-        assert!(ledger.settle(&9).is_none(), "already settled");
+        assert!(ledger.settle(&9, 1).is_some());
+        assert!(ledger.settle(&9, 1).is_none(), "already settled");
         ledger.grant(4, 1, "y", t0);
         ledger.revoke_owner(1);
-        assert!(ledger.settle(&4).is_none(), "revoked and requeued");
+        assert!(ledger.settle(&4, 1).is_none(), "revoked and requeued");
+    }
+
+    /// A tile keeps its key across re-grants, so a late answer from the
+    /// owner it was revoked from must not settle the new owner's grant.
+    #[test]
+    fn a_key_granted_again_settles_only_for_its_new_owner() {
+        let t0 = Instant::now();
+        let mut ledger: Ledger<u64, &str> = Ledger::new(HB, None);
+        ledger.grant(5, 1, "tile", t0);
+        assert_eq!(ledger.revoke_owner(1), vec![(5, "tile")]);
+        ledger.grant(5, 2, "tile", t0);
+        assert!(ledger.settle(&5, 1).is_none(), "the revoked owner is stale");
+        assert!(ledger.holds(2), "the new owner's grant stands");
+        assert_eq!(ledger.settle(&5, 2).map(|g| g.owner), Some(2));
+    }
+
+    #[test]
+    fn each_dialect_answers_only_its_own_result_frame() {
+        let outcomes = Vec::new();
+        let tile = Frame::TileResult(TileResult {
+            tile_id: 7,
+            outcomes: outcomes.clone(),
+        });
+        let batch = Frame::ResultBatch(ResultBatch {
+            batch_id: 7,
+            outcomes,
+        });
+        let keyed = |rb: Option<ResultBatch>| rb.map(|rb| rb.batch_id);
+        assert_eq!(keyed(Dialect::Tiles.answer(tile.clone())), Some(7));
+        assert_eq!(keyed(Dialect::Batches.answer(batch.clone())), Some(7));
+        assert_eq!(keyed(Dialect::Batches.answer(tile)), None);
+        assert_eq!(keyed(Dialect::Tiles.answer(batch)), None);
+        assert!(matches!(
+            Dialect::Tiles.grant(7, Vec::new(), Vec::new()),
+            Frame::TileGrant(TileGrant { tile_id: 7, .. })
+        ));
+        assert!(matches!(
+            Dialect::Batches.grant(7, Vec::new(), Vec::new()),
+            Frame::JobBatch(JobBatch { batch_id: 7, .. })
+        ));
     }
 
     /// The whole dispatch policy: no sample → 1; a batch that takes one

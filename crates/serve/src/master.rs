@@ -98,10 +98,9 @@ struct TileProgress {
     remaining: usize,
     outcomes: Vec<PairOutcome>,
     /// How many grants of this tile are waiting on its completion. A
-    /// frontend deadline requeue can hand an orphaned tile back to the
-    /// master that still holds it pending; each such re-grant is merged
-    /// here and answered with its own [`TileDone`] when the tile lands,
-    /// so every grant gets a complete answer and the frontend's
+    /// feeder that submits a tile again while it is pending has the
+    /// re-grant merged here and answered with its own [`TileDone`] when
+    /// the tile lands, so every grant gets a complete answer and a
     /// credit-per-result loop stays self-clocking.
     pending_grants: usize,
 }
@@ -248,7 +247,7 @@ impl WorkSource for Shared {
         work.finished || self.draining.load(Ordering::SeqCst)
     }
 
-    fn next_unit(&self, work: &mut Work) -> Option<Vec<PairJob>> {
+    fn next_unit(&self, work: &mut Work, _worker_id: u32) -> Option<Vec<PairJob>> {
         if self.stats.workers_connected() < self.cfg.min_workers as u64 {
             return None;
         }
@@ -416,12 +415,10 @@ impl FeedHandle {
         }
         drop(held);
         let mut work = self.shared.work.lock_recover();
-        // A re-grant of a tile this master still holds pending (the
-        // frontend's deadline requeue serves orphaned tiles to any
-        // credit, including the original holder's) merges into the
-        // in-flight progress — answering early with only the
-        // already-accepted subset would hand the frontend a partial
-        // result and get a healthy master killed.
+        // A re-grant of a tile this master still holds pending merges
+        // into the in-flight progress — answering early with only the
+        // already-accepted subset would hand the feeder a partial
+        // result.
         let resubmitted = work.tiles.contains_key(&tile_id);
         let mut answered = Vec::new();
         let mut fresh = Vec::new();
@@ -884,11 +881,8 @@ mod tests {
         let run_thread = std::thread::spawn(move || master.run());
 
         // Grant the same tile twice *before* any worker exists, so every
-        // pair is still pending when the re-grant (a frontend deadline
-        // requeue handing the orphan back to its original holder)
-        // arrives. The old behaviour answered the re-grant immediately
-        // with an empty outcome set — a partial TileResult that got the
-        // master killed upstream.
+        // pair is still pending when the re-grant arrives: answering it
+        // at once would hand the feeder an empty, partial outcome set.
         let tile = &rckalign::tile_partition(chains.len(), 4)[0];
         let grant = proto::build_tile_grant(tile.id, tile.jobs(MethodKind::TmAlign), &chains);
         let n_jobs = grant.jobs.len();

@@ -21,15 +21,18 @@
 
 use crate::dispatch::Session;
 use crate::proto::{self, Frame};
+use crate::sync::MutexExt;
 use crate::transport::{Conn, TcpConn};
 use rand::{Rng, SeedableRng};
 use rck_obs::{Counter, Registry};
 use rck_pdb::model::CaChain;
 use rckalign::{PairJob, PairOutcome};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Worker configuration.
@@ -41,10 +44,11 @@ pub struct WorkerConfig {
     pub name: String,
     /// How often the heartbeat thread pings the master.
     pub heartbeat_interval: Duration,
-    /// Kernel lanes: each received batch is split across this many
-    /// threads (contiguous chunks, so outcome order is preserved) and
-    /// computed in parallel over the single master connection. Per-lane
-    /// throughput shows up as `rck_worker_lane_jobs_total{lane=…}` on
+    /// Kernel lanes: threads that persist for the session and pull the
+    /// batches queued on the single master connection — whole while
+    /// others wait, in contiguous chunks when a batch is alone (outcome
+    /// order is preserved either way). Per-lane throughput shows up as
+    /// `rck_worker_lane_jobs_total{lane=…}` on
     /// [`WorkerConfig::registry`]. Clamped to at least 1.
     pub threads: usize,
     /// Metrics registry the worker's lane counters register on. Each
@@ -232,54 +236,138 @@ fn compute_jobs(
     Ok(outcomes)
 }
 
-/// Split a batch across up to `threads` kernel lanes and compute the
-/// chunks in parallel against the one shared table. Chunks are
-/// contiguous and reassembled in order, so the outcome list is
-/// byte-for-byte what the single-lane path produces — lanes change
-/// wall-clock, never results. Each lane credits its
-/// `rck_worker_lane_jobs_total{lane=…}` counter.
-fn compute_batch_lanes(
-    jobs: &[PairJob],
-    table: &HashMap<u32, Arc<CaChain>>,
-    threads: usize,
-    lane_jobs: &[Arc<Counter>],
-) -> io::Result<Vec<PairOutcome>> {
-    let lanes = threads.max(1).min(jobs.len().max(1));
-    if lanes <= 1 {
-        if let Some(c) = lane_jobs.first() {
-            c.add(jobs.len() as u64);
+/// The session's chain table: every chain the master has shipped.
+type Table = HashMap<u32, Arc<CaChain>>;
+/// Finished chunks of a batch by start index, and how many are still out.
+type Parts = (Vec<(usize, Vec<PairOutcome>)>, usize);
+/// A contiguous run of one batch's jobs.
+type Chunk = (Arc<Batch>, Range<usize>);
+
+/// One received batch, shared by the lanes computing its chunks.
+struct Batch {
+    id: u64,
+    jobs: Vec<PairJob>,
+    table: Arc<Table>,
+    parts: Mutex<Parts>,
+}
+
+impl Batch {
+    /// Record the chunk starting at `start`; the whole batch's outcomes,
+    /// in job order, once it was the last one out.
+    fn finish(&self, start: usize, outcomes: Vec<PairOutcome>) -> Option<Vec<PairOutcome>> {
+        let mut parts = self.parts.lock_recover();
+        parts.0.push((start, outcomes));
+        parts.1 -= 1;
+        if parts.1 > 0 {
+            return None;
         }
-        return compute_jobs(jobs, table);
+        parts.0.sort_unstable_by_key(|&(start, _)| start);
+        Some(parts.0.drain(..).flat_map(|(_, part)| part).collect())
     }
-    let chunk = jobs.len().div_ceil(lanes);
-    let results: Vec<io::Result<Vec<PairOutcome>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .enumerate()
-            .map(|(lane, jobs)| {
-                let counter = lane_jobs.get(lane).cloned();
-                s.spawn(move || {
-                    let out = compute_jobs(jobs, table)?;
-                    if let Some(c) = counter {
-                        c.add(out.len() as u64);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(io::Error::other("kernel lane panicked")))
-            })
-            .collect()
-    });
-    let mut all = Vec::with_capacity(jobs.len());
-    for r in results {
-        all.extend(r?);
+}
+
+/// Kernel lanes that persist for a session, pulling from one local
+/// queue: a batch goes in whole while earlier work is still queued, and
+/// as one contiguous chunk per lane once the lanes have drained it — so
+/// a deep window keeps each lane on whole batches, and a lone coarse
+/// batch still runs on every lane. Chunks reassemble in job order, so
+/// the answer is the single-lane one byte for byte; the lane finishing a
+/// batch answers it.
+#[derive(Default)]
+struct Lanes {
+    /// Queued chunks, and whether the reader is done.
+    queue: Mutex<(VecDeque<Chunk>, bool)>,
+    ready: Condvar,
+    /// Set once the session stops answering (hang hook, failed lane).
+    muted: AtomicBool,
+    /// The first compute error a lane hit: it fails the session.
+    failed: Mutex<Option<io::Error>>,
+    answered: AtomicU64,
+}
+
+impl Lanes {
+    /// Queue `batch` for `lanes` lanes.
+    fn push(&self, batch: Batch, lanes: usize) {
+        let (n, batch) = (batch.jobs.len(), Arc::new(batch));
+        let mut queue = self.queue.lock_recover();
+        let per = n
+            .div_ceil(if queue.0.is_empty() { lanes } else { 1 })
+            .max(1);
+        let starts = (0..n.max(1)).step_by(per);
+        batch.parts.lock_recover().1 = starts.len();
+        let chunks = starts.map(|start| (Arc::clone(&batch), start..(start + per).min(n)));
+        queue.0.extend(chunks);
+        drop(queue);
+        self.ready.notify_all();
     }
-    Ok(all)
+
+    /// The next chunk, or `None` once closed and drained.
+    fn pop(&self) -> Option<Chunk> {
+        let mut queue = self.queue.lock_recover();
+        loop {
+            if let Some(chunk) = queue.0.pop_front() {
+                return Some(chunk);
+            }
+            if queue.1 {
+                return None;
+            }
+            queue = self
+                .ready
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// No more batches: lanes exit once the queue is drained.
+    fn close(&self) {
+        self.queue.lock_recover().1 = true;
+        self.ready.notify_all();
+    }
+
+    /// Stop answering: drop what is queued, suppress what is computing.
+    fn mute(&self) {
+        self.muted.store(true, Ordering::SeqCst);
+        self.queue.lock_recover().0.clear();
+    }
+
+    /// One lane: compute chunks until the queue closes, and answer every
+    /// batch this lane completes.
+    fn run(&self, session: &Session, jobs_done: &Counter) {
+        while let Some((batch, range)) = self.pop() {
+            let outcomes = match compute_jobs(&batch.jobs[range.clone()], &batch.table) {
+                Ok(outcomes) => outcomes,
+                Err(e) => {
+                    self.failed.lock_recover().get_or_insert(e);
+                    self.mute();
+                    session.shutdown();
+                    continue;
+                }
+            };
+            jobs_done.add(outcomes.len() as u64);
+            if let Some(outcomes) = batch.finish(range.start, outcomes) {
+                let _ = self.answer(session, batch.id, outcomes);
+            }
+        }
+    }
+
+    /// Answer one finished batch, unless the session was muted.
+    fn answer(
+        &self,
+        session: &Session,
+        batch_id: u64,
+        outcomes: Vec<PairOutcome>,
+    ) -> io::Result<()> {
+        if self.muted.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        session.advance(outcomes.len() as u64);
+        session.send(&Frame::ResultBatch(proto::ResultBatch {
+            batch_id,
+            outcomes,
+        }))?;
+        self.answered.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 /// Connect to the master over TCP and serve until it sends Shutdown (or
@@ -318,6 +406,7 @@ pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Res
 
 /// The batch-serving loop; returns once the master says Shutdown, an
 /// injected fault fires (marked in `report`), or the connection errors.
+/// One lane computes on the reading thread; more run as [`Lanes`].
 fn serve_loop(
     cfg: &WorkerConfig,
     stream: &mut Box<dyn Conn>,
@@ -325,38 +414,78 @@ fn serve_loop(
     lane_jobs: &[Arc<Counter>],
     report: &mut WorkerReport,
 ) -> io::Result<()> {
-    let due = |limit: Option<usize>, done: u64| limit.is_some_and(|limit| done >= limit as u64);
-    let mut table = HashMap::new();
+    let lanes = Lanes::default();
+    let read = std::thread::scope(|s| {
+        if let [jobs_done] = lane_jobs {
+            return read_batches(cfg, stream, session, &lanes, |batch| {
+                let outcomes = compute_jobs(&batch.jobs, &batch.table)?;
+                jobs_done.add(outcomes.len() as u64);
+                lanes.answer(session, batch.id, outcomes)
+            });
+        }
+        for jobs_done in lane_jobs {
+            let lanes = &lanes;
+            s.spawn(move || lanes.run(session, jobs_done));
+        }
+        let read = read_batches(cfg, stream, session, &lanes, |batch| {
+            lanes.push(batch, lane_jobs.len());
+            Ok(())
+        });
+        lanes.close();
+        read
+    });
+    report.batches_done = lanes.answered.load(Ordering::Relaxed);
+    if let Some(e) = lanes.failed.lock_recover().take() {
+        return Err(e);
+    }
+    report.failed_by_injection = read?;
+    Ok(())
+}
+
+/// Read batches until Shutdown, an injected fault or a connection error,
+/// handing each to `answer` against the session table grown by its
+/// chains. Returns whether an injected fault ended the session.
+fn read_batches(
+    cfg: &WorkerConfig,
+    stream: &mut Box<dyn Conn>,
+    session: &Session,
+    lanes: &Lanes,
+    mut answer: impl FnMut(Batch) -> io::Result<()>,
+) -> io::Result<bool> {
+    let due = |limit: Option<usize>, taken: usize| limit.is_some_and(|limit| taken >= limit);
+    let mut table = Arc::new(Table::new());
+    let mut taken = 0;
     loop {
         match session.read(stream)? {
             Frame::JobBatch(batch) => {
-                if due(cfg.fail_after_batches, report.batches_done) {
+                if due(cfg.fail_after_batches, taken) {
                     // Injected fault: vanish without replying.
                     stream.shutdown();
-                    report.failed_by_injection = true;
-                    return Ok(());
+                    return Ok(true);
                 }
-                if due(cfg.hang_after_batches, report.batches_done) {
+                if due(cfg.hang_after_batches, taken) {
                     // Injected fault: no replies, no heartbeats, the
                     // connection left open.
+                    lanes.mute();
                     session.go_silent();
-                    report.failed_by_injection = true;
                     while session.read(stream).is_ok() {}
-                    return Ok(());
+                    return Ok(true);
                 }
                 if let Some(delay) = cfg.slow_per_batch {
                     std::thread::sleep(delay);
                 }
-                table.extend(batch.chains);
-                let outcomes = compute_batch_lanes(&batch.jobs, &table, cfg.threads, lane_jobs)?;
-                session.advance(outcomes.len() as u64);
-                session.send(&Frame::ResultBatch(proto::ResultBatch {
-                    batch_id: batch.batch_id,
-                    outcomes,
-                }))?;
-                report.batches_done += 1;
+                if !batch.chains.is_empty() {
+                    Arc::make_mut(&mut table).extend(batch.chains);
+                }
+                answer(Batch {
+                    id: batch.batch_id,
+                    jobs: batch.jobs,
+                    table: Arc::clone(&table),
+                    parts: Mutex::default(),
+                })?;
+                taken += 1;
             }
-            Frame::Shutdown => return Ok(()),
+            Frame::Shutdown => return Ok(false),
             // The master never sends anything else after Welcome.
             _ => {
                 return Err(io::Error::new(
@@ -396,7 +525,7 @@ mod tests {
                 method,
             })
             .collect();
-        let table: HashMap<u32, Arc<CaChain>> = proto::build_job_batch(1, jobs.clone(), &chains)
+        let table: Table = proto::build_job_batch(1, jobs.clone(), &chains)
             .chains
             .into_iter()
             .collect();
@@ -419,6 +548,9 @@ mod tests {
         assert!(cfg.heartbeat_interval < Duration::from_secs(1));
     }
 
+    /// A batch pushed onto drained lanes is cut into contiguous chunks,
+    /// one per lane; one queued behind it goes whole; chunks finished in
+    /// any order reassemble to the single-lane answer.
     #[test]
     fn lanes_preserve_single_lane_results_bit_for_bit() {
         let chains = tiny_profile().generate(11);
@@ -426,34 +558,109 @@ mod tests {
             .into_iter()
             .take(13)
             .collect();
-        let table: HashMap<u32, Arc<CaChain>> = proto::build_job_batch(3, jobs.clone(), &chains)
+        let table: Table = proto::build_job_batch(3, jobs.clone(), &chains)
             .chains
             .into_iter()
             .collect();
         let single = compute_jobs(&jobs, &table).unwrap();
+        let table = Arc::new(table);
         for threads in [2usize, 3, 5, 64] {
-            let registry = rck_obs::Registry::new();
-            let counters: Vec<Arc<Counter>> = (0..threads)
-                .map(|lane| {
-                    registry.counter_with(
-                        "test_lane_jobs_total",
-                        "test",
-                        &[("lane", &lane.to_string())],
-                    )
-                })
-                .collect();
-            let laned = compute_batch_lanes(&jobs, &table, threads, &counters).unwrap();
-            assert_eq!(laned.len(), single.len());
-            for (a, b) in laned.iter().zip(&single) {
-                assert_eq!(a, b, "lane split changed results at threads={threads}");
+            let lanes = Lanes::default();
+            for id in [3, 4] {
+                let batch = Batch {
+                    id,
+                    jobs: jobs.clone(),
+                    table: Arc::clone(&table),
+                    parts: Mutex::default(),
+                };
+                lanes.push(batch, threads);
             }
-            let counted: u64 = counters.iter().map(|c| c.get()).sum();
-            assert_eq!(counted, jobs.len() as u64, "lanes missed counting jobs");
-            if threads > 1 && jobs.len() >= threads {
-                let busy = counters.iter().filter(|c| c.get() > 0).count();
-                assert!(busy > 1, "expected multiple lanes to do work");
+            lanes.close();
+            let mut items: Vec<_> = std::iter::from_fn(|| lanes.pop()).collect();
+            let chunks = |id| items.iter().filter(|(b, _)| b.id == id).count();
+            let chunk = jobs.len().div_ceil(threads);
+            assert_eq!(chunks(3), jobs.len().div_ceil(chunk), "threads={threads}");
+            assert!(chunks(3) > 1, "a lone batch runs on several lanes");
+            assert_eq!(chunks(4), 1, "a batch queued behind another goes whole");
+            items.reverse();
+            let mut answers = HashMap::new();
+            for (batch, range) in items {
+                let part = compute_jobs(&batch.jobs[range.clone()], &batch.table).unwrap();
+                if let Some(all) = batch.finish(range.start, part) {
+                    answers.insert(batch.id, all);
+                }
+            }
+            for id in [3, 4] {
+                assert_eq!(
+                    answers[&id], single,
+                    "lane split changed results at threads={threads}"
+                );
             }
         }
+    }
+
+    /// A worker with three lanes, sent a window of batches at once,
+    /// answers each exactly as one lane would, counts every job on some
+    /// lane, and reports every batch answered.
+    #[test]
+    fn a_worker_with_lanes_answers_a_window_bit_for_bit() {
+        let chains = tiny_profile().generate(12);
+        let jobs = rckalign::all_vs_all(chains.len(), MethodKind::KabschRmsd);
+        let table: Table = proto::build_job_batch(0, jobs.clone(), &chains)
+            .chains
+            .into_iter()
+            .collect();
+        let (conn, mut master) = crate::transport::MemNet::pair();
+        let mut cfg = WorkerConfig::connect_to(SocketAddr::from(([127, 0, 0, 1], 0)));
+        cfg.threads = 3;
+        let registry = Arc::clone(&cfg.registry);
+        let worker = std::thread::spawn(move || run_worker_conn(conn, &cfg));
+        assert!(matches!(
+            proto::read_frame(&mut master).unwrap().0,
+            Frame::Hello(_)
+        ));
+        let welcome = proto::Welcome {
+            worker_id: 1,
+            n_chains: chains.len() as u32,
+        };
+        proto::write_frame(&mut master, &Frame::Welcome(welcome)).unwrap();
+        let batches: Vec<Vec<PairJob>> = jobs.chunks(4).map(<[PairJob]>::to_vec).collect();
+        for (id, batch) in batches.iter().enumerate() {
+            // The first batch brings every chain; the rest bring none.
+            let chains = match id {
+                0 => proto::build_job_batch(0, jobs.clone(), &chains).chains,
+                _ => Vec::new(),
+            };
+            let frame = Frame::JobBatch(proto::JobBatch {
+                batch_id: id as u64,
+                chains,
+                jobs: batch.clone(),
+            });
+            proto::write_frame(&mut master, &frame).unwrap();
+        }
+        let mut answered = HashMap::new();
+        while answered.len() < batches.len() {
+            if let Frame::ResultBatch(rb) = proto::read_frame(&mut master).unwrap().0 {
+                assert!(answered.insert(rb.batch_id, rb.outcomes).is_none());
+            }
+        }
+        proto::write_frame(&mut master, &Frame::Shutdown).unwrap();
+        let report = worker.join().unwrap().expect("session ends on Shutdown");
+        for (id, batch) in batches.iter().enumerate() {
+            let want = compute_jobs(batch, &table).unwrap();
+            assert_eq!(answered[&(id as u64)], want, "batch {id}");
+        }
+        assert_eq!(report.batches_done, batches.len() as u64);
+        assert_eq!(report.jobs_done, jobs.len() as u64);
+        let text = registry.render();
+        let counted: u64 = (0..3)
+            .filter_map(|lane| {
+                let series = format!("rck_worker_lane_jobs_total{{lane=\"{lane}\"}} ");
+                text.lines()
+                    .find_map(|l| l.strip_prefix(series.as_str())?.trim().parse::<u64>().ok())
+            })
+            .sum();
+        assert_eq!(counted, jobs.len() as u64, "every job counted on a lane");
     }
 
     #[test]

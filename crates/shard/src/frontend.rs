@@ -3,48 +3,36 @@
 //! The frontend owns the full dataset and the tile partition
 //! ([`rckalign::tile_partition`]); shard masters own workers. Each
 //! connecting master is dealt an **ownership queue** of tiles
-//! (interleaved by [`rckalign::assign_tiles`]) and pulls work with
-//! credit frames ([`rck_serve::StealRequest`]): one credit buys one
-//! [`rck_serve::TileGrant`] — from the master's own queue, from the
-//! orphan pool of requeued tiles, or *stolen* from the tail of the
-//! longest other queue once everything nearer has drained. Tile results
-//! are verified against the tile's job set, deduplicated (steal races
-//! and late requeued results legitimately produce the same tile twice),
-//! and merged on read with [`rckalign::merge_outcomes`] — so the final
-//! matrix is bit-identical to a single-master [`rckalign::run_all_vs_all`]
-//! no matter how tiles were dealt, stolen, or re-granted.
+//! ([`rckalign::assign_tiles`]) and pulls work with credits
+//! ([`rck_serve::StealRequest`]): one credit buys one
+//! [`rck_serve::TileGrant`] — from its own queue, from the orphan pool of
+//! requeued tiles, or *stolen* from the tail of the longest other queue.
+//! Results are merged on read with [`rckalign::merge_outcomes`], so the
+//! matrix is bit-identical to [`rckalign::run_all_vs_all`] however tiles
+//! were dealt, stolen, or re-granted.
 //!
-//! The failure machinery is [`rck_serve::dispatch`]'s — the same
-//! [`Ledger`] deadline rule, handshake and monitor loop the master and
-//! the gate run — applied one level up. Masters pull work with credits
-//! and hold several tiles at once, a dialect the dispatcher's
-//! one-batch-per-worker connection loop would have to branch on, so the
-//! frontend keeps its own reader loop and credit policy:
-//!
-//! * **connection loss** — a failed read or write on a master's
-//!   connection requeues every tile that master held to the orphan pool
-//!   and drains its ownership queue there too;
-//! * **heartbeat deadline** — a master holding tiles and silent past
-//!   [`ShardConfig::heartbeat_timeout`] is declared dead the same way;
-//! * **tile deadline** — with [`ShardConfig::tile_timeout`] set, a
-//!   granted tile unanswered past the cap is re-granted even while its
-//!   master's heartbeats still flow.
+//! The frontend is a [`WorkSource`] on [`rck_serve::dispatch`]'s one
+//! connection loop in the tile [`Dialect`]: the unit is a tile keyed by
+//! its id, and the master's credits size its window. Every fault is the
+//! dispatcher's: a master whose connection fails, that is silent past
+//! [`ShardConfig::heartbeat_timeout`], or that holds a tile past
+//! [`ShardConfig::tile_timeout`] is lost, and its tiles are orphaned.
 
 use crate::stats::{ShardSnapshot, ShardStats};
 use rck_pdb::model::CaChain;
-use rck_serve::dispatch::{self, send, Expiry, Ledger};
-use rck_serve::proto::{self, answers_exactly, Frame, Resident, TileGrant, TileResult, Welcome};
+use rck_serve::dispatch::{self, Dialect, Dispatch, Event, WorkSource};
 use rck_serve::transport::TcpChannelListener;
-use rck_serve::{Conn, Listener, MutexExt};
+use rck_serve::{Listener, MutexExt};
 use rck_tmalign::MethodKind;
 use rckalign::{
     assign_tiles, merge_outcomes, tile_partition, PairJob, PairOutcome, SimilarityMatrix,
     StoreBinding,
 };
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -67,7 +55,8 @@ pub struct ShardConfig {
     /// Upper bound on how long one granted tile may stay unanswered.
     /// `None` (the default) trusts heartbeats; the chaos harness sets it
     /// so a master whose results are lost while its heartbeats still
-    /// flow gets its tiles re-granted instead of stalling the run.
+    /// flow is declared lost and its tiles re-granted instead of
+    /// stalling the run. Set it above the slowest tile.
     pub tile_timeout: Option<Duration>,
     /// Liveness bound: if tiles remain while **no** master is connected
     /// — every master died without a replacement, or none ever showed
@@ -113,57 +102,177 @@ pub struct ShardRun {
     pub stats: ShardSnapshot,
 }
 
-/// One connected shard master.
-struct MasterLink {
-    writer: Arc<Mutex<Box<dyn Conn>>>,
-    /// Chains granted on this connection, so a [`TileGrant`] brings only
-    /// what its master lacks; held from cutting a grant's table until it
-    /// is written, so tables arrive in cut order.
-    resident: Arc<Mutex<Resident>>,
-    slot: usize,
-    alive: bool,
+/// One dispatchable tile: its id and its job set.
+#[derive(Clone)]
+struct Tile {
+    id: u32,
+    jobs: Arc<[PairJob]>,
+}
+
+impl AsRef<[PairJob]> for Tile {
+    fn as_ref(&self) -> &[PairJob] {
+        &self.jobs
+    }
 }
 
 /// The shared scheduling state (guarded by the `Mutex` in `Shared`).
 struct State {
     /// Per-slot ownership queues of not-yet-granted tiles.
     queues: Vec<VecDeque<u32>>,
-    /// Requeued tiles (dead master, expired deadline) — granted before
-    /// anything is stolen.
+    /// Requeued tiles (lost master) — granted before anything is stolen.
     orphans: VecDeque<u32>,
     /// Effective job set per tile (store hits already removed).
-    tile_jobs: HashMap<u32, Vec<PairJob>>,
-    /// Granted-but-unanswered tiles, by tile id, owned by master id.
-    granted: Ledger<u32, ()>,
-    completed: HashSet<u32>,
+    tile_jobs: HashMap<u32, Arc<[PairJob]>>,
+    /// Tiles out on masters, connections, id counters.
+    dispatch: Dispatch<Tile>,
+    /// Tiles with an accepted result (or fully answered by the store).
+    done: HashSet<u32>,
     /// Accepted per-tile outcome lists (plus store-hit lists), merged on
     /// read at the end of the run.
     results: Vec<Vec<PairOutcome>>,
-    /// Masters whose credit could not be served yet (nothing grantable).
-    pending_credits: VecDeque<u32>,
-    masters: HashMap<u32, MasterLink>,
     /// Tiles without an accepted result.
     remaining: usize,
-    finished: bool,
 }
 
+/// The frontend's half of the dispatcher: the tile policy and what the
+/// run needs beside it.
 struct Shared {
     state: Mutex<State>,
-    /// Wakes the deadline monitor when the run finishes or aborts.
+    /// Wakes waiting connections and the deadline monitor.
     wake: Condvar,
     chains: Vec<Arc<CaChain>>,
     stats: Arc<ShardStats>,
     cfg: ShardConfig,
-    next_master_id: AtomicU32,
-    next_slot: AtomicU32,
     aborted: AtomicBool,
-    /// Set by the monitor when the no-masters liveness bound expired
-    /// with tiles outstanding — `run` reports `TimedOut`, not
-    /// `Interrupted`.
+    /// Set when the no-masters liveness bound expired with tiles
+    /// outstanding — `run` reports `TimedOut`, not `Interrupted`.
     stalled: AtomicBool,
     /// Persistent result store attached by [`ShardFrontend::with_store`]:
     /// consulted per tile before any grant and appended to on completion.
     store: Mutex<Option<Arc<StoreBinding>>>,
+}
+
+impl Shared {
+    /// Stop the run: dispatch nothing more, unblock every handler.
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::SeqCst);
+        self.state.lock_recover().dispatch.shutdown_streams();
+        self.wake.notify_all();
+    }
+
+    /// Whether the run is over: settled, or stalled — tiles outstanding
+    /// and no master connected for the stall bound (§15.3), which aborts
+    /// it. `alone_since` is since when no master has been connected.
+    fn over(&self, alone_since: &Cell<Option<Instant>>) -> bool {
+        let mut state = self.state.lock_recover();
+        if dispatch::settled(self, &mut state) {
+            return true;
+        }
+        if state.dispatch.connected() > 0 {
+            alone_since.set(None);
+            return false;
+        }
+        drop(state);
+        let since = alone_since.get().unwrap_or_else(Instant::now);
+        alone_since.set(Some(since));
+        if since.elapsed() <= self.cfg.effective_stall_timeout() {
+            return false;
+        }
+        self.stalled.store(true, Ordering::SeqCst);
+        self.abort();
+        true
+    }
+}
+
+/// The tile policy: pick own queue → orphans → steal, merge on accept,
+/// orphan on requeue; credits size each master's window.
+impl WorkSource for Shared {
+    const TAG: &'static str = "[rck-shard]";
+    const DIALECT: Dialect = Dialect::Tiles;
+    type State = State;
+    type Unit = Tile;
+
+    fn state(&self) -> &Mutex<State> {
+        &self.state
+    }
+
+    fn wake(&self) -> &Condvar {
+        &self.wake
+    }
+
+    fn dispatch(state: &mut State) -> &mut Dispatch<Tile> {
+        &mut state.dispatch
+    }
+
+    fn heartbeat_timeout(&self) -> Duration {
+        self.cfg.heartbeat_timeout
+    }
+
+    fn n_chains(&self) -> u32 {
+        self.chains.len() as u32
+    }
+
+    fn halted(&self) -> bool {
+        self.aborted.load(Ordering::SeqCst)
+    }
+
+    fn idle(&self, state: &State) -> bool {
+        state.remaining == 0
+    }
+
+    /// Masters take ownership slots in connection order.
+    fn next_unit(&self, state: &mut State, master_id: u32) -> Option<Tile> {
+        let slot = master_id as usize % self.cfg.masters.max(1);
+        let (id, stolen) = pick_tile(state, slot)?;
+        self.stats.on_tile_granted(stolen);
+        let jobs = state.tile_jobs.get(&id).cloned().unwrap_or_default();
+        Some(Tile { id, jobs })
+    }
+
+    fn key(tile: &Tile, _fresh: u64) -> u64 {
+        tile.id.into()
+    }
+
+    fn chain(&self, _tile: &Tile, ix: u32) -> Option<Arc<CaChain>> {
+        self.chains.get(ix as usize).cloned()
+    }
+
+    fn accept(
+        &self,
+        state: &mut State,
+        master_id: u32,
+        tile: Tile,
+        outcomes: Vec<PairOutcome>,
+        rtt: Duration,
+    ) -> bool {
+        if !state.done.insert(tile.id) {
+            self.stats.on_duplicate_tile();
+            return false;
+        }
+        // Merged (sorted, deduplicated) on read, when the run returns.
+        state.results.push(outcomes);
+        state.remaining -= 1;
+        self.stats
+            .on_tile_completed(master_id, Some(rtt.as_secs_f64()));
+        state.remaining == 0
+    }
+
+    fn requeue(&self, state: &mut State, tile: Tile) {
+        self.stats.on_tiles_requeued(1);
+        state.orphans.push_back(tile.id);
+    }
+
+    fn observe(&self, event: Event<'_>) {
+        let stats = &self.stats;
+        match event {
+            Event::WorkerConnected(id, name) => stats.on_master_connected(id, name),
+            Event::WorkerLost(_) => stats.on_master_lost(),
+            Event::StaleResult => stats.on_duplicate_tile(),
+            Event::MismatchedResult => stats.on_mismatched_tile(),
+            // The frontend keeps no wire, gap or window statistics.
+            _ => {}
+        }
+    }
 }
 
 /// A bound, not-yet-running shard frontend.
@@ -181,18 +290,7 @@ pub struct ShardAbortHandle {
 impl ShardAbortHandle {
     /// Stop the run. Idempotent; safe from any thread.
     pub fn abort(&self) {
-        self.shared.aborted.store(true, Ordering::SeqCst);
-        let state = self.shared.state.lock_recover();
-        let writers: Vec<Arc<Mutex<Box<dyn Conn>>>> = state
-            .masters
-            .values()
-            .map(|l| Arc::clone(&l.writer))
-            .collect();
-        drop(state);
-        for w in writers {
-            w.lock_recover().shutdown();
-        }
-        self.shared.wake.notify_all();
+        self.shared.abort();
     }
 }
 
@@ -217,20 +315,18 @@ impl ShardFrontend {
             .into_iter()
             .map(VecDeque::from)
             .collect();
-        let tile_jobs: HashMap<u32, Vec<PairJob>> =
-            tiles.iter().map(|t| (t.id, t.jobs(cfg.method))).collect();
-        let remaining = tiles.len();
+        let tile_jobs = tiles
+            .iter()
+            .map(|t| (t.id, t.jobs(cfg.method).into()))
+            .collect();
         let state = State {
             queues,
             orphans: VecDeque::new(),
             tile_jobs,
-            granted: Ledger::new(cfg.heartbeat_timeout, cfg.tile_timeout),
-            completed: HashSet::new(),
+            dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.tile_timeout),
+            done: HashSet::new(),
             results: Vec::new(),
-            pending_credits: VecDeque::new(),
-            masters: HashMap::new(),
-            remaining,
-            finished: remaining == 0,
+            remaining: tiles.len(),
         };
         ShardFrontend {
             listener,
@@ -240,8 +336,6 @@ impl ShardFrontend {
                 chains: chains.into_iter().map(Arc::new).collect(),
                 stats: Arc::new(ShardStats::new()),
                 cfg,
-                next_master_id: AtomicU32::new(0),
-                next_slot: AtomicU32::new(0),
                 aborted: AtomicBool::new(false),
                 stalled: AtomicBool::new(false),
                 store: Mutex::new(None),
@@ -260,7 +354,6 @@ impl ShardFrontend {
         {
             let mut state = self.shared.state.lock_recover();
             let tile_ids: Vec<u32> = state.tile_jobs.keys().copied().collect();
-            let mut fully = HashSet::new();
             let mut hit_total = 0usize;
             for t in tile_ids {
                 let (hits, misses) = binding.split(&state.tile_jobs[&t]);
@@ -270,19 +363,13 @@ impl ShardFrontend {
                 hit_total += hits.len();
                 state.results.push(hits);
                 if misses.is_empty() {
-                    state.completed.insert(t);
+                    state.done.insert(t);
                     state.remaining -= 1;
-                    fully.insert(t);
                 } else {
-                    state.tile_jobs.insert(t, misses);
+                    state.tile_jobs.insert(t, misses.into());
                 }
             }
-            for q in &mut state.queues {
-                q.retain(|t| !fully.contains(t));
-            }
-            if state.remaining == 0 {
-                state.finished = true;
-            }
+            // Fully stored tiles stay queued: `pick_tile` drops done ones.
             self.shared.stats.on_store_pairs(hit_total);
         }
         *self.shared.store.lock_recover() = Some(binding);
@@ -315,21 +402,22 @@ impl ShardFrontend {
 
     /// Serve until every tile has an accepted result, then shut masters
     /// down and return the merged matrix. Returns
-    /// `Err(ErrorKind::Interrupted)` if aborted first.
+    /// `Err(ErrorKind::Interrupted)` if aborted first, and
+    /// `Err(ErrorKind::TimedOut)` if no master was connected for the
+    /// stall bound with tiles outstanding.
     pub fn run(self) -> io::Result<ShardRun> {
         let monitor = {
             let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || monitor_masters(&shared))
+            std::thread::spawn(move || dispatch::monitor_workers(&*shared))
         };
         let shared = Arc::clone(&self.shared);
+        let alone_since = Cell::new(None);
         let handlers = dispatch::accept_until(
             &*self.listener,
-            || {
-                self.shared.state.lock_recover().finished
-                    || self.shared.aborted.load(Ordering::SeqCst)
-            },
-            move |conn| serve_master(&shared, conn),
+            || self.shared.over(&alone_since),
+            move |conn| dispatch::serve_worker(&*shared, conn),
         )?;
+        self.shared.wake.notify_all();
         if monitor.join().is_err() {
             return Err(io::Error::other("shard monitor thread panicked"));
         }
@@ -338,7 +426,7 @@ impl ShardFrontend {
         }
 
         let mut state = self.shared.state.lock_recover();
-        if !state.finished {
+        if state.remaining > 0 {
             if self.shared.stalled.load(Ordering::SeqCst) {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
@@ -360,7 +448,7 @@ impl ShardFrontend {
         let outcomes = merge_outcomes(results);
         let binding = self.shared.store.lock_recover().clone();
         if let Some(binding) = binding {
-            binding.absorb(&outcomes, "[rck-shard]");
+            binding.absorb(&outcomes, Shared::TAG);
         }
         let matrix = SimilarityMatrix::from_outcomes(self.shared.chains.len(), &outcomes);
         Ok(ShardRun {
@@ -374,16 +462,15 @@ impl ShardFrontend {
 /// Pick the next grantable tile for `slot`: own queue, then the orphan
 /// pool, then steal from the *tail* of the longest other queue (the tail
 /// is the work its owner would reach last, minimising contention).
-/// Tiles already completed (a requeued tile whose late original result
-/// was accepted meanwhile) are skipped and dropped.
+/// Tiles already done are skipped and dropped.
 fn pick_tile(state: &mut State, slot: usize) -> Option<(u32, bool)> {
     while let Some(t) = state.queues[slot].pop_front() {
-        if !state.completed.contains(&t) {
+        if !state.done.contains(&t) {
             return Some((t, false));
         }
     }
     while let Some(t) = state.orphans.pop_front() {
-        if !state.completed.contains(&t) {
+        if !state.done.contains(&t) {
             return Some((t, false));
         }
     }
@@ -392,279 +479,10 @@ fn pick_tile(state: &mut State, slot: usize) -> Option<(u32, bool)> {
             .filter(|&q| q != slot)
             .max_by_key(|&q| state.queues[q].len())?;
         let t = state.queues[victim].pop_back()?;
-        if !state.completed.contains(&t) {
+        if !state.done.contains(&t) {
             return Some((t, true));
         }
     }
-}
-
-/// Answer one credit from `master_id` with a grant, a Shutdown (run
-/// finished), or by parking the credit until a requeue frees work.
-fn serve_credit(shared: &Shared, master_id: u32) {
-    let mut state = shared.state.lock_recover();
-    let Some(link) = state.masters.get(&master_id) else {
-        return;
-    };
-    if !link.alive {
-        return;
-    }
-    let slot = link.slot;
-    let writer = Arc::clone(&link.writer);
-    let resident = Arc::clone(&link.resident);
-    if state.finished {
-        drop(state);
-        let _ = send(&writer, &Frame::Shutdown);
-        return;
-    }
-    let Some((tile_id, stolen)) = pick_tile(&mut state, slot) else {
-        state.pending_credits.push_back(master_id);
-        return;
-    };
-    let jobs = state.tile_jobs.get(&tile_id).cloned().unwrap_or_default();
-    state.granted.grant(tile_id, master_id, (), Instant::now());
-    drop(state);
-    shared.stats.on_tile_granted(stolen);
-    let mut resident = resident.lock_recover();
-    let chains = resident.delta(&jobs, |ix| shared.chains.get(ix as usize).cloned());
-    let grant = Frame::TileGrant(TileGrant {
-        tile_id,
-        chains,
-        jobs,
-    });
-    // Credits of one master are served from several threads, and a
-    // grant's table assumes the previous one arrived.
-    // rck-lint: allow(lock_across_io)
-    let sent = send(&writer, &grant);
-    drop(resident);
-    if sent.is_err() {
-        lose_master(shared, master_id);
-    }
-}
-
-/// Serve parked credits while grantable work (or a finished run to
-/// announce) exists. Called after every requeue event.
-fn serve_pending(shared: &Shared) {
-    loop {
-        let mut state = shared.state.lock_recover();
-        if state.pending_credits.is_empty() {
-            return;
-        }
-        let has_work = state.finished
-            || !state.orphans.is_empty()
-            || state.queues.iter().any(|q| !q.is_empty());
-        if !has_work {
-            return;
-        }
-        let Some(master_id) = state.pending_credits.pop_front() else {
-            return;
-        };
-        drop(state);
-        serve_credit(shared, master_id);
-    }
-}
-
-/// Accept or reject one tile result from `master_id`.
-fn handle_result(shared: &Shared, master_id: u32, result: TileResult) {
-    let TileResult { tile_id, outcomes } = result;
-    let mut state = shared.state.lock_recover();
-    if state.completed.contains(&tile_id) {
-        // A steal race or a late answer to a re-granted tile: both
-        // computed the identical pure function, so dropping is safe.
-        shared.stats.on_duplicate_tile();
-        return;
-    }
-    let Some(jobs) = state.tile_jobs.get(&tile_id) else {
-        drop(state);
-        shared.stats.on_mismatched_tile();
-        lose_master(shared, master_id);
-        return;
-    };
-    if !answers_exactly(jobs, &outcomes) {
-        // Wrong job set answered — requeue the tile and drop the sender
-        // (a master this confused cannot be trusted with more work).
-        if state.granted.settle(&tile_id).is_some() {
-            state.orphans.push_back(tile_id);
-            shared.stats.on_tiles_requeued(1);
-        }
-        drop(state);
-        shared.stats.on_mismatched_tile();
-        lose_master(shared, master_id);
-        serve_pending(shared);
-        return;
-    }
-    let rtt = state
-        .granted
-        .settle(&tile_id)
-        .map(|g| g.granted_at.elapsed().as_secs_f64());
-    state.completed.insert(tile_id);
-    let mut sorted = outcomes;
-    sorted.sort_by_key(|o| (o.i, o.j));
-    state.results.push(sorted);
-    state.remaining -= 1;
-    shared.stats.on_tile_completed(master_id, rtt);
-    if state.remaining == 0 {
-        state.finished = true;
-        state.pending_credits.clear();
-        let writers: Vec<Arc<Mutex<Box<dyn Conn>>>> = state
-            .masters
-            .values()
-            .filter(|l| l.alive)
-            .map(|l| Arc::clone(&l.writer))
-            .collect();
-        drop(state);
-        shared.wake.notify_all();
-        for w in writers {
-            let _ = send(&w, &Frame::Shutdown);
-        }
-    }
-}
-
-/// Declare `master_id` dead: requeue its granted tiles to the orphan
-/// pool, drain its ownership queue there too (a replacement master on
-/// the same slot re-earns work through the pool), and shut its
-/// connection so its handler's pending read unblocks. Idempotent.
-fn lose_master(shared: &Shared, master_id: u32) {
-    let mut state = shared.state.lock_recover();
-    let Some(link) = state.masters.get_mut(&master_id) else {
-        return;
-    };
-    if !link.alive {
-        return;
-    }
-    link.alive = false;
-    let slot = link.slot;
-    let writer = Arc::clone(&link.writer);
-    let its = state.granted.revoke_owner(master_id);
-    state.orphans.extend(its.iter().map(|&(t, ())| t));
-    let drained: Vec<u32> = state.queues[slot].drain(..).collect();
-    state.orphans.extend(drained);
-    state.pending_credits.retain(|&m| m != master_id);
-    drop(state);
-    if !its.is_empty() {
-        shared.stats.on_tiles_requeued(its.len());
-    }
-    shared.stats.on_master_lost();
-    writer.lock_recover().shutdown();
-    serve_pending(shared);
-}
-
-/// Deadline monitor: declare silent masters dead, re-grant tiles whose
-/// cap expired, and bound the run's liveness — a run with tiles
-/// outstanding and no master connected (none ever arrived, or every one
-/// died without a replacement) can make no progress, so past the stall
-/// bound it is failed rather than left polling forever. Runs until the
-/// run finishes, aborts, or stalls out.
-fn monitor_masters(shared: &Shared) {
-    let stall_limit = shared.cfg.effective_stall_timeout();
-    let mut no_masters_since: Option<Instant> = None;
-    dispatch::monitor_deadlines(
-        &shared.state,
-        &shared.wake,
-        shared.cfg.heartbeat_timeout,
-        |state| state.finished || shared.aborted.load(Ordering::SeqCst),
-        |mut state, now| {
-            let mut silent = Vec::new();
-            let mut capped = 0;
-            for (tile, master_id, expiry) in state.granted.expired(now) {
-                match expiry {
-                    Expiry::Silent => silent.push(master_id),
-                    Expiry::Capped => {
-                        state.granted.settle(&tile);
-                        state.orphans.push_back(tile);
-                        capped += 1;
-                    }
-                }
-            }
-            // Losing a master and serving parked credits write to
-            // sockets: not under the state lock.
-            drop(state);
-            for id in silent {
-                lose_master(shared, id);
-            }
-            if capped > 0 {
-                shared.stats.on_tiles_requeued(capped);
-                serve_pending(shared);
-            }
-            let state = shared.state.lock_recover();
-            if state.finished || state.masters.values().any(|l| l.alive) {
-                no_masters_since = None;
-            } else if no_masters_since.get_or_insert(now).elapsed() > stall_limit {
-                shared.stalled.store(true, Ordering::SeqCst);
-                shared.aborted.store(true, Ordering::SeqCst);
-            }
-            state
-        },
-    );
-}
-
-/// Per-connection handler: handshake, then consume credits, results and
-/// heartbeats until the run finishes or the master is lost.
-fn serve_master(shared: &Shared, mut conn: Box<dyn Conn>) {
-    // A master that never speaks must not pin this thread forever.
-    let _ = conn.set_read_timeout(Some(shared.cfg.heartbeat_timeout * 2));
-    let Some(master_id) = welcome_master(shared, &mut conn) else {
-        conn.shutdown();
-        return;
-    };
-
-    while let Ok((frame, _)) = proto::read_frame(&mut conn) {
-        {
-            let mut state = shared.state.lock_recover();
-            state.granted.touch(master_id, Instant::now());
-        }
-        match frame {
-            Frame::Heartbeat(_) => {}
-            // The connection identifies the sender; the frame's own
-            // master_id is informational.
-            Frame::StealRequest(_) => serve_credit(shared, master_id),
-            Frame::TileResult(result) => handle_result(shared, master_id, result),
-            Frame::Shutdown => break,
-            _ => break,
-        }
-        if shared.aborted.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-
-    let finished = shared.state.lock_recover().finished;
-    if !finished && !shared.aborted.load(Ordering::SeqCst) {
-        lose_master(shared, master_id);
-    }
-    conn.shutdown();
-}
-
-/// Handshake with a connecting master and register its link; returns
-/// the assigned master id.
-fn welcome_master(shared: &Shared, conn: &mut Box<dyn Conn>) -> Option<u32> {
-    // Decode errors are logged by the handshake; the frontend keeps no
-    // wire counters of its own.
-    let (welcome, name) = dispatch::handshake(
-        "[rck-shard]",
-        |_| {},
-        conn,
-        || Welcome {
-            worker_id: shared.next_master_id.fetch_add(1, Ordering::Relaxed),
-            n_chains: shared.chains.len() as u32,
-        },
-    )?;
-    let master_id = welcome.worker_id;
-    let slot =
-        shared.next_slot.fetch_add(1, Ordering::Relaxed) as usize % shared.cfg.masters.max(1);
-    let writer = Arc::new(Mutex::new(conn.try_clone().ok()?));
-    let mut state = shared.state.lock_recover();
-    state.masters.insert(
-        master_id,
-        MasterLink {
-            writer,
-            resident: Arc::default(),
-            slot,
-            alive: true,
-        },
-    );
-    state.granted.touch(master_id, Instant::now());
-    drop(state);
-    shared.stats.on_master_connected(master_id, &name);
-    Some(master_id)
 }
 
 #[cfg(test)]
@@ -676,13 +494,10 @@ mod tests {
             queues: queues.into_iter().map(VecDeque::from).collect(),
             orphans: VecDeque::new(),
             tile_jobs: HashMap::new(),
-            granted: Ledger::new(Duration::from_secs(1), None),
-            completed: HashSet::new(),
+            dispatch: Dispatch::new(Duration::from_secs(1), None),
+            done: HashSet::new(),
             results: Vec::new(),
-            pending_credits: VecDeque::new(),
-            masters: HashMap::new(),
             remaining: 0,
-            finished: false,
         }
     }
 
@@ -709,8 +524,8 @@ mod tests {
     #[test]
     fn pick_skips_completed_tiles() {
         let mut state = state_with_queues(vec![vec![0, 1], vec![2]]);
-        state.completed.insert(0);
-        state.completed.insert(2);
+        state.done.insert(0);
+        state.done.insert(2);
         assert_eq!(pick_tile(&mut state, 0), Some((1, false)));
         assert_eq!(
             pick_tile(&mut state, 0),

@@ -429,58 +429,43 @@ fn tcp_end_to_end_small() {
     assert_eq!(run.stats.masters_connected, 2);
 }
 
+/// One deadline rule for every tier: a tile past `tile_timeout` costs
+/// its master the connection, as a batch past its cap costs a worker —
+/// heartbeats flowing or not. Its tiles move to the survivor, so a tile
+/// is never granted back to the master that let it expire.
 #[test]
-fn a_tile_regranted_to_its_own_master_still_merges_cleanly() {
-    // One master, one deliberately slow worker, and a tile deadline far
-    // below the per-tile service time: every tile expires and is
-    // re-granted — necessarily to the master already holding it pending.
-    // The feed must merge the re-grant and answer each grant with the
-    // complete tile (a partial answer here used to fail the frontend's
-    // job-set check and kill the only healthy master, hanging the run).
+fn a_tile_past_its_cap_costs_its_master_and_moves_to_a_survivor() {
     let chains = tiny_profile().generate(18);
     let cfg = ShardConfig {
         tile_size: 3,
-        masters: 1,
+        masters: 2,
         heartbeat_timeout: Duration::from_millis(400),
-        tile_timeout: Some(Duration::from_millis(50)),
+        tile_timeout: Some(Duration::from_millis(1000)),
         ..ShardConfig::default()
     };
-    let net = MemNet::new();
-    let frontend = ShardFrontend::bind_on(net.listener(), chains.clone(), cfg);
-    let frontend_thread = std::thread::spawn(move || frontend.run());
-
-    let worker_net = MemNet::new();
-    let conn = net.connect().expect("frontend accepting");
-    let mcfg = master_cfg("regrant-m0".to_string());
-    let mut threads = Vec::new();
-    {
-        let worker_net = worker_net.clone();
-        threads.push(std::thread::spawn(move || {
-            if let Ok(conn) = worker_net.connect() {
-                let mut wcfg = worker_cfg("regrant-m0w0".to_string());
-                wcfg.slow_per_batch = Some(Duration::from_millis(150));
-                let _ = run_worker_conn(conn, &wcfg);
-            }
-        }));
-    }
-    threads.push(std::thread::spawn(move || {
-        let _ = run_shard_master(conn, worker_net.listener(), &mcfg);
-    }));
-    for t in threads {
-        t.join().expect("farm thread");
-    }
-    let run = frontend_thread
-        .join()
-        .expect("frontend thread")
-        .expect("run with aggressive re-grants completes");
+    let farm = boot_memnet_farm(chains.clone(), cfg, 2, 1, |m, cfg, wcfg| {
+        // One batch per tile; master 0's worker outlives the tile cap.
+        cfg.serve.batch_size = 64;
+        if m == 0 {
+            wcfg.slow_per_batch = Some(Duration::from_millis(2500));
+        }
+    });
+    let (run, _, _) = farm.join();
     assert_bit_identical(&run, &chains);
-    assert_eq!(run.stats.masters_lost, 0, "no healthy master was killed");
+    assert_eq!(run.stats.masters_lost, 1, "exactly the slow master");
     assert_eq!(run.stats.mismatched_tiles, 0, "no partial tile answers");
     assert!(
         run.stats.tiles_requeued >= 1,
-        "the tiny deadline must have re-granted at least one tile: {:?}",
+        "the slow master's tiles were requeued: {:?}",
         run.stats
     );
+    let slow = run
+        .stats
+        .masters
+        .iter()
+        .find(|(_, name, _)| name == "m0")
+        .expect("slow master in the table");
+    assert_eq!(slow.2, 0, "no tile of the slow master was accepted");
 }
 
 fn scratch_binding(name: &str, chains: &[CaChain]) -> Arc<StoreBinding> {
