@@ -47,8 +47,6 @@ pub struct Policy {
     pub duplicates: Option<&'static str>,
     /// Stats hook counting requeued jobs.
     pub requeued: &'static str,
-    /// The flag that halts dispatch.
-    pub halt_flag: &'static str,
     /// How many units one owner may hold.
     pub window: Window,
 }
@@ -71,7 +69,6 @@ pub const POLICIES: &[Policy] = &[
         dispatched: "on_batch_dispatched",
         duplicates: Some("on_duplicate_results"),
         requeued: "on_batch_requeued",
-        halt_flag: "aborted",
         window: Window::Measured,
     },
     Policy {
@@ -79,7 +76,6 @@ pub const POLICIES: &[Policy] = &[
         dispatched: "on_jobs_dispatched",
         duplicates: None,
         requeued: "on_jobs_requeued",
-        halt_flag: "stopped",
         window: Window::Measured,
     },
     Policy {
@@ -87,7 +83,6 @@ pub const POLICIES: &[Policy] = &[
         dispatched: "on_tile_granted",
         duplicates: Some("on_duplicate_tile"),
         requeued: "on_tiles_requeued",
-        halt_flag: "aborted",
         window: Window::Credits(2),
     },
 ];
@@ -112,8 +107,8 @@ pub struct TransitionTable {
     /// Heartbeats refresh the deadline (core anchor:
     /// `refresh_deadlines`).
     pub heartbeat_refreshes: bool,
-    /// No new batches are dispatched after abort (core anchor: `halted`;
-    /// policy anchor: [`Policy::halt_flag`]).
+    /// No new batches are dispatched after abort (core anchors: `abort`,
+    /// `halted` — the halt is the dispatcher's, for every policy).
     pub abort_stops_dispatch: bool,
     /// How many batches one worker may hold (the policy's
     /// [`Policy::window`]; not an anchor).
@@ -266,8 +261,8 @@ pub fn extract_table(
         abort_stops_dispatch: witnessed(
             "abort would not stop the dispatcher",
             &[
+                (DISPATCH_RS, "abort", in_core("abort")),
                 (DISPATCH_RS, "halted", in_core("halted")),
-                (policy.file, policy.halt_flag, in_policy(policy.halt_flag)),
             ],
         ),
         window: policy.window,
@@ -627,10 +622,9 @@ mod tests {
     fn anchor_extraction_drives_the_table() {
         let core = "fn a() { ledger.settle(k); src.observe(Event::StaleResult); \
                     requeue_worker(src, st, id); refresh_deadlines(src, id); \
-                    if src.halted() {} }";
+                    if d.halted {} } fn abort() { d.halted = true; }";
         let master = "fn b() { stats.on_batch_dispatched(n); work.done.insert(k); \
-                      stats.on_duplicate_results(d); stats.on_batch_requeued(n); \
-                      let x = aborted; }";
+                      stats.on_duplicate_results(d); stats.on_batch_requeued(n); }";
         let (table, findings) = extract_table(core, master, &POLICIES[0]);
         assert_eq!(table, TransitionTable::correct());
         assert_eq!(findings, vec![]);
@@ -650,17 +644,27 @@ mod tests {
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].file, DISPATCH_RS);
 
+        // The halt is the dispatcher's alone: no policy can lose it, and
+        // a core without it is blamed on `dispatch.rs` for every policy.
+        let bad = core.replace("fn abort()", "fn stop()");
+        for policy in POLICIES {
+            let (table, findings) = extract_table(&bad, master, policy);
+            assert!(!table.abort_stops_dispatch);
+            assert!(findings
+                .iter()
+                .any(|f| f.file == DISPATCH_RS && f.message.contains("`abort`")));
+        }
+
         // The gate policy has its own hook names and no duplicates hook.
         let gate = "fn c() { stats.on_jobs_dispatched(t, n); run.done.insert(k); \
-                    stats.on_jobs_requeued(n); let s = stopped; }";
+                    stats.on_jobs_requeued(n); }";
         let (table, findings) = extract_table(core, gate, &POLICIES[1]);
         assert_eq!(table, TransitionTable::correct());
         assert_eq!(findings, vec![]);
 
         // The shard frontend's tiles are granted against credits.
         let shard = "fn d() { stats.on_tile_granted(s); state.done.insert(t); \
-                     stats.on_duplicate_tile(); stats.on_tiles_requeued(1); \
-                     let a = aborted; }";
+                     stats.on_duplicate_tile(); stats.on_tiles_requeued(1); }";
         let (table, findings) = extract_table(core, shard, &POLICIES[2]);
         let credited = TransitionTable {
             window: Window::Credits(2),

@@ -11,7 +11,11 @@ fn accept(&self) {
 
 fn collect(&self) {
     refresh_deadlines(&src, 0);
-    if src.halted() {
+    if d.halted {
         return;
     }
+}
+
+fn abort(&self) {
+    d.halted = true;
 }

@@ -19,7 +19,6 @@ fn dispatch(&self) {
 fn accept(&self) {
     work.done.insert(0);
     stats.on_duplicate_results(1);
-    let aborted = false;
 }
 
 fn ordering(&self) {

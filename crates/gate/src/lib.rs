@@ -71,9 +71,9 @@ pub use client::{GateClient, QueryEvent, QueryOutcome};
 pub use stats::{GateSnapshot, GateStats};
 
 use rck_pdb::model::CaChain;
-use rck_serve::dispatch::{self, Dispatch};
+use rck_serve::dispatch::{self, Dispatch, Plane};
 use rck_serve::proto::{fnv1a64, Frame, QueryDone, QueryPartial, QueryReject, QuerySubmit};
-use rck_serve::transport::{Conn, Listener, TcpChannelListener};
+use rck_serve::transport::{Listener, TcpChannelListener};
 use rck_serve::MutexExt;
 use rck_tmalign::MethodKind;
 use rckalign::consensus::{Combiner, Consensus};
@@ -84,7 +84,6 @@ use session::{Outbox, Subscriber};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -166,11 +165,11 @@ pub(crate) struct GateState {
     pub(crate) sched: StrideSched,
     /// Query fingerprint → running query, for coalescing duplicates.
     pub(crate) coalesce: HashMap<u64, u64>,
-    /// Ledger of batches out on pool workers, worker connection
-    /// handles, id counters.
+    /// Ledger of batches out on pool workers, the connections of both
+    /// planes, id counters, the halt and drain flags.
     pub(crate) dispatch: Dispatch<pool::QueryBatch>,
-    /// Each client session's write-half clone and outbox, for teardown.
-    pub(crate) session_streams: HashMap<u32, (Box<dyn Conn>, Arc<Outbox>)>,
+    /// Each client session's outbox, flushed at the end of a drain.
+    pub(crate) outboxes: HashMap<u32, Arc<Outbox>>,
     pub(crate) next_run_id: u64,
 }
 
@@ -182,11 +181,6 @@ pub(crate) struct GateShared {
     pub(crate) db: Vec<Arc<CaChain>>,
     pub(crate) cfg: GateConfig,
     pub(crate) stats: Arc<GateStats>,
-    pub(crate) next_session_id: AtomicU32,
-    /// Refuse new submissions; finish admitted queries, then stop.
-    pub(crate) draining: AtomicBool,
-    /// Hard stop: dispatch nothing further, wind every thread down.
-    pub(crate) stopped: AtomicBool,
     /// Persistent result store attached by [`Gate::with_store`]:
     /// consulted at submission (stored pairs never reach the scheduler)
     /// and appended to when a run completes.
@@ -211,23 +205,14 @@ impl GateHandle {
     /// QueryReject, admitted queries run to completion and stream their
     /// final rankings, then [`Gate::run`] returns. Idempotent.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.work_available.notify_all();
+        dispatch::drain(&*self.shared);
     }
 
     /// Hard stop: abandon queued work and wind every thread down.
     /// Clients see their connections close; use [`GateHandle::drain`]
     /// for the orderly path. Idempotent.
     pub fn stop(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.stopped.store(true, Ordering::SeqCst);
-        let state = self.shared.state.lock_recover();
-        state.dispatch.shutdown_streams();
-        for (conn, _) in state.session_streams.values() {
-            conn.shutdown();
-        }
-        drop(state);
-        self.shared.work_available.notify_all();
+        dispatch::abort(&*self.shared);
     }
 
     /// Live counters of the running gate.
@@ -270,16 +255,13 @@ impl Gate {
                     sched: StrideSched::new(),
                     coalesce: HashMap::new(),
                     dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.batch_timeout),
-                    session_streams: HashMap::new(),
+                    outboxes: HashMap::new(),
                     next_run_id: 0,
                 }),
                 work_available: Condvar::new(),
                 db: db.into_iter().map(Arc::new).collect(),
                 cfg,
                 stats: Arc::new(GateStats::new()),
-                next_session_id: AtomicU32::new(0),
-                draining: AtomicBool::new(false),
-                stopped: AtomicBool::new(false),
                 store: Mutex::new(None),
             }),
         }
@@ -332,51 +314,34 @@ impl Gate {
     /// [`GateHandle::drain`] has been requested and every admitted query
     /// is answered. Returns the final counters.
     pub fn run(self) -> GateReport {
-        let monitor = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || dispatch::monitor_workers(&*shared))
+        let shared = &*self.shared;
+        let planes = [
+            Plane::workers(&*self.worker_listener),
+            Plane {
+                listener: &*self.client_listener,
+                serve: session::serve_client,
+            },
+        ];
+        // Wind down: idle client sessions are parked in a read, so closing
+        // their connections releases them — which, after a settled drain,
+        // each session's writer does itself once it has flushed its
+        // outbox (the last QueryDone may still be in it), so the abort
+        // that closes every other connection lets go of theirs first.
+        let wind_down = || {
+            let mut guard = shared.state.lock_recover();
+            let state = &mut *guard;
+            if !state.dispatch.halted() {
+                for (id, outbox) in state.outboxes.drain() {
+                    outbox.close();
+                    state.dispatch.release(id);
+                }
+            }
+            drop(guard);
+            dispatch::abort(shared);
         };
-        let mut handlers = Vec::new();
-        loop {
-            if dispatch::settled(&*self.shared, &mut self.shared.state.lock_recover()) {
-                break;
-            }
-            let mut accepted = false;
-            if let Ok(Some(conn)) = self.worker_listener.poll_accept() {
-                let shared = Arc::clone(&self.shared);
-                handlers.push(std::thread::spawn(move || {
-                    dispatch::serve_worker(&*shared, conn)
-                }));
-                accepted = true;
-            }
-            if let Ok(Some(conn)) = self.client_listener.poll_accept() {
-                let shared = Arc::clone(&self.shared);
-                handlers.push(std::thread::spawn(move || {
-                    session::serve_client(&shared, conn)
-                }));
-                accepted = true;
-            }
-            if !accepted {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-        // Wind down: workers see the stop flag and get an orderly
-        // Shutdown from their handlers; idle client sessions are parked
-        // in a read, so closing their connections releases them — which,
-        // after a settled drain, each session's writer does itself once it
-        // has flushed its outbox: the last QueryDone may still be in it.
-        if !self.shared.stopped.load(Ordering::SeqCst) {
-            for (_, (_, outbox)) in self.shared.state.lock_recover().session_streams.drain() {
-                outbox.close();
-            }
-        }
-        self.handle().stop();
-        let _ = monitor.join();
-        for h in handlers {
-            let _ = h.join();
-        }
+        let _ = dispatch::run(shared, &planes, |_| false, wind_down);
         GateReport {
-            stats: self.shared.stats.snapshot(),
+            stats: shared.stats.snapshot(),
         }
     }
 }
@@ -474,7 +439,10 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
             reason: reason.to_string(),
         }));
     };
-    if shared.draining.load(Ordering::SeqCst) || shared.stopped.load(Ordering::SeqCst) {
+    let state = shared.state.lock_recover();
+    let closed = state.dispatch.draining() || state.dispatch.halted();
+    drop(state);
+    if closed {
         reject("gate draining");
         return;
     }

@@ -26,7 +26,6 @@ use rck_serve::dispatch::{Dispatch, Event, WorkSource};
 use rck_serve::proto::{self, Frame};
 use rck_serve::MutexExt;
 use rckalign::{PairJob, PairOutcome};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -75,12 +74,8 @@ impl WorkSource for GateShared {
         self.db.len() as u32 + 1
     }
 
-    fn halted(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst)
-    }
-
     fn idle(&self, state: &GateState) -> bool {
-        self.draining.load(Ordering::SeqCst) && state.runs.is_empty()
+        state.dispatch.draining() && state.runs.is_empty()
     }
 
     fn next_unit(&self, state: &mut GateState, _worker_id: u32) -> Option<QueryBatch> {

@@ -110,30 +110,24 @@ impl Outbox {
 /// Serve one client connection: handshake, then submissions in, streamed
 /// results out, until the client sends Shutdown or the connection ends.
 pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
-    let session_id = shared
-        .next_session_id
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    // The welcome's `worker_id` field carries the session id; `n_chains`
-    // tells the client how large the resident database is (and
-    // therefore how long a full ranking is).
-    let welcome = Welcome {
-        worker_id: session_id,
+    // The welcome's `worker_id` field carries the session id, one of the
+    // dispatcher's connection ids; `n_chains` tells the client how large
+    // the resident database is (and therefore how long a full ranking
+    // is).
+    let welcome = || Welcome {
+        worker_id: shared.state.lock_recover().dispatch.mint(),
         n_chains: shared.db.len() as u32,
     };
     // A client that never speaks must not pin this thread (and with it
-    // `Gate::run`'s final join) forever: until greeted the connection is
-    // not in `session_streams`, so `stop()` cannot close it.
+    // `Gate::run`'s final join) forever: until greeted the dispatcher
+    // does not hold the connection, so an abort cannot close it.
     let _ = conn.set_read_timeout(Some(shared.cfg.heartbeat_timeout.saturating_mul(2)));
-    let greeted = dispatch::handshake(
-        GateShared::TAG,
-        |e| shared.observe(e),
-        &mut conn,
-        || welcome,
-    );
-    if greeted.is_none() {
+    let greeted = dispatch::handshake(GateShared::TAG, |e| shared.observe(e), &mut conn, welcome);
+    let Some((welcome, _)) = greeted else {
         conn.shutdown();
         return;
-    }
+    };
+    let session_id = welcome.worker_id;
     // Established sessions have no per-client deadline.
     let _ = conn.set_read_timeout(None);
     shared.stats.on_session();
@@ -146,11 +140,9 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
         Err(_) => None,
     };
     if let Ok(clone) = conn.try_clone() {
-        shared
-            .state
-            .lock_recover()
-            .session_streams
-            .insert(session_id, (clone, Arc::clone(&outbox)));
+        let mut state = shared.state.lock_recover();
+        state.dispatch.hold(session_id, clone);
+        state.outboxes.insert(session_id, Arc::clone(&outbox));
     }
 
     loop {
@@ -180,7 +172,8 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
         for run in state.runs.values_mut() {
             run.subscribers.retain(|s| !Arc::ptr_eq(&s.outbox, &outbox));
         }
-        state.session_streams.remove(&session_id);
+        state.dispatch.release(session_id);
+        state.outboxes.remove(&session_id);
     }
     outbox.close();
     if let Some(writer) = writer {

@@ -13,8 +13,9 @@
 //!   [`serve_worker`]: Hello, the shared write half, the parked heartbeat
 //!   thread and its progress counter, byte accounting; the worker and the
 //!   shard master are frame handlers over it;
-//! * [`monitor_workers`] — the deadline monitor, parked on the
-//!   dispatcher's condvar so a finished or aborted run wakes it at once;
+//! * [`run`] — a tier's whole run: the deadline monitor, one accept loop
+//!   over every [`Plane`] (a listener and its connection handler), and
+//!   the join of both, under one halt ([`abort`]) and one [`drain`];
 //! * [`serve_worker`] — the connection loop (handshake → fill the window
 //!   → collect a result → accept or requeue → lose), generic over a
 //!   [`WorkSource`] that supplies only policy; it cuts every chain table
@@ -166,11 +167,16 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
 pub struct Dispatch<U> {
     /// Batches out on workers, keyed by batch id.
     ledger: Ledger<u64, U>,
-    /// Write-half clones of worker connections, so the monitor and an
-    /// abort can unblock a handler parked in a read.
+    /// Write-half clones of the connections on every plane, by
+    /// connection id, so the monitor and an abort can unblock a handler
+    /// parked in a read.
     streams: HashMap<u32, Box<dyn Conn>>,
     next_batch_id: u64,
-    next_worker_id: u32,
+    next_conn_id: u32,
+    /// Set by [`abort`]: dispatch nothing, wait for nothing.
+    halted: bool,
+    /// Set by [`drain`]: the tier's `idle` says what may still finish.
+    draining: bool,
 }
 
 impl<U> Dispatch<U> {
@@ -180,16 +186,41 @@ impl<U> Dispatch<U> {
             ledger: Ledger::new(heartbeat_timeout, cap),
             streams: HashMap::new(),
             next_batch_id: 0,
-            next_worker_id: 0,
+            next_conn_id: 0,
+            halted: false,
+            draining: false,
         }
     }
 
-    /// Shut every worker connection down (abort / hard stop): handlers
-    /// parked in a read return and requeue what they held.
-    pub fn shutdown_streams(&self) {
-        for conn in self.streams.values() {
+    /// Whether the run was aborted.
+    pub fn halted(&self) -> bool {
+        self.halted
+    }
+
+    /// Whether the run was asked to drain.
+    pub fn draining(&self) -> bool {
+        self.draining
+    }
+
+    /// A fresh id for a connection that has just said a valid Hello.
+    pub fn mint(&mut self) -> u32 {
+        self.next_conn_id += 1;
+        self.next_conn_id - 1
+    }
+
+    /// Hold a write-half clone of connection `id` so the monitor and an
+    /// abort can reach it. A connection that arrives after an abort is
+    /// shut at once.
+    pub fn hold(&mut self, id: u32, conn: Box<dyn Conn>) {
+        if self.halted {
             conn.shutdown();
         }
+        self.streams.insert(id, conn);
+    }
+
+    /// Let go of connection `id` (its handler is leaving).
+    pub fn release(&mut self, id: u32) {
+        self.streams.remove(&id);
     }
 
     /// Connections past their handshake whose handler is still running.
@@ -293,8 +324,6 @@ pub trait WorkSource: Sync {
     /// `n_chains` announced in the Welcome.
     fn n_chains(&self) -> u32;
 
-    /// Hard stop: dispatch nothing, wait for nothing.
-    fn halted(&self) -> bool;
     /// Nothing more will be dispatched; units in flight may still land.
     fn idle(&self, state: &Self::State) -> bool;
     /// The next unit to hand out on `worker_id`'s connection, or `None`
@@ -501,17 +530,113 @@ impl Session {
 }
 
 /// Whether `src` is done: halted, or idle with nothing left in flight.
-/// A tier's accept loop and its monitor both run until this holds.
-pub fn settled<S: WorkSource>(src: &S, state: &mut S::State) -> bool {
-    src.halted() || (src.idle(state) && S::dispatch(state).ledger.is_empty())
+/// A run's accept loop and its monitor both run until this holds.
+fn settled<S: WorkSource>(src: &S, state: &mut S::State) -> bool {
+    let d = S::dispatch(state);
+    let (halted, empty) = (d.halted, d.ledger.is_empty());
+    halted || (src.idle(state) && empty)
+}
+
+/// Hard stop: dispatch nothing more, shut every connection on every
+/// plane so each handler parked in a read returns (a worker's units are
+/// requeued on the way out), and wake every waiter. Idempotent; safe
+/// from any thread.
+pub fn abort<S: WorkSource>(src: &S) {
+    let mut state = src.state().lock_recover();
+    let d = S::dispatch(&mut state);
+    d.halted = true;
+    for conn in d.streams.values() {
+        conn.shutdown();
+    }
+    drop(state);
+    src.wake().notify_all();
+}
+
+/// Graceful stop: the tier's `idle` decides what may still finish. The
+/// flag is set under the state lock, so no waiter can check it and then
+/// miss the notify. Idempotent; safe from any thread.
+pub fn drain<S: WorkSource>(src: &S) {
+    S::dispatch(&mut src.state().lock_recover()).draining = true;
+    src.wake().notify_all();
+}
+
+/// A listener and the handler every connection it accepts runs.
+pub struct Plane<'a, S> {
+    /// Where the plane's connections arrive.
+    pub listener: &'a dyn Listener,
+    /// What each accepted connection runs, on a thread of its own.
+    pub serve: fn(&S, Box<dyn Conn>),
+}
+
+impl<'a, S: WorkSource> Plane<'a, S> {
+    /// The plane whose connections run [`serve_worker`].
+    pub fn workers(listener: &'a dyn Listener) -> Plane<'a, S> {
+        Plane {
+            listener,
+            serve: serve_worker::<S>,
+        }
+    }
+}
+
+/// A tier's whole run. Start the deadline monitor and accept on every
+/// plane until the source is settled (halted, or idle with nothing in
+/// flight) or the tier's own `done` holds, which aborts the run; then
+/// wake every waiter, call `wind_down` and join the monitor and every
+/// handler. An accept error is logged and the run keeps serving the
+/// connections it has: it ends by its own rule. Fails only if the
+/// monitor panicked.
+pub fn run<S: WorkSource>(
+    src: &S,
+    planes: &[Plane<'_, S>],
+    mut done: impl FnMut(&S::State) -> bool,
+    wind_down: impl FnOnce(),
+) -> io::Result<()> {
+    std::thread::scope(|scope| {
+        let monitor = scope.spawn(|| monitor_workers(src));
+        let mut handlers = Vec::new();
+        loop {
+            let mut state = src.state().lock_recover();
+            if settled(src, &mut state) {
+                break;
+            }
+            if done(&state) {
+                drop(state);
+                abort(src);
+                break;
+            }
+            drop(state);
+            let mut quiet = true;
+            for plane in planes {
+                match plane.listener.poll_accept() {
+                    Ok(Some(conn)) => {
+                        let serve = plane.serve;
+                        handlers.push(scope.spawn(move || serve(src, conn)));
+                        quiet = false;
+                    }
+                    Ok(None) => {}
+                    Err(e) => eprintln!("{} accept failed: {e}", S::TAG),
+                }
+            }
+            if quiet {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        src.wake().notify_all();
+        wind_down();
+        let monitor = monitor.join();
+        for handler in handlers {
+            let _ = handler.join();
+        }
+        monitor.map_err(|_| io::Error::other(format!("{} deadline monitor panicked", S::TAG)))
+    })
 }
 
 /// The deadline monitor: requeue every unit of an owner with an expired
 /// one and shut its connection so the handler's pending read returns,
-/// until the source is [`settled`]. Between sweeps it waits on the
-/// source's condvar for at most a quarter heartbeat window, so whoever
-/// finishes or aborts the run and notifies it ends the monitor at once.
-pub fn monitor_workers<S: WorkSource>(src: &S) {
+/// until the source is settled. Between sweeps it waits on the source's
+/// condvar for at most a quarter heartbeat window, so whoever finishes
+/// or aborts the run and notifies it ends the monitor at once.
+fn monitor_workers<S: WorkSource>(src: &S) {
     let tick = (src.heartbeat_timeout() / 4).max(Duration::from_millis(5));
     let mut state = src.state().lock_recover();
     loop {
@@ -537,28 +662,6 @@ pub fn monitor_workers<S: WorkSource>(src: &S) {
     }
     drop(state);
     src.wake().notify_all();
-}
-
-/// The accept loop of a tier with one listener: until `done`, hand every
-/// new connection to `serve` on a thread of its own. Returns the handler
-/// threads for the caller to join.
-pub fn accept_until(
-    listener: &dyn Listener,
-    done: impl Fn() -> bool,
-    serve: impl Fn(Box<dyn Conn>) + Send + Sync + 'static,
-) -> io::Result<Vec<JoinHandle<()>>> {
-    let serve = Arc::new(serve);
-    let mut handlers = Vec::new();
-    while !done() {
-        match listener.poll_accept()? {
-            Some(conn) => {
-                let serve = Arc::clone(&serve);
-                handlers.push(std::thread::spawn(move || serve(conn)));
-            }
-            None => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-    Ok(handlers)
 }
 
 /// What became of one dispatched batch.
@@ -598,16 +701,9 @@ fn window(service: Option<Duration>) -> usize {
 pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
     // A worker that never speaks must not pin this thread forever.
     let _ = conn.set_read_timeout(Some(src.heartbeat_timeout().saturating_mul(2)));
-    let welcome = || {
-        let mut state = src.state().lock_recover();
-        let d = S::dispatch(&mut state);
-        let worker_id = d.next_worker_id;
-        d.next_worker_id += 1;
-        drop(state);
-        Welcome {
-            worker_id,
-            n_chains: src.n_chains(),
-        }
+    let welcome = || Welcome {
+        worker_id: S::dispatch(&mut src.state().lock_recover()).mint(),
+        n_chains: src.n_chains(),
     };
     let greeted = handshake(S::TAG, |e| src.observe(e), &mut conn, welcome);
     let Some((Welcome { worker_id, .. }, name)) = greeted else {
@@ -619,8 +715,7 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
     };
     src.observe(Event::WorkerConnected(worker_id, &name));
     if let Ok(clone) = conn.try_clone() {
-        let mut state = src.state().lock_recover();
-        S::dispatch(&mut state).streams.insert(worker_id, clone);
+        S::dispatch(&mut src.state().lock_recover()).hold(worker_id, clone);
     }
     // A new worker may satisfy a dispatch barrier.
     src.wake().notify_all();
@@ -687,9 +782,7 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
         }
     }
 
-    let mut state = src.state().lock_recover();
-    S::dispatch(&mut state).streams.remove(&worker_id);
-    drop(state);
+    S::dispatch(&mut src.state().lock_recover()).release(worker_id);
     // Closing here (not just dropping our handle) guarantees the peer's
     // pending reads unblock even while other clones of this connection
     // are still alive elsewhere.
@@ -705,8 +798,9 @@ pub fn claim<S: WorkSource>(src: &S, worker_id: u32, wait: bool) -> Option<(u64,
     let unit = loop {
         // A connection that holds work the ledger no longer knows was
         // given up on by the monitor: it is fed nothing more.
-        let revoked = !wait && !S::dispatch(&mut state).ledger.holds(worker_id);
-        if revoked || src.halted() || src.idle(&state) {
+        let d = S::dispatch(&mut state);
+        let revoked = !wait && !d.ledger.holds(worker_id);
+        if revoked || d.halted || src.idle(&state) {
             return None;
         }
         match src.next_unit(&mut state, worker_id) {

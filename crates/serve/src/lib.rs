@@ -25,8 +25,9 @@
 //!   JobBatch, ResultBatch, Heartbeat, Shutdown, plus the serving
 //!   tier's QuerySubmit/QueryPartial/QueryDone/QueryReject);
 //! * [`dispatch`] — the one fault-tolerant dispatcher: in-flight ledger,
-//!   handshake, deadline monitor and the worker connection loop, generic
-//!   over a [`dispatch::WorkSource`] policy;
+//!   handshake, deadline monitor, the worker connection loop and every
+//!   tier's run around it (one accept loop, one abort, one drain),
+//!   generic over a [`dispatch::WorkSource`] policy;
 //! * [`master`] — the daemon: job generation, the FIFO batch policy
 //!   (batch and feed mode) and result assembly ([`Master`]);
 //! * [`worker`] — the client: decode batch, run the real kernel, stream

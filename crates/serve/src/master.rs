@@ -16,7 +16,7 @@
 //!
 //! [`answers_exactly`]: crate::proto::answers_exactly
 
-use crate::dispatch::{self, Dispatch, Event, WorkSource};
+use crate::dispatch::{self, Dispatch, Event, Plane, WorkSource};
 use crate::proto;
 use crate::stats::{ServeStats, StatsSnapshot};
 use crate::sync::MutexExt;
@@ -25,10 +25,10 @@ use rck_pdb::model::CaChain;
 use rck_tmalign::MethodKind;
 use rckalign::loadbalance::{order_jobs, JobOrdering};
 use rckalign::{all_vs_all, batch_jobs, PairJob, PairOutcome, SimilarityMatrix, StoreBinding};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -97,12 +97,6 @@ pub struct TileDone {
 struct TileProgress {
     remaining: usize,
     outcomes: Vec<PairOutcome>,
-    /// How many grants of this tile are waiting on its completion. A
-    /// feeder that submits a tile again while it is pending has the
-    /// re-grant merged here and answered with its own [`TileDone`] when
-    /// the tile lands, so every grant gets a complete answer and a
-    /// credit-per-result loop stays self-clocking.
-    pending_grants: usize,
 }
 
 /// The shared work-queue state (guarded by the `Mutex` in `Shared`).
@@ -110,10 +104,8 @@ struct Work {
     queue: VecDeque<Vec<PairJob>>,
     /// Ledger of batches out on workers, connection handles, id counters.
     dispatch: Dispatch<Vec<PairJob>>,
-    /// Accepted pairs, mapped to their index in `outcomes` so a
-    /// duplicate tile grant is answered in O(1) per pair instead of a
-    /// linear scan over everything accepted so far.
-    done: HashMap<(u32, u32), usize>,
+    /// Accepted pairs.
+    done: HashSet<(u32, u32)>,
     outcomes: Vec<PairOutcome>,
     total_pairs: usize,
     finished: bool,
@@ -121,7 +113,8 @@ struct Work {
     /// accepted pairs does not finish the run. Classic mode stages the
     /// whole workload at bind and keeps this `false` forever.
     accepting: bool,
-    /// Feed mode: which submitted tile each pending pair belongs to.
+    /// Feed mode: which submitted tile each pair belongs to, pending or
+    /// done.
     tile_of: HashMap<(u32, u32), u32>,
     /// Feed mode: per-tile completion progress.
     tiles: HashMap<u32, TileProgress>,
@@ -138,18 +131,10 @@ impl Work {
         }
     }
 
-    /// Stream a finished tile out: one [`TileDone`] per grant still
-    /// waiting on it, each carrying the complete outcome set — a
-    /// re-granted tile answers every grant (the frontend deduplicates).
-    fn emit_tile(&self, tile_id: u32, mut outcomes: Vec<PairOutcome>, grants: usize) {
+    /// Stream a finished tile out, its outcomes sorted by `(i, j)`.
+    fn emit_tile(&self, tile_id: u32, mut outcomes: Vec<PairOutcome>) {
         let Some(tx) = &self.tile_tx else { return };
         outcomes.sort_by_key(|o| (o.i, o.j));
-        for _ in 1..grants {
-            let _ = tx.send(TileDone {
-                tile_id,
-                outcomes: outcomes.clone(),
-            });
-        }
         let _ = tx.send(TileDone { tile_id, outcomes });
     }
 }
@@ -164,13 +149,6 @@ struct Shared {
     chains: Mutex<HashMap<u32, Arc<CaChain>>>,
     stats: Arc<ServeStats>,
     cfg: MasterConfig,
-    /// Set by [`AbortHandle::abort`]: stop accepting, stop dispatching,
-    /// fail the run instead of assembling a partial matrix.
-    aborted: AtomicBool,
-    /// Set by [`AbortHandle::drain`]: stop dispatching *new* batches but
-    /// let inflight ones finish, then return the partial matrix — the
-    /// graceful-shutdown path (SIGINT in `rck_served`).
-    draining: AtomicBool,
     /// Persistent result store attached by [`Master::with_store`]:
     /// consulted before dispatch (stored pairs never reach the queue)
     /// and appended to after assembly.
@@ -192,7 +170,7 @@ impl Shared {
             work: Mutex::new(Work {
                 queue,
                 dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.batch_timeout),
-                done: HashMap::new(),
+                done: HashSet::new(),
                 outcomes: Vec::with_capacity(total_pairs),
                 total_pairs,
                 finished: !accepting && total_pairs == 0,
@@ -205,8 +183,6 @@ impl Shared {
             chains: Mutex::new(chains),
             stats: Arc::new(ServeStats::new()),
             cfg,
-            aborted: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
             store: Mutex::new(None),
         })
     }
@@ -239,12 +215,9 @@ impl WorkSource for Shared {
         self.chains.lock_recover().len() as u32
     }
 
-    fn halted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
-    }
-
+    /// Finished, or drained: inflight batches may still land.
     fn idle(&self, work: &Work) -> bool {
-        work.finished || self.draining.load(Ordering::SeqCst)
+        work.finished || work.dispatch.draining()
     }
 
     fn next_unit(&self, work: &mut Work, _worker_id: u32) -> Option<Vec<PairJob>> {
@@ -273,12 +246,10 @@ impl WorkSource for Shared {
         let mut duplicates = 0usize;
         for o in outcomes {
             // Requeue races produce late duplicates: first answer wins.
-            if work.done.contains_key(&(o.i, o.j)) {
+            if !work.done.insert((o.i, o.j)) {
                 duplicates += 1;
                 continue;
             }
-            let ix = work.outcomes.len();
-            work.done.insert((o.i, o.j), ix);
             work.outcomes.push(o);
             fresh += 1;
             // Feed mode: credit the pair to its tile.
@@ -292,7 +263,7 @@ impl WorkSource for Shared {
             progress.remaining -= 1;
             if progress.remaining == 0 {
                 if let Some(p) = work.tiles.remove(&tile_id) {
-                    work.emit_tile(tile_id, p.outcomes, p.pending_grants);
+                    work.emit_tile(tile_id, p.outcomes);
                 }
             }
         }
@@ -354,11 +325,7 @@ pub struct AbortHandle {
 impl AbortHandle {
     /// Stop the run. Idempotent; safe from any thread.
     pub fn abort(&self) {
-        self.shared.aborted.store(true, Ordering::SeqCst);
-        let work = self.shared.work.lock_recover();
-        work.dispatch.shutdown_streams();
-        drop(work);
-        self.shared.available.notify_all();
+        dispatch::abort(&*self.shared);
     }
 
     /// Drain the run instead of killing it: no new batches are
@@ -369,11 +336,7 @@ impl AbortHandle {
     /// the SIGINT path of the serving bins — connections are never
     /// dropped mid-stream.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        // Passing through the lock orders the flag before any waiter's
-        // next check, so the notify cannot fall between check and wait.
-        drop(self.shared.work.lock_recover());
-        self.shared.available.notify_all();
+        dispatch::drain(&*self.shared);
     }
 }
 
@@ -390,11 +353,11 @@ impl FeedHandle {
     /// batched onto the dispatch queue immediately; once the last of the
     /// tile's pairs is accepted, a [`TileDone`] carrying the tile's
     /// `(i, j)`-sorted outcomes is emitted on the receiver `bind_feed_on`
-    /// returned. A pair already completed by an earlier tile is answered
-    /// from the accepted outcome instead of being recomputed, so a
-    /// duplicate grant after a steal race costs nothing. A job
-    /// referencing a chain no tile brought is refused (`InvalidData`,
-    /// nothing queued): the feeder is out of step with its peer.
+    /// returned. Each grant is answered exactly once: a tile id still
+    /// pending, a pair already submitted (pending or done) and a job
+    /// referencing a chain no tile brought are all refused
+    /// (`InvalidData`, nothing queued) — the feeder is out of step with
+    /// its peer.
     pub fn submit_tile(
         &self,
         tile_id: u32,
@@ -415,51 +378,42 @@ impl FeedHandle {
         }
         drop(held);
         let mut work = self.shared.work.lock_recover();
-        // A re-grant of a tile this master still holds pending merges
-        // into the in-flight progress — answering early with only the
-        // already-accepted subset would hand the feeder a partial
-        // result.
-        let resubmitted = work.tiles.contains_key(&tile_id);
-        let mut answered = Vec::new();
-        let mut fresh = Vec::new();
-        for job in jobs {
-            let pair = (job.i, job.j);
-            if let Some(&ix) = work.done.get(&pair) {
-                answered.push(work.outcomes[ix]);
-            } else if let std::collections::hash_map::Entry::Vacant(slot) = work.tile_of.entry(pair)
-            {
-                slot.insert(tile_id);
-                fresh.push(job);
+        // A session is granted a tile once and a pair once (a tile past
+        // its cap costs its master the session), so a repeat is a feeder
+        // out of step, not a race to answer: refused, none of it kept.
+        let mut entered = 0;
+        let repeat = work.tiles.contains_key(&tile_id)
+            || !jobs
+                .iter()
+                .all(|job| match work.tile_of.entry((job.i, job.j)) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(tile_id);
+                        entered += 1;
+                        true
+                    }
+                    Entry::Occupied(_) => false,
+                });
+        if repeat {
+            for job in &jobs[..entered] {
+                work.tile_of.remove(&(job.i, job.j));
             }
-            // A pair pending under this same tile is already counted in
-            // the in-flight progress; a pair pending under *another*
-            // tile is covered by that tile's completion (tiles of one
-            // partition are disjoint, so only a misused feed hits that).
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("tile {tile_id} repeats a grant this feed already holds"),
+            ));
         }
-        work.total_pairs += fresh.len();
-        for batch in batch_jobs(&fresh, self.shared.cfg.batch_size.max(1)) {
+        work.total_pairs += jobs.len();
+        for batch in batch_jobs(&jobs, self.shared.cfg.batch_size.max(1)) {
             work.queue.push_back(batch);
         }
-        if resubmitted {
-            // The in-flight progress already holds every accepted
-            // outcome of this tile; record one more grant to answer and
-            // fold in any genuinely new jobs.
-            if let Some(p) = work.tiles.get_mut(&tile_id) {
-                p.remaining += fresh.len();
-                p.pending_grants += 1;
-            }
-        } else if fresh.is_empty() {
-            // Fully answered from already-accepted outcomes: complete now.
-            work.emit_tile(tile_id, answered, 1);
+        if jobs.is_empty() {
+            work.emit_tile(tile_id, Vec::new());
         } else {
-            work.tiles.insert(
-                tile_id,
-                TileProgress {
-                    remaining: fresh.len(),
-                    outcomes: answered,
-                    pending_grants: 1,
-                },
-            );
+            let progress = TileProgress {
+                remaining: jobs.len(),
+                outcomes: Vec::new(),
+            };
+            work.tiles.insert(tile_id, progress);
         }
         drop(work);
         self.shared.available.notify_all();
@@ -549,9 +503,7 @@ impl Master {
                 .collect();
             let (hits, misses) = binding.split(&staged);
             for outcome in hits {
-                if !work.done.contains_key(&(outcome.i, outcome.j)) {
-                    let ix = work.outcomes.len();
-                    work.done.insert((outcome.i, outcome.j), ix);
+                if work.done.insert((outcome.i, outcome.j)) {
                     work.outcomes.push(outcome);
                 }
             }
@@ -592,26 +544,11 @@ impl Master {
     /// down and return the assembled matrix. Returns
     /// `Err(ErrorKind::Interrupted)` if aborted first.
     pub fn run(self) -> io::Result<ServeRun> {
-        let monitor = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || dispatch::monitor_workers(&*shared))
-        };
-        let shared = Arc::clone(&self.shared);
-        let handlers = dispatch::accept_until(
-            &*self.listener,
-            || dispatch::settled(&*self.shared, &mut self.shared.work.lock_recover()),
-            move |conn| dispatch::serve_worker(&*shared, conn),
-        )?;
-        self.shared.available.notify_all();
-        if monitor.join().is_err() {
-            return Err(io::Error::other("deadline monitor thread panicked"));
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
+        let planes = [Plane::workers(&*self.listener)];
+        dispatch::run(&*self.shared, &planes, |_| false, || {})?;
 
         let mut work = self.shared.work.lock_recover();
-        if !work.finished && !self.shared.draining.load(Ordering::SeqCst) {
+        if !work.finished && !work.dispatch.draining() {
             return Err(io::Error::new(
                 io::ErrorKind::Interrupted,
                 "service run aborted before completion",
@@ -825,8 +762,73 @@ mod tests {
         assert_eq!(crate::chaos::outcomes_fingerprint(&merged), want);
     }
 
+    /// A re-grant of a tile still pending, a pending pair under a new
+    /// tile id and a tile overlapping a pending one are all refused with
+    /// nothing queued, as a chain that was never granted is; the pending
+    /// grant is then answered exactly once.
     #[test]
-    fn feed_mode_answers_duplicate_tiles_from_accepted_outcomes() {
+    fn feed_mode_refuses_a_regrant_of_a_still_pending_tile() {
+        use crate::transport::MemNet;
+        use crate::worker::{run_worker_conn, WorkerConfig};
+
+        let chains = tiny_profile().generate(8);
+        let net = MemNet::new();
+        let (master, feed, tiles_rx) =
+            Master::bind_feed_on(net.listener(), MasterConfig::default());
+        let run_thread = std::thread::spawn(move || master.run());
+        let refused = |tile_id: u32, chains: proto::ChainTable, jobs: Vec<PairJob>| {
+            let err = feed
+                .submit_tile(tile_id, chains, jobs)
+                .expect_err("a repeated grant is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        };
+
+        // Before any worker exists every pair of the tile is pending.
+        let tiles = rckalign::tile_partition(chains.len(), 4);
+        let grant =
+            proto::build_tile_grant(tiles[0].id, tiles[0].jobs(MethodKind::TmAlign), &chains);
+        let n_jobs = grant.jobs.len();
+        feed.submit_tile(grant.tile_id, grant.chains, grant.jobs.clone())
+            .unwrap();
+        refused(grant.tile_id, Vec::new(), grant.jobs.clone());
+        refused(grant.tile_id + 100, Vec::new(), grant.jobs[..1].to_vec());
+        let other =
+            proto::build_tile_grant(tiles[1].id, tiles[1].jobs(MethodKind::TmAlign), &chains);
+        let mut overlapping = other.jobs.clone();
+        overlapping.push(grant.jobs[0]);
+        refused(other.tile_id, other.chains.clone(), overlapping);
+        assert_eq!(feed.stats().snapshot().jobs_dispatched, 0);
+
+        let worker_conn = net.connect().unwrap();
+        let worker = std::thread::spawn(move || {
+            let wcfg = WorkerConfig::connect_to("127.0.0.1:0".parse().unwrap());
+            run_worker_conn(worker_conn, &wcfg)
+        });
+        let done = tiles_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the one grant is answered");
+        assert_eq!((done.tile_id, done.outcomes.len()), (grant.tile_id, n_jobs));
+        // The refused overlap left nothing behind: its tile goes through.
+        feed.submit_tile(other.tile_id, other.chains, other.jobs.clone())
+            .unwrap();
+        let done = tiles_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the other tile is answered");
+        assert_eq!(done.tile_id, other.tile_id);
+
+        feed.close();
+        let run = run_thread.join().unwrap().expect("feed run completes");
+        let _ = worker.join();
+        assert!(tiles_rx.try_recv().is_err(), "one TileDone per grant");
+        assert_eq!(run.outcomes.len(), n_jobs + other.jobs.len());
+        assert_eq!(run.stats.jobs_dispatched, run.outcomes.len() as u64);
+    }
+
+    /// A pair already answered is not answered again: a re-grant of a
+    /// completed tile, or a new tile id carrying one of its pairs, is
+    /// refused with nothing dispatched and no second `TileDone`.
+    #[test]
+    fn feed_mode_refuses_a_tile_whose_pairs_are_already_answered() {
         use crate::transport::MemNet;
         use crate::worker::{run_worker_conn, WorkerConfig};
 
@@ -843,84 +845,34 @@ mod tests {
 
         let tile = &rckalign::tile_partition(chains.len(), 4)[0];
         let grant = proto::build_tile_grant(tile.id, tile.jobs(MethodKind::TmAlign), &chains);
+        let n_jobs = grant.jobs.len();
         feed.submit_tile(grant.tile_id, grant.chains.clone(), grant.jobs.clone())
             .unwrap();
         let first = tiles_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("first completion");
-
-        // Re-granting the same tile (a steal race) is answered from the
-        // accepted outcomes without dispatching anything new.
-        let dispatched_before = feed.stats().snapshot().jobs_dispatched;
-        feed.submit_tile(grant.tile_id, grant.chains, grant.jobs)
-            .unwrap();
-        let second = tiles_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("duplicate completion");
-        assert_eq!(feed.stats().snapshot().jobs_dispatched, dispatched_before);
-        assert_eq!(first.outcomes.len(), second.outcomes.len());
-        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-            assert_eq!((a.i, a.j), (b.i, b.j));
-            assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());
-        }
-
-        feed.close();
-        run_thread.join().unwrap().expect("feed run completes");
-        let _ = worker.join();
-    }
-
-    #[test]
-    fn feed_mode_merges_a_regrant_of_a_still_pending_tile() {
-        use crate::transport::MemNet;
-        use crate::worker::{run_worker_conn, WorkerConfig};
-
-        let chains = tiny_profile().generate(8);
-        let net = MemNet::new();
-        let (master, feed, tiles_rx) =
-            Master::bind_feed_on(net.listener(), MasterConfig::default());
-        let run_thread = std::thread::spawn(move || master.run());
-
-        // Grant the same tile twice *before* any worker exists, so every
-        // pair is still pending when the re-grant arrives: answering it
-        // at once would hand the feeder an empty, partial outcome set.
-        let tile = &rckalign::tile_partition(chains.len(), 4)[0];
-        let grant = proto::build_tile_grant(tile.id, tile.jobs(MethodKind::TmAlign), &chains);
-        let n_jobs = grant.jobs.len();
-        feed.submit_tile(grant.tile_id, grant.chains.clone(), grant.jobs.clone())
-            .unwrap();
-        feed.submit_tile(grant.tile_id, grant.chains, grant.jobs)
-            .unwrap();
-        assert!(
-            tiles_rx.try_recv().is_err(),
-            "no TileDone may fire while every pair is pending"
+        assert_eq!(
+            (first.tile_id, first.outcomes.len()),
+            (grant.tile_id, n_jobs)
         );
 
-        let worker_conn = net.connect().unwrap();
-        let worker = std::thread::spawn(move || {
-            let wcfg = WorkerConfig::connect_to("127.0.0.1:0".parse().unwrap());
-            run_worker_conn(worker_conn, &wcfg)
-        });
-
-        // Both grants are answered, each with the complete outcome set.
-        let first = tiles_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("first grant answered");
-        let second = tiles_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("re-grant answered too");
-        for done in [&first, &second] {
-            assert_eq!(done.tile_id, tile.id);
-            assert_eq!(done.outcomes.len(), n_jobs, "complete answer");
+        let dispatched_before = feed.stats().snapshot().jobs_dispatched;
+        for (tile_id, jobs) in [
+            (grant.tile_id, grant.jobs.clone()),
+            (grant.tile_id + 100, grant.jobs[..1].to_vec()),
+        ] {
+            let err = feed
+                .submit_tile(tile_id, grant.chains.clone(), jobs)
+                .expect_err("a done pair is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
-        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-            assert_eq!((a.i, a.j), (b.i, b.j));
-            assert_eq!(a.similarity.to_bits(), b.similarity.to_bits());
-        }
+        assert_eq!(feed.stats().snapshot().jobs_dispatched, dispatched_before);
 
         feed.close();
         let run = run_thread.join().unwrap().expect("feed run completes");
         let _ = worker.join();
-        assert_eq!(run.outcomes.len(), n_jobs, "each pair computed once");
+        assert!(tiles_rx.try_recv().is_err(), "one TileDone per grant");
+        assert_eq!(run.outcomes.len(), n_jobs);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::stats::{ShardSnapshot, ShardStats};
 use rck_pdb::model::CaChain;
-use rck_serve::dispatch::{self, Dialect, Dispatch, Event, WorkSource};
+use rck_serve::dispatch::{self, Dialect, Dispatch, Event, Plane, WorkSource};
 use rck_serve::transport::TcpChannelListener;
 use rck_serve::{Listener, MutexExt};
 use rck_tmalign::MethodKind;
@@ -28,11 +28,9 @@ use rckalign::{
     assign_tiles, merge_outcomes, tile_partition, PairJob, PairOutcome, SimilarityMatrix,
     StoreBinding,
 };
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -143,45 +141,9 @@ struct Shared {
     chains: Vec<Arc<CaChain>>,
     stats: Arc<ShardStats>,
     cfg: ShardConfig,
-    aborted: AtomicBool,
-    /// Set when the no-masters liveness bound expired with tiles
-    /// outstanding — `run` reports `TimedOut`, not `Interrupted`.
-    stalled: AtomicBool,
     /// Persistent result store attached by [`ShardFrontend::with_store`]:
     /// consulted per tile before any grant and appended to on completion.
     store: Mutex<Option<Arc<StoreBinding>>>,
-}
-
-impl Shared {
-    /// Stop the run: dispatch nothing more, unblock every handler.
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        self.state.lock_recover().dispatch.shutdown_streams();
-        self.wake.notify_all();
-    }
-
-    /// Whether the run is over: settled, or stalled — tiles outstanding
-    /// and no master connected for the stall bound (§15.3), which aborts
-    /// it. `alone_since` is since when no master has been connected.
-    fn over(&self, alone_since: &Cell<Option<Instant>>) -> bool {
-        let mut state = self.state.lock_recover();
-        if dispatch::settled(self, &mut state) {
-            return true;
-        }
-        if state.dispatch.connected() > 0 {
-            alone_since.set(None);
-            return false;
-        }
-        drop(state);
-        let since = alone_since.get().unwrap_or_else(Instant::now);
-        alone_since.set(Some(since));
-        if since.elapsed() <= self.cfg.effective_stall_timeout() {
-            return false;
-        }
-        self.stalled.store(true, Ordering::SeqCst);
-        self.abort();
-        true
-    }
 }
 
 /// The tile policy: pick own queue → orphans → steal, merge on accept,
@@ -210,10 +172,6 @@ impl WorkSource for Shared {
 
     fn n_chains(&self) -> u32 {
         self.chains.len() as u32
-    }
-
-    fn halted(&self) -> bool {
-        self.aborted.load(Ordering::SeqCst)
     }
 
     fn idle(&self, state: &State) -> bool {
@@ -290,7 +248,7 @@ pub struct ShardAbortHandle {
 impl ShardAbortHandle {
     /// Stop the run. Idempotent; safe from any thread.
     pub fn abort(&self) {
-        self.shared.abort();
+        dispatch::abort(&*self.shared);
     }
 }
 
@@ -336,8 +294,6 @@ impl ShardFrontend {
                 chains: chains.into_iter().map(Arc::new).collect(),
                 stats: Arc::new(ShardStats::new()),
                 cfg,
-                aborted: AtomicBool::new(false),
-                stalled: AtomicBool::new(false),
                 store: Mutex::new(None),
             }),
         }
@@ -406,28 +362,24 @@ impl ShardFrontend {
     /// `Err(ErrorKind::TimedOut)` if no master was connected for the
     /// stall bound with tiles outstanding.
     pub fn run(self) -> io::Result<ShardRun> {
-        let monitor = {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || dispatch::monitor_workers(&*shared))
+        // The no-masters stall bound (§15.3): tiles outstanding and no
+        // master connected for that long end the run.
+        let stall = self.shared.cfg.effective_stall_timeout();
+        let (mut alone_since, mut stalled) = (None::<Instant>, false);
+        let stalls = |state: &State| {
+            if state.dispatch.connected() > 0 {
+                alone_since = None;
+                return false;
+            }
+            stalled = alone_since.get_or_insert_with(Instant::now).elapsed() > stall;
+            stalled
         };
-        let shared = Arc::clone(&self.shared);
-        let alone_since = Cell::new(None);
-        let handlers = dispatch::accept_until(
-            &*self.listener,
-            || self.shared.over(&alone_since),
-            move |conn| dispatch::serve_worker(&*shared, conn),
-        )?;
-        self.shared.wake.notify_all();
-        if monitor.join().is_err() {
-            return Err(io::Error::other("shard monitor thread panicked"));
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
+        let planes = [Plane::workers(&*self.listener)];
+        dispatch::run(&*self.shared, &planes, stalls, || {})?;
 
         let mut state = self.shared.state.lock_recover();
         if state.remaining > 0 {
-            if self.shared.stalled.load(Ordering::SeqCst) {
+            if stalled {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(

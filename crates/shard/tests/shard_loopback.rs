@@ -7,7 +7,7 @@ use rck_pdb::model::CaChain;
 use rck_serve::chaos::outcomes_fingerprint;
 use rck_serve::dispatch::hello;
 use rck_serve::proto::{self, Frame, StealRequest, TileGrant, TileResult};
-use rck_serve::{run_worker_conn, Conn, MasterConfig, MemNet, WorkerConfig};
+use rck_serve::{run_worker_conn, Conn, Listener, Master, MasterConfig, MemNet, WorkerConfig};
 use rck_shard::{run_shard_master, ShardConfig, ShardFrontend, ShardMasterConfig};
 use rck_tmalign::MethodKind;
 use rckalign::{
@@ -15,6 +15,8 @@ use rckalign::{
     SimilarityMatrix, StoreBinding,
 };
 use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -135,6 +137,77 @@ fn assert_bit_identical(run: &rck_shard::ShardRun, chains: &[CaChain]) {
         "merged outcomes bit-identical to the single-process run"
     );
     assert_eq!(run.matrix, want_matrix, "merged matrix bit-identical");
+}
+
+/// A listener whose first `poll_accept` fails, as an accept may when
+/// the process is out of descriptors; every later call is the inner
+/// listener's.
+struct FailsFirstAccept(Box<dyn Listener>, AtomicBool);
+
+impl FailsFirstAccept {
+    fn wrap(inner: Box<dyn Listener>) -> Box<dyn Listener> {
+        Box::new(FailsFirstAccept(inner, AtomicBool::new(false)))
+    }
+}
+
+impl Listener for FailsFirstAccept {
+    fn poll_accept(&self) -> std::io::Result<Option<Box<dyn Conn>>> {
+        if !self.1.swap(true, Ordering::SeqCst) {
+            return Err(std::io::Error::other("injected accept failure"));
+        }
+        self.0.poll_accept()
+    }
+
+    fn local_addr(&self) -> Option<SocketAddr> {
+        self.0.local_addr()
+    }
+}
+
+/// An accept error is logged and the run goes on serving: a batch
+/// master and a shard frontend whose first accept fails both finish
+/// bit-identical instead of returning the error with their monitor and
+/// handlers still running.
+#[test]
+fn an_accept_error_does_not_end_the_run() {
+    let chains = tiny_profile().generate(29);
+    let (want, want_matrix) = reference(&chains);
+
+    let net = MemNet::new();
+    let cfg = MasterConfig {
+        batch_size: 3,
+        ..MasterConfig::default()
+    };
+    let master = Master::bind_on(FailsFirstAccept::wrap(net.listener()), chains.clone(), cfg);
+    let conn = net.connect().expect("master accepting");
+    let worker = std::thread::spawn(move || run_worker_conn(conn, &worker_cfg("w".into())));
+    let run = master.run().expect("an accept error does not end a farm");
+    let _ = worker.join();
+    assert_eq!(
+        outcomes_fingerprint(&run.outcomes),
+        outcomes_fingerprint(&want)
+    );
+    assert_eq!(run.matrix, want_matrix);
+
+    let net = MemNet::new();
+    let cfg = ShardConfig {
+        tile_size: 4,
+        masters: 1,
+        ..ShardConfig::default()
+    };
+    let frontend =
+        ShardFrontend::bind_on(FailsFirstAccept::wrap(net.listener()), chains.clone(), cfg);
+    let conn = net.connect().expect("frontend accepting");
+    let worker_net = MemNet::new();
+    let workers = worker_net.listener();
+    let master =
+        std::thread::spawn(move || run_shard_master(conn, workers, &master_cfg("m".into())));
+    let worker_conn = worker_net.connect().expect("shard master accepting");
+    let worker = std::thread::spawn(move || run_worker_conn(worker_conn, &worker_cfg("mw".into())));
+    let run = frontend
+        .run()
+        .expect("an accept error does not end a sharded run");
+    let _ = (master.join(), worker.join());
+    assert_bit_identical(&run, &chains);
 }
 
 #[test]

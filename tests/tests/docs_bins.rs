@@ -5,8 +5,9 @@
 //! retired simulator surface, the simulator engine uses no shared-state
 //! primitive, the kernel entries kept for the frozen benchmark have no
 //! other caller, every row of the benchmark trajectory names a workload
-//! and a metric `BENCHMARK.json` declares, and every crate root
-//! re-exports only what something outside the crate names.
+//! and a metric `BENCHMARK.json` declares, every crate root re-exports
+//! only what something outside the crate names, and only the dispatcher
+//! accepts connections or runs a deadline monitor.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -412,5 +413,41 @@ fn every_reexport_has_a_caller_outside_its_crate() {
     assert!(
         unexplained.is_empty(),
         "re-exported, but named by no binary, other crate, benchmark or example: {unexplained:#?}"
+    );
+}
+
+/// One accept loop and one monitor for every tier: in the production
+/// code of the service crates, only `serve::dispatch` polls a listener
+/// or starts the deadline monitor; a tier that needs a second plane or
+/// its own stop rule passes it to `dispatch::run`.
+#[test]
+fn only_the_dispatcher_accepts_and_monitors() {
+    let root = repo_root();
+    let dispatcher = root.join("crates/serve/src/dispatch.rs");
+    let mut callers = Vec::new();
+    for krate in ["serve", "gate", "shard"] {
+        let mut files = Vec::new();
+        walk(&root.join("crates").join(krate).join("src"), &mut files);
+        for path in files
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        {
+            let text = fs::read_to_string(path).expect("source is UTF-8");
+            let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
+            for (n, line) in text[..end].lines().enumerate() {
+                let code = line.trim_start();
+                let calls = ["poll_accept(", "monitor_workers("].iter().any(|call| {
+                    code.match_indices(call)
+                        .any(|(at, _)| !code[..at].ends_with("fn "))
+                });
+                if calls && !code.starts_with("//") && *path != dispatcher {
+                    callers.push(format!("{}:{}: {code}", path.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        callers.is_empty(),
+        "accept loops or monitors outside serve::dispatch: {callers:#?}"
     );
 }
