@@ -4,7 +4,9 @@
 //! the worker/transport/proto files run inside service threads, and every
 //! frame they read decodes through the job/chain codec and the byte
 //! reader under it; a panic there kills a connection (or poisons a lock)
-//! instead of surfacing a `ServeError`. This pass denies `unwrap()` /
+//! instead of surfacing a `ServeError`. The store log's scan decodes
+//! untrusted bytes from disk, where a panic would turn a recoverable
+//! torn tail into a failed open. This pass denies `unwrap()` /
 //! `expect()` / `panic!` in their non-test code. Genuinely infallible
 //! uses carry a `// rck-lint: allow(panic)` marker with a one-line
 //! justification on the same or preceding line.
@@ -27,6 +29,9 @@ pub const DENY_FILES: &[&str] = &[
     // records, and the byte reader under them.
     "crates/core/src/jobs.rs",
     "crates/rcce/src/codec.rs",
+    // The store log's decoder: every byte it reads comes off a disk that
+    // may hold a torn or flipped record.
+    "crates/store/src/log.rs",
 ];
 
 /// Marker name accepted by the escape hatch.

@@ -12,11 +12,13 @@ use crate::jobs::{PairJob, PairOutcome};
 use crate::store::StoreBinding;
 use parking_lot::Mutex;
 use rck_pdb::model::CaChain;
+use rck_store::KeyHasher;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The memo table: `(i, j, method code) → outcome`.
-type MemoTable = HashMap<(u32, u32, u8), PairOutcome>;
+/// The memo table: `(i, j, method code) → outcome`, under the key hasher
+/// (the keys are indices this cache derives, never a peer's choice).
+type MemoTable = HashMap<(u32, u32, u8), PairOutcome, KeyHasher>;
 
 /// Memoised `(i, j, method) → outcome` store over one dataset.
 ///
@@ -47,7 +49,7 @@ impl PairCache {
     pub fn new(chains: Vec<CaChain>) -> PairCache {
         PairCache {
             chains: Arc::new(chains),
-            results: Arc::new(Mutex::new(HashMap::new())),
+            results: Arc::new(Mutex::new(MemoTable::default())),
             store: None,
         }
     }

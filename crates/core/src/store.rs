@@ -4,7 +4,7 @@
 //! stores values under content-addressed [`PairKey`]s. This module
 //! supplies the addressing: [`chain_content_hash`] fingerprints a chain
 //! by its exact bytes (name, sequence, IEEE-754 coordinate bits — the
-//! same discipline as the gate's query fingerprints), and
+//! gate's query fingerprints continue from it), and
 //! [`StoreBinding`] pins a store to one dataset so `(i, j, method)`
 //! jobs translate to keys and [`PairOutcome`]s round-trip losslessly.
 //!
@@ -21,18 +21,25 @@ use rck_tmalign::MethodKind;
 
 /// Content hash of one chain: FNV-1a 64 over the name bytes, the
 /// residue indices and the raw coordinate bits. Bit-exact coordinates
-/// feed bit-exact hashes, matching the farm's fidelity contract.
+/// feed bit-exact hashes, matching the farm's fidelity contract. The
+/// one-chain case of the lock-step hashing [`StoreBinding::new`] does.
 pub fn chain_content_hash(chain: &CaChain) -> u64 {
-    let mut h = rck_store::fnv1a64(0, chain.name.as_bytes());
-    for aa in &chain.seq {
-        h = rck_store::fnv1a64(h, &[aa.index()]);
-    }
-    for c in &chain.coords {
-        h = rck_store::fnv1a64(h, &c.x.to_bits().to_le_bytes());
-        h = rck_store::fnv1a64(h, &c.y.to_bits().to_le_bytes());
-        h = rck_store::fnv1a64(h, &c.z.to_bits().to_le_bytes());
-    }
-    h
+    content_hashes(std::slice::from_ref(chain))[0]
+}
+
+/// The content hash of every chain, four chains in lock-step.
+fn content_hashes(chains: &[CaChain]) -> Vec<u64> {
+    rck_store::fnv1a64_lanes(chains.len(), |k, buf| {
+        let chain = &chains[k];
+        buf.reserve(chain.name.len() + chain.seq.len() + 24 * chain.coords.len());
+        buf.extend_from_slice(chain.name.as_bytes());
+        buf.extend(chain.seq.iter().map(|aa| aa.index()));
+        for c in &chain.coords {
+            for v in [c.x, c.y, c.z] {
+                buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+    })
 }
 
 /// A store pinned to one dataset: per-chain content hashes computed
@@ -47,11 +54,11 @@ pub struct StoreBinding {
 
 impl StoreBinding {
     /// Bind `store` to `chains`, hashing every chain up front (the
-    /// warm-start cost of a resident database).
+    /// warm-start cost of a resident database), four at a time.
     pub fn new(store: Store, chains: &[CaChain]) -> StoreBinding {
         StoreBinding {
             store: Mutex::new(store),
-            hashes: chains.iter().map(chain_content_hash).collect(),
+            hashes: content_hashes(chains),
             kernel_version: rck_tmalign::KERNEL_VERSION,
         }
     }
@@ -107,15 +114,7 @@ impl StoreBinding {
         method: MethodKind,
     ) -> Option<PairOutcome> {
         let stored = self.store.lock().get(key)?;
-        Some(PairOutcome {
-            i,
-            j,
-            method,
-            similarity: stored.similarity,
-            rmsd: stored.rmsd,
-            aligned_len: stored.aligned_len,
-            ops: stored.ops,
-        })
+        Some(outcome(i, j, method, stored))
     }
 
     /// Warm start: the outcomes the store already holds for `jobs` and
@@ -125,17 +124,19 @@ impl StoreBinding {
     }
 
     /// [`StoreBinding::split`] under explicit keys — the seam for jobs
-    /// against a chain outside the bound dataset.
+    /// against a chain outside the bound dataset. One store lock for the
+    /// whole call, so `key` must not reach back into the store.
     pub fn split_by(
         &self,
         jobs: &[PairJob],
         key: impl Fn(&PairJob) -> PairKey,
     ) -> (Vec<PairOutcome>, Vec<PairJob>) {
-        let mut hits = Vec::new();
+        let mut hits = Vec::with_capacity(jobs.len());
         let mut misses = Vec::new();
+        let store = self.store.lock();
         for job in jobs {
-            match self.lookup_key(&key(job), job.i, job.j, job.method) {
-                Some(outcome) => hits.push(outcome),
+            match store.get(&key(job)) {
+                Some(stored) => hits.push(outcome(job.i, job.j, job.method, stored)),
                 None => misses.push(*job),
             }
         }
@@ -206,6 +207,19 @@ impl StoreBinding {
     }
 }
 
+/// A stored result at the positional coordinates `(i, j, method)`.
+fn outcome(i: u32, j: u32, method: MethodKind, stored: StoredPair) -> PairOutcome {
+    PairOutcome {
+        i,
+        j,
+        method,
+        similarity: stored.similarity,
+        rmsd: stored.rmsd,
+        aligned_len: stored.aligned_len,
+        ops: stored.ops,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +261,25 @@ mod tests {
         let mut moved = chains[0].clone();
         moved.coords[0].x += 1.0e-12;
         assert_ne!(chain_content_hash(&chains[0]), chain_content_hash(&moved));
+    }
+
+    /// Store keys are the log's addresses, so the chain hashes may never
+    /// drift: a fold of every chain's hash per dataset, pinned, through
+    /// the lanes and through the one-chain entry.
+    #[test]
+    fn content_hashes_keep_their_pinned_folds() {
+        use rck_pdb::datasets::{ck34_profile, rs119_profile};
+        let fold = |hashes: &mut dyn Iterator<Item = u64>| {
+            hashes.fold(0, |h, x| rck_store::fnv1a64(h, &x.to_le_bytes()))
+        };
+        for (chains, want) in [
+            (rs119_profile().generate(2013), 0xaa6d_860b_52ed_f166),
+            (ck34_profile().generate(2013), 0xddc4_4b75_b7b6_751d),
+            (rs119_profile().generate(4242), 0x3eee_f883_0c2a_f44a),
+        ] {
+            assert_eq!(fold(&mut content_hashes(&chains).into_iter()), want);
+            assert_eq!(fold(&mut chains.iter().map(chain_content_hash)), want);
+        }
     }
 
     #[test]

@@ -72,13 +72,15 @@ pub use stats::{GateSnapshot, GateStats};
 
 use rck_pdb::model::CaChain;
 use rck_serve::dispatch::{self, Dispatch, Plane};
-use rck_serve::proto::{fnv1a64, Frame, QueryDone, QueryPartial, QueryReject, QuerySubmit};
+use rck_serve::proto::{Frame, QueryDone, QueryPartial, QueryReject, QuerySubmit};
 use rck_serve::transport::{Listener, TcpChannelListener};
 use rck_serve::MutexExt;
 use rck_tmalign::MethodKind;
 use rckalign::consensus::{Combiner, Consensus};
 use rckalign::onevsall::one_vs_all_jobs;
-use rckalign::{batch_jobs, chain_content_hash, PairJob, PairOutcome, StoreBinding};
+use rckalign::{
+    batch_jobs, chain_content_hash, fnv1a64, KeyHasher, PairJob, PairOutcome, StoreBinding,
+};
 use sched::StrideSched;
 use session::{Outbox, Subscriber};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -148,7 +150,10 @@ pub(crate) struct QueryRun {
     pub(crate) chain: Arc<CaChain>,
     pub(crate) methods: Vec<MethodKind>,
     pub(crate) pending: VecDeque<Vec<PairJob>>,
-    pub(crate) done: HashSet<(u32, u32, u8)>,
+    /// `(i, j, method)` of every accepted outcome: the gate's own jobs
+    /// (a result frame answers exactly what was dispatched), so the key
+    /// hasher serves.
+    pub(crate) done: HashSet<(u32, u32, u8), KeyHasher>,
     pub(crate) outcomes: Vec<PairOutcome>,
     pub(crate) total_jobs: usize,
     pub(crate) subscribers: Vec<Subscriber>,
@@ -352,21 +357,17 @@ impl Gate {
 /// feed bit-exact hashes, matching the service's fidelity contract; the
 /// kernel version keeps coalescing (and the warm-start path through the
 /// persistent store) from ever joining results across a kernel change.
+///
+/// The chain bytes are exactly what [`chain_content_hash`] folds, so the
+/// fingerprint continues from that hash: a query's chain is folded once,
+/// for both its fingerprint and its store keys.
 pub fn query_fingerprint(
-    chain: &CaChain,
+    content_hash: u64,
     methods: &[MethodKind],
     db_version: u64,
     kernel_version: u32,
 ) -> u64 {
-    let mut h = fnv1a64(0, chain.name.as_bytes());
-    for aa in &chain.seq {
-        h = fnv1a64(h, &[aa.index()]);
-    }
-    for c in &chain.coords {
-        h = fnv1a64(h, &c.x.to_bits().to_le_bytes());
-        h = fnv1a64(h, &c.y.to_bits().to_le_bytes());
-        h = fnv1a64(h, &c.z.to_bits().to_le_bytes());
-    }
+    let mut h = content_hash;
     for m in methods {
         h = fnv1a64(h, &[m.code()]);
     }
@@ -454,8 +455,9 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
         reject("empty query chain");
         return;
     }
+    let content_hash = chain_content_hash(&q.chain);
     let hash = query_fingerprint(
-        &q.chain,
+        content_hash,
         &q.methods,
         shared.cfg.db_version,
         shared.cfg.kernel_version,
@@ -516,7 +518,6 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     // for this (db chain, query, method, kernel) key set; only genuine
     // misses are expanded into scheduled batches.
     let store = shared.store.lock_recover().clone();
-    let content_hash = chain_content_hash(&q.chain);
     let (outcomes, misses) = match &store {
         // `job.j` is the query's virtual index: its half of the key is
         // the query's content hash, not one of the binding's.
@@ -525,7 +526,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
         }),
         None => (Vec::new(), jobs.clone()),
     };
-    let done: HashSet<(u32, u32, u8)> = outcomes
+    let done: HashSet<_, KeyHasher> = outcomes
         .iter()
         .map(|o| (o.i, o.j, o.method.code()))
         .collect();
@@ -621,15 +622,67 @@ mod tests {
     fn fingerprint_separates_chains_methods_and_versions() {
         let chains = tiny_profile().generate(9);
         let m = [MethodKind::TmAlign];
-        let base = query_fingerprint(&chains[0], &m, 1, 1);
-        assert_eq!(base, query_fingerprint(&chains[0], &m, 1, 1));
-        assert_ne!(base, query_fingerprint(&chains[1], &m, 1, 1));
-        assert_ne!(base, query_fingerprint(&chains[0], &m, 2, 1));
-        assert_ne!(base, query_fingerprint(&chains[0], &m, 1, 2));
+        let hash = |k: usize| chain_content_hash(&chains[k]);
+        let base = query_fingerprint(hash(0), &m, 1, 1);
+        assert_eq!(base, query_fingerprint(hash(0), &m, 1, 1));
+        assert_ne!(base, query_fingerprint(hash(1), &m, 1, 1));
+        assert_ne!(base, query_fingerprint(hash(0), &m, 2, 1));
+        assert_ne!(base, query_fingerprint(hash(0), &m, 1, 2));
         assert_ne!(
             base,
-            query_fingerprint(&chains[0], &[MethodKind::KabschRmsd], 1, 1)
+            query_fingerprint(hash(0), &[MethodKind::KabschRmsd], 1, 1)
         );
+    }
+
+    /// Continuing from the content hash is the byte-wise fingerprint the
+    /// gate has always computed: every RS119 chain, every method list of
+    /// up to three codes (repeats and orders included), two versions.
+    #[test]
+    fn fingerprint_is_the_byte_wise_formula() {
+        fn byte_wise(chain: &CaChain, methods: &[MethodKind], db: u64, kv: u32) -> u64 {
+            let mut h = fnv1a64(0, chain.name.as_bytes());
+            for aa in &chain.seq {
+                h = fnv1a64(h, &[aa.index()]);
+            }
+            for c in &chain.coords {
+                h = fnv1a64(h, &c.x.to_bits().to_le_bytes());
+                h = fnv1a64(h, &c.y.to_bits().to_le_bytes());
+                h = fnv1a64(h, &c.z.to_bits().to_le_bytes());
+            }
+            for m in methods {
+                h = fnv1a64(h, &[m.code()]);
+            }
+            h = fnv1a64(h, &db.to_le_bytes());
+            fnv1a64(h, &kv.to_le_bytes())
+        }
+        let all = [
+            MethodKind::TmAlign,
+            MethodKind::KabschRmsd,
+            MethodKind::ContactMap,
+        ];
+        let mut lists: Vec<Vec<MethodKind>> = vec![Vec::new()];
+        for len in 1..=3 {
+            let longer: Vec<_> = lists
+                .iter()
+                .filter(|l| l.len() == len - 1)
+                .flat_map(|l| all.iter().map(move |&m| [l.as_slice(), &[m]].concat()))
+                .collect();
+            lists.extend(longer);
+        }
+        assert_eq!(lists.len(), 1 + 3 + 9 + 27);
+        for chain in &rck_pdb::datasets::rs119_profile().generate(2013) {
+            let hash = chain_content_hash(chain);
+            for methods in &lists {
+                for (db, kv) in [(1, 1), (7, rck_tmalign::KERNEL_VERSION)] {
+                    assert_eq!(
+                        query_fingerprint(hash, methods, db, kv),
+                        byte_wise(chain, methods, db, kv),
+                        "{} {methods:?}",
+                        chain.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! fails cleanly (abort) — never a wrong matrix, never a deadlock.**
 
 use crate::master::{Master, MasterConfig};
-use crate::proto::fnv1a64;
 use crate::sync::MutexExt;
 use crate::transport::MemNet;
 use crate::worker::{run_worker_conn, WorkerConfig};
@@ -36,7 +35,9 @@ use rand::{Rng, SeedableRng};
 use rck_obs::{Counter, Registry};
 use rck_tmalign::MethodKind;
 use rckalign::loadbalance::JobOrdering;
-use rckalign::{run_all_vs_all, PairCache, PairOutcome, RckAlignOptions, SimilarityMatrix};
+use rckalign::{
+    fnv1a64, run_all_vs_all, PairCache, PairOutcome, RckAlignOptions, SimilarityMatrix,
+};
 use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

@@ -15,9 +15,9 @@
 //! the trust boundary of the service.
 //!
 //! `checksum` is FNV-1a 64 over the kind byte, the payload length, and
-//! the payload bytes (see [`fnv1a64`]). Protocol version 2 added it so a
-//! corrupted or torn frame is *always* rejected instead of decoding into
-//! a structurally-valid-but-wrong message: the chaos harness
+//! the payload bytes (see [`rckalign::fnv1a64`]). Protocol version 2
+//! added it so a corrupted or torn frame is *always* rejected instead of
+//! decoding into a structurally-valid-but-wrong message: the chaos harness
 //! ([`crate::chaos`]) injects exactly such corruption, and the service's
 //! bit-identical-matrix guarantee relies on every damaged result frame
 //! being refused at this boundary.
@@ -40,7 +40,7 @@ use rck_pdb::model::CaChain;
 use rck_rcce::{DecodeError, Reader, Writer};
 use rck_tmalign::MethodKind;
 use rckalign::jobs::{get_chain, get_job, get_outcome, put_chain, put_job, put_outcome};
-use rckalign::{PairJob, PairOutcome};
+use rckalign::{fnv1a64, PairJob, PairOutcome};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{Read, Write as IoWrite};
@@ -565,22 +565,9 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
     Ok(frame)
 }
 
-/// FNV-1a 64-bit over a byte slice, seedable so multiple slices can be
-/// chained. Used for the frame checksum and the chaos harness's matrix
-/// fingerprints.
-pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = if seed == 0 { OFFSET } else { seed };
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
-/// The checksum stored in a frame header: FNV-1a 64 over the kind byte,
-/// the payload length, and the payload bytes.
+/// The checksum stored in a frame header: FNV-1a 64 (the store's one
+/// body, byte at a time) over the kind byte, the payload length, and the
+/// payload bytes.
 fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
     let h = fnv1a64(0, &[kind]);
     let h = fnv1a64(h, &(payload.len() as u32).to_le_bytes());

@@ -51,12 +51,13 @@ pub mod fault;
 pub mod log;
 pub mod stats;
 
-pub use log::{fnv1a64, PairKey, StoredPair};
+pub use log::{fnv1a64, fnv1a64_lanes, PairKey, StoredPair};
 pub use stats::StoreCounters;
 
 use rck_obs::Registry;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -94,6 +95,55 @@ impl StoreConfig {
     }
 }
 
+/// The hasher of maps whose keys this process derives itself: the store
+/// index (content hashes read from its own log) and the pair memo
+/// (dataset indices). A multiply–rotate fold over the key's words, one
+/// multiply per word where the default SipHash runs its rounds per
+/// field — the keys are already FNV hashes or small indices, and no
+/// network peer chooses them, so SipHash's flood resistance buys
+/// nothing. A zero-state builder that is its own hasher:
+/// `HashMap<K, V, KeyHasher>`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// Odd multiplier with well-spread bits (the golden ratio's).
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl BuildHasher for KeyHasher {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher::default()
+    }
+}
+
+impl Hasher for KeyHasher {
+    /// Only a key with a variable-length field reaches this.
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u8(b));
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(x.into());
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(Self::K);
+    }
+
+    /// The product's well-mixed high bits, rotated down to where the
+    /// table takes its bucket index.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// An open store: an append handle on the log plus the in-memory index
 /// rebuilt from it.
 pub struct Store {
@@ -101,7 +151,7 @@ pub struct Store {
     file: File,
     /// `key → (value, sequence)`; the sequence orders entries by
     /// recency for eviction (higher = newer).
-    index: HashMap<PairKey, (StoredPair, u64)>,
+    index: HashMap<PairKey, (StoredPair, u64), KeyHasher>,
     next_seq: u64,
     /// Physical records in the log, including superseded duplicates —
     /// the gap to `index.len()` is what compaction reclaims.
@@ -139,7 +189,7 @@ impl Store {
             Err(e) => return Err(e),
         };
 
-        let mut index = HashMap::new();
+        let mut index = HashMap::default();
         let mut next_seq = 0u64;
         let mut log_records = 0u64;
         let mut log_len = log::SUPERBLOCK_LEN as u64;
@@ -150,20 +200,22 @@ impl Store {
             counters.torn_tail_truncations.inc();
             fs::write(&path, log::encode_superblock())?;
         } else {
-            let scan = log::scan_log(&bytes);
-            log_len = scan.clean_len as u64;
-            if scan.torn {
+            // Pre-sized from the bytes in hand, then filled straight from
+            // the scan: no record list in between.
+            index.reserve(bytes.len() / log::PAIR_RECORD_LEN);
+            let clean_len = log::scan_records(&bytes, |key, pair| {
+                index.insert(key, (pair, next_seq));
+                next_seq += 1;
+            });
+            log_len = clean_len as u64;
+            if clean_len != bytes.len() {
                 let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(scan.clean_len as u64)?;
+                f.set_len(log_len)?;
                 f.sync_data()?;
                 counters.torn_tail_truncations.inc();
             }
-            counters.recovered_records.add(scan.records.len() as u64);
-            log_records = scan.records.len() as u64;
-            for (key, pair) in scan.records {
-                index.insert(key, (pair, next_seq));
-                next_seq += 1;
-            }
+            counters.recovered_records.add(next_seq);
+            log_records = next_seq;
         }
 
         let file = OpenOptions::new().append(true).open(&path)?;
@@ -267,13 +319,15 @@ impl Store {
     }
 
     /// The store's one log write: the records indexed from `first_seq` on,
-    /// encoded in `buf` — or, if it fails, cut back and unindexed.
+    /// encoded in `buf` and checksummed here in one lock-step pass — or,
+    /// if the write fails, cut back and unindexed.
     fn commit(&mut self, buf: &mut Vec<u8>, first_seq: u64) -> io::Result<usize> {
         let records = self.next_seq - first_seq;
         if records == 0 {
             return Ok(0);
         }
         self.counters.writes.inc();
+        log::seal_records(buf);
         #[cfg(test)]
         let written = match self.short_write.take() {
             Some(k) => self
@@ -340,10 +394,11 @@ impl Store {
         let mut bytes = log::encode_superblock().to_vec();
         self.next_seq = 0;
         for (_, key, pair) in live {
-            bytes.extend_from_slice(&log::encode_record(&key, &pair));
+            log::encode_record_into(&mut bytes, &key, &pair);
             self.index.insert(key, (pair, self.next_seq));
             self.next_seq += 1;
         }
+        log::seal_records(&mut bytes[log::SUPERBLOCK_LEN..]);
         bytes
     }
 
@@ -614,6 +669,43 @@ mod tests {
             assert_eq!(s.counters().torn_tail_truncations.get(), 0, "keep {keep}");
             assert_eq!(s.len(), 3);
             assert!(s.get(&key(4)).unwrap().same_bits(&pair(4)));
+        }
+    }
+
+    /// The key hasher spreads the keys its maps hold — sequential probe
+    /// keys and the memo's `(i, j, method)` triples — over both the low
+    /// bits the table indexes buckets by and the top seven it tags them
+    /// with, about as well as random bits would.
+    #[test]
+    fn the_key_hasher_spreads_sequential_keys() {
+        fn spread(hashes: &[u64]) -> (usize, usize) {
+            let distinct = |f: &dyn Fn(u64) -> u64| {
+                let mut seen: Vec<u64> = hashes.iter().map(|&h| f(h)).collect();
+                seen.sort_unstable();
+                seen.dedup();
+                seen.len()
+            };
+            (distinct(&|h| h & 4095), distinct(&|h| h >> 57))
+        }
+        let keys = KeyHasher::default();
+        let probe: Vec<u64> = (0..4096u64)
+            .map(|k| {
+                keys.hash_one(PairKey {
+                    hash_a: k,
+                    hash_b: !k,
+                    ..key(0)
+                })
+            })
+            .collect();
+        let memo: Vec<u64> = (0..91u32)
+            .flat_map(|j| (0..j).map(move |i| (i, j, 1u8)))
+            .map(|t| keys.hash_one(t))
+            .collect();
+        for hashes in [&probe, &memo] {
+            // 4096 random 12-bit buckets leave about 63 % distinct.
+            let (low, top) = spread(hashes);
+            assert!(low * 100 >= hashes.len() * 58, "{low} of {}", hashes.len());
+            assert_eq!(top, 128);
         }
     }
 

@@ -10,6 +10,8 @@
 //! is present, and the checksum matches. Anything else ends the scan:
 //! the log's value is exactly its longest intact prefix.
 
+use std::array::from_fn;
+
 /// Magic number at offset 0 of every store file (`RCKL`).
 pub const STORE_MAGIC: u32 = 0x5243_4B4C;
 
@@ -33,17 +35,91 @@ pub const PAIR_PAYLOAD_LEN: usize = 49;
 /// Bytes of one complete pair record on disk.
 pub const PAIR_RECORD_LEN: usize = RECORD_HEADER_LEN + PAIR_PAYLOAD_LEN;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64 over `bytes`, chained from `seed` (0 selects the standard
-/// offset basis) — the same hash the serve-layer frame checksums use.
+/// offset basis) — the tree's one FNV-1a body: store keys and record
+/// checksums, the serve-layer frame checksums and the chaos fingerprints
+/// all fold through it.
 pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = if seed == 0 { OFFSET } else { seed };
+    let mut h = if seed == 0 { FNV_OFFSET } else { seed };
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Streams [`fnv1a64_lanes`] folds in lock-step.
+const LANES: usize = 4;
+
+/// FNV-1a 64 from seed 0 over `count` independent byte streams, four at
+/// a time in lock-step: `fill(k, buf)` appends stream `k` to an empty
+/// `buf`, and `out[k] == fnv1a64(0, stream k)`.
+///
+/// One fold is a serial chain of multiplies, so a single stream leaves
+/// the multiplier waiting on the previous byte; four independent chains
+/// step together and keep it busy (SWAPHI's inter-sequence model, with
+/// hash streams for database sequences). A lane whose stream ends is
+/// refilled with the next one, so streams of unequal length leave no
+/// lane idle until they run out; an idle lane shadows a busy one and its
+/// result is dropped.
+pub fn fnv1a64_lanes(count: usize, mut fill: impl FnMut(usize, &mut Vec<u8>)) -> Vec<u64> {
+    let mut out = vec![FNV_OFFSET; count];
+    let mut bufs: [Vec<u8>; LANES] = Default::default();
+    // Per lane: the stream it folds, its hash so far and its position.
+    let mut stream: [Option<usize>; LANES] = [None; LANES];
+    let mut h = [FNV_OFFSET; LANES];
+    let mut at = [0usize; LANES];
+    let mut next = 0;
+    loop {
+        for k in 0..LANES {
+            while at[k] == bufs[k].len() {
+                if let Some(done) = stream[k].take() {
+                    out[done] = h[k];
+                }
+                if next == count {
+                    break;
+                }
+                bufs[k].clear();
+                fill(next, &mut bufs[k]);
+                (stream[k], h[k], at[k]) = (Some(next), FNV_OFFSET, 0);
+                next += 1;
+            }
+        }
+        let busy = |k: &usize| stream[*k].is_some();
+        let Some(lead) = (0..LANES).find(busy) else {
+            return out;
+        };
+        let n = (0..LANES)
+            .filter(busy)
+            .map(|k| bufs[k].len() - at[k])
+            .min()
+            .unwrap_or(0);
+        fold4(
+            &mut h,
+            from_fn(|k| {
+                let k = if stream[k].is_some() { k } else { lead };
+                &bufs[k][at[k]..at[k] + n]
+            }),
+        );
+        for k in (0..LANES).filter(busy) {
+            at[k] += n;
+        }
+    }
+}
+
+/// The lock-step body: one FNV-1a step per lane per byte position.
+fn fold4(h: &mut [u64; LANES], [a, b, c, d]: [&[u8]; LANES]) {
+    let [mut h0, mut h1, mut h2, mut h3] = *h;
+    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+        h0 = (h0 ^ u64::from(x0)).wrapping_mul(FNV_PRIME);
+        h1 = (h1 ^ u64::from(x1)).wrapping_mul(FNV_PRIME);
+        h2 = (h2 ^ u64::from(x2)).wrapping_mul(FNV_PRIME);
+        h3 = (h3 ^ u64::from(x3)).wrapping_mul(FNV_PRIME);
+    }
+    *h = [h0, h1, h2, h3];
 }
 
 /// Content address of one stored comparison: the two chains' content
@@ -123,18 +199,19 @@ pub fn read_superblock(bytes: &[u8]) -> Result<(), &'static str> {
 pub fn encode_record(key: &PairKey, pair: &StoredPair) -> Vec<u8> {
     let mut out = Vec::new();
     encode_record_into(&mut out, key, pair);
+    seal_records(&mut out);
     out
 }
 
-/// Append one encoded pair record to `out` — how a slice append builds
-/// its one write.
+/// Append one pair record to `out` with its checksum field still zero —
+/// how a slice append or a compaction builds its one image, which
+/// [`seal_records`] then checksums in one lock-step pass.
 pub(crate) fn encode_record_into(out: &mut Vec<u8>, key: &PairKey, pair: &StoredPair) {
     out.reserve(PAIR_RECORD_LEN);
-    let start = out.len();
     let len = PAIR_PAYLOAD_LEN as u32;
     out.push(RECORD_KIND_PAIR);
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&[0; 8]); // the checksum, once the payload is in
+    out.extend_from_slice(&[0; 8]); // the checksum, once sealed
     out.extend_from_slice(&key.hash_a.to_le_bytes());
     out.extend_from_slice(&key.hash_b.to_le_bytes());
     out.extend_from_slice(&key.kernel_version.to_le_bytes());
@@ -143,22 +220,52 @@ pub(crate) fn encode_record_into(out: &mut Vec<u8>, key: &PairKey, pair: &Stored
     out.extend_from_slice(&pair.rmsd.to_bits().to_le_bytes());
     out.extend_from_slice(&pair.aligned_len.to_le_bytes());
     out.extend_from_slice(&pair.ops.to_le_bytes());
-    let record = &mut out[start..];
-    debug_assert_eq!(record.len(), PAIR_RECORD_LEN);
+}
 
-    let mut sum = fnv1a64(0, &record[..5]);
-    sum = fnv1a64(sum, &record[RECORD_HEADER_LEN..]);
-    record[5..RECORD_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+/// The checksums of one to four whole records: FNV-1a 64 over each
+/// record's kind and length bytes, then its payload (everything but the
+/// checksum field). Records share one layout, so the group steps the
+/// lock-step body in place, segment by segment, with nothing copied; a
+/// short group shadows its last record.
+fn group_sums(group: &[[u8; PAIR_RECORD_LEN]]) -> [u64; LANES] {
+    let lane = |k: usize| &group[k.min(group.len().saturating_sub(1))];
+    let mut h = [FNV_OFFSET; LANES];
+    fold4(&mut h, from_fn(|k| &lane(k)[..5]));
+    fold4(&mut h, from_fn(|k| &lane(k)[RECORD_HEADER_LEN..]));
+    h
+}
+
+/// Fill in the checksum field of every record in `records`, a run of
+/// whole records from the [`encode_record_into`] of the same image,
+/// four records per lock-step group.
+pub(crate) fn seal_records(records: &mut [u8]) {
+    let (records, _) = records.as_chunks_mut::<PAIR_RECORD_LEN>();
+    for group in records.chunks_mut(LANES) {
+        let sums = group_sums(group);
+        for (record, sum) in group.iter_mut().zip(sums) {
+            record[5..RECORD_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        }
+    }
+}
+
+/// The `N` bytes at `off`, zeros if they run past the end: a read that
+/// cannot panic, for fields at constant offsets in a fixed-size record.
+fn field<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
+    bytes
+        .get(off..)
+        .and_then(|rest| rest.first_chunk())
+        .copied()
+        .unwrap_or([0; N])
 }
 
 fn decode_payload(payload: &[u8]) -> (PairKey, StoredPair) {
-    let u64_at = |off: usize| u64::from_le_bytes(payload[off..off + 8].try_into().unwrap());
-    let u32_at = |off: usize| u32::from_le_bytes(payload[off..off + 4].try_into().unwrap());
+    let u64_at = |off| u64::from_le_bytes(field(payload, off));
+    let u32_at = |off| u32::from_le_bytes(field(payload, off));
     let key = PairKey {
         hash_a: u64_at(0),
         hash_b: u64_at(8),
         kernel_version: u32_at(16),
-        method: payload[20],
+        method: field::<1>(payload, 20)[0],
     };
     let pair = StoredPair {
         similarity: f64::from_bits(u64_at(21)),
@@ -185,49 +292,44 @@ pub struct Scan {
 /// until the first structural or checksum failure, never panicking and
 /// never allocating from untrusted lengths.
 pub fn scan_log(bytes: &[u8]) -> Scan {
-    let mut records = Vec::new();
-    if bytes.len() < SUPERBLOCK_LEN {
-        // Total on any input: a file shorter than the superblock has no
-        // log region at all.
-        return Scan {
-            records,
-            clean_len: bytes.len(),
-            torn: false,
-        };
-    }
-    let mut off = SUPERBLOCK_LEN;
-    loop {
-        if off == bytes.len() {
-            return Scan {
-                records,
-                clean_len: off,
-                torn: false,
-            };
-        }
-        let rest = &bytes[off..];
-        if rest.len() < RECORD_HEADER_LEN || rest[0] != RECORD_KIND_PAIR {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[1..5].try_into().unwrap()) as usize;
-        if len != PAIR_PAYLOAD_LEN || rest.len() < RECORD_HEADER_LEN + len {
-            break;
-        }
-        let want = u64::from_le_bytes(rest[5..13].try_into().unwrap());
-        let payload = &rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + len];
-        let mut sum = fnv1a64(0, &[rest[0]]);
-        sum = fnv1a64(sum, &rest[1..5]);
-        sum = fnv1a64(sum, payload);
-        if sum != want {
-            break;
-        }
-        records.push(decode_payload(payload));
-        off += RECORD_HEADER_LEN + len;
-    }
+    let mut records = Vec::with_capacity(bytes.len() / PAIR_RECORD_LEN);
+    let clean_len = scan_records(bytes, |key, pair| records.push((key, pair)));
     Scan {
         records,
-        clean_len: off,
-        torn: true,
+        clean_len,
+        torn: clean_len != bytes.len(),
     }
+}
+
+/// [`scan_log`] handing each intact record to `accept` in log order
+/// (how an open builds its index with no list in between); returns the
+/// byte length of the intact prefix.
+///
+/// The framed prefix (whole records of a known kind and the pair
+/// length) is verified four records per lock-step group, and records
+/// are accepted up to the first whose checksum differs.
+pub(crate) fn scan_records(bytes: &[u8], mut accept: impl FnMut(PairKey, StoredPair)) -> usize {
+    // Total on any input: a file shorter than the superblock has no log
+    // region at all.
+    let log = bytes.get(SUPERBLOCK_LEN..).unwrap_or_default();
+    let (whole, _) = log.as_chunks::<PAIR_RECORD_LEN>();
+    let len = (PAIR_PAYLOAD_LEN as u32).to_le_bytes();
+    let framed = whole
+        .iter()
+        .take_while(|r| r[0] == RECORD_KIND_PAIR && r[1..5] == len)
+        .count();
+    let mut intact = 0;
+    'scan: for group in whole[..framed].chunks(LANES) {
+        for (r, sum) in group.iter().zip(group_sums(group)) {
+            if r[5..RECORD_HEADER_LEN] != sum.to_le_bytes() {
+                break 'scan;
+            }
+            let (key, pair) = decode_payload(&r[RECORD_HEADER_LEN..]);
+            accept(key, pair);
+            intact += 1;
+        }
+    }
+    (SUPERBLOCK_LEN + intact * PAIR_RECORD_LEN).min(bytes.len())
 }
 
 #[cfg(test)]
@@ -304,6 +406,72 @@ mod tests {
                 !(cut - SUPERBLOCK_LEN).is_multiple_of(PAIR_RECORD_LEN)
             );
             assert_eq!(scan.clean_len, SUPERBLOCK_LEN + complete * PAIR_RECORD_LEN);
+        }
+    }
+
+    /// One record's length and checksum, pinned: a change to what a
+    /// record holds or how its checksum folds would orphan every log
+    /// already on disk.
+    #[test]
+    fn a_pinned_record_keeps_its_bytes() {
+        let key = PairKey {
+            hash_a: 0x0123_4567_89ab_cdef,
+            hash_b: 0xfedc_ba98_7654_3210,
+            method: 1,
+            kernel_version: 1,
+        };
+        let pair = StoredPair {
+            similarity: 0.5,
+            rmsd: f64::NAN,
+            aligned_len: 77,
+            ops: 123_456,
+        };
+        let rec = encode_record(&key, &pair);
+        assert_eq!(rec.len(), 62);
+        assert_eq!(rec[5..13], 0x0e64_121b_553c_8cb5u64.to_le_bytes());
+        let mut bytes = encode_superblock().to_vec();
+        bytes.extend_from_slice(&rec);
+        let scan = scan_log(&bytes);
+        assert_eq!(scan.records.len(), 1);
+        assert_eq!(scan.records[0].0, key);
+        assert!(scan.records[0].1.same_bits(&pair));
+    }
+
+    /// Every lane result is the one-stream fold of its stream, for any
+    /// count of streams (whole groups of four and leftovers) and for
+    /// empty, short and unequal streams, refilled mid-group.
+    #[test]
+    fn lanes_match_the_one_stream_fold() {
+        let stream = |len: usize, salt: usize| -> Vec<u8> {
+            (0..len).map(|i| (i * 31 + salt * 7 + 3) as u8).collect()
+        };
+        let mixed = [9, 0, 1, 8, 7, 0, 200, 9, 1];
+        for count in 1..=9 {
+            for len in [Some(0), Some(1), Some(7), Some(8), Some(9), None] {
+                let streams: Vec<Vec<u8>> = (0..count)
+                    .map(|k| stream(len.unwrap_or(mixed[k]), k))
+                    .collect();
+                let got = fnv1a64_lanes(count, |k, buf| buf.extend_from_slice(&streams[k]));
+                let want: Vec<u64> = streams.iter().map(|s| fnv1a64(0, s)).collect();
+                assert_eq!(got, want, "{count} streams of length {len:?}");
+            }
+        }
+        assert!(fnv1a64_lanes(0, |_, _| unreachable!()).is_empty());
+    }
+
+    /// Flipping any byte of any record ends the scan exactly there, in a
+    /// log of two lock-step groups of four and a one-record tail.
+    #[test]
+    fn a_flipped_byte_ends_the_scan_at_its_record() {
+        let whole = file_with(9);
+        for at in SUPERBLOCK_LEN..whole.len() {
+            let mut bad = whole.clone();
+            bad[at] ^= 0x01;
+            let scan = scan_log(&bad);
+            let record = (at - SUPERBLOCK_LEN) / PAIR_RECORD_LEN;
+            assert_eq!(scan.records.len(), record, "flip at {at}");
+            assert_eq!(scan.clean_len, SUPERBLOCK_LEN + record * PAIR_RECORD_LEN);
+            assert!(scan.torn);
         }
     }
 

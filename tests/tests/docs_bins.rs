@@ -6,8 +6,9 @@
 //! primitive, the kernel entries kept for the frozen benchmark have no
 //! other caller, every row of the benchmark trajectory names a workload
 //! and a metric `BENCHMARK.json` declares, every crate root re-exports
-//! only what something outside the crate names, and only the dispatcher
-//! accepts connections or runs a deadline monitor.
+//! only what something outside the crate names, only the dispatcher
+//! accepts connections or runs a deadline monitor, and FNV-1a has one
+//! body in the tree.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -450,4 +451,30 @@ fn only_the_dispatcher_accepts_and_monitors() {
         callers.is_empty(),
         "accept loops or monitors outside serve::dispatch: {callers:#?}"
     );
+}
+
+/// One FNV-1a body: store keys, log checksums, frame checksums and the
+/// chaos fingerprints all fold through `rck_store::log::fnv1a64` (its
+/// lock-step lanes are a different function), so no copy can drift.
+#[test]
+fn fnv1a_has_one_body() {
+    let root = repo_root();
+    let mut bodies = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("crate directory").path().join("src");
+        let mut files = Vec::new();
+        walk(&src, &mut files);
+        for path in files
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        {
+            let text = fs::read_to_string(path).expect("source is UTF-8");
+            for (n, line) in text.lines().enumerate() {
+                if names(line, "fn fnv1a64") {
+                    bodies.push(format!("{}:{}", path.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert_eq!(bodies.len(), 1, "`fn fnv1a64` bodies: {bodies:#?}");
 }
