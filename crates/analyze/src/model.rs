@@ -17,7 +17,7 @@
 //!   (empty queue, nothing in flight, jobs missing).
 //!
 //! The model's transition table is not hard-coded: each transition is
-//! tied to an *anchor* — the function or stats hook that implements it —
+//! tied to an *anchor* — the function or stats handle that implements it —
 //! either in the shared dispatcher core (`crates/serve/src/dispatch.rs`)
 //! or in one of the [`POLICIES`] layered on it (the master's FIFO queue,
 //! the gate's stride pick, the shard frontend's tile pick). The table is
@@ -41,11 +41,11 @@ pub const DISPATCH_RS: &str = "crates/serve/src/dispatch.rs";
 pub struct Policy {
     /// Source file of the `WorkSource` impl.
     pub file: &'static str,
-    /// Stats hook counting dispatched jobs.
+    /// Stats method or handle counting dispatched jobs.
     pub dispatched: &'static str,
-    /// Stats hook counting duplicate outcomes, where the tier has one.
+    /// Stats handle counting duplicate outcomes, where the tier has one.
     pub duplicates: Option<&'static str>,
-    /// Stats hook counting requeued jobs.
+    /// Stats method or handle counting requeued jobs.
     pub requeued: &'static str,
     /// How many units one owner may hold.
     pub window: Window,
@@ -67,7 +67,7 @@ pub const POLICIES: &[Policy] = &[
     Policy {
         file: "crates/serve/src/master.rs",
         dispatched: "on_batch_dispatched",
-        duplicates: Some("on_duplicate_results"),
+        duplicates: Some("duplicate_results"),
         requeued: "on_batch_requeued",
         window: Window::Measured,
     },
@@ -75,14 +75,14 @@ pub const POLICIES: &[Policy] = &[
         file: "crates/gate/src/pool.rs",
         dispatched: "on_jobs_dispatched",
         duplicates: None,
-        requeued: "on_jobs_requeued",
+        requeued: "jobs_requeued",
         window: Window::Measured,
     },
     Policy {
         file: "crates/shard/src/frontend.rs",
         dispatched: "on_tile_granted",
-        duplicates: Some("on_duplicate_tile"),
-        requeued: "on_tiles_requeued",
+        duplicates: Some("duplicate_tiles"),
+        requeued: "tiles_requeued",
         window: Window::Credits(2),
     },
 ];
@@ -624,7 +624,7 @@ mod tests {
                     requeue_worker(src, st, id); refresh_deadlines(src, id); \
                     if d.halted {} } fn abort() { d.halted = true; }";
         let master = "fn b() { stats.on_batch_dispatched(n); work.done.insert(k); \
-                      stats.on_duplicate_results(d); stats.on_batch_requeued(n); }";
+                      stats.duplicate_results.add(d); stats.on_batch_requeued(n); }";
         let (table, findings) = extract_table(core, master, &POLICIES[0]);
         assert_eq!(table, TransitionTable::correct());
         assert_eq!(findings, vec![]);
@@ -657,14 +657,14 @@ mod tests {
 
         // The gate policy has its own hook names and no duplicates hook.
         let gate = "fn c() { stats.on_jobs_dispatched(t, n); run.done.insert(k); \
-                    stats.on_jobs_requeued(n); }";
+                    stats.jobs_requeued.add(n); }";
         let (table, findings) = extract_table(core, gate, &POLICIES[1]);
         assert_eq!(table, TransitionTable::correct());
         assert_eq!(findings, vec![]);
 
         // The shard frontend's tiles are granted against credits.
         let shard = "fn d() { stats.on_tile_granted(s); state.done.insert(t); \
-                     stats.on_duplicate_tile(); stats.on_tiles_requeued(1); }";
+                     stats.duplicate_tiles.inc(); stats.tiles_requeued.inc(); }";
         let (table, findings) = extract_table(core, shard, &POLICIES[2]);
         let credited = TransitionTable {
             window: Window::Credits(2),

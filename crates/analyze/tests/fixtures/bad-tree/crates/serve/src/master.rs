@@ -18,7 +18,7 @@ fn dispatch(&self) {
 
 fn accept(&self) {
     work.done.insert(0);
-    stats.on_duplicate_results(1);
+    stats.duplicate_results.add(1);
 }
 
 fn ordering(&self) {

@@ -33,57 +33,48 @@ OPTIONS:
     --help                print this message
 ";
 
-#[derive(Debug, Clone, PartialEq)]
-struct Args {
+struct Options {
     addr: SocketAddr,
     worker_addr: SocketAddr,
     dataset: String,
     seed: u64,
-    batch: usize,
-    timeout_ms: u64,
-    max_inflight: usize,
-    max_queue: usize,
+    cfg: GateConfig,
     metrics_addr: Option<SocketAddr>,
 }
 
-impl Default for Args {
-    fn default() -> Args {
-        Args {
-            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            worker_addr: SocketAddr::from(([127, 0, 0, 1], 0)),
-            dataset: "TINY8".to_string(),
-            seed: 7,
-            batch: 8,
-            timeout_ms: 1000,
-            max_inflight: 8,
-            max_queue: 1024,
-            metrics_addr: None,
-        }
-    }
-}
-
-fn parse_args<I: Iterator<Item = String>>(it: I) -> Result<Args, ParseError> {
+fn parse_args<I: Iterator<Item = String>>(it: I) -> Result<Options, ParseError> {
     let argv: Vec<String> = it.collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         return Err(ParseError::help());
     }
-    let mut args = Args::default();
+    let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
+    let mut opts = Options {
+        addr: loopback,
+        worker_addr: loopback,
+        dataset: "TINY8".to_string(),
+        seed: 7,
+        cfg: GateConfig::default(),
+        metrics_addr: None,
+    };
+    let cfg = &mut opts.cfg;
     let mut flags = Flags::new(&argv);
     while let Some(name) = flags.next_flag()? {
         match name {
-            "addr" => args.addr = flags.value()?.parse("address")?,
-            "worker-addr" => args.worker_addr = flags.value()?.parse("worker address")?,
-            "dataset" => args.dataset = flags.value()?.string(),
-            "seed" => args.seed = flags.value()?.parse("seed")?,
-            "batch" => args.batch = flags.value()?.parse("batch size")?,
-            "timeout-ms" => args.timeout_ms = flags.value()?.parse("timeout")?,
-            "max-inflight" => args.max_inflight = flags.value()?.parse("inflight cap")?,
-            "max-queue" => args.max_queue = flags.value()?.parse("queue cap")?,
-            "metrics-addr" => args.metrics_addr = Some(flags.value()?.parse("metrics address")?),
+            "addr" => opts.addr = flags.value()?.parse("address")?,
+            "worker-addr" => opts.worker_addr = flags.value()?.parse("worker address")?,
+            "dataset" => opts.dataset = flags.value()?.string(),
+            "seed" => opts.seed = flags.value()?.parse("seed")?,
+            "batch" => cfg.batch_size = flags.value()?.in_range(1.., "batch size")?,
+            "timeout-ms" => cfg.heartbeat_timeout = flags.value()?.millis("timeout")?,
+            "max-inflight" => {
+                cfg.max_inflight_per_tenant = flags.value()?.in_range(1.., "inflight cap")?
+            }
+            "max-queue" => cfg.max_queue_depth = flags.value()?.in_range(1.., "queue cap")?,
+            "metrics-addr" => opts.metrics_addr = Some(flags.value()?.parse("metrics address")?),
             _ => return Err(flags.unknown()),
         }
     }
-    Ok(args)
+    Ok(opts)
 }
 
 fn main() -> ExitCode {
@@ -104,14 +95,7 @@ fn main() -> ExitCode {
         args.seed
     );
 
-    let cfg = GateConfig {
-        batch_size: args.batch.max(1),
-        heartbeat_timeout: Duration::from_millis(args.timeout_ms.max(1)),
-        max_inflight_per_tenant: args.max_inflight.max(1),
-        max_queue_depth: args.max_queue.max(1),
-        ..GateConfig::default()
-    };
-    let gate = match Gate::bind(args.worker_addr, args.addr, db, cfg) {
+    let gate = match Gate::bind(args.worker_addr, args.addr, db, args.cfg) {
         Ok(gate) => gate,
         Err(e) => {
             eprintln!("rck_gate: bind failed: {e}");
@@ -160,13 +144,21 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(flags: &[&str]) -> Result<Args, ParseError> {
+    fn parse(flags: &[&str]) -> Result<Options, ParseError> {
         parse_args(flags.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults_parse_from_empty_argv() {
-        assert_eq!(parse(&[]).unwrap(), Args::default());
+        let opts = parse(&[]).unwrap();
+        let (cfg, default) = (&opts.cfg, GateConfig::default());
+        assert_eq!((opts.addr.port(), opts.worker_addr.port()), (0, 0));
+        assert_eq!((opts.dataset.as_str(), opts.seed), ("TINY8", 7));
+        assert_eq!(cfg.batch_size, default.batch_size);
+        assert_eq!(cfg.heartbeat_timeout, default.heartbeat_timeout);
+        assert_eq!(cfg.max_inflight_per_tenant, default.max_inflight_per_tenant);
+        assert_eq!(cfg.max_queue_depth, default.max_queue_depth);
+        assert!(opts.metrics_addr.is_none());
     }
 
     #[test]
@@ -194,10 +186,10 @@ mod tests {
         .unwrap();
         assert_eq!(args.dataset, "CK34");
         assert_eq!(args.seed, 11);
-        assert_eq!(args.batch, 4);
-        assert_eq!(args.timeout_ms, 250);
-        assert_eq!(args.max_inflight, 2);
-        assert_eq!(args.max_queue, 64);
+        assert_eq!(args.cfg.batch_size, 4);
+        assert_eq!(args.cfg.heartbeat_timeout, Duration::from_millis(250));
+        assert_eq!(args.cfg.max_inflight_per_tenant, 2);
+        assert_eq!(args.cfg.max_queue_depth, 64);
         assert_eq!(args.addr.port(), 7100);
         assert_eq!(args.worker_addr.port(), 7101);
         assert_eq!(args.metrics_addr.unwrap().port(), 7102);
@@ -208,5 +200,13 @@ mod tests {
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "not-a-number"]).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_input() {
+        assert!(parse(&["--batch", "0"]).is_err());
+        assert!(parse(&["--timeout-ms", "0"]).is_err());
+        assert!(parse(&["--max-inflight", "0"]).is_err());
+        assert!(parse(&["--max-queue", "0"]).is_err());
     }
 }

@@ -434,7 +434,7 @@ pub fn ranking_from_outcomes(
 /// through `outbox`; accepted queries subscribe it for streaming.
 pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Outbox>) {
     let reject = |reason: &str| {
-        shared.stats.on_query_rejected();
+        shared.stats.queries_rejected.inc();
         outbox.push(Frame::QueryReject(QueryReject {
             query_id: q.query_id,
             reason: reason.to_string(),
@@ -471,9 +471,9 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     // the complete outcome set.
     if let Some(&run_id) = state.coalesce.get(&hash) {
         if let Some(run) = state.runs.get_mut(&run_id) {
-            shared.stats.on_query_coalesced();
+            shared.stats.queries_coalesced.inc();
             if !run.outcomes.is_empty() {
-                shared.stats.on_partial();
+                shared.stats.partials_streamed.inc();
                 outbox.push(Frame::QueryPartial(QueryPartial {
                     query_id: q.query_id,
                     done: run.done.len() as u32,
@@ -546,7 +546,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     if !outcomes.is_empty() {
         // Stream the store-satisfied outcomes as a catch-up partial, the
         // same shape a late coalesced subscriber receives.
-        shared.stats.on_partial();
+        shared.stats.partials_streamed.inc();
         outbox.push(Frame::QueryPartial(QueryPartial {
             query_id: q.query_id,
             done: done.len() as u32,
@@ -586,7 +586,10 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
             first_result_seen: false,
         },
     );
-    shared.stats.set_queue_depth(state.sched.total_backlog());
+    shared
+        .stats
+        .queue_depth
+        .set(state.sched.total_backlog() as i64);
     drop(state);
     shared.work_available.notify_all();
 }

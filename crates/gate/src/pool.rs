@@ -84,7 +84,9 @@ impl WorkSource for GateShared {
         while let Some(tenant) = state.sched.pick() {
             if let Some(batch) = claim_tenant_batch(state, &tenant) {
                 self.stats.on_jobs_dispatched(&tenant, batch.jobs.len());
-                self.stats.set_queue_depth(state.sched.total_backlog());
+                self.stats
+                    .queue_depth
+                    .set(state.sched.total_backlog() as i64);
                 return Some(batch);
             }
         }
@@ -117,17 +119,18 @@ impl WorkSource for GateShared {
                 fresh.push(o);
             }
         }
-        self.stats.on_jobs_completed(fresh.len());
+        self.stats.jobs_completed.add(fresh.len() as u64);
         if !fresh.is_empty() {
             if !run.first_result_seen {
                 run.first_result_seen = true;
                 self.stats
-                    .on_first_result(run.started_at.elapsed().as_secs_f64());
+                    .first_result
+                    .observe(run.started_at.elapsed().as_secs_f64());
             }
             let partial_done = run.done.len() as u32;
             let partial_total = run.total_jobs as u32;
             for sub in &run.subscribers {
-                self.stats.on_partial();
+                self.stats.partials_streamed.inc();
                 sub.outbox.push(Frame::QueryPartial(proto::QueryPartial {
                     query_id: sub.query_id,
                     done: partial_done,
@@ -148,7 +151,7 @@ impl WorkSource for GateShared {
         let Some(run) = state.runs.get_mut(&batch.run_id) else {
             return;
         };
-        self.stats.on_jobs_requeued(batch.jobs.len());
+        self.stats.jobs_requeued.add(batch.jobs.len() as u64);
         run.pending.push_front(batch.jobs);
         let tenant = run.tenant.clone();
         state.sched.add_backlog(&tenant, 1);
@@ -157,16 +160,18 @@ impl WorkSource for GateShared {
             .entry(tenant)
             .or_default()
             .push_back(batch.run_id);
-        self.stats.set_queue_depth(state.sched.total_backlog());
+        self.stats
+            .queue_depth
+            .set(state.sched.total_backlog() as i64);
     }
 
     fn observe(&self, event: Event<'_>) {
         match event {
-            Event::DecodeError => self.stats.on_decode_error(),
-            Event::WorkerConnected(..) => self.stats.on_worker_connected(),
-            Event::WorkerLost(_) => self.stats.on_worker_lost(),
-            Event::ChainsShipped(n) => self.stats.add_chains_shipped(n),
-            Event::Window(batches) => self.stats.on_window(batches),
+            Event::DecodeError => self.stats.decode_errors.inc(),
+            Event::WorkerConnected(..) => self.stats.workers_connected.inc(),
+            Event::WorkerLost(_) => self.stats.workers_lost.inc(),
+            Event::ChainsShipped(n) => self.stats.chains_shipped.add(n as u64),
+            Event::Window(batches) => self.stats.window.raise_to(batches as i64),
             // The gate keeps no byte, stale, mismatch or gap statistics.
             _ => {}
         }

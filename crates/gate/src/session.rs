@@ -130,7 +130,7 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
     let session_id = welcome.worker_id;
     // Established sessions have no per-client deadline.
     let _ = conn.set_read_timeout(None);
-    shared.stats.on_session();
+    shared.stats.sessions.inc();
     let outbox = Outbox::new();
     let writer = match conn.try_clone() {
         Ok(write_half) => {
@@ -157,7 +157,7 @@ pub(crate) fn serve_client(shared: &GateShared, mut conn: Box<dyn Conn>) {
             Ok(_) => break,
             Err(e) => {
                 if e.is_decode_error() {
-                    shared.stats.on_decode_error();
+                    shared.stats.decode_errors.inc();
                     eprintln!("[rck-gate] session {session_id}: decode error: {e}");
                 }
                 break;

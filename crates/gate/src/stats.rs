@@ -1,7 +1,7 @@
 //! Gate counters: the `rck_gate_*` metric family.
 //!
 //! [`GateStats`] is the serving tier's analogue of
-//! [`rck_serve::ServeStats`]: a thin façade over a private
+//! [`rck_serve::ServeStats`]: handles into a private
 //! [`rck_obs::Registry`], so the same numbers that feed the loadgen and
 //! report tooling are available as a Prometheus text dump at any point
 //! of a run. The registry is per-instance — tests assert exact values on
@@ -10,29 +10,31 @@
 use rck_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, DEFAULT_LATENCY_BOUNDS};
 use std::sync::Arc;
 
-/// Live counters for one gate instance. All methods take `&self`; the
-/// gate shares one instance behind an `Arc` with every thread it runs.
+/// Live counters for one gate instance, shared behind an `Arc` with
+/// every thread the gate runs. Code counts an event by calling its
+/// handle where the event happens; a method exists only where one event
+/// must move two handles, or a handle and a per-tenant family, together.
 #[derive(Debug)]
 pub struct GateStats {
     registry: Arc<Registry>,
-    queries_submitted: Arc<Counter>,
-    queries_completed: Arc<Counter>,
-    queries_rejected: Arc<Counter>,
-    queries_coalesced: Arc<Counter>,
-    partials_streamed: Arc<Counter>,
-    jobs_dispatched: Arc<Counter>,
-    jobs_completed: Arc<Counter>,
-    jobs_requeued: Arc<Counter>,
-    chains_shipped: Arc<Counter>,
-    workers_connected: Arc<Counter>,
-    workers_lost: Arc<Counter>,
-    sessions: Arc<Counter>,
-    decode_errors: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    inflight_queries: Arc<Gauge>,
-    window: Arc<Gauge>,
-    query_latency: Arc<Histogram>,
-    first_result: Arc<Histogram>,
+    pub(crate) queries_submitted: Arc<Counter>,
+    pub(crate) queries_completed: Arc<Counter>,
+    pub(crate) queries_rejected: Arc<Counter>,
+    pub(crate) queries_coalesced: Arc<Counter>,
+    pub(crate) partials_streamed: Arc<Counter>,
+    pub(crate) jobs_dispatched: Arc<Counter>,
+    pub(crate) jobs_completed: Arc<Counter>,
+    pub(crate) jobs_requeued: Arc<Counter>,
+    pub(crate) chains_shipped: Arc<Counter>,
+    pub(crate) workers_connected: Arc<Counter>,
+    pub(crate) workers_lost: Arc<Counter>,
+    pub(crate) sessions: Arc<Counter>,
+    pub(crate) decode_errors: Arc<Counter>,
+    pub(crate) queue_depth: Arc<Gauge>,
+    pub(crate) inflight_queries: Arc<Gauge>,
+    pub(crate) window: Arc<Gauge>,
+    pub(crate) query_latency: Arc<Histogram>,
+    pub(crate) first_result: Arc<Histogram>,
 }
 
 impl Default for GateStats {
@@ -148,22 +150,6 @@ impl GateStats {
         self.query_latency.observe(latency_secs);
     }
 
-    pub(crate) fn on_query_rejected(&self) {
-        self.queries_rejected.inc();
-    }
-
-    pub(crate) fn on_query_coalesced(&self) {
-        self.queries_coalesced.inc();
-    }
-
-    pub(crate) fn on_partial(&self) {
-        self.partials_streamed.inc();
-    }
-
-    pub(crate) fn on_first_result(&self, latency_secs: f64) {
-        self.first_result.observe(latency_secs);
-    }
-
     pub(crate) fn on_jobs_dispatched(&self, tenant: &str, n: usize) {
         self.jobs_dispatched.add(n as u64);
         self.registry
@@ -173,43 +159,6 @@ impl GateStats {
                 &[("tenant", tenant)],
             )
             .add(n as u64);
-    }
-
-    pub(crate) fn on_jobs_completed(&self, n: usize) {
-        self.jobs_completed.add(n as u64);
-    }
-
-    pub(crate) fn on_jobs_requeued(&self, n: usize) {
-        self.jobs_requeued.add(n as u64);
-    }
-
-    pub(crate) fn add_chains_shipped(&self, n: usize) {
-        self.chains_shipped.add(n as u64);
-    }
-
-    pub(crate) fn on_worker_connected(&self) {
-        self.workers_connected.inc();
-        self.window.raise_to(1);
-    }
-
-    pub(crate) fn on_worker_lost(&self) {
-        self.workers_lost.inc();
-    }
-
-    pub(crate) fn on_session(&self) {
-        self.sessions.inc();
-    }
-
-    pub(crate) fn on_decode_error(&self) {
-        self.decode_errors.inc();
-    }
-
-    pub(crate) fn set_queue_depth(&self, depth: usize) {
-        self.queue_depth.set(depth as i64);
-    }
-
-    pub(crate) fn on_window(&self, batches: usize) {
-        self.window.raise_to(batches as i64);
     }
 
     /// Queries answered with a final ranking so far.
@@ -304,24 +253,24 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let s = GateStats::new();
-        s.on_session();
+        s.sessions.inc();
         s.on_query_submitted("lab-a");
         s.on_query_submitted("lab-b");
-        s.on_query_coalesced();
-        s.on_query_rejected();
+        s.queries_coalesced.inc();
+        s.queries_rejected.inc();
         s.on_jobs_dispatched("lab-a", 7);
-        s.on_jobs_completed(7);
-        s.on_jobs_requeued(2);
-        s.add_chains_shipped(5);
-        s.on_partial();
-        s.on_first_result(0.01);
+        s.jobs_completed.add(7);
+        s.jobs_requeued.add(2);
+        s.chains_shipped.add(5);
+        s.partials_streamed.inc();
+        s.first_result.observe(0.01);
         s.on_query_completed(0.05);
-        s.on_worker_connected();
-        s.on_worker_lost();
-        s.on_decode_error();
-        s.set_queue_depth(3);
-        s.on_window(8);
-        s.on_window(3);
+        s.workers_connected.inc();
+        s.workers_lost.inc();
+        s.decode_errors.inc();
+        s.queue_depth.set(3);
+        s.window.raise_to(8);
+        s.window.raise_to(3);
 
         let snap = s.snapshot();
         assert_eq!(snap.queries_submitted, 2);
@@ -347,7 +296,7 @@ mod tests {
         let s = GateStats::new();
         s.on_query_submitted("lab-a");
         s.on_jobs_dispatched("lab-a", 4);
-        s.set_queue_depth(2);
+        s.queue_depth.set(2);
         let text = s.registry().render();
         assert!(text.contains("rck_gate_queries_submitted_total 1"));
         assert!(text.contains("rck_gate_tenant_jobs_total{tenant=\"lab-a\"} 4"));

@@ -295,7 +295,8 @@ pub enum Event<'a> {
     MismatchedResult,
     /// Gap between two liveness signals of one worker.
     HeartbeatGap(Duration),
-    /// A connection's window changed to this many batches.
+    /// A fed connection's window opened at, or changed to, this many
+    /// batches.
     Window(usize),
 }
 
@@ -714,6 +715,11 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
         return;
     };
     src.observe(Event::WorkerConnected(worker_id, &name));
+    // A credited peer opens its own window; a fed one starts at one.
+    let credited = S::DIALECT == Dialect::Tiles;
+    if !credited {
+        src.observe(Event::Window(1));
+    }
     if let Ok(clone) = conn.try_clone() {
         S::dispatch(&mut src.state().lock_recover()).hold(worker_id, clone);
     }
@@ -723,8 +729,6 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
     // Every path below that gives up on a unit ends the connection, so
     // what its worker holds never has to be revised.
     let mut resident = Resident::default();
-    // A credited peer opens its own window; a fed one starts at one.
-    let credited = S::DIALECT == Dialect::Tiles;
     let (mut held, mut room) = (0, usize::from(!credited));
     let (mut service, mut last_accept) = (None::<Duration>, None::<Instant>);
     loop {

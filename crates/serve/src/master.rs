@@ -241,7 +241,7 @@ impl WorkSource for Shared {
         outcomes: Vec<PairOutcome>,
         rtt: Duration,
     ) -> bool {
-        self.stats.observe_batch_rtt(rtt.as_secs_f64());
+        self.stats.batch_rtt.observe(rtt.as_secs_f64());
         let mut fresh = 0usize;
         let mut duplicates = 0usize;
         for o in outcomes {
@@ -269,7 +269,7 @@ impl WorkSource for Shared {
         }
         self.stats.on_batch_completed(worker_id, fresh);
         if duplicates > 0 {
-            self.stats.on_duplicate_results(duplicates);
+            self.stats.duplicate_results.add(duplicates as u64);
         }
         work.check_finished();
         work.finished
@@ -283,16 +283,16 @@ impl WorkSource for Shared {
     fn observe(&self, event: Event<'_>) {
         let stats = &self.stats;
         match event {
-            Event::Tx(bytes) => stats.add_tx(bytes),
-            Event::Rx(bytes) => stats.add_rx(bytes),
-            Event::ChainsShipped(n) => stats.add_chains_shipped(n),
-            Event::DecodeError => stats.on_decode_error(),
+            Event::Tx(bytes) => stats.bytes_tx.add(bytes as u64),
+            Event::Rx(bytes) => stats.bytes_rx.add(bytes as u64),
+            Event::ChainsShipped(n) => stats.chains_shipped.add(n as u64),
+            Event::DecodeError => stats.decode_errors.inc(),
             Event::WorkerConnected(id, name) => stats.on_worker_connected(id, name),
             Event::WorkerLost(id) => stats.on_worker_lost(id),
-            Event::StaleResult => stats.on_stale_result(),
-            Event::MismatchedResult => stats.on_mismatched_result(),
-            Event::HeartbeatGap(gap) => stats.observe_heartbeat_gap(gap.as_secs_f64()),
-            Event::Window(batches) => stats.on_window(batches),
+            Event::StaleResult => stats.stale_results.inc(),
+            Event::MismatchedResult => stats.mismatched_results.inc(),
+            Event::HeartbeatGap(gap) => stats.heartbeat_gap.observe(gap.as_secs_f64()),
+            Event::Window(batches) => stats.window.raise_to(batches as i64),
         }
     }
 }

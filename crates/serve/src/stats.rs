@@ -1,11 +1,10 @@
 //! Service counters and the per-worker throughput report.
 //!
 //! [`ServeStats`] is the live, lock-light view shared between the
-//! master's acceptor, connection handlers and deadline monitor. Since
-//! the observability pass it is a thin façade over [`rck_obs`]: every
-//! counter is a handle into a private [`Registry`], so the same numbers
-//! that feed the end-of-run [`StatsSnapshot`] report are also available
-//! as a Prometheus text dump (see [`ServeStats::registry`]).
+//! master's acceptor, connection handlers and deadline monitor. Every
+//! counter is an [`rck_obs`] handle into a private [`Registry`], so the
+//! same numbers that feed the end-of-run [`StatsSnapshot`] report are
+//! also available as a Prometheus text dump (see [`ServeStats::registry`]).
 //!
 //! The registry is **per-instance**, not the process-global one: tests
 //! assert exact counter values on isolated `ServeStats`, and two masters
@@ -25,38 +24,39 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 struct WorkerEntry {
     name: String,
-    jobs_completed: u64,
     batches_completed: u64,
     connected_at: Instant,
-    lost: bool,
+    lost_at: Option<Instant>,
     /// `rck_worker_jobs_total{worker=…}`, resolved on the first completed
     /// batch (not on connect: a worker that completes nothing has no row).
-    jobs_counter: Option<Arc<Counter>>,
+    jobs: Option<Arc<Counter>>,
 }
 
-/// Live counters for one service run. All methods take `&self`; the
-/// master shares one instance behind an `Arc` with every thread it runs.
+/// Live counters for one service run, shared behind an `Arc` with every
+/// thread the master runs. Code counts an event by calling its handle
+/// where the event happens; a method exists only where one event must
+/// move two handles, or a handle and the per-worker table, together.
 #[derive(Debug)]
 pub struct ServeStats {
     registry: Arc<Registry>,
-    jobs_dispatched: Arc<Counter>,
-    jobs_completed: Arc<Counter>,
-    jobs_requeued: Arc<Counter>,
-    batches_dispatched: Arc<Counter>,
-    batches_completed: Arc<Counter>,
-    batches_requeued: Arc<Counter>,
-    stale_results: Arc<Counter>,
-    duplicate_results: Arc<Counter>,
-    decode_errors: Arc<Counter>,
-    mismatched_results: Arc<Counter>,
-    bytes_tx: Arc<Counter>,
-    bytes_rx: Arc<Counter>,
-    chains_shipped: Arc<Counter>,
-    workers_connected: Arc<Counter>,
-    workers_lost: Arc<Counter>,
-    batch_rtt: Arc<Histogram>,
-    heartbeat_gap: Arc<Histogram>,
-    window: Arc<Gauge>,
+    pub(crate) jobs_dispatched: Arc<Counter>,
+    pub(crate) jobs_completed: Arc<Counter>,
+    pub(crate) jobs_requeued: Arc<Counter>,
+    pub(crate) batches_dispatched: Arc<Counter>,
+    pub(crate) batches_completed: Arc<Counter>,
+    pub(crate) batches_requeued: Arc<Counter>,
+    pub(crate) stale_results: Arc<Counter>,
+    pub(crate) duplicate_results: Arc<Counter>,
+    pub(crate) decode_errors: Arc<Counter>,
+    pub(crate) mismatched_results: Arc<Counter>,
+    pub(crate) bytes_tx: Arc<Counter>,
+    pub(crate) bytes_rx: Arc<Counter>,
+    pub(crate) chains_shipped: Arc<Counter>,
+    pub(crate) workers_connected: Arc<Counter>,
+    pub(crate) workers_lost: Arc<Counter>,
+    pub(crate) batch_rtt: Arc<Histogram>,
+    pub(crate) heartbeat_gap: Arc<Histogram>,
+    pub(crate) window: Arc<Gauge>,
     workers: Mutex<HashMap<u32, WorkerEntry>>,
 }
 
@@ -150,16 +150,14 @@ impl ServeStats {
 
     pub(crate) fn on_worker_connected(&self, id: u32, name: &str) {
         self.workers_connected.inc();
-        self.window.raise_to(1);
         self.workers.lock_recover().insert(
             id,
             WorkerEntry {
                 name: name.to_string(),
-                jobs_completed: 0,
                 batches_completed: 0,
                 connected_at: Instant::now(),
-                lost: false,
-                jobs_counter: None,
+                lost_at: None,
+                jobs: None,
             },
         );
     }
@@ -167,7 +165,7 @@ impl ServeStats {
     pub(crate) fn on_worker_lost(&self, id: u32) {
         self.workers_lost.inc();
         if let Some(w) = self.workers.lock_recover().get_mut(&id) {
-            w.lost = true;
+            w.lost_at.get_or_insert_with(Instant::now);
         }
     }
 
@@ -183,8 +181,7 @@ impl ServeStats {
         // so a completing worker always has an entry.
         if let Some(w) = self.workers.lock_recover().get_mut(&worker_id) {
             w.batches_completed += 1;
-            w.jobs_completed += jobs as u64;
-            w.jobs_counter
+            w.jobs
                 .get_or_insert_with(|| {
                     self.registry.counter_with(
                         "rck_worker_jobs_total",
@@ -199,48 +196,6 @@ impl ServeStats {
     pub(crate) fn on_batch_requeued(&self, jobs: usize) {
         self.batches_requeued.inc();
         self.jobs_requeued.add(jobs as u64);
-    }
-
-    pub(crate) fn on_stale_result(&self) {
-        self.stale_results.inc();
-    }
-
-    pub(crate) fn on_duplicate_results(&self, n: usize) {
-        self.duplicate_results.add(n as u64);
-    }
-
-    pub(crate) fn on_decode_error(&self) {
-        self.decode_errors.inc();
-    }
-
-    pub(crate) fn on_mismatched_result(&self) {
-        self.mismatched_results.inc();
-    }
-
-    pub(crate) fn add_tx(&self, bytes: usize) {
-        self.bytes_tx.add(bytes as u64);
-    }
-
-    pub(crate) fn add_rx(&self, bytes: usize) {
-        self.bytes_rx.add(bytes as u64);
-    }
-
-    pub(crate) fn add_chains_shipped(&self, chains: usize) {
-        self.chains_shipped.add(chains as u64);
-    }
-
-    /// Record one batch's dispatch-to-result round trip.
-    pub(crate) fn observe_batch_rtt(&self, seconds: f64) {
-        self.batch_rtt.observe(seconds);
-    }
-
-    /// Record the gap since a worker's previous liveness signal.
-    pub(crate) fn observe_heartbeat_gap(&self, seconds: f64) {
-        self.heartbeat_gap.observe(seconds);
-    }
-
-    pub(crate) fn on_window(&self, batches: usize) {
-        self.window.raise_to(batches as i64);
     }
 
     /// Jobs requeued so far (tests poll this to observe fault recovery).
@@ -258,12 +213,6 @@ impl ServeStats {
         self.workers_connected.get()
     }
 
-    /// Frames the master failed to decode so far (tests and the chaos
-    /// harness poll this to observe wire-level damage being detected).
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors.get()
-    }
-
     /// Freeze the counters into a reportable snapshot.
     pub fn snapshot(&self) -> StatsSnapshot {
         let workers = {
@@ -271,18 +220,17 @@ impl ServeStats {
             let mut rows: Vec<WorkerRow> = map
                 .iter()
                 .map(|(&id, w)| {
-                    let secs = w.connected_at.elapsed().as_secs_f64();
+                    // A lost worker's rate is over its connected lifetime.
+                    let until = w.lost_at.unwrap_or_else(Instant::now);
+                    let secs = until.duration_since(w.connected_at).as_secs_f64();
+                    let jobs = w.jobs.as_ref().map_or(0, |c| c.get());
                     WorkerRow {
                         worker_id: id,
                         name: w.name.clone(),
-                        jobs_completed: w.jobs_completed,
+                        jobs_completed: jobs,
                         batches_completed: w.batches_completed,
-                        jobs_per_sec: if secs > 0.0 {
-                            w.jobs_completed as f64 / secs
-                        } else {
-                            0.0
-                        },
-                        lost: w.lost,
+                        jobs_per_sec: if secs > 0.0 { jobs as f64 / secs } else { 0.0 },
+                        lost: w.lost_at.is_some(),
                     }
                 })
                 .collect();
@@ -454,17 +402,17 @@ mod tests {
         s.on_batch_completed(0, 4);
         s.on_batch_requeued(4);
         s.on_worker_lost(1);
-        s.on_stale_result();
-        s.on_duplicate_results(2);
-        s.on_decode_error();
-        s.on_mismatched_result();
-        s.add_tx(100);
-        s.add_rx(40);
-        s.add_chains_shipped(3);
-        s.observe_batch_rtt(0.02);
-        s.observe_heartbeat_gap(0.3);
-        s.on_window(8);
-        s.on_window(3);
+        s.stale_results.inc();
+        s.duplicate_results.add(2);
+        s.decode_errors.inc();
+        s.mismatched_results.inc();
+        s.bytes_tx.add(100);
+        s.bytes_rx.add(40);
+        s.chains_shipped.add(3);
+        s.batch_rtt.observe(0.02);
+        s.heartbeat_gap.observe(0.3);
+        s.window.raise_to(8);
+        s.window.raise_to(3);
 
         let snap = s.snapshot();
         assert_eq!(snap.jobs_dispatched, 8);
@@ -511,12 +459,26 @@ mod tests {
         s.on_worker_connected(0, "w0");
         s.on_batch_dispatched(4);
         s.on_batch_completed(0, 4);
-        s.observe_batch_rtt(0.02);
+        s.batch_rtt.observe(0.02);
         let text = s.registry().render();
         assert!(text.contains("rck_batches_completed_total 1"));
         assert!(text.contains("rck_jobs_completed_total 4"));
         assert!(text.contains("rck_worker_jobs_total{worker=\"0\"} 4"));
         assert!(text.contains("rck_batch_rtt_seconds_count 1"));
+    }
+
+    #[test]
+    fn a_lost_workers_rate_stops_at_its_loss() {
+        let s = ServeStats::new();
+        s.on_worker_connected(0, "w0");
+        s.on_batch_completed(0, 4);
+        s.on_worker_lost(0);
+        let before = s.snapshot().workers[0].clone();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let after = s.snapshot().workers[0].clone();
+        assert!(after.lost);
+        assert_eq!(after.jobs_completed, 4);
+        assert_eq!(before.jobs_per_sec, after.jobs_per_sec);
     }
 
     #[test]

@@ -204,7 +204,7 @@ impl WorkSource for Shared {
         rtt: Duration,
     ) -> bool {
         if !state.done.insert(tile.id) {
-            self.stats.on_duplicate_tile();
+            self.stats.duplicate_tiles.inc();
             return false;
         }
         // Merged (sorted, deduplicated) on read, when the run returns.
@@ -216,7 +216,7 @@ impl WorkSource for Shared {
     }
 
     fn requeue(&self, state: &mut State, tile: Tile) {
-        self.stats.on_tiles_requeued(1);
+        self.stats.tiles_requeued.inc();
         state.orphans.push_back(tile.id);
     }
 
@@ -224,9 +224,9 @@ impl WorkSource for Shared {
         let stats = &self.stats;
         match event {
             Event::WorkerConnected(id, name) => stats.on_master_connected(id, name),
-            Event::WorkerLost(_) => stats.on_master_lost(),
-            Event::StaleResult => stats.on_duplicate_tile(),
-            Event::MismatchedResult => stats.on_mismatched_tile(),
+            Event::WorkerLost(_) => stats.masters_lost.inc(),
+            Event::StaleResult => stats.duplicate_tiles.inc(),
+            Event::MismatchedResult => stats.mismatched_tiles.inc(),
             // The frontend keeps no wire, gap or window statistics.
             _ => {}
         }
@@ -326,7 +326,7 @@ impl ShardFrontend {
                 }
             }
             // Fully stored tiles stay queued: `pick_tile` drops done ones.
-            self.shared.stats.on_store_pairs(hit_total);
+            self.shared.stats.store_pairs.add(hit_total as u64);
         }
         *self.shared.store.lock_recover() = Some(binding);
         self

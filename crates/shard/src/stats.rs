@@ -1,6 +1,6 @@
 //! Frontend counters for the sharded farm.
 //!
-//! Same shape as `rck_serve::ServeStats`: a thin façade over a private
+//! Same shape as `rck_serve::ServeStats`: handles into a private
 //! [`rck_obs::Registry`], so the tile-dialect counters feed both the
 //! end-of-run [`ShardSnapshot`] and Prometheus-style text dumps. The
 //! registry is per-instance — two frontends in one process (as in the
@@ -11,23 +11,25 @@ use rck_serve::MutexExt;
 use rckalign::report::TextTable;
 use std::sync::{Arc, Mutex};
 
-/// Live counters for one sharded run. All methods take `&self`; the
-/// frontend shares one instance behind an `Arc` with every thread.
+/// Live counters for one sharded run, shared behind an `Arc` with every
+/// thread the frontend runs. Code counts an event by calling its handle
+/// where the event happens; a method exists only where one event must
+/// move two handles, or a handle and the per-master table, together.
 #[derive(Debug)]
 pub struct ShardStats {
     registry: Arc<Registry>,
-    tiles_granted: Arc<Counter>,
-    tiles_completed: Arc<Counter>,
-    tiles_requeued: Arc<Counter>,
-    tiles_stolen: Arc<Counter>,
-    duplicate_tiles: Arc<Counter>,
-    mismatched_tiles: Arc<Counter>,
-    masters_connected: Arc<Counter>,
-    masters_lost: Arc<Counter>,
-    store_pairs: Arc<Counter>,
-    tile_rtt: Arc<Histogram>,
-    /// Per-master completed-tile tallies for the final report.
-    masters: Mutex<Vec<(u32, String, u64)>>,
+    pub(crate) tiles_granted: Arc<Counter>,
+    pub(crate) tiles_completed: Arc<Counter>,
+    pub(crate) tiles_requeued: Arc<Counter>,
+    pub(crate) tiles_stolen: Arc<Counter>,
+    pub(crate) duplicate_tiles: Arc<Counter>,
+    pub(crate) mismatched_tiles: Arc<Counter>,
+    pub(crate) masters_connected: Arc<Counter>,
+    pub(crate) masters_lost: Arc<Counter>,
+    pub(crate) store_pairs: Arc<Counter>,
+    pub(crate) tile_rtt: Arc<Histogram>,
+    /// Per master: id, name and its `rck_shard_master_tiles_total` handle.
+    masters: Mutex<Vec<(u32, String, Arc<Counter>)>>,
 }
 
 impl Default for ShardStats {
@@ -95,23 +97,16 @@ impl ShardStats {
 
     pub(crate) fn on_master_connected(&self, id: u32, name: &str) {
         self.masters_connected.inc();
-        // Register the per-master share counter at zero on connect so a
-        // master that never completes a tile still shows up in dumps.
-        self.master_tiles(id);
-        self.masters.lock_recover().push((id, name.to_string(), 0));
-    }
-
-    /// Get-or-create the labeled per-master completed-tile counter.
-    fn master_tiles(&self, master_id: u32) -> Arc<Counter> {
-        self.registry.counter_with(
+        // Registered at zero on connect so a master that never completes
+        // a tile still shows up in dumps.
+        let tiles = self.registry.counter_with(
             "rck_shard_master_tiles_total",
             "tiles completed per shard master",
-            &[("master", &master_id.to_string())],
-        )
-    }
-
-    pub(crate) fn on_master_lost(&self) {
-        self.masters_lost.inc();
+            &[("master", &id.to_string())],
+        );
+        self.masters
+            .lock_recover()
+            .push((id, name.to_string(), tiles));
     }
 
     pub(crate) fn on_tile_granted(&self, stolen: bool) {
@@ -126,42 +121,15 @@ impl ShardStats {
         if let Some(secs) = rtt_seconds {
             self.tile_rtt.observe(secs);
         }
-        self.master_tiles(master_id).inc();
-        let mut masters = self.masters.lock_recover();
-        if let Some(row) = masters.iter_mut().find(|(id, _, _)| *id == master_id) {
-            row.2 += 1;
+        let masters = self.masters.lock_recover();
+        if let Some((_, _, tiles)) = masters.iter().find(|(id, _, _)| *id == master_id) {
+            tiles.inc();
         }
-    }
-
-    pub(crate) fn on_tiles_requeued(&self, n: usize) {
-        self.tiles_requeued.add(n as u64);
-    }
-
-    pub(crate) fn on_duplicate_tile(&self) {
-        self.duplicate_tiles.inc();
-    }
-
-    pub(crate) fn on_mismatched_tile(&self) {
-        self.mismatched_tiles.inc();
-    }
-
-    pub(crate) fn on_store_pairs(&self, n: usize) {
-        self.store_pairs.add(n as u64);
     }
 
     /// Tiles completed so far (tests poll this).
     pub fn tiles_completed(&self) -> u64 {
         self.tiles_completed.get()
-    }
-
-    /// Tiles stolen across ownership queues so far.
-    pub fn tiles_stolen(&self) -> u64 {
-        self.tiles_stolen.get()
-    }
-
-    /// Masters declared dead so far.
-    pub fn masters_lost(&self) -> u64 {
-        self.masters_lost.get()
     }
 
     /// Freeze the counters into a reportable snapshot.
@@ -176,7 +144,9 @@ impl ShardStats {
             masters_connected: self.masters_connected.get(),
             masters_lost: self.masters_lost.get(),
             store_pairs: self.store_pairs.get(),
-            masters: self.masters.lock_recover().clone(),
+            masters: (self.masters.lock_recover().iter())
+                .map(|(id, name, tiles)| (*id, name.clone(), tiles.get()))
+                .collect(),
         }
     }
 }
@@ -244,11 +214,11 @@ mod tests {
         s.on_tile_granted(false);
         s.on_tile_granted(true);
         s.on_tile_completed(0, Some(0.01));
-        s.on_tiles_requeued(2);
-        s.on_master_lost();
-        s.on_duplicate_tile();
-        s.on_mismatched_tile();
-        s.on_store_pairs(5);
+        s.tiles_requeued.add(2);
+        s.masters_lost.inc();
+        s.duplicate_tiles.inc();
+        s.mismatched_tiles.inc();
+        s.store_pairs.add(5);
         let snap = s.snapshot();
         assert_eq!(snap.tiles_granted, 2);
         assert_eq!(snap.tiles_stolen, 1);

@@ -7,8 +7,8 @@
 //! other caller, every row of the benchmark trajectory names a workload
 //! and a metric `BENCHMARK.json` declares, every crate root re-exports
 //! only what something outside the crate names, only the dispatcher
-//! accepts connections or runs a deadline monitor, and FNV-1a has one
-//! body in the tree.
+//! accepts connections or runs a deadline monitor, FNV-1a has one body
+//! in the tree, and no serving tier's stats wraps a handle in a method.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -477,4 +477,66 @@ fn fnv1a_has_one_body() {
         }
     }
     assert_eq!(bodies.len(), 1, "`fn fnv1a64` bodies: {bodies:#?}");
+}
+
+/// Whether a method body, its lines trimmed and joined, is one write
+/// (`inc`, `add`, `observe`, ...) to one handle: `self.h.add(n as u64);`.
+fn one_handle_write(body: &str) -> bool {
+    const WRITES: [&str; 6] = ["inc", "add", "sub", "set", "observe", "raise_to"];
+    let stmt = body.strip_suffix(';').unwrap_or(body);
+    let Some((handle, call)) = stmt.strip_prefix("self.").and_then(|r| r.split_once('.')) else {
+        return false;
+    };
+    let Some((method, args)) = call.split_once('(') else {
+        return false;
+    };
+    handle
+        .chars()
+        .all(|c| c.is_ascii_alphanumeric() || c == '_')
+        && WRITES.contains(&method)
+        && args.ends_with(')')
+        && !stmt.contains(';')
+        && !args.contains("self.")
+}
+
+/// Counters are handles, called where the event happens: a method of the
+/// serve, gate or shard stats exists only to keep two handles, or a
+/// handle and a per-peer table, consistent.
+#[test]
+fn tier_stats_have_no_one_handle_forwarders() {
+    let root = repo_root();
+    let mut forwarders = Vec::new();
+    for krate in ["serve", "gate", "shard"] {
+        let path = root.join("crates").join(krate).join("src/stats.rs");
+        let text = fs::read_to_string(&path).expect("source is UTF-8");
+        let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
+        let mut lines = text[..end].lines();
+        while let Some(line) = lines.next() {
+            let Some(sig) = line
+                .strip_prefix("    ")
+                .filter(|l| l.contains("fn ") && !l.starts_with("//"))
+            else {
+                continue;
+            };
+            if !sig.ends_with('{') && !lines.by_ref().any(|l| l.ends_with('{')) {
+                break;
+            }
+            let body: String = lines
+                .by_ref()
+                .take_while(|l| *l != "    }")
+                .map(str::trim)
+                .collect();
+            if one_handle_write(&body) {
+                forwarders.push(format!(
+                    "{krate}: {} {{ {body} }}",
+                    sig.trim_end_matches(" {")
+                ));
+            }
+        }
+    }
+    assert!(
+        forwarders.is_empty(),
+        "{} one-handle forwarders: {forwarders:#?}",
+        forwarders.len()
+    );
 }
