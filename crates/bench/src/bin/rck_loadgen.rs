@@ -77,7 +77,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     let mut flags = Flags::new(args);
     while let Some(name) = flags.next_flag()? {
         match name {
-            "help" => return Err(ParseError::help()),
             "queries" => opts.queries = flags.value()?.in_range(1.., "query count")?,
             "tenants" => opts.tenants = flags.value()?.in_range(1.., "tenant count")?,
             "workers" => opts.workers = flags.value()?.in_range(1.., "worker count")?,

@@ -1,21 +1,28 @@
-//! rckAlign: the master–slaves all-vs-all PSC application on the
-//! simulated SCC.
+//! rckAlign: the master–slaves PSC application on the simulated SCC,
+//! and the one chip setup every simulated program shares.
 //!
 //! Core 0 runs the master: it loads every structure (charging the parse
-//! cost), builds the all-vs-all job list, and drives the rckskel `FARM`
-//! over slave cores 1..=N; each job's payload carries *both chains' data*
-//! (§IV of the paper — the master is the only process touching storage).
-//! The slaves decode the chains, run the comparison method, and return a
+//! cost), builds the job list, and drives the rckskel `FARM` over slave
+//! cores 1..=N; each job's payload carries *both chains' data* (§IV of
+//! the paper — the master is the only process touching storage). The
+//! slaves decode the chains, run the comparison method, and return a
 //! compact result record. Experiment II of the paper is exactly this
 //! program swept over N = 1..47 slaves.
+//!
+//! As in the paper's rckskel, the farm is written once and the other
+//! programs supply jobs or a master: one-vs-all is `farm_run` over the
+//! query's job list, the hierarchy and MC-PSC keep only their masters
+//! over `pair_slave`s, and the distributed baseline keeps only its
+//! pssh/NFS slave. All of them end in `run_on_chip`.
 
 use crate::cache::PairCache;
 use crate::jobs::{
-    all_vs_all, decode_outcome, decode_pair_payload, encode_outcome, encode_pair_payload,
+    all_vs_all, decode_outcome, decode_pair_payload, encode_outcome, encode_pair_payload, PairJob,
     PairOutcome,
 };
 use crate::loadbalance::{order_jobs, JobOrdering};
 use rck_noc::{CoreCtx, CoreId, CoreProgram, NocConfig, SimReport, Simulator};
+use rck_pdb::CaChain;
 use rck_rcce::Rcce;
 use rck_skel::{farm, slave_loop, waves, Job, SlaveReply};
 use rck_tmalign::MethodKind;
@@ -67,7 +74,9 @@ impl RckAlignOptions {
     }
 }
 
-/// Result of one rckAlign run.
+/// Result of one simulated run: rckAlign's, and that of every program
+/// built on the same chip setup (one-vs-all, the hierarchy, the
+/// distributed baseline).
 #[derive(Debug, Clone)]
 pub struct RckAlignRun {
     /// Simulator timing report.
@@ -81,7 +90,7 @@ pub struct RckAlignRun {
 /// Charge the master (or any loader) for reading the whole dataset: the
 /// raw PDB bytes come through the core's quadrant memory controller, the
 /// parsing burns core cycles.
-pub fn charge_dataset_load(ctx: &mut CoreCtx, chains: &[rck_pdb::CaChain]) {
+pub fn charge_dataset_load(ctx: &mut CoreCtx, chains: &[CaChain]) {
     let residues: u64 = chains.iter().map(|c| c.len() as u64).sum();
     ctx.read_memory(residues as usize * PDB_BYTES_PER_RESIDUE);
     let cycles = residues.saturating_mul(LOAD_CYCLES_PER_RESIDUE);
@@ -89,52 +98,98 @@ pub fn charge_dataset_load(ctx: &mut CoreCtx, chains: &[rck_pdb::CaChain]) {
     ctx.compute(cfg.cycles(cycles));
 }
 
-/// Run the all-vs-all comparison of the cache's dataset on the simulated
-/// SCC with the given options.
-///
-/// # Panics
-/// Panics if `n_slaves` is zero or master + slaves exceed the chip.
-pub fn run_all_vs_all(cache: &PairCache, opts: &RckAlignOptions) -> RckAlignRun {
-    let chains = cache.chains();
-    let n_slaves = opts.n_slaves;
-    assert!(n_slaves >= 1, "rckAlign needs at least one slave");
+/// Cores `0..cores` of the chip, the master first.
+pub(crate) fn chip_cores(cores: usize, noc: &NocConfig) -> Vec<CoreId> {
+    let chip = noc.topology.core_count();
     assert!(
-        n_slaves < opts.noc.topology.core_count(),
-        "{} slaves + master exceed the {}-core chip",
-        n_slaves,
-        opts.noc.topology.core_count()
+        cores <= chip,
+        "{cores} cores exceed the chip ({chip} cores)"
     );
+    (0..cores).map(CoreId).collect()
+}
 
-    // The first core supplied runs the master; all subsequent cores run
-    // slaves (§IV).
-    let ues: Vec<CoreId> = (0..=n_slaves).map(CoreId).collect();
+/// The cores of a flat run: the master on core 0, slaves on 1..=n_slaves.
+pub(crate) fn master_and_slaves(n_slaves: usize, noc: &NocConfig) -> Vec<CoreId> {
+    assert!(n_slaves >= 1, "rckAlign needs at least one slave");
+    chip_cores(n_slaves + 1, noc)
+}
+
+/// A pair job's payload: the job and both chains' data.
+pub(crate) fn pair_payload(chains: &[CaChain], job: &PairJob) -> Vec<u8> {
+    encode_pair_payload(job, &chains[job.i as usize], &chains[job.j as usize])
+}
+
+/// The slave every on-chip program runs: decode the pair, take its
+/// outcome from the cache (the real comparison kernel, memoised across
+/// sweep points; its operation count is what the skeleton charges as
+/// compute time) and reply to `master` — core 0, or the sub-master of a
+/// hierarchy slave.
+pub(crate) fn pair_slave<'a>(
+    cache: &'a PairCache,
+    ues: &[CoreId],
+    master: usize,
+) -> CoreProgram<'a> {
+    let ues = ues.to_vec();
+    Box::new(move |ctx: &mut CoreCtx| {
+        let mut comm = Rcce::new(ctx, &ues);
+        slave_loop(&mut comm, master, |_id, payload| {
+            let decoded = decode_pair_payload(payload).expect("well-formed job");
+            let outcome = cache.get_or_compute(&decoded.job);
+            SlaveReply {
+                payload: encode_outcome(&outcome),
+                ops: outcome.ops,
+            }
+        });
+    })
+}
+
+/// Every program's tail: core 0 runs `master`, which returns the encoded
+/// outcomes it collected, in collection order; cores 1.. run `others`.
+pub(crate) fn run_on_chip<'a>(
+    noc: &NocConfig,
+    master: impl FnOnce(&mut CoreCtx) -> Vec<Vec<u8>> + Send + 'a,
+    others: impl IntoIterator<Item = CoreProgram<'a>>,
+) -> RckAlignRun {
+    let outcomes = parking_lot::Mutex::new(Vec::new());
+    let mut programs: Vec<Option<CoreProgram>> = vec![Some(Box::new(|ctx: &mut CoreCtx| {
+        let collected = master(ctx)
+            .into_iter()
+            .map(|payload| decode_outcome(payload).expect("well-formed result"))
+            .collect();
+        *outcomes.lock() = collected;
+    }))];
+    for program in others {
+        programs.push(Some(program));
+    }
+    let report = Simulator::new(noc.clone()).run(programs);
+    RckAlignRun {
+        makespan_secs: report.makespan.as_secs_f64(),
+        outcomes: outcomes.into_inner(),
+        report,
+    }
+}
+
+/// The FARM (or waves) over `pair_jobs`, in order, with `n_slaves` pair
+/// slaves: the master loads the dataset, ships each pair with both
+/// chains' data and collects the outcomes.
+pub(crate) fn farm_run(
+    cache: &PairCache,
+    pair_jobs: &[PairJob],
+    n_slaves: usize,
+    scheduling: Scheduling,
+    noc: &NocConfig,
+) -> RckAlignRun {
+    let chains = cache.chains();
+    let ues = master_and_slaves(n_slaves, noc);
     let slave_ranks: Vec<usize> = (1..=n_slaves).collect();
-
-    let mut pair_jobs = all_vs_all(chains.len(), opts.method);
-    order_jobs(&mut pair_jobs, chains, opts.ordering);
-
-    let outcomes = parking_lot::Mutex::new(Vec::with_capacity(pair_jobs.len()));
-
-    let mut programs: Vec<Option<CoreProgram>> = Vec::with_capacity(n_slaves + 1);
-    // Master.
-    {
+    let master = {
         let ues = ues.clone();
-        let slave_ranks = slave_ranks.clone();
-        let pair_jobs = pair_jobs.clone();
-        let outcomes = &outcomes;
-        let scheduling = opts.scheduling;
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
+        move |ctx: &mut CoreCtx| {
             charge_dataset_load(ctx, chains);
-            // Encode each pair job with both chains' data.
             let jobs: Vec<Job> = pair_jobs
                 .iter()
                 .enumerate()
-                .map(|(k, pj)| {
-                    Job::new(
-                        k as u64,
-                        encode_pair_payload(pj, &chains[pj.i as usize], &chains[pj.j as usize]),
-                    )
-                })
+                .map(|(k, pj)| Job::new(k as u64, pair_payload(chains, pj)))
                 .collect();
             let mut comm = Rcce::new(ctx, &ues);
             let results = match scheduling {
@@ -147,38 +202,23 @@ pub fn run_all_vs_all(cache: &PairCache, opts: &RckAlignOptions) -> RckAlignRun 
                     rs
                 }
             };
-            let mut out = outcomes.lock();
-            for r in results {
-                out.push(decode_outcome(r.payload).expect("well-formed result"));
-            }
-        })));
-    }
-    // Slaves.
-    for _ in 0..n_slaves {
-        let ues = ues.clone();
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
-            let mut comm = Rcce::new(ctx, &ues);
-            slave_loop(&mut comm, 0, |_id, payload| {
-                let decoded = decode_pair_payload(payload).expect("well-formed job");
-                // The outcome (and its operation count, which the skeleton
-                // charges as compute time) comes from the real comparison
-                // kernel, memoised across sweep points.
-                let outcome = cache.get_or_compute(&decoded.job);
-                SlaveReply {
-                    payload: encode_outcome(&outcome),
-                    ops: outcome.ops,
-                }
-            });
-        })));
-    }
+            results.into_iter().map(|r| r.payload).collect()
+        }
+    };
+    let slaves = (0..n_slaves).map(|_| pair_slave(cache, &ues, 0));
+    run_on_chip(noc, master, slaves)
+}
 
-    let report = Simulator::new(opts.noc.clone()).run(programs);
-    let makespan_secs = report.makespan.as_secs_f64();
-    RckAlignRun {
-        report,
-        outcomes: outcomes.into_inner(),
-        makespan_secs,
-    }
+/// Run the all-vs-all comparison of the cache's dataset on the simulated
+/// SCC with the given options.
+///
+/// # Panics
+/// Panics if `n_slaves` is zero or master + slaves exceed the chip.
+pub fn run_all_vs_all(cache: &PairCache, opts: &RckAlignOptions) -> RckAlignRun {
+    let chains = cache.chains();
+    let mut pair_jobs = all_vs_all(chains.len(), opts.method);
+    order_jobs(&mut pair_jobs, chains, opts.ordering);
+    farm_run(cache, &pair_jobs, opts.n_slaves, opts.scheduling, &opts.noc)
 }
 
 #[cfg(test)]

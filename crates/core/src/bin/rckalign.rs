@@ -17,8 +17,8 @@ use rckalign::cli::{Flags, ParseError};
 use rckalign::experiments;
 use rckalign::report::{fmt_secs, fmt_speedup, TextTable};
 use rckalign::{
-    run_all_vs_all, run_one_vs_all, Combiner, DistributedConfig, JobOrdering, OneVsAllOptions,
-    PairCache, RckAlignOptions, Scheduling,
+    run_all_vs_all, run_one_vs_all, Combiner, Consensus, DistributedConfig, JobOrdering,
+    OneVsAllOptions, PairCache, RckAlignOptions, Scheduling,
 };
 use std::process::ExitCode;
 
@@ -264,7 +264,7 @@ fn run(cmd: Command) -> Result<(), ParseError> {
                 run.outcomes.len(),
                 run.makespan_secs
             );
-            let consensus = run.consensus(cache.len(), &methods);
+            let consensus = Consensus::from_outcomes(cache.len(), &run.outcomes, &methods);
             let matrix = consensus
                 .matrix_for(MethodKind::TmAlign)
                 .expect("tm-align ran");

@@ -78,9 +78,13 @@ impl<'a> Flags<'a> {
 
     /// The next `--name`, without its dashes; `None` at the end of the
     /// line. A switch is done here; a valued flag goes on to
-    /// [`Flags::value`].
+    /// [`Flags::value`]. `--help` and `-h` are [`ParseError::help`] in
+    /// every binary.
     pub fn next_flag(&mut self) -> Result<Option<&'a str>, ParseError> {
         for arg in self.args.by_ref() {
+            if arg == "--help" || arg == "-h" {
+                return Err(ParseError::help());
+            }
             match arg.strip_prefix("--") {
                 Some(name) => {
                     self.flag = name;
@@ -204,5 +208,19 @@ mod tests {
         );
         assert!(Value("0,3").list(1..=47usize, "point").is_err());
         assert!(Value("").list(1usize.., "slave list").is_err());
+    }
+
+    #[test]
+    fn help_is_one_rule_for_every_parser() {
+        for line in ["--help", "-h", "rank TINY8 -h"] {
+            let line = args(line);
+            let mut flags = Flags::with_positionals(&line);
+            assert_eq!(flags.next_flag(), Err(ParseError::help()), "{line:?}");
+        }
+        let line = args("--seed 3 --help");
+        let mut flags = Flags::new(&line);
+        assert_eq!(flags.next_flag(), Ok(Some("seed")));
+        assert_eq!(flags.value().map(|v| v.0), Ok("3"));
+        assert_eq!(flags.next_flag(), Err(ParseError::help()));
     }
 }

@@ -16,13 +16,12 @@
 //! messages carry only a tiny descriptor (the `pssh` command line), since
 //! the structure data does *not* flow master→slave in this design.
 
+use crate::app::{master_and_slaves, run_on_chip, RckAlignRun};
 use crate::cache::PairCache;
-use crate::jobs::{decode_outcome, encode_outcome, PairJob};
-use rck_noc::{
-    CoreCtx, CoreId, CoreProgram, NocConfig, ResourceId, SimDuration, SimReport, Simulator,
-};
+use crate::jobs::{encode_outcome, PairJob};
+use rck_noc::{CoreCtx, CoreProgram, NocConfig, ResourceId, SimDuration};
 use rck_rcce::{Rcce, Reader, Writer};
-use rck_skel::{farm, wire, Job, JobResult};
+use rck_skel::{farm, wire, Job};
 use serde::{Deserialize, Serialize};
 
 /// The shared NFS disk of the MCPC.
@@ -55,17 +54,6 @@ impl Default for DistributedConfig {
     }
 }
 
-/// Result of a distributed-baseline run.
-#[derive(Debug, Clone)]
-pub struct DistributedRun {
-    /// Simulator report.
-    pub report: SimReport,
-    /// Makespan in simulated seconds.
-    pub makespan_secs: f64,
-    /// Collected outcomes (same science as rckAlign).
-    pub outcomes: Vec<crate::jobs::PairOutcome>,
-}
-
 fn encode_descriptor(job: &PairJob) -> Vec<u8> {
     // The pssh command line: indices + method + ~120 bytes of shell/ssh
     // framing, which we pad to model realistic message size.
@@ -92,67 +80,44 @@ pub fn run_distributed(
     n_slaves: usize,
     noc: &NocConfig,
     dcfg: &DistributedConfig,
-) -> DistributedRun {
-    assert!(n_slaves >= 1, "need at least one worker core");
-    assert!(n_slaves < noc.topology.core_count());
-
-    let ues: Vec<CoreId> = (0..=n_slaves).map(CoreId).collect();
+) -> RckAlignRun {
+    let ues = master_and_slaves(n_slaves, noc);
     let slave_ranks: Vec<usize> = (1..=n_slaves).collect();
-    let outcomes = parking_lot::Mutex::new(Vec::with_capacity(jobs.len()));
-
     let spawn = SimDuration::from_secs_f64(dcfg.spawn_overhead_secs);
     let nfs = SimDuration::from_secs_f64(dcfg.nfs_read_secs_per_file * dcfg.files_per_job as f64);
 
-    let mut programs: Vec<Option<CoreProgram>> = Vec::with_capacity(n_slaves + 1);
     // The MCPC dispatcher: dynamic farm over tiny job descriptors.
-    {
+    let master = {
         let ues = ues.clone();
-        let slave_ranks = slave_ranks.clone();
         let descriptors: Vec<Job> = jobs
             .iter()
             .enumerate()
             .map(|(k, j)| Job::new(k as u64, encode_descriptor(j)))
             .collect();
-        let outcomes = &outcomes;
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
+        move |ctx: &mut CoreCtx| {
             let mut comm = Rcce::new(ctx, &ues);
-            let results: Vec<JobResult> = farm(&mut comm, &slave_ranks, &descriptors);
-            let mut out = outcomes.lock();
-            for r in results {
-                out.push(decode_outcome(r.payload).expect("well-formed result"));
-            }
-        })));
-    }
+            let results = farm(&mut comm, &slave_ranks, &descriptors);
+            results.into_iter().map(|r| r.payload).collect()
+        }
+    };
     // Worker cores: per-job process spawn + NFS loads + compute.
-    for _ in 0..n_slaves {
+    let workers = (0..n_slaves).map(|_| {
         let ues = ues.clone();
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
+        Box::new(move |ctx: &mut CoreCtx| {
             let mut comm = Rcce::new(ctx, &ues);
-            loop {
-                let msg = comm.recv(0);
-                match wire::decode_job(msg) {
-                    None => return,
-                    Some(job) => {
-                        let pj = decode_descriptor(job.payload);
-                        // Fresh process for every pairwise comparison.
-                        comm.ctx().advance_idle(spawn);
-                        // Load both structures through the shared NFS disk.
-                        comm.ctx().use_resource(NFS_DISK, nfs);
-                        let outcome = cache.get_or_compute(&pj);
-                        comm.compute_ops(outcome.ops);
-                        comm.send(0, wire::encode_result(job.id, &encode_outcome(&outcome)));
-                    }
-                }
+            while let Some(job) = wire::decode_job(comm.recv(0)) {
+                let pj = decode_descriptor(job.payload);
+                // Fresh process for every pairwise comparison.
+                comm.ctx().advance_idle(spawn);
+                // Load both structures through the shared NFS disk.
+                comm.ctx().use_resource(NFS_DISK, nfs);
+                let outcome = cache.get_or_compute(&pj);
+                comm.compute_ops(outcome.ops);
+                comm.send(0, wire::encode_result(job.id, &encode_outcome(&outcome)));
             }
-        })));
-    }
-
-    let report = Simulator::new(noc.clone()).run(programs);
-    DistributedRun {
-        makespan_secs: report.makespan.as_secs_f64(),
-        report,
-        outcomes: outcomes.into_inner(),
-    }
+        }) as CoreProgram
+    });
+    run_on_chip(noc, master, workers)
 }
 
 #[cfg(test)]

@@ -14,16 +14,15 @@
 //! group, and returns its results in one aggregated message. Distribution
 //! and collection load is thereby divided by the number of sub-masters.
 
-use crate::app::charge_dataset_load;
-use crate::cache::PairCache;
-use crate::jobs::{
-    all_vs_all, decode_outcome, decode_pair_payload, encode_outcome, encode_pair_payload,
-    PairOutcome,
+use crate::app::{
+    charge_dataset_load, chip_cores, pair_payload, pair_slave, run_on_chip, RckAlignRun,
 };
+use crate::cache::PairCache;
+use crate::jobs::all_vs_all;
 use crate::loadbalance::{order_jobs, JobOrdering};
-use rck_noc::{CoreCtx, CoreId, CoreProgram, NocConfig, SimReport, Simulator};
+use rck_noc::{CoreCtx, CoreProgram, NocConfig};
 use rck_rcce::{Rcce, Reader, Writer};
-use rck_skel::{farm, slave_loop, Job, SlaveReply};
+use rck_skel::{farm, Job};
 use rck_tmalign::MethodKind;
 
 /// Options for a hierarchical run.
@@ -39,17 +38,6 @@ pub struct HierarchyOptions {
     pub ordering: JobOrdering,
     /// Chip configuration.
     pub noc: NocConfig,
-}
-
-/// Result of a hierarchical run.
-#[derive(Debug, Clone)]
-pub struct HierarchyRun {
-    /// All outcomes.
-    pub outcomes: Vec<PairOutcome>,
-    /// Simulator report.
-    pub report: SimReport,
-    /// Makespan in simulated seconds.
-    pub makespan_secs: f64,
 }
 
 fn encode_block(jobs: &[Vec<u8>]) -> Vec<u8> {
@@ -74,18 +62,12 @@ fn decode_block(data: Vec<u8>) -> Vec<Vec<u8>> {
 /// Core layout: core 0 = top master; cores 1..=k = sub-masters; the
 /// following `k × slaves_per_submaster` cores are slaves, grouped
 /// contiguously per sub-master.
-pub fn run_hierarchical(cache: &PairCache, opts: &HierarchyOptions) -> HierarchyRun {
+pub fn run_hierarchical(cache: &PairCache, opts: &HierarchyOptions) -> RckAlignRun {
     let chains = cache.chains();
     let k = opts.n_submasters;
     let s = opts.slaves_per_submaster;
     assert!(k >= 1 && s >= 1, "need at least one sub-master and slave");
-    let total_cores = 1 + k + k * s;
-    assert!(
-        total_cores <= opts.noc.topology.core_count(),
-        "{total_cores} cores exceed the chip"
-    );
-
-    let ues: Vec<CoreId> = (0..total_cores).map(CoreId).collect();
+    let ues = chip_cores(1 + k + k * s, &opts.noc);
 
     // Partition the (ordered) job list round-robin across sub-masters:
     // interleaving spreads the expensive jobs evenly.
@@ -93,90 +75,50 @@ pub fn run_hierarchical(cache: &PairCache, opts: &HierarchyOptions) -> Hierarchy
     order_jobs(&mut pair_jobs, chains, opts.ordering);
     let mut blocks: Vec<Vec<Vec<u8>>> = vec![Vec::new(); k];
     for (idx, pj) in pair_jobs.iter().enumerate() {
-        blocks[idx % k].push(encode_pair_payload(
-            pj,
-            &chains[pj.i as usize],
-            &chains[pj.j as usize],
-        ));
+        blocks[idx % k].push(pair_payload(chains, pj));
     }
 
-    let outcomes = parking_lot::Mutex::new(Vec::with_capacity(pair_jobs.len()));
-    let mut programs: Vec<Option<CoreProgram>> = Vec::with_capacity(total_cores);
-
-    // Top master.
-    {
+    // Top master: ship each block, then gather the aggregated results.
+    let master = {
         let ues = ues.clone();
-        let blocks = blocks.clone();
-        let outcomes = &outcomes;
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
+        move |ctx: &mut CoreCtx| {
             charge_dataset_load(ctx, chains);
             let mut comm = Rcce::new(ctx, &ues);
             for (sm, block) in blocks.iter().enumerate() {
                 comm.send(1 + sm, encode_block(block));
             }
             let sub_ranks: Vec<usize> = (1..=k).collect();
-            let mut pending = k;
-            let mut out = outcomes.lock();
-            while pending > 0 {
-                let (_rank, data) = comm.recv_any(&sub_ranks);
-                for enc in decode_block(data) {
-                    out.push(decode_outcome(enc).expect("well-formed result"));
-                }
-                pending -= 1;
-            }
-        })));
-    }
-    // Sub-masters.
-    for sm in 0..k {
+            (0..k)
+                .flat_map(|_| decode_block(comm.recv_any(&sub_ranks).1))
+                .collect()
+        }
+    };
+    // Sub-masters: an ordinary FARM over their own slave group.
+    let sub_masters = (0..k).map(|sm| {
         let ues = ues.clone();
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
+        Box::new(move |ctx: &mut CoreCtx| {
             let mut comm = Rcce::new(ctx, &ues);
-            let payloads = decode_block(comm.recv(0));
-            let jobs: Vec<Job> = payloads
+            let jobs: Vec<Job> = decode_block(comm.recv(0))
                 .into_iter()
                 .enumerate()
                 .map(|(i, p)| Job::new(i as u64, p))
                 .collect();
-            // This sub-master's slave group.
             let base = 1 + k + sm * s;
             let slave_ranks: Vec<usize> = (base..base + s).collect();
             let results = farm(&mut comm, &slave_ranks, &jobs);
             let encoded: Vec<Vec<u8>> = results.into_iter().map(|r| r.payload).collect();
             comm.send(0, encode_block(&encoded));
-        })));
-    }
-    // Slaves.
-    for sm in 0..k {
-        for _ in 0..s {
-            let ues = ues.clone();
-            let master_rank = 1 + sm;
-            programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
-                let mut comm = Rcce::new(ctx, &ues);
-                slave_loop(&mut comm, master_rank, |_id, payload| {
-                    let decoded = decode_pair_payload(payload).expect("well-formed job");
-                    let outcome = cache.get_or_compute(&decoded.job);
-                    SlaveReply {
-                        payload: encode_outcome(&outcome),
-                        ops: outcome.ops,
-                    }
-                });
-            })));
-        }
-    }
-
-    let report = Simulator::new(opts.noc.clone()).run(programs);
-    HierarchyRun {
-        outcomes: outcomes.into_inner(),
-        makespan_secs: report.makespan.as_secs_f64(),
-        report,
-    }
+        }) as CoreProgram
+    });
+    let slaves = (0..k * s).map(|x| pair_slave(cache, &ues, 1 + x / s));
+    run_on_chip(&opts.noc, master, sub_masters.chain(slaves))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::app::{run_all_vs_all, RckAlignOptions};
-    use crate::jobs::pair_count;
+    use crate::jobs::{pair_count, PairOutcome};
     use rck_pdb::datasets::tiny_profile;
 
     fn cache() -> PairCache {

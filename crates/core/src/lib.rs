@@ -8,7 +8,12 @@
 //!
 //! Quick tour:
 //!
-//! * [`app::run_all_vs_all`] — rckAlign itself (Experiment II);
+//! * [`app::run_all_vs_all`] — rckAlign itself (Experiment II); [`app`]
+//!   also holds the one chip setup (FARM, pair slave, run tail) that
+//!   every simulated program below is a policy over, so each returns an
+//!   [`RckAlignRun`];
+//! * [`onevsall::run_one_vs_all`] — Algorithm 1: the same farm over the
+//!   query's job list, ranked with [`Consensus::from_outcomes`];
 //! * [`distributed::run_distributed`] — the MCPC-master baseline
 //!   (Experiment I);
 //! * [`serial`] + [`cpu::CpuModel`] — the serial baselines (Table III);
@@ -50,14 +55,14 @@ pub use app::{run_all_vs_all, RckAlignOptions, RckAlignRun, Scheduling};
 pub use cache::PairCache;
 pub use consensus::{Combiner, Consensus};
 pub use cpu::CpuModel;
-pub use distributed::{run_distributed, DistributedConfig, DistributedRun};
-pub use hierarchy::{run_hierarchical, HierarchyOptions, HierarchyRun};
+pub use distributed::{run_distributed, DistributedConfig};
+pub use hierarchy::{run_hierarchical, HierarchyOptions};
 pub use jobs::{
     all_vs_all, batch_jobs, chain_indices, pair_count, PairJob, PairOutcome, SimilarityMatrix,
 };
 pub use loadbalance::JobOrdering;
 pub use mcpsc::{run_mcpsc, McPscOptions, McPscRun, PartitionStrategy};
-pub use onevsall::{run_one_vs_all, OneVsAllOptions, OneVsAllRun};
+pub use onevsall::{run_one_vs_all, OneVsAllOptions};
 pub use rck_store::{fnv1a64, KeyHasher};
 pub use store::{chain_content_hash, StoreBinding};
 pub use tiles::{assign_tiles, merge_outcomes, tile_partition, Tile};

@@ -11,15 +11,12 @@
 //! the partition is the open question ("assessment of optimal strategies
 //! for the partitioning of the cores"); two strategies are provided.
 
-use crate::app::charge_dataset_load;
+use crate::app::{charge_dataset_load, master_and_slaves, pair_payload, pair_slave, run_on_chip};
 use crate::cache::PairCache;
-use crate::jobs::{
-    all_vs_all, decode_outcome, decode_pair_payload, encode_outcome, encode_pair_payload,
-    PairOutcome,
-};
-use rck_noc::{CoreCtx, CoreId, CoreProgram, NocConfig, SimReport, Simulator};
+use crate::jobs::{all_vs_all, PairOutcome};
+use rck_noc::{CoreCtx, NocConfig, SimReport};
 use rck_rcce::Rcce;
-use rck_skel::{slave_loop, wire, Job, SlaveReply};
+use rck_skel::{wire, Job};
 use rck_tmalign::MethodKind;
 use serde::{Deserialize, Serialize};
 
@@ -158,106 +155,79 @@ pub fn run_mcpsc(cache: &PairCache, opts: &McPscOptions) -> McPscRun {
     let chains = cache.chains();
     assert!(!opts.methods.is_empty(), "MC-PSC needs at least one method");
     let partition = partition_slaves(cache, &opts.methods, opts.n_slaves, opts.strategy);
-    assert!(
-        opts.n_slaves < opts.noc.topology.core_count(),
-        "master + {} slaves exceed the chip",
-        opts.n_slaves
-    );
-
-    let ues: Vec<CoreId> = (0..=opts.n_slaves).map(CoreId).collect();
+    let ues = master_and_slaves(opts.n_slaves, &opts.noc);
     // Slave rank → method, in partition order.
     let mut slave_method: Vec<MethodKind> = Vec::with_capacity(opts.n_slaves);
     for &(m, count) in &partition {
         slave_method.extend(std::iter::repeat_n(m, count));
     }
 
-    // Per-method job queues (encoded lazily by the master program).
+    // Per-method job queues.
     let queues: Vec<Vec<Job>> = opts
         .methods
         .iter()
         .map(|&m| {
             all_vs_all(chains.len(), m)
-                .into_iter()
+                .iter()
                 .enumerate()
                 .map(|(k, pj)| {
-                    Job::new(
-                        (m.code() as u64) << 32 | k as u64,
-                        encode_pair_payload(&pj, &chains[pj.i as usize], &chains[pj.j as usize]),
-                    )
+                    Job::new((m.code() as u64) << 32 | k as u64, pair_payload(chains, pj))
                 })
                 .collect()
         })
         .collect();
 
-    let outcomes = parking_lot::Mutex::new(Vec::new());
-    let mut programs: Vec<Option<CoreProgram>> = Vec::with_capacity(opts.n_slaves + 1);
-
     // Master: a FARM generalised to per-method queues.
-    {
+    let master = {
         let ues = ues.clone();
         let methods = opts.methods.clone();
         let slave_method = slave_method.clone();
-        let outcomes = &outcomes;
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
+        move |ctx: &mut CoreCtx| {
             charge_dataset_load(ctx, chains);
             let mut comm = Rcce::new(ctx, &ues);
             let mut next: Vec<usize> = vec![0; methods.len()];
-            let method_idx =
-                |m: MethodKind| methods.iter().position(|&x| x == m).expect("known method");
+            let queue_of = |rank: usize| {
+                let m = slave_method[rank - 1];
+                methods.iter().position(|&x| x == m).expect("known method")
+            };
+            // Hand `rank` the next job of its method; false once none is left.
+            let mut feed = |comm: &mut Rcce, rank: usize| {
+                let q = queue_of(rank);
+                let job = queues[q].get(next[q]);
+                if let Some(job) = job {
+                    comm.send(rank, wire::encode_job(job));
+                    next[q] += 1;
+                }
+                job.is_some()
+            };
 
             // Prime every slave with the first job of its method.
-            let mut active: Vec<usize> = Vec::new();
-            for (rank0, &m) in slave_method.iter().enumerate() {
-                let rank = rank0 + 1;
-                let q = method_idx(m);
-                if next[q] < queues[q].len() {
-                    comm.send(rank, wire::encode_job(&queues[q][next[q]]));
-                    next[q] += 1;
-                    active.push(rank);
-                }
-            }
+            let active: Vec<usize> = (1..=slave_method.len())
+                .filter(|&rank| feed(&mut comm, rank))
+                .collect();
+            let mut collected = Vec::new();
             let mut outstanding = active.len();
             while outstanding > 0 {
                 let (rank, data) = comm.recv_any(&active);
-                let result = wire::decode_result(rank, data);
-                outcomes
-                    .lock()
-                    .push(decode_outcome(result.payload).expect("well-formed result"));
-                let q = method_idx(slave_method[rank - 1]);
-                if next[q] < queues[q].len() {
-                    comm.send(rank, wire::encode_job(&queues[q][next[q]]));
-                    next[q] += 1;
-                } else {
+                collected.push(wire::decode_result(rank, data).payload);
+                if !feed(&mut comm, rank) {
                     outstanding -= 1;
                 }
             }
             for rank in 1..=slave_method.len() {
                 comm.send(rank, wire::encode_terminate());
             }
-        })));
-    }
+            collected
+        }
+    };
     // Slaves: identical handler — the job payload carries the method.
-    for _ in 0..opts.n_slaves {
-        let ues = ues.clone();
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
-            let mut comm = Rcce::new(ctx, &ues);
-            slave_loop(&mut comm, 0, |_id, payload| {
-                let decoded = decode_pair_payload(payload).expect("well-formed job");
-                let outcome = cache.get_or_compute(&decoded.job);
-                SlaveReply {
-                    payload: encode_outcome(&outcome),
-                    ops: outcome.ops,
-                }
-            });
-        })));
-    }
-
-    let report = Simulator::new(opts.noc.clone()).run(programs);
+    let slaves = (0..opts.n_slaves).map(|_| pair_slave(cache, &ues, 0));
+    let run = run_on_chip(&opts.noc, master, slaves);
     McPscRun {
-        outcomes: outcomes.into_inner(),
+        outcomes: run.outcomes,
         partition,
-        makespan_secs: report.makespan.as_secs_f64(),
-        report,
+        makespan_secs: run.makespan_secs,
+        report: run.report,
     }
 }
 

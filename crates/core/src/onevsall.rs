@@ -6,18 +6,14 @@
 //! every method `k` in `M` and every database entry `i` in `D`, a free
 //! node computes `compare(k, [i, q])`. This module runs exactly that on
 //! the simulated SCC: the query is compared against every other chain
-//! under every requested method, all in one farm, and the results are
-//! combined into the ranked list the biologist wants.
+//! under every requested method, all in one farm — rckAlign's farm, fed
+//! the query's job list. [`crate::Consensus::from_outcomes`] combines the
+//! results into the ranked list the biologist wants.
 
-use crate::app::charge_dataset_load;
+use crate::app::{farm_run, RckAlignRun, Scheduling};
 use crate::cache::PairCache;
-use crate::consensus::{Combiner, Consensus};
-use crate::jobs::{
-    decode_outcome, decode_pair_payload, encode_outcome, encode_pair_payload, PairJob, PairOutcome,
-};
-use rck_noc::{CoreCtx, CoreId, CoreProgram, NocConfig, SimReport, Simulator};
-use rck_rcce::Rcce;
-use rck_skel::{farm, slave_loop, Job, SlaveReply};
+use crate::jobs::PairJob;
+use rck_noc::NocConfig;
 use rck_tmalign::MethodKind;
 
 /// Options for a one-vs-all run.
@@ -29,32 +25,6 @@ pub struct OneVsAllOptions {
     pub n_slaves: usize,
     /// Chip configuration.
     pub noc: NocConfig,
-}
-
-/// Result of a one-vs-all run.
-#[derive(Debug, Clone)]
-pub struct OneVsAllRun {
-    /// Query chain index.
-    pub query: usize,
-    /// One outcome per (database entry, method).
-    pub outcomes: Vec<PairOutcome>,
-    /// Simulator report.
-    pub report: SimReport,
-    /// Makespan in simulated seconds.
-    pub makespan_secs: f64,
-}
-
-impl OneVsAllRun {
-    /// The consensus over all requested methods.
-    pub fn consensus(&self, n: usize, methods: &[MethodKind]) -> Consensus {
-        Consensus::from_outcomes(n, &self.outcomes, methods)
-    }
-
-    /// Ranked neighbours of the query (mean-rank consensus).
-    pub fn ranked(&self, n: usize, methods: &[MethodKind]) -> Vec<(usize, f64)> {
-        self.consensus(n, methods)
-            .ranked_neighbours(self.query, Combiner::MeanRank)
-    }
 }
 
 /// The job list of Algorithm 1: for each method, the query against every
@@ -83,80 +53,23 @@ pub fn one_vs_all_jobs(query: usize, n: usize, methods: &[MethodKind]) -> Vec<Pa
 }
 
 /// Compare `query` against every other chain in the cache's dataset under
-/// every method, on the simulated SCC.
+/// every method, on the simulated SCC: one outcome per (database entry,
+/// method), in collection order.
 ///
 /// # Panics
 /// Panics on an out-of-range query, empty method list, zero slaves, or
 /// chip oversubscription.
-pub fn run_one_vs_all(cache: &PairCache, query: usize, opts: &OneVsAllOptions) -> OneVsAllRun {
-    let chains = cache.chains();
-    assert!(query < chains.len(), "query {query} out of range");
+pub fn run_one_vs_all(cache: &PairCache, query: usize, opts: &OneVsAllOptions) -> RckAlignRun {
+    assert!(query < cache.len(), "query {query} out of range");
     assert!(!opts.methods.is_empty(), "need at least one method");
-    assert!(opts.n_slaves >= 1, "need at least one slave");
-    assert!(
-        opts.n_slaves < opts.noc.topology.core_count(),
-        "master + {} slaves exceed the chip",
-        opts.n_slaves
-    );
-
-    let ues: Vec<CoreId> = (0..=opts.n_slaves).map(CoreId).collect();
-    let slave_ranks: Vec<usize> = (1..=opts.n_slaves).collect();
-    let pair_jobs = one_vs_all_jobs(query, chains.len(), &opts.methods);
-    let outcomes = parking_lot::Mutex::new(Vec::with_capacity(pair_jobs.len()));
-
-    let mut programs: Vec<Option<CoreProgram>> = Vec::with_capacity(opts.n_slaves + 1);
-    {
-        let ues = ues.clone();
-        let slave_ranks = slave_ranks.clone();
-        let outcomes = &outcomes;
-        let pair_jobs = pair_jobs.clone();
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
-            charge_dataset_load(ctx, chains);
-            let jobs: Vec<Job> = pair_jobs
-                .iter()
-                .enumerate()
-                .map(|(k, pj)| {
-                    Job::new(
-                        k as u64,
-                        encode_pair_payload(pj, &chains[pj.i as usize], &chains[pj.j as usize]),
-                    )
-                })
-                .collect();
-            let mut comm = Rcce::new(ctx, &ues);
-            let results = farm(&mut comm, &slave_ranks, &jobs);
-            let mut out = outcomes.lock();
-            for r in results {
-                out.push(decode_outcome(r.payload).expect("well-formed result"));
-            }
-        })));
-    }
-    for _ in 0..opts.n_slaves {
-        let ues = ues.clone();
-        programs.push(Some(Box::new(move |ctx: &mut CoreCtx| {
-            let mut comm = Rcce::new(ctx, &ues);
-            slave_loop(&mut comm, 0, |_id, payload| {
-                let decoded = decode_pair_payload(payload).expect("well-formed job");
-                let outcome = cache.get_or_compute(&decoded.job);
-                SlaveReply {
-                    payload: encode_outcome(&outcome),
-                    ops: outcome.ops,
-                }
-            });
-        })));
-    }
-
-    let report = Simulator::new(opts.noc.clone()).run(programs);
-    OneVsAllRun {
-        query,
-        makespan_secs: report.makespan.as_secs_f64(),
-        outcomes: outcomes.into_inner(),
-        report,
-    }
+    let jobs = one_vs_all_jobs(query, cache.len(), &opts.methods);
+    farm_run(cache, &jobs, opts.n_slaves, Scheduling::Farm, &opts.noc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consensus::{Combiner, Consensus};
     use rck_pdb::datasets::tiny_profile;
 
     const METHODS: [MethodKind; 2] = [MethodKind::TmAlign, MethodKind::ContactMap];
@@ -188,7 +101,8 @@ mod tests {
         let c = cache();
         let run = run_one_vs_all(&c, 0, &opts(4));
         assert_eq!(run.outcomes.len(), 2 * (c.len() - 1));
-        let ranked = run.ranked(c.len(), &METHODS);
+        let ranked = Consensus::from_outcomes(c.len(), &run.outcomes, &METHODS)
+            .ranked_neighbours(0, Combiner::MeanRank);
         assert_eq!(ranked.len(), c.len() - 1);
         // Chain 0 is in the first (helix) family of 4 members: its three
         // siblings should lead the consensus ranking.
@@ -209,7 +123,6 @@ mod tests {
     fn query_in_middle_works() {
         let c = cache();
         let run = run_one_vs_all(&c, 5, &opts(3));
-        assert_eq!(run.query, 5);
         assert_eq!(run.outcomes.len(), 2 * (c.len() - 1));
         // Every outcome touches the query.
         for o in &run.outcomes {

@@ -44,9 +44,6 @@ struct Options {
 
 fn parse_args<I: Iterator<Item = String>>(it: I) -> Result<Options, ParseError> {
     let argv: Vec<String> = it.collect();
-    if argv.iter().any(|a| a == "--help" || a == "-h") {
-        return Err(ParseError::help());
-    }
     let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
     let mut opts = Options {
         addr: loopback,

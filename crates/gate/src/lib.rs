@@ -451,6 +451,15 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
         reject("no methods requested");
         return;
     }
+    // A run counts each (pair, method) once, so a repeated method would
+    // leave it short of its job total forever.
+    if let Some(m) = (1..q.methods.len()).find_map(|k| {
+        let m = q.methods[k];
+        q.methods[..k].contains(&m).then_some(m)
+    }) {
+        reject(&format!("method {} requested twice", m.name()));
+        return;
+    }
     if q.chain.is_empty() {
         reject("empty query chain");
         return;
@@ -747,6 +756,30 @@ mod tests {
         assert_eq!(rejects.len(), 2);
         assert!(rejects[0].contains("inflight cap"));
         assert!(rejects[1].contains("draining"));
+    }
+
+    #[test]
+    fn a_repeated_method_is_refused_before_it_runs() {
+        let (_gate, shared) = memnet_gate(GateConfig::default());
+        let chain = tiny_profile().generate(6)[0].clone();
+        let outbox = Outbox::new();
+        let mut q = submit("lab-a", 1, chain);
+        q.methods = vec![
+            MethodKind::TmAlign,
+            MethodKind::KabschRmsd,
+            MethodKind::TmAlign,
+        ];
+        submit_query(&shared, q, &outbox);
+        assert!(shared.state.lock_recover().runs.is_empty());
+        assert_eq!(shared.stats.queries_rejected(), 1);
+        assert_eq!(shared.stats.snapshot().queries_submitted, 0);
+        match outbox.drain_for_tests().as_slice() {
+            [Frame::QueryReject(r)] => {
+                assert_eq!(r.query_id, 1);
+                assert_eq!(r.reason, "method tm-align requested twice");
+            }
+            other => panic!("expected one reject, got {other:?}"),
+        }
     }
 
     fn scratch_binding(name: &str, db: &[CaChain]) -> Arc<StoreBinding> {

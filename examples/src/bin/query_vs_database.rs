@@ -9,7 +9,7 @@
 use rck_noc::NocConfig;
 use rck_pdb::datasets;
 use rck_tmalign::MethodKind;
-use rckalign::{run_one_vs_all, Combiner, OneVsAllOptions, PairCache};
+use rckalign::{run_one_vs_all, Combiner, Consensus, OneVsAllOptions, PairCache};
 
 fn main() {
     // The "database": our CK34-shaped set. The "new protein": one of the
@@ -47,7 +47,7 @@ fn main() {
         run.makespan_secs
     );
 
-    let consensus = run.consensus(cache.len(), &methods);
+    let consensus = Consensus::from_outcomes(cache.len(), &run.outcomes, &methods);
     println!(
         "top hits (mean-rank consensus over {} criteria):",
         methods.len()

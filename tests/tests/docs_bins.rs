@@ -351,19 +351,17 @@ const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
     ("ShardStats", "ShardFrontend::stats (rck_shardd)"),
     ("StoreCounters", "Store::counters (rckalign, rck_report)"),
     ("RckAlignRun", "rckalign::run_all_vs_all"),
-    ("DistributedRun", "rckalign::run_distributed (Experiment I)"),
-    (
-        "HierarchyRun",
-        "rckalign::run_hierarchical (ablation_suite)",
-    ),
     ("McPscRun", "rckalign::run_mcpsc (ablation_suite)"),
-    ("OneVsAllRun", "rckalign::run_one_vs_all (rckalign rank)"),
     (
         "CoreStats",
         "SimReport::per_core (core::analysis, rckalign, benchmark sim workload)",
     ),
     ("TraceEvent", "Simulator::run_traced (farm_timeline)"),
     ("TraceKind", "TraceEvent::kind, what render_timeline draws"),
+    (
+        "JobResult",
+        "rck_skel::{farm, waves}, whose results every core program reads",
+    ),
     (
         "par",
         "paper construct (PAR), DESIGN §3: waves composes it with COLLECT",
@@ -374,7 +372,8 @@ const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
 /// at its root is named by some non-test code that is not the crate's
 /// own library — its binaries, another crate, the benchmark package or
 /// an example. A re-export nothing outside names is either handed out
-/// by a call that is (listed above) or dead.
+/// by a call that is (listed above) or dead, and a listed name that is
+/// no longer re-exported is a stale row.
 #[test]
 fn every_reexport_has_a_caller_outside_its_crate() {
     let root = repo_root();
@@ -387,6 +386,7 @@ fn every_reexport_has_a_caller_outside_its_crate() {
                 || (rel.starts_with("crates") && rel.components().any(|c| c.as_os_str() == "src")))
     };
     let mut unexplained = Vec::new();
+    let mut reexported = Vec::new();
     for krate in [
         "serve", "gate", "shard", "store", "core", "obs", "noc", "rcce", "rckskel",
     ] {
@@ -409,12 +409,53 @@ fn every_reexport_has_a_caller_outside_its_crate() {
             if !listed && !called {
                 unexplained.push(format!("rck {krate}: {name}"));
             }
+            reexported.push(name);
         }
     }
     assert!(
         unexplained.is_empty(),
         "re-exported, but named by no binary, other crate, benchmark or example: {unexplained:#?}"
     );
+    let stale: Vec<&str> = REACHED_THROUGH_A_CALL
+        .iter()
+        .map(|(n, _)| *n)
+        .filter(|n| !reexported.iter().any(|r| r == n))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "listed, but re-exported by no crate: {stale:?}"
+    );
+}
+
+/// One farm under every simulated program: in `crates/core`'s non-test
+/// code the chip is started once (`app::run_on_chip`) and the pair slave
+/// is written once (`app::pair_slave`). One-vs-all, the hierarchy,
+/// MC-PSC and the distributed baseline supply a job list, a master or
+/// (the baseline's pssh/NFS worker) a slave of their own.
+#[test]
+fn core_programs_share_one_chip_run_and_one_pair_slave() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    walk(&root.join("crates/core/src"), &mut files);
+    for call in ["Simulator::new(", "slave_loop("] {
+        let mut sites = Vec::new();
+        for path in files
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        {
+            let text = fs::read_to_string(path).expect("source is UTF-8");
+            let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
+            for (n, line) in text[..end].lines().enumerate() {
+                let code = line.trim_start();
+                if !code.starts_with("//") {
+                    for _ in code.matches(call) {
+                        sites.push(format!("{}:{}: {code}", path.display(), n + 1));
+                    }
+                }
+            }
+        }
+        assert_eq!(sites.len(), 1, "`{call}` in crates/core/src: {sites:#?}");
+    }
 }
 
 /// One accept loop and one monitor for every tier: in the production
