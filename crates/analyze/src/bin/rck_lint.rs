@@ -9,7 +9,9 @@
 //! ```
 //!
 //! The report goes to stdout either way; see DESIGN.md §11 for what the
-//! five passes check and how to annotate intentional exceptions.
+//! four passes check and how to annotate intentional exceptions. When
+//! the DESIGN.md §9 catalogue is stale, the report ends with the block
+//! to paste over it.
 
 use std::process::ExitCode;
 

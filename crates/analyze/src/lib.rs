@@ -1,26 +1,26 @@
 //! `rck-analyze` — the workspace invariant checker behind `rck_lint`.
 //!
 //! The serve/obs/chaos layers encode contracts that live in more than
-//! one file: wire-format constants in `serve::proto` vs. DESIGN.md §6,
-//! the `rck_*` metric namespace vs. DESIGN.md §9, and the master's
-//! batch-accounting equation. Nothing but reviewer vigilance kept them
-//! in sync; this crate checks them mechanically on every PR.
+//! one file: the `rck_*` metric namespace vs. DESIGN.md §9, and the
+//! master's batch-accounting equation. Nothing but reviewer vigilance
+//! kept them in sync; this crate checks them mechanically on every PR.
+//! (The wire constants vs. DESIGN.md §6 are checked where they are
+//! defined, by a unit test in `serve::proto`.)
 //!
-//! Five passes (see DESIGN.md §11 for the full contract):
+//! Four passes (see DESIGN.md §11 for the full contract):
 //!
 //! 1. [`metrics`] — every `rck_*` metric used in production code is
-//!    registered exactly once, documented in DESIGN.md §9, and named by
-//!    convention (counters `_total`, histograms `_seconds`).
-//! 2. [`protocol`] — MAGIC / version / header length / frame kinds /
-//!    payload cap parsed out of `serve/src/proto.rs` and diffed against
-//!    the DESIGN.md §6 wire-format tables.
-//! 3. [`panics`] — no `unwrap()` / `expect()` / `panic!` in non-test
+//!    registered exactly once, named by convention (counters `_total`,
+//!    histograms `_seconds`), and listed in the DESIGN.md §9 catalogue,
+//!    which must be the block [`metrics::catalogue`] renders from the
+//!    registrations.
+//! 2. [`panics`] — no `unwrap()` / `expect()` / `panic!` in non-test
 //!    code of the service hot-path files (dispatcher, master, gate pool,
 //!    shard frontend, worker, transport, proto), modulo an explicit
 //!    `// rck-lint: allow(panic)` marker.
-//! 4. [`locks`] — no mutex guard held across I/O or channel calls, and
+//! 3. [`locks`] — no mutex guard held across I/O or channel calls, and
 //!    a consistent lock acquisition order across files.
-//! 5. [`model`] — an exhaustive model check of the batch lifecycle
+//! 4. [`model`] — an exhaustive model check of the batch lifecycle
 //!    (dispatch / heartbeat / timeout / requeue / abort) against a
 //!    transition table extracted from the shared dispatcher
 //!    (`serve/src/dispatch.rs`) plus each `WorkSource` policy layered on
@@ -39,7 +39,6 @@ pub mod locks;
 pub mod metrics;
 pub mod model;
 pub mod panics;
-pub mod protocol;
 pub mod report;
 
 use std::fmt;
@@ -48,10 +47,8 @@ use std::path::{Path, PathBuf};
 /// Which pass produced a finding. Ordering fixes the report layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Pass {
-    /// Metric registration / naming / documentation contract.
+    /// Metric registration / naming / catalogue contract.
     Metrics,
-    /// proto.rs ↔ DESIGN.md §6 wire-format consistency.
-    Protocol,
     /// Panic paths in serve hot-path files.
     Panics,
     /// Mutex guards across I/O and lock acquisition order.
@@ -65,7 +62,6 @@ impl Pass {
     pub fn slug(self) -> &'static str {
         match self {
             Pass::Metrics => "metrics-contract",
-            Pass::Protocol => "protocol-consistency",
             Pass::Panics => "panic-path",
             Pass::Locks => "lock-discipline",
             Pass::Model => "batch-lifecycle-model",
@@ -73,14 +69,8 @@ impl Pass {
     }
 
     /// All passes, in report order.
-    pub fn all() -> [Pass; 5] {
-        [
-            Pass::Metrics,
-            Pass::Protocol,
-            Pass::Panics,
-            Pass::Locks,
-            Pass::Model,
-        ]
+    pub fn all() -> [Pass; 4] {
+        [Pass::Metrics, Pass::Panics, Pass::Locks, Pass::Model]
     }
 }
 
@@ -200,16 +190,17 @@ impl Workspace {
 }
 
 /// Outcome of a full lint run: every finding plus the context the
-/// report prints (extracted protocol constants, model statistics).
+/// report prints (model statistics, the metric inventory).
 pub struct RunOutcome {
     /// All findings from all passes, sorted.
     pub findings: Vec<Finding>,
-    /// Protocol constants as extracted from code, for the report.
-    pub protocol: Option<protocol::WireContract>,
     /// Model-checker statistics (states explored, transitions).
     pub model: Option<model::ModelStats>,
     /// Metric inventory (registered names), for the report.
     pub metrics: Vec<metrics::RegisteredMetric>,
+    /// The DESIGN.md §9 catalogue block to paste, when the one there
+    /// differs from what the registrations render.
+    pub catalogue: Option<String>,
 }
 
 /// Run every pass over the workspace at `root`.
@@ -217,11 +208,8 @@ pub fn run_all(root: impl Into<PathBuf>) -> RunOutcome {
     let ws = Workspace::discover(root);
     let mut findings = Vec::new();
 
-    let (metric_findings, inventory) = metrics::check(&ws);
+    let (metric_findings, inventory, catalogue) = metrics::check(&ws);
     findings.extend(metric_findings);
-
-    let (proto_findings, contract) = protocol::check(&ws);
-    findings.extend(proto_findings);
 
     findings.extend(panics::check(&ws));
     findings.extend(locks::check(&ws));
@@ -233,9 +221,9 @@ pub fn run_all(root: impl Into<PathBuf>) -> RunOutcome {
     findings.dedup();
     RunOutcome {
         findings,
-        protocol: contract,
         model: stats,
         metrics: inventory,
+        catalogue,
     }
 }
 

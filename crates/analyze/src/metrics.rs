@@ -10,16 +10,25 @@
 //!   series `_bucket` / `_count` / `_sum` count as their histogram);
 //! * every production registration happens exactly once, follows the
 //!   naming convention (counters end `_total`, histograms `_seconds`,
-//!   gauges end in neither), and appears in DESIGN.md §9;
-//! * every name §9 documents is actually registered (no orphaned docs).
+//!   gauges end in neither), and passes its help as a string literal;
+//! * the §9 catalogue is the table [`catalogue`] renders from those
+//!   registrations, byte for byte, between [`CATALOGUE_BEGIN`] and
+//!   [`GENERATED_END`]: a missing, extra or changed row is a finding, and
+//!   the report ends with the block to paste.
 //!
 //! Test-code registrations (`rck_test_*` in obs unit tests) are *known*
-//! for the usage check but exempt from the documentation and naming
+//! for the usage check but exempt from the catalogue and naming
 //! contract — they never reach a scrape endpoint.
 
 use crate::lexer::{self, TokKind};
 use crate::{Finding, Pass, Workspace};
 use std::collections::BTreeMap;
+
+/// The line that opens the generated catalogue block in DESIGN.md §9.
+pub const CATALOGUE_BEGIN: &str = "<!-- generated: rck_lint metrics catalogue -->";
+
+/// The line that closes a generated block in DESIGN.md.
+pub const GENERATED_END: &str = "<!-- /generated -->";
 
 /// Metric family kinds, as implied by the registration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +58,11 @@ pub struct RegisteredMetric {
     pub name: String,
     /// Counter / gauge / histogram.
     pub kind: MetricKind,
+    /// The help text, when the argument after the name is a literal.
+    pub help: Option<String>,
+    /// The first label key of a `*_with` call (`worker` in
+    /// `&[("worker", ..)]`).
+    pub label: Option<String>,
     /// Workspace-relative file of the registration.
     pub file: String,
     /// 1-based line of the name literal.
@@ -57,18 +71,26 @@ pub struct RegisteredMetric {
     pub in_test: bool,
 }
 
-/// A name (or name family) documented in DESIGN.md §9.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum DocName {
-    /// A concrete metric name.
-    Exact(String),
-    /// A `rck_foo_*` wildcard: documents every name with the prefix.
-    Prefix(String),
+impl RegisteredMetric {
+    /// The family's catalogue row.
+    fn row(&self) -> String {
+        let label = self
+            .label
+            .as_deref()
+            .map_or(String::new(), |l| format!(" `{l}`"));
+        format!(
+            "| `{}` | {} |{label} | {} |",
+            self.name,
+            self.kind.as_str(),
+            self.help.as_deref().unwrap_or("").replace('|', "\\|")
+        )
+    }
 }
 
-/// Run the metrics-contract pass. Returns findings plus the inventory
-/// of production registrations (the report prints it).
-pub fn check(ws: &Workspace) -> (Vec<Finding>, Vec<RegisteredMetric>) {
+/// Run the metrics-contract pass. Returns findings, the inventory of
+/// production registrations (the report prints it), and the catalogue
+/// block to paste when DESIGN.md's differs from it.
+pub fn check(ws: &Workspace) -> (Vec<Finding>, Vec<RegisteredMetric>, Option<String>) {
     let mut findings = Vec::new();
     let mut regs: Vec<RegisteredMetric> = Vec::new();
     let mut usages: Vec<(String, String, u32)> = Vec::new(); // (name, file, line)
@@ -107,7 +129,7 @@ pub fn check(ws: &Workspace) -> (Vec<Finding>, Vec<RegisteredMetric>) {
         }
     }
 
-    // --- naming convention ---
+    // --- naming convention and a literal help ---
     for r in regs.iter().filter(|r| !r.in_test) {
         let ok = match r.kind {
             MetricKind::Counter => r.name.ends_with("_total"),
@@ -131,51 +153,16 @@ pub fn check(ws: &Workspace) -> (Vec<Finding>, Vec<RegisteredMetric>) {
                 ),
             ));
         }
-    }
-
-    // --- documentation contract (DESIGN.md §9) ---
-    let docs = ws
-        .read("DESIGN.md")
-        .map(|d| doc_names(&section(&d, 9)))
-        .unwrap_or_default();
-    if docs.is_empty() {
-        findings.push(Finding::at(
-            Pass::Metrics,
-            "DESIGN.md",
-            0,
-            "no metric names found in DESIGN.md §9 — the metrics catalogue is missing".to_string(),
-        ));
-    } else {
-        for r in regs.iter().filter(|r| !r.in_test) {
-            if !documented(&docs, &r.name) {
-                findings.push(Finding::at(
-                    Pass::Metrics,
-                    r.file.clone(),
-                    r.line,
-                    format!(
-                        "metric `{}` is registered but not documented in DESIGN.md \u{a7}9",
-                        r.name
-                    ),
-                ));
-            }
-        }
-        for d in &docs {
-            let covered = match d {
-                DocName::Exact(name) => by_name.contains_key(name.as_str()),
-                DocName::Prefix(prefix) => by_name.keys().any(|n| n.starts_with(prefix.as_str())),
-            };
-            if !covered {
-                let shown = match d {
-                    DocName::Exact(n) => n.clone(),
-                    DocName::Prefix(p) => format!("{p}*"),
-                };
-                findings.push(Finding::at(
-                    Pass::Metrics,
-                    "DESIGN.md",
-                    0,
-                    format!("DESIGN.md \u{a7}9 documents `{shown}` but nothing registers it (orphaned doc)"),
-                ));
-            }
+        if r.help.is_none() {
+            findings.push(Finding::at(
+                Pass::Metrics,
+                r.file.clone(),
+                r.line,
+                format!(
+                    "metric `{}` takes its help from an expression, not a string literal; its \u{a7}9 row would be blank",
+                    r.name
+                ),
+            ));
         }
     }
 
@@ -193,7 +180,95 @@ pub fn check(ws: &Workspace) -> (Vec<Finding>, Vec<RegisteredMetric>) {
     }
 
     let inventory: Vec<RegisteredMetric> = regs.into_iter().filter(|r| !r.in_test).collect();
-    (findings, inventory)
+
+    // --- the DESIGN.md §9 catalogue is the rendered block ---
+    let design = ws.read("DESIGN.md").unwrap_or_default();
+    let catalogue_findings = check_catalogue(&design, &inventory);
+    let paste = (!catalogue_findings.is_empty()).then(|| catalogue(&inventory));
+    findings.extend(catalogue_findings);
+    (findings, inventory, paste)
+}
+
+/// The §9 catalogue block for `inventory`, markers included: one row per
+/// family, sorted by name.
+pub fn catalogue(inventory: &[RegisteredMetric]) -> String {
+    let mut out =
+        format!("{CATALOGUE_BEGIN}\n| family | kind | labels | help |\n|---|---|---|---|\n");
+    for r in families(inventory).values() {
+        out.push_str(&r.row());
+        out.push('\n');
+    }
+    out.push_str(GENERATED_END);
+    out.push('\n');
+    out
+}
+
+/// Compare DESIGN.md's catalogue block with the one `inventory` renders:
+/// one finding per missing, extra or changed row, or one for the block
+/// when only its header or row order differs.
+pub fn check_catalogue(design: &str, inventory: &[RegisteredMetric]) -> Vec<Finding> {
+    let Some(block) = generated_block(design, CATALOGUE_BEGIN) else {
+        return vec![Finding::at(
+            Pass::Metrics,
+            "DESIGN.md",
+            0,
+            format!("DESIGN.md has no `{CATALOGUE_BEGIN}` block \u{2014} the metrics catalogue is missing"),
+        )];
+    };
+    let want = families(inventory);
+    let have: BTreeMap<&str, &str> = block
+        .lines()
+        .filter_map(|line| Some((line.strip_prefix("| `")?.split('`').next()?, line)))
+        .collect();
+
+    let mut findings = Vec::new();
+    for (name, r) in &want {
+        let row = r.row();
+        let message = match have.get(name) {
+            None => {
+                format!("metric `{name}` is registered but not documented in DESIGN.md \u{a7}9")
+            }
+            Some(doc) if *doc != row => {
+                format!("DESIGN.md \u{a7}9 row `{doc}` differs from the registration's `{row}`")
+            }
+            Some(_) => continue,
+        };
+        findings.push(Finding::at(Pass::Metrics, r.file.clone(), r.line, message));
+    }
+    for name in have.keys().filter(|n| !want.contains_key(*n)) {
+        findings.push(Finding::at(
+            Pass::Metrics,
+            "DESIGN.md",
+            0,
+            format!("DESIGN.md \u{a7}9 documents `{name}` but nothing registers it (orphaned doc)"),
+        ));
+    }
+    if findings.is_empty()
+        && format!("{CATALOGUE_BEGIN}\n{block}{GENERATED_END}\n") != catalogue(inventory)
+    {
+        findings.push(Finding::at(
+            Pass::Metrics,
+            "DESIGN.md",
+            0,
+            "DESIGN.md \u{a7}9's catalogue has the right rows but not the rendered header or order",
+        ));
+    }
+    findings
+}
+
+/// Family name → its first registration site.
+fn families(inventory: &[RegisteredMetric]) -> BTreeMap<&str, &RegisteredMetric> {
+    let mut families = BTreeMap::new();
+    for r in inventory {
+        families.entry(r.name.as_str()).or_insert(r);
+    }
+    families
+}
+
+/// The lines between the line `begin` and the next [`GENERATED_END`].
+fn generated_block<'a>(design: &'a str, begin: &str) -> Option<&'a str> {
+    let (_, rest) = design.split_once(&format!("\n{begin}\n"))?;
+    Some(&rest[..rest.find(GENERATED_END)?])
 }
 
 /// Integration-test files live outside `#[cfg(test)]`, but everything
@@ -208,7 +283,7 @@ fn collect_registrations(
     file_is_test: bool,
     out: &mut Vec<RegisteredMetric>,
 ) {
-    for w in toks.windows(4) {
+    for (at, w) in toks.windows(4).enumerate() {
         let [dot, method, paren, name] = w else {
             continue;
         };
@@ -224,9 +299,36 @@ fn collect_registrations(
         if name.kind != TokKind::Str || !name.text.starts_with("rck_") {
             continue;
         }
+        // `name, help, ..`: for `*_with`, the label key is the first
+        // string literal after the help, inside the call's parentheses.
+        let rest = &toks[at + 4..];
+        let help = match rest {
+            [comma, help, ..] if comma.text == "," && help.kind == TokKind::Str => {
+                Some(help.text.clone())
+            }
+            _ => None,
+        };
+        let mut depth = 1;
+        let in_call = |t: &&lexer::Tok| {
+            match (t.kind, t.text.as_str()) {
+                (TokKind::Punct, "(" | "[") => depth += 1,
+                (TokKind::Punct, ")" | "]") => depth -= 1,
+                _ => {}
+            }
+            depth > 0
+        };
+        let label = if method.text.ends_with("_with") {
+            let mut args = rest.iter().skip(2).take_while(in_call);
+            args.find(|t| t.kind == TokKind::Str)
+                .map(|t| t.text.clone())
+        } else {
+            None
+        };
         out.push(RegisteredMetric {
             name: name.text.clone(),
             kind,
+            help,
+            label,
             file: file.to_string(),
             line: name.line,
             in_test: file_is_test || name.in_test,
@@ -274,143 +376,29 @@ fn resolves(known: &[&str], regs: &[RegisteredMetric], name: &str) -> bool {
     false
 }
 
-fn documented(docs: &[DocName], name: &str) -> bool {
-    docs.iter().any(|d| match d {
-        DocName::Exact(n) => n == name,
-        DocName::Prefix(p) => name.starts_with(p.as_str()),
-    })
-}
-
-/// Extract the text of `## <n>.`-numbered section `n` from DESIGN.md.
-pub(crate) fn section(design: &str, n: u32) -> String {
-    let header = format!("## {n}.");
-    let mut out = String::new();
-    let mut inside = false;
-    for line in design.lines() {
-        if line.starts_with("## ") {
-            inside = line.starts_with(&header);
-            continue;
-        }
-        if inside {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Parse metric names out of backtick spans in §9 text, with brace
-/// expansion (`rck_jobs_{a,b}_total`), label stripping
-/// (`rck_worker_jobs_total{worker="N"}`), and `*` wildcards
-/// (`rck_chaos_*`).
-fn doc_names(sec9: &str) -> Vec<DocName> {
-    let mut out = Vec::new();
-    for span in backtick_spans(sec9) {
-        if !span.contains("rck_") {
-            continue;
-        }
-        // A metric span has no whitespace; `rck_served --flags` is not
-        // a metric mention.
-        if span.contains(char::is_whitespace) {
-            continue;
-        }
-        for name in expand(&span) {
-            if !out.contains(&name) {
-                out.push(name);
-            }
-        }
-    }
-    out.sort_by(|a, b| {
-        let key = |d: &DocName| match d {
-            DocName::Exact(n) => (0u8, n.clone()),
-            DocName::Prefix(p) => (1u8, p.clone()),
-        };
-        key(a).cmp(&key(b))
-    });
-    out
-}
-
-fn backtick_spans(text: &str) -> Vec<String> {
-    let mut spans = Vec::new();
-    let mut rest = text;
-    while let Some(start) = rest.find('`') {
-        let after = &rest[start + 1..];
-        let Some(end) = after.find('`') else { break };
-        spans.push(after[..end].to_string());
-        rest = &after[end + 1..];
-    }
-    spans
-}
-
-/// Expand one backticked span into doc names.
-fn expand(span: &str) -> Vec<DocName> {
-    // Trailing wildcard: `rck_chaos_*`.
-    if let Some(prefix) = span.strip_suffix('*') {
-        if prefix.ends_with('_') && is_name(prefix.trim_end_matches('_')) {
-            return vec![DocName::Prefix(prefix.to_string())];
-        }
-    }
-    if let (Some(open), Some(close)) = (span.find('{'), span.find('}')) {
-        if open < close {
-            let inner = &span[open + 1..close];
-            let prefix = &span[..open];
-            let suffix = &span[close + 1..];
-            if inner.contains('=') {
-                // `{worker="N"}` is a label selector, not alternatives.
-                return if is_name(prefix) {
-                    vec![DocName::Exact(prefix.to_string())]
-                } else {
-                    Vec::new()
-                };
-            }
-            let mut out = Vec::new();
-            for alt in inner.split(',') {
-                let name = format!("{prefix}{alt}{suffix}");
-                if is_name(&name) {
-                    out.push(DocName::Exact(name));
-                }
-            }
-            return out;
-        }
-    }
-    if is_name(span) {
-        vec![DocName::Exact(span.to_string())]
-    } else {
-        Vec::new()
-    }
-}
-
-fn is_name(s: &str) -> bool {
-    s.starts_with("rck_")
-        && s.bytes()
-            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn doc_name_expansion() {
-        let sec = "counters: `rck_jobs_{dispatched,completed}_total`, labeled \
-                   `rck_worker_jobs_total{worker=\"N\"}`, wildcard `rck_chaos_*`, \
-                   plain `rck_batch_rtt_seconds`, and a binary `rck_served --flag x`.";
-        let names = doc_names(sec);
-        assert!(names.contains(&DocName::Exact("rck_jobs_dispatched_total".into())));
-        assert!(names.contains(&DocName::Exact("rck_jobs_completed_total".into())));
-        assert!(names.contains(&DocName::Exact("rck_worker_jobs_total".into())));
-        assert!(names.contains(&DocName::Prefix("rck_chaos_".into())));
-        assert!(names.contains(&DocName::Exact("rck_batch_rtt_seconds".into())));
-        assert!(!names
-            .iter()
-            .any(|d| matches!(d, DocName::Exact(n) if n == "rck_served")));
-    }
-
-    #[test]
-    fn section_slicing() {
-        let d = "## 8. A\neight\n## 9. B\nnine\nmore\n## 10. C\nten\n";
-        assert_eq!(section(d, 9), "nine\nmore\n");
-        assert_eq!(section(d, 10), "ten\n");
+    fn registration_scan_reads_help_and_first_label() {
+        let toks = lexer::lex(
+            "r.counter_with(\"rck_a_total\", \"per lane\", &[(\"lane\", &l.to_string()), (\"x\", \"y\")]);\n\
+             r.gauge(\"rck_b\", &help); let s = \"not a label\";\n\
+             r.histogram_with(\"rck_c_seconds\", \"rtt\", &B, &labels); f(\"nor this\");",
+        );
+        let mut regs = Vec::new();
+        collect_registrations(&toks.toks, "f.rs", false, &mut regs);
+        let rows: Vec<String> = regs.iter().map(RegisteredMetric::row).collect();
+        assert_eq!(
+            rows,
+            [
+                "| `rck_a_total` | counter | `lane` | per lane |",
+                "| `rck_b` | gauge | |  |",
+                "| `rck_c_seconds` | histogram | | rtt |",
+            ]
+        );
+        assert_eq!(regs[1].help, None);
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub fn render(outcome: &RunOutcome) -> String {
     let n = outcome.findings.len();
     out.push_str("# rck_lint report\n\n");
     if n == 0 {
-        out.push_str("**Clean**: all five passes found no violations.\n");
+        out.push_str("**Clean**: all four passes found no violations.\n");
     } else {
         let _ = writeln!(
             out,
@@ -51,17 +51,6 @@ pub fn render(outcome: &RunOutcome) -> String {
     }
 
     out.push_str("## Checked contracts\n\n");
-    if let Some(c) = &outcome.protocol {
-        let _ = writeln!(
-            out,
-            "- wire: magic 0x{:08X}, protocol v{}, {}-byte header, {} MiB payload cap, {} frame kinds",
-            c.magic,
-            c.version,
-            c.header_len,
-            c.max_payload >> 20,
-            c.kinds.len()
-        );
-    }
     if let Some(m) = &outcome.model {
         let _ = writeln!(
             out,
@@ -74,6 +63,11 @@ pub fn render(outcome: &RunOutcome) -> String {
         "- metrics: {} production families under contract",
         outcome.metrics.len()
     );
+    if let Some(block) = &outcome.catalogue {
+        out.push_str("\n## DESIGN.md \u{a7}9 catalogue to paste\n\n");
+        out.push_str("Replace the block between the markers (markers included) with:\n\n");
+        out.push_str(block);
+    }
     out
 }
 
@@ -94,17 +88,17 @@ mod tests {
     fn clean_and_dirty_render() {
         let clean = RunOutcome {
             findings: vec![],
-            protocol: None,
             model: None,
             metrics: vec![],
+            catalogue: None,
         };
         assert!(render(&clean).contains("**Clean**"));
 
         let dirty = RunOutcome {
             findings: vec![Finding::at(Pass::Panics, "a.rs", 7, "boom")],
-            protocol: None,
             model: None,
             metrics: vec![],
+            catalogue: None,
         };
         let r = render(&dirty);
         assert!(r.contains("**1 violation**"));

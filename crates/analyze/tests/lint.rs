@@ -1,8 +1,9 @@
 //! Integration tests: the seeded `bad-tree` fixture must trip every
 //! pass, the real workspace must stay lint-clean, reports must be
-//! byte-deterministic, and `rck_lint --deny` must gate accordingly.
+//! byte-deterministic, `rck_lint --deny` must gate accordingly, and a
+//! drifted DESIGN.md §9 catalogue must fail the comparison.
 
-use rck_analyze::{protocol, report, run_all, Pass};
+use rck_analyze::{metrics, report, run_all, Pass};
 use std::process::Command;
 
 fn fixture_root() -> String {
@@ -29,14 +30,20 @@ fn bad_tree_trips_every_pass() {
 fn bad_tree_findings_are_the_seeded_ones() {
     let outcome = run_all(fixture_root());
     let has = |needle: &str| outcome.findings.iter().any(|f| f.message.contains(needle));
-    // metrics: naming, double registration, orphan doc, unknown usage
+    // metrics: naming, double registration, a computed help, undocumented
+    // and orphaned catalogue rows, unknown usage
     assert!(has("counters must end `_total`"), "{:#?}", outcome.findings);
     assert!(has("registered 2 times"));
+    assert!(has(
+        "`rck_computed_help_total` takes its help from an expression"
+    ));
+    assert!(has("`rck_bad_counter` is registered but not documented"));
     assert!(has("`rck_ghost_jobs_total` but nothing registers it"));
     assert!(has("`rck_phantom_total` but no registration defines it"));
-    // protocol: header drift and kind-name drift
-    assert!(has("23-byte header"));
-    assert!(has("`Goodbye`"));
+    let paste = outcome.catalogue.as_deref().expect("a block to paste");
+    assert!(paste.contains("| `rck_bad_counter` | counter | | counter without the _total suffix |"));
+    assert!(!paste.contains("rck_ghost_jobs_total"));
+    assert!(report::render(&outcome).ends_with(paste));
     // panics + locks
     assert!(has("`.unwrap()`"));
     assert!(has("held across `write_all()`"));
@@ -52,13 +59,10 @@ fn workspace_self_check_is_clean() {
     let outcome = run_all(workspace_root());
     assert!(
         outcome.findings.is_empty(),
-        "the workspace must stay lint-clean; findings:\n{}",
-        outcome
-            .findings
-            .iter()
-            .map(|f| format!("  {f}\n"))
-            .collect::<String>()
+        "the workspace must stay lint-clean:\n{}",
+        report::render(&outcome)
     );
+    assert!(outcome.catalogue.is_none());
     // A lost registration or lifecycle anchor moves these counts.
     assert_eq!(outcome.metrics.len(), 84, "production metric families");
     let model = outcome.model.expect("the lifecycle model ran");
@@ -102,27 +106,38 @@ fn deny_gates_the_exit_code() {
     );
 }
 
-/// The acceptance scenario: take the *real* proto.rs and the *real*
-/// DESIGN.md, introduce one constant drift into the doc, and the
-/// protocol pass must catch it.
+/// The real DESIGN.md with its §9 catalogue drifted in memory: a
+/// registered family's row removed, a row added for a family nothing
+/// registers, and a row whose kind is wrong. Each must fail the
+/// comparison.
 #[test]
-fn deliberate_design_drift_against_real_sources_is_caught() {
+fn catalogue_drift_against_the_real_design_is_caught() {
     let root = workspace_root();
-    let proto = std::fs::read_to_string(format!("{root}/crates/serve/src/proto.rs"))
-        .expect("read real proto.rs");
-    let design = std::fs::read_to_string(format!("{root}/DESIGN.md")).expect("read real DESIGN.md");
+    let design = std::fs::read_to_string(format!("{root}/DESIGN.md")).expect("read DESIGN.md");
+    let inventory = run_all(&root).metrics;
+    assert_eq!(metrics::check_catalogue(&design, &inventory), vec![]);
 
-    let (clean, contract) = protocol::check_sources(&proto, &design);
-    assert_eq!(clean, vec![], "real sources must agree: {clean:#?}");
-    assert_eq!(contract.expect("contract extracted").header_len, 19);
-
-    let tampered = design.replace("19-byte header", "23-byte header");
-    assert_ne!(design, tampered, "the drift must actually apply");
-    let (findings, _) = protocol::check_sources(&proto, &tampered);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("23-byte header")),
-        "tampered header length went unnoticed: {findings:#?}"
-    );
+    let row = "| `rck_window_batches` | gauge | | deepest window of batches any worker connection was given |\n";
+    let ghost = "| `rck_ghost_jobs_total` | counter | | jobs nobody counts |\n";
+    for (drifted, needle) in [
+        (
+            design.replacen(row, "", 1),
+            "`rck_window_batches` is registered but not documented",
+        ),
+        (
+            design.replacen(row, &format!("{row}{ghost}"), 1),
+            "`rck_ghost_jobs_total` but nothing registers it",
+        ),
+        (
+            design.replacen(row, &row.replace("| gauge |", "| counter |"), 1),
+            "differs from the registration's",
+        ),
+    ] {
+        assert_ne!(drifted, design, "DESIGN.md \u{a7}9 holds the row");
+        let findings = metrics::check_catalogue(&drifted, &inventory);
+        assert!(
+            findings.iter().any(|f| f.message.contains(needle)),
+            "{needle}: {findings:#?}"
+        );
+    }
 }

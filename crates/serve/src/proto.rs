@@ -781,6 +781,7 @@ pub fn build_tile_grant(tile_id: u32, jobs: Vec<PairJob>, dataset: &[CaChain]) -
 mod tests {
     use super::*;
     use rck_pdb::datasets::tiny_profile;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn sample_batch() -> JobBatch {
         let chains = tiny_profile().generate(7);
@@ -799,9 +800,22 @@ mod tests {
         build_job_batch(11, jobs, &chains)
     }
 
-    #[test]
-    fn frame_roundtrips() {
-        let frames = vec![
+    fn outcome(i: u32, j: u32) -> PairOutcome {
+        PairOutcome {
+            i,
+            j,
+            method: MethodKind::TmAlign,
+            similarity: 0.5,
+            rmsd: 2.0,
+            aligned_len: 20,
+            ops: 999,
+        }
+    }
+
+    /// One frame of every variant.
+    fn samples() -> Vec<Frame> {
+        let chains = tiny_profile().generate(7);
+        vec![
             Frame::Hello(Hello {
                 protocol_version: PROTOCOL_VERSION,
                 worker_name: "w0".into(),
@@ -813,23 +827,203 @@ mod tests {
             Frame::JobBatch(sample_batch()),
             Frame::ResultBatch(ResultBatch {
                 batch_id: 11,
-                outcomes: vec![PairOutcome {
-                    i: 0,
-                    j: 3,
-                    method: MethodKind::TmAlign,
-                    similarity: 0.5,
-                    rmsd: 2.0,
-                    aligned_len: 20,
-                    ops: 999,
-                }],
+                outcomes: vec![outcome(0, 3)],
             }),
             Frame::Heartbeat(Heartbeat {
                 worker_id: 4,
                 completed: 17,
             }),
             Frame::Shutdown,
-        ];
-        for f in frames {
+            Frame::QuerySubmit(QuerySubmit {
+                tenant: "lab-a".into(),
+                query_id: 42,
+                weight: 3,
+                methods: vec![MethodKind::TmAlign],
+                chain: chains[0].clone(),
+            }),
+            Frame::QueryPartial(QueryPartial {
+                query_id: 42,
+                done: 1,
+                total: 7,
+                outcomes: vec![outcome(1, 7)],
+            }),
+            Frame::QueryDone(QueryDone {
+                query_id: 42,
+                ranking: vec![(3, 0.875)],
+            }),
+            Frame::QueryReject(QueryReject {
+                query_id: 43,
+                reason: "draining".into(),
+            }),
+            Frame::TileGrant(build_tile_grant(5, sample_batch().jobs, &chains)),
+            Frame::TileResult(TileResult {
+                tile_id: 5,
+                outcomes: vec![outcome(0, 4)],
+            }),
+            Frame::StealRequest(StealRequest {
+                master_id: 2,
+                tiles_done: 9,
+            }),
+        ]
+    }
+
+    /// The variant's name in DESIGN.md §6. The match has no `_` arm: a
+    /// new variant does not compile until it is named here, and the wire
+    /// block fails until `samples` holds one of it.
+    fn variant(frame: &Frame) -> &'static str {
+        match frame {
+            Frame::Hello(_) => "Hello",
+            Frame::Welcome(_) => "Welcome",
+            Frame::JobBatch(_) => "JobBatch",
+            Frame::ResultBatch(_) => "ResultBatch",
+            Frame::Heartbeat(_) => "Heartbeat",
+            Frame::Shutdown => "Shutdown",
+            Frame::QuerySubmit(_) => "QuerySubmit",
+            Frame::QueryPartial(_) => "QueryPartial",
+            Frame::QueryDone(_) => "QueryDone",
+            Frame::QueryReject(_) => "QueryReject",
+            Frame::TileGrant(_) => "TileGrant",
+            Frame::TileResult(_) => "TileResult",
+            Frame::StealRequest(_) => "StealRequest",
+        }
+    }
+
+    /// A `Shutdown` header with its kind and length fields replaced.
+    fn header_with(kind: u8, payload_len: usize) -> [u8; HEADER_LEN] {
+        let mut header = [0u8; HEADER_LEN];
+        header.copy_from_slice(&encode_frame(&Frame::Shutdown)[..HEADER_LEN]);
+        header[6] = kind;
+        header[7..11].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        header
+    }
+
+    const WIRE_BEGIN: &str = "<!-- generated: serve::proto wire -->";
+    const GENERATED_END: &str = "<!-- /generated -->";
+
+    /// DESIGN.md §6's wire block as the samples encode it: every header
+    /// field is read back out of the bytes at the offset the table gives
+    /// it. A kind row keeps the `direction | payload` prose `design`
+    /// gives that kind; only its first two cells come from the code.
+    /// `Err` holds the block to paste.
+    fn check_wire_block(design: &str) -> Result<(), String> {
+        let block = design
+            .split_once(&format!("{WIRE_BEGIN}\n"))
+            .and_then(|(_, rest)| rest.find(GENERATED_END).map(|end| &rest[..end]));
+        let mut prose = BTreeMap::new();
+        for line in block.unwrap_or_default().lines() {
+            let cells: Vec<&str> = line.splitn(4, '|').collect();
+            if let [_, kind, _, rest] = cells[..] {
+                if let Ok(kind) = kind.trim().parse::<u8>() {
+                    prose.insert(kind, rest);
+                }
+            }
+        }
+
+        // (magic bytes, version, payload offset): one value for every frame.
+        let mut headers = BTreeSet::new();
+        let mut kinds = BTreeMap::new();
+        for frame in samples() {
+            let bytes = encode_frame(&frame);
+            let kind = bytes[6];
+            let payload_len = u32::from_le_bytes(bytes[7..11].try_into().unwrap()) as usize;
+            let at = bytes.len() - payload_len;
+            let checksum = u64::from_le_bytes(bytes[11..19].try_into().unwrap());
+            assert_eq!(
+                checksum,
+                frame_checksum(kind, &bytes[at..]),
+                "checksum at 11"
+            );
+            headers.insert((
+                bytes[0..4].to_vec(),
+                u16::from_le_bytes([bytes[4], bytes[5]]),
+                at,
+            ));
+            assert_eq!(
+                kinds.insert(kind, variant(&frame)),
+                None,
+                "kind {kind} twice"
+            );
+        }
+        let [(magic, version, offset)] = &Vec::from_iter(headers)[..] else {
+            panic!("frames disagree on magic, version or header length");
+        };
+        let cap = MAX_PAYLOAD;
+        assert!(parse_header(&header_with(6, cap)).is_ok());
+        assert!(matches!(
+            parse_header(&header_with(6, cap + 1)),
+            Err(FrameError::Oversized(_))
+        ));
+        assert_eq!(cap % (1 << 20), 0, "the cap is whole MiB");
+
+        let value = u32::from_le_bytes(magic[..].try_into().unwrap());
+        let ascii = String::from_utf8_lossy(magic);
+        let mut want = format!(
+            "Every frame is a {offset}-byte header followed by a payload:\n\n```\n\
+             offset  size  field\n\
+             0       4     MAGIC      = 0x{:04X}_{:04X}  (bytes \"{ascii}\" on the wire)\n\
+             4       2     version    = PROTOCOL_VERSION ({version}), little-endian\n\
+             6       1     kind       (see table)\n\
+             7       4     payload length, little-endian, \u{2264} MAX_PAYLOAD ({} MiB)\n\
+             11      8     checksum   = FNV-1a 64 over kind \u{2016} payload length \u{2016} payload\n\
+             {offset:<8}\u{2026}     payload    (rcce byte-codec encoded)\n```\n\n\
+             | kind | frame | direction | payload |\n|---:|---|---|---|\n",
+            value >> 16,
+            value & 0xFFFF,
+            cap >> 20
+        );
+        for (kind, name) in &kinds {
+            let rest = prose.get(kind).copied().unwrap_or(" | |");
+            want.push_str(&format!("| {kind} | `{name}` |{rest}\n"));
+        }
+        if block == Some(want.as_str()) {
+            return Ok(());
+        }
+        Err(format!(
+            "DESIGN.md \u{a7}6's wire block is not what serve::proto encodes; \
+             replace the block between the markers with:\n\n{WIRE_BEGIN}\n{want}{GENERATED_END}\n"
+        ))
+    }
+
+    fn design() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        std::fs::read_to_string(path).expect("read DESIGN.md")
+    }
+
+    #[test]
+    fn design_wire_block_is_what_the_frames_encode() {
+        if let Err(paste) = check_wire_block(&design()) {
+            panic!("{paste}");
+        }
+    }
+
+    #[test]
+    fn wire_block_drift_fails_the_comparison() {
+        let design = design();
+        for (from, to) in [
+            ("a 19-byte header", "a 23-byte header"),
+            ("| 6 | `Shutdown` |", "| 6 | `Goodbye` |"),
+        ] {
+            let drifted = design.replacen(from, to, 1);
+            assert_ne!(drifted, design, "DESIGN.md says `{from}`");
+            assert!(check_wire_block(&drifted).is_err(), "`{to}` went unnoticed");
+        }
+    }
+
+    #[test]
+    fn parse_header_accepts_exactly_the_kinds_frames_encode_to() {
+        let encoded: Vec<u8> = samples().iter().map(|f| encode_frame(f)[6]).collect();
+        for kind in 0..=255u8 {
+            assert_eq!(
+                parse_header(&header_with(kind, 0)).is_ok(),
+                encoded.contains(&kind),
+                "kind {kind}"
+            );
+        }
+    }
+
+    #[test]
+    fn frame_roundtrips() {
+        for f in samples() {
             let bytes = encode_frame(&f);
             let (back, used) = decode_frame(&bytes).expect("decodes");
             assert_eq!(used, bytes.len());

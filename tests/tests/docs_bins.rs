@@ -8,7 +8,8 @@
 //! and a metric `BENCHMARK.json` declares, every crate root re-exports
 //! only what something outside the crate names, only the dispatcher
 //! accepts connections or runs a deadline monitor, FNV-1a has one body
-//! in the tree, and no serving tier's stats wraps a handle in a method.
+//! in the tree, no serving tier's stats wraps a handle in a method, and
+//! DESIGN.md's generated contract blocks each have one pair of markers.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -319,9 +320,13 @@ fn names(text: &str, name: &str) -> bool {
         .any(|(at, _)| !text[..at].ends_with(ident) && !text[at + name.len()..].starts_with(ident))
 }
 
-/// Public types nobody has to *name*, with the call that hands each one
-/// out.
+/// Public names nothing outside the crate has to *name*, with the call
+/// that hands each one out (or, for a wire constant, who needs it).
 const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
+    (
+        "PROTOCOL_VERSION",
+        "the version every Hello carries (DESIGN §6): a peer built outside this workspace needs it",
+    ),
     ("ScenarioResult", "rck_serve::run_scenario (rck_chaos)"),
     (
         "AbortHandle",
@@ -579,5 +584,38 @@ fn tier_stats_have_no_one_handle_forwarders() {
         forwarders.is_empty(),
         "{} one-handle forwarders: {forwarders:#?}",
         forwarders.len()
+    );
+}
+
+/// DESIGN.md quotes its contract tables from the code: §6's wire block is
+/// checked by a unit test in `serve::proto` and §9's catalogue is rendered
+/// by `rck_lint`'s metrics pass, so the doc parsers that used to read them
+/// are gone, and each check finds its block by marker lines that appear
+/// once each.
+#[test]
+fn contract_tables_are_generated_and_the_doc_parsers_are_gone() {
+    let retired = [
+        "protocol-consistency",
+        "WireContract",
+        "rck_analyze::protocol",
+        "check_sources",
+    ];
+    assert_unmentioned(&retired, |path| {
+        !is_history(path) && !path.ends_with(THIS_FILE)
+    });
+
+    let design = fs::read_to_string(repo_root().join("DESIGN.md")).expect("DESIGN.md is UTF-8");
+    let lines = |marker: &str| design.lines().filter(|l| *l == marker).count();
+    let begins = [
+        "<!-- generated: serve::proto wire -->",
+        "<!-- generated: rck_lint metrics catalogue -->",
+    ];
+    for begin in begins {
+        assert_eq!(lines(begin), 1, "`{begin}` lines in DESIGN.md");
+    }
+    assert_eq!(
+        lines("<!-- /generated -->"),
+        begins.len(),
+        "one end marker per generated block"
     );
 }
