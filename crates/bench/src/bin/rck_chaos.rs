@@ -19,19 +19,20 @@
 //! * otherwise the master fails **cleanly** — never a wrong matrix,
 //!   never a deadlock (a per-scenario watchdog enforces the latter).
 //!
+//! The gate, store and sharded-farm scenarios are rows of the same
+//! table (`rckalign_bench::chaos::TIERS`), each a run over the scenario
+//! core `rckalign::chaos`.
+//!
 //! The canonical report (one line per scenario: plan + verdict + matrix
 //! fingerprint) contains no timings and no fired-fault counts, so
 //! re-running a seed yields a byte-identical line — `--repeat K` asserts
-//! exactly that. Observed fault/serve counters (which *are*
-//! timing-dependent) go to stderr instead.
+//! exactly that, failing a scenario whose rerun differs. Observed
+//! fault/serve counters (which *are* timing-dependent) go to stderr
+//! instead.
 
-use rck_gate::chaos::{run_gate_scenario, GateScenarioPlan};
-use rck_serve::chaos::run_scenario;
-use rck_serve::ScenarioPlan;
-use rck_shard::{run_shard_scenario, ShardScenarioPlan};
-use rck_store::fault::run_store_scenario;
+use rckalign::chaos::Report;
 use rckalign::cli::{Flags, ParseError};
-use std::fmt::Write as FmtWrite;
+use rckalign_bench::chaos::{render_report, Tally, Tier, TIERS};
 use std::process::ExitCode;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -53,94 +54,6 @@ kill-a-master scenarios; 0 disables), no --out (stdout only).
 /// A scenario that neither completes nor aborts within this window is a
 /// liveness bug — exactly what the harness exists to catch.
 const WATCHDOG: Duration = Duration::from_secs(120);
-
-/// What one scenario run reports to the driver.
-struct Outcome {
-    /// The canonical, deterministic report line.
-    line: String,
-    pass: bool,
-    /// The plan expected a clean abort, not a bit-identical completion.
-    aborts: bool,
-    /// Timing-dependent observations for stderr, each printed behind the
-    /// tier's label and the seed.
-    notes: Vec<String>,
-}
-
-fn outcome(line: String, pass: bool, aborts: bool, notes: Vec<String>) -> Outcome {
-    Outcome {
-        line,
-        pass,
-        aborts,
-        notes,
-    }
-}
-
-/// One tier of the stack under seeded faults. Failures of every tier
-/// fold into one exit code and one final "N failures" figure, which the
-/// CI smoke greps for.
-struct Tier {
-    /// Flag that sets the tier's seed count, and its default.
-    flag: &'static str,
-    default_seeds: u64,
-    /// stderr prefix of one scenario.
-    label: &'static str,
-    /// What the tier's summary line says held; empty prints none.
-    held: &'static str,
-    run: fn(u64) -> Outcome,
-}
-
-const TIERS: [Tier; 4] = [
-    // Worker sessions that crash, hang or stall, and frame-level fault
-    // plans, under a real master; some plans can only abort cleanly.
-    Tier {
-        flag: "seeds",
-        default_seeds: 32,
-        label: "seed",
-        held: "",
-        run: |seed| {
-            let r = run_scenario(&ScenarioPlan::from_seed(seed));
-            let notes = vec![format!(" observed: {}", r.observed)];
-            outcome(r.report_line, r.pass, !r.plan.expect_complete, notes)
-        },
-    },
-    // Multi-tenant gates under client-stream faults and worker crashes.
-    Tier {
-        flag: "gate-seeds",
-        default_seeds: 4,
-        label: "gate seed",
-        held: "serving-tier scenarios held isolation and bit-identity",
-        run: |seed| {
-            let r = run_gate_scenario(&GateScenarioPlan::from_seed(seed));
-            let notes = r.failures.iter().map(|f| format!(": {f}")).collect();
-            outcome(r.report_line(), r.passed(), false, notes)
-        },
-    },
-    // Torn appends, bit flips and killed compactions against a real
-    // on-disk log: every reopen recovers exactly the surviving prefix.
-    Tier {
-        flag: "store-seeds",
-        default_seeds: 8,
-        label: "store seed",
-        held: "crash-recovery scenarios recovered the surviving prefix",
-        run: |seed| {
-            let r = run_store_scenario(seed);
-            outcome(r.report_line(), r.failures == 0, false, Vec::new())
-        },
-    },
-    // Whole masters killed mid-tile, the frontend requeueing their tiles
-    // onto the survivors.
-    Tier {
-        flag: "shard-seeds",
-        default_seeds: 4,
-        label: "shard seed",
-        held: "sharded-farm scenarios requeued and merged bit-identical",
-        run: |seed| {
-            let r = run_shard_scenario(&ShardScenarioPlan::from_seed(seed));
-            let notes = vec![format!(" observed: {}", r.observed)];
-            outcome(r.report_line, r.pass, false, notes)
-        },
-    },
-];
 
 struct Options {
     /// Seeds per tier, in [`TIERS`] order.
@@ -176,7 +89,7 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
 }
 
 /// Run one scenario under the deadlock watchdog.
-fn run_guarded(tier: &'static Tier, seed: u64) -> Outcome {
+fn run_guarded(tier: &'static Tier, seed: u64) -> Report {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send((tier.run)(seed));
@@ -197,51 +110,33 @@ fn main() -> ExitCode {
         Err(refusal) => return refusal.exit(USAGE),
     };
 
-    let mut report = String::new();
-    let (mut failures, mut passes, mut aborted) = (0u64, 0u64, 0u64);
+    let mut lines = Vec::new();
+    let mut tally = Tally::default();
     for (tier, &seeds) in TIERS.iter().zip(&opts.seeds) {
-        let passes_before = passes;
+        let passes_before = tally.passes;
         for seed in opts.base_seed..opts.base_seed + seeds {
-            let first = run_guarded(tier, seed);
-            for rerun in 1..opts.repeat {
-                let again = run_guarded(tier, seed);
-                if again.line != first.line {
-                    eprintln!(
-                        "{} {seed:06}: NONDETERMINISTIC report (rerun {rerun})\n  first: {}\n  again: {}",
-                        tier.label, first.line, again.line
-                    );
-                    failures += 1;
-                }
-            }
-            passes += u64::from(first.pass);
-            aborted += u64::from(first.pass && first.aborts);
-            failures += u64::from(!first.pass);
-            let mark = if first.pass { "ok  " } else { "FAIL" };
-            println!("{mark} {}", first.line);
-            for note in &first.notes {
+            let report = tally.scenario(tier, seed, opts.repeat, || run_guarded(tier, seed));
+            let mark = if report.pass { "ok  " } else { "FAIL" };
+            println!("{mark} {}", report.line);
+            for note in &report.notes {
                 eprintln!("{} {seed:06}{note}", tier.label);
             }
-            let _ = writeln!(report, "{}", first.line);
+            lines.push(report.line);
         }
         if seeds > 0 && !tier.held.is_empty() {
             // `--gate-seeds` counts the seeds of the tier named "gate".
             let name = tier.flag.trim_end_matches("-seeds");
-            println!("{name}: {}/{seeds} {}", passes - passes_before, tier.held);
+            let passes = tally.passes - passes_before;
+            println!("{name}: {passes}/{seeds} {}", tier.held);
         }
     }
 
-    let summary = format!(
-        "{} scenarios: {} completed bit-identical, {aborted} aborted cleanly, {failures} failures",
-        opts.seeds.iter().sum::<u64>(),
-        passes - aborted,
-    );
-    println!("{summary}");
+    println!("{}", tally.summary());
     if let Some(path) = &opts.out {
-        let full = format!("# rck-chaos scenario report\n\n```\n{report}```\n\n{summary}\n");
-        if let Err(e) = std::fs::write(path, full) {
+        if let Err(e) = std::fs::write(path, render_report(&lines, &tally)) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
     }
-    ExitCode::from(u8::from(failures > 0))
+    ExitCode::from(u8::from(tally.failures > 0))
 }

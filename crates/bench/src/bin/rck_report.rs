@@ -24,7 +24,7 @@
 //!
 //! The Markdown lands at `--out` (default `docs/reports/run-report.md`).
 
-use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
+use rck_gate::{rankings_bit_identical, reference_ranking, Gate, GateClient, GateConfig};
 use rck_obs::Registry;
 use rck_pdb::model::CaChain;
 use rck_serve::proto::QuerySubmit;
@@ -265,12 +265,7 @@ fn gate_section(db: &[CaChain], queries: &[CaChain], workers: usize) -> Result<S
         for (chain, ranking) in rankings {
             answered += 1;
             let expect = reference_ranking(db, &chain, &[MethodKind::TmAlign], Combiner::MeanRank);
-            let same = ranking.len() == expect.len()
-                && ranking
-                    .iter()
-                    .zip(&expect)
-                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-            identical &= same;
+            identical &= rankings_bit_identical(&ranking, &expect);
         }
     }
     let wall = started.elapsed().as_secs_f64().max(1e-9);

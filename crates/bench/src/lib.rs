@@ -1,6 +1,6 @@
 //! Shared by the reproduction binaries: dataset caches, the paper's
 //! published numbers (for side-by-side comparison in every regenerated
-//! table), and claim checking.
+//! table), claim checking, and the seeded fault sweep `rck_chaos` drives.
 
 #![warn(missing_docs)]
 
@@ -142,9 +142,140 @@ impl Claim {
     }
 }
 
+/// The seeded fault sweep: one row per tier of the stack, each a run
+/// over the scenario core (`rckalign::chaos`), the accounting that folds
+/// a tier's scenarios into one summary, and the `--out` report file.
+pub mod chaos {
+    use rck_gate::chaos::{run_gate_scenario, GateScenarioPlan};
+    use rck_serve::chaos::{run_scenario, ScenarioPlan};
+    use rck_shard::{run_shard_scenario, ShardScenarioPlan};
+    use rckalign::chaos::{run_store_scenario, Report};
+
+    /// One tier of the stack under seeded faults. Failures of every tier
+    /// fold into one exit code and one final "N failures" figure, which
+    /// the CI smoke greps for.
+    pub struct Tier {
+        /// Flag that sets the tier's seed count.
+        pub flag: &'static str,
+        /// Seeds the tier runs when its flag is absent.
+        pub default_seeds: u64,
+        /// stderr prefix of one scenario.
+        pub label: &'static str,
+        /// What the tier's summary line says held; empty prints none.
+        pub held: &'static str,
+        /// Run the scenario one seed derives.
+        pub run: fn(u64) -> Report,
+    }
+
+    /// Every tier, in the order the sweep runs them.
+    pub const TIERS: [Tier; 4] = [
+        // Worker sessions that crash, hang or stall, and frame-level fault
+        // plans, under a real master; some plans can only abort cleanly.
+        Tier {
+            flag: "seeds",
+            default_seeds: 32,
+            label: "seed",
+            held: "",
+            run: |seed| run_scenario(&ScenarioPlan::from_seed(seed)),
+        },
+        // Multi-tenant gates under client-stream faults and worker crashes.
+        Tier {
+            flag: "gate-seeds",
+            default_seeds: 4,
+            label: "gate seed",
+            held: "serving-tier scenarios held isolation and bit-identity",
+            run: |seed| run_gate_scenario(&GateScenarioPlan::from_seed(seed)),
+        },
+        // Torn appends, bit flips and killed compactions against a real
+        // on-disk log: every reopen recovers exactly the surviving prefix.
+        Tier {
+            flag: "store-seeds",
+            default_seeds: 8,
+            label: "store seed",
+            held: "crash-recovery scenarios recovered the surviving prefix",
+            run: run_store_scenario,
+        },
+        // Whole masters killed mid-tile, the frontend requeueing their
+        // tiles onto the survivors.
+        Tier {
+            flag: "shard-seeds",
+            default_seeds: 4,
+            label: "shard seed",
+            held: "sharded-farm scenarios requeued and merged bit-identical",
+            run: |seed| run_shard_scenario(&ShardScenarioPlan::from_seed(seed)),
+        },
+    ];
+
+    /// Scenario counts of a sweep; each scenario counts once, as a pass
+    /// or a failure, however often it reran.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct Tally {
+        /// Scenarios that held their contract.
+        pub passes: u64,
+        /// Passing scenarios whose plan expected a clean abort.
+        pub aborted: u64,
+        /// Scenarios that did not.
+        pub failures: u64,
+    }
+
+    impl Tally {
+        /// Run one seed of `tier` `repeat` times through `run` and count
+        /// it once. It fails if its verdict failed or if a rerun's line
+        /// differs from the first run's (reported on stderr); the first
+        /// run's report comes back with that folded into `pass`.
+        pub fn scenario(
+            &mut self,
+            tier: &Tier,
+            seed: u64,
+            repeat: u64,
+            mut run: impl FnMut() -> Report,
+        ) -> Report {
+            let mut first = run();
+            for rerun in 1..repeat {
+                let again = run();
+                if again.line != first.line {
+                    eprintln!(
+                        "{} {seed:06}: NONDETERMINISTIC report (rerun {rerun})\n  first: {}\n  again: {}",
+                        tier.label, first.line, again.line
+                    );
+                    first.pass = false;
+                }
+            }
+            self.passes += u64::from(first.pass);
+            self.aborted += u64::from(first.pass && first.aborts);
+            self.failures += u64::from(!first.pass);
+            first
+        }
+
+        /// The sweep's last line.
+        pub fn summary(&self) -> String {
+            format!(
+                "{} scenarios: {} completed bit-identical, {} aborted cleanly, {} failures",
+                self.passes + self.failures,
+                self.passes - self.aborted,
+                self.aborted,
+                self.failures,
+            )
+        }
+    }
+
+    /// The `--out` report: every scenario's canonical line, then the
+    /// summary — no timings, so a rerun of the sweep writes the same bytes.
+    pub fn render_report(lines: &[String], tally: &Tally) -> String {
+        let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        format!(
+            "# rck-chaos scenario report\n\n```\n{body}```\n\n{}\n",
+            tally.summary()
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::chaos::{Tally, Tier};
     use super::*;
+    use rckalign::chaos::Report;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn dataset_caches_have_paper_cardinality() {
@@ -167,5 +298,50 @@ mod tests {
     fn claim_rendering() {
         let c = Claim::new("x beats y", true, "1 < 2".into());
         assert!(c.render().starts_with("[HOLDS]"));
+    }
+
+    /// A scenario that passes but whose line changes on every call fails
+    /// once under `--repeat`, however many reruns disagree, and is not
+    /// counted as a pass.
+    #[test]
+    fn a_scenario_whose_reruns_disagree_fails_once() {
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        let drifting = Tier {
+            flag: "drift-seeds",
+            default_seeds: 1,
+            label: "drift seed",
+            held: "",
+            run: |seed| Report {
+                line: format!(
+                    "drift seed {seed} call {}",
+                    CALLS.fetch_add(1, Ordering::Relaxed)
+                ),
+                pass: true,
+                aborts: true,
+                notes: Vec::new(),
+            },
+        };
+        let mut tally = Tally::default();
+        let report = tally.scenario(&drifting, 5, 3, || (drifting.run)(5));
+        assert!(!report.pass, "a drifting line must fail the scenario");
+        assert_eq!(
+            report.line, "drift seed 5 call 0",
+            "the first run is reported"
+        );
+        assert_eq!(CALLS.load(Ordering::Relaxed), 3);
+        let once = Tally {
+            passes: 0,
+            aborted: 0,
+            failures: 1,
+        };
+        assert_eq!(tally, once);
+        assert_eq!(
+            tally.summary(),
+            "1 scenarios: 0 completed bit-identical, 0 aborted cleanly, 1 failures"
+        );
+        // Without reruns the same scenario passes.
+        let report = tally.scenario(&drifting, 5, 1, || (drifting.run)(5));
+        assert!(report.pass);
+        assert_eq!((tally.passes, tally.aborted, tally.failures), (1, 1, 1));
     }
 }

@@ -19,7 +19,8 @@
 //! * [`serial`] + [`cpu::CpuModel`] — the serial baselines (Table III);
 //! * [`experiments`] — one driver per table/figure;
 //! * [`mcpsc`], [`hierarchy`], [`loadbalance`] — the extensions;
-//! * [`report`] — text tables and ASCII figures.
+//! * [`report`] — text tables and ASCII figures;
+//! * [`chaos`] — the one scenario core under every seeded fault harness.
 //!
 //! ```
 //! use rckalign::{run_all_vs_all, PairCache, RckAlignOptions};
@@ -35,6 +36,7 @@
 pub mod analysis;
 pub mod app;
 pub mod cache;
+pub mod chaos;
 pub mod cli;
 pub mod consensus;
 pub mod cpu;

@@ -18,15 +18,17 @@
 //!   has no effect on the others (isolation, not delivery, is the
 //!   contract under chaos).
 
-use crate::{reference_ranking, Gate, GateClient, GateConfig};
+use crate::{rankings_bit_identical, reference_ranking, Gate, GateClient, GateConfig};
 use rck_obs::Registry;
-use rck_serve::chaos::{ChaosCounters, FaultPlan, FaultProfile, WriteChaos};
+use rck_serve::chaos::{
+    worker_config, ChaosCounters, FaultPlan, FaultProfile, SessionBehavior, WriteChaos,
+};
 use rck_serve::proto::QuerySubmit;
+use rck_serve::run_worker_conn;
 use rck_serve::transport::MemNet;
-use rck_serve::{run_worker_conn, WorkerConfig};
 use rck_tmalign::MethodKind;
+use rckalign::chaos::Report;
 use rckalign::consensus::Combiner;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 /// What one seeded gate scenario will do (deterministic given the seed).
@@ -68,47 +70,8 @@ impl GateScenarioPlan {
     }
 }
 
-/// Outcome of one gate scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GateScenarioResult {
-    /// The plan that ran.
-    pub plan: GateScenarioPlan,
-    /// Healthy queries whose ranking matched the reference bit-for-bit.
-    pub bit_identical: usize,
-    /// Whether the faulted tenant's session ended without poisoning
-    /// anything (trivially true when no faulty client ran).
-    pub isolated: bool,
-    /// Invariant violations, empty on success.
-    pub failures: Vec<String>,
-}
-
-impl GateScenarioResult {
-    /// One-line summary; deterministic for a given seed, so the chaos
-    /// driver can re-run a scenario and diff the lines.
-    pub fn report_line(&self) -> String {
-        format!(
-            "gate seed {}: {} tenants x {} queries (db {}, batch {}, crash_worker {}, faulty_client {}) -> {}/{} bit-identical, isolation {}",
-            self.plan.seed,
-            self.plan.n_tenants,
-            self.plan.queries_per_tenant,
-            self.plan.n_db,
-            self.plan.batch_size,
-            self.plan.crash_worker,
-            self.plan.faulty_client,
-            self.bit_identical,
-            self.plan.healthy_queries(),
-            if self.isolated { "held" } else { "BROKEN" },
-        )
-    }
-
-    /// Whether every invariant held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 /// Run one seeded scenario end to end over the in-memory network.
-pub fn run_gate_scenario(plan: &GateScenarioPlan) -> GateScenarioResult {
+pub fn run_gate_scenario(plan: &GateScenarioPlan) -> Report {
     let mut db = rck_pdb::datasets::tiny_profile().generate(subseed(plan.seed, 7));
     db.truncate(plan.n_db);
     // Query chains come from a different seed so they are not database
@@ -136,23 +99,18 @@ pub fn run_gate_scenario(plan: &GateScenarioPlan) -> GateScenarioResult {
     let gate_thread = std::thread::spawn(move || gate.run());
 
     // Two clean workers keep the farm live whatever else dies.
+    let crasher = (
+        SessionBehavior::Crash { after_batches: 1 },
+        "crasher".to_string(),
+    );
+    let workers = (0..2)
+        .map(|w| (SessionBehavior::Clean, format!("clean-{w}")))
+        .chain(plan.crash_worker.then_some(crasher));
     let mut worker_threads = Vec::new();
-    for w in 0..2 {
+    for (behavior, name) in workers {
         let conn = worker_net.connect().expect("worker connect");
+        let cfg = worker_config(behavior, name, Duration::from_millis(50));
         worker_threads.push(std::thread::spawn(move || {
-            let mut cfg = WorkerConfig::connect_to(SocketAddr::from(([127, 0, 0, 1], 0)));
-            cfg.name = format!("clean-{w}");
-            cfg.heartbeat_interval = Duration::from_millis(50);
-            let _ = run_worker_conn(conn, &cfg);
-        }));
-    }
-    if plan.crash_worker {
-        let conn = worker_net.connect().expect("worker connect");
-        worker_threads.push(std::thread::spawn(move || {
-            let mut cfg = WorkerConfig::connect_to(SocketAddr::from(([127, 0, 0, 1], 0)));
-            cfg.name = "crasher".to_string();
-            cfg.heartbeat_interval = Duration::from_millis(50);
-            cfg.fail_after_batches = Some(1);
             let _ = run_worker_conn(conn, &cfg);
         }));
     }
@@ -266,26 +224,28 @@ pub fn run_gate_scenario(plan: &GateScenarioPlan) -> GateScenarioResult {
     for w in worker_threads {
         let _ = w.join();
     }
-    GateScenarioResult {
-        plan: plan.clone(),
-        bit_identical,
-        isolated,
-        failures,
+    Report {
+        line: format!(
+            "gate seed {}: {} tenants x {} queries (db {}, batch {}, crash_worker {}, faulty_client {}) -> {}/{} bit-identical, isolation {}",
+            plan.seed,
+            plan.n_tenants,
+            plan.queries_per_tenant,
+            plan.n_db,
+            plan.batch_size,
+            plan.crash_worker,
+            plan.faulty_client,
+            bit_identical,
+            plan.healthy_queries(),
+            if isolated { "held" } else { "BROKEN" },
+        ),
+        pass: failures.is_empty(),
+        aborts: false,
+        notes: failures.iter().map(|f| format!(": {f}")).collect(),
     }
 }
 
-/// Exact f64 comparison by bits — the fidelity bar everywhere else in
-/// the repository.
-fn rankings_bit_identical(got: &[(u32, f64)], want: &[(u32, f64)]) -> bool {
-    got.len() == want.len()
-        && got
-            .iter()
-            .zip(want)
-            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-}
-
 /// SplitMix64 over `seed + (stream + 1) · φ`. Not the mix of
-/// `rck_serve::chaos::subseed` (that one xors the stream in, without the
+/// `rckalign::chaos::subseed` (that one xors the stream in, without the
 /// offset): switching would re-derive every gate plan and change every
 /// gate line of the chaos report, so the two stay apart.
 fn subseed(seed: u64, stream: u64) -> u64 {
@@ -315,9 +275,12 @@ mod tests {
 
     #[test]
     fn one_scenario_end_to_end() {
-        let result = run_gate_scenario(&GateScenarioPlan::from_seed(5));
-        assert!(result.passed(), "failures: {:?}", result.failures);
-        assert_eq!(result.bit_identical, result.plan.healthy_queries());
-        assert!(result.report_line().contains("bit-identical"));
+        let plan = GateScenarioPlan::from_seed(5);
+        let report = run_gate_scenario(&plan);
+        assert!(report.pass, "failures: {:?}", report.notes);
+        let all = plan.healthy_queries();
+        assert!(report
+            .line
+            .contains(&format!("-> {all}/{all} bit-identical")));
     }
 }

@@ -410,6 +410,16 @@ pub fn reference_ranking(
     ranking_from_outcomes(n, &outcomes, methods, combiner)
 }
 
+/// Whether a ranking matches the reference by exact f64 bits — the
+/// fidelity bar everywhere else in the repository.
+pub fn rankings_bit_identical(got: &[(u32, f64)], want: &[(u32, f64)]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+}
+
 /// Fold accepted outcomes into the final ranking rows of a
 /// [`rck_serve::QueryDone`]: consensus neighbours of the query (virtual
 /// index `n`), best first, indices narrowed back to `u32`.

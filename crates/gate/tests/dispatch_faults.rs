@@ -30,7 +30,6 @@
 use rck_gate::{reference_ranking, Gate, GateClient, GateConfig};
 use rck_pdb::datasets::tiny_profile;
 use rck_pdb::model::CaChain;
-use rck_serve::chaos::outcomes_fingerprint;
 use rck_serve::dispatch::hello;
 use rck_serve::proto::{
     self, Frame, Heartbeat, JobBatch, QuerySubmit, ResultBatch, StealRequest, TileGrant, TileResult,
@@ -38,6 +37,7 @@ use rck_serve::proto::{
 use rck_serve::{run_worker_conn, Conn, Master, MasterConfig, MemNet, WorkerConfig};
 use rck_shard::{ShardConfig, ShardFrontend};
 use rck_tmalign::MethodKind;
+use rckalign::chaos::outcomes_fingerprint;
 use rckalign::PairOutcome;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::net::SocketAddr;

@@ -18,8 +18,8 @@
 //!   fault in `rck_chaos_*` counters on the master's metric registry;
 //! * [`ScenarioPlan`] / [`run_scenario`] — a complete seeded scenario:
 //!   a dataset, a master over the in-memory transport, worker slots with
-//!   crash/hang/slow session scripts, and a verdict checked against the
-//!   in-process [`rckalign::run_all_vs_all`] ground truth.
+//!   crash/hang/slow session scripts, and a [`Verdict`] checked against
+//!   the in-process ground truth ([`rckalign::chaos::truth`]).
 //!
 //! The contract a scenario verifies is the serve layer's core promise:
 //! **if the run completes, the matrix is bit-identical to the in-process
@@ -34,13 +34,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rck_obs::{Counter, Registry};
 use rck_tmalign::MethodKind;
+use rckalign::chaos::{subseed, truth, Report, Verdict};
 use rckalign::loadbalance::JobOrdering;
-use rckalign::{
-    fnv1a64, run_all_vs_all, PairCache, PairOutcome, RckAlignOptions, SimilarityMatrix,
-};
+use rckalign::SimilarityMatrix;
 use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// The benchmark package (`benchmark/`) calls the fingerprint by this path.
+pub use rckalign::chaos::outcomes_fingerprint;
 
 /// One frame-level fault, scheduled for a specific write operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,16 +420,6 @@ pub struct ScenarioPlan {
     pub expect_complete: bool,
 }
 
-/// An independent seed stream per `tag` of one scenario seed
-/// (splitmix-style mixing); the shard harness derives its plans the same
-/// way.
-pub fn subseed(seed: u64, tag: u64) -> u64 {
-    let mut z = seed ^ tag.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl ScenarioPlan {
     /// Derive the whole scenario from `seed`.
     pub fn from_seed(seed: u64) -> ScenarioPlan {
@@ -552,83 +544,12 @@ impl ScenarioPlan {
     }
 }
 
-/// How a scenario ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// The master assembled a matrix bit-identical to the in-process
-    /// ground truth.
-    CompletedIdentical {
-        /// FNV-1a fingerprint of the accepted outcomes.
-        matrix_fnv: u64,
-    },
-    /// The master completed but the matrix differs — the failure the
-    /// harness exists to catch. Always a scenario failure.
-    CompletedDivergent {
-        /// Fingerprint of the (wrong) served outcomes.
-        got_fnv: u64,
-        /// Fingerprint of the expected outcomes.
-        want_fnv: u64,
-    },
-    /// The master reported a clean failure after the driver aborted an
-    /// unrecoverable schedule.
-    AbortedClean,
-    /// The master returned an unexpected error.
-    MasterError(String),
-}
-
-impl Verdict {
-    fn describe(&self) -> String {
-        match self {
-            Verdict::CompletedIdentical { matrix_fnv } => {
-                format!("completed matrix=bit-identical fnv={matrix_fnv:#018x}")
-            }
-            Verdict::CompletedDivergent { got_fnv, want_fnv } => {
-                format!("completed matrix=DIVERGENT got={got_fnv:#018x} want={want_fnv:#018x}")
-            }
-            Verdict::AbortedClean => "aborted-clean".to_string(),
-            Verdict::MasterError(e) => format!("master-error({e})"),
-        }
-    }
-}
-
-/// Outcome of [`run_scenario`].
-#[derive(Debug, Clone)]
-pub struct ScenarioResult {
-    /// The plan that ran.
-    pub plan: ScenarioPlan,
-    /// How it ended.
-    pub verdict: Verdict,
-    /// Whether the verdict matches the plan's expectation.
-    pub pass: bool,
-    /// The canonical, deterministic report line (plan + verdict).
-    pub report_line: String,
-    /// Observed `rck_chaos_*` / serve counters — informative, *not*
-    /// deterministic (fault firing depends on thread interleaving).
-    pub observed: String,
-}
-
-/// Fingerprint a set of outcomes, order-independently of arrival (sorted
-/// by pair first).
-pub fn outcomes_fingerprint(outcomes: &[PairOutcome]) -> u64 {
-    let mut sorted: Vec<&PairOutcome> = outcomes.iter().collect();
-    sorted.sort_by_key(|o| (o.i, o.j));
-    let mut h = 0u64;
-    for o in sorted {
-        h = fnv1a64(h, &o.i.to_le_bytes());
-        h = fnv1a64(h, &o.j.to_le_bytes());
-        h = fnv1a64(h, &[o.method.code()]);
-        h = fnv1a64(h, &o.similarity.to_bits().to_le_bytes());
-        h = fnv1a64(h, &o.rmsd.to_bits().to_le_bytes());
-        h = fnv1a64(h, &o.aligned_len.to_le_bytes());
-        h = fnv1a64(h, &o.ops.to_le_bytes());
-    }
-    h
-}
-
-fn worker_config(behavior: SessionBehavior, name: String) -> WorkerConfig {
+/// The worker every chaos scenario runs: `behavior`'s crash, hang or
+/// slowdown script on top of a worker that beats every `heartbeat`.
+pub fn worker_config(behavior: SessionBehavior, name: String, heartbeat: Duration) -> WorkerConfig {
     let mut cfg = WorkerConfig::connect_to("127.0.0.1:0".parse().expect("addr"));
     cfg.name = name;
-    cfg.heartbeat_interval = Duration::from_millis(40);
+    cfg.heartbeat_interval = heartbeat;
     match behavior {
         SessionBehavior::Clean => {}
         SessionBehavior::Crash { after_batches } => cfg.fail_after_batches = Some(after_batches),
@@ -643,18 +564,10 @@ fn worker_config(behavior: SessionBehavior, name: String) -> WorkerConfig {
 /// Run one seeded scenario end-to-end over the in-memory transport.
 ///
 /// The dataset, master, worker schedule, and fault plans all derive from
-/// `plan.seed`; the verdict is checked against the in-process
-/// `run_all_vs_all` ground truth.
-pub fn run_scenario(plan: &ScenarioPlan) -> ScenarioResult {
-    let chains = {
-        let mut c = rck_pdb::datasets::tiny_profile().generate(subseed(plan.seed, 7));
-        c.truncate(plan.n_chains);
-        c
-    };
-    let expected_outcomes = {
-        let cache = PairCache::new(chains.clone());
-        run_all_vs_all(&cache, &RckAlignOptions::paper(4)).outcomes
-    };
+/// `plan.seed`; the verdict is checked against the in-process ground
+/// truth, outcomes and assembled matrix both.
+pub fn run_scenario(plan: &ScenarioPlan) -> Report {
+    let (chains, expected_outcomes) = truth(plan.seed, plan.n_chains);
     let expected_matrix = SimilarityMatrix::from_outcomes(chains.len(), &expected_outcomes);
     let want_fnv = outcomes_fingerprint(&expected_outcomes);
 
@@ -703,7 +616,8 @@ pub fn run_scenario(plan: &ScenarioPlan) -> ScenarioResult {
                     if let SessionBehavior::Slow { .. } = script.behavior {
                         counters.worker_slowdowns.inc();
                     }
-                    let cfg = worker_config(script.behavior, format!("w{slot}s{s}"));
+                    let name = format!("w{slot}s{s}");
+                    let cfg = worker_config(script.behavior, name, Duration::from_millis(40));
                     match run_worker_conn(conn, &cfg) {
                         Ok(report) if !report.failed_by_injection => break, // orderly Shutdown
                         Ok(_) => match script.behavior {
@@ -727,24 +641,18 @@ pub fn run_scenario(plan: &ScenarioPlan) -> ScenarioResult {
     }
     let run = master_thread.join().expect("master thread");
 
-    let verdict = match run {
-        Ok(run) => {
-            let got_fnv = outcomes_fingerprint(&run.outcomes);
-            if run.matrix == expected_matrix && got_fnv == want_fnv {
-                Verdict::CompletedIdentical {
-                    matrix_fnv: got_fnv,
-                }
-            } else {
-                Verdict::CompletedDivergent { got_fnv, want_fnv }
+    let verdict = match Verdict::judge(run.as_ref().map(|r| &r.outcomes[..]), want_fnv) {
+        // The assembled matrix must agree too, not only the outcomes.
+        Verdict::CompletedIdentical { matrix_fnv }
+            if run.as_ref().is_ok_and(|r| r.matrix != expected_matrix) =>
+        {
+            Verdict::CompletedDivergent {
+                got_fnv: matrix_fnv,
+                want_fnv,
             }
         }
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => Verdict::AbortedClean,
-        Err(e) => Verdict::MasterError(e.to_string()),
+        verdict => verdict,
     };
-    let pass = matches!(
-        (&verdict, plan.expect_complete),
-        (Verdict::CompletedIdentical { .. }, true) | (Verdict::AbortedClean, false)
-    );
     // Requeue accounting must balance on every completed run: each
     // dispatched job either completed fresh, arrived as a duplicate of a
     // completed pair, or was requeued.
@@ -754,7 +662,7 @@ pub fn run_scenario(plan: &ScenarioPlan) -> ScenarioResult {
     } else {
         true
     };
-    let report_line = format!(
+    let line = format!(
         "{} → {}{}",
         plan.describe(),
         verdict.describe(),
@@ -782,12 +690,11 @@ pub fn run_scenario(plan: &ScenarioPlan) -> ScenarioResult {
         snap.mismatched_results,
         snap.workers_lost,
     );
-    ScenarioResult {
-        plan: plan.clone(),
-        verdict,
-        pass: pass && balanced,
-        report_line,
-        observed,
+    Report {
+        line,
+        pass: verdict.passes(plan.expect_complete) && balanced,
+        aborts: !plan.expect_complete,
+        notes: vec![format!(" observed: {observed}")],
     }
 }
 
@@ -885,28 +792,5 @@ mod tests {
             (0..40).any(|s| !ScenarioPlan::from_seed(s).expect_complete),
             "no unrecoverable schedule in the first 40 seeds"
         );
-    }
-
-    #[test]
-    fn fingerprint_ignores_arrival_order_but_not_values() {
-        let a = PairOutcome {
-            i: 0,
-            j: 1,
-            method: MethodKind::TmAlign,
-            similarity: 0.5,
-            rmsd: 2.0,
-            aligned_len: 10,
-            ops: 100,
-        };
-        let b = PairOutcome {
-            i: 0,
-            j: 2,
-            similarity: 0.25,
-            ..a
-        };
-        assert_eq!(outcomes_fingerprint(&[a, b]), outcomes_fingerprint(&[b, a]));
-        let mut c = b;
-        c.similarity = 0.26;
-        assert_ne!(outcomes_fingerprint(&[a, b]), outcomes_fingerprint(&[a, c]));
     }
 }

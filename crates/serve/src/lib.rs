@@ -36,9 +36,10 @@
 //!   throughput table ([`stats::StatsSnapshot::render`]);
 //! * [`transport`] — the pluggable byte-stream seam: real TCP, or the
 //!   deterministic in-memory network ([`transport::MemNet`]);
-//! * [`chaos`] — seeded fault plans and end-to-end fault scenarios
-//!   ([`chaos::run_scenario`]) proving the requeue/heartbeat/dedup
-//!   machinery never yields a wrong matrix and never deadlocks.
+//! * [`chaos`] — seeded frame-fault plans and the farm's end-to-end
+//!   fault scenarios ([`chaos::run_scenario`], one of the four runs over
+//!   `rckalign::chaos`) proving the requeue/heartbeat/dedup machinery
+//!   never yields a wrong matrix and never deadlocks.
 //!
 //! ```no_run
 //! use rck_serve::{Master, MasterConfig, WorkerConfig};
@@ -63,7 +64,7 @@ pub mod sync;
 pub mod transport;
 pub mod worker;
 
-pub use chaos::{run_scenario, FaultPlan, FaultProfile, ScenarioPlan, ScenarioResult};
+pub use chaos::{run_scenario, FaultPlan, FaultProfile, ScenarioPlan};
 pub use master::{AbortHandle, FeedHandle, Master, MasterConfig, ServeRun, TileDone};
 pub use proto::{
     Frame, FrameError, QueryDone, QueryPartial, QueryReject, QuerySubmit, StealRequest, TileGrant,

@@ -749,9 +749,9 @@ mod tests {
         let cache = rckalign::PairCache::new(chains.clone());
         let expected =
             rckalign::run_all_vs_all(&cache, &rckalign::RckAlignOptions::paper(2)).outcomes;
-        let want = crate::chaos::outcomes_fingerprint(&expected);
+        let want = rckalign::chaos::outcomes_fingerprint(&expected);
         assert_eq!(run.matrix.len(), n);
-        assert_eq!(crate::chaos::outcomes_fingerprint(&run.outcomes), want);
+        assert_eq!(rckalign::chaos::outcomes_fingerprint(&run.outcomes), want);
         assert_eq!(
             run.matrix,
             SimilarityMatrix::from_outcomes(n, &expected),
@@ -759,7 +759,7 @@ mod tests {
         );
         // And so is merge-on-read over the streamed tiles.
         let merged: Vec<PairOutcome> = rckalign::merge_outcomes(tile_results);
-        assert_eq!(crate::chaos::outcomes_fingerprint(&merged), want);
+        assert_eq!(rckalign::chaos::outcomes_fingerprint(&merged), want);
     }
 
     /// A re-grant of a tile still pending, a pending pair under a new

@@ -199,10 +199,10 @@ fn chaos_scenarios_are_deterministic_and_pass() {
         let plan = ScenarioPlan::from_seed(seed);
         let a = run_scenario(&plan);
         let b = run_scenario(&plan);
-        assert!(a.pass, "seed {seed} failed: {}", a.report_line);
-        assert!(b.pass, "seed {seed} rerun failed: {}", b.report_line);
+        assert!(a.pass, "seed {seed} failed: {}", a.line);
+        assert!(b.pass, "seed {seed} rerun failed: {}", b.line);
         assert_eq!(
-            a.report_line, b.report_line,
+            a.line, b.line,
             "seed {seed} produced a nondeterministic report"
         );
     }

@@ -17,10 +17,11 @@ use crate::frontend::{ShardConfig, ShardFrontend};
 use crate::master::{run_shard_master, ShardMasterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rck_serve::chaos::{outcomes_fingerprint, subseed};
-use rck_serve::{run_worker_conn, MasterConfig, MemNet, WorkerConfig};
+use rck_serve::chaos::{worker_config, SessionBehavior};
+use rck_serve::{run_worker_conn, MasterConfig, MemNet};
 use rck_tmalign::MethodKind;
-use rckalign::{run_all_vs_all, tile_partition, PairCache, RckAlignOptions};
+use rckalign::chaos::{outcomes_fingerprint, subseed, truth, Report, Verdict};
+use rckalign::tile_partition;
 use std::time::Duration;
 
 /// A complete seeded shard scenario, fully determined by its seed.
@@ -92,36 +93,11 @@ impl ShardScenarioPlan {
     }
 }
 
-/// Outcome of [`run_shard_scenario`].
-#[derive(Debug, Clone)]
-pub struct ShardScenarioReport {
-    /// The plan that ran.
-    pub plan: ShardScenarioPlan,
-    /// Whether the merged matrix was bit-identical to the ground truth.
-    pub pass: bool,
-    /// FNV-1a fingerprint of the merged outcomes.
-    pub matrix_fnv: u64,
-    /// The canonical, deterministic report line (plan + fingerprint +
-    /// verdict).
-    pub report_line: String,
-    /// Observed shard counters — informative, *not* deterministic
-    /// (steal and requeue counts depend on thread interleaving).
-    pub observed: String,
-}
-
 /// Run one seeded scenario end-to-end over in-memory transports: one
 /// frontend, `plan.masters` shard masters each with its own MemNet and
 /// worker pool, and (per the plan) one master killed mid-tile.
-pub fn run_shard_scenario(plan: &ShardScenarioPlan) -> ShardScenarioReport {
-    let chains = {
-        let mut c = rck_pdb::datasets::tiny_profile().generate(subseed(plan.seed, 7));
-        c.truncate(plan.n_chains);
-        c
-    };
-    let expected = {
-        let cache = PairCache::new(chains.clone());
-        run_all_vs_all(&cache, &RckAlignOptions::paper(4)).outcomes
-    };
+pub fn run_shard_scenario(plan: &ShardScenarioPlan) -> Report {
+    let (chains, expected) = truth(plan.seed, plan.n_chains);
     let want_fnv = outcomes_fingerprint(&expected);
 
     let net = MemNet::new();
@@ -168,9 +144,8 @@ pub fn run_shard_scenario(plan: &ShardScenarioPlan) -> ShardScenarioReport {
                 let Ok(conn) = worker_net.connect() else {
                     return;
                 };
-                let mut cfg = WorkerConfig::connect_to("127.0.0.1:0".parse().expect("addr"));
-                cfg.name = format!("m{m}w{w}");
-                cfg.heartbeat_interval = Duration::from_millis(40);
+                let name = format!("m{m}w{w}");
+                let cfg = worker_config(SessionBehavior::Clean, name, Duration::from_millis(40));
                 let _ = run_worker_conn(conn, &cfg);
             }));
         }
@@ -186,25 +161,10 @@ pub fn run_shard_scenario(plan: &ShardScenarioPlan) -> ShardScenarioReport {
     }
     let run = frontend_thread.join().expect("frontend thread");
 
-    let (pass, matrix_fnv, verdict) = match run {
-        Ok(run) => {
-            let got_fnv = outcomes_fingerprint(&run.outcomes);
-            if got_fnv == want_fnv {
-                (true, got_fnv, "completed matrix=bit-identical".to_string())
-            } else {
-                (
-                    false,
-                    got_fnv,
-                    format!("completed matrix=DIVERGENT want={want_fnv:#018x}"),
-                )
-            }
-        }
-        Err(e) => (false, 0, format!("frontend-error({e})")),
-    };
-    let report_line = format!("{} → {} fnv={:#018x}", plan.describe(), verdict, matrix_fnv);
+    let verdict = Verdict::judge(run.as_ref().map(|r| &r.outcomes[..]), want_fnv);
     let snap = stats.snapshot();
     let observed = format!(
-        "granted={} completed={} requeued={} stolen={} duplicates={} mismatched={} \
+        " observed: granted={} completed={} requeued={} stolen={} duplicates={} mismatched={} \
          masters_connected={} masters_lost={} store_pairs={}",
         snap.tiles_granted,
         snap.tiles_completed,
@@ -216,12 +176,11 @@ pub fn run_shard_scenario(plan: &ShardScenarioPlan) -> ShardScenarioReport {
         snap.masters_lost,
         snap.store_pairs,
     );
-    ShardScenarioReport {
-        plan: plan.clone(),
-        pass,
-        matrix_fnv,
-        report_line,
-        observed,
+    Report {
+        line: format!("{} → {}", plan.describe(), verdict.describe()),
+        pass: verdict.passes(true),
+        aborts: false,
+        notes: vec![observed],
     }
 }
 
@@ -261,7 +220,7 @@ mod tests {
             .expect("a clean small seed exists");
         let plan = ShardScenarioPlan::from_seed(seed);
         let report = run_shard_scenario(&plan);
-        assert!(report.pass, "{}\n{}", report.report_line, report.observed);
+        assert!(report.pass, "{}\n{:?}", report.line, report.notes);
     }
 
     #[test]
@@ -274,6 +233,6 @@ mod tests {
             .expect("a killed-master small seed exists");
         let plan = ShardScenarioPlan::from_seed(seed);
         let report = run_shard_scenario(&plan);
-        assert!(report.pass, "{}\n{}", report.report_line, report.observed);
+        assert!(report.pass, "{}\n{:?}", report.line, report.notes);
     }
 }

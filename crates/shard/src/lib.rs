@@ -44,7 +44,7 @@ pub mod frontend;
 pub mod master;
 pub mod stats;
 
-pub use chaos::{run_shard_scenario, ShardScenarioPlan, ShardScenarioReport};
+pub use chaos::{run_shard_scenario, ShardScenarioPlan};
 pub use frontend::{ShardAbortHandle, ShardConfig, ShardFrontend, ShardRun};
 pub use master::{run_shard_master, ShardMasterConfig, ShardMasterReport};
 pub use stats::{ShardSnapshot, ShardStats};

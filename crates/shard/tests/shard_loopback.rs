@@ -4,12 +4,12 @@
 
 use rck_pdb::datasets::tiny_profile;
 use rck_pdb::model::CaChain;
-use rck_serve::chaos::outcomes_fingerprint;
 use rck_serve::dispatch::hello;
 use rck_serve::proto::{self, Frame, StealRequest, TileGrant, TileResult};
 use rck_serve::{run_worker_conn, Conn, Listener, Master, MasterConfig, MemNet, WorkerConfig};
 use rck_shard::{run_shard_master, ShardConfig, ShardFrontend, ShardMasterConfig};
 use rck_tmalign::MethodKind;
+use rckalign::chaos::outcomes_fingerprint;
 use rckalign::{
     all_vs_all, run_all_vs_all, tile_partition, PairCache, PairOutcome, RckAlignOptions,
     SimilarityMatrix, StoreBinding,

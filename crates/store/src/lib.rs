@@ -23,10 +23,10 @@
 //!
 //! Everything is instrumented through the `rck_store_*` counter
 //! families ([`StoreCounters`]), and the failure behavior is testable
-//! deterministically: [`fault::StoreFaultPlan`] schedules torn writes,
-//! bit flips and kill-mid-compaction from a seed, and
-//! [`fault::run_store_scenario`] drives a store through such a plan
-//! while checking the recovery invariants after every simulated crash.
+//! deterministically: [`Store::append_torn`] and [`Store::compact_torn`]
+//! are the fault hooks (a kill mid-append, a kill mid-compaction), and
+//! the seeded crash-recovery scenario that drives them, together with
+//! bit flips in the log body, is `rckalign::chaos::run_store_scenario`.
 //!
 //! ```
 //! use rck_store::{PairKey, Store, StoreConfig, StoredPair};
@@ -47,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod log;
 pub mod stats;
 

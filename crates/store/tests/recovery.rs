@@ -1,51 +1,13 @@
-//! Seeded crash-recovery integration tests (satellite of the store
-//! issue): drive a store through [`rck_store::fault::StoreFaultPlan`]
-//! schedules — kills mid-append, bit flips, kills mid-compaction — and
+//! Crash-recovery integration tests for the store's fault hooks: kill
+//! mid-append at every torn prefix length, kill mid-compaction, and
 //! assert that every reopen rebuilds an index equal to the surviving
-//! log, deterministically, across at least the 8 seeds CI pins.
+//! log. The seeded scenario that mixes these with bit flips is
+//! `rckalign::chaos::run_store_scenario` (tested in `crates/core`).
 
 use rck_obs::Registry;
-use rck_store::fault::{run_store_scenario, StoreFaultPlan, StoreFaultProfile};
 use rck_store::{PairKey, Store, StoreConfig, StoredPair};
 use std::fs;
 use std::path::PathBuf;
-
-/// The CI seed battery. Every seed must recover with zero invariant
-/// violations; the per-seed fingerprints in `scenario_reports_replay`
-/// pin the exact surviving contents.
-const SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
-
-#[test]
-fn eight_seeds_recover_with_zero_failures() {
-    for seed in SEEDS {
-        let report = run_store_scenario(seed);
-        assert_eq!(
-            report.failures,
-            0,
-            "seed {seed} violated recovery invariants: {}",
-            report.report_line()
-        );
-        assert!(
-            report.torn_appends + report.bit_flips + report.killed_compactions > 0,
-            "seed {seed} scheduled no faults — the battery is vacuous"
-        );
-        assert!(report.reopens > 0, "seed {seed} never crashed");
-    }
-}
-
-#[test]
-fn scenario_reports_replay_bit_identically() {
-    for seed in SEEDS {
-        let first = run_store_scenario(seed);
-        let second = run_store_scenario(seed);
-        assert_eq!(
-            first.report_line(),
-            second.report_line(),
-            "seed {seed} is not deterministic"
-        );
-        assert_eq!(first.fingerprint, second.fingerprint);
-    }
-}
 
 fn scratch(name: &str) -> PathBuf {
     let dir =
@@ -136,12 +98,4 @@ fn mid_compaction_kill_loses_nothing() {
             assert!(s.get(&k).unwrap().same_bits(&p));
         }
     }
-}
-
-/// A plan with only clean slots runs a store to the end with no
-/// reopen-side effects — the harness itself injects nothing.
-#[test]
-fn clean_profile_schedules_nothing() {
-    let plan = StoreFaultPlan::generate(1234, &StoreFaultProfile::CLEAN);
-    assert_eq!(plan.scheduled(), 0);
 }

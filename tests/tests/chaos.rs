@@ -17,12 +17,12 @@ fn seeded_scenarios_pass_and_reproduce() {
         let first = run_scenario(&plan);
         assert!(
             first.pass,
-            "seed {seed}: scenario failed: {}\n  observed: {}",
-            first.report_line, first.observed
+            "seed {seed}: scenario failed: {}\n {:?}",
+            first.line, first.notes
         );
         let again = run_scenario(&plan);
         assert_eq!(
-            first.report_line, again.report_line,
+            first.line, again.line,
             "seed {seed}: report not reproducible"
         );
     }

@@ -8,8 +8,9 @@
 //! and a metric `BENCHMARK.json` declares, every crate root re-exports
 //! only what something outside the crate names, only the dispatcher
 //! accepts connections or runs a deadline monitor, FNV-1a has one body
-//! in the tree, no serving tier's stats wraps a handle in a method, and
-//! DESIGN.md's generated contract blocks each have one pair of markers.
+//! in the tree, the chaos harnesses share one scenario core, no serving
+//! tier's stats wraps a handle in a method, and DESIGN.md's generated
+//! contract blocks each have one pair of markers.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -327,7 +328,6 @@ const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
         "PROTOCOL_VERSION",
         "the version every Hello carries (DESIGN §6): a peer built outside this workspace needs it",
     ),
-    ("ScenarioResult", "rck_serve::run_scenario (rck_chaos)"),
     (
         "AbortHandle",
         "Master::abort_handle (rck_served, shard master)",
@@ -345,10 +345,6 @@ const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
         "GateClient::run_query (rck_loadgen, rck_report)",
     ),
     ("GateSnapshot", "GateReport::stats (rck_gate, rck_loadgen)"),
-    (
-        "ShardScenarioReport",
-        "rck_shard::run_shard_scenario (rck_chaos)",
-    ),
     (
         "ShardAbortHandle",
         "ShardFrontend::abort_handle (benchmark rigs)",
@@ -523,6 +519,55 @@ fn fnv1a_has_one_body() {
         }
     }
     assert_eq!(bodies.len(), 1, "`fn fnv1a64` bodies: {bodies:#?}");
+}
+
+/// One scenario core under the four chaos harnesses: every run returns
+/// `rckalign::chaos::Report`, so no tier keeps a result type of its own;
+/// `fn subseed` has two bodies, the core's and the gate's distinct mix
+/// (switching the gate would re-derive every gate line of the golden
+/// report); and the store's private fault module is gone.
+#[test]
+fn chaos_harnesses_share_one_scenario_core() {
+    let root = repo_root();
+    let mut subseeds = Vec::new();
+    let mut result_types = Vec::new();
+    let mut files = Vec::new();
+    walk(&root.join("crates"), &mut files);
+    for path in files
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+    {
+        let text = fs::read_to_string(path).expect("source is UTF-8");
+        let rel = path.strip_prefix(&root).expect("below the root");
+        for (n, line) in text.lines().enumerate() {
+            if names(line, "fn subseed") {
+                subseeds.push(rel.display().to_string());
+            }
+            let declared = ["struct ", "enum ", "type "]
+                .iter()
+                .filter_map(|kw| line.split_once(kw).map(|(_, rest)| rest))
+                .filter_map(|rest| rest.split(|c: char| !c.is_ascii_alphanumeric()).next());
+            for name in declared {
+                if name.ends_with("ScenarioResult") || name.ends_with("ScenarioReport") {
+                    result_types.push(format!("{}:{}: {name}", rel.display(), n + 1));
+                }
+            }
+        }
+    }
+    subseeds.sort();
+    assert_eq!(
+        subseeds,
+        ["crates/core/src/chaos.rs", "crates/gate/src/chaos.rs"],
+        "`fn subseed` bodies"
+    );
+    assert!(
+        result_types.is_empty(),
+        "per-tier scenario result types: {result_types:#?}"
+    );
+    assert!(!root.join("crates/store/src/fault.rs").exists());
+    assert_unmentioned(&["rck_store::fault", "store::fault::"], |path| {
+        !is_history(path) && !path.ends_with(THIS_FILE)
+    });
 }
 
 /// Whether a method body, its lines trimmed and joined, is one write
