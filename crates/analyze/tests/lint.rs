@@ -64,7 +64,7 @@ fn workspace_self_check_is_clean() {
     );
     assert!(outcome.catalogue.is_none());
     // A lost registration or lifecycle anchor moves these counts.
-    assert_eq!(outcome.metrics.len(), 84, "production metric families");
+    assert_eq!(outcome.metrics.len(), 85, "production metric families");
     let model = outcome.model.expect("the lifecycle model ran");
     assert_eq!((model.states, model.transitions), (18_684, 84_562));
 }

@@ -16,9 +16,9 @@
 //!    a TCP master on 127.0.0.1 — with its batch RTT percentiles and
 //!    per-worker throughput, plus the bit-identity check of the wire
 //!    matrix against the in-process one;
-//! 3. the kernel-stage counters (DP rounds, Kabsch superpositions,
-//!    TM-score searches per alignment) accumulated in the global metric
-//!    registry by everything above;
+//! 3. the kernel-stage counters (DP rounds and cells, Kabsch
+//!    superpositions, TM-score searches per alignment) accumulated in the
+//!    global metric registry by everything above;
 //! 4. a cold store-backed prefill of the Kabsch RMSD pairs: appends per
 //!    log write from the `rck_store_*` counters.
 //!
@@ -327,6 +327,7 @@ fn kernel_section() -> String {
     for (name, counter) in [
         ("initial alignments", &st.initial_alignments),
         ("DP rounds", &st.dp_rounds),
+        ("DP cells", &st.dp_cells),
         ("Kabsch superpositions", &st.kabsch_iterations),
         ("TM-score searches", &st.tmscore_refinements),
         ("rounds reused", &st.rounds_reused),

@@ -474,6 +474,27 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
         reject("empty query chain");
         return;
     }
+    // Either would reach every pool worker's kernel: a short chain panics
+    // TM-align, a non-finite coordinate poisons every score.
+    if q.methods.contains(&MethodKind::TmAlign) && q.chain.len() < rck_tmalign::MIN_CHAIN_LEN {
+        reject(&format!(
+            "query chain has {} residues; tm-align needs at least {}",
+            q.chain.len(),
+            rck_tmalign::MIN_CHAIN_LEN
+        ));
+        return;
+    }
+    if let Some(k) = q
+        .chain
+        .coords
+        .iter()
+        .position(|p| !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite()))
+    {
+        reject(&format!(
+            "query chain residue {k} has a non-finite coordinate"
+        ));
+        return;
+    }
     let content_hash = chain_content_hash(&q.chain);
     let hash = query_fingerprint(
         content_hash,

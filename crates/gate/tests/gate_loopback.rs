@@ -560,3 +560,53 @@ fn a_silent_client_does_not_keep_run_from_returning() {
         .expect("gate thread");
     assert_eq!(report.stats.queries_completed, 1);
 }
+
+/// A query chain no worker can compute is refused at submit, within a
+/// bounded wait: a 3-residue chain under tm-align used to reach every
+/// pool worker and panic its kernel (leaving the query unanswered), and a
+/// non-finite coordinate would poison every score. The pool is untouched
+/// — no worker lost, a healthy query still completes.
+#[test]
+fn an_uncomputable_query_chain_is_rejected_within_a_bounded_wait() {
+    let h = boot(GateConfig {
+        heartbeat_timeout: Duration::from_millis(300),
+        ..GateConfig::default()
+    });
+    h.spawn_worker("w0", None);
+    let healthy = tiny_profile().generate(85)[0].clone();
+    let short = CaChain {
+        name: "short".into(),
+        seq: healthy.seq[..3].to_vec(),
+        coords: healthy.coords[..3].to_vec(),
+    };
+    let mut poisoned = healthy.clone();
+    poisoned.coords[4].y = f64::NAN;
+    let client = h.client("lab-a");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = client;
+        for (id, chain) in [(1, short), (2, poisoned), (3, healthy)] {
+            let outcome = client.run_query(submit("lab-a", id, 1, chain));
+            if tx.send(outcome).is_err() {
+                return;
+            }
+        }
+        let _ = client.finish();
+    });
+    let next = |what: &str| {
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{what}: no answer within 5 s"))
+            .expect("query reply")
+    };
+    let reason = |o: &rck_gate::QueryOutcome| o.rejected.clone().unwrap_or_default();
+    let refused = next("short chain");
+    assert!(reason(&refused).contains("at least 5"), "{refused:?}");
+    let refused = next("non-finite coordinate");
+    assert!(reason(&refused).contains("non-finite"), "{refused:?}");
+    assert!(next("healthy query").completed());
+    let stats = h.stats.snapshot();
+    assert_eq!(stats.workers_lost, 0);
+    assert_eq!(stats.queries_rejected, 2);
+    let report = h.finish();
+    assert_eq!(report.stats.queries_completed, 1);
+}

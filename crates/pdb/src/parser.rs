@@ -148,10 +148,14 @@ fn parse_coord(
     lineno: usize,
     axis: &'static str,
 ) -> Result<f64, PdbError> {
+    // `f64::from_str` also takes "NaN" and "inf", which no structure has
+    // and every downstream score would be poisoned by.
     field(line, start, start + 8)
         .trim()
         .parse()
-        .map_err(|_| PdbError::malformed(lineno, axis))
+        .ok()
+        .filter(|v: &f64| v.is_finite())
+        .ok_or(PdbError::malformed(lineno, axis))
 }
 
 /// Extract a fixed-width column range, tolerating short lines.
@@ -313,6 +317,23 @@ END
             parse_pdb("bad", text),
             Err(PdbError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_coordinate_is_error() {
+        for (bad, axis) in [("NaN", "x"), ("inf", "y"), ("-inf", "z")] {
+            let mut cols = ["1.000", "2.000", "3.000"];
+            cols["xyz".find(axis).unwrap()] = bad;
+            let text = format!(
+                "ATOM      1  CA  GLY A   1    {:>8}{:>8}{:>8}\n",
+                cols[0], cols[1], cols[2]
+            );
+            assert_eq!(
+                parse_pdb("bad", &text).unwrap_err(),
+                PdbError::malformed(1, axis),
+                "{bad} as {axis}"
+            );
+        }
     }
 
     #[test]

@@ -439,11 +439,16 @@ impl Link {
 /// that reports the session's progress counter every `interval` over a
 /// write half shared with [`Session::send`]. The thread is parked, not
 /// asleep, so [`Session::close`] ends the session at once. Reads stay
-/// with the caller's own handle of the connection.
+/// with the caller's own handle of the connection. A session dropped
+/// without `close` — its handler returned early or unwound — goes silent
+/// and shuts the connection, so the dispatcher loses the peer and
+/// requeues what it held instead of hearing heartbeats from a dead
+/// handler.
 pub struct Session {
     id: u32,
     link: Arc<Link>,
-    heartbeat: JoinHandle<()>,
+    /// Taken by `close`, or by `drop` when `close` never ran.
+    heartbeat: Option<JoinHandle<()>>,
 }
 
 impl Session {
@@ -476,7 +481,7 @@ impl Session {
         Ok(Session {
             id,
             link,
-            heartbeat,
+            heartbeat: Some(heartbeat),
         })
     }
 
@@ -511,7 +516,19 @@ impl Session {
     /// dispatcher's deadline rule can notice (the hang hook).
     pub fn go_silent(&self) {
         self.link.silent.store(true, Ordering::Relaxed);
-        self.heartbeat.thread().unpark();
+        if let Some(heartbeat) = &self.heartbeat {
+            heartbeat.thread().unpark();
+        }
+    }
+
+    /// Go silent and join the heartbeat thread; false if that was done.
+    fn stop_heartbeat(&mut self) -> bool {
+        self.go_silent();
+        let Some(heartbeat) = self.heartbeat.take() else {
+            return false;
+        };
+        let _ = heartbeat.join();
+        true
     }
 
     /// Tear the connection down from any thread; the caller's pending
@@ -522,11 +539,20 @@ impl Session {
 
     /// End the session: wake and join the heartbeat thread. Returns the
     /// bytes written and read over the session's life.
-    pub fn close(self) -> (u64, u64) {
-        self.go_silent();
-        let _ = self.heartbeat.join();
+    pub fn close(mut self) -> (u64, u64) {
+        self.stop_heartbeat();
         let (tx, rx) = (&self.link.bytes_tx, &self.link.bytes_rx);
         (tx.load(Ordering::Relaxed), rx.load(Ordering::Relaxed))
+    }
+}
+
+impl Drop for Session {
+    /// After `close`, nothing; otherwise the handler is gone without it:
+    /// stop heartbeating and shut the connection (the crash hook).
+    fn drop(&mut self) {
+        if self.stop_heartbeat() {
+            self.shutdown();
+        }
     }
 }
 

@@ -207,3 +207,57 @@ fn chaos_scenarios_are_deterministic_and_pass() {
         );
     }
 }
+
+/// A handler that unwinds drops its `dispatch::Session` without closing
+/// it. The session used to keep heartbeating from its own thread, so the
+/// master never lost the worker and its batch never came back; now the
+/// drop goes silent and shuts the connection: the worker is declared
+/// lost within `heartbeat_timeout`, its batch is requeued, and a healthy
+/// worker finishes the matrix bit-identically.
+#[test]
+fn a_dropped_session_is_lost_and_its_batch_requeued() {
+    let chains = tiny_chains();
+    let expected = in_process_matrix(&chains);
+    let cfg = fast_cfg();
+    let timeout = cfg.heartbeat_timeout;
+    let net = MemNet::new();
+    let master = Master::bind_on(net.listener(), chains, cfg);
+    let stats = master.stats();
+    let master_thread = std::thread::spawn(move || master.run());
+
+    let mut conn = net.connect().unwrap();
+    let handler = std::thread::spawn(move || {
+        let session =
+            rck_serve::dispatch::Session::open(&mut conn, "unwinds", Duration::from_millis(10))
+                .unwrap();
+        let first = session.read(&mut conn).unwrap();
+        assert!(matches!(first, Frame::JobBatch(_)), "{first:?}");
+        panic!("the handler unwinds holding its batch");
+    });
+    assert!(handler.join().is_err(), "the handler panicked");
+    let dropped_at = std::time::Instant::now();
+    while stats.snapshot().workers_lost == 0 {
+        assert!(
+            dropped_at.elapsed() < timeout,
+            "the dropped session was not lost within {timeout:?}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(
+        stats.snapshot().jobs_requeued >= 1,
+        "its batch was requeued"
+    );
+
+    let healthy = {
+        let net = net.clone();
+        std::thread::spawn(move || {
+            let mut cfg = WorkerConfig::connect_to("127.0.0.1:0".parse().unwrap());
+            cfg.name = "healthy".into();
+            run_worker_conn(net.connect()?, &cfg)
+        })
+    };
+    let run = master_thread.join().unwrap().unwrap();
+    healthy.join().unwrap().unwrap();
+    assert_eq!(run.stats.workers_lost, 1);
+    assert_eq!(run.matrix, expected, "matrix diverged after the requeue");
+}

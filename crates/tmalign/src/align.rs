@@ -14,7 +14,7 @@ use crate::kabsch::superpose;
 use crate::meter::WorkMeter;
 use crate::prefilter::{decide, PrefilterConfig, PrefilterDecision, SsComposition};
 use crate::secstruct::{assign, SecStruct};
-use crate::tmscore::{d0, search_in, SearchDepth, SearchResult};
+use crate::tmscore::{d0, resume_full_in, search_in, SearchDepth, SearchResult};
 use crate::workspace::{Charged, Workspace};
 use rck_pdb::geometry::{Transform, Vec3};
 use rck_pdb::model::CaChain;
@@ -161,6 +161,10 @@ impl TmAlignResult {
     }
 }
 
+/// The shortest chain [`tm_align_with`] accepts: below it no meaningful
+/// structure alignment exists, and the call panics.
+pub const MIN_CHAIN_LEN: usize = 5;
+
 /// Align chain `a` onto chain `b` with default parameters.
 pub fn tm_align(a: &CaChain, b: &CaChain) -> TmAlignResult {
     tm_align_with(a, b, &TmAlignParams::default())
@@ -169,9 +173,9 @@ pub fn tm_align(a: &CaChain, b: &CaChain) -> TmAlignResult {
 /// Align with explicit parameters.
 ///
 /// # Panics
-/// Panics if either chain has fewer than 5 residues (no meaningful
-/// structure alignment exists; the datasets in this workspace are all
-/// longer).
+/// Panics if either chain has fewer than [`MIN_CHAIN_LEN`] residues (no
+/// meaningful structure alignment exists; the datasets in this workspace
+/// are all longer).
 pub fn tm_align_with(a: &CaChain, b: &CaChain, params: &TmAlignParams) -> TmAlignResult {
     tm_align_in(a, b, params, &mut Workspace::default())
 }
@@ -185,8 +189,8 @@ fn tm_align_in(
     ws: &mut Workspace,
 ) -> TmAlignResult {
     assert!(
-        a.len() >= 5 && b.len() >= 5,
-        "tm_align requires chains of at least 5 residues ({} and {} given)",
+        a.len() >= MIN_CHAIN_LEN && b.len() >= MIN_CHAIN_LEN,
+        "tm_align requires chains of at least {MIN_CHAIN_LEN} residues ({} and {} given)",
         a.len(),
         b.len()
     );
@@ -281,19 +285,35 @@ fn tm_align_in(
     }
 
     // --- Final scoring ---------------------------------------------------
+    // Under the optimised normalisation the `Full` search of the best
+    // alignment extends that alignment's memoised `Fast` search (same
+    // pairs, `d0` and length): it charges the recorded ops and runs only
+    // the windows `Fast` did not.
+    let fast_search = if effective.fast_refinement {
+        ws.rounds.of(best).search
+    } else {
+        None
+    };
     ws.gather(x, y, best);
     let best_alignment = ws.rounds.pairs(best).to_vec();
     let mut final_score = |len: usize| {
-        search_in(
-            &ws.xa,
-            &ws.ya,
-            d0(len),
-            d0(len),
-            len,
-            SearchDepth::Full,
-            &mut ws.search,
-            &mut meter,
-        )
+        let (xa, ya, scratch) = (&ws.xa, &ws.ya, &mut ws.search);
+        match fast_search {
+            Some((fast, ops)) if len == norm_len && d0(len).to_bits() == d0_opt.to_bits() => {
+                meter.charge(ops);
+                resume_full_in(xa, ya, d0(len), d0(len), len, fast, scratch, &mut meter)
+            }
+            _ => search_in(
+                xa,
+                ya,
+                d0(len),
+                d0(len),
+                len,
+                SearchDepth::Full,
+                scratch,
+                &mut meter,
+            ),
+        }
     };
     let fin_a = final_score(a.len());
     let fin_b = final_score(b.len());
@@ -424,7 +444,7 @@ fn refine(
                     x.len(),
                     y.len(),
                     gap,
-                    |i, out| target.dist_row(moved[i], d0sq, out),
+                    |i| target.dist_scores(moved[i], d0sq),
                     meter,
                 );
                 ws.rounds.intern(&next)

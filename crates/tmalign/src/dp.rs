@@ -7,10 +7,11 @@
 //! TM-align's `NWDP_TM`.
 //!
 //! One engine answers all of them: [`StreamDp`], the scalar f64 oracle
-//! every optimization is checked against (DESIGN.md §13.7). Score rows
-//! are streamed one stripe at a time from the caller's row source, the
-//! values roll through two rows and the traceback is one `u8` per cell,
-//! so neither a score matrix nor a value table is materialised.
+//! every optimization is checked against (DESIGN.md §13.7). Each cell's
+//! score is drawn from the caller's per-row cell scorer inside the
+//! candidate pass, the values roll through two rows and the traceback is
+//! one `u8` per cell, so neither a score matrix, a score row nor a value
+//! table is materialised.
 //! [`needleman_wunsch`] runs it over the rows of a [`ScoreMatrix`].
 //! There is no banded or reduced-precision variant (DESIGN.md §13.2
 //! records why); the block at the end of this file only keeps the names
@@ -93,15 +94,13 @@ const DIR_UP: u8 = 1;
 /// Gap in the first sequence (consume `j`).
 const DIR_LEFT: u8 = 2;
 
-/// Reusable workspace of the scalar f64 oracle: two rolling value rows,
-/// the current row's score stripe and one traceback byte per cell. A
-/// refinement loop that keeps one around allocates nothing per round
-/// but the alignment it returns.
+/// Reusable workspace of the scalar f64 oracle: two rolling value rows
+/// and one traceback byte per cell. A refinement loop that keeps one
+/// around allocates nothing per round but the alignment it returns.
 #[derive(Debug, Default)]
 pub struct StreamDp {
     prev: Vec<f64>,
     cur: Vec<f64>,
-    stripe: Vec<f64>,
     dirs: Vec<u8>,
 }
 
@@ -112,31 +111,36 @@ impl StreamDp {
     }
 
     /// Global NW alignment of two sequences of lengths `rows` and `cols`,
-    /// maximizing `Σ score(i,j) + gap·(#internal gaps)`; `gap` should be
+    /// maximizing `Σ score(i,j) + gap·(#internal gaps)`; `gap` must be
     /// ≤ 0 (TM-align uses −0.6) and end gaps are free. Ties prefer Diag,
     /// then Up, then Left, which keeps the traceback deterministic.
     ///
-    /// `fill_row(i, out)` must set `out[j] = score(i, j)` for all `cols`
-    /// columns; it is called once per row, in order. Returns the aligned
-    /// pairs and the optimal score.
+    /// `row(i)` is row `i`'s cell scorer: it must yield `score(i, j)` for
+    /// `j` in `0..cols`, in order. It is called once per row, in order,
+    /// and the candidate pass draws one score per cell from it, so no
+    /// score row is stored. Returns the aligned pairs and the optimal
+    /// score.
     ///
     /// Every value is produced by the IEEE-754 operations of the
     /// textbook full-table recurrence in the same order, so results are
     /// bit-identical to it (DESIGN.md §13.7 lists what may not be
-    /// rewritten).
-    pub fn align(
+    /// rewritten). No score, and not `gap`, may be NaN.
+    pub fn align<R: Iterator<Item = f64>>(
         &mut self,
         rows: usize,
         cols: usize,
         gap: f64,
-        mut fill_row: impl FnMut(usize, &mut [f64]),
+        mut row: impl FnMut(usize) -> R,
         meter: &mut WorkMeter,
     ) -> (Alignment, f64) {
+        assert!(gap <= 0.0, "gap penalty must be <= 0 (got {gap})");
         let (n, m) = (rows, cols);
         if n == 0 || m == 0 {
             return (Vec::new(), 0.0);
         }
-        crate::stages::stage_counters().dp_rounds.inc();
+        let stages = crate::stages::stage_counters();
+        stages.dp_rounds.inc();
+        stages.dp_cells.add((n as u64) * (m as u64));
         meter.charge((n as u64) * (m as u64));
 
         // Free leading end gaps: DP row 0 and DP column 0 are zero, so
@@ -145,51 +149,48 @@ impl StreamDp {
         self.prev.resize(m + 1, 0.0);
         self.cur.clear();
         self.cur.resize(m + 1, 0.0);
-        self.stripe.resize(m, 0.0);
         // Every byte is written before the traceback reads it.
         self.dirs.resize(n * m, DIR_DIAG);
 
-        // Diag vs Up needs only the previous row: no loop-carried
-        // dependency, so this half of the selection vectorizes.
-        let candidate = |from_diag: f64, score: f64, from_up: f64, up_pen: f64| {
-            let sdiag = from_diag + score;
-            let sup = from_up + up_pen;
-            if sdiag >= sup {
-                (sdiag, DIR_DIAG)
-            } else {
-                (sup, DIR_UP)
-            }
-        };
-
         for i in 1..=n {
             let dirs = &mut self.dirs[(i - 1) * m..i * m];
-            fill_row(i - 1, &mut self.stripe);
-            // The stripe turns from scores into candidates in place. Gap
-            // penalties are free along the last row/column (end gaps).
-            let (body, last) = self.stripe.split_at_mut(m - 1);
-            for (((c, d), &from_diag), &from_up) in body
+            // The candidate pass: Diag vs Up needs only the previous row,
+            // so it has no loop-carried dependency and vectorizes with the
+            // cell scores computed inline; candidates land in `cur`. `<`
+            // rather than `>=` makes the value select a `max` (equal on
+            // every non-NaN input, ±0 included). Every column is charged
+            // `gap` going Up here; the last one is free (end gap) and is
+            // corrected below.
+            let diag_up = self.prev.iter().zip(&self.prev[1..]);
+            for (((v, d), s), (&from_diag, &from_up)) in self.cur[1..]
                 .iter_mut()
                 .zip(dirs.iter_mut())
-                .zip(&self.prev[..m - 1])
-                .zip(&self.prev[1..m])
+                .zip(row(i - 1))
+                .zip(diag_up)
             {
-                (*c, *d) = candidate(from_diag, *c, from_up, gap);
+                let sdiag = from_diag + s;
+                let sup = from_up + gap;
+                let up = sdiag < sup;
+                *v = if up { sup } else { sdiag };
+                *d = if up { DIR_UP } else { DIR_DIAG };
             }
-            (last[0], dirs[m - 1]) = candidate(self.prev[m - 1], last[0], self.prev[m], 0.0);
+            // Column `m` with its free Up move. Where Up won against
+            // `prev[m] + gap`, the no smaller `prev[m] + 0.0` wins again;
+            // where Diag won, `cur[m]` still holds its `sdiag`.
+            let sup = self.prev[m] + 0.0;
+            if dirs[m - 1] == DIR_UP || self.cur[m] < sup {
+                (self.cur[m], dirs[m - 1]) = (sup, DIR_UP);
+            }
 
             // The dependent sweep. If Diag won above but loses to Left,
             // then Up ≤ Diag < Left, so the full-table rule (Diag ≥ Up ≥
             // Left) also answers Left.
             let left_pen = if i == n { 0.0 } else { gap };
             let mut left = 0.0f64;
-            for ((v, &c), d) in self.cur[1..]
-                .iter_mut()
-                .zip(self.stripe.iter())
-                .zip(dirs.iter_mut())
-            {
+            for (v, d) in self.cur[1..].iter_mut().zip(dirs.iter_mut()) {
                 let sleft = left + left_pen;
-                if c >= sleft {
-                    left = c;
+                if *v >= sleft {
+                    left = *v;
                 } else {
                     left = sleft;
                     *d = DIR_LEFT;
@@ -223,7 +224,7 @@ impl StreamDp {
 /// `score.cols()`, maximizing `Σ score(i,j) + gap_penalty·(#internal gaps)`:
 /// [`StreamDp::align`] over the rows of a prebuilt matrix.
 ///
-/// `gap_penalty` should be ≤ 0 (TM-align uses −0.6). End gaps are free.
+/// `gap_penalty` must be ≤ 0 (TM-align uses −0.6). End gaps are free.
 /// Returns the aligned pairs and the optimal score.
 pub fn needleman_wunsch(
     score: &ScoreMatrix,
@@ -234,14 +235,14 @@ pub fn needleman_wunsch(
         score.rows(),
         score.cols(),
         gap_penalty,
-        |i, out| out.copy_from_slice(score.row(i)),
+        |i| score.row(i).iter().copied(),
         meter,
     )
 }
 
 /// f64 structure-of-arrays copy of the target chain — the layout the
-/// oracle's distance rows stream over, one contiguous lane per axis, so
-/// the fill loop over `j` vectorizes. Loaded once per pair.
+/// oracle's cell scorers stream over, one contiguous lane per axis, so
+/// the candidate pass over `j` vectorizes. Loaded once per pair.
 #[derive(Debug, Default)]
 pub(crate) struct TargetLanes {
     xs: Vec<f64>,
@@ -265,16 +266,18 @@ impl TargetLanes {
         self.zs.extend(pts.iter().map(|p| p.z));
     }
 
-    /// TM-align's distance score of `p` against every target point:
-    /// `out[j] = 1 / (1 + |p − target[j]|² / d0²)`, each term evaluated
+    /// TM-align's distance score of `p` against every target point, in
+    /// order: `1 / (1 + |p − target[j]|² / d0²)`, each term evaluated
     /// exactly as `Vec3::dist_sq` and the two divisions evaluate it.
-    pub(crate) fn dist_row(&self, p: Vec3, d0sq: f64, out: &mut [f64]) {
-        for (((o, &tx), &ty), &tz) in out.iter_mut().zip(&self.xs).zip(&self.ys).zip(&self.zs) {
+    #[inline]
+    pub(crate) fn dist_scores(&self, p: Vec3, d0sq: f64) -> impl Iterator<Item = f64> + '_ {
+        let xyz = self.xs.iter().zip(&self.ys).zip(&self.zs);
+        xyz.map(move |((&tx, &ty), &tz)| {
             let dx = p.x - tx;
             let dy = p.y - ty;
             let dz = p.z - tz;
-            *o = 1.0 / (1.0 + (dx * dx + dy * dy + dz * dz) / d0sq);
-        }
+            1.0 / (1.0 + (dx * dx + dy * dy + dz * dz) / d0sq)
+        })
     }
 }
 
@@ -374,8 +377,8 @@ impl FastDp {
         let (mobile, d0sq) = (&scorer.mobile.0, 1.0 / f64::from(scorer.inv_d0sq));
         self.1.load(&scorer.target.0);
         let lanes = &self.1;
-        let fill = |i: usize, out: &mut [f64]| lanes.dist_row(mobile[i], d0sq, out);
-        self.0.align(mobile.len(), lanes.len(), gap, fill, meter)
+        let row = |i: usize| lanes.dist_scores(mobile[i], d0sq);
+        self.0.align(mobile.len(), lanes.len(), gap, row, meter)
     }
 }
 

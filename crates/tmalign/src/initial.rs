@@ -62,6 +62,8 @@ pub fn gapless_threading(
     let mut best_score = f64::NEG_INFINITY;
     let mut best_t = Transform::IDENTITY;
 
+    // The squared distances of one offset, then its TM terms.
+    let mut dist_sq = Vec::with_capacity(n.min(m) as usize);
     let mut offsets = ((1 - n)..m).filter(|&k| overlap(k).0.len() >= min_overlap);
     loop {
         let mut group = [None; LANES];
@@ -75,8 +77,9 @@ pub fn gapless_threading(
         for (k, t) in group.into_iter().flatten().zip(ts) {
             let (xs, ys) = overlap(k);
             meter.charge(xs.len() as u64);
-            let moved_dist_sq = xs.iter().zip(ys).map(|(&p, &q)| t.apply(p).dist_sq(q));
-            let score = tm_score_of_dist_sq(moved_dist_sq, d0, norm_len);
+            dist_sq.clear();
+            dist_sq.extend(xs.iter().zip(ys).map(|(&p, &q)| t.apply(p).dist_sq(q)));
+            let score = tm_score_of_dist_sq(&mut dist_sq, d0, norm_len);
             if score > best_score {
                 best_score = score;
                 best_k = k;
@@ -135,11 +138,7 @@ pub(crate) fn ss_alignment_in(
         ss_x.len(),
         ss_y.len(),
         SS_GAP,
-        |i, out| {
-            for (o, &yj) in out.iter_mut().zip(ss_y) {
-                *o = ss_match(ss_x[i], yj);
-            }
-        },
+        |i| ss_y.iter().map(move |&yj| ss_match(ss_x[i], yj)),
         meter,
     );
     InitialAlignment {
@@ -187,11 +186,10 @@ pub(crate) fn hybrid_alignment_in(
         x.len(),
         m,
         SS_GAP,
-        |i, out| {
-            target.dist_row(moved[i], d0sq, out);
-            for (o, &yj) in out.iter_mut().zip(ss_y) {
-                *o = 0.5 * *o + 0.5 * ss_match(ss_x[i], yj);
-            }
+        |i| {
+            let dist = target.dist_scores(moved[i], d0sq);
+            let ss = ss_y.iter().map(move |&yj| ss_match(ss_x[i], yj));
+            dist.zip(ss).map(|(d, s)| 0.5 * d + 0.5 * s)
         },
         meter,
     );

@@ -61,7 +61,9 @@ pub mod stages;
 pub mod tmscore;
 mod workspace;
 
-pub use align::{tm_align, tm_align_with, Normalization, TmAlignParams, TmAlignResult};
+pub use align::{
+    tm_align, tm_align_with, Normalization, TmAlignParams, TmAlignResult, MIN_CHAIN_LEN,
+};
 pub use comparators::{MethodKind, PscMethod, PscScore};
 pub use meter::WorkMeter;
 pub use prefilter::{PrefilterConfig, PrefilterDecision};

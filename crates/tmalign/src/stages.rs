@@ -23,6 +23,8 @@ pub struct StageCounters {
     pub initial_alignments: Arc<Counter>,
     /// Needleman–Wunsch DP rounds (initials + refinement re-alignments).
     pub dp_rounds: Arc<Counter>,
+    /// DP cells computed: rows × cols summed over the executed rounds.
+    pub dp_cells: Arc<Counter>,
     /// Kabsch superpositions solved.
     pub kabsch_iterations: Arc<Counter>,
     /// TM-score rotation searches (refinement + final scoring).
@@ -68,6 +70,10 @@ pub fn stage_counters() -> &'static StageCounters {
             dp_rounds: reg.counter(
                 "rck_kernel_dp_rounds_total",
                 "Needleman-Wunsch DP rounds executed",
+            ),
+            dp_cells: reg.counter(
+                "rck_kernel_dp_cells_total",
+                "Needleman-Wunsch DP cells computed (rows x cols over executed rounds)",
             ),
             kabsch_iterations: reg.counter(
                 "rck_kernel_kabsch_iterations_total",

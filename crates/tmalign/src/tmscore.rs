@@ -38,23 +38,35 @@ pub fn d0(len: usize) -> f64 {
 /// `norm_len`.
 pub fn tm_score_of_pairs(x: &[Vec3], y: &[Vec3], d0: f64, norm_len: usize) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    tm_score_of_dist_sq(x.iter().zip(y).map(|(a, b)| a.dist_sq(*b)), d0, norm_len)
+    let mut dist_sq: Vec<f64> = x.iter().zip(y).map(|(a, b)| a.dist_sq(*b)).collect();
+    tm_score_of_dist_sq(&mut dist_sq, d0, norm_len)
 }
 
-/// TM-score of a sequence of squared pair distances (Å²), normalised by
-/// `norm_len` — [`tm_score_of_pairs`] for callers that produce the
-/// distances on the fly instead of materialising moved coordinates.
-pub(crate) fn tm_score_of_dist_sq(
-    dist_sq: impl Iterator<Item = f64>,
-    d0: f64,
-    norm_len: usize,
-) -> f64 {
+/// TM-score of the squared pair distances (Å²) in `dist_sq`, normalised
+/// by `norm_len` — [`tm_score_of_pairs`] for callers that keep the
+/// distances in a buffer of their own, which it overwrites (see
+/// [`sum_tm_terms`]).
+pub(crate) fn tm_score_of_dist_sq(dist_sq: &mut [f64], d0: f64, norm_len: usize) -> f64 {
     if norm_len == 0 {
         return 0.0;
     }
-    let d0sq = d0 * d0;
-    let sum: f64 = dist_sq.map(|d| 1.0 / (1.0 + d / d0sq)).sum();
-    sum / norm_len as f64
+    sum_tm_terms(dist_sq, d0 * d0) / norm_len as f64
+}
+
+/// `Σ 1 / (1 + d² / d0²)` over the squared distances in `dist_sq`, which
+/// it overwrites with the terms. The terms are computed in one pass of
+/// their own, where the two divisions per pair vectorize, and summed left
+/// to right in one accumulator in a second: the same values, added in the
+/// same order, as the one-loop sum.
+fn sum_tm_terms(dist_sq: &mut [f64], d0sq: f64) -> f64 {
+    for d in dist_sq.iter_mut() {
+        *d = 1.0 / (1.0 + *d / d0sq);
+    }
+    let mut sum = 0.0;
+    for &t in dist_sq.iter() {
+        sum += t;
+    }
+    sum
 }
 
 /// How exhaustively [`search`] seeds the rotation search.
@@ -95,8 +107,9 @@ struct WindowBuffers {
 }
 
 /// Buffers of one [`search`], reusable across calls: those of the
-/// windows in flight and the per-iteration squared distances. Carries no
-/// state from one call to the next.
+/// windows in flight and the per-iteration squared distances (turned
+/// into TM terms once the cutoff scan has read them). Carries no state
+/// from one call to the next.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
     lanes: [WindowBuffers; LANES],
@@ -144,11 +157,23 @@ fn window_starts(n: usize, l_ini: usize) -> impl Iterator<Item = usize> {
     })
 }
 
-/// [`search`] on the caller's buffers. The seed windows are listed in
-/// schedule order and advanced [`LANES`] at a time: each keeps the
-/// sequential loop's state and operations, only the Kabsch solves of one
-/// iteration are taken together, and window bests are replayed in window
-/// order under the same strict `>` — the sequential first strict maximum.
+/// Seed fragment lengths of a `depth` search over `n` pairs, longest
+/// first: the schedule's entries of at least 4 residues, or one short
+/// fragment when there is none. The first `count` entries of the array
+/// are the lengths; a `Full` search's begin with a `Fast` search's.
+fn seed_lens(n: usize, depth: SearchDepth) -> ([usize; 4], usize) {
+    let schedule = [n, n / 2, n / 4, n / 8];
+    let depth_len = match depth {
+        SearchDepth::Fast => 2,
+        SearchDepth::Full => 4,
+    };
+    match schedule[..depth_len].iter().rposition(|&l| l >= 4) {
+        Some(last) => (schedule, last + 1),
+        None => ([n.clamp(3, 4), 0, 0, 0], 1),
+    }
+}
+
+/// [`search`] on the caller's buffers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_in(
     x: &[Vec3],
@@ -157,6 +182,57 @@ pub(crate) fn search_in(
     d0_score: f64,
     norm_len: usize,
     depth: SearchDepth,
+    scratch: &mut SearchScratch,
+    meter: &mut WorkMeter,
+) -> SearchResult {
+    let (lens, count) = seed_lens(x.len(), depth);
+    let lens = &lens[..count];
+    search_windows(
+        x, y, d0_search, d0_score, norm_len, lens, NO_SCORE, scratch, meter,
+    )
+}
+
+/// The `Full` [`search_in`] of pairs whose `Fast` search, under the same
+/// `d0_search`, `d0_score` and `norm_len`, answered `fast`. A `Full`
+/// schedule is the `Fast` one's windows followed by those of the L/4 and
+/// L/8 fragments, so the search resumes at the first window `Fast` did not
+/// run, from `fast` under the same strict `>`: the `Full` answer bit for
+/// bit. It charges only the windows it runs; the caller charges the
+/// `Fast` search's recorded ops.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn resume_full_in(
+    x: &[Vec3],
+    y: &[Vec3],
+    d0_search: f64,
+    d0_score: f64,
+    norm_len: usize,
+    fast: SearchResult,
+    scratch: &mut SearchScratch,
+    meter: &mut WorkMeter,
+) -> SearchResult {
+    let (lens, count) = seed_lens(x.len(), SearchDepth::Full);
+    let (fast_lens, done) = seed_lens(x.len(), SearchDepth::Fast);
+    debug_assert_eq!(lens[..done], fast_lens[..done]);
+    let rest = &lens[done..count];
+    search_windows(
+        x, y, d0_search, d0_score, norm_len, rest, fast, scratch, meter,
+    )
+}
+
+/// The seed windows of the fragments `seed_lens`, listed in schedule
+/// order and advanced [`LANES`] at a time from `best`: each keeps the
+/// sequential loop's state and operations, only the Kabsch solves of one
+/// iteration are taken together, and window bests are replayed in window
+/// order under the same strict `>` — the sequential first strict maximum.
+#[allow(clippy::too_many_arguments)]
+fn search_windows(
+    x: &[Vec3],
+    y: &[Vec3],
+    d0_search: f64,
+    d0_score: f64,
+    norm_len: usize,
+    seed_lens: &[usize],
+    mut best: SearchResult,
     scratch: &mut SearchScratch,
     meter: &mut WorkMeter,
 ) -> SearchResult {
@@ -170,23 +246,10 @@ pub(crate) fn search_in(
     }
     crate::stages::stage_counters().tmscore_refinements.inc();
 
-    // Seed fragment lengths, longest first: the schedule's entries of at
-    // least 4 residues, or one short fragment when there is none.
-    let schedule = [n, n / 2, n / 4, n / 8];
-    let schedule = match depth {
-        SearchDepth::Fast => &schedule[..2],
-        SearchDepth::Full => &schedule[..],
-    };
-    let fallback = [n.clamp(3, 4)];
-    let seed_lens = match schedule.iter().rposition(|&l| l >= 4) {
-        Some(last) => &schedule[..=last],
-        None => &fallback[..],
-    };
     let mut windows = seed_lens
         .iter()
         .flat_map(|&l_ini| window_starts(n, l_ini).map(move |start| start..start + l_ini));
 
-    let mut best = NO_SCORE;
     let SearchScratch { lanes, dist_sq } = scratch;
     // The cutoff filter below cannot tell `extend` how many pairs pass.
     for lane in lanes.iter_mut() {
@@ -241,11 +304,7 @@ pub(crate) fn search_in(
                     }
                     d_cut += 0.5;
                 }
-                let mut tm = 0.0;
-                for &d in dist_sq.iter() {
-                    tm += 1.0 / (1.0 + d / d0sq_score);
-                }
-                let tm = tm / norm_len as f64;
+                let tm = sum_tm_terms(dist_sq, d0sq_score) / norm_len as f64;
                 if tm > bests[l].tm {
                     bests[l] = SearchResult { tm, transform: t };
                 }

@@ -97,22 +97,42 @@ fn a_prefilter_that_cannot_fire_is_the_oracle_bit_for_bit() {
     assert_eq!(hash, SCALAR_CORPUS_HASH, "got {hash:#018x}");
 }
 
+/// All 561 unordered CK34 pairs at the benchmark's seed.
+fn ck34_sweep() -> (Vec<CaChain>, Vec<(usize, usize)>) {
+    let chains = ck34_profile().generate(DATASET_SEED);
+    let pairs: Vec<(usize, usize)> = (0..chains.len())
+        .flat_map(|i| (i + 1..chains.len()).map(move |j| (i, j)))
+        .collect();
+    assert_eq!(pairs.len(), 561);
+    (chains, pairs)
+}
+
 /// The same hash over all 561 CK34 pairs with the scalar oracle — the
 /// `farm_ck34_tm` op. About 2 s in release, minutes in debug, hence
 /// ignored: `cargo test --release -p rck-tmalign --test oracle_bits -- --ignored`.
 #[test]
 #[ignore = "release-mode sweep of all 561 CK34 pairs"]
 fn ck34_sweep_is_bit_identical_to_the_pinned_kernel() {
-    let chains = ck34_profile().generate(DATASET_SEED);
-    let pairs: Vec<(usize, usize)> = (0..chains.len())
-        .flat_map(|i| (i + 1..chains.len()).map(move |j| (i, j)))
-        .collect();
-    assert_eq!(pairs.len(), 561);
+    let (chains, pairs) = ck34_sweep();
     let (hash, ops) = fingerprint(&chains, &pairs, &TmAlignParams::default());
     assert_eq!(
         (hash, ops),
         (CK34_SWEEP_HASH, CK34_SWEEP_OPS),
         "kernel drifted: hash {hash:#018x}, ops {ops}"
+    );
+}
+
+/// … and with `TmAlignParams::fast()` — the `kernel_fast_ck34` op, the
+/// only place every pruning decision of the sweep is exercised.
+#[test]
+#[ignore = "release-mode sweep of all 561 CK34 pairs"]
+fn ck34_fast_sweep_is_bit_identical_to_the_pinned_kernel() {
+    let (chains, pairs) = ck34_sweep();
+    let (hash, ops) = fingerprint(&chains, &pairs, &TmAlignParams::fast());
+    assert_eq!(
+        (hash, ops),
+        (CK34_FAST_SWEEP_HASH, CK34_FAST_SWEEP_OPS),
+        "fast configuration drifted: hash {hash:#018x}, ops {ops}"
     );
 }
 
@@ -126,3 +146,8 @@ const FAST_CORPUS_HASH: u64 = 0xaa06_bc68_4845_74c4;
 const CK34_SWEEP_HASH: u64 = 0x4263_3607_5204_d7d3;
 /// `tmalign.ops` of one `farm_ck34_tm` op at seed 2013.
 const CK34_SWEEP_OPS: u64 = 743_056_445;
+// Computed by the kernel of commit 62b25b6, before the fused candidate
+// pass, the TM-term pass and the resumed final search.
+const CK34_FAST_SWEEP_HASH: u64 = 0xe07f_932f_f91b_b63f;
+/// `tmalign.ops` of one `kernel_fast_ck34` op at seed 2013.
+const CK34_FAST_SWEEP_OPS: u64 = 566_021_014;

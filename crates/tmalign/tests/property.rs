@@ -311,15 +311,12 @@ fn assert_matches_full_table(
     let (got, got_score) = needleman_wunsch(&m, gap, &mut WorkMeter::new());
     prop_assert_eq!(&got, &want, "matrix entry: alignments diverge");
     prop_assert_eq!(got_score.to_bits(), want_score.to_bits());
+    let score = &score;
     let (streamed, streamed_score) = StreamDp::new().align(
         rows,
         cols,
         gap,
-        |i, out| {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = score(i, j);
-            }
-        },
+        |i| (0..cols).map(move |j| score(i, j)),
         &mut WorkMeter::new(),
     );
     prop_assert_eq!(&streamed, &want, "row source: alignments diverge");
@@ -363,11 +360,8 @@ proptest! {
         gap in 0usize..3,
     ) {
         let gap = GAPS[gap];
-        let fill = |i: usize, out: &mut [f64]| {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = cells[i * 40 + j];
-            }
-        };
+        let cells = &cells;
+        let fill = |i: usize| cells[i * 40..].iter().copied();
         let fresh = |rows, cols| StreamDp::new().align(rows, cols, gap, fill, &mut WorkMeter::new());
         let mut reused = StreamDp::new();
         for (rows, cols) in [(big, big), (small, big), (small, small), (big, small), (big, big)] {

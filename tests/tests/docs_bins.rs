@@ -521,6 +521,35 @@ fn fnv1a_has_one_body() {
     assert_eq!(bodies.len(), 1, "`fn fnv1a64` bodies: {bodies:#?}");
 }
 
+/// One DP engine (DESIGN §13.2, §13.7): every alignment the kernel
+/// computes is traced back through `StreamDp::align`, whose sweep is the
+/// only code that records a Left move. A second engine, or a second
+/// recurrence body inside this one, would write `DIR_LEFT` again.
+#[test]
+fn the_kernel_writes_dir_left_at_one_site() {
+    let root = repo_root();
+    let mut files = Vec::new();
+    walk(&root.join("crates/tmalign/src"), &mut files);
+    let mut sites = Vec::new();
+    for path in files
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+    {
+        let text = fs::read_to_string(path).expect("source is UTF-8");
+        for (n, line) in text.lines().enumerate() {
+            let code = line.split("//").next().unwrap_or("");
+            if names(code, "DIR_LEFT") && !code.contains("const DIR_LEFT") {
+                sites.push(format!("{}:{}: {}", path.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert_eq!(sites.len(), 1, "`DIR_LEFT` sites: {sites:#?}");
+    assert!(
+        sites[0].contains("dp.rs") && sites[0].contains("= DIR_LEFT"),
+        "{sites:?}"
+    );
+}
+
 /// One scenario core under the four chaos harnesses: every run returns
 /// `rckalign::chaos::Report`, so no tier keeps a result type of its own;
 /// `fn subseed` has two bodies, the core's and the gate's distinct mix
