@@ -1,13 +1,14 @@
 //! `rck-analyze` — the workspace invariant checker behind `rck_lint`.
 //!
 //! The serve/obs/chaos layers encode contracts that live in more than
-//! one file: the `rck_*` metric namespace vs. DESIGN.md §9, and the
-//! master's batch-accounting equation. Nothing but reviewer vigilance
-//! kept them in sync; this crate checks them mechanically on every PR.
-//! (The wire constants vs. DESIGN.md §6 are checked where they are
-//! defined, by a unit test in `serve::proto`.)
+//! one file, such as the `rck_*` metric namespace vs. DESIGN.md §9.
+//! This crate checks them mechanically on every change. (The wire
+//! constants vs. DESIGN.md §6 are checked where they are defined, by a
+//! unit test in `serve::proto`; the batch lifecycle by
+//! `rck_serve::explore`, which runs the dispatcher itself under each
+//! tier's policy.)
 //!
-//! Four passes (see DESIGN.md §11 for the full contract):
+//! Three passes (see DESIGN.md §11 for the full contract):
 //!
 //! 1. [`metrics`] — every `rck_*` metric used in production code is
 //!    registered exactly once, named by convention (counters `_total`,
@@ -20,13 +21,6 @@
 //!    `// rck-lint: allow(panic)` marker.
 //! 3. [`locks`] — no mutex guard held across I/O or channel calls, and
 //!    a consistent lock acquisition order across files.
-//! 4. [`model`] — an exhaustive model check of the batch lifecycle
-//!    (dispatch / heartbeat / timeout / requeue / abort) against a
-//!    transition table extracted from the shared dispatcher
-//!    (`serve/src/dispatch.rs`) plus each `WorkSource` policy layered on
-//!    it (`serve/src/master.rs`, `gate/src/pool.rs`), asserting
-//!    `dispatched == completed + duplicates + requeued + in-flight`
-//!    and the absence of stuck states.
 //!
 //! The crate is dependency-free on purpose: it must build and run even
 //! when the rest of the workspace doesn't compile, and the container is
@@ -37,7 +31,6 @@
 pub mod lexer;
 pub mod locks;
 pub mod metrics;
-pub mod model;
 pub mod panics;
 pub mod report;
 
@@ -53,8 +46,6 @@ pub enum Pass {
     Panics,
     /// Mutex guards across I/O and lock acquisition order.
     Locks,
-    /// Batch-lifecycle model checker.
-    Model,
 }
 
 impl Pass {
@@ -64,13 +55,12 @@ impl Pass {
             Pass::Metrics => "metrics-contract",
             Pass::Panics => "panic-path",
             Pass::Locks => "lock-discipline",
-            Pass::Model => "batch-lifecycle-model",
         }
     }
 
     /// All passes, in report order.
-    pub fn all() -> [Pass; 4] {
-        [Pass::Metrics, Pass::Panics, Pass::Locks, Pass::Model]
+    pub fn all() -> [Pass; 3] {
+        [Pass::Metrics, Pass::Panics, Pass::Locks]
     }
 }
 
@@ -86,8 +76,7 @@ impl fmt::Display for Pass {
 pub struct Finding {
     /// The pass that produced it.
     pub pass: Pass,
-    /// Workspace-relative file the finding points at (empty for
-    /// findings about the workspace as a whole, e.g. model states).
+    /// Workspace-relative file the finding points at.
     pub file: String,
     /// 1-based line, 0 when the finding has no single line.
     pub line: u32,
@@ -106,23 +95,11 @@ impl Finding {
             message: message.into(),
         }
     }
-
-    /// Construct a workspace-level finding (no file).
-    pub fn global(pass: Pass, message: impl Into<String>) -> Self {
-        Finding {
-            pass,
-            file: String::new(),
-            line: 0,
-            message: message.into(),
-        }
-    }
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.file.is_empty() {
-            write!(f, "[{}] {}", self.pass, self.message)
-        } else if self.line == 0 {
+        if self.line == 0 {
             write!(f, "[{}] {}: {}", self.pass, self.file, self.message)
         } else {
             write!(
@@ -190,12 +167,10 @@ impl Workspace {
 }
 
 /// Outcome of a full lint run: every finding plus the context the
-/// report prints (model statistics, the metric inventory).
+/// report prints (the metric inventory).
 pub struct RunOutcome {
     /// All findings from all passes, sorted.
     pub findings: Vec<Finding>,
-    /// Model-checker statistics (states explored, transitions).
-    pub model: Option<model::ModelStats>,
     /// Metric inventory (registered names), for the report.
     pub metrics: Vec<metrics::RegisteredMetric>,
     /// The DESIGN.md §9 catalogue block to paste, when the one there
@@ -213,15 +188,10 @@ pub fn run_all(root: impl Into<PathBuf>) -> RunOutcome {
 
     findings.extend(panics::check(&ws));
     findings.extend(locks::check(&ws));
-
-    let (model_findings, stats) = model::check(&ws);
-    findings.extend(model_findings);
-
     findings.sort();
     findings.dedup();
     RunOutcome {
         findings,
-        model: stats,
         metrics: inventory,
         catalogue,
     }
@@ -247,7 +217,7 @@ mod tests {
     fn finding_display_formats() {
         let a = Finding::at(Pass::Panics, "a.rs", 3, "boom");
         assert_eq!(a.to_string(), "[panic-path] a.rs:3: boom");
-        let g = Finding::global(Pass::Model, "stuck");
-        assert_eq!(g.to_string(), "[batch-lifecycle-model] stuck");
+        let whole = Finding::at(Pass::Metrics, "DESIGN.md", 0, "stale");
+        assert_eq!(whole.to_string(), "[metrics-contract] DESIGN.md: stale");
     }
 }

@@ -14,7 +14,7 @@ pub fn render(outcome: &RunOutcome) -> String {
     let n = outcome.findings.len();
     out.push_str("# rck_lint report\n\n");
     if n == 0 {
-        out.push_str("**Clean**: all four passes found no violations.\n");
+        out.push_str("**Clean**: all three passes found no violations.\n");
     } else {
         let _ = writeln!(
             out,
@@ -39,9 +39,7 @@ pub fn render(outcome: &RunOutcome) -> String {
         }
         let _ = writeln!(out, "## {}\n", pass.slug());
         for f in of_pass {
-            if f.file.is_empty() {
-                let _ = writeln!(out, "- {}", f.message);
-            } else if f.line == 0 {
+            if f.line == 0 {
                 let _ = writeln!(out, "- `{}`: {}", f.file, f.message);
             } else {
                 let _ = writeln!(out, "- `{}:{}`: {}", f.file, f.line, f.message);
@@ -51,13 +49,6 @@ pub fn render(outcome: &RunOutcome) -> String {
     }
 
     out.push_str("## Checked contracts\n\n");
-    if let Some(m) = &outcome.model {
-        let _ = writeln!(
-            out,
-            "- batch lifecycle: {} reachable states, {} transitions explored, accounting + conservation hold in every state",
-            m.states, m.transitions
-        );
-    }
     let _ = writeln!(
         out,
         "- metrics: {} production families under contract",
@@ -88,7 +79,6 @@ mod tests {
     fn clean_and_dirty_render() {
         let clean = RunOutcome {
             findings: vec![],
-            model: None,
             metrics: vec![],
             catalogue: None,
         };
@@ -96,7 +86,6 @@ mod tests {
 
         let dirty = RunOutcome {
             findings: vec![Finding::at(Pass::Panics, "a.rs", 7, "boom")],
-            model: None,
             metrics: vec![],
             catalogue: None,
         };

@@ -48,10 +48,6 @@ fn bad_tree_findings_are_the_seeded_ones() {
     assert!(has("`.unwrap()`"));
     assert!(has("held across `write_all()`"));
     assert!(has("inconsistent lock order"));
-    // model: missing requeue anchors disable the transition and the
-    // checker exhibits the resulting stuck state
-    assert!(has("transition-table anchor missing"));
-    assert!(has("stuck state"));
 }
 
 #[test]
@@ -63,10 +59,8 @@ fn workspace_self_check_is_clean() {
         report::render(&outcome)
     );
     assert!(outcome.catalogue.is_none());
-    // A lost registration or lifecycle anchor moves these counts.
-    assert_eq!(outcome.metrics.len(), 85, "production metric families");
-    let model = outcome.model.expect("the lifecycle model ran");
-    assert_eq!((model.states, model.transitions), (18_684, 84_562));
+    // A lost registration moves this count.
+    assert_eq!(outcome.metrics.len(), 86, "production metric families");
 }
 
 #[test]

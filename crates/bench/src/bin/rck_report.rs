@@ -35,6 +35,7 @@ use rck_tmalign::stages::stage_counters;
 use rck_tmalign::MethodKind;
 use rckalign::cli::{Flags, ParseError};
 use rckalign::consensus::Combiner;
+use rckalign::experiments::PAPER_SLAVE_COUNTS;
 use rckalign::{
     run_all_vs_all, utilization_sweep, PairCache, RckAlignOptions, SimilarityMatrix, StoreBinding,
     UtilizationPoint,
@@ -101,7 +102,7 @@ fn paper_reference(dataset: &str, slaves: usize) -> Option<(f64, f64)> {
         "RS119" => &paper::TABLE4_RS119,
         _ => return None,
     };
-    let ix = paper::SLAVES.iter().position(|&s| s == slaves)?;
+    let ix = PAPER_SLAVE_COUNTS.iter().position(|&s| s == slaves)?;
     Some(table[ix])
 }
 

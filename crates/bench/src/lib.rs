@@ -22,13 +22,9 @@ pub fn rs119_cache() -> PairCache {
 }
 
 /// The paper's published numbers, used as the reference column in every
-/// regenerated table.
+/// regenerated table. Rows of Tables II and IV follow
+/// `rckalign::experiments::PAPER_SLAVE_COUNTS`.
 pub mod paper {
-    /// Slave-core counts of Tables II and IV.
-    pub const SLAVES: [usize; 24] = [
-        1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45, 47,
-    ];
-
     /// Table II: rckAlign seconds on CK34.
     pub const TABLE2_RCKALIGN: [f64; 24] = [
         2027.0, 689.0, 420.0, 305.0, 238.0, 196.0, 168.0, 148.0, 132.0, 120.0, 109.0, 101.0, 94.0,

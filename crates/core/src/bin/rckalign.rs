@@ -6,19 +6,19 @@
 //! rckalign rank     <dataset> <chain> [--top K] [--slaves N] [--seed S]
 //! rckalign allvsall <dataset> [--slaves N] [--method M] [--ordering O]
 //!                   [--waves] [--seed S] [--store PATH]
-//! rckalign experiment <1|2|3|5> [--points 1,11,23,47] [--seed S]
+//! rckalign export   <dataset> <dir> [--seed S]
 //! ```
+//!
+//! The paper's tables and figures print from `check_claims`.
 
 use rck_noc::NocConfig;
 use rck_pdb::datasets;
 use rck_pdb::model::CaChain;
 use rck_tmalign::{display, tm_align, MethodKind};
 use rckalign::cli::{Flags, ParseError};
-use rckalign::experiments;
-use rckalign::report::{fmt_secs, fmt_speedup, TextTable};
 use rckalign::{
-    run_all_vs_all, run_one_vs_all, Combiner, Consensus, DistributedConfig, JobOrdering,
-    OneVsAllOptions, PairCache, RckAlignOptions, Scheduling,
+    run_all_vs_all, run_one_vs_all, Combiner, Consensus, JobOrdering, OneVsAllOptions, PairCache,
+    RckAlignOptions, Scheduling,
 };
 use std::process::ExitCode;
 
@@ -32,13 +32,12 @@ USAGE:
   rckalign allvsall <dataset> [--slaves N] [--method tm-align|kabsch-rmsd|contact-map]
                     [--ordering fifo|lpt|shuffle] [--waves] [--cores] [--seed S]
                     [--store PATH]
+  rckalign export   <dataset> <dir> [--seed S]
 
 --store PATH opens (or creates) a persistent content-addressed result
 store: pairs already present are looked up instead of recomputed, new
 pairs are appended, so growing a dataset by one chain costs one chain's
 worth of comparisons.
-  rckalign experiment <1|2|3|5> [--points 1,11,23,47] [--seed S]
-  rckalign export   <dataset> <dir> [--seed S]
 
 Datasets: CK34, RS119, TINY8 (synthetic stand-ins; see DESIGN.md), or a
 path to a directory of .pdb/.ent files (first chain of the first model is
@@ -72,11 +71,6 @@ enum Command {
         seed: u64,
         store: Option<String>,
     },
-    Experiment {
-        which: u8,
-        points: Vec<usize>,
-        seed: u64,
-    },
     Export {
         dataset: String,
         dir: String,
@@ -88,7 +82,6 @@ fn parse_args(args: &[String]) -> Result<Command, ParseError> {
     let (mut seed, mut top, mut slaves) = (2013u64, 10usize, 47usize);
     let (mut method, mut ordering, mut store) = (MethodKind::TmAlign, "fifo", None);
     let (mut waves, mut cores) = (false, false);
-    let mut points = vec![1, 11, 23, 35, 47];
     let mut flags = Flags::with_positionals(args);
     while let Some(name) = flags.next_flag()? {
         match name {
@@ -106,7 +99,6 @@ fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 };
             }
             "ordering" => ordering = flags.value()?.0,
-            "points" => points = flags.value()?.list(1..=47, "point")?,
             "store" => store = Some(flags.value()?.string()),
             _ => return Err(flags.unknown()),
         }
@@ -160,19 +152,6 @@ fn parse_args(args: &[String]) -> Result<Command, ParseError> {
                 cores,
                 seed,
                 store,
-            })
-        }
-        Some("experiment") => {
-            operands(1, "<1|2|3|5>")?;
-            let which: u8 = pos[1]
-                .parse()
-                .ok()
-                .filter(|w| [1u8, 2, 3, 5].contains(w))
-                .ok_or_else(|| ParseError(format!("unknown experiment {}", pos[1])))?;
-            Ok(Command::Experiment {
-                which,
-                points,
-                seed,
             })
         }
         Some("export") => {
@@ -345,14 +324,6 @@ fn run(cmd: Command) -> Result<(), ParseError> {
             }
             Ok(())
         }
-        Command::Experiment {
-            which,
-            points,
-            seed,
-        } => {
-            run_experiment(which, &points, seed);
-            Ok(())
-        }
         Command::Export { dataset, dir, seed } => {
             let profile = datasets::by_name(&dataset)
                 .ok_or_else(|| ParseError(format!("unknown dataset {dataset}")))?;
@@ -361,71 +332,6 @@ fn run(cmd: Command) -> Result<(), ParseError> {
             println!("wrote {n} PDB files + sequences.fasta to {dir}");
             Ok(())
         }
-    }
-}
-
-fn run_experiment(which: u8, points: &[usize], seed: u64) {
-    let noc = NocConfig::scc();
-    let ck = PairCache::new(datasets::ck34_profile().generate(seed));
-    match which {
-        1 => {
-            let rows = experiments::experiment1(&ck, points, &noc, &DistributedConfig::default());
-            let mut t = TextTable::new(&["Slave Cores", "rckAlign (s)", "TM-align dist. (s)"]);
-            for r in rows {
-                t.row(&[
-                    r.slaves.to_string(),
-                    fmt_secs(r.rckalign_secs),
-                    fmt_secs(r.tmalign_dist_secs),
-                ]);
-            }
-            print!("{}", t.render());
-        }
-        2 => {
-            let rs = PairCache::new(datasets::rs119_profile().generate(seed));
-            let rows = experiments::experiment2(&ck, &rs, points, &noc);
-            let mut t = TextTable::new(&[
-                "Slave Cores",
-                "CK34 speedup",
-                "CK34 (s)",
-                "RS119 speedup",
-                "RS119 (s)",
-            ]);
-            for r in rows {
-                t.row(&[
-                    r.slaves.to_string(),
-                    fmt_speedup(r.ck34_speedup),
-                    fmt_secs(r.ck34_secs),
-                    fmt_speedup(r.rs119_speedup),
-                    fmt_secs(r.rs119_secs),
-                ]);
-            }
-            print!("{}", t.render());
-        }
-        3 => {
-            let rs = PairCache::new(datasets::rs119_profile().generate(seed));
-            let rows = experiments::table3(&ck, &rs, noc.cycles_per_op);
-            let mut t = TextTable::new(&["Processor", "CK34 (s)", "RS119 (s)"]);
-            for r in rows {
-                t.row(&[r.processor, fmt_secs(r.ck34_secs), fmt_secs(r.rs119_secs)]);
-            }
-            print!("{}", t.render());
-        }
-        5 => {
-            let rs = PairCache::new(datasets::rs119_profile().generate(seed));
-            let rows = experiments::table5(&ck, &rs, &noc);
-            let mut t =
-                TextTable::new(&["Dataset", "TM-align AMD", "TM-align P54C", "rckAlign SCC"]);
-            for r in &rows {
-                t.row(&[
-                    r.dataset.clone(),
-                    fmt_secs(r.tmalign_amd_secs),
-                    fmt_secs(r.tmalign_p54c_secs),
-                    fmt_secs(r.rckalign_scc_secs),
-                ]);
-            }
-            print!("{}", t.render());
-        }
-        _ => unreachable!("validated in the parser"),
     }
 }
 
@@ -510,19 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_experiment_points() {
-        let c = parse("experiment 2 --points 1,3,5").unwrap();
-        assert_eq!(
-            c,
-            Command::Experiment {
-                which: 2,
-                points: vec![1, 3, 5],
-                seed: 2013
-            }
-        );
-    }
-
-    #[test]
     fn rejects_bad_input() {
         assert!(parse("").is_err());
         assert!(parse("frobnicate").is_err());
@@ -530,8 +423,6 @@ mod tests {
         assert!(parse("allvsall CK34 --method nope").is_err());
         assert!(parse("allvsall CK34 --slaves 0").is_err());
         assert!(parse("allvsall CK34 --slaves 99").is_err());
-        assert!(parse("experiment 4").is_err());
-        assert!(parse("experiment 2 --points 0,3").is_err());
         assert!(parse("allvsall CK34 --seed").is_err());
         assert!(parse("rank CK34 x --top nope").is_err());
     }

@@ -119,15 +119,11 @@ impl PairCache {
                 .map(|job| (&self.chains[job.i as usize], &self.chains[job.j as usize]))
                 .collect();
             let scores = run[0].method.instantiate().compare_many(&pairs);
-            outcomes.extend(run.iter().zip(scores).map(|(job, score)| PairOutcome {
-                i: job.i,
-                j: job.j,
-                method: job.method,
-                similarity: score.similarity,
-                rmsd: score.rmsd.unwrap_or(f64::NAN),
-                aligned_len: score.aligned_len as u32,
-                ops: score.ops,
-            }));
+            outcomes.extend(
+                run.iter()
+                    .zip(scores)
+                    .map(|(job, score)| PairOutcome::scored(job, score)),
+            );
         }
         outcomes
     }

@@ -10,7 +10,7 @@
 use rck_pdb::geometry::Vec3;
 use rck_pdb::model::{AminoAcid, CaChain};
 use rck_rcce::{DecodeError, Reader, Writer};
-use rck_tmalign::MethodKind;
+use rck_tmalign::{MethodKind, PscScore};
 use serde::{Deserialize, Serialize};
 
 /// A pairwise-comparison job: compare chains `i` and `j` with `method`.
@@ -228,6 +228,23 @@ pub struct PairOutcome {
     pub aligned_len: u32,
     /// Kernel operations the comparison cost.
     pub ops: u64,
+}
+
+impl PairOutcome {
+    /// What `job` reduces to once its method scored it `score`; a method
+    /// without an RMSD reports NaN.
+    #[inline]
+    pub fn scored(job: &PairJob, score: PscScore) -> PairOutcome {
+        PairOutcome {
+            i: job.i,
+            j: job.j,
+            method: job.method,
+            similarity: score.similarity,
+            rmsd: score.rmsd.unwrap_or(f64::NAN),
+            aligned_len: score.aligned_len as u32,
+            ops: score.ops,
+        }
+    }
 }
 
 /// The 37-byte outcome record, shared by the slave → master result

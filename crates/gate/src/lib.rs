@@ -392,19 +392,11 @@ pub fn reference_ranking(
     let outcomes: Vec<PairOutcome> = jobs
         .iter()
         .map(|job| {
-            let score = job
-                .method
-                .instantiate()
-                .compare(&all[job.i as usize], &all[job.j as usize]);
-            PairOutcome {
-                i: job.i,
-                j: job.j,
-                method: job.method,
-                similarity: score.similarity,
-                rmsd: score.rmsd.unwrap_or(f64::NAN),
-                aligned_len: score.aligned_len as u32,
-                ops: score.ops,
-            }
+            let method = job.method.instantiate();
+            PairOutcome::scored(
+                job,
+                method.compare(&all[job.i as usize], &all[job.j as usize]),
+            )
         })
         .collect();
     ranking_from_outcomes(n, &outcomes, methods, combiner)

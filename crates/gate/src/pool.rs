@@ -247,6 +247,49 @@ mod tests {
     use rck_serve::MemNet;
     use rck_tmalign::MethodKind;
 
+    /// Every schedule of one query's three one-job batches over two pool
+    /// workers, under the gate's own pick and counters (DESIGN.md §16).
+    #[test]
+    fn every_reachable_batch_lifecycle_state_holds_its_invariants() {
+        let chains = tiny_profile().generate(3);
+        let (db, query) = (chains[..3].to_vec(), chains[3].clone());
+        let make = || {
+            let cfg = GateConfig {
+                batch_size: 1,
+                ..GateConfig::default()
+            };
+            let net = MemNet::new();
+            let gate = Gate::bind_on(net.listener(), net.listener(), db.clone(), cfg);
+            let submit = QuerySubmit {
+                tenant: "t".into(),
+                query_id: 1,
+                weight: 1,
+                methods: vec![MethodKind::TmAlign],
+                chain: query.clone(),
+            };
+            crate::submit_query(&gate.shared, submit, &Outbox::new());
+            Arc::clone(&gate.shared)
+        };
+        let all: Vec<(u32, u32)> = (0..3).map(|i| (i, 3)).collect();
+        let explored = rck_serve::explore::run(make, |shared, state| {
+            let pairs = |jobs: &[PairJob]| jobs.iter().map(|j| (j.i, j.j)).collect();
+            // A completed run is retired with every pair done.
+            let run = state.runs.values().next();
+            rck_serve::explore::View {
+                queued: run.map_or(Vec::new(), |r| r.pending.iter().map(|b| pairs(b)).collect()),
+                done: run.map_or(all.clone(), |r| {
+                    r.done.iter().map(|&(i, j, _)| (i, j)).collect()
+                }),
+                dispatched: shared.stats.jobs_dispatched.get(),
+                completed: shared.stats.jobs_completed.get(),
+                duplicates: None,
+                requeued: shared.stats.jobs_requeued.get(),
+            }
+        });
+        assert_eq!(explored.violations, Vec::<String>::new());
+        assert_eq!((explored.states, explored.transitions), (8_499, 20_261));
+    }
+
     /// A worker answering the wrong jobs is refused: nothing reaches the
     /// run, the batch is requeued, the worker is lost.
     #[test]

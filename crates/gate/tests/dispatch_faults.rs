@@ -980,7 +980,7 @@ fn run_tile_case(fault: TileFault) {
             requeued: s.tiles_requeued,
             completed: s.tiles_completed,
             workers_lost: s.masters_lost,
-            stale: Some(s.duplicate_tiles),
+            stale: Some(s.stale_tiles),
             mismatched: Some(s.mismatched_tiles),
         }
     };

@@ -73,7 +73,7 @@ pub struct Granted<U> {
 pub struct Ledger<K, U> {
     heartbeat_timeout: Duration,
     cap: Option<Duration>,
-    units: HashMap<K, Granted<U>>,
+    pub(crate) units: HashMap<K, Granted<U>>,
     last_signal: HashMap<u32, Instant>,
 }
 
@@ -118,12 +118,19 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
         }
     }
 
-    /// Take every unit `owner` holds out of flight.
-    pub fn revoke_owner(&mut self, owner: u32) -> Vec<(K, U)> {
-        self.units
+    /// Take every unit `owner` holds out of flight, in key order, so a
+    /// requeue puts them back the same way on every run.
+    pub fn revoke_owner(&mut self, owner: u32) -> Vec<(K, U)>
+    where
+        K: Ord,
+    {
+        let mut units: Vec<_> = self
+            .units
             .extract_if(|_, g| g.owner == owner)
             .map(|(key, g)| (key, g.unit))
-            .collect()
+            .collect();
+        units.sort_unstable_by_key(|&(key, _)| key);
+        units
     }
 
     /// Whether `owner` has a unit in flight.
@@ -166,7 +173,7 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
 /// one acquisition per dispatch and one per accept.
 pub struct Dispatch<U> {
     /// Batches out on workers, keyed by batch id.
-    ledger: Ledger<u64, U>,
+    pub(crate) ledger: Ledger<u64, U>,
     /// Write-half clones of the connections on every plane, by
     /// connection id, so the monitor and an abort can unblock a handler
     /// parked in a read.
@@ -667,17 +674,7 @@ fn monitor_workers<S: WorkSource>(src: &S) {
     let tick = (src.heartbeat_timeout() / 4).max(Duration::from_millis(5));
     let mut state = src.state().lock_recover();
     loop {
-        for (_, worker_id) in S::dispatch(&mut state).ledger.expired(Instant::now()) {
-            // A second expired unit of the same worker finds nothing
-            // left to requeue.
-            if requeue_worker(src, &mut state, worker_id) {
-                src.observe(Event::WorkerLost(worker_id));
-                src.wake().notify_all();
-            }
-            if let Some(conn) = S::dispatch(&mut state).streams.get(&worker_id) {
-                conn.shutdown();
-            }
-        }
+        sweep_expired(src, &mut state, Instant::now());
         if settled(src, &mut state) {
             break;
         }
@@ -689,6 +686,23 @@ fn monitor_workers<S: WorkSource>(src: &S) {
     }
     drop(state);
     src.wake().notify_all();
+}
+
+/// One sweep of the deadline monitor at `now`: every owner with an
+/// expired unit loses all it holds to the queue, is counted lost, and
+/// has its connection shut so its handler's pending read returns.
+pub fn sweep_expired<S: WorkSource>(src: &S, state: &mut S::State, now: Instant) {
+    for (_, worker_id) in S::dispatch(state).ledger.expired(now) {
+        // A second expired unit of the same worker finds nothing left to
+        // requeue.
+        if requeue_worker(src, state, worker_id) {
+            src.observe(Event::WorkerLost(worker_id));
+            src.wake().notify_all();
+        }
+        if let Some(conn) = S::dispatch(state).streams.get(&worker_id) {
+            conn.shutdown();
+        }
+    }
 }
 
 /// What became of one dispatched batch.
@@ -825,30 +839,56 @@ pub fn serve_worker<S: WorkSource>(src: &S, mut conn: Box<dyn Conn>) {
 /// nothing) and returns `None` otherwise (results are due: go read).
 pub fn claim<S: WorkSource>(src: &S, worker_id: u32, wait: bool) -> Option<(u64, S::Unit)> {
     let mut state = src.state().lock_recover();
-    let unit = loop {
-        // A connection that holds work the ledger no longer knows was
-        // given up on by the monitor: it is fed nothing more.
-        let d = S::dispatch(&mut state);
-        let revoked = !wait && !d.ledger.holds(worker_id);
-        if revoked || d.halted || src.idle(&state) {
-            return None;
-        }
-        match src.next_unit(&mut state, worker_id) {
-            Some(unit) => break unit,
-            None if !wait => return None,
-            None => {}
+    loop {
+        match try_claim(src, &mut state, worker_id, wait) {
+            Claim::Granted(key, unit) => return Some((key, unit)),
+            Claim::Empty if wait => {}
+            Claim::Empty | Claim::Closed => return None,
         }
         state = src
             .wake()
             .wait_timeout(state, Duration::from_millis(50))
             .unwrap_or_else(PoisonError::into_inner)
             .0;
+    }
+}
+
+/// What one [`try_claim`] found.
+#[derive(Debug)]
+pub enum Claim<U> {
+    /// A unit, entered in the ledger under this key.
+    Granted(u64, U),
+    /// The policy has nothing to hand out yet.
+    Empty,
+    /// Feed this connection nothing more: the source is halted or idle,
+    /// or the connection holds work the ledger no longer knows.
+    Closed,
+}
+
+/// [`claim`] without the wait, on state whose lock the caller holds:
+/// grant the policy's next unit for `worker_id`, if it has one. `wait`
+/// says the connection holds nothing.
+pub fn try_claim<S: WorkSource>(
+    src: &S,
+    state: &mut S::State,
+    worker_id: u32,
+    wait: bool,
+) -> Claim<S::Unit> {
+    // A connection that holds work the ledger no longer knows was given
+    // up on by the monitor: it is fed nothing more.
+    let d = S::dispatch(state);
+    let revoked = !wait && !d.ledger.holds(worker_id);
+    if revoked || d.halted || src.idle(state) {
+        return Claim::Closed;
+    }
+    let Some(unit) = src.next_unit(state, worker_id) else {
+        return Claim::Empty;
     };
-    let d = S::dispatch(&mut state);
+    let d = S::dispatch(state);
     let key = S::key(&unit, d.next_batch_id);
     d.next_batch_id += 1;
     d.ledger.grant(key, worker_id, unit.clone(), Instant::now());
-    Some((key, unit))
+    Claim::Granted(key, unit)
 }
 
 /// What [`collect_result`] heard before it returned.

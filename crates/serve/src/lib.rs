@@ -39,7 +39,9 @@
 //! * [`chaos`] — seeded frame-fault plans and the farm's end-to-end
 //!   fault scenarios ([`chaos::run_scenario`], one of the four runs over
 //!   `rckalign::chaos`) proving the requeue/heartbeat/dedup machinery
-//!   never yields a wrong matrix and never deadlocks.
+//!   never yields a wrong matrix and never deadlocks;
+//! * [`explore`] — every schedule of a small batch lifecycle, run on the
+//!   real dispatcher under a tier's own policy ([`explore::run`]).
 //!
 //! ```no_run
 //! use rck_serve::{Master, MasterConfig, WorkerConfig};
@@ -56,6 +58,7 @@
 
 pub mod chaos;
 pub mod dispatch;
+pub mod explore;
 pub mod master;
 pub mod proto;
 pub mod signal;

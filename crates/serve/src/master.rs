@@ -580,6 +580,37 @@ mod tests {
     use rck_pdb::datasets::tiny_profile;
     use std::collections::HashSet;
 
+    /// Every schedule of three one-job batches over two workers, under
+    /// the master's own FIFO policy and counters (DESIGN.md §16).
+    #[test]
+    fn every_reachable_batch_lifecycle_state_holds_its_invariants() {
+        let cfg = MasterConfig {
+            batch_size: 1,
+            ..MasterConfig::default()
+        };
+        let batches = || {
+            all_vs_all(3, MethodKind::TmAlign)
+                .chunks(1)
+                .map(<[_]>::to_vec)
+                .collect()
+        };
+        let make = || Shared::new(cfg.clone(), HashMap::new(), batches(), None);
+        let explored = crate::explore::run(make, |shared, work| crate::explore::View {
+            queued: work
+                .queue
+                .iter()
+                .map(|b| b.iter().map(|j| (j.i, j.j)).collect())
+                .collect(),
+            done: work.done.iter().copied().collect(),
+            dispatched: shared.stats.jobs_dispatched.get(),
+            completed: shared.stats.jobs_completed.get(),
+            duplicates: Some(shared.stats.duplicate_results.get()),
+            requeued: shared.stats.jobs_requeued.get(),
+        });
+        assert_eq!(explored.violations, Vec::<String>::new());
+        assert_eq!((explored.states, explored.transitions), (8_499, 18_291));
+    }
+
     #[test]
     fn bind_stages_the_workload_without_dispatching() {
         let chains = tiny_profile().generate(1);

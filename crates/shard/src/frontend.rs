@@ -225,7 +225,7 @@ impl WorkSource for Shared {
         match event {
             Event::WorkerConnected(id, name) => stats.on_master_connected(id, name),
             Event::WorkerLost(_) => stats.masters_lost.inc(),
-            Event::StaleResult => stats.duplicate_tiles.inc(),
+            Event::StaleResult => stats.stale_tiles.inc(),
             Event::MismatchedResult => stats.mismatched_tiles.inc(),
             // The frontend keeps no wire, gap or window statistics.
             _ => {}
@@ -451,6 +451,79 @@ mod tests {
             results: Vec::new(),
             remaining: 0,
         }
+    }
+
+    /// Every schedule of three one-job tiles over two masters holding two
+    /// credits each, under the frontend's own tile pick and counters
+    /// (DESIGN.md §16).
+    #[test]
+    fn every_reachable_tile_lifecycle_state_holds_its_invariants() {
+        let chains = rck_pdb::datasets::tiny_profile().generate(3)[..3].to_vec();
+        let cfg = ShardConfig {
+            tile_size: 1,
+            masters: 2,
+            ..ShardConfig::default()
+        };
+        let make = || {
+            let net = rck_serve::MemNet::new();
+            ShardFrontend::bind_on(net.listener(), chains.clone(), cfg.clone()).shared
+        };
+        let explored = rck_serve::explore::run(make, |shared, state| {
+            let pairs =
+                |t: &u32| -> Vec<_> { state.tile_jobs[t].iter().map(|j| (j.i, j.j)).collect() };
+            let queued = state.queues.iter().flatten().chain(&state.orphans);
+            let stats = &shared.stats;
+            rck_serve::explore::View {
+                queued: queued.map(pairs).collect(),
+                done: state.done.iter().flat_map(pairs).collect(),
+                dispatched: stats.tiles_granted.get(),
+                completed: stats.tiles_completed.get(),
+                duplicates: Some(stats.duplicate_tiles.get()),
+                requeued: stats.tiles_requeued.get(),
+            }
+        });
+        assert_eq!(explored.violations, Vec::<String>::new());
+        assert_eq!((explored.states, explored.transitions), (7_875, 22_293));
+    }
+
+    /// A replayed tile result is stale, not a duplicate, so the
+    /// counters still balance: granted = completed + duplicates +
+    /// requeued + in flight.
+    #[test]
+    fn a_replayed_tile_result_is_stale_and_the_counters_balance() {
+        let chains = rck_pdb::datasets::tiny_profile().generate(3)[..3].to_vec();
+        let cfg = ShardConfig {
+            tile_size: 1,
+            masters: 1,
+            ..ShardConfig::default()
+        };
+        let fe = ShardFrontend::bind_on(rck_serve::MemNet::new().listener(), chains, cfg);
+        let shared = &*fe.shared;
+        let (key, tile) = dispatch::claim(shared, 0, true).expect("a tile to grant");
+        let outcomes = tile.jobs.iter().map(|j| PairOutcome {
+            i: j.i,
+            j: j.j,
+            method: j.method,
+            similarity: 0.5,
+            rmsd: 1.0,
+            aligned_len: 1,
+            ops: 1,
+        });
+        let answer = rck_serve::proto::ResultBatch {
+            batch_id: key,
+            outcomes: outcomes.collect(),
+        };
+        let fate = dispatch::accept_results(shared, 0, answer.clone());
+        assert!(matches!(fate, dispatch::BatchFate::Accepted(_)));
+        let fate = dispatch::accept_results(shared, 0, answer);
+        assert_eq!(fate, dispatch::BatchFate::Stale, "the replay");
+        let s = fe.stats().snapshot();
+        assert_eq!((s.stale_tiles, s.duplicate_tiles), (1, 0));
+        assert_eq!(
+            s.tiles_granted,
+            s.tiles_completed + s.duplicate_tiles + s.tiles_requeued,
+            "nothing is in flight: {s:?}"
+        );
     }
 
     #[test]

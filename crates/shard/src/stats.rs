@@ -23,6 +23,7 @@ pub struct ShardStats {
     pub(crate) tiles_requeued: Arc<Counter>,
     pub(crate) tiles_stolen: Arc<Counter>,
     pub(crate) duplicate_tiles: Arc<Counter>,
+    pub(crate) stale_tiles: Arc<Counter>,
     pub(crate) mismatched_tiles: Arc<Counter>,
     pub(crate) masters_connected: Arc<Counter>,
     pub(crate) masters_lost: Arc<Counter>,
@@ -62,6 +63,10 @@ impl ShardStats {
             duplicate_tiles: registry.counter(
                 "rck_shard_duplicate_tiles_total",
                 "tile results dropped because the tile was already complete",
+            ),
+            stale_tiles: registry.counter(
+                "rck_shard_stale_tiles_total",
+                "tile results dropped because their master no longer held the tile",
             ),
             mismatched_tiles: registry.counter(
                 "rck_shard_mismatched_tiles_total",
@@ -140,6 +145,7 @@ impl ShardStats {
             tiles_requeued: self.tiles_requeued.get(),
             tiles_stolen: self.tiles_stolen.get(),
             duplicate_tiles: self.duplicate_tiles.get(),
+            stale_tiles: self.stale_tiles.get(),
             mismatched_tiles: self.mismatched_tiles.get(),
             masters_connected: self.masters_connected.get(),
             masters_lost: self.masters_lost.get(),
@@ -164,6 +170,9 @@ pub struct ShardSnapshot {
     pub tiles_stolen: u64,
     /// Tile results dropped as already complete.
     pub duplicate_tiles: u64,
+    /// Tile results dropped because their master no longer held the tile
+    /// (a late answer after a requeue, or a replay).
+    pub stale_tiles: u64,
     /// Tile results rejected for not answering the tile's jobs.
     pub mismatched_tiles: u64,
     /// Masters that connected over the run.
@@ -180,12 +189,13 @@ impl ShardSnapshot {
     /// Render the run summary plus the per-master tile table.
     pub fn render(&self) -> String {
         let mut totals = TextTable::new(&["counter", "value"]);
-        let rows: [(&str, u64); 9] = [
+        let rows: [(&str, u64); 10] = [
             ("tiles granted", self.tiles_granted),
             ("tiles completed", self.tiles_completed),
             ("tiles requeued", self.tiles_requeued),
             ("tiles stolen", self.tiles_stolen),
             ("duplicate tile results", self.duplicate_tiles),
+            ("stale tile results", self.stale_tiles),
             ("mismatched tile results", self.mismatched_tiles),
             ("masters connected", self.masters_connected),
             ("masters lost", self.masters_lost),
@@ -217,6 +227,7 @@ mod tests {
         s.tiles_requeued.add(2);
         s.masters_lost.inc();
         s.duplicate_tiles.inc();
+        s.stale_tiles.add(3);
         s.mismatched_tiles.inc();
         s.store_pairs.add(5);
         let snap = s.snapshot();
@@ -227,6 +238,7 @@ mod tests {
         assert_eq!(snap.masters_connected, 2);
         assert_eq!(snap.masters_lost, 1);
         assert_eq!(snap.duplicate_tiles, 1);
+        assert_eq!(snap.stale_tiles, 3);
         assert_eq!(snap.mismatched_tiles, 1);
         assert_eq!(snap.store_pairs, 5);
         assert_eq!(snap.masters[0].2, 1, "master 0 credited with its tile");

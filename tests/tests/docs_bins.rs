@@ -693,3 +693,66 @@ fn contract_tables_are_generated_and_the_doc_parsers_are_gone() {
         "one end marker per generated block"
     );
 }
+
+/// The batch lifecycle has one copy, the dispatcher's: each crate with a
+/// `WorkSource` policy has a test that runs it through
+/// `rck_serve::explore`, and `rck_lint` keeps no extracted transition
+/// table beside it.
+#[test]
+fn the_batch_lifecycle_has_one_copy() {
+    let root = repo_root();
+    let (mut policies, mut unexplored) = (Vec::new(), Vec::new());
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("crate directory").path();
+        let mut files = Vec::new();
+        walk(&krate.join("src"), &mut files);
+        let texts: Vec<(PathBuf, String)> = files
+            .into_iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+            .map(|p| {
+                let text = fs::read_to_string(&p).expect("source is UTF-8");
+                (p, text)
+            })
+            .collect();
+        let split = |text: &str| text.find("\n#[cfg(test)]").unwrap_or(text.len());
+        let mine: Vec<_> = texts
+            .iter()
+            .filter(|(_, t)| t[..split(t)].contains("impl WorkSource for "))
+            .map(|(p, _)| p.strip_prefix(&root).expect("below the root").to_owned())
+            .collect();
+        let explored = texts
+            .iter()
+            .any(|(_, t)| t[split(t)..].contains("explore::run("));
+        if !mine.is_empty() && !explored {
+            unexplored.extend(mine.iter().cloned());
+        }
+        policies.extend(mine);
+    }
+    policies.sort();
+    assert_eq!(
+        policies,
+        [
+            "crates/gate/src/pool.rs",
+            "crates/serve/src/master.rs",
+            "crates/shard/src/frontend.rs"
+        ]
+        .map(PathBuf::from),
+        "`WorkSource` policies"
+    );
+    assert!(
+        unexplored.is_empty(),
+        "policies no test of their crate explores: {unexplored:#?}"
+    );
+    let mut files = Vec::new();
+    walk(&root.join("crates/analyze/src"), &mut files);
+    for path in files {
+        let text = fs::read_to_string(&path).expect("source is UTF-8");
+        for retired in ["TransitionTable", "extract_table"] {
+            assert!(
+                !text.contains(retired),
+                "{} names the retired `{retired}`",
+                path.display()
+            );
+        }
+    }
+}
