@@ -65,6 +65,6 @@ pub use jobs::{
 pub use loadbalance::JobOrdering;
 pub use mcpsc::{run_mcpsc, McPscOptions, McPscRun, PartitionStrategy};
 pub use onevsall::{run_one_vs_all, OneVsAllOptions};
-pub use rck_store::{fnv1a64, KeyHasher};
+pub use rck_store::fnv1a64;
 pub use store::{chain_content_hash, StoreBinding};
 pub use tiles::{assign_tiles, merge_outcomes, tile_partition, Tile};

@@ -30,8 +30,8 @@
 //!   matches an already-running query attaches to it as an extra
 //!   subscriber: one computation, every subscriber streamed;
 //! * **exactness under faults** — the pool is a policy over the same
-//!   [`rck_serve::dispatch`] core the master runs (requeue /
-//!   [`rck_serve::proto::answers_exactly`] / dedup guards), so the
+//!   [`rck_serve::dispatch`] core the master runs (requeue,
+//!   [`rck_serve::proto::answers_exactly`], exactly-once settling), so the
 //!   ranking a client reassembles is bit-identical to an in-process
 //!   [`rckalign::onevsall`] run even across worker crashes; a faulted
 //!   *client* connection only unsubscribes itself — other tenants'
@@ -78,12 +78,10 @@ use rck_serve::MutexExt;
 use rck_tmalign::MethodKind;
 use rckalign::consensus::{Combiner, Consensus};
 use rckalign::onevsall::one_vs_all_jobs;
-use rckalign::{
-    batch_jobs, chain_content_hash, fnv1a64, KeyHasher, PairJob, PairOutcome, StoreBinding,
-};
+use rckalign::{batch_jobs, chain_content_hash, fnv1a64, PairJob, PairOutcome, StoreBinding};
 use sched::StrideSched;
 use session::{Outbox, Subscriber};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
@@ -150,10 +148,8 @@ pub(crate) struct QueryRun {
     pub(crate) chain: Arc<CaChain>,
     pub(crate) methods: Vec<MethodKind>,
     pub(crate) pending: VecDeque<Vec<PairJob>>,
-    /// `(i, j, method)` of every accepted outcome: the gate's own jobs
-    /// (a result frame answers exactly what was dispatched), so the key
-    /// hasher serves.
-    pub(crate) done: HashSet<(u32, u32, u8), KeyHasher>,
+    /// Accepted outcomes, one per job: store hits at submission, then
+    /// each batch's answer as the dispatcher settles it.
     pub(crate) outcomes: Vec<PairOutcome>,
     pub(crate) total_jobs: usize,
     pub(crate) subscribers: Vec<Subscriber>,
@@ -508,7 +504,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
                 shared.stats.partials_streamed.inc();
                 outbox.push(Frame::QueryPartial(QueryPartial {
                     query_id: q.query_id,
-                    done: run.done.len() as u32,
+                    done: run.outcomes.len() as u32,
                     total: run.total_jobs as u32,
                     outcomes: run.outcomes.clone(),
                 }));
@@ -558,11 +554,6 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
         }),
         None => (Vec::new(), jobs.clone()),
     };
-    let done: HashSet<_, KeyHasher> = outcomes
-        .iter()
-        .map(|o| (o.i, o.j, o.method.code()))
-        .collect();
-
     if misses.is_empty() {
         // Every pair was store-resident: the query never touches a
         // worker. Answer with the final ranking right away.
@@ -581,7 +572,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
         shared.stats.partials_streamed.inc();
         outbox.push(Frame::QueryPartial(QueryPartial {
             query_id: q.query_id,
-            done: done.len() as u32,
+            done: outcomes.len() as u32,
             total: jobs.len() as u32,
             outcomes: outcomes.clone(),
         }));
@@ -608,7 +599,6 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
             methods: q.methods,
             total_jobs: jobs.len(),
             pending: batches,
-            done,
             outcomes,
             subscribers: vec![Subscriber {
                 query_id: q.query_id,
@@ -884,8 +874,11 @@ mod tests {
         submit_query(&shared, submit("lab-a", 1, query), &outbox);
         let state = shared.state.lock_recover();
         let run = state.runs.values().next().expect("run scheduled");
-        assert_eq!(run.done.len(), stored.len(), "stored pairs pre-accepted");
-        assert_eq!(run.outcomes.len(), stored.len());
+        assert_eq!(
+            run.outcomes.len(),
+            stored.len(),
+            "stored pairs pre-accepted"
+        );
         assert_eq!(run.total_jobs, jobs.len());
         let pending: usize = run.pending.iter().map(|b| b.len()).sum();
         assert_eq!(pending, jobs.len() - stored.len(), "only misses staged");

@@ -16,7 +16,7 @@
 //! is not `queue.pop_front()` but a two-step pick — the stride scheduler
 //! ([`crate::sched`]) chooses a *tenant*, then that tenant's runs are
 //! round-robined — which is what makes the farm's capacity weighted-fair
-//! under multi-tenant contention; accepted outcomes are deduplicated per
+//! under multi-tenant contention; accepted outcomes are appended to their
 //! run, streamed to subscribers as partials, and folded into the final
 //! ranking when the run completes.
 
@@ -46,7 +46,7 @@ impl AsRef<[PairJob]> for QueryBatch {
 }
 
 /// The gate's dispatch policy: stride-pick a tenant, round-robin its
-/// runs; per-run dedup, partial streaming, run completion.
+/// runs; partial streaming, run completion.
 impl WorkSource for GateShared {
     const TAG: &'static str = "[rck-gate]";
     type State = GateState;
@@ -98,8 +98,9 @@ impl WorkSource for GateShared {
         self.db.get(ix as usize).or(query).cloned()
     }
 
-    /// Each `(i, j, method)` is accepted once per run; fresh outcomes
-    /// stream to every subscriber as a partial.
+    /// The dispatcher settles each batch once, so its outcomes are new to
+    /// the run: they are appended and stream to every subscriber as a
+    /// partial.
     fn accept(
         &self,
         state: &mut GateState,
@@ -109,37 +110,29 @@ impl WorkSource for GateShared {
         _rtt: Duration,
     ) -> bool {
         let Some(run) = state.runs.get_mut(&batch.run_id) else {
-            // The run completed via a requeued copy of this same batch.
+            // A run retires only once every batch of it is settled.
             return false;
         };
-        let mut fresh = Vec::new();
-        for o in outcomes {
-            if run.done.insert((o.i, o.j, o.method.code())) {
-                run.outcomes.push(o);
-                fresh.push(o);
-            }
+        self.stats.jobs_completed.add(outcomes.len() as u64);
+        run.outcomes.extend_from_slice(&outcomes);
+        if !run.first_result_seen {
+            run.first_result_seen = true;
+            self.stats
+                .first_result
+                .observe(run.started_at.elapsed().as_secs_f64());
         }
-        self.stats.jobs_completed.add(fresh.len() as u64);
-        if !fresh.is_empty() {
-            if !run.first_result_seen {
-                run.first_result_seen = true;
-                self.stats
-                    .first_result
-                    .observe(run.started_at.elapsed().as_secs_f64());
-            }
-            let partial_done = run.done.len() as u32;
-            let partial_total = run.total_jobs as u32;
-            for sub in &run.subscribers {
-                self.stats.partials_streamed.inc();
-                sub.outbox.push(Frame::QueryPartial(proto::QueryPartial {
-                    query_id: sub.query_id,
-                    done: partial_done,
-                    total: partial_total,
-                    outcomes: fresh.clone(),
-                }));
-            }
+        let partial_done = run.outcomes.len() as u32;
+        let partial_total = run.total_jobs as u32;
+        for sub in &run.subscribers {
+            self.stats.partials_streamed.inc();
+            sub.outbox.push(Frame::QueryPartial(proto::QueryPartial {
+                query_id: sub.query_id,
+                done: partial_done,
+                total: partial_total,
+                outcomes: outcomes.clone(),
+            }));
         }
-        let complete = run.done.len() == run.total_jobs;
+        let complete = run.outcomes.len() == run.total_jobs;
         if complete {
             complete_run(state, self, batch.run_id);
         }
@@ -172,7 +165,9 @@ impl WorkSource for GateShared {
             Event::WorkerLost(_) => self.stats.workers_lost.inc(),
             Event::ChainsShipped(n) => self.stats.chains_shipped.add(n as u64),
             Event::Window(batches) => self.stats.window.raise_to(batches as i64),
-            // The gate keeps no byte, stale, mismatch or gap statistics.
+            Event::StaleResult => self.stats.stale_results.inc(),
+            Event::MismatchedResult => self.stats.mismatched_results.inc(),
+            // The gate keeps no byte or gap statistics.
             _ => {}
         }
     }
@@ -278,11 +273,10 @@ mod tests {
             rck_serve::explore::View {
                 queued: run.map_or(Vec::new(), |r| r.pending.iter().map(|b| pairs(b)).collect()),
                 done: run.map_or(all.clone(), |r| {
-                    r.done.iter().map(|&(i, j, _)| (i, j)).collect()
+                    r.outcomes.iter().map(|o| (o.i, o.j)).collect()
                 }),
                 dispatched: shared.stats.jobs_dispatched.get(),
                 completed: shared.stats.jobs_completed.get(),
-                duplicates: None,
                 requeued: shared.stats.jobs_requeued.get(),
             }
         });

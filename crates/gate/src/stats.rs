@@ -25,6 +25,8 @@ pub struct GateStats {
     pub(crate) jobs_dispatched: Arc<Counter>,
     pub(crate) jobs_completed: Arc<Counter>,
     pub(crate) jobs_requeued: Arc<Counter>,
+    pub(crate) stale_results: Arc<Counter>,
+    pub(crate) mismatched_results: Arc<Counter>,
     pub(crate) chains_shipped: Arc<Counter>,
     pub(crate) workers_connected: Arc<Counter>,
     pub(crate) workers_lost: Arc<Counter>,
@@ -79,6 +81,14 @@ impl GateStats {
             jobs_requeued: registry.counter(
                 "rck_gate_jobs_requeued_total",
                 "pair jobs put back on a query's queue after a worker was lost",
+            ),
+            stale_results: registry.counter(
+                "rck_gate_stale_results_total",
+                "result frames answering a batch id no longer in flight",
+            ),
+            mismatched_results: registry.counter(
+                "rck_gate_mismatched_results_total",
+                "result frames rejected for not answering their batch's jobs",
             ),
             chains_shipped: registry.counter(
                 "rck_gate_chains_shipped_total",
@@ -197,6 +207,8 @@ impl GateStats {
             jobs_dispatched: self.jobs_dispatched.get(),
             jobs_completed: self.jobs_completed.get(),
             jobs_requeued: self.jobs_requeued.get(),
+            stale_results: self.stale_results.get(),
+            mismatched_results: self.mismatched_results.get(),
             chains_shipped: self.chains_shipped.get(),
             workers_connected: self.workers_connected.get(),
             workers_lost: self.workers_lost.get(),
@@ -228,6 +240,10 @@ pub struct GateSnapshot {
     pub jobs_completed: u64,
     /// Pair jobs requeued after a worker was lost.
     pub jobs_requeued: u64,
+    /// Result frames answering a batch id no longer in flight.
+    pub stale_results: u64,
+    /// Result frames rejected for not answering their batch's jobs.
+    pub mismatched_results: u64,
     /// Chains written into job batches.
     pub chains_shipped: u64,
     /// Pool workers that connected.
@@ -261,6 +277,8 @@ mod tests {
         s.on_jobs_dispatched("lab-a", 7);
         s.jobs_completed.add(7);
         s.jobs_requeued.add(2);
+        s.stale_results.inc();
+        s.mismatched_results.add(2);
         s.chains_shipped.add(5);
         s.partials_streamed.inc();
         s.first_result.observe(0.01);
@@ -281,6 +299,8 @@ mod tests {
         assert_eq!(snap.jobs_dispatched, 7);
         assert_eq!(snap.jobs_completed, 7);
         assert_eq!(snap.jobs_requeued, 2);
+        assert_eq!(snap.stale_results, 1);
+        assert_eq!(snap.mismatched_results, 2);
         assert_eq!(snap.chains_shipped, 5);
         assert_eq!(snap.workers_connected, 1);
         assert_eq!(snap.workers_lost, 1);

@@ -148,9 +148,8 @@ struct Counters {
     requeued: u64,
     completed: u64,
     workers_lost: u64,
-    /// `None` where the tier keeps no such counter.
-    stale: Option<u64>,
-    mismatched: Option<u64>,
+    stale: u64,
+    mismatched: u64,
 }
 
 /// A tier under test, reduced to what the fault table needs.
@@ -187,8 +186,8 @@ fn boot_master(shape: Shape) -> Farm {
                 requeued: s.jobs_requeued,
                 completed: s.jobs_completed,
                 workers_lost: s.workers_lost,
-                stale: Some(s.stale_results),
-                mismatched: Some(s.mismatched_results),
+                stale: s.stale_results,
+                mismatched: s.mismatched_results,
             }
         }),
         finish: Box::new(move || {
@@ -246,8 +245,8 @@ fn boot_gate(shape: Shape) -> Farm {
                 requeued: s.jobs_requeued,
                 completed: s.jobs_completed,
                 workers_lost: s.workers_lost,
-                stale: None,
-                mismatched: None,
+                stale: s.stale_results,
+                mismatched: s.mismatched_results,
             }
         }),
         finish: Box::new(move || {
@@ -644,12 +643,12 @@ fn run_case(tier: Tier, fault: Fault) {
     if duplicate {
         assert_eq!(c.requeued, 0, "{case}");
         assert_eq!(c.workers_lost, 0, "{case}");
-        assert_eq!(c.stale.unwrap_or(1), 1, "{case}: replay counted stale");
+        assert_eq!(c.stale, 1, "{case}: replay counted stale");
     } else {
         assert_eq!(c.requeued, lost_jobs, "{case}: exactly the lost batch");
         assert_eq!(c.workers_lost, 1, "{case}");
         let want = u64::from(fault == Fault::Byzantine);
-        assert_eq!(c.mismatched.unwrap_or(want), want, "{case}");
+        assert_eq!(c.mismatched, want, "{case}");
     }
     (farm.finish)();
     w.conn.shutdown();
@@ -788,8 +787,8 @@ fn run_window_case(tier: Tier, fault: WindowFault) {
     assert_eq!(c.completed, total, "{case}: each job counted once");
     assert_eq!(c.requeued, lost_jobs, "{case}: exactly what it held");
     assert_eq!(c.workers_lost, u64::from(lost_jobs > 0), "{case}");
-    assert_eq!(c.stale.unwrap_or(stale), stale, "{case}");
-    assert_eq!(c.mismatched.unwrap_or(0), 0, "{case}");
+    assert_eq!(c.stale, stale, "{case}");
+    assert_eq!(c.mismatched, 0, "{case}");
     (farm.finish)();
     w.conn.shutdown();
     if let Some(t) = takeover {
@@ -980,8 +979,8 @@ fn run_tile_case(fault: TileFault) {
             requeued: s.tiles_requeued,
             completed: s.tiles_completed,
             workers_lost: s.masters_lost,
-            stale: Some(s.stale_tiles),
-            mismatched: Some(s.mismatched_tiles),
+            stale: s.stale_tiles,
+            mismatched: s.mismatched_tiles,
         }
     };
     let wait = |limit: Duration, ready: &dyn Fn(&Counters) -> bool| {
@@ -1101,9 +1100,9 @@ fn run_tile_case(fault: TileFault) {
         "{case}: exactly what it held"
     );
     assert_eq!(c.workers_lost, u64::from(!lost.is_empty()), "{case}");
-    assert_eq!(c.stale, Some(stale), "{case}");
+    assert_eq!(c.stale, stale, "{case}");
     let byzantine = u64::from(fault == TileFault::Byzantine);
-    assert_eq!(c.mismatched, Some(byzantine), "{case}");
+    assert_eq!(c.mismatched, byzantine, "{case}");
     let options = rckalign::RckAlignOptions {
         method: MethodKind::KabschRmsd,
         ..rckalign::RckAlignOptions::paper(2)

@@ -654,11 +654,10 @@ pub fn run_scenario(plan: &ScenarioPlan) -> Report {
         verdict => verdict,
     };
     // Requeue accounting must balance on every completed run: each
-    // dispatched job either completed fresh, arrived as a duplicate of a
-    // completed pair, or was requeued.
+    // dispatched job either completed or was requeued.
     let snap = stats.snapshot();
     let balanced = if matches!(verdict, Verdict::CompletedIdentical { .. }) {
-        snap.jobs_dispatched == snap.jobs_completed + snap.duplicate_results + snap.jobs_requeued
+        snap.jobs_dispatched == snap.jobs_completed + snap.jobs_requeued
     } else {
         true
     };
@@ -670,7 +669,7 @@ pub fn run_scenario(plan: &ScenarioPlan) -> Report {
     );
     let observed = format!(
         "dropped={} duplicated={} corrupted={} truncated={} split={} delayed={} crashes={} hangs={} \
-         slowdowns={} | dispatched={} completed={} requeued={} duplicates={} stale={} decode_errors={} \
+         slowdowns={} | dispatched={} completed={} requeued={} stale={} decode_errors={} \
          mismatched={} workers_lost={}",
         counters.frames_dropped.get(),
         counters.frames_duplicated.get(),
@@ -684,7 +683,6 @@ pub fn run_scenario(plan: &ScenarioPlan) -> Report {
         snap.jobs_dispatched,
         snap.jobs_completed,
         snap.jobs_requeued,
-        snap.duplicate_results,
         snap.stale_results,
         snap.decode_errors,
         snap.mismatched_results,

@@ -29,11 +29,14 @@
 //! tier's units expire by the same rule and an expired unit costs its
 //! owner the connection.
 //!
-//! Requeued work can race its original worker, so acceptance is guarded
-//! three times: a result frame must answer a unit its connection still
-//! holds in the ledger, its outcomes must answer exactly the jobs that
+//! Requeued work can race its original worker, so exactly-once
+//! acceptance is this module's, for every tier: a result frame must
+//! answer a unit its connection still holds in the ledger
+//! ([`Ledger::settle`]), its outcomes must answer exactly the jobs that
 //! unit dispatched ([`answers_exactly`]; anything else requeues what the
-//! worker holds and drops it), and the policy deduplicates per pair.
+//! worker holds and drops it), and a revoked unit is back on its queue
+//! before it can be granted again. A policy's `accept` therefore sees
+//! each unit's answer once and keeps no dedup of its own.
 
 use crate::proto::{
     self, answers_exactly, ChainTable, Frame, FrameError, Heartbeat, Hello, JobBatch, Resident,
@@ -138,17 +141,22 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
         self.units.values().any(|g| g.owner == owner)
     }
 
-    /// Every unit past its deadline at `now`, with its owner: silent for
+    /// Every unit past its deadline at `now`, with its owner, in key
+    /// order, so a sweep requeues the same way on every run: silent for
     /// a whole window, or past its cap however recent the last signal
     /// (its job or result traffic is being lost). The grant time floors
     /// the silence window, so a unit handed to a long-idle owner is not
     /// born expired.
-    pub fn expired(&self, now: Instant) -> Vec<(K, u32)> {
+    pub fn expired(&self, now: Instant) -> Vec<(K, u32)>
+    where
+        K: Ord,
+    {
         let past = |from: Instant, window: Duration| {
             from.checked_add(window)
                 .is_some_and(|deadline| deadline <= now)
         };
-        self.units
+        let mut expired: Vec<_> = self
+            .units
             .iter()
             .filter(|(_, g)| {
                 let heard = self
@@ -159,7 +167,9 @@ impl<K: Copy + Eq + Hash, U> Ledger<K, U> {
                     || self.cap.is_some_and(|cap| past(g.granted_at, cap))
             })
             .map(|(&key, g)| (key, g.owner))
-            .collect()
+            .collect();
+        expired.sort_unstable();
+        expired
     }
 
     /// Whether nothing is in flight.
@@ -345,8 +355,9 @@ pub trait WorkSource: Sync {
     /// The chain `unit`'s jobs reference under `ix` (called without the
     /// lock); one allocation ships to a connection once.
     fn chain(&self, unit: &Self::Unit, ix: u32) -> Option<Arc<CaChain>>;
-    /// Accept outcomes that answer `unit` exactly (the policy dedups per
-    /// pair). Returns whether waiters should be woken.
+    /// Accept outcomes that answer `unit` exactly. The dispatcher calls
+    /// this once per grant it settles, so every pair arrives here once.
+    /// Returns whether waiters should be woken.
     fn accept(
         &self,
         state: &mut Self::State,
@@ -689,8 +700,9 @@ fn monitor_workers<S: WorkSource>(src: &S) {
 }
 
 /// One sweep of the deadline monitor at `now`: every owner with an
-/// expired unit loses all it holds to the queue, is counted lost, and
-/// has its connection shut so its handler's pending read returns.
+/// expired unit, in the key order of [`Ledger::expired`], loses all it
+/// holds to the queue, is counted lost, and has its connection shut so
+/// its handler's pending read returns.
 pub fn sweep_expired<S: WorkSource>(src: &S, state: &mut S::State, now: Instant) {
     for (_, worker_id) in S::dispatch(state).ledger.expired(now) {
         // A second expired unit of the same worker finds nothing left to
@@ -964,7 +976,8 @@ fn refresh_deadlines<S: WorkSource>(src: &S, worker_id: u32) {
 
 /// Accept a result frame: only if its unit is still in flight on this
 /// worker and only if its outcomes answer exactly the jobs that unit
-/// dispatched; the policy then accepts each pair at most once.
+/// dispatched. Settling takes the unit out of the ledger, so no other
+/// frame can hand the policy the same unit again.
 pub fn accept_results<S: WorkSource>(src: &S, worker_id: u32, rb: ResultBatch) -> BatchFate {
     let now = Instant::now();
     let mut state = src.state().lock_recover();
@@ -1070,6 +1083,92 @@ mod tests {
         assert_eq!(ledger.expired(later), vec![]);
         assert_eq!(ledger.expired(later + ms(99)), vec![]);
         assert_eq!(ledger.expired(later + ms(100)), vec![(1, 3)]);
+    }
+
+    /// A source whose policy only records what it is handed back.
+    struct Recorder {
+        state: Mutex<(Dispatch<Vec<PairJob>>, Vec<u32>)>,
+        wake: Condvar,
+    }
+
+    impl WorkSource for Recorder {
+        const TAG: &'static str = "[recorder]";
+        type State = (Dispatch<Vec<PairJob>>, Vec<u32>);
+        type Unit = Vec<PairJob>;
+
+        fn state(&self) -> &Mutex<Self::State> {
+            &self.state
+        }
+        fn wake(&self) -> &Condvar {
+            &self.wake
+        }
+        fn dispatch(state: &mut Self::State) -> &mut Dispatch<Vec<PairJob>> {
+            &mut state.0
+        }
+        fn heartbeat_timeout(&self) -> Duration {
+            HB
+        }
+        fn n_chains(&self) -> u32 {
+            0
+        }
+        fn idle(&self, _: &Self::State) -> bool {
+            true
+        }
+        fn next_unit(&self, _: &mut Self::State, _: u32) -> Option<Vec<PairJob>> {
+            None
+        }
+        fn chain(&self, _: &Vec<PairJob>, _: u32) -> Option<Arc<CaChain>> {
+            None
+        }
+        fn accept(
+            &self,
+            _: &mut Self::State,
+            _: u32,
+            _: Vec<PairJob>,
+            _: Vec<PairOutcome>,
+            _: Duration,
+        ) -> bool {
+            false
+        }
+        fn requeue(&self, state: &mut Self::State, unit: Vec<PairJob>) {
+            state.1.push(unit[0].i);
+        }
+        fn observe(&self, _: Event<'_>) {}
+    }
+
+    /// Twenty units over four owners expire together. The ledger lists
+    /// them in key order, and one sweep requeues owner by owner, in the
+    /// order of each owner's first key, then key by key: on every run,
+    /// whatever order each fresh map holds them in.
+    #[test]
+    fn one_sweep_requeues_expired_units_in_key_order() {
+        let t0 = Instant::now();
+        let owner = |key: u32| 3 - key % 4;
+        let sweep = || {
+            let src = Recorder {
+                state: Mutex::new((Dispatch::new(HB, None), Vec::new())),
+                wake: Condvar::new(),
+            };
+            let mut state = src.state.lock_recover();
+            for n in 0..20 {
+                let key = n * 7 % 20;
+                let job = PairJob {
+                    i: key,
+                    j: key + 1,
+                    method: rck_tmalign::MethodKind::TmAlign,
+                };
+                state.0.ledger.grant(key.into(), owner(key), vec![job], t0);
+            }
+            let listed: Vec<_> = (0..20).map(|key| (u64::from(key), owner(key))).collect();
+            assert_eq!(state.0.ledger.expired(t0 + HB), listed);
+            sweep_expired(&src, &mut state, t0 + HB);
+            assert!(state.0.ledger.is_empty());
+            std::mem::take(&mut state.1)
+        };
+        let want: Vec<u32> = (0..4).flat_map(|first| (first..20).step_by(4)).collect();
+        for _ in 0..8 {
+            assert_eq!(sweep(), want, "requeue order");
+        }
     }
 
     #[test]

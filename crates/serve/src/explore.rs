@@ -36,16 +36,14 @@ const BUDGET: usize = 9;
 pub struct View {
     /// Units waiting for a grant, in grant order, each as its pairs.
     pub queued: Vec<Vec<(u32, u32)>>,
-    /// Pairs with an accepted answer, in any order.
+    /// Pairs with an accepted answer, in any order, one entry per
+    /// accepted outcome: a pair accepted twice shows twice and breaks
+    /// conservation.
     pub done: Vec<(u32, u32)>,
     /// The tier's dispatched-jobs counter.
     pub dispatched: u64,
     /// The tier's completed-jobs counter.
     pub completed: u64,
-    /// The tier's duplicate counter; `None` for a tier without one, whose
-    /// duplicates are then the outcomes it accepted beyond its
-    /// completions.
-    pub duplicates: Option<u64>,
     /// The tier's requeued-jobs counter.
     pub requeued: u64,
 }
@@ -92,8 +90,6 @@ struct World<S> {
     slots: [Slot; SLOTS],
     ghost: Option<Ghost>,
     handed_out: usize,
-    /// Outcomes in result frames the dispatcher accepted.
-    accepted: u64,
     /// Virtual time of the last sweep; every deadline falls behind it.
     clock: Instant,
 }
@@ -147,7 +143,6 @@ impl<S: WorkSource> World<S> {
             src,
             ghost: None,
             handed_out: 0,
-            accepted: 0,
             clock: Instant::now(),
         }
     }
@@ -214,7 +209,6 @@ impl<S: WorkSource> World<S> {
                 let (key, jobs) = slot.held.remove(k);
                 let frame = answer(key, &jobs, false);
                 if accepted(dispatch::accept_results(src, slot.id, frame)) {
-                    self.accepted += jobs.len() as u64;
                     slot.proven = S::DIALECT == Dialect::Batches;
                 }
                 return Some(vec![(slot.id, key, jobs)]);
@@ -243,10 +237,7 @@ impl<S: WorkSource> World<S> {
             }
             Step::Ghost => {
                 let (owner, key, jobs) = self.ghost.take()?;
-                let frame = answer(key, &jobs, false);
-                if accepted(dispatch::accept_results(src, owner, frame)) {
-                    self.accepted += jobs.len() as u64;
-                }
+                dispatch::accept_results(src, owner, answer(key, &jobs, false));
             }
             Step::Abort => dispatch::abort(src),
             Step::Drain => dispatch::drain(src),
@@ -283,7 +274,7 @@ impl<S: WorkSource> World<S> {
         view.done.sort_unstable();
         let mut h = DefaultHasher::new();
         (ledger, flags, slots, ghost).hash(&mut h);
-        (self.handed_out, self.accepted, view).hash(&mut h);
+        (self.handed_out, view).hash(&mut h);
         h.finish()
     }
 
@@ -298,14 +289,10 @@ impl<S: WorkSource> World<S> {
             .flat_map(|g| pairs(g.unit.as_ref()))
             .collect();
         drop(guard);
-        let duplicates = view
-            .duplicates
-            .unwrap_or(self.accepted.wrapping_sub(view.completed));
-        let accounted = view.completed + duplicates + view.requeued + in_flight.len() as u64;
+        let accounted = view.completed + view.requeued + in_flight.len() as u64;
         if view.dispatched != accounted {
             out.push(format!(
-                "accounting: dispatched {} ≠ completed {} + duplicates {duplicates} + \
-                 requeued {} + in flight {} [{}]",
+                "accounting: dispatched {} ≠ completed {} + requeued {} + in flight {} [{}]",
                 view.dispatched,
                 view.completed,
                 view.requeued,

@@ -16,8 +16,9 @@
 //!   point, so there is no shared-disk bottleneck on the worker side;
 //! * **failure is handled, not assumed away** — batches in flight on a
 //!   worker that disconnects or misses its heartbeat deadline are
-//!   requeued, and late/duplicate results are deduplicated, so the final
-//!   [`rckalign::SimilarityMatrix`] is complete and exact.
+//!   requeued, and a late or duplicated result frame is refused as
+//!   stale, so the final [`rckalign::SimilarityMatrix`] is complete and
+//!   exact.
 //!
 //! Quick tour:
 //!

@@ -6,9 +6,10 @@
 //! the deadline monitor — lives once in [`crate::dispatch`]. This module
 //! is the [`WorkSource`] policy the offline farm plugs into it: a FIFO
 //! queue of batches behind the [`MasterConfig::min_workers`] barrier,
-//! per-pair dedup on accept (requeue races produce late duplicates), and
-//! — in feed mode — per-tile credit with a [`TileDone`] streamed out the
-//! moment a tile's last pair lands. Batch mode ([`Master::bind_on`])
+//! and — in feed mode — per-tile credit with a [`TileDone`] streamed out
+//! the moment a tile's last pair lands. Each pair is accepted once
+//! because the dispatcher hands `accept` each unit's answer once, so the
+//! policy appends what it is given. Batch mode ([`Master::bind_on`])
 //! stages the whole all-vs-all workload up front; feed mode
 //! ([`Master::bind_feed_on`]) takes tiles incrementally; both are the
 //! same policy over the same queue. The final [`SimilarityMatrix`] is
@@ -26,7 +27,7 @@ use rck_tmalign::MethodKind;
 use rckalign::loadbalance::{order_jobs, JobOrdering};
 use rckalign::{all_vs_all, batch_jobs, PairJob, PairOutcome, SimilarityMatrix, StoreBinding};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -104,8 +105,7 @@ struct Work {
     queue: VecDeque<Vec<PairJob>>,
     /// Ledger of batches out on workers, connection handles, id counters.
     dispatch: Dispatch<Vec<PairJob>>,
-    /// Accepted pairs.
-    done: HashSet<(u32, u32)>,
+    /// Accepted outcomes, one per pair.
     outcomes: Vec<PairOutcome>,
     total_pairs: usize,
     finished: bool,
@@ -126,7 +126,7 @@ struct Work {
 
 impl Work {
     fn check_finished(&mut self) {
-        if !self.accepting && self.done.len() == self.total_pairs {
+        if !self.accepting && self.outcomes.len() == self.total_pairs {
             self.finished = true;
         }
     }
@@ -170,7 +170,6 @@ impl Shared {
             work: Mutex::new(Work {
                 queue,
                 dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.batch_timeout),
-                done: HashSet::new(),
                 outcomes: Vec::with_capacity(total_pairs),
                 total_pairs,
                 finished: !accepting && total_pairs == 0,
@@ -189,7 +188,7 @@ impl Shared {
 }
 
 /// The master's dispatch policy: FIFO batches behind the `min_workers`
-/// barrier, per-pair dedup, tile credit in feed mode.
+/// barrier, tile credit in feed mode.
 impl WorkSource for Shared {
     const TAG: &'static str = "[rck-serve]";
     type State = Work;
@@ -242,16 +241,9 @@ impl WorkSource for Shared {
         rtt: Duration,
     ) -> bool {
         self.stats.batch_rtt.observe(rtt.as_secs_f64());
-        let mut fresh = 0usize;
-        let mut duplicates = 0usize;
+        self.stats.on_batch_completed(worker_id, outcomes.len());
         for o in outcomes {
-            // Requeue races produce late duplicates: first answer wins.
-            if !work.done.insert((o.i, o.j)) {
-                duplicates += 1;
-                continue;
-            }
             work.outcomes.push(o);
-            fresh += 1;
             // Feed mode: credit the pair to its tile.
             let Some(&tile_id) = work.tile_of.get(&(o.i, o.j)) else {
                 continue;
@@ -266,10 +258,6 @@ impl WorkSource for Shared {
                     work.emit_tile(tile_id, p.outcomes);
                 }
             }
-        }
-        self.stats.on_batch_completed(worker_id, fresh);
-        if duplicates > 0 {
-            self.stats.duplicate_results.add(duplicates as u64);
         }
         work.check_finished();
         work.finished
@@ -502,11 +490,7 @@ impl Master {
                 .flatten()
                 .collect();
             let (hits, misses) = binding.split(&staged);
-            for outcome in hits {
-                if work.done.insert((outcome.i, outcome.j)) {
-                    work.outcomes.push(outcome);
-                }
-            }
+            work.outcomes.extend(hits);
             if !misses.is_empty() {
                 work.queue = batch_jobs(&misses, self.shared.cfg.batch_size.max(1)).into();
             }
@@ -601,10 +585,9 @@ mod tests {
                 .iter()
                 .map(|b| b.iter().map(|j| (j.i, j.j)).collect())
                 .collect(),
-            done: work.done.iter().copied().collect(),
+            done: work.outcomes.iter().map(|o| (o.i, o.j)).collect(),
             dispatched: shared.stats.jobs_dispatched.get(),
             completed: shared.stats.jobs_completed.get(),
-            duplicates: Some(shared.stats.duplicate_results.get()),
             requeued: shared.stats.jobs_requeued.get(),
         });
         assert_eq!(explored.violations, Vec::<String>::new());
@@ -695,11 +678,10 @@ mod tests {
             .with_store(Arc::clone(&binding));
         let work = master.shared.work.lock().unwrap();
         assert_eq!(
-            work.done.len(),
+            work.outcomes.len(),
             stored.len(),
             "stored pairs accepted up front"
         );
-        assert_eq!(work.outcomes.len(), stored.len());
         let queued: usize = work.queue.iter().map(|b| b.len()).sum();
         assert_eq!(queued, jobs.len() - stored.len(), "only misses staged");
         assert!(!work.finished);

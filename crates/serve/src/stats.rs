@@ -46,7 +46,6 @@ pub struct ServeStats {
     pub(crate) batches_completed: Arc<Counter>,
     pub(crate) batches_requeued: Arc<Counter>,
     pub(crate) stale_results: Arc<Counter>,
-    pub(crate) duplicate_results: Arc<Counter>,
     pub(crate) decode_errors: Arc<Counter>,
     pub(crate) mismatched_results: Arc<Counter>,
     pub(crate) bytes_tx: Arc<Counter>,
@@ -98,10 +97,6 @@ impl ServeStats {
             stale_results: registry.counter(
                 "rck_stale_results_total",
                 "result frames answering a batch id no longer in flight",
-            ),
-            duplicate_results: registry.counter(
-                "rck_duplicate_results_total",
-                "outcomes dropped because the pair was already done",
             ),
             decode_errors: registry.counter(
                 "rck_serve_decode_errors_total",
@@ -245,7 +240,6 @@ impl ServeStats {
             batches_completed: self.batches_completed.get(),
             batches_requeued: self.batches_requeued.get(),
             stale_results: self.stale_results.get(),
-            duplicate_results: self.duplicate_results.get(),
             decode_errors: self.decode_errors.get(),
             mismatched_results: self.mismatched_results.get(),
             bytes_tx: self.bytes_tx.get(),
@@ -295,8 +289,6 @@ pub struct StatsSnapshot {
     pub batches_requeued: u64,
     /// Result frames answering a batch id no longer in flight.
     pub stale_results: u64,
-    /// Outcomes dropped because the pair was already done.
-    pub duplicate_results: u64,
     /// Frames the master could not decode (torn, corrupted, out of sync).
     pub decode_errors: u64,
     /// Result frames rejected for not answering their batch's jobs.
@@ -325,7 +317,7 @@ impl StatsSnapshot {
     /// Render the run summary plus the per-worker throughput table.
     pub fn render(&self) -> String {
         let mut totals = TextTable::new(&["counter", "value"]);
-        let rows: [(&str, u64); 16] = [
+        let rows: [(&str, u64); 15] = [
             ("jobs dispatched", self.jobs_dispatched),
             ("jobs completed", self.jobs_completed),
             ("jobs requeued", self.jobs_requeued),
@@ -333,7 +325,6 @@ impl StatsSnapshot {
             ("batches completed", self.batches_completed),
             ("batches requeued", self.batches_requeued),
             ("stale result frames", self.stale_results),
-            ("duplicate outcomes", self.duplicate_results),
             ("decode errors", self.decode_errors),
             ("mismatched result frames", self.mismatched_results),
             ("bytes sent", self.bytes_tx),
@@ -403,7 +394,6 @@ mod tests {
         s.on_batch_requeued(4);
         s.on_worker_lost(1);
         s.stale_results.inc();
-        s.duplicate_results.add(2);
         s.decode_errors.inc();
         s.mismatched_results.inc();
         s.bytes_tx.add(100);
@@ -422,7 +412,6 @@ mod tests {
         assert_eq!(snap.batches_completed, 1);
         assert_eq!(snap.batches_requeued, 1);
         assert_eq!(snap.stale_results, 1);
-        assert_eq!(snap.duplicate_results, 2);
         assert_eq!(snap.decode_errors, 1);
         assert_eq!(snap.mismatched_results, 1);
         assert_eq!(snap.bytes_tx, 100);

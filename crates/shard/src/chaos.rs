@@ -164,18 +164,16 @@ pub fn run_shard_scenario(plan: &ShardScenarioPlan) -> Report {
     let verdict = Verdict::judge(run.as_ref().map(|r| &r.outcomes[..]), want_fnv);
     let snap = stats.snapshot();
     // Tile accounting must balance on every completed run: each granted
-    // tile completed, arrived as a duplicate of a completed tile, or was
-    // requeued.
+    // tile completed or was requeued.
     let balanced = !matches!(verdict, Verdict::CompletedIdentical { .. })
-        || snap.tiles_granted == snap.tiles_completed + snap.duplicate_tiles + snap.tiles_requeued;
+        || snap.tiles_granted == snap.tiles_completed + snap.tiles_requeued;
     let observed = format!(
-        " observed: granted={} completed={} requeued={} stolen={} duplicates={} stale={} \
+        " observed: granted={} completed={} requeued={} stolen={} stale={} \
          mismatched={} masters_connected={} masters_lost={} store_pairs={}",
         snap.tiles_granted,
         snap.tiles_completed,
         snap.tiles_requeued,
         snap.tiles_stolen,
-        snap.duplicate_tiles,
         snap.stale_tiles,
         snap.mismatched_tiles,
         snap.masters_connected,

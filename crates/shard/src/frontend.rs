@@ -28,7 +28,7 @@ use rckalign::{
     assign_tiles, merge_outcomes, tile_partition, PairJob, PairOutcome, SimilarityMatrix,
     StoreBinding,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex};
@@ -94,7 +94,7 @@ pub struct ShardRun {
     /// The merged similarity matrix — bit-identical to a single-master
     /// [`rckalign::run_all_vs_all`] over the same dataset.
     pub matrix: SimilarityMatrix,
-    /// Merged outcomes, sorted by `(i, j)`, duplicates dropped.
+    /// Merged outcomes, sorted by `(i, j)`.
     pub outcomes: Vec<PairOutcome>,
     /// Final counters.
     pub stats: ShardSnapshot,
@@ -115,16 +115,16 @@ impl AsRef<[PairJob]> for Tile {
 
 /// The shared scheduling state (guarded by the `Mutex` in `Shared`).
 struct State {
-    /// Per-slot ownership queues of not-yet-granted tiles.
+    /// Per-slot ownership queues of not-yet-granted tiles (a tile the
+    /// store answers fully is never queued).
     queues: Vec<VecDeque<u32>>,
     /// Requeued tiles (lost master) — granted before anything is stolen.
     orphans: VecDeque<u32>,
-    /// Effective job set per tile (store hits already removed).
+    /// Effective job set per tile still to answer (store hits already
+    /// removed; a tile the store answers fully has none).
     tile_jobs: HashMap<u32, Arc<[PairJob]>>,
     /// Tiles out on masters, connections, id counters.
     dispatch: Dispatch<Tile>,
-    /// Tiles with an accepted result (or fully answered by the store).
-    done: HashSet<u32>,
     /// Accepted per-tile outcome lists (plus store-hit lists), merged on
     /// read at the end of the run.
     results: Vec<Vec<PairOutcome>>,
@@ -199,15 +199,11 @@ impl WorkSource for Shared {
         &self,
         state: &mut State,
         master_id: u32,
-        tile: Tile,
+        _tile: Tile,
         outcomes: Vec<PairOutcome>,
         rtt: Duration,
     ) -> bool {
-        if !state.done.insert(tile.id) {
-            self.stats.duplicate_tiles.inc();
-            return false;
-        }
-        // Merged (sorted, deduplicated) on read, when the run returns.
+        // Merged (sorted) on read, when the run returns.
         state.results.push(outcomes);
         state.remaining -= 1;
         self.stats
@@ -282,7 +278,6 @@ impl ShardFrontend {
             orphans: VecDeque::new(),
             tile_jobs,
             dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.tile_timeout),
-            done: HashSet::new(),
             results: Vec::new(),
             remaining: tiles.len(),
         };
@@ -302,10 +297,10 @@ impl ShardFrontend {
     /// Attach a persistent result store before [`ShardFrontend::run`]:
     /// every pair the store already holds is answered without dispatch
     /// (bit-identical to the run that stored it). Fully-stored tiles are
-    /// completed immediately — a fully-stored dataset finishes with no
-    /// masters at all — and partially-stored tiles are granted with only
-    /// their misses. Outcomes computed by the run are appended back on
-    /// completion.
+    /// completed immediately and leave their ownership queues — a
+    /// fully-stored dataset finishes with no masters at all — and
+    /// partially-stored tiles are granted with only their misses.
+    /// Outcomes computed by the run are appended back on completion.
     pub fn with_store(self, binding: Arc<StoreBinding>) -> ShardFrontend {
         {
             let mut state = self.shared.state.lock_recover();
@@ -319,13 +314,18 @@ impl ShardFrontend {
                 hit_total += hits.len();
                 state.results.push(hits);
                 if misses.is_empty() {
-                    state.done.insert(t);
+                    state.tile_jobs.remove(&t);
                     state.remaining -= 1;
                 } else {
                     state.tile_jobs.insert(t, misses.into());
                 }
             }
-            // Fully stored tiles stay queued: `pick_tile` drops done ones.
+            let State {
+                queues, tile_jobs, ..
+            } = &mut *state;
+            for queue in queues {
+                queue.retain(|t| tile_jobs.contains_key(t));
+            }
             self.shared.stats.store_pairs.add(hit_total as u64);
         }
         *self.shared.store.lock_recover() = Some(binding);
@@ -414,27 +414,20 @@ impl ShardFrontend {
 /// Pick the next grantable tile for `slot`: own queue, then the orphan
 /// pool, then steal from the *tail* of the longest other queue (the tail
 /// is the work its owner would reach last, minimising contention).
-/// Tiles already done are skipped and dropped.
+/// Every queued tile is outstanding: a tile leaves its queue when it is
+/// granted, returns only as an orphan of a lost master, and a tile the
+/// store answers fully is never queued.
 fn pick_tile(state: &mut State, slot: usize) -> Option<(u32, bool)> {
-    while let Some(t) = state.queues[slot].pop_front() {
-        if !state.done.contains(&t) {
-            return Some((t, false));
-        }
+    if let Some(t) = state.queues[slot].pop_front() {
+        return Some((t, false));
     }
-    while let Some(t) = state.orphans.pop_front() {
-        if !state.done.contains(&t) {
-            return Some((t, false));
-        }
+    if let Some(t) = state.orphans.pop_front() {
+        return Some((t, false));
     }
-    loop {
-        let victim = (0..state.queues.len())
-            .filter(|&q| q != slot)
-            .max_by_key(|&q| state.queues[q].len())?;
-        let t = state.queues[victim].pop_back()?;
-        if !state.done.contains(&t) {
-            return Some((t, true));
-        }
-    }
+    let victim = (0..state.queues.len())
+        .filter(|&q| q != slot)
+        .max_by_key(|&q| state.queues[q].len())?;
+    Some((state.queues[victim].pop_back()?, true))
 }
 
 #[cfg(test)]
@@ -447,7 +440,6 @@ mod tests {
             orphans: VecDeque::new(),
             tile_jobs: HashMap::new(),
             dispatch: Dispatch::new(Duration::from_secs(1), None),
-            done: HashSet::new(),
             results: Vec::new(),
             remaining: 0,
         }
@@ -475,10 +467,9 @@ mod tests {
             let stats = &shared.stats;
             rck_serve::explore::View {
                 queued: queued.map(pairs).collect(),
-                done: state.done.iter().flat_map(pairs).collect(),
+                done: state.results.iter().flatten().map(|o| (o.i, o.j)).collect(),
                 dispatched: stats.tiles_granted.get(),
                 completed: stats.tiles_completed.get(),
-                duplicates: Some(stats.duplicate_tiles.get()),
                 requeued: stats.tiles_requeued.get(),
             }
         });
@@ -486,9 +477,9 @@ mod tests {
         assert_eq!((explored.states, explored.transitions), (7_875, 22_293));
     }
 
-    /// A replayed tile result is stale, not a duplicate, so the
-    /// counters still balance: granted = completed + duplicates +
-    /// requeued + in flight.
+    /// A replayed tile result is stale, never accepted twice, so the
+    /// counters still balance: granted = completed + requeued + in
+    /// flight.
     #[test]
     fn a_replayed_tile_result_is_stale_and_the_counters_balance() {
         let chains = rck_pdb::datasets::tiny_profile().generate(3)[..3].to_vec();
@@ -518,10 +509,10 @@ mod tests {
         let fate = dispatch::accept_results(shared, 0, answer);
         assert_eq!(fate, dispatch::BatchFate::Stale, "the replay");
         let s = fe.stats().snapshot();
-        assert_eq!((s.stale_tiles, s.duplicate_tiles), (1, 0));
+        assert_eq!((s.stale_tiles, s.tiles_completed), (1, 1));
         assert_eq!(
             s.tiles_granted,
-            s.tiles_completed + s.duplicate_tiles + s.tiles_requeued,
+            s.tiles_completed + s.tiles_requeued,
             "nothing is in flight: {s:?}"
         );
     }
@@ -546,17 +537,60 @@ mod tests {
         assert_eq!(pick_tile(&mut state, 1), None, "nothing left anywhere");
     }
 
+    /// A partly warm store: a tile it answers fully is never granted,
+    /// and every other tile is granted once, with only its misses.
     #[test]
-    fn pick_skips_completed_tiles() {
-        let mut state = state_with_queues(vec![vec![0, 1], vec![2]]);
-        state.done.insert(0);
-        state.done.insert(2);
-        assert_eq!(pick_tile(&mut state, 0), Some((1, false)));
-        assert_eq!(
-            pick_tile(&mut state, 0),
-            None,
-            "completed steal target dropped"
+    fn a_tile_the_store_answers_fully_is_never_granted() {
+        let chains = rck_pdb::datasets::tiny_profile().generate(18);
+        let dir = std::env::temp_dir().join(format!("rck-shard-fe-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = rck_store::Store::open(
+            dir.join("store.rckstore"),
+            rck_store::StoreConfig::on_registry(rck_obs::Registry::new()),
+        )
+        .unwrap();
+        let binding = Arc::new(StoreBinding::new(store, &chains));
+        let cfg = ShardConfig {
+            tile_size: 3,
+            ..ShardConfig::default()
+        };
+        let tiles = tile_partition(chains.len(), cfg.tile_size);
+        let jobs = rckalign::all_vs_all(chains.len(), cfg.method);
+        let stored = &jobs[..jobs.len() / 3];
+        let outcome = |j: &PairJob| PairOutcome {
+            i: j.i,
+            j: j.j,
+            method: j.method,
+            similarity: 0.5,
+            rmsd: 1.0,
+            aligned_len: 1,
+            ops: 1,
+        };
+        binding.record_all(&stored.iter().map(outcome).collect::<Vec<_>>());
+        let full = |t: &rckalign::Tile| t.jobs(cfg.method).iter().all(|j| stored.contains(j));
+        let open: Vec<u32> = tiles.iter().filter(|t| !full(t)).map(|t| t.id).collect();
+        assert!(
+            !open.is_empty() && open.len() < tiles.len(),
+            "a partly warm store"
         );
+
+        let fe = ShardFrontend::bind_on(rck_serve::MemNet::new().listener(), chains, cfg)
+            .with_store(binding);
+        let shared = &*fe.shared;
+        let mut state = shared.state.lock_recover();
+        let mut granted = Vec::new();
+        while let dispatch::Claim::Granted(_, tile) =
+            dispatch::try_claim(shared, &mut state, 0, true)
+        {
+            assert!(tile.jobs.iter().all(|j| !stored.contains(j)), "misses only");
+            granted.push(tile.id);
+        }
+        drop(state);
+        granted.sort_unstable();
+        assert_eq!(granted, open, "each tile the store left open, once");
+        assert_eq!(fe.stats().snapshot().tiles_granted, open.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub struct ShardStats {
     pub(crate) tiles_completed: Arc<Counter>,
     pub(crate) tiles_requeued: Arc<Counter>,
     pub(crate) tiles_stolen: Arc<Counter>,
-    pub(crate) duplicate_tiles: Arc<Counter>,
     pub(crate) stale_tiles: Arc<Counter>,
     pub(crate) mismatched_tiles: Arc<Counter>,
     pub(crate) masters_connected: Arc<Counter>,
@@ -59,10 +58,6 @@ impl ShardStats {
             tiles_stolen: registry.counter(
                 "rck_shard_tiles_stolen_total",
                 "tiles granted from another master's ownership queue",
-            ),
-            duplicate_tiles: registry.counter(
-                "rck_shard_duplicate_tiles_total",
-                "tile results dropped because the tile was already complete",
             ),
             stale_tiles: registry.counter(
                 "rck_shard_stale_tiles_total",
@@ -144,7 +139,7 @@ impl ShardStats {
             tiles_completed: self.tiles_completed.get(),
             tiles_requeued: self.tiles_requeued.get(),
             tiles_stolen: self.tiles_stolen.get(),
-            duplicate_tiles: self.duplicate_tiles.get(),
+            duplicate_tiles: 0,
             stale_tiles: self.stale_tiles.get(),
             mismatched_tiles: self.mismatched_tiles.get(),
             masters_connected: self.masters_connected.get(),
@@ -168,7 +163,9 @@ pub struct ShardSnapshot {
     pub tiles_requeued: u64,
     /// Tiles granted out of another master's ownership queue.
     pub tiles_stolen: u64,
-    /// Tile results dropped as already complete.
+    /// Always 0: the dispatcher settles each grant once, so the frontend
+    /// never sees a tile's result twice (see `rck_serve::dispatch`). The
+    /// field stays for readers that name it.
     pub duplicate_tiles: u64,
     /// Tile results dropped because their master no longer held the tile
     /// (a late answer after a requeue, or a replay).
@@ -189,12 +186,11 @@ impl ShardSnapshot {
     /// Render the run summary plus the per-master tile table.
     pub fn render(&self) -> String {
         let mut totals = TextTable::new(&["counter", "value"]);
-        let rows: [(&str, u64); 10] = [
+        let rows: [(&str, u64); 9] = [
             ("tiles granted", self.tiles_granted),
             ("tiles completed", self.tiles_completed),
             ("tiles requeued", self.tiles_requeued),
             ("tiles stolen", self.tiles_stolen),
-            ("duplicate tile results", self.duplicate_tiles),
             ("stale tile results", self.stale_tiles),
             ("mismatched tile results", self.mismatched_tiles),
             ("masters connected", self.masters_connected),
@@ -226,7 +222,6 @@ mod tests {
         s.on_tile_completed(0, Some(0.01));
         s.tiles_requeued.add(2);
         s.masters_lost.inc();
-        s.duplicate_tiles.inc();
         s.stale_tiles.add(3);
         s.mismatched_tiles.inc();
         s.store_pairs.add(5);
@@ -237,7 +232,7 @@ mod tests {
         assert_eq!(snap.tiles_requeued, 2);
         assert_eq!(snap.masters_connected, 2);
         assert_eq!(snap.masters_lost, 1);
-        assert_eq!(snap.duplicate_tiles, 1);
+        assert_eq!(snap.duplicate_tiles, 0, "never moves");
         assert_eq!(snap.stale_tiles, 3);
         assert_eq!(snap.mismatched_tiles, 1);
         assert_eq!(snap.store_pairs, 5);

@@ -7,7 +7,8 @@
 //! other caller, every row of the benchmark trajectory names a workload
 //! and a metric `BENCHMARK.json` declares, every crate root re-exports
 //! only what something outside the crate names, only the dispatcher
-//! accepts connections or runs a deadline monitor, FNV-1a has one body
+//! accepts connections or runs a deadline monitor, only the dispatcher
+//! owns exactly-once acceptance, FNV-1a has one body
 //! in the tree, the chaos harnesses share one scenario core, no serving
 //! tier's stats wraps a handle in a method, and DESIGN.md's generated
 //! contract blocks each have one pair of markers.
@@ -691,6 +692,63 @@ fn contract_tables_are_generated_and_the_doc_parsers_are_gone() {
         lines("<!-- /generated -->"),
         begins.len(),
         "one end marker per generated block"
+    );
+}
+
+/// Exactly-once acceptance has one owner, `serve::dispatch`: its ledger
+/// settles each grant once, so no `WorkSource` policy (nor the gate's run
+/// state beside its pool) keeps a `done` set of its own, and no tier
+/// registers a family counting duplicates it dropped. The chaos
+/// harness's `rck_chaos_frames_duplicated_total` counts frames it
+/// injected twice, not results accepted twice, so the family check looks
+/// for `_duplicate_`.
+#[test]
+fn exactly_once_has_one_owner() {
+    let root = repo_root();
+    let production = |path: &Path| {
+        let text = fs::read_to_string(path).expect("source is UTF-8");
+        let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
+        text[..end].to_string()
+    };
+    let mut found = Vec::new();
+    for file in [
+        "crates/serve/src/master.rs",
+        "crates/gate/src/pool.rs",
+        "crates/gate/src/lib.rs",
+        "crates/shard/src/frontend.rs",
+    ] {
+        for (n, line) in production(&root.join(file)).lines().enumerate() {
+            let set = ["done: HashSet", "done.insert(", "done.contains("];
+            if set.iter().any(|needle| line.contains(needle)) {
+                found.push(format!("{file}:{}: {}", n + 1, line.trim()));
+            }
+        }
+    }
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let mut files = Vec::new();
+        walk(
+            &krate.expect("crate directory").path().join("src"),
+            &mut files,
+        );
+        for path in files
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        {
+            for (n, line) in production(path).lines().enumerate() {
+                let family = line.split('"').skip(1).step_by(2);
+                if family
+                    .into_iter()
+                    .any(|lit| lit.starts_with("rck") && lit.contains("_duplicate_"))
+                {
+                    let file = path.strip_prefix(&root).expect("below the root");
+                    found.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a second owner of exactly-once acceptance: {found:#?}"
     );
 }
 
