@@ -8,7 +8,7 @@
 //! recomputing, making a 24-point sweep cost one workload evaluation.
 //! Simulated timing is unaffected: slaves charge the cached `ops`.
 
-use crate::jobs::{PairJob, PairOutcome};
+use crate::jobs::{outcomes_of, PairJob, PairOutcome};
 use crate::store::StoreBinding;
 use parking_lot::Mutex;
 use rck_pdb::model::CaChain;
@@ -109,23 +109,13 @@ impl PairCache {
         outcome
     }
 
-    /// The outcomes of `jobs`, in order: one `PscMethod::compare_many` per
-    /// run of same-method jobs.
+    /// The outcomes of `jobs`, in order ([`outcomes_of`] over the dataset).
+    ///
+    /// # Panics
+    /// Panics if a job indexes past the dataset.
     fn compute(&self, jobs: &[PairJob]) -> Vec<PairOutcome> {
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for run in jobs.chunk_by(|a, b| a.method == b.method) {
-            let pairs: Vec<_> = run
-                .iter()
-                .map(|job| (&self.chains[job.i as usize], &self.chains[job.j as usize]))
-                .collect();
-            let scores = run[0].method.instantiate().compare_many(&pairs);
-            outcomes.extend(
-                run.iter()
-                    .zip(scores)
-                    .map(|(job, score)| PairOutcome::scored(job, score)),
-            );
-        }
-        outcomes
+        outcomes_of(jobs, |ix| self.chains.get(ix as usize))
+            .unwrap_or_else(|ix| panic!("a job indexes chain {ix} of {}", self.chains.len()))
     }
 
     /// Eagerly compute a set of jobs across `threads` host threads

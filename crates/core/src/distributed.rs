@@ -18,7 +18,7 @@
 
 use crate::app::{master_and_slaves, run_on_chip, RckAlignRun};
 use crate::cache::PairCache;
-use crate::jobs::{encode_outcome, PairJob};
+use crate::jobs::{encode_outcome, get_job, put_job, PairJob};
 use rck_noc::{CoreCtx, CoreProgram, NocConfig, ResourceId, SimDuration};
 use rck_rcce::{Rcce, Reader, Writer};
 use rck_skel::{farm, wire, Job};
@@ -55,21 +55,12 @@ impl Default for DistributedConfig {
 }
 
 fn encode_descriptor(job: &PairJob) -> Vec<u8> {
-    // The pssh command line: indices + method + ~120 bytes of shell/ssh
+    // The pssh command line: the job record + ~120 bytes of shell/ssh
     // framing, which we pad to model realistic message size.
     let mut w = Writer::with_capacity(140);
-    w.put_u32(job.i).put_u32(job.j).put_u8(job.method.code());
+    put_job(&mut w, job);
     w.put_bytes(&[0u8; 120]);
     w.finish()
-}
-
-fn decode_descriptor(data: Vec<u8>) -> PairJob {
-    let mut r = Reader::new(data);
-    let i = r.get_u32().expect("descriptor i");
-    let j = r.get_u32().expect("descriptor j");
-    let method = rck_tmalign::MethodKind::from_code(r.get_u8().expect("descriptor method"))
-        .expect("valid method");
-    PairJob { i, j, method }
 }
 
 /// Run the all-vs-all workload through the distributed (MCPC-master)
@@ -106,7 +97,7 @@ pub fn run_distributed(
         Box::new(move |ctx: &mut CoreCtx| {
             let mut comm = Rcce::new(ctx, &ues);
             while let Some(job) = wire::decode_job(comm.recv(0)) {
-                let pj = decode_descriptor(job.payload);
+                let pj = get_job(&mut Reader::new(job.payload)).expect("descriptor job record");
                 // Fresh process for every pairwise comparison.
                 comm.ctx().advance_idle(spawn);
                 // Load both structures through the shared NFS disk.

@@ -247,6 +247,31 @@ impl PairOutcome {
     }
 }
 
+/// The outcomes of `jobs`, in order, each chain looked up by `chain`:
+/// one `PscMethod::compare_many` per run of same-method jobs (a farm
+/// batch of RMSD jobs is one lock-step group of four). The one job-list
+/// compute, under the pair cache and the service worker's lanes alike;
+/// a lookup miss returns the missing index.
+pub fn outcomes_of<'a>(
+    jobs: &[PairJob],
+    chain: impl Fn(u32) -> Option<&'a CaChain>,
+) -> Result<Vec<PairOutcome>, u32> {
+    let mut outcomes = Vec::with_capacity(jobs.len());
+    for run in jobs.chunk_by(|a, b| a.method == b.method) {
+        let pairs = run
+            .iter()
+            .map(|job| Ok((chain(job.i).ok_or(job.i)?, chain(job.j).ok_or(job.j)?)))
+            .collect::<Result<Vec<_>, u32>>()?;
+        let scores = run[0].method.instantiate().compare_many(&pairs);
+        outcomes.extend(
+            run.iter()
+                .zip(scores)
+                .map(|(job, score)| PairOutcome::scored(job, score)),
+        );
+    }
+    Ok(outcomes)
+}
+
 /// The 37-byte outcome record, shared by the slave → master result
 /// payload below and the `rck-serve` frames.
 #[inline]

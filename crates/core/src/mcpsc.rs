@@ -56,16 +56,6 @@ pub struct McPscRun {
     pub makespan_secs: f64,
 }
 
-impl McPscRun {
-    /// Outcomes of one method.
-    pub fn outcomes_for(&self, method: MethodKind) -> Vec<&PairOutcome> {
-        self.outcomes
-            .iter()
-            .filter(|o| o.method == method)
-            .collect()
-    }
-}
-
 /// Estimate the per-method cost share by computing a small sample of
 /// pairs (memoised, so nothing is wasted).
 fn estimate_cost_shares(cache: &PairCache, methods: &[MethodKind]) -> Vec<f64> {
@@ -288,7 +278,8 @@ mod tests {
         let pairs = pair_count(c.len());
         assert_eq!(run.outcomes.len(), 3 * pairs);
         for m in ALL {
-            assert_eq!(run.outcomes_for(m).len(), pairs, "{}", m.name());
+            let of_m = run.outcomes.iter().filter(|o| o.method == m).count();
+            assert_eq!(of_m, pairs, "{}", m.name());
         }
         assert!(run.makespan_secs > 0.0);
     }

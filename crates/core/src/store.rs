@@ -100,21 +100,8 @@ impl StoreBinding {
     /// Look up a job's outcome, rebuilding the positional fields from
     /// the job itself (counts a store hit or miss).
     pub fn lookup(&self, job: &PairJob) -> Option<PairOutcome> {
-        let key = self.key(job);
-        self.lookup_key(&key, job.i, job.j, job.method)
-    }
-
-    /// Look up under an explicit key, materialising the outcome at the
-    /// given positional coordinates.
-    pub fn lookup_key(
-        &self,
-        key: &PairKey,
-        i: u32,
-        j: u32,
-        method: MethodKind,
-    ) -> Option<PairOutcome> {
-        let stored = self.store.lock().get(key)?;
-        Some(outcome(i, j, method, stored))
+        let stored = self.store.lock().get(&self.key(job))?;
+        Some(outcome(job.i, job.j, job.method, stored))
     }
 
     /// Warm start: the outcomes the store already holds for `jobs` and
@@ -168,12 +155,6 @@ impl StoreBinding {
         let hash = |ix: u32| self.hashes[ix as usize];
         let key = |o: &PairOutcome| self.key_for(hash(o.i), hash(o.j), o.method);
         self.record_keys(outcomes.iter().map(|o| (key(o), o)))
-    }
-
-    /// Persist one outcome under an explicit key (same semantics as
-    /// [`StoreBinding::record`]).
-    pub fn record_key(&self, key: PairKey, outcome: &PairOutcome) -> bool {
-        self.record_keys([(key, outcome)]) == 1
     }
 
     /// [`StoreBinding::record_all`] under explicit keys — the one record

@@ -141,7 +141,6 @@ pub struct GateReport {
 /// client streams subscribed to its progress.
 pub(crate) struct QueryRun {
     pub(crate) tenant: String,
-    pub(crate) query_hash: u64,
     /// Content hash of the query chain alone (no methods, no versions) —
     /// one half of every persistent-store key this run reads or writes.
     pub(crate) content_hash: u64,
@@ -159,19 +158,18 @@ pub(crate) struct QueryRun {
 
 /// The mutable gate state (guarded by the `Mutex` in [`GateShared`]).
 pub(crate) struct GateState {
+    /// Running queries by [`query_fingerprint`]: a duplicate submission
+    /// finds its run here and coalesces into it.
     pub(crate) runs: HashMap<u64, QueryRun>,
-    /// Per-tenant round-robin of runs that still have pending batches
-    /// (entries may be stale after requeues; consumers skip them).
+    /// Per-tenant round-robin of runs by fingerprint: a run is in its
+    /// tenant's queue, once, exactly while it has pending batches.
     pub(crate) tenant_runs: HashMap<String, VecDeque<u64>>,
     pub(crate) sched: StrideSched,
-    /// Query fingerprint → running query, for coalescing duplicates.
-    pub(crate) coalesce: HashMap<u64, u64>,
     /// Ledger of batches out on pool workers, the connections of both
     /// planes, id counters, the halt and drain flags.
     pub(crate) dispatch: Dispatch<pool::QueryBatch>,
     /// Each client session's outbox, flushed at the end of a drain.
     pub(crate) outboxes: HashMap<u32, Arc<Outbox>>,
-    pub(crate) next_run_id: u64,
 }
 
 /// Everything the gate's threads share.
@@ -254,10 +252,8 @@ impl Gate {
                     runs: HashMap::new(),
                     tenant_runs: HashMap::new(),
                     sched: StrideSched::new(),
-                    coalesce: HashMap::new(),
                     dispatch: Dispatch::new(cfg.heartbeat_timeout, cfg.batch_timeout),
                     outboxes: HashMap::new(),
-                    next_run_id: 0,
                 }),
                 work_available: Condvar::new(),
                 db: db.into_iter().map(Arc::new).collect(),
@@ -374,7 +370,10 @@ pub fn query_fingerprint(
 /// The reference ranking the gate must reproduce bit-identically: run
 /// the query against the database in-process and fold per-method scores
 /// with `combiner`. Tests and the chaos harness compare gate output
-/// against this.
+/// against this. Each pair is scored by its own `PscMethod::compare`,
+/// not through [`rckalign::jobs::outcomes_of`] (the batched
+/// `compare_many` path the pool workers run), so the reference stays
+/// independent of the code it checks.
 pub fn reference_ranking(
     db: &[CaChain],
     query: &CaChain,
@@ -497,24 +496,22 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     // for the computation twice. The catch-up partial replays what the
     // run has already streamed, so a late subscriber still reassembles
     // the complete outcome set.
-    if let Some(&run_id) = state.coalesce.get(&hash) {
-        if let Some(run) = state.runs.get_mut(&run_id) {
-            shared.stats.queries_coalesced.inc();
-            if !run.outcomes.is_empty() {
-                shared.stats.partials_streamed.inc();
-                outbox.push(Frame::QueryPartial(QueryPartial {
-                    query_id: q.query_id,
-                    done: run.outcomes.len() as u32,
-                    total: run.total_jobs as u32,
-                    outcomes: run.outcomes.clone(),
-                }));
-            }
-            run.subscribers.push(Subscriber {
+    if let Some(run) = state.runs.get_mut(&hash) {
+        shared.stats.queries_coalesced.inc();
+        if !run.outcomes.is_empty() {
+            shared.stats.partials_streamed.inc();
+            outbox.push(Frame::QueryPartial(QueryPartial {
                 query_id: q.query_id,
-                outbox: Arc::clone(outbox),
-            });
-            return;
+                done: run.outcomes.len() as u32,
+                total: run.total_jobs as u32,
+                outcomes: run.outcomes.clone(),
+            }));
         }
+        run.subscribers.push(Subscriber {
+            query_id: q.query_id,
+            outbox: Arc::clone(outbox),
+        });
+        return;
     }
 
     // Admission control: explicit refusal beats unbounded queueing.
@@ -579,21 +576,17 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     }
 
     let batches: VecDeque<Vec<PairJob>> = batch_jobs(&misses, shared.cfg.batch_size.max(1)).into();
-    let run_id = state.next_run_id;
-    state.next_run_id += 1;
     state.sched.set_weight(&q.tenant, q.weight);
     state.sched.add_backlog(&q.tenant, batches.len());
     state
         .tenant_runs
         .entry(q.tenant.clone())
         .or_default()
-        .push_back(run_id);
-    state.coalesce.insert(hash, run_id);
+        .push_back(hash);
     state.runs.insert(
-        run_id,
+        hash,
         QueryRun {
             tenant: q.tenant,
-            query_hash: hash,
             content_hash,
             chain: Arc::new(q.chain),
             methods: q.methods,
@@ -814,17 +807,9 @@ mod tests {
         let qhash = chain_content_hash(query);
         for job in jobs {
             let score = job.method.instantiate().compare(&db[job.i as usize], query);
-            let outcome = PairOutcome {
-                i: job.i,
-                j: job.j,
-                method: job.method,
-                similarity: score.similarity,
-                rmsd: score.rmsd.unwrap_or(f64::NAN),
-                aligned_len: score.aligned_len as u32,
-                ops: score.ops,
-            };
+            let outcome = PairOutcome::scored(job, score);
             let key = binding.key_for(binding.hash_of(job.i as usize), qhash, job.method);
-            assert!(binding.record_key(key, &outcome));
+            assert_eq!(binding.record_keys([(key, &outcome)]), 1);
         }
     }
 

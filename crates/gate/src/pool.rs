@@ -19,6 +19,13 @@
 //! under multi-tenant contention; accepted outcomes are appended to their
 //! run, streamed to subscribers as partials, and folded into the final
 //! ranking when the run completes.
+//!
+//! Runs are keyed by their query fingerprint, which each `QueryBatch`
+//! carries. A run is in its tenant's round-robin once, exactly while it
+//! has pending batches: a grant puts it back at the end only if batches
+//! remain, and a requeue puts it back only if none were pending. The
+//! tenant's stride backlog counts the same pending batches, so a picked
+//! tenant always has a batch to claim.
 
 use crate::{GateShared, GateState};
 use rck_pdb::model::CaChain;
@@ -32,7 +39,8 @@ use std::time::Duration;
 /// One dispatchable batch of a query run.
 #[derive(Clone)]
 pub(crate) struct QueryBatch {
-    run_id: u64,
+    /// The run's query fingerprint: its key in `GateState::runs`.
+    fingerprint: u64,
     jobs: Vec<PairJob>,
     /// The run's query chain. Every run's lives at the virtual index
     /// `db.len()`, so a worker is re-sent it when the slot changes hands.
@@ -78,19 +86,17 @@ impl WorkSource for GateShared {
         state.dispatch.draining() && state.runs.is_empty()
     }
 
+    /// A tenant's backlog counts its runs' pending batches, and each run
+    /// with pending batches is in its round-robin, so a picked tenant
+    /// always has a batch to claim.
     fn next_unit(&self, state: &mut GateState, _worker_id: u32) -> Option<QueryBatch> {
-        // A stale pick (the tenant's runs were requeued or completed
-        // between backlog accounting and now) just tries again.
-        while let Some(tenant) = state.sched.pick() {
-            if let Some(batch) = claim_tenant_batch(state, &tenant) {
-                self.stats.on_jobs_dispatched(&tenant, batch.jobs.len());
-                self.stats
-                    .queue_depth
-                    .set(state.sched.total_backlog() as i64);
-                return Some(batch);
-            }
-        }
-        None
+        let tenant = state.sched.pick()?;
+        let batch = claim_tenant_batch(state, &tenant)?;
+        self.stats.on_jobs_dispatched(&tenant, batch.jobs.len());
+        self.stats
+            .queue_depth
+            .set(state.sched.total_backlog() as i64);
+        Some(batch)
     }
 
     fn chain(&self, batch: &QueryBatch, ix: u32) -> Option<Arc<CaChain>> {
@@ -109,7 +115,7 @@ impl WorkSource for GateShared {
         outcomes: Vec<PairOutcome>,
         _rtt: Duration,
     ) -> bool {
-        let Some(run) = state.runs.get_mut(&batch.run_id) else {
+        let Some(run) = state.runs.get_mut(&batch.fingerprint) else {
             // A run retires only once every batch of it is settled.
             return false;
         };
@@ -134,25 +140,29 @@ impl WorkSource for GateShared {
         }
         let complete = run.outcomes.len() == run.total_jobs;
         if complete {
-            complete_run(state, self, batch.run_id);
+            complete_run(state, self, batch.fingerprint);
         }
         complete
     }
 
-    /// Put a batch back at the front of its run's queue.
+    /// Put a batch back at the front of its run's queue; a run whose
+    /// batches were all out rejoins its tenant's round-robin.
     fn requeue(&self, state: &mut GateState, batch: QueryBatch) {
-        let Some(run) = state.runs.get_mut(&batch.run_id) else {
+        let Some(run) = state.runs.get_mut(&batch.fingerprint) else {
             return;
         };
         self.stats.jobs_requeued.add(batch.jobs.len() as u64);
+        let rejoins = run.pending.is_empty();
         run.pending.push_front(batch.jobs);
         let tenant = run.tenant.clone();
         state.sched.add_backlog(&tenant, 1);
-        state
-            .tenant_runs
-            .entry(tenant)
-            .or_default()
-            .push_back(batch.run_id);
+        if rejoins {
+            state
+                .tenant_runs
+                .entry(tenant)
+                .or_default()
+                .push_back(batch.fingerprint);
+        }
         self.stats
             .queue_depth
             .set(state.sched.total_backlog() as i64);
@@ -173,36 +183,30 @@ impl WorkSource for GateShared {
     }
 }
 
-/// Pop the next pending batch of `tenant`'s least-recently-served run.
+/// Pop the next pending batch of `tenant`'s least-recently-served run;
+/// the run takes another turn only if batches remain.
 fn claim_tenant_batch(state: &mut GateState, tenant: &str) -> Option<QueryBatch> {
-    let queue = state.tenant_runs.get_mut(tenant)?;
-    while let Some(run_id) = queue.pop_front() {
-        let Some(run) = state.runs.get_mut(&run_id) else {
-            continue; // completed run; stale round-robin entry
-        };
-        let Some(jobs) = run.pending.pop_front() else {
-            continue; // fully dispatched run; stale entry
-        };
-        if !run.pending.is_empty() {
-            queue.push_back(run_id);
-        }
-        return Some(QueryBatch {
-            run_id,
-            jobs,
-            chain: Arc::clone(&run.chain),
-        });
+    let turns = state.tenant_runs.get_mut(tenant)?;
+    let fingerprint = turns.pop_front()?;
+    let run = state.runs.get_mut(&fingerprint)?;
+    let jobs = run.pending.pop_front()?;
+    if !run.pending.is_empty() {
+        turns.push_back(fingerprint);
     }
-    None
+    Some(QueryBatch {
+        fingerprint,
+        jobs,
+        chain: Arc::clone(&run.chain),
+    })
 }
 
 /// Fold a finished run's outcomes into the final ranking, stream the
 /// terminal [`rck_serve::proto::QueryDone`] to every subscriber, and
 /// retire the run.
-fn complete_run(state: &mut GateState, shared: &GateShared, run_id: u64) {
-    let Some(run) = state.runs.remove(&run_id) else {
+fn complete_run(state: &mut GateState, shared: &GateShared, fingerprint: u64) {
+    let Some(run) = state.runs.remove(&fingerprint) else {
         return;
     };
-    state.coalesce.remove(&run.query_hash);
     if let Some(binding) = shared.store.lock_recover().as_ref() {
         // Persist the run's outcomes under (db chain, query content)
         // keys. `o.j` is the query's *virtual* index, so the key's second
@@ -282,6 +286,76 @@ mod tests {
         });
         assert_eq!(explored.violations, Vec::<String>::new());
         assert_eq!((explored.states, explored.transitions), (8_499, 20_261));
+    }
+
+    /// A gate with one-job batches and one run of tenant `t` per query,
+    /// submitted in order.
+    fn one_tenant(queries: &[CaChain]) -> Arc<GateShared> {
+        let cfg = GateConfig {
+            batch_size: 1,
+            ..GateConfig::default()
+        };
+        let db = tiny_profile().generate(5);
+        let gate = Gate::bind_on(MemNet::new().listener(), MemNet::new().listener(), db, cfg);
+        for (query_id, chain) in (0..).zip(queries) {
+            let submit = QuerySubmit {
+                tenant: "t".into(),
+                query_id,
+                weight: 1,
+                methods: vec![MethodKind::TmAlign],
+                chain: chain.clone(),
+            };
+            crate::submit_query(&gate.shared, submit, &Outbox::new());
+        }
+        Arc::clone(&gate.shared)
+    }
+
+    /// Grant `n` batches through the gate's pick; each batch with the
+    /// position of its query in `queries`.
+    fn grant(shared: &GateShared, queries: &[CaChain], n: usize) -> (Vec<usize>, Vec<QueryBatch>) {
+        let mut state = shared.state.lock_recover();
+        let batches: Vec<QueryBatch> = (0..n)
+            .map_while(|_| shared.next_unit(&mut state, 0))
+            .collect();
+        let runs = batches
+            .iter()
+            .map(|b| {
+                queries
+                    .iter()
+                    .position(|q| *q == *b.chain)
+                    .expect("a query")
+            })
+            .collect();
+        (runs, batches)
+    }
+
+    /// A requeue does not hand its run a second round-robin turn: two
+    /// runs still alternate after one of them gets a batch back.
+    #[test]
+    fn a_requeued_run_keeps_one_round_robin_turn() {
+        let queries = tiny_profile().generate(6)[..2].to_vec();
+        let shared = one_tenant(&queries);
+        let (first, mut out) = grant(&shared, &queries, 2);
+        assert_eq!(first, [0, 1]);
+        shared.requeue(&mut shared.state.lock_recover(), out.swap_remove(0));
+        let (next, _) = grant(&shared, &queries, 6);
+        assert_eq!(next, [0, 1, 0, 1, 0, 1]);
+    }
+
+    /// A run whose every batch is out leaves the round-robin, and a
+    /// requeue brings it back: the batch is granted again.
+    #[test]
+    fn a_fully_granted_run_rejoins_the_round_robin_on_requeue() {
+        let queries = tiny_profile().generate(6)[..1].to_vec();
+        let shared = one_tenant(&queries);
+        let (runs, mut out) = grant(&shared, &queries, 100);
+        assert_eq!(runs.len(), 8, "one batch per database chain");
+        let last = out.pop().expect("a batch");
+        let jobs = last.jobs.clone();
+        shared.requeue(&mut shared.state.lock_recover(), last);
+        let (again, batches) = grant(&shared, &queries, 100);
+        assert_eq!(again, [0]);
+        assert_eq!(batches[0].jobs, jobs);
     }
 
     /// A worker answering the wrong jobs is refused: nothing reaches the

@@ -76,14 +76,6 @@ impl StrideSched {
         }
     }
 
-    /// Remove `n` units of backlog (batches cancelled or completed
-    /// without being picked), saturating at zero.
-    pub fn remove_backlog(&mut self, tenant: &str, n: usize) {
-        if let Some(t) = self.tenants.get_mut(tenant) {
-            t.backlog = t.backlog.saturating_sub(n);
-        }
-    }
-
     /// This tenant's current backlog.
     pub fn backlog(&self, tenant: &str) -> usize {
         self.tenants.get(tenant).map_or(0, |t| t.backlog)
@@ -208,7 +200,7 @@ mod tests {
         assert_eq!(s.backlog("t"), 2);
         assert_eq!(s.total_backlog(), 2);
         assert_eq!(s.pick().as_deref(), Some("t"));
-        s.remove_backlog("t", 5);
+        assert_eq!(s.pick().as_deref(), Some("t"));
         assert_eq!(s.total_backlog(), 0);
         assert_eq!(s.pick(), None);
     }

@@ -25,13 +25,6 @@ pub struct FamilySpec {
     pub segments: Vec<SegmentSpec>,
 }
 
-impl FamilySpec {
-    /// Total residues in the family's baseline fold.
-    pub fn baseline_len(&self) -> usize {
-        self.segments.iter().map(|s| s.len).sum()
-    }
-}
-
 /// A dataset profile: list of families plus member-variation parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DatasetProfile {

@@ -36,16 +36,6 @@ impl<'a> Rcce<'a> {
         self.my_rank
     }
 
-    /// Number of participating UEs.
-    pub fn num_ues(&self) -> usize {
-        self.ues.len()
-    }
-
-    /// The physical core of a rank.
-    pub fn core_of(&self, rank: usize) -> CoreId {
-        self.ues[rank]
-    }
-
     /// Access the underlying simulated-core handle.
     pub fn ctx(&mut self) -> &mut CoreCtx {
         self.ctx
@@ -119,9 +109,8 @@ mod tests {
     #[test]
     fn ranks_and_sizes() {
         spmd(4, |c| {
-            assert_eq!(c.num_ues(), 4);
             assert!(c.ue() < 4);
-            assert_eq!(c.core_of(c.ue()), CoreId(c.ue()));
+            assert_eq!(c.ctx().id(), CoreId(c.ue()));
         });
     }
 

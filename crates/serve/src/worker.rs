@@ -15,8 +15,9 @@
 //! sessions (crash, hang, slowdown) over the in-memory network.
 //!
 //! Computation is *exactly* the in-process path: decode f64 coordinates,
-//! `MethodKind::instantiate`, `PscMethod::compare_many` (each score bit
-//! for bit its pair's `compare`) — which is what makes the service matrix
+//! then the pair cache's own [`rckalign::jobs::outcomes_of`] (one
+//! `PscMethod::compare_many` per same-method run, each score bit for bit
+//! its pair's `compare`) — which is what makes the service matrix
 //! bit-identical to [`rckalign::run_all_vs_all`].
 
 use crate::dispatch::Session;
@@ -26,6 +27,7 @@ use crate::transport::{Conn, TcpConn};
 use rand::{Rng, SeedableRng};
 use rck_obs::{Counter, Registry};
 use rck_pdb::model::CaChain;
+use rckalign::jobs::outcomes_of;
 use rckalign::{PairJob, PairOutcome};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -198,38 +200,18 @@ pub struct WorkerReport {
     pub failed_by_injection: bool,
 }
 
-/// The kernel inner loop over one slice of a batch's jobs, against the
-/// session's table of every chain the master has shipped: one
-/// `PscMethod::compare_many` per run of same-method jobs (a farm batch of
-/// RMSD jobs is one lock-step group of four). A job referencing a chain
-/// the session never received violates the protocol — a master bug, or a
-/// lost frame — and fails the session instead of panicking the worker.
-fn compute_jobs(
-    jobs: &[PairJob],
-    table: &HashMap<u32, Arc<CaChain>>,
-) -> io::Result<Vec<PairOutcome>> {
-    let chain = |ix: u32| {
-        table.get(&ix).map(|c| &**c).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("a job references chain {ix}, which this session never received"),
-            )
-        })
-    };
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for run in jobs.chunk_by(|a, b| a.method == b.method) {
-        let pairs = run
-            .iter()
-            .map(|job| Ok((chain(job.i)?, chain(job.j)?)))
-            .collect::<io::Result<Vec<_>>>()?;
-        let scores = run[0].method.instantiate().compare_many(&pairs);
-        outcomes.extend(
-            run.iter()
-                .zip(scores)
-                .map(|(job, score)| PairOutcome::scored(job, score)),
-        );
-    }
-    Ok(outcomes)
+/// One slice of a batch's jobs through [`rckalign::jobs::outcomes_of`],
+/// against the session's table of every chain the master has shipped.
+/// A job referencing a chain the session never received violates the
+/// protocol — a master bug, or a lost frame — and fails the session
+/// instead of panicking the worker.
+fn compute_jobs(jobs: &[PairJob], table: &Table) -> io::Result<Vec<PairOutcome>> {
+    outcomes_of(jobs, |ix| table.get(&ix).map(|c| &**c)).map_err(|ix| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("a job references chain {ix}, which this session never received"),
+        )
+    })
 }
 
 /// The session's chain table: every chain the master has shipped.
@@ -402,7 +384,13 @@ pub fn run_worker_conn(mut stream: Box<dyn Conn>, cfg: &WorkerConfig) -> io::Res
 
 /// The batch-serving loop; returns once the master says Shutdown, an
 /// injected fault fires (marked in `report`), or the connection errors.
-/// One lane computes on the reading thread; more run as [`Lanes`].
+/// More than one lane runs as [`Lanes`]; one lane computes on the
+/// reading thread. That second path is kept for speed: run as a lone
+/// `Lanes` thread instead, every microsecond RMSD batch pays a queue
+/// hand-off and a wake-up, and `farm_rs119_rmsd`'s `op_p25_ms` read
+/// 13.07 → 13.88 ms (+6.2 %, slower in 6 of 6 alternating pairs, against
+/// a 0.19 ms quartile spread; seed 2013, `--seconds 6`, 2 hardware
+/// threads).
 fn serve_loop(
     cfg: &WorkerConfig,
     stream: &mut Box<dyn Conn>,

@@ -8,7 +8,8 @@
 //! and a metric `BENCHMARK.json` declares, every crate root re-exports
 //! only what something outside the crate names, only the dispatcher
 //! accepts connections or runs a deadline monitor, only the dispatcher
-//! owns exactly-once acceptance, FNV-1a has one body
+//! owns exactly-once acceptance, each job-path decision (the job-list
+//! compute, the gate's run identity) has one copy, FNV-1a has one body
 //! in the tree, the chaos harnesses share one scenario core, no serving
 //! tier's stats wraps a handle in a method, and DESIGN.md's generated
 //! contract blocks each have one pair of markers.
@@ -47,6 +48,13 @@ fn repo_files() -> Vec<PathBuf> {
     let mut files = Vec::new();
     walk(&repo_root(), &mut files);
     files
+}
+
+/// A source file up to its first `#[cfg(test)]`: its non-test code.
+fn production(path: &Path) -> String {
+    let text = fs::read_to_string(path).expect("source is UTF-8");
+    let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
+    text[..end].to_string()
 }
 
 fn is_history(path: &Path) -> bool {
@@ -705,11 +713,6 @@ fn contract_tables_are_generated_and_the_doc_parsers_are_gone() {
 #[test]
 fn exactly_once_has_one_owner() {
     let root = repo_root();
-    let production = |path: &Path| {
-        let text = fs::read_to_string(path).expect("source is UTF-8");
-        let end = text.find("\n#[cfg(test)]").unwrap_or(text.len());
-        text[..end].to_string()
-    };
     let mut found = Vec::new();
     for file in [
         "crates/serve/src/master.rs",
@@ -813,4 +816,47 @@ fn the_batch_lifecycle_has_one_copy() {
             );
         }
     }
+}
+
+/// Each job-path decision is kept once: the one job-list compute,
+/// `rckalign::jobs::outcomes_of`, is the only non-test caller of
+/// `compare_many(` outside the kernel crate, and the gate keys its runs
+/// by query fingerprint with no second map to a minted run id.
+#[test]
+fn each_job_decision_has_one_copy() {
+    let root = repo_root();
+    let mut found = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = krate.expect("crate directory").path();
+        if krate.ends_with("tmalign") {
+            continue;
+        }
+        let mut files = Vec::new();
+        walk(&krate.join("src"), &mut files);
+        for path in files
+            .iter()
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        {
+            let file = path.strip_prefix(&root).expect("below the root");
+            if file == Path::new("crates/core/src/jobs.rs") {
+                continue;
+            }
+            for (n, line) in production(path).lines().enumerate() {
+                if line.contains("compare_many(") {
+                    found.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+                }
+            }
+        }
+    }
+    let gate = "crates/gate/src/lib.rs";
+    for (n, line) in production(&root.join(gate)).lines().enumerate() {
+        let run_id = ["coalesce:", ".coalesce", "next_run_id"];
+        if run_id.iter().any(|needle| line.contains(needle)) {
+            found.push(format!("{gate}:{}: {}", n + 1, line.trim()));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a second copy of a job-path decision: {found:#?}"
+    );
 }
