@@ -9,27 +9,20 @@
 //! * **remote** (`--addr`): dials an already-running `rck_gate` daemon's
 //!   query plane over TCP and only generates load.
 //!
-//! `--tenants` concurrent tenant threads each submit their share of
-//! `--queries` (one outstanding query per tenant — per-tenant closed
-//! loop, open across tenants), measuring client-side submit→ranking
-//! latency into an `rck_obs` histogram. Tenants own disjoint shares of
-//! the query pool, so no two submissions in flight are ever identical:
-//! the self-contained run fails unless the gate coalesced nothing. The
-//! run prints queries/sec and p50/p95/p99; the repeatable gate numbers
-//! are `benchmark/`'s `gate_rs119_rmsd` workload.
+//! Both drive `--tenants` closed-loop tenant threads over their share
+//! of `--queries` through [`rckalign_bench::gate_load`], the run
+//! `rck_report` shares. Tenants own disjoint shares of the query pool, so
+//! the self-contained run fails unless the gate coalesced nothing, and
+//! unless every ranking is bit-identical to the in-process reference.
+//! The run prints queries/sec and p50/p95/p99; the repeatable gate
+//! numbers are `benchmark/`'s `gate_rs119_rmsd` workload.
 
-use rck_gate::{Gate, GateClient, GateConfig};
-use rck_obs::{HistogramSnapshot, Registry, DEFAULT_LATENCY_BOUNDS};
-use rck_serve::proto::QuerySubmit;
-use rck_serve::transport::MemNet;
-use rck_serve::{run_worker_conn, WorkerConfig};
-use rck_tmalign::MethodKind;
-use rckalign::cli::{Flags, ParseError};
+use rck_gate::{GateClient, GateConfig};
+use rck_pdb::datasets;
+use rckalign::cli::{self, Flags, ParseError};
+use rckalign_bench::gate_load::{self, Load};
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 rck_loadgen — multi-tenant load generator for the rck-gate serving tier
@@ -90,31 +83,6 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
     Ok(opts)
 }
 
-/// Everything one load run measured.
-struct LoadReport {
-    completed: u64,
-    rejected: u64,
-    errored: u64,
-    wall_secs: f64,
-    latency: HistogramSnapshot,
-    /// Mean fraction of the worker pool observed busy (self-contained
-    /// mode only; sampled from the gate's dispatch counters).
-    worker_utilization: Option<f64>,
-    /// Duplicate submissions the gate joined onto a running query
-    /// (self-contained mode only).
-    coalesced: Option<u64>,
-}
-
-impl LoadReport {
-    fn queries_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.completed as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 fn fmt_secs(v: Option<f64>) -> String {
     match v {
         Some(v) if v.is_finite() => format!("{:.1}", v * 1e3),
@@ -123,60 +91,12 @@ fn fmt_secs(v: Option<f64>) -> String {
     }
 }
 
-/// One tenant's closed loop: submit its share of queries back-to-back,
-/// observing each submit→terminal latency.
-#[allow(clippy::too_many_arguments)]
-fn tenant_loop(
-    mut client: GateClient,
-    tenant: String,
-    n_queries: usize,
-    queries: Vec<rck_pdb::model::CaChain>,
-    latency: Arc<rck_obs::Histogram>,
-    completed: Arc<AtomicU64>,
-    rejected: Arc<AtomicU64>,
-    errored: Arc<AtomicU64>,
-) {
-    for q in 0..n_queries {
-        let chain = queries[q % queries.len()].clone();
-        let started = Instant::now();
-        match client.run_query(QuerySubmit {
-            tenant: tenant.clone(),
-            query_id: q as u64,
-            weight: 1,
-            methods: vec![MethodKind::TmAlign],
-            chain,
-        }) {
-            Ok(outcome) if outcome.completed() => {
-                latency.observe(started.elapsed().as_secs_f64());
-                completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(_) => {
-                rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                errored.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-    let _ = client.finish();
-}
-
-fn run_load(opts: &Options) -> Result<LoadReport, String> {
-    let profile = rck_pdb::datasets::by_name(&opts.dataset)
-        .ok_or_else(|| format!("unknown dataset {} (try CK34, RS119, TINY8)", opts.dataset))?;
+fn run_load(opts: &Options) -> Result<(), String> {
+    let profile = datasets::by_name(&opts.dataset)?;
     let db = profile.generate(opts.seed);
     // Query structures from a shifted seed: realistic "not in the
     // database" queries, still fully deterministic.
     let query_pool = profile.generate(opts.seed ^ 0x5eed);
-    if opts.tenants > query_pool.len() {
-        return Err(format!(
-            "--tenants {} exceeds the {} query chains of {} (each tenant owns a disjoint share)",
-            opts.tenants,
-            query_pool.len(),
-            opts.dataset
-        ));
-    }
     eprintln!(
         "rck_loadgen: {} db chains, {} tenants x {} queries, {} workers",
         db.len(),
@@ -184,161 +104,25 @@ fn run_load(opts: &Options) -> Result<LoadReport, String> {
         opts.queries,
         opts.workers
     );
-
-    // Plumbing that differs between the two modes: how to mint a client
-    // connection, plus (self-contained only) the gate and its farm.
-    let mut gate_rig = None;
-    let connect: Box<dyn Fn(usize) -> Result<GateClient, String>> = match opts.addr {
-        Some(addr) => Box::new(move |t| {
-            GateClient::dial(addr, &format!("tenant-{t}")).map_err(|e| e.to_string())
-        }),
+    let load = Load {
+        tenants: opts.tenants,
+        queries: opts.queries,
+    };
+    let (report, gate) = match opts.addr {
+        Some(addr) => {
+            let connect = |t: usize| {
+                GateClient::dial(addr, &format!("tenant-{t}")).map_err(|e| e.to_string())
+            };
+            (gate_load::drive(connect, &query_pool, load, None)?, None)
+        }
         None => {
-            let worker_net = Arc::new(MemNet::new());
-            let client_net = Arc::new(MemNet::new());
-            let gate = Gate::bind_on(
-                worker_net.listener(),
-                client_net.listener(),
-                db.clone(),
-                GateConfig {
-                    batch_size: opts.batch,
-                    ..GateConfig::default()
-                },
-            );
-            let handle = gate.handle();
-            let stats = gate.stats();
-            let gate_thread = std::thread::spawn(move || gate.run());
-            let workers: Vec<_> = (0..opts.workers)
-                .map(|k| {
-                    let conn = worker_net.connect().map_err(|e| e.to_string())?;
-                    Ok(std::thread::spawn(move || {
-                        let mut cfg =
-                            WorkerConfig::connect_to(SocketAddr::from(([127, 0, 0, 1], 0)));
-                        cfg.name = format!("w{k}");
-                        cfg.heartbeat_interval = Duration::from_millis(100);
-                        let _ = run_worker_conn(conn, &cfg);
-                    }))
-                })
-                .collect::<Result<_, String>>()?;
-            gate_rig = Some((handle, stats, gate_thread, workers));
-            let client_net = Arc::clone(&client_net);
-            Box::new(move |t| {
-                let conn = client_net.connect().map_err(|e| e.to_string())?;
-                GateClient::connect(conn, &format!("tenant-{t}")).map_err(|e| e.to_string())
-            })
-        }
-    };
-
-    // Occupancy sampler (self-contained mode): every few ms, estimate
-    // how many workers hold outstanding jobs from the dispatch/complete
-    // counters. A sampled mean, not an exact integral — labelled as such.
-    let sampling = Arc::new(AtomicBool::new(true));
-    let sampler = gate_rig.as_ref().map(|(_, stats, _, _)| {
-        let stats = Arc::clone(stats);
-        let sampling = Arc::clone(&sampling);
-        let workers = opts.workers;
-        let batch = opts.batch.max(1);
-        std::thread::spawn(move || {
-            let mut samples = 0u64;
-            let mut busy = 0.0f64;
-            while sampling.load(Ordering::Relaxed) {
-                let snap = stats.snapshot();
-                let outstanding_jobs = snap.jobs_dispatched.saturating_sub(snap.jobs_completed);
-                let busy_workers = (outstanding_jobs as usize).div_ceil(batch).min(workers);
-                busy += busy_workers as f64 / workers as f64;
-                samples += 1;
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if samples == 0 {
-                0.0
-            } else {
-                busy / samples as f64
-            }
-        })
-    });
-
-    let registry = Registry::new();
-    let latency = registry.histogram(
-        "rck_loadgen_query_latency_seconds",
-        "client-side submit-to-ranking latency",
-        DEFAULT_LATENCY_BOUNDS,
-    );
-    let completed = Arc::new(AtomicU64::new(0));
-    let rejected = Arc::new(AtomicU64::new(0));
-    let errored = Arc::new(AtomicU64::new(0));
-
-    let started = Instant::now();
-    let mut tenant_threads = Vec::new();
-    for t in 0..opts.tenants {
-        // Spread the queries across tenants, first tenants take the
-        // remainder so the total is exact.
-        let share = opts.queries / opts.tenants + usize::from(t < opts.queries % opts.tenants);
-        if share == 0 {
-            continue;
-        }
-        let client = connect(t)?;
-        // Disjoint strided share of the pool: no two tenants ever hold
-        // the same query, so nothing coalesces by accident of timing.
-        let pool: Vec<_> = query_pool
-            .iter()
-            .skip(t)
-            .step_by(opts.tenants)
-            .cloned()
-            .collect();
-        let tenant = format!("tenant-{t}");
-        let latency = Arc::clone(&latency);
-        let (completed, rejected, errored) = (
-            Arc::clone(&completed),
-            Arc::clone(&rejected),
-            Arc::clone(&errored),
-        );
-        tenant_threads.push(std::thread::spawn(move || {
-            tenant_loop(
-                client, tenant, share, pool, latency, completed, rejected, errored,
-            );
-        }));
-    }
-    for t in tenant_threads {
-        t.join().map_err(|_| "tenant thread panicked".to_string())?;
-    }
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    sampling.store(false, Ordering::Relaxed);
-    let worker_utilization = sampler.map(|s| s.join().unwrap_or(0.0));
-    let coalesced = gate_rig
-        .as_ref()
-        .map(|(_, stats, _, _)| stats.queries_coalesced());
-    if let Some((handle, _, gate_thread, workers)) = gate_rig {
-        handle.drain();
-        gate_thread
-            .join()
-            .map_err(|_| "gate thread panicked".to_string())?;
-        for w in workers {
-            let _ = w.join();
-        }
-    }
-
-    Ok(LoadReport {
-        completed: completed.load(Ordering::Relaxed),
-        rejected: rejected.load(Ordering::Relaxed),
-        errored: errored.load(Ordering::Relaxed),
-        wall_secs,
-        latency: latency.snapshot(),
-        worker_utilization,
-        coalesced,
-    })
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(refusal) => return refusal.exit(USAGE),
-    };
-    let report = match run_load(&opts) {
-        Ok(report) => report,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
+            let cfg = GateConfig {
+                batch_size: opts.batch,
+                ..GateConfig::default()
+            };
+            let (report, gate) =
+                gate_load::run_in_process(&db, &query_pool, load, opts.workers, cfg)?;
+            (report, Some(gate))
         }
     };
     println!(
@@ -354,22 +138,34 @@ fn main() -> ExitCode {
         fmt_secs(report.latency.percentile(95.0)),
         fmt_secs(report.latency.percentile(99.0)),
     );
-    if let Some(u) = report.worker_utilization {
-        println!("rck_loadgen: worker utilization ~{:.0}%", u * 100.0);
+    if let Some(diverged) = report.diverged {
+        println!(
+            "rck_loadgen: {} of {} rankings bit-identical to the in-process reference",
+            report.completed - diverged,
+            report.completed
+        );
     }
     if report.errored > 0 {
-        eprintln!("error: {} tenant loops errored", report.errored);
-        return ExitCode::FAILURE;
+        return Err(format!("{} tenant loops errored", report.errored));
     }
     if report.completed + report.rejected < opts.queries as u64 {
-        eprintln!("error: queries went missing (no terminal frame)");
-        return ExitCode::FAILURE;
+        return Err("queries went missing (no terminal frame)".to_string());
     }
-    if let Some(n) = report.coalesced.filter(|&n| n > 0) {
-        eprintln!("error: {n} queries coalesced although tenants own disjoint query shares");
-        return ExitCode::FAILURE;
+    if let Some(n) = report.diverged.filter(|&n| n > 0) {
+        return Err(format!(
+            "{n} rankings diverged from the in-process reference"
+        ));
     }
-    ExitCode::SUCCESS
+    if let Some(n) = gate.map(|g| g.queries_coalesced).filter(|&n| n > 0) {
+        return Err(format!(
+            "{n} queries coalesced although tenants own disjoint query shares"
+        ));
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    cli::run_main(USAGE, parse_args, |opts| run_load(&opts))
 }
 
 #[cfg(test)]

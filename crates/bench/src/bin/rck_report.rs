@@ -24,22 +24,21 @@
 //!
 //! The Markdown lands at `--out` (default `docs/reports/run-report.md`).
 
-use rck_gate::{rankings_bit_identical, reference_ranking, Gate, GateClient, GateConfig};
+use rck_gate::GateConfig;
 use rck_obs::Registry;
+use rck_pdb::datasets;
 use rck_pdb::model::CaChain;
-use rck_serve::proto::QuerySubmit;
-use rck_serve::transport::MemNet;
-use rck_serve::{run_worker, run_worker_conn, Master, MasterConfig, WorkerConfig};
+use rck_serve::{run_worker, Master, MasterConfig, WorkerConfig};
 use rck_store::{Store, StoreConfig};
 use rck_tmalign::stages::stage_counters;
 use rck_tmalign::MethodKind;
-use rckalign::cli::{Flags, ParseError};
-use rckalign::consensus::Combiner;
+use rckalign::cli::{self, Flags, ParseError};
 use rckalign::experiments::PAPER_SLAVE_COUNTS;
 use rckalign::{
     run_all_vs_all, utilization_sweep, PairCache, RckAlignOptions, SimilarityMatrix, StoreBinding,
     UtilizationPoint,
 };
+use rckalign_bench::gate_load::{self, Load};
 use rckalign_bench::{paper, DATASET_SEED};
 use std::fmt::Write as FmtWrite;
 use std::path::Path;
@@ -193,104 +192,33 @@ fn serve_section(run: &rck_serve::ServeRun, identical: bool) -> String {
     md
 }
 
-/// Boot a gate over the in-memory network, drive a fixed multi-tenant
-/// query load through real workers, and render queries/sec plus latency
-/// percentiles from the live `rck_gate_*` histograms. Every ranking is
-/// checked bit-identical against the in-process reference; returns an
-/// error line instead of a section if any diverged.
+/// The serving section: a fixed multi-tenant load through
+/// [`gate_load::run_in_process`], rendered from the live `rck_gate_*`
+/// histograms. Every ranking is checked bit-identical against the
+/// in-process reference; returns an error line instead of a section if
+/// any diverged or was refused.
 fn gate_section(db: &[CaChain], queries: &[CaChain], workers: usize) -> Result<String, String> {
-    const TENANTS: usize = 3;
-    const QUERIES_PER_TENANT: usize = 4;
-    let worker_net = MemNet::new();
-    let client_net = MemNet::new();
-    let gate = Gate::bind_on(
-        worker_net.listener(),
-        client_net.listener(),
-        db.to_vec(),
-        GateConfig {
-            batch_size: 4,
-            ..GateConfig::default()
-        },
-    );
-    let handle = gate.handle();
-    let stats = gate.stats();
-    let gate_thread = std::thread::spawn(move || gate.run());
-    let worker_threads: Vec<_> = (0..workers)
-        .map(|k| {
-            let conn = worker_net.connect().map_err(|e| e.to_string())?;
-            Ok(std::thread::spawn(move || {
-                let mut cfg =
-                    WorkerConfig::connect_to(std::net::SocketAddr::from(([127, 0, 0, 1], 0)));
-                cfg.name = format!("gw{k}");
-                let _ = run_worker_conn(conn, &cfg);
-            }))
-        })
-        .collect::<Result<_, String>>()?;
-
-    let started = std::time::Instant::now();
-    let mut tenant_threads = Vec::new();
-    for t in 0..TENANTS {
-        let conn = client_net.connect().map_err(|e| e.to_string())?;
-        let my_queries: Vec<_> = (0..QUERIES_PER_TENANT)
-            .map(|q| queries[(t * QUERIES_PER_TENANT + q) % queries.len()].clone())
-            .collect();
-        tenant_threads.push(std::thread::spawn(move || {
-            let mut client =
-                GateClient::connect(conn, &format!("tenant-{t}")).map_err(|e| e.to_string())?;
-            let mut rankings = Vec::new();
-            for (q, chain) in my_queries.into_iter().enumerate() {
-                let outcome = client
-                    .run_query(QuerySubmit {
-                        tenant: format!("tenant-{t}"),
-                        query_id: q as u64,
-                        weight: 1 + t as u32,
-                        methods: vec![MethodKind::TmAlign],
-                        chain: chain.clone(),
-                    })
-                    .map_err(|e| e.to_string())?;
-                let ranking = outcome
-                    .ranking
-                    .ok_or_else(|| format!("tenant {t} query {q} was refused"))?;
-                rankings.push((chain, ranking));
-            }
-            let _ = client.finish();
-            Ok::<_, String>(rankings)
-        }));
-    }
-    let mut identical = true;
-    let mut answered = 0usize;
-    for thread in tenant_threads {
-        let rankings = thread
-            .join()
-            .map_err(|_| "gate tenant thread panicked".to_string())??;
-        for (chain, ranking) in rankings {
-            answered += 1;
-            let expect = reference_ranking(db, &chain, &[MethodKind::TmAlign], Combiner::MeanRank);
-            identical &= rankings_bit_identical(&ranking, &expect);
-        }
-    }
-    let wall = started.elapsed().as_secs_f64().max(1e-9);
-    handle.drain();
-    gate_thread
-        .join()
-        .map_err(|_| "gate thread panicked".to_string())?;
-    for w in worker_threads {
-        let _ = w.join();
-    }
-
-    let snap = stats.snapshot();
+    let load = Load {
+        tenants: 3,
+        queries: 12,
+    };
+    let cfg = GateConfig {
+        batch_size: 4,
+        ..GateConfig::default()
+    };
+    let (tenants, snap) = gate_load::run_in_process(db, queries, load, workers, cfg)?;
     let mut md = String::new();
     let _ = writeln!(
         md,
         "| tenants | queries | coalesced | jobs | requeues | queries/sec |\n\
          |---:|---:|---:|---:|---:|---:|\n\
          | {} | {} | {} | {} | {} | {:.1} |\n",
-        TENANTS,
+        load.tenants,
         snap.queries_completed,
         snap.queries_coalesced,
         snap.jobs_completed,
         snap.jobs_requeued,
-        snap.queries_completed as f64 / wall,
+        tenants.queries_per_sec(),
     );
     let _ = writeln!(
         md,
@@ -305,15 +233,24 @@ fn gate_section(db: &[CaChain], queries: &[CaChain], workers: usize) -> Result<S
         fmt_percentile(&snap.first_result, 50.0),
         snap.window_batches,
     );
+    let identical = tenants.diverged == Some(0);
     let _ = writeln!(
         md,
-        "All {answered} streamed rankings vs in-process one-vs-all: **{}**.",
+        "All {} streamed rankings vs in-process one-vs-all: **{}**.",
+        tenants.completed,
         if identical {
             "bit-identical"
         } else {
             "DIVERGED"
         },
     );
+    if tenants.completed < load.queries as u64 {
+        return Err(format!(
+            "{} of {} gate queries were refused or lost",
+            load.queries as u64 - tenants.completed,
+            load.queries
+        ));
+    }
     if !identical {
         return Err("gate rankings diverged from the in-process reference".to_string());
     }
@@ -368,8 +305,7 @@ fn store_section(chains: &[CaChain], path: &Path) -> Result<String, String> {
 }
 
 fn run_report(opts: &Options) -> Result<String, String> {
-    let profile = rck_pdb::datasets::by_name(&opts.dataset)
-        .ok_or_else(|| format!("unknown dataset {} (try CK34, RS119, TINY8)", opts.dataset))?;
+    let profile = datasets::by_name(&opts.dataset)?;
     let chains = profile.generate(opts.seed);
     let n = chains.len();
     eprintln!("rck_report: {} chains, preparing pair cache...", n);
@@ -481,32 +417,17 @@ fn run_report(opts: &Options) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(refusal) => return refusal.exit(USAGE),
-    };
-    let path = Path::new(&opts.out);
-    if let Some(parent) = path.parent() {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("error: creating {}: {e}", parent.display());
-            return ExitCode::FAILURE;
+    cli::run_main(USAGE, parse_args, |opts| {
+        let path = Path::new(&opts.out);
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)
+                .map_err(|e| format!("creating {}: {e}", parent.display()))?;
         }
-    }
-    match run_report(&opts) {
-        Ok(md) => {
-            if let Err(e) = std::fs::write(path, &md) {
-                eprintln!("error: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("rck_report: wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+        let md = run_report(&opts)?;
+        std::fs::write(path, &md).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        println!("rck_report: wrote {}", path.display());
+        Ok(())
+    })
 }
 
 #[cfg(test)]

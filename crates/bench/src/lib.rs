@@ -1,8 +1,11 @@
 //! Shared by the reproduction binaries: dataset caches, the paper's
 //! published numbers (for side-by-side comparison in every regenerated
-//! table), claim checking, and the seeded fault sweep `rck_chaos` drives.
+//! table), claim checking, the seeded fault sweep `rck_chaos` drives, and
+//! the in-process gate run `rck_loadgen` and `rck_report` share.
 
 #![warn(missing_docs)]
+
+pub mod gate_load;
 
 use rck_pdb::datasets;
 use rckalign::PairCache;

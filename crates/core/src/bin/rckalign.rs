@@ -168,16 +168,14 @@ fn parse_args(args: &[String]) -> Result<Command, ParseError> {
 }
 
 fn load_dataset(name: &str, seed: u64) -> Result<Vec<CaChain>, ParseError> {
-    if let Some(profile) = datasets::by_name(name) {
-        return Ok(profile.generate(seed));
+    match datasets::by_name(name) {
+        Ok(profile) => Ok(profile.generate(seed)),
+        // Not a built-in name: treat it as a directory of PDB files.
+        Err(_) if std::path::Path::new(name).is_dir() => {
+            rck_pdb::load_pdb_dir(name).map_err(|e| ParseError(e.to_string()))
+        }
+        Err(unknown) => Err(ParseError(unknown)),
     }
-    // Not a built-in name: treat it as a directory of PDB files.
-    if std::path::Path::new(name).is_dir() {
-        return rck_pdb::load_pdb_dir(name).map_err(|e| ParseError(e.to_string()));
-    }
-    Err(ParseError(format!(
-        "unknown dataset {name} (try CK34, RS119, TINY8 or a directory of .pdb files)"
-    )))
 }
 
 fn find_chain<'a>(chains: &'a [CaChain], name: &str) -> Result<&'a CaChain, ParseError> {
@@ -190,10 +188,9 @@ fn find_chain<'a>(chains: &'a [CaChain], name: &str) -> Result<&'a CaChain, Pars
 fn run(cmd: Command) -> Result<(), ParseError> {
     match cmd {
         Command::Datasets => {
-            for name in ["CK34", "RS119", "TINY8"] {
-                let profile = datasets::by_name(name).expect("built-in dataset");
+            for profile in datasets::built_in() {
                 let chains = profile.generate(2013);
-                println!("{name}: {} chains", chains.len());
+                println!("{}: {} chains", profile.name, chains.len());
                 for c in &chains {
                     println!("  {:10} {:4} residues", c.name, c.len());
                 }
@@ -325,8 +322,7 @@ fn run(cmd: Command) -> Result<(), ParseError> {
             Ok(())
         }
         Command::Export { dataset, dir, seed } => {
-            let profile = datasets::by_name(&dataset)
-                .ok_or_else(|| ParseError(format!("unknown dataset {dataset}")))?;
+            let profile = datasets::by_name(&dataset).map_err(ParseError)?;
             let n = rck_pdb::write_dataset_dir(&dir, &profile, seed)
                 .map_err(|e| ParseError(e.to_string()))?;
             println!("wrote {n} PDB files + sequences.fasta to {dir}");

@@ -47,6 +47,25 @@ impl ParseError {
     }
 }
 
+/// A binary's whole `main`: parse its arguments with `parse`, refuse
+/// them as [`ParseError::exit`] does, or run `body` on the options and
+/// end with its error on stderr and a failure status.
+pub fn run_main<O>(
+    usage: &str,
+    parse: impl FnOnce(&[String]) -> Result<O, ParseError>,
+    body: impl FnOnce(O) -> Result<(), String>,
+) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&args).map(body) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+        Err(refusal) => refusal.exit(usage),
+    }
+}
+
 /// A cursor over a command line.
 pub struct Flags<'a> {
     args: std::slice::Iter<'a, String>,

@@ -112,11 +112,13 @@ pub fn assign_tiles(tiles: &[Tile], masters: usize) -> Vec<Vec<u32>> {
 }
 
 /// Merge per-tile outcome lists into one flat, `(i, j)`-sorted outcome
-/// vector, dropping duplicate pairs (steal races legitimately produce
-/// the same tile twice; first-accepted wins, and since both computed the
-/// identical pure function the choice cannot matter). The result is
-/// independent of the order tiles arrive in — the "merge-on-read"
-/// determinism the sharded farm's bit-identity guarantee rests on.
+/// vector. The frontend's ledger settles each tile once and a steal takes
+/// only queued tiles, so a run never hands it a pair twice; a duplicate
+/// pair is still dropped (the first wins, and both computed the identical
+/// pure function), so any list of tile results merges to one matrix. The
+/// result is independent of the order tiles arrive in — the
+/// "merge-on-read" determinism the sharded farm's bit-identity guarantee
+/// rests on.
 pub fn merge_outcomes(
     tile_results: impl IntoIterator<Item = Vec<PairOutcome>>,
 ) -> Vec<PairOutcome> {

@@ -2,16 +2,17 @@
 //!
 //! Boots a [`rck_gate::Gate`] over TCP: workers dial the pool plane,
 //! tenants dial the query plane. The resident database is loaded once
-//! at startup from a named dataset profile. On SIGINT/SIGTERM the gate
-//! drains — new submissions are rejected, inflight queries finish, and
-//! the final metrics registry is dumped to stdout before exit.
+//! at startup from a named dataset profile. Signals and metrics are the
+//! [`rck_serve::daemon`] shell's: on SIGINT/SIGTERM the gate drains — new
+//! submissions are rejected, inflight queries finish — and the final
+//! metrics registry is dumped to stderr before exit.
 
 use rck_gate::{Gate, GateConfig};
-use rckalign::cli::{Flags, ParseError};
+use rck_pdb::datasets;
+use rck_serve::daemon;
+use rckalign::cli::{self, Flags, ParseError};
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "\
 rck_gate - multi-tenant online query-serving tier over the TM-align farm
@@ -74,72 +75,41 @@ fn parse_args<I: Iterator<Item = String>>(it: I) -> Result<Options, ParseError> 
     Ok(opts)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(refusal) => return refusal.exit(USAGE),
-    };
-
-    let Some(profile) = rck_pdb::datasets::by_name(&args.dataset) else {
-        eprintln!("rck_gate: unknown dataset {:?}", args.dataset);
-        return ExitCode::FAILURE;
-    };
-    let db = profile.generate(args.seed);
+fn serve(opts: Options) -> Result<(), String> {
+    let db = datasets::by_name(&opts.dataset)?.generate(opts.seed);
     eprintln!(
-        "[rck-gate] resident database: {} ({} chains, seed {})",
-        args.dataset,
+        "rck_gate: resident database {} ({} chains, seed {})",
+        opts.dataset,
         db.len(),
-        args.seed
+        opts.seed
     );
-
-    let gate = match Gate::bind(args.worker_addr, args.addr, db, args.cfg) {
-        Ok(gate) => gate,
-        Err(e) => {
-            eprintln!("rck_gate: bind failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("[rck-gate] pool plane on {}", gate.worker_addr());
-    println!("[rck-gate] query plane on {}", gate.client_addr());
-
+    let gate = Gate::bind(opts.worker_addr, opts.addr, db, opts.cfg)
+        .map_err(|e| format!("bind failed: {e}"))?;
+    println!("rck_gate: pool plane on {}", gate.worker_addr());
+    println!("rck_gate: query plane on {}", gate.client_addr());
     let registry = gate.stats().registry();
-    if let Some(metrics_addr) = args.metrics_addr {
-        match rck_obs::spawn_dump_server(metrics_addr, vec![Arc::clone(&registry)]) {
-            Ok((bound, _server)) => eprintln!("[rck-gate] metrics on {bound}"),
-            Err(e) => eprintln!("[rck-gate] metrics server failed: {e}"),
-        }
-    }
-
-    // SIGINT/SIGTERM → drain: refuse new queries, finish inflight ones,
-    // then fall out of run() for the final metrics flush.
-    rck_serve::signal::install_shutdown_handler();
+    daemon::serve_metrics(opts.metrics_addr, &registry)?;
     let handle = gate.handle();
-    let watcher = std::thread::spawn(move || {
-        while !rck_serve::signal::shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        eprintln!("[rck-gate] shutdown requested; draining");
-        handle.drain();
-    });
-
+    let shell = daemon::on_signal(registry, move || handle.drain());
     let report = gate.run();
-    // Unblock the watcher if run() ended for another reason.
-    rck_serve::signal::request_shutdown();
-    let _ = watcher.join();
-
+    shell.finish();
     println!(
-        "[rck-gate] served {} queries ({} rejected, {} coalesced)",
+        "rck_gate: served {} queries ({} rejected, {} coalesced)",
         report.stats.queries_completed,
         report.stats.queries_rejected,
         report.stats.queries_coalesced
     );
-    print!("{}", registry.render());
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    cli::run_main(USAGE, |args| parse_args(args.iter().cloned()), serve)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn parse(flags: &[&str]) -> Result<Options, ParseError> {
         parse_args(flags.iter().map(|s| s.to_string()))

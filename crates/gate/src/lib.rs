@@ -141,6 +141,9 @@ pub struct GateReport {
 /// client streams subscribed to its progress.
 pub(crate) struct QueryRun {
     pub(crate) tenant: String,
+    /// The submission's scheduling weight, restored when a requeue
+    /// brings the tenant back to the scheduler.
+    pub(crate) weight: u32,
     /// Content hash of the query chain alone (no methods, no versions) —
     /// one half of every persistent-store key this run reads or writes.
     pub(crate) content_hash: u64,
@@ -162,7 +165,8 @@ pub(crate) struct GateState {
     /// finds its run here and coalesces into it.
     pub(crate) runs: HashMap<u64, QueryRun>,
     /// Per-tenant round-robin of runs by fingerprint: a run is in its
-    /// tenant's queue, once, exactly while it has pending batches.
+    /// tenant's queue, once, exactly while it has pending batches, and a
+    /// tenant has a queue exactly while one of its runs does.
     pub(crate) tenant_runs: HashMap<String, VecDeque<u64>>,
     pub(crate) sched: StrideSched,
     /// Ledger of batches out on pool workers, the connections of both
@@ -587,6 +591,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
         hash,
         QueryRun {
             tenant: q.tenant,
+            weight: q.weight,
             content_hash,
             chain: Arc::new(q.chain),
             methods: q.methods,

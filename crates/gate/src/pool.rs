@@ -155,6 +155,11 @@ impl WorkSource for GateShared {
         let rejoins = run.pending.is_empty();
         run.pending.push_front(batch.jobs);
         let tenant = run.tenant.clone();
+        if state.sched.backlog(&tenant) == 0 {
+            // Its last batch was out, so the scheduler may have let the
+            // tenant go: it rejoins under its run's weight.
+            state.sched.set_weight(&tenant, run.weight);
+        }
         state.sched.add_backlog(&tenant, 1);
         if rejoins {
             state
@@ -192,6 +197,9 @@ fn claim_tenant_batch(state: &mut GateState, tenant: &str) -> Option<QueryBatch>
     let jobs = run.pending.pop_front()?;
     if !run.pending.is_empty() {
         turns.push_back(fingerprint);
+    } else if turns.is_empty() {
+        // The tenant's last pending batch: it leaves the round-robin.
+        state.tenant_runs.remove(tenant);
     }
     Some(QueryBatch {
         fingerprint,
@@ -356,6 +364,55 @@ mod tests {
         let (again, batches) = grant(&shared, &queries, 100);
         assert_eq!(again, [0]);
         assert_eq!(batches[0].jobs, jobs);
+    }
+
+    /// Tenants that come and go leave nothing behind: after 1 000
+    /// one-query tenants each submit, are granted and are answered, the
+    /// round-robin and the stride scheduler hold no tenant.
+    #[test]
+    fn departed_tenants_leave_the_round_robin_and_the_scheduler() {
+        let chains = tiny_profile().generate(3);
+        let (db, query) = (chains[..1].to_vec(), chains[1].clone());
+        let gate = Gate::bind_on(
+            MemNet::new().listener(),
+            MemNet::new().listener(),
+            db,
+            GateConfig::default(),
+        );
+        let shared = Arc::clone(&gate.shared);
+        let outbox = Outbox::new();
+        for k in 0..1_000u64 {
+            let submit = QuerySubmit {
+                tenant: format!("tenant-{k}"),
+                query_id: k,
+                weight: 1 + (k % 3) as u32,
+                methods: vec![MethodKind::TmAlign],
+                chain: query.clone(),
+            };
+            crate::submit_query(&shared, submit, &outbox);
+            let (batch_id, batch) = dispatch::claim(&*shared, 0, true).expect("one batch");
+            let outcomes = batch
+                .jobs
+                .iter()
+                .map(|job| rckalign::PairOutcome {
+                    i: job.i,
+                    j: job.j,
+                    method: job.method,
+                    similarity: 0.5,
+                    rmsd: 1.0,
+                    aligned_len: 1,
+                    ops: 1,
+                })
+                .collect();
+            let fate = dispatch::accept_results(&*shared, 0, ResultBatch { batch_id, outcomes });
+            assert!(matches!(fate, BatchFate::Accepted(_)), "query {k}");
+        }
+        let state = shared.state.lock_recover();
+        assert!(state.runs.is_empty(), "every run retired");
+        assert_eq!(state.tenant_runs.len(), 0, "round-robin queues left");
+        assert_eq!(state.sched.tenants(), 0, "scheduler tenants left");
+        drop(state);
+        assert_eq!(shared.stats.queries_completed(), 1_000);
     }
 
     /// A worker answering the wrong jobs is refused: nothing reaches the

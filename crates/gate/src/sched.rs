@@ -33,6 +33,10 @@ struct Tenant {
 #[derive(Debug, Default)]
 pub struct StrideSched {
     tenants: HashMap<String, Tenant>,
+    /// Where a tenant joins while none is backlogged.
+    base: u64,
+    /// The lowest pass let go since the scheduler was last idle.
+    gone: Option<u64>,
 }
 
 impl StrideSched {
@@ -41,17 +45,21 @@ impl StrideSched {
         StrideSched::default()
     }
 
-    /// Set (or update) a tenant's weight; zero is clamped to one. A new
-    /// tenant starts at the current minimum pass so it cannot claim
-    /// credit for time it was not queued.
-    pub fn set_weight(&mut self, tenant: &str, weight: u32) {
-        let floor = self
-            .tenants
+    /// The pass a joining tenant starts at: the lowest backlogged one.
+    fn floor(&self) -> u64 {
+        self.tenants
             .values()
             .filter(|t| t.backlog > 0)
             .map(|t| t.pass)
             .min()
-            .unwrap_or(0);
+            .unwrap_or(self.base)
+    }
+
+    /// Set (or update) a tenant's weight; zero is clamped to one. A new
+    /// tenant starts at the floor so it cannot claim credit for time it
+    /// was not queued.
+    pub fn set_weight(&mut self, tenant: &str, weight: u32) {
+        let floor = self.floor();
         let entry = self.tenants.entry(tenant.to_string()).or_insert(Tenant {
             weight: 1,
             pass: floor,
@@ -89,6 +97,12 @@ impl StrideSched {
     /// Pick the next tenant to dispatch for: lowest pass among tenants
     /// with backlog, ties broken by name. Consumes one unit of backlog
     /// and charges the tenant's pass.
+    ///
+    /// When the pick drains a tenant, every tenant without backlog that
+    /// the floor has reached leaves, as it would rejoin there like a
+    /// newcomer; one still ahead stays, so a tenant served ahead of the
+    /// others waits for them on its return, across an idle spell too, as
+    /// when every tenant was kept.
     pub fn pick(&mut self) -> Option<String> {
         let name = self
             .tenants
@@ -96,11 +110,33 @@ impl StrideSched {
             .filter(|(_, t)| t.backlog > 0)
             .min_by(|(na, ta), (nb, tb)| ta.pass.cmp(&tb.pass).then_with(|| na.cmp(nb)))
             .map(|(name, _)| name.clone())?;
-        if let Some(t) = self.tenants.get_mut(&name) {
-            t.backlog -= 1;
-            t.pass += STRIDE_ONE / t.weight as u64;
+        let t = self.tenants.get_mut(&name)?;
+        t.backlog -= 1;
+        t.pass += STRIDE_ONE / t.weight as u64;
+        if t.backlog == 0 {
+            let held = || self.tenants.values();
+            let busy = held().filter(|t| t.backlog > 0).map(|t| t.pass).min();
+            // Idle, the floor is the lowest pass held or let go in the
+            // spell just ended, so one that was behind keeps its place.
+            let lowest = held().map(|t| t.pass).chain(self.gone).min();
+            let floor = busy.or(lowest).unwrap_or(self.base);
+            let leaving = held().filter(|t| t.backlog == 0 && t.pass <= floor);
+            let gone = leaving.map(|t| t.pass).min();
+            self.tenants.retain(|_, t| t.backlog > 0 || t.pass > floor);
+            match busy {
+                Some(_) => self.gone = self.gone.into_iter().chain(gone).min(),
+                None => (self.base, self.gone) = (floor, None),
+            }
         }
         Some(name)
+    }
+}
+
+#[cfg(test)]
+impl StrideSched {
+    /// How many tenants the scheduler holds.
+    pub(crate) fn tenants(&self) -> usize {
+        self.tenants.len()
     }
 }
 
@@ -190,6 +226,33 @@ mod tests {
         let first = run();
         assert_eq!(first, run());
         assert_eq!(first[0], "a", "equal pass must tie-break by name");
+    }
+
+    #[test]
+    fn a_drained_tenant_is_held_only_while_ahead_of_the_floor() {
+        let mut s = StrideSched::new();
+        s.add_backlog("a", 1);
+        s.add_backlog("b", 3);
+        assert_eq!(s.pick().as_deref(), Some("a"));
+        assert_eq!(s.tenants(), 2, "a drained a stride ahead of b");
+        // Back at once, a waits for b to draw level.
+        s.add_backlog("a", 1);
+        let order: Vec<String> = std::iter::from_fn(|| s.pick()).collect();
+        assert_eq!(order, ["b", "a", "b", "b"]);
+        // Idle: a's pass, the lowest, is the floor; b, a stride ahead,
+        // is still held.
+        assert_eq!(s.tenants(), 1);
+        // A newcomer joins at that floor, behind b's stride; c leaves
+        // behind b, so b is still held, and the idle floor is c's pass.
+        s.add_backlog("c", 1);
+        s.add_backlog("b", 1);
+        let order: Vec<String> = std::iter::from_fn(|| s.pick()).collect();
+        assert_eq!(order, ["c", "b"]);
+        assert_eq!(s.tenants(), 1);
+        s.add_backlog("c", 1);
+        s.add_backlog("b", 1);
+        let order: Vec<String> = std::iter::from_fn(|| s.pick()).collect();
+        assert_eq!(order, ["c", "b"], "c kept its place behind b");
     }
 
     #[test]

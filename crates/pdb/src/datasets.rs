@@ -255,14 +255,18 @@ pub fn tiny_profile() -> DatasetProfile {
     }
 }
 
-/// Named dataset lookup used by examples and benches.
-pub fn by_name(name: &str) -> Option<DatasetProfile> {
-    match name.to_ascii_uppercase().as_str() {
-        "CK34" => Some(ck34_profile()),
-        "RS119" => Some(rs119_profile()),
-        "TINY8" => Some(tiny_profile()),
-        _ => None,
-    }
+/// The built-in profiles, in the order `rckalign datasets` lists them.
+pub fn built_in() -> [DatasetProfile; 3] {
+    [ck34_profile(), rs119_profile(), tiny_profile()]
+}
+
+/// A built-in profile by name, case-insensitively. The one error every
+/// binary's `--dataset` reports names the three built-in sets.
+pub fn by_name(name: &str) -> Result<DatasetProfile, String> {
+    built_in()
+        .into_iter()
+        .find(|p| p.name.eq_ignore_ascii_case(name))
+        .ok_or_else(|| format!("unknown dataset {name} (try CK34, RS119, TINY8)"))
 }
 
 #[cfg(test)]
@@ -332,6 +336,9 @@ mod tests {
     fn by_name_lookup() {
         assert_eq!(by_name("ck34").unwrap().name, "CK34");
         assert_eq!(by_name("RS119").unwrap().name, "RS119");
-        assert!(by_name("nope").is_none());
+        assert_eq!(
+            by_name("nope").unwrap_err(),
+            "unknown dataset nope (try CK34, RS119, TINY8)"
+        );
     }
 }

@@ -8,19 +8,15 @@
 //!
 //! Loads the dataset, prints the bound address, serves the all-vs-all
 //! workload to connecting `rck_worker`s, and prints the final stats and
-//! a matrix digest when every pair is done. With `--metrics-addr` a
-//! second listener serves one-shot Prometheus text dumps of the serve
-//! counters plus the global (kernel/farm) registry — `curl` it at any
-//! point during the run.
-//!
-//! SIGINT/SIGTERM drains instead of killing: inflight batches finish,
-//! workers get an orderly Shutdown frame, and the final stats table and
-//! a last metrics dump are flushed before exit.
+//! a matrix digest when every pair is done. Signals and metrics are the
+//! [`rck_serve::daemon`] shell's: `--metrics-addr` serves the serve
+//! counters plus the global (kernel/farm) registry, SIGINT/SIGTERM drains
+//! (inflight batches finish, workers get an orderly Shutdown frame), and
+//! the final metrics dump goes to stderr.
 
-use rck_obs::{spawn_dump_server, Registry};
 use rck_pdb::datasets;
-use rck_serve::{signal, Master, MasterConfig};
-use rckalign::cli::{Flags, ParseError};
+use rck_serve::{daemon, Master, MasterConfig};
+use rckalign::cli::{self, Flags, ParseError};
 use rckalign::JobOrdering;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -83,9 +79,7 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
 }
 
 fn serve(opts: Options) -> Result<(), String> {
-    let profile = datasets::by_name(&opts.dataset)
-        .ok_or_else(|| format!("unknown dataset {} (try CK34, RS119, TINY8)", opts.dataset))?;
-    let chains = profile.generate(opts.seed);
+    let chains = datasets::by_name(&opts.dataset)?.generate(opts.seed);
     let n = chains.len();
     let master = Master::bind(chains, opts.cfg).map_err(|e| e.to_string())?;
     println!(
@@ -95,32 +89,12 @@ fn serve(opts: Options) -> Result<(), String> {
         master.local_addr()
     );
     let registry = master.stats().registry();
-    if let Some(addr) = opts.metrics_addr {
-        // Pre-register the kernel and farm families so every series the
-        // process can emit is visible (at zero) from the first scrape.
-        rck_tmalign::stages::stage_counters();
-        rck_skel::metrics::farm_metrics();
-        // Serve counters plus whatever the global registry accumulates
-        // (kernel stages once workers-in-process or reports run here).
-        let sources = vec![registry.clone(), Registry::global().clone()];
-        let (bound, _handle) = spawn_dump_server(addr, sources).map_err(|e| e.to_string())?;
-        println!("rck_served: metrics on http://{bound}/metrics");
-    }
-    // Ctrl-C / SIGTERM drains the run (inflight batches finish, workers
-    // get an orderly Shutdown) instead of dropping connections mid-stream.
-    signal::install_shutdown_handler();
+    daemon::serve_metrics(opts.metrics_addr, &registry)?;
     let drain = master.abort_handle();
-    let watcher = std::thread::spawn(move || {
-        while !signal::shutdown_requested() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("rck_served: shutdown requested — draining inflight batches");
-        drain.drain();
-    });
-    let run = master.run().map_err(|e| e.to_string())?;
-    // The run is over either way; release the watcher so it can exit.
-    signal::request_shutdown();
-    let _ = watcher.join();
+    let shell = daemon::on_signal(registry, move || drain.drain());
+    let run = master.run();
+    shell.finish();
+    let run = run.map_err(|e| e.to_string())?;
     println!();
     print!("{}", run.stats.render());
     println!();
@@ -130,23 +104,11 @@ fn serve(opts: Options) -> Result<(), String> {
         run.matrix.len(),
         run.matrix.coverage() * 100.0
     );
-    // Final metrics dump: the last word a scraper may have missed.
-    eprintln!("rck_served: final metrics\n{}", registry.render());
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(opts) => match serve(opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(refusal) => refusal.exit(USAGE),
-    }
+    cli::run_main(USAGE, parse_args, serve)
 }
 
 #[cfg(test)]

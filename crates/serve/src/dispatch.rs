@@ -235,9 +235,11 @@ impl<U> Dispatch<U> {
         self.streams.insert(id, conn);
     }
 
-    /// Let go of connection `id` (its handler is leaving).
+    /// Let go of connection `id` (its handler is leaving), and of its
+    /// last liveness signal: an id is never minted twice.
     pub fn release(&mut self, id: u32) {
         self.streams.remove(&id);
+        self.ledger.last_signal.remove(&id);
     }
 
     /// Connections past their handshake whose handler is still running.
@@ -1083,6 +1085,23 @@ mod tests {
         assert_eq!(ledger.expired(later), vec![]);
         assert_eq!(ledger.expired(later + ms(99)), vec![]);
         assert_eq!(ledger.expired(later + ms(100)), vec![(1, 3)]);
+    }
+
+    /// A long-running tier mints a connection id per worker it ever
+    /// served; releasing the connection forgets its liveness signal.
+    #[test]
+    fn a_released_connection_leaves_no_liveness_signal() {
+        let t0 = Instant::now();
+        let mut d: Dispatch<()> = Dispatch::new(HB, None);
+        for _ in 0..100 {
+            let id = d.mint();
+            d.ledger.touch(id, t0);
+            d.ledger.grant(u64::from(id), id, (), t0);
+            d.ledger.settle(&u64::from(id), id);
+            d.release(id);
+        }
+        assert_eq!(d.ledger.last_signal.len(), 0);
+        assert!(d.ledger.is_empty());
     }
 
     /// A source whose policy only records what it is handed back.

@@ -41,6 +41,8 @@
 //!   fault scenarios ([`chaos::run_scenario`], one of the four runs over
 //!   `rckalign::chaos`) proving the requeue/heartbeat/dedup machinery
 //!   never yields a wrong matrix and never deadlocks;
+//! * [`daemon`] — the process shell of the daemons: signal-driven stop,
+//!   the `--metrics-addr` listener and the final metrics dump;
 //! * [`explore`] — every schedule of a small batch lifecycle, run on the
 //!   real dispatcher under a tier's own policy ([`explore::run`]).
 //!
@@ -58,11 +60,11 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod daemon;
 pub mod dispatch;
 pub mod explore;
 pub mod master;
 pub mod proto;
-pub mod signal;
 pub mod stats;
 pub mod sync;
 pub mod transport;

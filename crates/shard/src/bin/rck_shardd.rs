@@ -11,13 +11,17 @@
 //! across connecting `rck_shard_master`s, and prints the merged-matrix
 //! digest plus the shard counters when every tile is in. With `--store`
 //! the persistent result store answers already-computed pairs without
-//! dispatch and absorbs the new ones on completion.
+//! dispatch and absorbs the new ones on completion. Signals and metrics
+//! are the [`rck_serve::daemon`] shell's: `--metrics-addr` serves the
+//! shard counters plus the global registry, SIGINT/SIGTERM aborts the run
+//! (the frontend has no drain), and the final metrics dump goes to
+//! stderr.
 
-use rck_obs::spawn_dump_server;
 use rck_pdb::datasets;
+use rck_serve::daemon;
 use rck_shard::{ShardConfig, ShardFrontend};
 use rck_store::{Store, StoreConfig};
-use rckalign::cli::{Flags, ParseError};
+use rckalign::cli::{self, Flags, ParseError};
 use rckalign::StoreBinding;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -80,9 +84,7 @@ fn parse_args(args: &[String]) -> Result<Options, ParseError> {
 }
 
 fn serve(opts: Options) -> Result<(), String> {
-    let profile = datasets::by_name(&opts.dataset)
-        .ok_or_else(|| format!("unknown dataset {} (try CK34, RS119, TINY8)", opts.dataset))?;
-    let chains = profile.generate(opts.seed);
+    let chains = datasets::by_name(&opts.dataset)?.generate(opts.seed);
     let n = chains.len();
     let mut frontend =
         ShardFrontend::bind(chains.clone(), opts.cfg.clone()).map_err(|e| e.to_string())?;
@@ -101,12 +103,13 @@ fn serve(opts: Options) -> Result<(), String> {
         frontend.local_addr()
     );
     let registry = frontend.stats().registry();
-    if let Some(addr) = opts.metrics_addr {
-        let (bound, _handle) =
-            spawn_dump_server(addr, vec![registry.clone()]).map_err(|e| e.to_string())?;
-        println!("rck_shardd: metrics on http://{bound}/metrics");
-    }
-    let run = frontend.run().map_err(|e| e.to_string())?;
+    daemon::serve_metrics(opts.metrics_addr, &registry)?;
+    // The frontend has no drain: a signal aborts the run.
+    let abort = frontend.abort_handle();
+    let shell = daemon::on_signal(registry, move || abort.abort());
+    let run = frontend.run();
+    shell.finish();
+    let run = run.map_err(|e| e.to_string())?;
     println!();
     print!("{}", run.stats.render());
     println!();
@@ -120,17 +123,7 @@ fn serve(opts: Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        Ok(opts) => match serve(opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(refusal) => refusal.exit(USAGE),
-    }
+    cli::run_main(USAGE, parse_args, serve)
 }
 
 #[cfg(test)]

@@ -9,12 +9,12 @@ use rck_tmalign::{align::secondary_structure, secstruct};
 
 fn main() {
     // 1. Dataset profiles.
-    for name in ["CK34", "RS119", "TINY8"] {
-        let profile = datasets::by_name(name).expect("known dataset");
+    for profile in datasets::built_in() {
         let chains = profile.generate(2013);
         let lens: Vec<usize> = chains.iter().map(CaChain::len).collect();
         println!(
-            "{name}: {} chains, lengths {}–{} (mean {})",
+            "{}: {} chains, lengths {}–{} (mean {})",
+            profile.name,
             chains.len(),
             lens.iter().min().unwrap(),
             lens.iter().max().unwrap(),

@@ -12,7 +12,9 @@
 //! compute, the gate's run identity) has one copy, FNV-1a has one body
 //! in the tree, the chaos harnesses share one scenario core, no serving
 //! tier's stats wraps a handle in a method, and DESIGN.md's generated
-//! contract blocks each have one pair of markers.
+//! contract blocks each have one pair of markers, and the binaries keep
+//! only their flags (one daemon shell, one dataset lookup error, one
+//! in-process gate run).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -353,7 +355,6 @@ const REACHED_THROUGH_A_CALL: &[(&str, &str)] = &[
         "QueryOutcome",
         "GateClient::run_query (rck_loadgen, rck_report)",
     ),
-    ("GateSnapshot", "GateReport::stats (rck_gate, rck_loadgen)"),
     (
         "ShardAbortHandle",
         "ShardFrontend::abort_handle (benchmark rigs)",
@@ -859,4 +860,74 @@ fn each_job_decision_has_one_copy() {
         found.is_empty(),
         "a second copy of a job-path decision: {found:#?}"
     );
+}
+
+/// The binaries keep only their flags. Every daemon runs its tier in the
+/// one shell, `rck_serve::daemon` (signal-driven stop, metrics listener,
+/// final dump), no binary keeps its own signal watcher, dump server or
+/// unknown-dataset message, and the one in-process gate run behind
+/// `rck_loadgen` and `rck_report` is `rckalign_bench::gate_load`.
+#[test]
+fn binaries_keep_only_their_flags() {
+    let root = repo_root();
+    let mut bins = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = krate.expect("crate directory").path().join("src/bin");
+        if dir.is_dir() {
+            walk(&dir, &mut bins);
+        }
+    }
+    walk(&root.join("examples/src/bin"), &mut bins);
+    let mut found = Vec::new();
+    for path in &bins {
+        let file = path.strip_prefix(&root).expect("below the root").display();
+        let text = production(path);
+        for retired in [
+            "install_shutdown_handler",
+            "shutdown_requested",
+            "spawn_dump_server",
+        ] {
+            if text.contains(retired) {
+                found.push(format!("{file}: calls `{retired}`"));
+            }
+        }
+        // The statement around each lookup handles no error of its own.
+        for (at, _) in text.match_indices("by_name(") {
+            let start = text[..at].rfind([';', '{']).map_or(0, |s| s + 1);
+            let end = text[at..]
+                .find([';', '{', '}'])
+                .map_or(text.len(), |e| at + e);
+            let statement = &text[start..end];
+            if ["ok_or", "expect(", "unwrap", "Some("]
+                .iter()
+                .any(|own| statement.contains(own))
+            {
+                found.push(format!("{file}: `{}`", statement.trim()));
+            }
+        }
+    }
+    for daemon in [
+        "crates/serve/src/bin/rck_served.rs",
+        "crates/gate/src/bin/rck_gate.rs",
+        "crates/shard/src/bin/rck_shardd.rs",
+    ] {
+        let text = production(&root.join(daemon));
+        for shell in ["daemon::on_signal(", "daemon::serve_metrics(", ".finish()"] {
+            if !text.contains(shell) {
+                found.push(format!("{daemon}: no `{shell}`"));
+            }
+        }
+    }
+    let mut bench = Vec::new();
+    walk(&root.join("crates/bench/src"), &mut bench);
+    for path in bench {
+        let file = path.strip_prefix(&root).expect("below the root");
+        if file != Path::new("crates/bench/src/gate_load.rs")
+            && production(&path).contains("Gate::bind_on")
+        {
+            found.push(format!("{}: a second in-process gate run", file.display()));
+        }
+    }
+    assert!(bins.len() >= 12, "scan found only {} binaries", bins.len());
+    assert!(found.is_empty(), "a binary keeps its own shell: {found:#?}");
 }
