@@ -12,7 +12,8 @@
 //! [`rck_serve::daemon`] shell's: `--metrics-addr` serves the serve
 //! counters plus the global (kernel/farm) registry, SIGINT/SIGTERM drains
 //! (inflight batches finish, workers get an orderly Shutdown frame), and
-//! the final metrics dump goes to stderr.
+//! the final metrics dump goes to stderr. A drained run still prints its
+//! report, then exits 1 with `error: interrupted: coverage N%`.
 
 use rck_pdb::datasets;
 use rck_serve::{daemon, Master, MasterConfig};
@@ -98,12 +99,17 @@ fn serve(opts: Options) -> Result<(), String> {
     println!();
     print!("{}", run.stats.render());
     println!();
+    let coverage = run.matrix.coverage() * 100.0;
     println!(
         "matrix: {}x{} assembled, coverage {:.0}%",
         run.matrix.len(),
         run.matrix.len(),
-        run.matrix.coverage() * 100.0
+        coverage
     );
+    // A drain ends the run early: the report stands, the exit fails.
+    if coverage < 100.0 {
+        return Err(format!("interrupted: coverage {}%", coverage.floor()));
+    }
     Ok(())
 }
 

@@ -14,7 +14,8 @@
 //! tier's stats wraps a handle in a method, and DESIGN.md's generated
 //! contract blocks each have one pair of markers, and the binaries keep
 //! only their flags (one daemon shell, one dataset lookup error, one
-//! in-process gate run).
+//! in-process gate run), and `unsafe` code stays in a census of files,
+//! each block under its `// SAFETY:` comment.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -930,4 +931,83 @@ fn binaries_keep_only_their_flags() {
     }
     assert!(bins.len() >= 12, "scan found only {} binaries", bins.len());
     assert!(found.is_empty(), "a binary keeps its own shell: {found:#?}");
+}
+
+/// The code part of a source line: what precedes a `//` comment.
+fn code_of(line: &str) -> &str {
+    line.find("//").map_or(line, |at| &line[..at])
+}
+
+/// Whether `word` occurs in `code` as a whole identifier.
+fn has_word(code: &str, word: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    code.match_indices(word).any(|(at, _)| {
+        !ident(code[..at].chars().next_back()) && !ident(code[at + word.len()..].chars().next())
+    })
+}
+
+/// The census of foreign calls and `unsafe`: in non-test code under
+/// `crates/*/src` only the allow-listed files hold an `unsafe` block or an
+/// `extern "C"` item, each of them still does, and every `unsafe {` sits
+/// directly below a comment block that states its `// SAFETY:` argument.
+#[test]
+fn unsafe_code_stays_in_its_census() {
+    const ALLOWED: [&str; 2] = ["serve/src/daemon.rs", "noc/src/engine.rs"];
+    let crates = repo_root().join("crates");
+    let mut files = Vec::new();
+    walk(&crates, &mut files);
+    let mut holders = Vec::new();
+    let mut found = Vec::new();
+    let mut scanned = 0;
+    for path in &files {
+        let file = path.strip_prefix(&crates).expect("below crates/");
+        let in_src = file.components().nth(1).map(|c| c.as_os_str()) == Some("src".as_ref());
+        if !in_src || path.extension() != Some("rs".as_ref()) {
+            continue;
+        }
+        scanned += 1;
+        let text = production(path);
+        let lines: Vec<&str> = text.lines().collect();
+        let mut holds = false;
+        for (n, line) in lines.iter().enumerate() {
+            let code = code_of(line);
+            holds |= has_word(code, "unsafe") || code.contains("extern \"C\"");
+            if !code.contains("unsafe {") {
+                continue;
+            }
+            let argued = lines[..n]
+                .iter()
+                .rev()
+                .map(|l| l.trim_start())
+                .take_while(|l| l.starts_with("//"))
+                .any(|l| l.starts_with("// SAFETY:"));
+            if !argued {
+                found.push(format!(
+                    "{}:{}: no `// SAFETY:` above",
+                    file.display(),
+                    n + 1
+                ));
+            }
+        }
+        if holds {
+            holders.push(file.display().to_string());
+        }
+    }
+    for file in &holders {
+        if !ALLOWED.contains(&file.as_str()) {
+            found.push(format!(
+                "{file}: `unsafe` or `extern \"C\"` outside the census"
+            ));
+        }
+    }
+    for file in ALLOWED {
+        if !holders.iter().any(|h| h == file) {
+            found.push(format!("{file}: in the census but holds no `unsafe`"));
+        }
+    }
+    assert!(scanned > 100, "scan found only {scanned} files");
+    assert!(
+        found.is_empty(),
+        "unsafe code outside its census: {found:#?}"
+    );
 }
