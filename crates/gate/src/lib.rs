@@ -176,6 +176,14 @@ pub(crate) struct GateState {
     pub(crate) outboxes: HashMap<u32, Arc<Outbox>>,
 }
 
+impl GateState {
+    /// Queries of `tenant` running now (each one `QueryRun`, however
+    /// many subscribers it has).
+    pub(crate) fn runs_of(&self, tenant: &str) -> usize {
+        self.runs.values().filter(|r| r.tenant == tenant).count()
+    }
+}
+
 /// Everything the gate's threads share.
 pub(crate) struct GateShared {
     pub(crate) state: Mutex<GateState>,
@@ -519,7 +527,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     }
 
     // Admission control: explicit refusal beats unbounded queueing.
-    let tenant_active = state.runs.values().filter(|r| r.tenant == q.tenant).count();
+    let tenant_active = state.runs_of(&q.tenant);
     if tenant_active >= shared.cfg.max_inflight_per_tenant {
         drop(state);
         reject(&format!("tenant {} over inflight cap", q.tenant));
@@ -533,8 +541,16 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
 
     let jobs = one_vs_all_jobs(n, n + 1, &q.methods);
     shared.stats.on_query_submitted(&q.tenant);
+    // A query answered here never runs: a tenant with no query running
+    // keeps no labelled series.
+    let answered_now = || {
+        if tenant_active == 0 {
+            shared.stats.forget_tenant(&q.tenant);
+        }
+    };
     if jobs.is_empty() {
         // Empty database: the ranking is trivially empty, answer now.
+        answered_now();
         drop(state);
         shared.stats.on_query_completed(0.0);
         outbox.push(Frame::QueryDone(QueryDone {
@@ -558,6 +574,7 @@ pub(crate) fn submit_query(shared: &GateShared, q: QuerySubmit, outbox: &Arc<Out
     if misses.is_empty() {
         // Every pair was store-resident: the query never touches a
         // worker. Answer with the final ranking right away.
+        answered_now();
         drop(state);
         let ranking = ranking_from_outcomes(n, &outcomes, &q.methods, shared.cfg.combiner);
         shared.stats.on_query_completed(0.0);

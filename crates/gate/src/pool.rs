@@ -241,6 +241,9 @@ fn complete_run(state: &mut GateState, shared: &GateShared, fingerprint: u64) {
     shared
         .stats
         .on_query_completed(run.started_at.elapsed().as_secs_f64());
+    if state.runs_of(&run.tenant) == 0 {
+        shared.stats.forget_tenant(&run.tenant);
+    }
 }
 
 #[cfg(test)]
@@ -366,13 +369,9 @@ mod tests {
         assert_eq!(batches[0].jobs, jobs);
     }
 
-    /// Tenants that come and go leave nothing behind: after 1 000
-    /// one-query tenants each submit, are granted and are answered, the
-    /// round-robin and the stride scheduler hold no tenant.
-    #[test]
-    fn departed_tenants_leave_the_round_robin_and_the_scheduler() {
-        let chains = tiny_profile().generate(3);
-        let (db, query) = (chains[..1].to_vec(), chains[1].clone());
+    /// `n` one-query tenants each submit, are granted and are answered,
+    /// one after another, on a gate over `db`; returns the gate's state.
+    fn churn_tenants(db: Vec<CaChain>, query: &CaChain, n: u64) -> Arc<GateShared> {
         let gate = Gate::bind_on(
             MemNet::new().listener(),
             MemNet::new().listener(),
@@ -381,7 +380,7 @@ mod tests {
         );
         let shared = Arc::clone(&gate.shared);
         let outbox = Outbox::new();
-        for k in 0..1_000u64 {
+        for k in 0..n {
             let submit = QuerySubmit {
                 tenant: format!("tenant-{k}"),
                 query_id: k,
@@ -390,7 +389,20 @@ mod tests {
                 chain: query.clone(),
             };
             crate::submit_query(&shared, submit, &outbox);
+            if shared.state.lock_recover().runs.is_empty() {
+                continue; // answered at submission
+            }
             let (batch_id, batch) = dispatch::claim(&*shared, 0, true).expect("one batch");
+            // Its last batch is out, its query is not answered yet: the
+            // tenant's series stay.
+            let text = shared.stats.registry().render();
+            for name in [
+                "rck_gate_tenant_queries_total",
+                "rck_gate_tenant_jobs_total",
+            ] {
+                let series = format!("{name}{{tenant=\"tenant-{k}\"}}");
+                assert!(text.contains(&series), "{series} gone before the answer");
+            }
             let outcomes = batch
                 .jobs
                 .iter()
@@ -407,12 +419,35 @@ mod tests {
             let fate = dispatch::accept_results(&*shared, 0, ResultBatch { batch_id, outcomes });
             assert!(matches!(fate, BatchFate::Accepted(_)), "query {k}");
         }
+        assert_eq!(shared.stats.queries_completed(), n);
+        shared
+    }
+
+    /// Tenants that come and go leave nothing behind: after 1 000
+    /// one-query tenants each submit, are granted and are answered, the
+    /// round-robin and the stride scheduler hold no tenant.
+    #[test]
+    fn departed_tenants_leave_the_round_robin_and_the_scheduler() {
+        let chains = tiny_profile().generate(3);
+        let shared = churn_tenants(chains[..1].to_vec(), &chains[1], 1_000);
         let state = shared.state.lock_recover();
         assert!(state.runs.is_empty(), "every run retired");
         assert_eq!(state.tenant_runs.len(), 0, "round-robin queues left");
         assert_eq!(state.sched.tenants(), 0, "scheduler tenants left");
-        drop(state);
-        assert_eq!(shared.stats.queries_completed(), 1_000);
+    }
+
+    /// Departed tenants leave no labelled series either, whether their
+    /// query was scheduled (its series stay until it is answered) or
+    /// answered at submission (empty database).
+    #[test]
+    fn departed_tenants_leave_no_labelled_series() {
+        let chains = tiny_profile().generate(3);
+        for db in [chains[..1].to_vec(), Vec::new()] {
+            let shared = churn_tenants(db, &chains[1], 1_000);
+            let text = shared.stats.registry().render();
+            assert!(text.contains("rck_gate_queries_submitted_total 1000"));
+            assert!(!text.contains("tenant="), "tenant series left:\n{text}");
+        }
     }
 
     /// A worker answering the wrong jobs is refused: nothing reaches the

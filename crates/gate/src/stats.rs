@@ -154,6 +154,23 @@ impl GateStats {
             .inc();
     }
 
+    /// A tenant's last running query was answered: its labelled series
+    /// go with it, so the registry holds a series only for tenants with
+    /// a query running. The series therefore count a tenant's busy
+    /// spell, not its lifetime: a tenant that returns after every query
+    /// was answered starts again from zero, and a tenant that sends one
+    /// query at a time reads 1 query per spell. Lifetime totals are the
+    /// unlabelled `rck_gate_queries_submitted_total` and
+    /// `rck_gate_jobs_dispatched_total`.
+    pub(crate) fn forget_tenant(&self, tenant: &str) {
+        for name in [
+            "rck_gate_tenant_queries_total",
+            "rck_gate_tenant_jobs_total",
+        ] {
+            self.registry.remove(name, &[("tenant", tenant)]);
+        }
+    }
+
     pub(crate) fn on_query_completed(&self, latency_secs: f64) {
         self.queries_completed.inc();
         self.inflight_queries.sub(1);

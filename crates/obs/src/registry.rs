@@ -149,6 +149,23 @@ impl Registry {
         }
     }
 
+    /// Drop the series `name{labels}`, and its family once no series is
+    /// left, so a label whose value has a bounded life (a tenant, a
+    /// connection) stops rendering when its owner goes. A handle taken
+    /// earlier keeps counting unseen; registering the series again
+    /// starts it from zero. Returns whether the series existed.
+    pub fn remove(&self, name: &str, labels: &[(&str, &str)]) -> bool {
+        let mut families = self.families.lock().unwrap();
+        let Some(family) = families.get_mut(name) else {
+            return false;
+        };
+        let removed = family.members.remove(&label_string(labels)).is_some();
+        if family.members.is_empty() {
+            families.remove(name);
+        }
+        removed
+    }
+
     fn member(
         &self,
         name: &str,
@@ -323,6 +340,25 @@ mod tests {
         assert!(text.contains("rck_test_lat_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("rck_test_lat_sum 5.55"));
         assert!(text.contains("rck_test_lat_count 3"));
+    }
+
+    #[test]
+    fn removed_series_stop_rendering_and_restart_from_zero() {
+        let reg = Registry::new();
+        reg.counter_with("rck_t_jobs", "h", &[("tenant", "a")])
+            .add(3);
+        reg.counter_with("rck_t_jobs", "h", &[("tenant", "b")])
+            .add(5);
+        assert!(reg.remove("rck_t_jobs", &[("tenant", "a")]));
+        assert!(!reg.remove("rck_t_jobs", &[("tenant", "a")]));
+        let text = reg.render();
+        assert!(!text.contains("tenant=\"a\""));
+        assert!(text.contains("rck_t_jobs{tenant=\"b\"} 5"));
+        assert!(reg.remove("rck_t_jobs", &[("tenant", "b")]));
+        assert_eq!(reg.render(), "", "an empty family is dropped");
+        reg.counter_with("rck_t_jobs", "h", &[("tenant", "a")])
+            .inc();
+        assert!(reg.render().contains("rck_t_jobs{tenant=\"a\"} 1"));
     }
 
     #[test]

@@ -92,30 +92,25 @@ pub fn parse_pdb_with(name: &str, text: &str, opts: &ParseOptions) -> Result<Str
                 let occupancy = field(line, 54, 60).trim().parse().unwrap_or(1.0);
                 let b_factor = field(line, 60, 66).trim().parse().unwrap_or(0.0);
 
-                let chain = get_or_push_chain(&mut structure, chain_id);
-                let need_new_residue = match chain.residues.last() {
-                    Some(r) => r.seq_num != seq_num || r.insertion != insertion,
-                    None => true,
+                let atom = Atom {
+                    serial,
+                    name: atom_name,
+                    pos: Vec3::new(x, y, z),
+                    occupancy,
+                    b_factor,
                 };
-                if need_new_residue {
-                    chain.residues.push(Residue {
-                        seq_num,
-                        insertion,
-                        aa,
-                        atoms: Vec::new(),
-                    });
-                }
-                let residue = chain.residues.last_mut().expect("just ensured");
-                // Skip duplicate atom names within a residue (e.g. from
-                // files that list several conformers without altloc codes).
-                if residue.atoms.iter().all(|a| a.name != atom_name) {
-                    residue.atoms.push(Atom {
-                        serial,
-                        name: atom_name,
-                        pos: Vec3::new(x, y, z),
-                        occupancy,
-                        b_factor,
-                    });
+                // Chains are appended in first-appearance order; atoms
+                // for an already seen chain go to that chain.
+                match structure.chains.iter_mut().find(|c| c.id == chain_id) {
+                    Some(chain) => add_atom(chain, seq_num, insertion, aa, atom),
+                    None => {
+                        let mut chain = Chain {
+                            id: chain_id,
+                            residues: Vec::new(),
+                        };
+                        add_atom(&mut chain, seq_num, insertion, aa, atom);
+                        structure.chains.push(chain);
+                    }
                 }
             }
             _ => {}
@@ -128,17 +123,23 @@ pub fn parse_pdb_with(name: &str, text: &str, opts: &ParseOptions) -> Result<Str
     Ok(structure)
 }
 
-fn get_or_push_chain(structure: &mut Structure, id: char) -> &mut Chain {
-    // Chains are appended in first-appearance order; atoms for an already
-    // seen chain go to that chain.
-    if let Some(idx) = structure.chains.iter().position(|c| c.id == id) {
-        &mut structure.chains[idx]
-    } else {
-        structure.chains.push(Chain {
-            id,
-            residues: Vec::new(),
-        });
-        structure.chains.last_mut().expect("just pushed")
+/// Add `atom` to `chain`: it joins the chain's last residue when the
+/// residue number and insertion code continue it, else it starts a new
+/// residue. A duplicate atom name within a residue is skipped (files
+/// that list several conformers without altloc codes).
+fn add_atom(chain: &mut Chain, seq_num: i32, insertion: Option<char>, aa: AminoAcid, atom: Atom) {
+    match chain.residues.last_mut() {
+        Some(last) if last.seq_num == seq_num && last.insertion == insertion => {
+            if last.atoms.iter().all(|a| a.name != atom.name) {
+                last.atoms.push(atom);
+            }
+        }
+        _ => chain.residues.push(Residue {
+            seq_num,
+            insertion,
+            aa,
+            atoms: vec![atom],
+        }),
     }
 }
 

@@ -374,17 +374,23 @@ pub trait WorkSource: Sync {
     fn observe(&self, event: Event<'_>);
 }
 
+/// Largest first-frame payload a server reads from a peer it has not
+/// greeted yet (4 KiB): a `Hello` is a version and a name, so a header
+/// declaring more is refused before any payload byte is read or buffered.
+const HELLO_MAX_PAYLOAD: usize = 4 << 10;
+
 /// Server side of Hello/Welcome: read the peer's Hello, check the
 /// protocol version, answer with the Welcome `welcome` mints once the
 /// Hello is valid. Returns the Welcome sent and the peer's name, or
-/// `None` when the peer must be dropped.
+/// `None` when the peer must be dropped. A first frame declaring a
+/// payload over 4 KiB (`HELLO_MAX_PAYLOAD`) is a decode error.
 pub fn handshake(
     tag: &str,
     observe: impl Fn(Event<'_>),
     conn: &mut Box<dyn Conn>,
     welcome: impl FnOnce() -> Welcome,
 ) -> Option<(Welcome, String)> {
-    let frame = match proto::read_frame(conn) {
+    let frame = match proto::read_frame_within(conn, HELLO_MAX_PAYLOAD) {
         Ok((frame, n)) => {
             observe(Event::Rx(n));
             frame

@@ -14,19 +14,37 @@
 //! truncation as an error rather than panicking — the frame boundary is
 //! the trust boundary of the service.
 //!
-//! `checksum` is FNV-1a 64 over the kind byte, the payload length, and
-//! the payload bytes (see [`rckalign::fnv1a64`]). Protocol version 2
-//! added it so a corrupted or torn frame is *always* rejected instead of
-//! decoding into a structurally-valid-but-wrong message: the chaos harness
-//! ([`crate::chaos`]) injects exactly such corruption, and the service's
-//! bit-identical-matrix guarantee relies on every damaged result frame
-//! being refused at this boundary.
+//! `checksum` guards the kind byte, the payload length and the payload.
+//! Protocol version 2 added it so a corrupted or torn frame is *always*
+//! rejected instead of decoding into a structurally-valid-but-wrong
+//! message: the chaos harness ([`crate::chaos`]) injects exactly such
+//! corruption, and the service's bit-identical-matrix guarantee relies on
+//! every damaged result frame being refused at this boundary.
 //!
 //! Protocol version 3 keeps every layout and makes the chain tables of
 //! [`JobBatch`] and [`TileGrant`] **deltas**: the receiver keeps an
 //! index → chain table for the life of the connection and the sender
 //! ([`Resident`]) ships only what it lacks. The protocol is stateless
-//! *across* connections; a v2 peer is refused at the handshake.
+//! *across* connections.
+//!
+//! Protocol version 4 keeps every layout and byte count and redefines the
+//! checksum as an FNV-1a fold over premixed words
+//! ([`rckalign::fnv1a64_words`]): one word `kind | payload_len << 8`,
+//! each full little-endian `u64` word of the payload, then the 0–7 tail
+//! bytes zero-padded as one last word, each step
+//! `h = (h ^ premix(w)) · FNV_PRIME`. That is one dependent multiply per
+//! eight bytes where v2/v3 paid one per byte. Damage confined to one
+//! aligned word is always rejected (v2/v3 promised that for one byte):
+//! `premix` and the step are bijections. Damage spread over several
+//! words is rejected unless it collides by chance; `premix` keeps a
+//! flip of bit 63 from passing every multiply unchanged, which would let
+//! two such flips cancel. A peer of an earlier version is refused at the
+//! handshake.
+//!
+//! A declared payload length buys no memory the peer has not sent:
+//! [`read_frame`] allocates 64 KiB before the payload arrives and then
+//! at most twice what has arrived, and the server-side handshake
+//! refuses a first frame larger than a `Hello` can be.
 //!
 //! Chains cross in the one chain codec the simulator's on-mesh job
 //! payloads use (`rckalign::jobs::{put_chain, get_chain}`), at the other
@@ -40,7 +58,7 @@ use rck_pdb::model::CaChain;
 use rck_rcce::{DecodeError, Reader, Writer};
 use rck_tmalign::MethodKind;
 use rckalign::jobs::{get_chain, get_job, get_outcome, put_chain, put_job, put_outcome};
-use rckalign::{fnv1a64, PairJob, PairOutcome};
+use rckalign::{fnv1a64_words, PairJob, PairOutcome};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{Read, Write as IoWrite};
@@ -50,15 +68,22 @@ use std::sync::Arc;
 pub const MAGIC: u32 = 0x5243_4B53;
 
 /// Current protocol version (2: frame checksums; 3: chain tables are
-/// deltas against the connection's resident set).
-pub const PROTOCOL_VERSION: u16 = 3;
+/// deltas against the connection's resident set; 4: the checksum folds a
+/// little-endian word at a time).
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Frame header size in bytes (magic + version + kind + payload length +
 /// checksum).
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4 + 8;
 
-/// Largest accepted payload (64 MiB) — caps allocation from the wire.
+/// Largest accepted payload (64 MiB) — caps what one frame may carry.
 pub const MAX_PAYLOAD: usize = 64 << 20;
+
+/// Payload bytes [`read_frame`] allocates before any has arrived (64 KiB):
+/// a frame up to this size is read with one allocation and one fill; a
+/// larger one's buffer at most doubles per fill, so it stays within
+/// twice what the peer has sent.
+const READ_CHUNK: usize = 64 << 10;
 
 /// Worker → master greeting.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -565,13 +590,10 @@ fn decode_payload(kind: u8, payload: Vec<u8>) -> Result<Frame, FrameError> {
     Ok(frame)
 }
 
-/// The checksum stored in a frame header: FNV-1a 64 (the store's one
-/// body, byte at a time) over the kind byte, the payload length, and the
-/// payload bytes.
+/// The checksum stored in a frame header: the FNV-1a fold of premixed
+/// words over one head word (the kind byte and the payload length) and the payload.
 fn frame_checksum(kind: u8, payload: &[u8]) -> u64 {
-    let h = fnv1a64(0, &[kind]);
-    let h = fnv1a64(h, &(payload.len() as u32).to_le_bytes());
-    fnv1a64(h, payload)
+    fnv1a64_words(kind as u64 | (payload.len() as u64) << 8, payload)
 }
 
 /// Parsed fixed-size header fields (after magic/version validation).
@@ -669,32 +691,51 @@ pub fn write_frame(w: &mut impl IoWrite, frame: &Frame) -> std::io::Result<usize
 /// short read — the frame was torn). The distinction matters to the
 /// master's accounting: only the latter is a decode error.
 pub fn read_frame(r: &mut impl Read) -> Result<(Frame, usize), FrameError> {
+    read_frame_within(r, MAX_PAYLOAD)
+}
+
+/// [`read_frame`] for a frame whose payload may hold at most
+/// `max_payload` bytes: a header declaring more is
+/// [`FrameError::Oversized`] before any payload byte is read.
+pub(crate) fn read_frame_within(
+    r: &mut impl Read,
+    max_payload: usize,
+) -> Result<(Frame, usize), FrameError> {
     let mut header = [0u8; HEADER_LEN];
-    let mut got = 0usize;
-    while got < HEADER_LEN {
-        match r.read(&mut header[got..]) {
-            Ok(0) => {
-                return Err(if got == 0 {
-                    FrameError::Closed
-                } else {
-                    FrameError::Truncated
-                });
-            }
+    if !fill(r, &mut header)? {
+        return Err(FrameError::Closed);
+    }
+    let header = parse_header(&header)?;
+    if header.payload_len > max_payload {
+        return Err(FrameError::Oversized(header.payload_len));
+    }
+    // The buffer starts at READ_CHUNK and at most doubles what has
+    // arrived, so a lying length buys little memory.
+    let mut payload = Vec::new();
+    while payload.len() < header.payload_len {
+        let got = payload.len();
+        payload.resize((2 * got).max(READ_CHUNK).min(header.payload_len), 0);
+        if !fill(r, &mut payload[got..])? {
+            return Err(FrameError::Truncated);
+        }
+    }
+    open_payload(&header, payload)
+}
+
+/// Fill `buf` from `r`: `false` on an EOF before its first byte, and
+/// [`FrameError::Truncated`] on an EOF after it.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, FrameError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) if got == 0 => return Ok(false),
+            Ok(0) => return Err(FrameError::Truncated),
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e.into()),
         }
     }
-    let header = parse_header(&header)?;
-    let mut payload = vec![0u8; header.payload_len];
-    r.read_exact(&mut payload).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            FrameError::Truncated
-        } else {
-            FrameError::Io(e)
-        }
-    })?;
-    open_payload(&header, payload)
+    Ok(true)
 }
 
 /// Whether `outcomes` answers exactly the dispatched `jobs` — same
@@ -964,7 +1005,7 @@ mod tests {
              4       2     version    = PROTOCOL_VERSION ({version}), little-endian\n\
              6       1     kind       (see table)\n\
              7       4     payload length, little-endian, \u{2264} MAX_PAYLOAD ({} MiB)\n\
-             11      8     checksum   = FNV-1a 64 over kind \u{2016} payload length \u{2016} payload\n\
+             11      8     checksum   = FNV-1a 64 over premixed u64 words: kind | length << 8, payload (LE, tail zero-padded)\n\
              {offset:<8}\u{2026}     payload    (rcce byte-codec encoded)\n```\n\n\
              | kind | frame | direction | payload |\n|---:|---|---|---|\n",
             value >> 16,
@@ -1281,6 +1322,142 @@ mod tests {
             decode_frame(&bad),
             Err(FrameError::Checksum { .. })
         ));
+    }
+
+    /// The v4 checksum pinned on one frame with a full payload word and a
+    /// tail: a change to the fold's definition fails here by name.
+    #[test]
+    fn frame_checksum_is_pinned() {
+        let bytes = encode_frame(&Frame::Heartbeat(Heartbeat {
+            worker_id: 1,
+            completed: 2,
+        }));
+        assert_eq!(bytes.len(), HEADER_LEN + 12);
+        let pinned = 0x041c_eb62_768f_8ddau64;
+        assert_eq!(frame_checksum(5, &bytes[HEADER_LEN..]), pinned);
+        assert_eq!(bytes[11..HEADER_LEN], pinned.to_le_bytes());
+    }
+
+    /// Any corruption confined to one aligned payload word (the tail
+    /// included) or to the checksum field is refused by the checksum, in
+    /// a frame of every kind and under several patterns per word.
+    #[test]
+    fn corrupting_any_aligned_word_fails_the_checksum() {
+        let patterns = [u64::MAX, 1, 1 << 63, 0x0123_4567_89ab_cdef];
+        for frame in samples() {
+            let bytes = encode_frame(&frame);
+            let words = (HEADER_LEN..bytes.len()).step_by(8).chain([11]);
+            for at in words {
+                let end = (at + 8).min(bytes.len());
+                for pattern in patterns {
+                    let mut bad = bytes.clone();
+                    for (b, p) in bad[at..end].iter_mut().zip(pattern.to_le_bytes()) {
+                        *b ^= p;
+                    }
+                    if bad == bytes {
+                        continue; // the pattern missed a short tail
+                    }
+                    assert!(
+                        matches!(decode_frame(&bad), Err(FrameError::Checksum { .. })),
+                        "{}: word at byte {at} ^ {pattern:#x} not caught",
+                        variant(&frame)
+                    );
+                }
+            }
+        }
+    }
+
+    /// Damage spread over two words is refused too, where a plain
+    /// multiply fold lets bit 63 through every step unchanged: every
+    /// two-bit flip in the payload and checksum field of a sample frame
+    /// (bit 63 of two payload words, or of one payload word and of the
+    /// checksum, among them), and every pair of nonzero XORs on byte 7
+    /// of its first payload word and of its last full word or of the
+    /// checksum.
+    #[test]
+    fn damage_across_two_words_fails_the_checksum() {
+        let bytes = encode_frame(&Frame::ResultBatch(ResultBatch {
+            batch_id: 9,
+            outcomes: vec![PairOutcome {
+                i: 4,
+                j: 7,
+                method: MethodKind::TmAlign,
+                similarity: 0.625,
+                rmsd: 2.25,
+                aligned_len: 40,
+                ops: 1_234,
+            }],
+        }));
+        let refused = |bad: &[u8]| matches!(decode_frame(bad), Err(FrameError::Checksum { .. }));
+        let bits: Vec<usize> = (11 * 8..bytes.len() * 8).collect();
+        for (n, &a) in bits.iter().enumerate() {
+            for &b in &bits[n + 1..] {
+                let mut bad = bytes.clone();
+                bad[a / 8] ^= 1 << (a % 8);
+                bad[b / 8] ^= 1 << (b % 8);
+                assert!(refused(&bad), "bits {a} and {b} flipped, not caught");
+            }
+        }
+        let last_word = HEADER_LEN + (bytes.len() - HEADER_LEN) / 8 * 8 - 8;
+        for other in [last_word + 7, 18] {
+            for x in 1..=255u8 {
+                for y in 1..=255u8 {
+                    let mut bad = bytes.clone();
+                    bad[HEADER_LEN + 7] ^= x;
+                    bad[other] ^= y;
+                    assert!(
+                        refused(&bad),
+                        "byte {} ^ {x:#x} and byte {other} ^ {y:#x}",
+                        HEADER_LEN + 7
+                    );
+                }
+            }
+        }
+    }
+
+    /// A stream that yields `wire`, then EOF, and records the widest
+    /// slice a reader asks it to fill.
+    struct Recording {
+        wire: std::io::Cursor<Vec<u8>>,
+        widest: usize,
+    }
+
+    impl Read for Recording {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.wire.read(buf)
+        }
+    }
+
+    /// A header declaring 64 MiB followed by EOF never makes the reader
+    /// ask for (and so allocate) more than 64 KiB; a real frame larger
+    /// than that still reads back exactly as its buffer grows.
+    #[test]
+    fn a_declared_length_buys_no_memory_the_peer_has_not_sent() {
+        let mut lying = Recording {
+            wire: std::io::Cursor::new(header_with(6, MAX_PAYLOAD).to_vec()),
+            widest: 0,
+        };
+        assert!(matches!(read_frame(&mut lying), Err(FrameError::Truncated)));
+        assert!(
+            lying.widest <= 64 << 10,
+            "asked to fill {} bytes",
+            lying.widest
+        );
+
+        let large = Frame::QueryDone(QueryDone {
+            query_id: 7,
+            ranking: (0..20_000).map(|i| (i, i as f64 / 3.0)).collect(),
+        });
+        let bytes = encode_frame(&large);
+        assert!(bytes.len() > 3 * READ_CHUNK);
+        let mut honest = Recording {
+            wire: std::io::Cursor::new(bytes.clone()),
+            widest: 0,
+        };
+        let (back, used) = read_frame(&mut honest).expect("large frame reads");
+        assert_eq!((back, used), (large, bytes.len()));
+        assert!(matches!(read_frame(&mut honest), Err(FrameError::Closed)));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rck_pdb::geometry::Vec3;
 use rck_pdb::model::{AminoAcid, CaChain};
 use rck_rcce::{Reader, Writer};
-use rck_serve::dispatch::handshake;
+use rck_serve::dispatch::{handshake, Event};
 use rck_serve::proto::{
     decode_frame, encode_frame, read_frame, Hello, JobBatch, QueryDone, QueryPartial, QueryReject,
     QuerySubmit, Resident, ResultBatch, Welcome, HEADER_LEN, MAX_PAYLOAD, PROTOCOL_VERSION,
@@ -581,23 +581,23 @@ fn codec_rejects_oversized_header_before_the_payload_arrives() {
     ));
 }
 
-/// A v2 peer cannot work against v3 chain tables (it would fail every
-/// batch after a connection's first), so it is turned away before any
-/// work is dispatched — whether it announces itself in the frame header
-/// or only in its Hello.
+/// A v3 peer checksums frames byte by byte, so every frame it sends would
+/// fail the v4 word fold; it is turned away before any work is
+/// dispatched — whether it announces itself in the frame header or only
+/// in its Hello.
 #[test]
-fn a_v2_hello_is_refused_by_the_v3_handshake() {
+fn a_v3_hello_is_refused_by_the_v4_handshake() {
     let hello = |protocol_version| {
         encode_frame(&Frame::Hello(Hello {
             protocol_version,
             worker_name: "old".to_string(),
         }))
     };
-    let mut v2_header = hello(2);
-    v2_header[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let mut v3_header = hello(3);
+    v3_header[4..6].copy_from_slice(&3u16.to_le_bytes());
     for (bytes, welcomed) in [
-        (v2_header, false),
-        (hello(2), false),
+        (v3_header, false),
+        (hello(3), false),
         (hello(PROTOCOL_VERSION), true),
     ] {
         let (mut peer, mut server) = MemNet::pair();
@@ -613,6 +613,48 @@ fn a_v2_hello_is_refused_by_the_v3_handshake() {
         );
         assert_eq!(greeted.is_some(), welcomed);
     }
+}
+
+/// A peer that has not been greeted cannot make the server buffer more
+/// than a Hello: a first header declaring 1 MiB is refused as a decode
+/// error from its 19 bytes, and the payload behind it is never read.
+#[test]
+fn an_oversized_first_frame_is_dropped_without_reading_its_payload() {
+    let mut header = encode_frame(&Frame::Hello(Hello {
+        protocol_version: PROTOCOL_VERSION,
+        worker_name: "big".to_string(),
+    }));
+    header.truncate(HEADER_LEN);
+    header[7..11].copy_from_slice(&(1u32 << 20).to_le_bytes());
+    let body = vec![0x5a; 4096];
+    let (mut peer, mut server) = MemNet::pair();
+    peer.write_all(&header).expect("header written");
+    peer.write_all(&body).expect("payload written");
+    drop(peer);
+    let decode_errors = std::cell::Cell::new(0);
+    let greeted = handshake(
+        "[test]",
+        |event| {
+            if matches!(event, Event::DecodeError) {
+                decode_errors.set(decode_errors.get() + 1);
+            }
+        },
+        &mut server,
+        || Welcome {
+            worker_id: 0,
+            n_chains: 0,
+        },
+    );
+    assert!(greeted.is_none());
+    assert_eq!(decode_errors.get(), 1);
+    let mut unread = Vec::new();
+    server.read_to_end(&mut unread).expect("rest of the stream");
+    assert!(
+        unread == body,
+        "{} of the {} payload bytes were read",
+        body.len() - unread.len(),
+        body.len()
+    );
 }
 
 #[test]

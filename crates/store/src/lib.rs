@@ -50,7 +50,7 @@
 pub mod log;
 pub mod stats;
 
-pub use log::{fnv1a64, fnv1a64_lanes, PairKey, StoredPair};
+pub use log::{fnv1a64, fnv1a64_lanes, fnv1a64_words, PairKey, StoredPair};
 pub use stats::StoreCounters;
 
 use rck_obs::Registry;

@@ -39,9 +39,9 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64 over `bytes`, chained from `seed` (0 selects the standard
-/// offset basis) — the tree's one FNV-1a body: store keys and record
-/// checksums, the serve-layer frame checksums and the chaos fingerprints
-/// all fold through it.
+/// offset basis) — the tree's byte-wise FNV-1a body: store keys and
+/// record checksums, gate fingerprints and the chaos fingerprints all
+/// fold through it.
 pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = if seed == 0 { FNV_OFFSET } else { seed };
     for &b in bytes {
@@ -49,6 +49,46 @@ pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Multiplier of [`premix`]: MurmurHash64A's, odd and dense in set bits.
+const PREMIX_MUL: u64 = 0xc6a4_a793_5bd1_e995;
+
+/// Scramble one word before it enters the word fold: multiply, fold the
+/// high half into the low half, multiply. Each of the three steps is a
+/// bijection (odd multipliers; an xor-shift is its own inverse), so
+/// `premix` is one too. A plain multiply maps a flip of bit 63 to a flip
+/// of bit 63 whatever the word holds; the xor-shift sends that flip into
+/// the low half, where the second multiply's carries make the result
+/// depend on the word's value.
+fn premix(w: u64) -> u64 {
+    let k = w.wrapping_mul(PREMIX_MUL);
+    (k ^ k >> 32).wrapping_mul(PREMIX_MUL)
+}
+
+/// FNV-1a 64 over premixed words, the serve-layer frame checksum's body:
+/// from the offset basis, fold `head`, then each full little-endian `u64`
+/// word of `bytes`, then the 0–7 tail bytes zero-padded as one last word;
+/// each step is `h = (h ^ premix(w)) · FNV_PRIME`.
+///
+/// One dependent multiply per eight bytes instead of per byte: `premix`
+/// reads only its word, so it runs ahead of the chain. For a fixed `h`
+/// the step is a bijection of `w`, and every later step is a bijection
+/// of `h`, so two inputs of one length that differ inside a single
+/// aligned word never collide. Without `premix` the fold would let a
+/// flip of bit 63 pass through every multiply unchanged, and a second
+/// such flip in any later word (or in the stored value) would cancel it.
+pub fn fnv1a64_words(head: u64, bytes: &[u8]) -> u64 {
+    let fold = |h: u64, w: u64| (h ^ premix(w)).wrapping_mul(FNV_PRIME);
+    let words = bytes.chunks_exact(8);
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let h = words.fold(fold(FNV_OFFSET, head), |h, w| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(w);
+        fold(h, u64::from_le_bytes(word))
+    });
+    fold(h, u64::from_le_bytes(tail))
 }
 
 /// Streams [`fnv1a64_lanes`] folds in lock-step.
@@ -435,6 +475,49 @@ mod tests {
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].0, key);
         assert!(scan.records[0].1.same_bits(&pair));
+    }
+
+    /// The word fold is `head`, the full words, then exactly one padded
+    /// tail word — also when the tail is empty — at every length
+    /// around the word boundaries.
+    #[test]
+    fn word_fold_folds_head_words_and_one_padded_tail() {
+        let step = |h: u64, w: u64| (h ^ premix(w)).wrapping_mul(FNV_PRIME);
+        for len in 0..=17usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let mut padded = bytes.clone();
+            padded.resize(len / 8 * 8 + 8, 0);
+            let want = padded.chunks(8).fold(step(FNV_OFFSET, 0xabcd), |h, w| {
+                step(h, u64::from_le_bytes(w.try_into().unwrap()))
+            });
+            assert_eq!(fnv1a64_words(0xabcd, &bytes), want, "length {len}");
+        }
+    }
+
+    /// `premix` is a bijection: undoing its steps in reverse order (the
+    /// multiplier's inverse mod 2^64, the self-inverse xor-shift) gives
+    /// the word back.
+    #[test]
+    fn premix_is_invertible() {
+        // Newton's iteration doubles the correct low bits of an odd
+        // number's inverse each round: 3 → 6 → … → 96 ≥ 64.
+        let mut inv = PREMIX_MUL;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(PREMIX_MUL.wrapping_mul(inv)));
+        }
+        assert_eq!(PREMIX_MUL.wrapping_mul(inv), 1);
+        let unmix = |k: u64| {
+            let y = k.wrapping_mul(inv);
+            (y ^ y >> 32).wrapping_mul(inv)
+        };
+        let mut w = 0x0123_4567_89ab_cdefu64;
+        for _ in 0..1_000 {
+            assert_eq!(unmix(premix(w)), w);
+            w = w.rotate_left(7) ^ w.wrapping_mul(FNV_PRIME);
+        }
+        for w in [0, 1, 1 << 63, u64::MAX] {
+            assert_eq!(unmix(premix(w)), w);
+        }
     }
 
     /// Every lane result is the one-stream fold of its stream, for any

@@ -506,9 +506,10 @@ fn only_the_dispatcher_accepts_and_monitors() {
     );
 }
 
-/// One FNV-1a body: store keys, log checksums, frame checksums and the
-/// chaos fingerprints all fold through `rck_store::log::fnv1a64` (its
-/// lock-step lanes are a different function), so no copy can drift.
+/// One byte-wise FNV-1a body: store keys, log checksums, gate and chaos
+/// fingerprints all fold through `rck_store::log::fnv1a64` (its lock-step
+/// lanes and the frame checksum's word fold are different functions in
+/// the same file), so no copy can drift.
 #[test]
 fn fnv1a_has_one_body() {
     let root = repo_root();
